@@ -1,13 +1,20 @@
 """Perf: discrete-event replay throughput of the cluster simulator.
 
-Replays a 4,000-request bursty trace against a 6-worker fleet under FIFO and
-EDF and measures *replay* events/second — the pure-Python event loop that
-every planner grid cell pays, with the service-time prefetch done once up
-front (the prefetch cost is the sim layer's business and is guarded by
-``bench_perf_simulator.py``/``bench_serving.py``).  Guards a conservative
-floor so a regression in the event loop (accidental O(n^2) queue handling,
-per-event simulator calls) fails CI rather than silently making capacity
-planning 100x slower.
+Measures *replay* events/second — the pure-Python event loop that every
+planner grid cell pays — on all three paths of the loop, with the
+service-time prefetch done once up front (the prefetch cost is the sim
+layer's business and is guarded by
+``bench_perf_simulator.py``/``bench_serving.py``):
+
+* healthy: a 4,000-request bursty trace on a 6-worker fleet, FIFO and EDF;
+* routed: a 4,000-request long-tail trace on a mixed big+cheap fleet, EDF
+  behind the ``cost-greedy`` router;
+* faulty: the bursty trace with crashes, stragglers, admission control and
+  the autoscaler on, which must stay within 2x of the healthy loop.
+
+Guards a conservative floor so a regression in the event loop (accidental
+O(n^2) queue handling, per-event simulator calls) fails CI rather than
+silently making capacity planning 100x slower.
 """
 
 import time
@@ -26,6 +33,7 @@ from repro.cluster import (
     prefetch_service_times,
     replay_trace,
 )
+from repro.cluster.scenarios import mixed_fleet_candidates, mixed_fleet_trace
 from repro.ppm import PPMConfig
 from repro.sim import SimulationSession
 
@@ -55,42 +63,58 @@ def build_inputs():
     return trace, fleet, times
 
 
+def build_routed_inputs():
+    """2 big + 3 cheap workers; the cheap ones cannot hold the 512 tail."""
+    trace = mixed_fleet_trace(seed=11, num_requests=NUM_REQUESTS)
+    fleet = mixed_fleet_candidates(
+        big_counts=(2,), cheap_counts=(3,), homogeneous_sizes=(FLEET_SIZE,)
+    )[0]
+    session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    times = prefetch_service_times(trace, fleet, session=session)
+    return trace, fleet, times
+
+
 def test_cluster_replay_throughput(benchmark):
     trace, fleet, times = build_inputs()
+    routed_trace, routed_fleet, routed_times = build_routed_inputs()
+    cases = [
+        (policy, trace, fleet, times, dict(scheduler=policy)) for policy in POLICIES
+    ]
+    cases.append((
+        "edf+cost-greedy", routed_trace, routed_fleet, routed_times,
+        dict(scheduler="edf", router="cost-greedy"),
+    ))
 
     def replay_all():
         results = {}
-        for policy in POLICIES:
+        for label, case_trace, case_fleet, case_times, kwargs in cases:
             start = time.perf_counter()
             report = replay_trace(
-                trace,
-                fleet,
-                scheduler=policy,
-                service_times=times,
+                case_trace,
+                case_fleet,
+                service_times=case_times,
                 same_length_reuse_discount=0.25,
+                **kwargs,
             )
             elapsed = time.perf_counter() - start
-            results[policy] = (report, report.events_processed / elapsed)
+            results[label] = (report, report.events_processed / elapsed)
         return results
 
     results = benchmark.pedantic(replay_all, rounds=1, iterations=1)
 
-    rows = [("policy", "events", "events/s", "p99 (ms)", "SLO", "util")]
-    for policy, (report, eps) in results.items():
+    rows = [("replay", "fleet", "events", "events/s", "p99 (ms)", "SLO")]
+    for label, (report, eps) in results.items():
         rows.append(
             (
-                policy,
+                label,
+                report.fleet_name,
                 report.events_processed,
                 f"{eps:10.0f}",
                 f"{report.p99_latency_seconds * 1e3:7.2f}",
                 f"{report.slo_attainment:.3f}",
-                f"{report.utilization['h100-chunk']:.3f}",
             )
         )
-    print_table(
-        f"Cluster replay throughput ({NUM_REQUESTS} requests, {FLEET_SIZE} workers)",
-        rows,
-    )
+    print_table(f"Cluster replay throughput ({NUM_REQUESTS} requests per replay)", rows)
 
     emit_bench_json(
         "cluster_replay",
@@ -98,19 +122,21 @@ def test_cluster_replay_throughput(benchmark):
             "num_requests": NUM_REQUESTS,
             "fleet_size": FLEET_SIZE,
             "events_per_second": {
-                policy: eps for policy, (report, eps) in results.items()
+                label: eps for label, (report, eps) in results.items()
             },
             "events_processed": {
-                policy: report.events_processed
-                for policy, (report, eps) in results.items()
+                label: report.events_processed
+                for label, (report, eps) in results.items()
             },
         },
     )
 
-    for policy, (report, eps) in results.items():
+    for label, (report, eps) in results.items():
+        # The router sends the 512-residue tail to the big group, so no
+        # replay drops anything.
         assert report.completed == NUM_REQUESTS
         assert eps >= MIN_EVENTS_PER_SECOND, (
-            f"{policy} replay throughput regressed: {eps:.0f} events/s "
+            f"{label} replay throughput regressed: {eps:.0f} events/s "
             f"< {MIN_EVENTS_PER_SECOND:.0f}"
         )
 

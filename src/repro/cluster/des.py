@@ -14,13 +14,18 @@ The split keeps replay cheap and bit-deterministic:
    :class:`~repro.serving.service.LatencyService`, or sharded across
    :func:`repro.sim.sweep.sweep` with ``workers > 1``) — the only stage that
    touches a simulator.
-2. **Replay** — a pure-Python event loop over a heap of arrivals,
-   completions and (when closed-loop features are on) crash / recovery /
-   retry / scale events.  Ties break on (time, kind, sequence) and idle
-   workers are claimed lowest-id-first, so a given (trace, fleet, policy,
-   faults, controllers) tuple replays to the bit-identical
-   :class:`ClusterReport` on every run, machine and process — the property
-   the golden tests pin.
+2. **Replay** — a pure-Python event loop.  Arrivals are read from the
+   trace in arrival order (sorted once if the trace is not already) and
+   merged with a heap that holds only completions and (when closed-loop
+   features are on) crash / recovery / retry / scale / autoscaler-tick
+   events.  Ties break on (time, kind, sequence) — an arrival's sequence
+   is its trace index — and idle workers are claimed lowest-id-first, so a
+   given (trace, fleet, policy, faults, controllers) tuple replays to the
+   bit-identical :class:`ClusterReport` on every run, machine and process
+   — the property the golden tests pin.  The loop records one plain row
+   per finished request; the report is aggregated from the rows after the
+   loop, and only :func:`replay_trace_outcomes` turns them into
+   :class:`RequestOutcome` objects.
 
 Requests whose backend reports out-of-memory at their length are *dropped*
 (counted, and counted against SLO attainment), never silently served.
@@ -66,6 +71,8 @@ import heapq
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter, gt
 from typing import Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from ..obs.timeline import TimelineRecorder
@@ -78,7 +85,7 @@ from .faults import FaultSchedule, RecoveryPolicy
 from .fleet import FleetSpec, MultiChipVariant, WorkerHealth
 from .routing import RouterSpec, create_router, group_infos, router_name
 from .scheduler import SchedulerSpec, create_scheduler, scheduler_name, select_worker
-from .trace import RequestTrace
+from .trace import Request, RequestTrace
 
 if TYPE_CHECKING:  # service routing is optional; avoid an import cycle at runtime
     from ..serving.service import LatencyService
@@ -92,6 +99,12 @@ if TYPE_CHECKING:  # service routing is optional; avoid an import cycle at runti
 #: arrivals (a requeued request queues behind a same-instant fresh arrival);
 #: autoscaler ticks observe everything else that happened at their instant.
 _COMPLETION, _RECOVER, _CRASH, _SCALE_UP, _ARRIVAL, _RETRY, _AUTOSCALE = range(7)
+
+_NONE_STRAGGLING: frozenset = frozenset()
+
+#: One finished request as the event loop records it: (request, start,
+#: finish, met deadline, drop reason or None when served, crash-requeues).
+_Row = Tuple[Request, float, float, bool, Optional[str], int]
 
 
 @dataclass(frozen=True)
@@ -365,7 +378,7 @@ def replay_trace(
     Perfetto export.  Recording is append-only observation — the report is
     bit-identical with or without it.
     """
-    report, _ = replay_trace_outcomes(
+    report, _ = _replay(
         trace,
         fleet,
         scheduler=scheduler,
@@ -407,6 +420,63 @@ def replay_trace_outcomes(
     timeline: Optional[TimelineRecorder] = None,
 ) -> Tuple[ClusterReport, Tuple[RequestOutcome, ...]]:
     """:func:`replay_trace` plus the per-request :class:`RequestOutcome` log."""
+    report, rows = _replay(
+        trace,
+        fleet,
+        scheduler=scheduler,
+        ppm_config=ppm_config,
+        session=session,
+        service=service,
+        workers=workers,
+        dispatch_overhead_seconds=dispatch_overhead_seconds,
+        same_length_reuse_discount=same_length_reuse_discount,
+        service_times=service_times,
+        faults=faults,
+        recovery=recovery,
+        admission=admission,
+        autoscaler=autoscaler,
+        communication_times=communication_times,
+        router=router,
+        timeline=timeline,
+    )
+    return report, tuple(
+        RequestOutcome(
+            request_id=request.id,
+            sequence_length=request.sequence_length,
+            priority=request.priority,
+            arrival_seconds=request.arrival_seconds,
+            start_seconds=start,
+            finish_seconds=finish,
+            met_deadline=met,
+            dropped=reason is not None,
+            drop_reason=reason,
+            retries=retries,
+        )
+        for request, start, finish, met, reason, retries in rows
+    )
+
+
+def _replay(
+    trace: RequestTrace,
+    fleet: FleetSpec,
+    scheduler: SchedulerSpec = "fifo",
+    ppm_config: Optional[PPMConfig] = None,
+    session: Optional[SimulationSession] = None,
+    service: Optional["LatencyService"] = None,
+    workers: Optional[int] = None,
+    dispatch_overhead_seconds: float = 0.0,
+    same_length_reuse_discount: float = 0.0,
+    service_times: Optional[ServiceTimes] = None,
+    faults: Optional[FaultSchedule] = None,
+    recovery: Optional[RecoveryPolicy] = None,
+    admission: Optional[AdmissionController] = None,
+    autoscaler=None,
+    communication_times: Optional[CommunicationTimes] = None,
+    router: RouterSpec = None,
+    timeline: Optional[TimelineRecorder] = None,
+) -> Tuple[ClusterReport, List[_Row]]:
+    """The event loop behind both public replays: the report plus one
+    :data:`_Row` per finished request, in the order requests finished."""
     if not 0.0 <= same_length_reuse_discount < 1.0:
         raise ValueError("same_length_reuse_discount must be in [0, 1)")
     if faults is not None and not faults:
@@ -499,26 +569,32 @@ def replay_trace_outcomes(
             group_of=tuple(group_of),
         )
 
+    # Arrivals are merged from the trace rather than pushed into the heap.
+    # An arrival's heap key would be (arrival, _ARRIVAL, trace index), so
+    # the cursor walks the trace in (arrival, index) order: a stable sort,
+    # needed only when the trace is out of arrival order.
+    by_arrival = trace.requests
+    arrivals = list(map(attrgetter("arrival_seconds"), by_arrival))
+    if any(map(gt, arrivals, islice(arrivals, 1, None))):
+        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+        by_arrival = [by_arrival[k] for k in order]
+        arrivals = [arrivals[k] for k in order]
+    num_arrivals = len(arrivals)
+    next_arrival = 0
+
+    #: Completions and control events.  No arrival is ever in the heap, so
+    #: an arrival and the heap top never tie on (time, kind).
     events: List[Tuple[float, int, int, object]] = []
     counter = 0
-    for request in trace:
-        heapq.heappush(
-            events, (request.arrival_seconds, _ARRIVAL, counter, request)
-        )
-        counter += 1
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     if faults is not None:
         for crash in faults.crashes:
             if crash.worker_id < num_workers:
-                heapq.heappush(
-                    events, (crash.at_seconds, _CRASH, counter, crash)
-                )
+                heappush(events, (crash.at_seconds, _CRASH, counter, crash))
                 counter += 1
-    #: Non-tick events pending in the heap — the autoscaler's "is there
-    #: still anything to react to" signal (ticks never count themselves,
-    #: or the loop would self-sustain forever).
-    pending_non_tick = counter
     if autoscalers is not None:
-        heapq.heappush(
+        heappush(
             events, (first_scaler.interval_seconds, _AUTOSCALE, counter, None)
         )
         counter += 1
@@ -530,19 +606,15 @@ def replay_trace_outcomes(
     generation = [0] * num_workers  # bumped per crash; stale-completion guard
     warmup_extra = [0.0] * num_workers
     provision_start = [0.0] * num_workers
-    running: Dict[int, Tuple[object, float, float]] = {}  # worker -> (req, start, finish)
+    #: worker -> (req, start, finish); kept only when a crash can abort work.
+    running: Dict[int, Tuple[object, float, float]] = {}
     down_since: Dict[int, float] = {}
     attempts: Dict[int, int] = {}  # request id -> crash-requeues so far
 
-    outcomes: List[RequestOutcome] = []
-    latencies: List[float] = []
-    waits: List[float] = []
-    met_by_priority: Dict[int, int] = {}
-    total_by_priority: Dict[int, int] = {}
-    shed_by_priority: Dict[int, int] = {}
-    completed = dropped = deadlines_missed = 0
-    retried = shed = oom_dropped = failed = 0
+    rows: List[_Row] = []
+    retried = 0
     events_processed = 0
+    depth = len(policy)  # queued requests, counted here rather than asked
     max_queue_depth = 0
     queue_depth_sum = 0
     last_time = trace.duration_seconds
@@ -555,337 +627,300 @@ def replay_trace_outcomes(
     recent_met: deque = deque(
         maxlen=first_scaler.attainment_window if autoscalers else 1
     )
-
-    def note_queued(request, sign: int) -> None:
-        """Maintain the per-group feasible-queue counters (multi-group only)."""
-        if queued_feasible is not None:
-            for qgi in feasible_of[request.sequence_length]:
-                queued_feasible[qgi] += sign
+    push, pop = policy.push, policy.pop
+    prefer_shape = same_length_reuse_discount > 0.0
+    reuse_factor = 1.0 - same_length_reuse_discount
 
     def record_drop(request, now: float, reason: str, start: Optional[float] = None) -> None:
-        nonlocal dropped, deadlines_missed, shed, oom_dropped, failed
-        dropped += 1
-        if reason == "shed":
-            shed += 1
-            shed_by_priority[request.priority] = (
-                shed_by_priority.get(request.priority, 0) + 1
-            )
-        elif reason == "oom":
-            oom_dropped += 1
-        else:  # "failed" or "starved" — the lost-to-the-fleet bucket
-            failed += 1
-        total_by_priority[request.priority] = (
-            total_by_priority.get(request.priority, 0) + 1
-        )
-        if request.deadline_seconds is not None:
-            deadlines_missed += 1
+        rows.append((
+            request, now if start is None else start, now, False, reason,
+            attempts.get(request.id, 0),
+        ))
         if autoscalers is not None:
             recent_met.append(0)
-        outcomes.append(
-            RequestOutcome(
-                request_id=request.id,
-                sequence_length=request.sequence_length,
-                priority=request.priority,
-                arrival_seconds=request.arrival_seconds,
-                start_seconds=start if start is not None else now,
-                finish_seconds=now,
-                met_deadline=False,
-                dropped=True,
-                drop_reason=reason,
-                retries=attempts.get(request.id, 0),
-            )
-        )
         if timeline is not None:
             timeline.drop(now, request.id, reason)
 
-    def dispatch(now: float) -> None:
-        nonlocal counter, in_flight, pending_non_tick
-        straggling = faults.straggling_workers(now) if faults is not None else frozenset()
-        #: Popped requests whose feasible groups are all busy (routed mode):
-        #: requeued after the drain so they keep their queue position and the
-        #: scheduler can offer the *next* request to the still-idle workers.
-        deferred: List = []
-        while idle and len(policy):
-            request = policy.pop(now)
-            note_queued(request, -1)
-            if pref_of is not None:
-                prefs = pref_of[request.sequence_length]
-                if not prefs:
-                    # No group in the fleet can ever hold this length.
-                    record_drop(request, now, "oom")
-                    continue
-                worker = None
-                for candidate_group in prefs:
-                    tier = [w for w in idle if group_of[w] == candidate_group]
-                    if tier:
-                        worker = select_worker(
-                            tier,
-                            request.sequence_length,
-                            last_length,
-                            same_length_reuse_discount > 0.0,
-                            straggling,
-                        )
-                        idle.remove(worker)
-                        break
-                if worker is None:
-                    deferred.append(request)
-                    continue
-                gi = group_of[worker]
-                seconds = service_times[(gi, request.sequence_length)]
-            else:
-                worker = select_worker(
-                    idle,
-                    request.sequence_length,
-                    last_length,
-                    same_length_reuse_discount > 0.0,
-                    straggling,
-                )
-                gi = group_of[worker]
-                seconds = service_times[(gi, request.sequence_length)]
-                if seconds is None:
-                    # The claimed worker's group cannot serve this length;
-                    # the group-oblivious baseline drops it (pass ``router=``
-                    # to retry other groups).  The worker itself stays idle.
-                    insort(idle, worker)
-                    record_drop(request, now, "oom")
-                    continue
-            if last_length[worker] == request.sequence_length:
-                seconds *= 1.0 - same_length_reuse_discount
-            last_length[worker] = request.sequence_length
-            if faults is not None:
-                slowdown = faults.slowdown_at(worker, now)
-                if slowdown != 1.0:
-                    seconds *= slowdown
-                link_factor = faults.link_factor_at(gi, now)
-                if link_factor < 1.0 and communication_times is not None:
-                    comm = communication_times[(gi, request.sequence_length)]
-                    seconds += comm * (1.0 / link_factor - 1.0)
-            extra = warmup_extra[worker]
-            if extra:
-                warmup_extra[worker] = 0.0
-            if health[worker] is WorkerHealth.WARMING:
-                health[worker] = WorkerHealth.HEALTHY
-            start = now
-            finish = start + dispatch_overhead_seconds + seconds + extra
-            busy_seconds[worker] += dispatch_overhead_seconds + seconds + extra
-            running[worker] = (request, start, finish)
-            in_flight += 1
-            heapq.heappush(
-                events,
-                (finish, _COMPLETION, counter,
-                 (worker, generation[worker], request, start)),
-            )
-            counter += 1
-            pending_non_tick += 1
-            if timeline is not None:
-                timeline.dispatch(
-                    start, finish, worker, request.id, request.sequence_length
-                )
-        # Reversed so repeated requeue-at-head restores the original order.
-        for request in reversed(deferred):
-            policy.requeue(request)
-            note_queued(request, 1)
-
-    while events:
-        time_now, kind, _, payload = heapq.heappop(events)
-        if kind != _AUTOSCALE:
-            pending_non_tick -= 1
-        if kind == _COMPLETION:
-            worker, gen, request, start = payload
-            if gen != generation[worker]:
-                continue  # the worker crashed mid-service; the crash handled it
-        events_processed += 1
-        if kind in (_COMPLETION, _ARRIVAL, _RETRY):
-            # Control-plane events (crashes, recoveries, scale changes,
-            # ticks) move state but not the clock the makespan reads — a
-            # restart long after the last request must not inflate it.
-            last_time = max(last_time, time_now)
-        if kind == _ARRIVAL:
+    while True:
+        if next_arrival < num_arrivals and (
+            not events or (arrivals[next_arrival], _ARRIVAL) < events[0]
+        ):
+            # Arrivals never move last_time: it starts at the latest one.
+            time_now = arrivals[next_arrival]
+            request = by_arrival[next_arrival]
+            next_arrival += 1
             if timeline is not None:
                 timeline.arrival(
-                    time_now, payload.id, payload.sequence_length, payload.priority
+                    time_now, request.id, request.sequence_length, request.priority
                 )
-            if admission is not None and not admission.admits(
-                payload.priority, len(policy)
-            ):
-                record_drop(payload, time_now, "shed")
+            if admission is not None and not admission.admits(request.priority, depth):
+                record_drop(request, time_now, "shed")
             else:
-                policy.push(payload)
-                note_queued(payload, 1)
-        elif kind == _RETRY:
-            if timeline is not None:
-                timeline.retry(time_now, payload.id)
-            policy.push(payload)  # retries bypass admission: already accepted
-            note_queued(payload, 1)
-        elif kind == _COMPLETION:
-            running.pop(worker, None)
-            in_flight -= 1
-            insort(idle, worker)
-            completed += 1
-            latency = time_now - request.arrival_seconds
-            latencies.append(latency)
-            waits.append(start - request.arrival_seconds)
-            met = (
-                request.deadline_seconds is None
-                or time_now <= request.deadline_seconds + 1e-12
-            )
-            if not met:
-                deadlines_missed += 1
-            total_by_priority[request.priority] = (
-                total_by_priority.get(request.priority, 0) + 1
-            )
-            if met:
-                met_by_priority[request.priority] = (
-                    met_by_priority.get(request.priority, 0) + 1
+                push(request)
+                depth += 1
+                if queued_feasible is not None:
+                    for qgi in feasible_of[request.sequence_length]:
+                        queued_feasible[qgi] += 1
+        elif events:
+            time_now, kind, _, payload = heappop(events)
+            if kind == _COMPLETION:
+                worker, gen, request, start = payload
+                if gen != generation[worker]:
+                    continue  # the worker crashed mid-service; the crash handled it
+                # Control-plane events (crashes, recoveries, scale changes,
+                # ticks) move state but not the clock the makespan reads — a
+                # restart long after the last request must not inflate it.
+                if time_now > last_time:
+                    last_time = time_now
+                if faults is not None:
+                    del running[worker]
+                in_flight -= 1
+                insort(idle, worker)
+                met = (
+                    request.deadline_seconds is None
+                    or time_now <= request.deadline_seconds + 1e-12
                 )
-            if autoscalers is not None:
-                recent_met.append(1 if met else 0)
-            outcomes.append(
-                RequestOutcome(
-                    request_id=request.id,
-                    sequence_length=request.sequence_length,
-                    priority=request.priority,
-                    arrival_seconds=request.arrival_seconds,
-                    start_seconds=start,
-                    finish_seconds=time_now,
-                    met_deadline=met,
-                    retries=attempts.get(request.id, 0),
+                rows.append(
+                    (request, start, time_now, met, None, attempts.get(request.id, 0))
                 )
-            )
-            if timeline is not None:
-                timeline.complete(time_now, worker, request.id, met)
-        elif kind == _CRASH:
-            crash = payload
-            w = crash.worker_id
-            if health[w] in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
-                health[w] = WorkerHealth.DEAD
-                generation[w] += 1
-                down_since[w] = time_now
+                if autoscalers is not None:
+                    recent_met.append(1 if met else 0)
                 if timeline is not None:
-                    timeline.crash(time_now, w)
-                if w in idle:
-                    idle.remove(w)
-                victim = running.pop(w, None)
-                if victim is not None:
-                    request, start, finish = victim
-                    in_flight -= 1
+                    timeline.complete(time_now, worker, request.id, met)
+            elif kind == _RETRY:
+                if time_now > last_time:
+                    last_time = time_now
+                if timeline is not None:
+                    timeline.retry(time_now, payload.id)
+                push(payload)  # retries bypass admission: already accepted
+                depth += 1
+                if queued_feasible is not None:
+                    for qgi in feasible_of[payload.sequence_length]:
+                        queued_feasible[qgi] += 1
+            elif kind == _CRASH:
+                crash = payload
+                w = crash.worker_id
+                if health[w] in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
+                    health[w] = WorkerHealth.DEAD
+                    generation[w] += 1
+                    down_since[w] = time_now
                     if timeline is not None:
-                        timeline.abort(time_now, w, request.id)
-                    busy_seconds[w] -= finish - time_now  # unserved remainder
-                    detect = time_now + crash.detection_lag_seconds
-                    used = attempts.get(request.id, 0)
-                    if recovery.gives_up(used):
-                        record_drop(request, detect, "failed", start=start)
-                    else:
-                        attempts[request.id] = used + 1
-                        retried += 1
-                        heapq.heappush(
+                        timeline.crash(time_now, w)
+                    if w in idle:
+                        idle.remove(w)
+                    victim = running.pop(w, None)
+                    if victim is not None:
+                        request, start, finish = victim
+                        in_flight -= 1
+                        if timeline is not None:
+                            timeline.abort(time_now, w, request.id)
+                        busy_seconds[w] -= finish - time_now  # unserved remainder
+                        detect = time_now + crash.detection_lag_seconds
+                        used = attempts.get(request.id, 0)
+                        if recovery.gives_up(used):
+                            record_drop(request, detect, "failed", start=start)
+                        else:
+                            attempts[request.id] = used + 1
+                            retried += 1
+                            heappush(
+                                events,
+                                (detect + recovery.backoff_seconds(used),
+                                 _RETRY, counter, request),
+                            )
+                            counter += 1
+                    if crash.restart_after_seconds is not None:
+                        heappush(
                             events,
-                            (detect + recovery.backoff_seconds(used),
-                             _RETRY, counter, request),
+                            (time_now + crash.restart_after_seconds,
+                             _RECOVER, counter, crash),
                         )
                         counter += 1
-                        pending_non_tick += 1
-                if crash.restart_after_seconds is not None:
-                    heapq.heappush(
-                        events,
-                        (time_now + crash.restart_after_seconds,
-                         _RECOVER, counter, crash),
+            elif kind == _RECOVER:
+                crash = payload
+                w = crash.worker_id
+                if health[w] is WorkerHealth.DEAD:
+                    downtime_total += time_now - down_since.pop(w)
+                    warmup_extra[w] = crash.warmup_seconds
+                    health[w] = (
+                        WorkerHealth.WARMING if crash.warmup_seconds > 0
+                        else WorkerHealth.HEALTHY
                     )
-                    counter += 1
-                    pending_non_tick += 1
-        elif kind == _RECOVER:
-            crash = payload
-            w = crash.worker_id
-            if health[w] is WorkerHealth.DEAD:
-                downtime_total += time_now - down_since.pop(w)
-                warmup_extra[w] = crash.warmup_seconds
-                health[w] = (
-                    WorkerHealth.WARMING if crash.warmup_seconds > 0
-                    else WorkerHealth.HEALTHY
-                )
-                last_length[w] = None  # restarted cold: no shape to reuse
+                    last_length[w] = None  # restarted cold: no shape to reuse
+                    insort(idle, w)
+                    if timeline is not None:
+                        timeline.recover(time_now, w)
+            elif kind == _SCALE_UP:
+                up_group = payload if payload is not None else 0
+                pending_up[up_group] -= 1
+                w = len(group_of)
+                group_of.append(up_group)
+                busy_seconds.append(0.0)
+                last_length.append(None)
+                health.append(WorkerHealth.HEALTHY)
+                generation.append(0)
+                warmup_extra.append(0.0)
+                provision_start.append(time_now)
+                active_count += 1
+                peak_fleet = max(peak_fleet, active_count)
                 insort(idle, w)
                 if timeline is not None:
-                    timeline.recover(time_now, w)
-        elif kind == _SCALE_UP:
-            up_group = payload if payload is not None else 0
-            pending_up[up_group] -= 1
-            w = len(group_of)
-            group_of.append(up_group)
-            busy_seconds.append(0.0)
-            last_length.append(None)
-            health.append(WorkerHealth.HEALTHY)
-            generation.append(0)
-            warmup_extra.append(0.0)
-            provision_start.append(time_now)
-            active_count += 1
-            peak_fleet = max(peak_fleet, active_count)
-            insort(idle, w)
-            if timeline is not None:
-                timeline.scale_up(time_now, w, up_group)
-        elif kind == _AUTOSCALE:
-            if timeline is not None:
-                timeline.autoscale(time_now)
-            window = len(recent_met)
-            attainment = sum(recent_met) / window if window else 1.0
-            for gi_scale, scaler in enumerate(autoscalers):
-                if num_groups == 1:
-                    # The homogeneous signals of PR 6, bit-for-bit: whole
-                    # queue, whole fleet.
-                    depth_signal = len(policy)
-                    alive = sum(
-                        1 for h in health
-                        if h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
+                    timeline.scale_up(time_now, w, up_group)
+            else:  # _AUTOSCALE
+                if timeline is not None:
+                    timeline.autoscale(time_now)
+                window = len(recent_met)
+                attainment = sum(recent_met) / window if window else 1.0
+                for gi_scale, scaler in enumerate(autoscalers):
+                    if num_groups == 1:
+                        # The homogeneous signals of PR 6, bit-for-bit: whole
+                        # queue, whole fleet.
+                        depth_signal = depth
+                        alive = sum(
+                            1 for h in health
+                            if h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
+                        )
+                    else:
+                        depth_signal = queued_feasible[gi_scale]
+                        alive = sum(
+                            1 for w, h in enumerate(health)
+                            if group_of[w] == gi_scale
+                            and h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
+                        )
+                    delta = scaler.desired_delta(
+                        depth_signal, alive, pending_up[gi_scale], attainment
                     )
+                    if delta > 0:
+                        arrive = time_now + scaler.scale_up_lag_seconds
+                        for _ in range(delta):
+                            heappush(events, (arrive, _SCALE_UP, counter, gi_scale))
+                            counter += 1
+                            pending_up[gi_scale] += 1
+                    elif delta < 0:
+                        # Retire idle healthy workers only, highest id first —
+                        # never a busy, warming, or dead one (a dead worker may
+                        # still owe a restart; retiring it would double-account
+                        # its lifetime).
+                        retirable = [
+                            w for w in reversed(idle)
+                            if health[w] is WorkerHealth.HEALTHY
+                            and group_of[w] == gi_scale
+                        ][:-delta]
+                        for w in retirable:
+                            idle.remove(w)
+                            health[w] = WorkerHealth.RETIRED
+                            provisioned_done[gi_scale] += (
+                                time_now - provision_start[w]
+                            )
+                            active_count -= 1
+                            if timeline is not None:
+                                timeline.retire(time_now, w)
+                # Tick again while anything is left to react to.  The tick
+                # just popped was the only one, so every heap entry is a
+                # non-tick event (ticks never count themselves, or the
+                # loop would self-sustain forever).
+                if events or next_arrival < num_arrivals or depth or in_flight:
+                    heappush(
+                        events,
+                        (time_now + first_scaler.interval_seconds,
+                         _AUTOSCALE, counter, None),
+                    )
+                    counter += 1
+        else:
+            break
+        events_processed += 1
+
+        # Dispatch: only a queued request and an idle worker can move work.
+        if idle and depth:
+            straggling = (
+                faults.straggling_workers(time_now) if faults is not None
+                else _NONE_STRAGGLING
+            )
+            #: Popped requests whose feasible groups are all busy (routed
+            #: mode): requeued after the drain so they keep their queue
+            #: position and the scheduler can offer the *next* request to
+            #: the still-idle workers.
+            deferred: List = []
+            while idle and depth:
+                request = pop(time_now)
+                depth -= 1
+                length = request.sequence_length
+                if queued_feasible is not None:
+                    for qgi in feasible_of[length]:
+                        queued_feasible[qgi] -= 1
+                if pref_of is not None:
+                    prefs = pref_of[length]
+                    if not prefs:
+                        # No group in the fleet can ever hold this length.
+                        record_drop(request, time_now, "oom")
+                        continue
+                    worker = None
+                    for candidate_group in prefs:
+                        tier = [w for w in idle if group_of[w] == candidate_group]
+                        if tier:
+                            worker = select_worker(
+                                tier, length, last_length, prefer_shape, straggling
+                            )
+                            idle.remove(worker)
+                            break
+                    if worker is None:
+                        deferred.append(request)
+                        continue
+                    gi = group_of[worker]
+                    seconds = service_times[(gi, length)]
                 else:
-                    depth_signal = queued_feasible[gi_scale]
-                    alive = sum(
-                        1 for w, h in enumerate(health)
-                        if group_of[w] == gi_scale
-                        and h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
+                    worker = select_worker(
+                        idle, length, last_length, prefer_shape, straggling
                     )
-                delta = scaler.desired_delta(
-                    depth_signal, alive, pending_up[gi_scale], attainment
-                )
-                if delta > 0:
-                    arrive = time_now + scaler.scale_up_lag_seconds
-                    for _ in range(delta):
-                        heapq.heappush(
-                            events, (arrive, _SCALE_UP, counter, gi_scale)
-                        )
-                        counter += 1
-                        pending_non_tick += 1
-                        pending_up[gi_scale] += 1
-                elif delta < 0:
-                    # Retire idle healthy workers only, highest id first —
-                    # never a busy, warming, or dead one (a dead worker may
-                    # still owe a restart; retiring it would double-account
-                    # its lifetime).
-                    retirable = [
-                        w for w in reversed(idle)
-                        if health[w] is WorkerHealth.HEALTHY
-                        and group_of[w] == gi_scale
-                    ][:-delta]
-                    for w in retirable:
-                        idle.remove(w)
-                        health[w] = WorkerHealth.RETIRED
-                        provisioned_done[gi_scale] += (
-                            time_now - provision_start[w]
-                        )
-                        active_count -= 1
-                        if timeline is not None:
-                            timeline.retire(time_now, w)
-            if pending_non_tick > 0 or len(policy) > 0 or in_flight > 0:
-                heapq.heappush(
+                    gi = group_of[worker]
+                    seconds = service_times[(gi, length)]
+                    if seconds is None:
+                        # The claimed worker's group cannot serve this length;
+                        # the group-oblivious baseline drops it (pass
+                        # ``router=`` to retry other groups).  The worker
+                        # itself stays idle.
+                        insort(idle, worker)
+                        record_drop(request, time_now, "oom")
+                        continue
+                if last_length[worker] == length:
+                    seconds *= reuse_factor
+                last_length[worker] = length
+                extra = 0.0
+                if faults is not None:
+                    slowdown = faults.slowdown_at(worker, time_now)
+                    if slowdown != 1.0:
+                        seconds *= slowdown
+                    link_factor = faults.link_factor_at(gi, time_now)
+                    if link_factor < 1.0 and communication_times is not None:
+                        comm = communication_times[(gi, length)]
+                        seconds += comm * (1.0 / link_factor - 1.0)
+                    extra = warmup_extra[worker]
+                    if extra:
+                        warmup_extra[worker] = 0.0
+                    if health[worker] is WorkerHealth.WARMING:
+                        health[worker] = WorkerHealth.HEALTHY
+                finish = time_now + dispatch_overhead_seconds + seconds + extra
+                busy_seconds[worker] += dispatch_overhead_seconds + seconds + extra
+                if faults is not None:
+                    running[worker] = (request, time_now, finish)
+                in_flight += 1
+                heappush(
                     events,
-                    (time_now + first_scaler.interval_seconds,
-                     _AUTOSCALE, counter, None),
+                    (finish, _COMPLETION, counter,
+                     (worker, generation[worker], request, time_now)),
                 )
                 counter += 1
-        dispatch(time_now)
-        depth = len(policy)
-        max_queue_depth = max(max_queue_depth, depth)
+                if timeline is not None:
+                    timeline.dispatch(time_now, finish, worker, request.id, length)
+            # Reversed so repeated requeue-at-head restores the original order.
+            for request in reversed(deferred):
+                policy.requeue(request)
+                depth += 1
+                if queued_feasible is not None:
+                    for qgi in feasible_of[request.sequence_length]:
+                        queued_feasible[qgi] += 1
+
+        if depth > max_queue_depth:
+            max_queue_depth = depth
         queue_depth_sum += depth
         if timeline is not None:
             timeline.queue_depth(time_now, depth)
@@ -894,8 +929,9 @@ def replay_trace_outcomes(
     # Requests still queued were starved: every worker (routed mode: every
     # worker of their feasible groups) is dead with no restart coming, or
     # retired, so nothing will ever serve them.
-    while len(policy):
-        request = policy.pop(makespan)
+    while depth:
+        request = pop(makespan)
+        depth -= 1
         record_drop(request, makespan, "starved")
     for w, since in down_since.items():
         downtime_total += max(0.0, makespan - since)
@@ -914,6 +950,35 @@ def replay_trace_outcomes(
         if num_groups == 1
         else sum(provisioned_by_group)
     )
+
+    latencies: List[float] = []
+    waits: List[float] = []
+    met_by_priority: Dict[int, int] = {}
+    total_by_priority: Dict[int, int] = {}
+    shed_by_priority: Dict[int, int] = {}
+    completed = dropped = deadlines_missed = shed = oom_dropped = failed = 0
+    for request, start, finish, met, reason, _ in rows:
+        priority = request.priority
+        total_by_priority[priority] = total_by_priority.get(priority, 0) + 1
+        if reason is None:
+            completed += 1
+            latencies.append(finish - request.arrival_seconds)
+            waits.append(start - request.arrival_seconds)
+            if met:
+                met_by_priority[priority] = met_by_priority.get(priority, 0) + 1
+            else:
+                deadlines_missed += 1
+            continue
+        dropped += 1
+        if request.deadline_seconds is not None:
+            deadlines_missed += 1
+        if reason == "shed":
+            shed += 1
+            shed_by_priority[priority] = shed_by_priority.get(priority, 0) + 1
+        elif reason == "oom":
+            oom_dropped += 1
+        else:  # "failed" or "starved" — the lost-to-the-fleet bucket
+            failed += 1
 
     requests = len(trace)
     utilization = {}
@@ -989,4 +1054,4 @@ def replay_trace_outcomes(
         worker_hours=worker_hours,
         shed_by_priority=dict(sorted(shed_by_priority.items())),
     )
-    return report, tuple(outcomes)
+    return report, rows

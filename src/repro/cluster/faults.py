@@ -23,8 +23,10 @@ under the same policy as fresh arrivals — no side channel.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,9 +122,45 @@ class DegradedLinkWindow:
         return self.start_seconds <= now < self.end_seconds
 
 
+class _StepFunction:
+    """A summary of half-open ``[start, end)`` windows as a step function of time.
+
+    The set of active windows can only change at a window edge, so the
+    summary of the windows active on each segment between consecutive edges
+    (passed to ``summarize`` in schedule order) is computed once, and a
+    lookup is one bisection.  ``empty`` is the value before the first edge.
+    """
+
+    __slots__ = ("edges", "values", "empty")
+
+    def __init__(self, windows, summarize: Callable, empty) -> None:
+        self.edges = sorted(
+            {t for w in windows for t in (w.start_seconds, w.end_seconds)}
+        )
+        self.empty = empty
+        self.values = []
+        by_start = sorted(range(len(windows)), key=lambda i: windows[i].start_seconds)
+        opened = 0
+        active: List[int] = []
+        for edge in self.edges:
+            while opened < len(by_start) and windows[by_start[opened]].start_seconds <= edge:
+                active.append(by_start[opened])
+                opened += 1
+            active = sorted(i for i in active if windows[i].end_seconds > edge)
+            self.values.append(summarize([windows[i] for i in active]))
+
+    def at(self, now: float):
+        k = bisect_right(self.edges, now)
+        return self.values[k - 1] if k else self.empty
+
+
 @dataclass(frozen=True)
 class FaultSchedule:
-    """Every fault the replay will inject, pinned as frozen data."""
+    """Every fault the replay will inject, pinned as frozen data.
+
+    The window lookups the replay makes per dispatch are indexed on first
+    use (one step function per window kind), not scanned per call.
+    """
 
     crashes: Tuple[WorkerCrash, ...] = ()
     stragglers: Tuple[StragglerWindow, ...] = ()
@@ -134,25 +172,39 @@ class FaultSchedule:
 
     def slowdown_at(self, worker_id: int, now: float) -> float:
         """Combined straggler slowdown on ``worker_id`` at time ``now``."""
-        factor = 1.0
-        for window in self.stragglers:
-            if window.worker_id == worker_id and window.active_at(now):
-                factor *= window.slowdown_factor
-        return factor
+        return self._straggler_steps.at(now)[1].get(worker_id, 1.0)
 
     def straggling_workers(self, now: float) -> frozenset:
         """Worker ids inside an active straggler window at time ``now``."""
-        return frozenset(
-            w.worker_id for w in self.stragglers if w.active_at(now)
-        )
+        return self._straggler_steps.at(now)[0]
 
     def link_factor_at(self, group_index: int, now: float) -> float:
         """Worst active bandwidth factor for ``group_index`` at time ``now``."""
-        factor = 1.0
-        for window in self.degraded_links:
-            if window.group_index == group_index and window.active_at(now):
-                factor = min(factor, window.bandwidth_factor)
-        return factor
+        return self._link_steps.at(now).get(group_index, 1.0)
+
+    @cached_property
+    def _straggler_steps(self) -> "_StepFunction":
+        def summarize(active):
+            slowdown: Dict[int, float] = {}
+            for window in active:  # schedule order: the factors multiply in it
+                slowdown[window.worker_id] = (
+                    slowdown.get(window.worker_id, 1.0) * window.slowdown_factor
+                )
+            return frozenset(slowdown), slowdown
+
+        return _StepFunction(self.stragglers, summarize, (frozenset(), {}))
+
+    @cached_property
+    def _link_steps(self) -> "_StepFunction":
+        def summarize(active):
+            worst: Dict[int, float] = {}
+            for window in active:
+                worst[window.group_index] = min(
+                    worst.get(window.group_index, 1.0), window.bandwidth_factor
+                )
+            return worst
+
+        return _StepFunction(self.degraded_links, summarize, {})
 
     def config_digest(self) -> str:
         """Stable content hash (cache/golden key for faulty replays)."""

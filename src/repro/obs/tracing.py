@@ -11,13 +11,15 @@ works for every fulfilled request either way.
 Design constraints, in order:
 
 1. **Hot-path cost.**  The warm serving path fulfills a request in ~15 µs;
-   tracing rides it at a few hundred nanoseconds by appending one pre-built
-   tuple per request under one lock (:meth:`Tracer.record_batch`).  Span
-   IDs, dataclasses and trees are materialized only at read time — the read
-   path is an HTTP endpoint, not the dispatcher.
+   tracing rides it by storing one flat tuple per request, a whole
+   dispatch batch of requests under one lock
+   (:meth:`Tracer.record_deferred`).  Span tuples, attribute dicts, span
+   IDs, dataclasses and trees are materialized only at read time — the
+   read path is an HTTP endpoint, not the dispatcher.
 2. **Bounded memory.**  At most ``max_traces`` traces are held (FIFO
    eviction) and at most ``max_spans_per_trace`` spans accumulate under one
-   ID; overflow spans are counted-and-dropped, never grown.
+   ID; overflow spans are counted-and-dropped, never grown.  Deferred rows
+   wait to be filed, at most a few times ``max_traces`` of them.
 3. **No-op when off.**  ``Tracer(enabled=False)`` (or ``tracer=None`` on the
    service) short-circuits every record call before any allocation.
 """
@@ -42,6 +44,11 @@ TraceKey = Union[str, int]
 #: One span inside a :meth:`Tracer.record_batch` call:
 #: ``(name, start_seconds, end_seconds, attributes-or-None)``.
 SpanBatch = Tuple[Tuple[str, float, float, Optional[Mapping[str, Any]]], ...]
+
+
+#: Deferred rows queue unfiled until this many times ``max_traces`` of them
+#: are waiting (or something reads the tracer): Tracer.record_deferred.
+_UNFILED_PER_TRACE = 4
 
 
 def new_trace_id() -> str:
@@ -92,11 +99,11 @@ class _SpanHandle:
 class Tracer:
     """Bounded trace store; every record call is cheap or a no-op.
 
-    Internal storage per trace is a ``[span_count, entries]`` pair where an
-    entry is either a raw batch (from :meth:`record_batch` — span IDs
-    assigned lazily at read) or an explicit span tuple (from
-    :meth:`record_span`, which allocates an ID eagerly so callers can nest
-    under it).
+    Internal storage per trace is a ``[span_count, *entries]`` list where
+    an entry is a raw batch (from :meth:`record_batch` — span IDs assigned
+    lazily at read), a deferred batch (from :meth:`record_deferred`, built
+    at read) or an explicit span tuple (from :meth:`record_span`, which
+    allocates an ID eagerly so callers can nest under it).
     """
 
     def __init__(
@@ -117,8 +124,32 @@ class Tracer:
         self._ids = itertools.count(1)
         self._dropped_spans = 0
         self._evicted_traces = 0
+        #: record_deferred calls not filed into ``_traces`` yet: (rows, spans).
+        self._unfiled: List[Tuple[List[tuple], int]] = []
+        self._unfiled_rows = 0
 
     # -- recording ---------------------------------------------------------
+    def _index(self) -> "OrderedDict[TraceKey, list]":
+        """The trace index with every queued deferred row filed (lock held)."""
+        if self._unfiled:
+            self._file_unfiled()
+        return self._traces
+
+    def _file(self, trace_key: TraceKey, entry: tuple, spans: int) -> None:
+        """File ``entry`` of ``spans`` spans under ``trace_key`` (lock held)."""
+        traces = self._index()
+        bucket = traces.get(trace_key)
+        if bucket is None:
+            if len(traces) >= self.max_traces:
+                traces.popitem(last=False)
+                self._evicted_traces += 1
+            traces[trace_key] = [spans, entry]
+        elif bucket[0] < self.max_spans_per_trace:
+            bucket[0] += spans
+            bucket.append(entry)
+        else:
+            self._dropped_spans += spans
+
     def record_batch(self, trace_key: TraceKey, batch: SpanBatch) -> None:
         """Append one request's spans in a single lock acquisition.
 
@@ -129,17 +160,55 @@ class Tracer:
         if not self.enabled:
             return
         with self._lock:
-            bucket = self._traces.get(trace_key)
-            if bucket is None:
-                if len(self._traces) >= self.max_traces:
-                    self._traces.popitem(last=False)
-                    self._evicted_traces += 1
-                bucket = self._traces[trace_key] = [0, []]
-            if bucket[0] < self.max_spans_per_trace:
-                bucket[0] += len(batch)
-                bucket[1].append(batch)
-            else:
-                self._dropped_spans += len(batch)
+            self._file(trace_key, batch, len(batch))
+
+    def record_deferred(self, rows: List[tuple], spans: int) -> None:
+        """Queue many batches in one lock acquisition, each built at read time.
+
+        A row is ``(build, trace_key, *fields)``; ``build(*fields)`` returns
+        the row's :data:`SpanBatch` of ``spans`` spans.  The hot path builds
+        one flat tuple per batch and hands over the list (the tracer keeps
+        it).  Rows are filed into the trace index, in record order and with
+        the bucketing, eviction and span cap of :meth:`record_batch`, only
+        when something reads the tracer or records otherwise, or once
+        ``_UNFILED_PER_TRACE * max_traces`` rows are queued — so rows that
+        newer traffic would evict before any read are mostly never filed.
+        Span tuples and attribute dicts are built by :meth:`trace`, only for
+        the traces that are read.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            self._unfiled.append((rows, spans))
+            self._unfiled_rows += len(rows)
+            if self._unfiled_rows >= _UNFILED_PER_TRACE * self.max_traces:
+                self._file_unfiled()
+
+    def _file_unfiled(self) -> None:
+        """File the queued deferred rows in record order (lock held).
+
+        When every queued row opens a new trace, exactly the newest
+        ``max_traces`` traces survive filing them one by one, so the older
+        rows are counted evicted without being filed.  Otherwise each row is
+        filed in turn.
+        """
+        queued, self._unfiled, self._unfiled_rows = self._unfiled, [], 0
+        traces = self._traces
+        keys = [row[1] for rows, _ in queued for row in rows]
+        if len(set(keys)) < len(keys) or not traces.keys().isdisjoint(keys):
+            for rows, spans in queued:
+                for row in rows:
+                    self._file(row[1], row, spans)
+            return
+        skip = max(0, len(keys) - self.max_traces)  # rows evicted unfiled
+        excess = max(0, len(traces) + len(keys) - skip - self.max_traces)
+        for _ in range(excess):
+            traces.popitem(last=False)
+        self._evicted_traces += skip + excess
+        for rows, spans in queued:
+            for row in rows[skip:]:
+                traces[row[1]] = [spans, row]
+            skip = max(0, skip - len(rows))
 
     def record_span(
         self,
@@ -156,17 +225,7 @@ class Tracer:
         span_id = f"{next(self._ids):012x}"
         entry = (span_id, parent_id, name, start_seconds, end_seconds, attributes)
         with self._lock:
-            bucket = self._traces.get(trace_key)
-            if bucket is None:
-                if len(self._traces) >= self.max_traces:
-                    self._traces.popitem(last=False)
-                    self._evicted_traces += 1
-                bucket = self._traces[trace_key] = [0, []]
-            if bucket[0] < self.max_spans_per_trace:
-                bucket[0] += 1
-                bucket[1].append(entry)
-            else:
-                self._dropped_spans += 1
+            self._file(trace_key, entry, 1)
         return span_id
 
     @contextmanager
@@ -196,37 +255,30 @@ class Tracer:
                     dict(handle.attributes) or None,
                 )
                 with self._lock:
-                    bucket = self._traces.get(handle.trace_id)
-                    if bucket is None:
-                        if len(self._traces) >= self.max_traces:
-                            self._traces.popitem(last=False)
-                            self._evicted_traces += 1
-                        bucket = self._traces[handle.trace_id] = [0, []]
-                    if bucket[0] < self.max_spans_per_trace:
-                        bucket[0] += 1
-                        bucket[1].append(entry)
-                    else:
-                        self._dropped_spans += 1
+                    self._file(handle.trace_id, entry, 1)
 
     # -- reads -------------------------------------------------------------
     def find(self, raw_key: str) -> Optional[TraceKey]:
         """Resolve an over-the-wire key: exact string, else integer form."""
         with self._lock:
-            if raw_key in self._traces:
+            traces = self._index()
+            if raw_key in traces:
                 return raw_key
-            if raw_key.lstrip("-").isdigit() and int(raw_key) in self._traces:
+            if raw_key.lstrip("-").isdigit() and int(raw_key) in traces:
                 return int(raw_key)
         return None
 
     def trace(self, trace_key: TraceKey) -> Tuple[Span, ...]:
         """Materialize every span recorded under ``trace_key`` (may be empty)."""
         with self._lock:
-            bucket = self._traces.get(trace_key)
-            entries = list(bucket[1]) if bucket is not None else []
+            bucket = self._index().get(trace_key)
+            entries = bucket[1:] if bucket is not None else []
         spans: List[Span] = []
         trace_str = str(trace_key)
         lazy = itertools.count(1)
         for entry in entries:
+            if entry and callable(entry[0]):  # deferred batch
+                entry = entry[0](*entry[2:])
             if entry and isinstance(entry[0], tuple):  # raw batch
                 root_id = f"b{next(lazy):08x}"
                 for i, (name, start, end, attrs) in enumerate(entry):
@@ -282,22 +334,29 @@ class Tracer:
 
     def trace_keys(self) -> Tuple[TraceKey, ...]:
         with self._lock:
-            return tuple(self._traces)
+            return tuple(self._index())
 
     @property
     def dropped_spans(self) -> int:
-        return self._dropped_spans
+        with self._lock:
+            self._index()
+            return self._dropped_spans
 
     @property
     def evicted_traces(self) -> int:
-        return self._evicted_traces
+        with self._lock:
+            self._index()
+            return self._evicted_traces
 
     def __len__(self) -> int:
-        return len(self._traces)
+        with self._lock:
+            return len(self._index())
 
     def __contains__(self, trace_key: TraceKey) -> bool:
-        return trace_key in self._traces
+        with self._lock:
+            return trace_key in self._index()
 
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
+            self._unfiled, self._unfiled_rows = [], 0

@@ -152,6 +152,46 @@ def _backend_label(spec: Any, report: Optional[SimReport]) -> str:
     return type(spec).__name__
 
 
+#: Spans in one fulfilled request's trace batch (root + 3 children).
+_REQUEST_SPANS = 4
+
+
+def _request_spans(
+    job: Tuple[str, str, bool, float, float],
+    released: List[float],
+    ticket_id: int,
+    sequence_length: int,
+    coalesced: bool,
+    submitted: float,
+):
+    """One fulfilled request's span batch, built when its trace is read.
+
+    ``job`` is (backend label, execution path, ok, started, end), shared by
+    the job's tickets; ``released[0]`` is when the dispatch batch released
+    its waiters.
+    """
+    backend, path, ok, started, end = job
+    exec_name = "coalesce" if coalesced else path
+    return (
+        (
+            "request",
+            submitted,
+            end,
+            {
+                "ticket_id": ticket_id,
+                "backend": backend,
+                "sequence_length": sequence_length,
+                "coalesced": coalesced,
+                "path": exec_name,
+                "ok": ok,
+            },
+        ),
+        ("queue-wait", submitted, started, None),
+        (exec_name, started, end, None),
+        ("fulfill", end, released[0], None),
+    )
+
+
 @dataclass
 class _Ticket:
     """One submitted request awaiting fulfillment.
@@ -838,9 +878,13 @@ class LatencyService:
         started: float,
     ) -> None:
         end = time.perf_counter()
-        fulfilled: List[int] = []
         tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
+        #: One deferred span row per ticket when tracing (Tracer.record_deferred).
+        traced: Optional[List[tuple]] = (
+            [] if tracer is not None and tracer.enabled else None
+        )
+        released = [0.0]  # when the waiters below are woken
+        fulfilled: List[_Ticket] = []
         with self._cond:
             for job in jobs:
                 report, error, memo_hit = results.get(
@@ -850,6 +894,7 @@ class LatencyService:
                 index = self._completed_index
                 self._completed_index += 1
                 label = _backend_label(job.spec, report)
+                job_spans = (label, job.path, error is None, started, end)
                 for ticket in job.tickets:
                     ticket.response = LatencyResponse(
                         request_id=ticket.id,
@@ -887,41 +932,26 @@ class LatencyService:
                             trace_id=ticket.request.trace_id,
                         )
                     )
-                    if tracing:
-                        # One pre-built batch per ticket (root + 3 children),
-                        # recorded before done.set() so a waiter that wakes on
-                        # the event always finds its trace complete.
-                        exec_name = "coalesce" if ticket.coalesced else job.path
-                        tracer.record_batch(
-                            ticket.request.trace_id or ticket.id,
-                            (
-                                (
-                                    "request",
-                                    ticket.submitted_at,
-                                    end,
-                                    {
-                                        "ticket_id": ticket.id,
-                                        "backend": label,
-                                        "sequence_length": (
-                                            ticket.request.sequence_length
-                                        ),
-                                        "coalesced": ticket.coalesced,
-                                        "path": exec_name,
-                                        "ok": error is None,
-                                    },
-                                ),
-                                ("queue-wait", ticket.submitted_at, started, None),
-                                (exec_name, started, end, None),
-                                ("fulfill", end, time.perf_counter(), None),
-                            ),
-                        )
+                    if traced is not None:
+                        traced.append((
+                            _request_spans, ticket.request.trace_id or ticket.id,
+                            job_spans, released, ticket.id,
+                            ticket.request.sequence_length, ticket.coalesced,
+                            ticket.submitted_at,
+                        ))
                     if ticket.abandoned:
                         # Every waiter gave up before this completion landed:
                         # count it so operators can see late work, and leave
                         # the response reclaimable (reap_abandoned / poll).
                         self.stats.record_late_result()
-                    ticket.done.set()
-                    fulfilled.append(ticket.id)
+                    fulfilled.append(ticket)
+            if traced:
+                # Recorded before done.set() so a waiter that wakes on the
+                # event always finds its trace complete.
+                released[0] = time.perf_counter()
+                tracer.record_deferred(traced, _REQUEST_SPANS)
+            for ticket in fulfilled:
+                ticket.done.set()
             self._executing = 0
             depth = len(self._queue)
             listeners = list(self._listeners)
@@ -930,7 +960,7 @@ class LatencyService:
         # Listener contract: fulfilled responses are already pollable, the
         # lock is released (a listener may call poll()/stats), and a listener
         # crash never takes the dispatcher down with it.
-        ids = tuple(fulfilled)
+        ids = tuple(ticket.id for ticket in fulfilled)
         for listener in listeners:
             try:
                 listener(ids)

@@ -22,6 +22,7 @@ semantics are asserted against exact arithmetic.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from repro.cluster import (
     SLOPolicy,
     StragglerWindow,
     WorkerCrash,
+    WorkerGroup,
     WorkerHealth,
     diurnal_trace,
     mixture_lengths,
@@ -57,6 +59,7 @@ from repro.cluster import (
     robust_minimal_fleet,
     scenario_suite,
 )
+from repro.obs.timeline import TimelineRecorder
 from repro.ppm import PPMConfig
 from repro.sim import SimulationSession
 
@@ -594,6 +597,185 @@ class TestDeterminism:
             faults=NO_FAULTS, recovery=RecoveryPolicy(), admission=ADMIT_ALL,
         )
         assert plain == closed
+
+    @pytest.mark.parametrize(
+        "path", ["healthy", "routed", "faulty-autoscaled", "timeline"]
+    )
+    def test_report_is_the_outcome_replays_report(self, path):
+        """replay_trace skips the outcome log but must report the same."""
+        pool, weights = mixture_lengths(PINNED_MIX)
+        trace = poisson_trace(
+            rate_rps=200.0, num_requests=300, length_pool=pool,
+            length_weights=weights, slo=PINNED_SLO, seed=5,
+        )
+        times = {(0, n): 0.004 + n * 1e-5 for n, _ in PINNED_MIX}
+        fleet = micro_fleet(3)
+        kwargs = dict(
+            scheduler="edf", service_times=times, same_length_reuse_discount=0.25
+        )
+        if path == "routed":
+            # A cheap group that cannot hold the longest length beside one
+            # big worker: cost-greedy spills and defers.
+            fleet = FleetSpec(
+                groups=(
+                    WorkerGroup(backend="h100", count=1, cost_per_hour=8.0),
+                    WorkerGroup(backend="lightnobel", count=2, cost_per_hour=2.0),
+                ),
+                name="micro-mixed",
+            )
+            kwargs["service_times"] = {
+                **times,
+                **{(1, n): None if n == 160 else 0.002 + n * 1e-5 for n, _ in PINNED_MIX},
+            }
+            kwargs["router"] = "cost-greedy"
+        if path in ("faulty-autoscaled", "timeline"):
+            kwargs.update(
+                faults=FaultSchedule.generate(
+                    3, trace.duration_seconds, seed=9, mean_downtime_seconds=0.2
+                ),
+                recovery=RecoveryPolicy(backoff_base_seconds=0.005),
+                admission=AdmissionController(max_queue_depth=48),
+                autoscaler=Autoscaler(min_workers=3, max_workers=6,
+                                      interval_seconds=0.05,
+                                      scale_up_lag_seconds=0.1,
+                                      slo_target=0.95),
+            )
+        if path == "timeline":
+            recorders = (TimelineRecorder(), TimelineRecorder())
+            report = replay_trace(trace, fleet, timeline=recorders[0], **kwargs)
+            full, outcomes = replay_trace_outcomes(
+                trace, fleet, timeline=recorders[1], **kwargs
+            )
+            assert recorders[0].to_json() == recorders[1].to_json()
+        else:
+            report = replay_trace(trace, fleet, **kwargs)
+            full, outcomes = replay_trace_outcomes(trace, fleet, **kwargs)
+        assert report == full
+        assert len(outcomes) == report.requests
+
+
+# ------------------------------------------------------- out-of-order traces
+#: (id, arrival, length, priority, deadline), deliberately out of arrival
+#: order: three requests tie at t=1.0, and two at t=2.0, the instant the
+#: crash of UNSORTED_CRASH lands.
+UNSORTED_REQUESTS = (
+    (0, 3.0, 32, 0, None),
+    (1, 1.0, 64, 0, 4.0),
+    (2, 1.0, 32, 0, None),
+    (3, 0.0, 32, 0, 1.5),
+    (4, 2.0, 64, 1, 3.5),
+    (5, 1.0, 32, 1, None),
+    (6, 2.0, 32, 0, 2.5),
+    (7, 0.5, 32, 0, None),
+)
+UNSORTED_TIMES = {(0, 32): 1.0, (0, 64): 2.0}
+UNSORTED_CRASH = FaultSchedule(
+    crashes=(
+        WorkerCrash(
+            worker_id=0, at_seconds=2.0, restart_after_seconds=0.5,
+            detection_lag_seconds=0.0,
+        ),
+    ),
+)
+
+#: replay -> (outcomes as (id, start, finish, met, drop reason, retries),
+#:            (completed, dropped, retried, events, makespan, max queue
+#:             depth, mean queue depth, mean latency, p99 latency,
+#:             deadlines missed, downtime)), captured from the replay that
+#: pushed every arrival through the event heap.
+UNSORTED_GOLDENS = {
+    "fifo": (
+        (
+            (3, 0.0, 1.0, True, None, 0), (7, 0.5, 1.5, True, None, 0),
+            (2, 1.5, 2.5, True, None, 0), (1, 1.0, 3.0, True, None, 0),
+            (5, 2.5, 3.5, True, None, 0), (6, 3.5, 4.5, False, None, 0),
+            (4, 3.0, 5.0, False, None, 0), (0, 4.5, 5.5, True, None, 0),
+        ),
+        (8, 0, 0, 16, 5.5, 3, 0.9375, 2.0, 3.0, 2, 0.0),
+    ),
+    "edf-crash": (
+        (
+            (3, 0.0, 1.0, True, None, 0), (7, 0.5, 1.5, True, None, 0),
+            (5, 1.5, 2.5, True, None, 0), (6, 2.5, 3.5, False, None, 0),
+            (4, 2.5, 4.5, False, None, 0), (1, 3.5, 5.5, False, None, 1),
+            (0, 4.5, 5.5, True, None, 0), (2, 5.5, 6.5, True, None, 0),
+        ),
+        (8, 0, 1, 19, 6.5, 4, 1.3157894736842106, 2.5, 5.5, 3, 0.5),
+    ),
+}
+
+
+def unsorted_trace(requests=UNSORTED_REQUESTS, name="unsorted"):
+    return RequestTrace(
+        name=name,
+        requests=tuple(
+            Request(id=i, arrival_seconds=t, sequence_length=n, priority=p,
+                    deadline_seconds=d)
+            for i, t, n, p, d in requests
+        ),
+        seed=0,
+        offered_rps=1.0,
+    )
+
+
+class TestUnsortedTraces:
+    @pytest.mark.parametrize("replay", sorted(UNSORTED_GOLDENS))
+    def test_pinned_replay(self, replay):
+        kwargs = dict(scheduler="fifo")
+        if replay == "edf-crash":
+            kwargs = dict(
+                scheduler="edf",
+                faults=UNSORTED_CRASH,
+                recovery=RecoveryPolicy(max_retries=1, backoff_base_seconds=0.25),
+            )
+        report, outcomes = replay_trace_outcomes(
+            unsorted_trace(), micro_fleet(2), service_times=UNSORTED_TIMES, **kwargs
+        )
+        expected_outcomes, expected_report = UNSORTED_GOLDENS[replay]
+        assert tuple(
+            (o.request_id, o.start_seconds, o.finish_seconds, o.met_deadline,
+             o.drop_reason, o.retries)
+            for o in outcomes
+        ) == expected_outcomes
+        assert (
+            report.completed, report.dropped, report.retried,
+            report.events_processed, report.makespan_seconds,
+            report.max_queue_depth, report.mean_queue_depth,
+            report.mean_latency_seconds, report.p99_latency_seconds,
+            report.deadlines_missed, report.downtime_seconds,
+        ) == expected_report
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        policy=st.sampled_from(["fifo", "sjf", "bucketed", "edf"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_replay_equals_replay_of_the_stably_sorted_trace(self, seed, policy):
+        """Ties keep trace order, so sorting a trace by arrival with a
+        stable sort must not change its replay — crashes included."""
+        rng = random.Random(seed)
+        grid = [0.25 * k for k in range(12)]  # coarse, so arrivals tie
+        rows = [
+            (i, rng.choice(grid), rng.choice((32, 64)), rng.randint(0, 1),
+             rng.choice((None, 2.0, 4.0)))
+            for i in range(30)
+        ]
+        rows = [(i, t, n, p, None if d is None else t + d) for i, t, n, p, d in rows]
+        shuffled = unsorted_trace(rows, name="shuffled")
+        ordered = unsorted_trace(sorted(rows, key=lambda row: row[1]), name="shuffled")
+        kwargs = dict(
+            scheduler=policy, service_times=UNSORTED_TIMES,
+            faults=FaultSchedule(
+                crashes=tuple(
+                    WorkerCrash(worker_id=w, at_seconds=rng.choice(grid),
+                                restart_after_seconds=0.5, detection_lag_seconds=0.0)
+                    for w in (0, 1)
+                ),
+            ),
+        )
+        assert replay_trace_outcomes(shuffled, micro_fleet(2), **kwargs) == (
+            replay_trace_outcomes(ordered, micro_fleet(2), **kwargs)
+        )
 
 
 # ------------------------------------------------------------------ goldens

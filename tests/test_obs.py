@@ -281,6 +281,45 @@ class TestTracer:
         assert span.attributes == {"points": 7}
         assert span.duration_seconds >= 0.0
 
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["batch", "deferred", "read"]),
+                st.lists(st.integers(min_value=0, max_value=40), max_size=12),
+            ),
+            max_size=30,
+        ),
+        max_traces=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_deferred_rows_file_like_batches(self, calls, max_traces):
+        """Queued deferred rows end up exactly where record_batch puts the
+        same batches, one by one: same traces, order, evictions and drops."""
+        def build(start):
+            return (("request", start, start + 1.0, None), ("child", start, start, None))
+
+        tracer = Tracer(max_traces=max_traces, max_spans_per_trace=5)
+        reference = Tracer(max_traces=max_traces, max_spans_per_trace=5)
+        for kind, keys in calls:
+            if kind == "read":
+                assert tracer.trace_keys() == reference.trace_keys()
+                continue
+            batches = [(key, build(float(i))) for i, key in enumerate(keys)]
+            if kind == "batch":
+                for key, batch in batches:
+                    tracer.record_batch(key, batch)
+            else:
+                tracer.record_deferred(
+                    [(build, key, float(i)) for i, key in enumerate(keys)], 2
+                )
+            for key, batch in batches:
+                reference.record_batch(key, batch)
+        assert tracer.trace_keys() == reference.trace_keys()
+        assert tracer.evicted_traces == reference.evicted_traces
+        assert tracer.dropped_spans == reference.dropped_spans
+        for key in reference.trace_keys():
+            assert tracer.trace(key) == reference.trace(key)
+
     def test_new_trace_id_is_unique_hex(self):
         a, b = new_trace_id(), new_trace_id()
         assert a != b
