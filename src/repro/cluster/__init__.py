@@ -84,15 +84,7 @@ control loops, planning, scenarios, and the router/scheduler *factories*
 (:func:`create_router`, :func:`create_scheduler` — the repo-wide
 ``create_*`` family shared with :func:`repro.sim.backend.create_backend`
 and :func:`repro.serving.create_service`).
-
-Internal helpers that used to leak through this facade —
-``scheduler_name``/``select_worker`` (:mod:`repro.cluster.scheduler`) and
-``router_name``/``group_infos`` (:mod:`repro.cluster.routing`) — still
-import here but raise a :class:`DeprecationWarning`; import them from their
-home modules.
 """
-
-import warnings
 
 from .control import ADMIT_ALL, AdmissionController, Autoscaler
 from .des import (
@@ -237,27 +229,3 @@ __all__ = [
     "scenario_suite",
     "small_memory_gpu",
 ]
-
-#: Names that used to be exported here -> (home module, attribute).
-_DEPRECATED = {
-    "group_infos": ("repro.cluster.routing", "group_infos"),
-    "router_name": ("repro.cluster.routing", "router_name"),
-    "scheduler_name": ("repro.cluster.scheduler", "scheduler_name"),
-    "select_worker": ("repro.cluster.scheduler", "select_worker"),
-}
-
-
-def __getattr__(name):
-    moved = _DEPRECATED.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = moved
-    warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; "
-        f"import it from {module_name!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)

@@ -29,7 +29,7 @@ from typing import Any, List, Optional, Tuple
 from .._digest import stable_digest
 from ..hardware.interconnect import ChipLinkSpec
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import OperatorTable, get_op_table
+from ..ppm.op_table import StackedOperatorTable, get_stacked_table
 from ..sim.backend import LatencyBackend, SimReport, create_backend
 
 
@@ -90,9 +90,12 @@ class MultiChipBackend:
         syncs = cfg.num_blocks * self.link.syncs_per_block
         return syncs * self.link.allgather_seconds(pair_bytes, self.chips)
 
-    def simulate_table(self, table: OperatorTable) -> SimReport:
-        inner = self.inner.simulate_table(table)
-        comm = self.communication_seconds(table.sequence_length)
+    def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
+        """The inner backend's per-segment reports, sharded and all-gathered."""
+        return [self._shard(inner) for inner in self.inner.simulate_stack(stack)]
+
+    def _shard(self, inner: SimReport) -> SimReport:
+        comm = self.communication_seconds(inner.sequence_length)
         scale = 1.0 / self.chips
         details = dict(inner.details)
         details.update(
@@ -104,13 +107,25 @@ class MultiChipBackend:
         )
         return SimReport(
             backend=self.name,
-            sequence_length=table.sequence_length,
+            sequence_length=inner.sequence_length,
             total_seconds=inner.total_seconds * scale + comm,
             phase_seconds={k: v * scale for k, v in inner.phase_seconds.items()},
             subphase_seconds={k: v * scale for k, v in inner.subphase_seconds.items()},
             out_of_memory=inner.out_of_memory,
             details=details,
         )
+
+    def simulate_stack_totals(
+        self, stack: StackedOperatorTable
+    ) -> List[Tuple[float, bool]]:
+        """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
+        scale = 1.0 / self.chips
+        return [
+            (total * scale + self.communication_seconds(n), oom)
+            for n, (total, oom) in zip(
+                stack.lengths, self.inner.simulate_stack_totals(stack)
+            )
+        ]
 
     def degraded_communication_seconds(
         self, sequence_length: int, bandwidth_factor: float
@@ -131,12 +146,12 @@ class MultiChipBackend:
     def parallel_efficiency(self, sequence_length: int) -> float:
         """Achieved speedup over one chip, divided by the chip count.
 
-        Derived from the same ``simulate_table`` composition the replay uses,
-        so the efficiency can never drift from the reported numbers.
+        Derived from the same stacked composition the replay uses, so the
+        efficiency can never drift from the reported numbers.
         """
-        table = get_op_table(self.ppm_config, sequence_length)
-        single = self.inner.simulate_table(table).total_seconds
-        multi = self.simulate_table(table).total_seconds
+        stack = get_stacked_table(self.ppm_config, [sequence_length])
+        ((single, _),) = self.inner.simulate_stack_totals(stack)
+        ((multi, _),) = self.simulate_stack_totals(stack)
         return (single / multi) / self.chips if multi > 0 else 0.0
 
     def config_digest(self) -> str:

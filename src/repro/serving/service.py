@@ -414,51 +414,61 @@ class LatencyService:
         in-flight job attaches to that job — sharing its single simulation —
         instead of enqueueing a new one.
         """
-        request = _as_request(request)
-        key = self._job_key(request)
+        return self.submit_batch((request,))[0]
+
+    def submit_batch(self, requests: Iterable[RequestLike]) -> List[int]:
+        """Enqueue many requests at once; returns ticket ids in input order.
+
+        The whole batch is enqueued under one lock hold with one wake-up, so
+        a running dispatcher drains it together rather than a slice at a time.
+        """
+        keyed = [(r, self._job_key(r)) for r in map(_as_request, requests)]
+        if not keyed:
+            return []
         now = time.perf_counter()
+        ticket_ids: List[int] = []
+        submits: List[Tuple[bool, int]] = []
         with self._cond:
             if self._stopped:
                 raise RuntimeError("service is closed")
-            ticket_id = self._next_ticket
-            self._next_ticket += 1
-            job = self._pending.get(key)
-            coalesced = job is not None
-            ticket = _Ticket(
-                id=ticket_id, request=request, submitted_at=now, coalesced=coalesced
-            )
-            self._tickets[ticket_id] = ticket
-            deadline = (
-                None
-                if request.deadline_seconds is None
-                else now + float(request.deadline_seconds)
-            )
-            if job is None:
-                include = key[2]
-                job = _Job(
-                    key=key,
-                    spec=request.backend,
-                    sequence_length=int(request.sequence_length),
-                    include_recycles=include,
-                    seq=ticket_id,
+            for request, key in keyed:
+                ticket_id = self._next_ticket
+                self._next_ticket += 1
+                job = self._pending.get(key)
+                coalesced = job is not None
+                ticket = _Ticket(
+                    id=ticket_id, request=request, submitted_at=now, coalesced=coalesced
                 )
-                self._pending[key] = job
-                self._queue.append(job)
-            was_default = job.is_default_order()
-            job.absorb(request.priority, deadline)
-            if job.queued and was_default and not job.is_default_order():
-                self._urgent_queued += 1
-            job.tickets.append(ticket)
-            depth = len(self._queue)
+                self._tickets[ticket_id] = ticket
+                deadline = (
+                    None
+                    if request.deadline_seconds is None
+                    else now + float(request.deadline_seconds)
+                )
+                if job is None:
+                    include = key[2]
+                    job = _Job(
+                        key=key,
+                        spec=request.backend,
+                        sequence_length=int(request.sequence_length),
+                        include_recycles=include,
+                        seq=ticket_id,
+                    )
+                    self._pending[key] = job
+                    self._queue.append(job)
+                was_default = job.is_default_order()
+                job.absorb(request.priority, deadline)
+                if job.queued and was_default and not job.is_default_order():
+                    self._urgent_queued += 1
+                job.tickets.append(ticket)
+                ticket_ids.append(ticket_id)
+                submits.append((coalesced, len(self._queue)))
             self._cond.notify_all()
-        self.stats.record_submit(coalesced=coalesced, queue_depth=depth)
+        for coalesced, depth in submits:
+            self.stats.record_submit(coalesced=coalesced, queue_depth=depth)
         if self.autostart:
             self.start()
-        return ticket_id
-
-    def submit_batch(self, requests: Iterable[RequestLike]) -> List[int]:
-        """Enqueue many requests at once; returns ticket ids in input order."""
-        return [self.submit(request) for request in requests]
+        return ticket_ids
 
     # ------------------------------------------------------------------- await
     def poll(self, ticket_id: int) -> Optional[LatencyResponse]:

@@ -53,7 +53,6 @@ from .backend import (
     available_backends,
     create_backend,
     register_backend,
-    supports_stacking,
 )
 from .cache import CACHE_DIR_ENV, CACHE_SCHEMA_VERSION, DiskCache, default_cache_dir
 from .session import BatchResult, DEFAULT_BACKENDS, SimulationSession, session_for
@@ -78,6 +77,5 @@ __all__ = [
     "default_cache_dir",
     "register_backend",
     "session_for",
-    "supports_stacking",
     "sweep",
 ]

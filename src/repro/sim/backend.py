@@ -8,9 +8,12 @@ module gives them a single face:
 
 * :class:`SimReport` — the common result shape (seconds, per-phase seconds,
   OOM flag, backend-specific details),
-* :class:`LatencyBackend` — the protocol every backend implements
-  (``simulate_table`` over a cached :class:`~repro.ppm.op_table.OperatorTable`
-  plus a stable ``config_digest`` for cache keys),
+* :class:`LatencyBackend` — the protocol every backend implements: two
+  pricing methods over a :class:`~repro.ppm.op_table.StackedOperatorTable`
+  (``simulate_stack`` for per-segment reports, ``simulate_stack_totals`` for
+  the scalars alone) plus a stable ``config_digest`` for cache keys.  A
+  single length is a one-segment stack, so there is one pricing path per
+  backend,
 * :class:`AcceleratorBackend` / :class:`GPUBackend` — adapters over the two
   existing simulators,
 * a registry (:func:`register_backend` / :func:`create_backend`) so a new
@@ -45,7 +48,7 @@ from ..gpu.gpu_model import GPUModel
 from ..hardware.accelerator import LightNobelAccelerator
 from ..hardware.config import LightNobelConfig
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_op_table
+from ..ppm.op_table import StackedOperatorTable
 from ..ppm.workload import PHASE_PAIR, PHASE_SEQUENCE
 
 
@@ -72,30 +75,30 @@ class SimReport:
 
 @runtime_checkable
 class LatencyBackend(Protocol):
-    """Anything that turns an operator table into a :class:`SimReport`.
+    """Anything that prices a :class:`StackedOperatorTable` into seconds.
 
-    Backends may additionally implement
-    ``simulate_stack(stack: StackedOperatorTable) -> List[SimReport]`` —
-    one vectorized pass over a whole length mix, bit-identical per segment to
-    ``simulate_table`` — which the session/sweep layers use when present
-    (:func:`supports_stacking`); otherwise they fall back to per-table calls.
+    Both methods evaluate a whole length mix in one pass and return one
+    entry per segment, in ``stack.lengths`` order.  A single length is a
+    one-segment stack.  ``simulate_stack_totals`` must equal the
+    ``(total_seconds, out_of_memory)`` of ``simulate_stack`` exactly.
     """
 
     name: str
     ppm_config: PPMConfig
 
-    def simulate_table(self, table: OperatorTable) -> SimReport:
-        """Evaluate one cached operator table."""
+    def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
+        """One report per segment."""
+        ...
+
+    def simulate_stack_totals(
+        self, stack: StackedOperatorTable
+    ) -> List[Tuple[float, bool]]:
+        """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
         ...
 
     def config_digest(self) -> str:
         """Stable hash of everything that affects this backend's numbers."""
         ...
-
-
-def supports_stacking(backend) -> bool:
-    """Whether ``backend`` can evaluate a :class:`StackedOperatorTable` in one pass."""
-    return callable(getattr(backend, "simulate_stack", None))
 
 
 #: Memo for backend config digests keyed by the (hashable, frozen) config
@@ -161,9 +164,6 @@ class AcceleratorBackend:
             },
         )
 
-    def simulate_table(self, table: OperatorTable) -> SimReport:
-        return self._to_sim_report(self.simulator.simulate_table(table))
-
     def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One vectorized engine pass over a length mix; reports per segment."""
         return [self._to_sim_report(r) for r in self.simulator.simulate_stack(stack)]
@@ -173,10 +173,6 @@ class AcceleratorBackend:
     ) -> List[Tuple[float, bool]]:
         """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
         return [(t, False) for t in self.simulator.simulate_stack_totals(stack)]
-
-    def simulate(self, sequence_length: int) -> SimReport:
-        """Convenience path when no session manages the table cache."""
-        return self.simulate_table(get_op_table(self.ppm_config, sequence_length))
 
     def config_digest(self) -> str:
         return _memoized_digest(
@@ -219,9 +215,6 @@ class GPUBackend:
             details={"kernel_count": report.kernel_count},
         )
 
-    def simulate_table(self, table: OperatorTable) -> SimReport:
-        return self._to_sim_report(self.model.simulate_table(table, chunked=self.chunked))
-
     def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One vectorized roofline pass over a length mix; reports per segment."""
         return [
@@ -241,13 +234,6 @@ class GPUBackend:
                 stack.lengths,
             )
         ]
-
-    def simulate(self, sequence_length: int) -> SimReport:
-        """Convenience path when no session manages the table cache."""
-        return self.simulate_table(get_op_table(self.ppm_config, sequence_length))
-
-    def fits_in_memory(self, sequence_length: int) -> bool:
-        return self.model.fits_in_memory(sequence_length, chunked=self.chunked)
 
     def config_digest(self) -> str:
         return _memoized_digest(
@@ -337,7 +323,7 @@ def create_backend(spec, ppm_config: Optional[PPMConfig] = None) -> LatencyBacke
     # the same way (e.g. repro.cluster.fleet.MultiChipVariant) — new backend
     # families do not need to be enumerated here.
     build = getattr(spec, "build", None)
-    if callable(build) and not isinstance(spec, type) and not hasattr(spec, "simulate_table"):
+    if callable(build) and not isinstance(spec, type) and not hasattr(spec, "simulate_stack"):
         return build(ppm_config)
     if isinstance(spec, LightNobelConfig):
         return AcceleratorBackend(ppm_config=ppm_config, hw_config=spec)
@@ -357,7 +343,7 @@ def create_backend(spec, ppm_config: Optional[PPMConfig] = None) -> LatencyBacke
                 f"unknown backend {spec!r}; expected one of {available_backends()}"
             ) from None
         return GPUBackend(gpu=gpu, chunked=chunked, ppm_config=ppm_config)
-    if hasattr(spec, "simulate_table") and hasattr(spec, "config_digest"):
+    if hasattr(spec, "simulate_stack") and hasattr(spec, "config_digest"):
         return spec
     if isinstance(spec, LightNobelAccelerator):
         return AcceleratorBackend(simulator=spec)

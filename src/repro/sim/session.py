@@ -31,7 +31,7 @@ from ..ppm.op_table import (
     get_op_table,
     get_stacked_table,
 )
-from .backend import LatencyBackend, SimReport, create_backend, supports_stacking
+from .backend import LatencyBackend, SimReport, create_backend
 from .cache import CACHE_DIR_ENV, DiskCache
 
 import os
@@ -270,7 +270,10 @@ class SimulationSession:
         backend="lightnobel",
         include_recycles: Optional[bool] = None,
     ) -> SimReport:
-        """Latency report of one backend at one sequence length (memoized)."""
+        """Latency report of one backend at one sequence length (memoized).
+
+        A miss prices a one-segment stack over the session's cached table.
+        """
         # Keyed by the backend's config digest, not its name: re-registering a
         # different config under an existing name must not serve stale reports.
         name, memo_key = self._memo_key(backend, sequence_length, include_recycles)
@@ -283,7 +286,8 @@ class SimulationSession:
             disk_key = self._report_key(name, sequence_length, include)
             report = self.cache.get(disk_key)
         if report is None:
-            report = self._backends[name].simulate_table(self.table(sequence_length, include))
+            stack = StackedOperatorTable.from_tables([self.table(sequence_length, include)])
+            (report,) = self._backends[name].simulate_stack(stack)
             if self.cache is not None and disk_key is not None:
                 self.cache.put(disk_key, report)
         self._reports[memo_key] = report
@@ -356,18 +360,15 @@ class SimulationSession:
         ``simulate_stack`` call — bit-identical per segment to the per-length
         path — and every segment report is seeded into the memo/disk cache.
         """
-        backend = self._backends[name]
-        if not supports_stacking(backend):
-            return
         missing = [
             n
             for n in lengths
             if self.peek_report(name, n, include_recycles=include) is None
         ]
-        if len(missing) < 2:
+        if not missing:
             return
         stack = self.stacked_table(missing, include)
-        reports = backend.simulate_stack(stack)
+        reports = self._backends[name].simulate_stack(stack)
         for n in missing:
             self.seed_report(
                 name, n, reports[stack.segment_index(n)], include_recycles=include
@@ -383,11 +384,9 @@ class SimulationSession:
 
         Distinct lengths are stacked into one
         :class:`~repro.ppm.op_table.StackedOperatorTable` (built at most once
-        per distinct-length set) and each stacking-capable backend prices the
-        whole mix with a single vectorized evaluation; results for repeated
-        lengths — and any length already memoized or on disk — are served
-        from the memo.  Backends without ``simulate_stack`` fall back to the
-        per-length loop.  Both paths return bit-identical reports.
+        per distinct-length set) and each backend prices the whole mix with a
+        single vectorized evaluation; results for repeated lengths — and any
+        length already memoized or on disk — are served from the memo.
         """
         lengths = [int(n) for n in lengths]
         include = (
@@ -415,8 +414,8 @@ class SimulationSession:
         """Total latency of every (backend, length) pair; ``None`` where OOM.
 
         The totals-only fast path for consumers that read nothing but the
-        scalar (the planner's service-time prefetch): backends exposing
-        ``simulate_stack_totals`` price the whole mix in one engine pass with
+        scalar (the planner's service-time prefetch): each backend's
+        ``simulate_stack_totals`` prices the whole mix in one engine pass with
         NO per-length report assembly, which is several times faster again
         than :meth:`simulate_batch`.  Each total is bit-identical to
         ``simulate(n, backend).total_seconds``.  Read-only: nothing is seeded
@@ -432,26 +431,20 @@ class SimulationSession:
         )
         specs = list(backends) if backends is not None else list(self._backends)
         names = [self._name_of(self.backend(spec)) for spec in specs]
+        if not lengths:
+            return [[] for _ in names]
+        stack = self.stacked_table(lengths, include)
         by_name: Dict[str, Dict[int, Optional[float]]] = {}
         out: List[List[Optional[float]]] = []
         for name in names:
             totals = by_name.get(name)
             if totals is None:
-                backend = self._backends[name]
-                fast = getattr(backend, "simulate_stack_totals", None)
-                distinct = sorted(set(lengths))
-                if callable(fast) and len(distinct) > 1:
-                    stack = self.stacked_table(distinct, include)
-                    totals = {
-                        n: (None if oom else t)
-                        for n, (t, oom) in zip(stack.lengths, fast(stack))
-                    }
-                else:
-                    totals = {}
-                    for n in distinct:
-                        report = self.simulate(n, backend=name, include_recycles=include)
-                        totals[n] = None if report.out_of_memory else report.total_seconds
-                by_name[name] = totals
+                totals = by_name[name] = {
+                    n: (None if oom else t)
+                    for n, (t, oom) in zip(
+                        stack.lengths, self._backends[name].simulate_stack_totals(stack)
+                    )
+                }
             out.append([totals[n] for n in lengths])
         return out
 

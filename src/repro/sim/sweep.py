@@ -6,7 +6,8 @@ Python-level fan-out overhead dominates, so :func:`sweep` shards points
 across a ``concurrent.futures`` process pool — falling back to a serial loop
 whenever a pool is unavailable (restricted environments, pickling failures)
 or not asked for (``workers=None``).  Both paths evaluate the identical
-per-point function, so pool and serial results match exactly.
+per-group function (one stacked pass per backend spec), so pool and serial
+results match exactly.
 
 A point's backend spec is anything :func:`repro.sim.backend.create_backend`
 accepts *and* pickles cleanly: a registered name, a frozen config dataclass,
@@ -28,7 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..ppm.config import PPMConfig
 from ..ppm.op_table import StackedOperatorTable
-from .backend import SimReport, create_backend, supports_stacking
+from .backend import SimReport, create_backend
 from .session import SimulationSession
 
 #: Environment variable supplying a default worker count for :func:`sweep`.
@@ -78,31 +79,20 @@ def _worker_session(ppm_config: PPMConfig, include_recycles: bool) -> Simulation
     return session
 
 
-def _simulate_point(args: Tuple[Optional[PPMConfig], bool, Any, int]) -> SimReport:
-    """Evaluate one sweep point (runs in the parent or in a pool worker)."""
-    ppm_config, include_recycles, spec, sequence_length = args
-    backend = create_backend(spec, ppm_config)
-    session = _worker_session(backend.ppm_config, include_recycles)
-    return backend.simulate_table(session.table(sequence_length))
-
-
 def _simulate_group(
     args: Tuple[Optional[PPMConfig], bool, Any, Tuple[int, ...]]
 ) -> List[SimReport]:
-    """Evaluate every length of one backend spec, stacked when the backend can.
+    """Evaluate every length of one backend spec in one stacked pass.
 
-    Returns reports aligned with the ``lengths`` tuple.  Stacked and per-table
-    evaluation are bit-identical, so grouping is purely a performance choice.
+    Runs in the parent or in a pool worker; returns reports aligned with the
+    ``lengths`` tuple.
     """
     ppm_config, include_recycles, spec, lengths = args
     backend = create_backend(spec, ppm_config)
     session = _worker_session(backend.ppm_config, include_recycles)
     distinct = sorted(set(lengths))
-    if len(distinct) > 1 and supports_stacking(backend):
-        stack = StackedOperatorTable.from_tables([session.table(n) for n in distinct])
-        by_length = dict(zip(distinct, backend.simulate_stack(stack)))
-    else:
-        by_length = {n: backend.simulate_table(session.table(n)) for n in distinct}
+    stack = StackedOperatorTable.from_tables([session.table(n) for n in distinct])
+    by_length = dict(zip(distinct, backend.simulate_stack(stack)))
     return [by_length[n] for n in lengths]
 
 

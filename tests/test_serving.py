@@ -37,22 +37,17 @@ def make_service(config, **kwargs) -> LatencyService:
 def count_accelerator_sims(monkeypatch):
     """Count how many (backend, length) points the accelerator actually prices.
 
-    A per-table call is one point; a stacked pass prices one point per
-    segment — so the count is invariant to whether the service batched.
+    Every pricing call is a stacked pass (a single length is a one-segment
+    stack) and each segment is one point — so the count is invariant to
+    whether the service batched.
     """
     calls = {"n": 0}
-    original = AcceleratorBackend.simulate_table
     original_stack = AcceleratorBackend.simulate_stack
-
-    def counting(self, table):
-        calls["n"] += 1
-        return original(self, table)
 
     def counting_stack(self, stack):
         calls["n"] += stack.num_segments
         return original_stack(self, stack)
 
-    monkeypatch.setattr(AcceleratorBackend, "simulate_table", counting)
     monkeypatch.setattr(AcceleratorBackend, "simulate_stack", counting_stack)
     return calls
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.gpu import EndToEndComparison, GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
-from repro.ppm import PPMConfig
+from repro.ppm import PPMConfig, get_stacked_table
 from repro.sim import (
     AcceleratorVariant,
     CACHE_SCHEMA_VERSION,
@@ -71,7 +71,8 @@ class TestBackendParity:
         for name in ("lightnobel", "a100", "h100", "a100-chunk", "h100-chunk"):
             assert name in available_backends()
         custom = create_backend(LightNobelConfig(num_rmpus=8), config)
-        assert custom.simulate(LENGTHS[0]).total_seconds > 0
+        (report,) = custom.simulate_stack(get_stacked_table(config, [LENGTHS[0]]))
+        assert report.total_seconds > 0
         variant = create_backend(GPUVariant(gpu="A100", chunked=True), config)
         assert variant.name == "a100-chunk"
         with pytest.raises(ValueError):
@@ -281,13 +282,13 @@ class TestSweep:
 class TestEndToEndCaching:
     def test_baseline_phases_simulated_once_per_gpu_length(self, config, monkeypatch):
         calls = {"n": 0}
-        original = GPUModel.simulate_table
+        original = GPUModel.simulate_stack
 
-        def counting(self, table, chunked=False):
-            calls["n"] += 1
-            return original(self, table, chunked=chunked)
+        def counting(self, stack, chunked=False):
+            calls["n"] += stack.num_segments
+            return original(self, stack, chunked=chunked)
 
-        monkeypatch.setattr(GPUModel, "simulate_table", counting)
+        monkeypatch.setattr(GPUModel, "simulate_stack", counting)
         # Disk cache off so every (gpu, length) pair really hits the
         # simulator once instead of being served from the sandbox cache.
         session = SimulationSession(ppm_config=config, use_disk_cache=False)

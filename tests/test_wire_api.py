@@ -288,27 +288,6 @@ class TestFacade:
                      "SCHEMA_VERSION", "create_service"):
             assert name in serving.__all__
 
-    @pytest.mark.parametrize(
-        "facade, name, home_module, attribute",
-        [
-            ("repro.serving", "dispatch_order_key", "repro.serving.api", "dispatch_order_key"),
-            ("repro.serving", "length_bucket", "repro.serving.api", "length_bucket"),
-            ("repro.serving", "percentile", "repro.serving.stats", "percentile"),
-            ("repro.cluster", "scheduler_name", "repro.cluster.scheduler", "scheduler_name"),
-            ("repro.cluster", "select_worker", "repro.cluster.scheduler", "select_worker"),
-            ("repro.cluster", "router_name", "repro.cluster.routing", "router_name"),
-            ("repro.cluster", "group_infos", "repro.cluster.routing", "group_infos"),
-        ],
-    )
-    def test_deprecated_shims_warn_and_resolve(self, facade, name, home_module, attribute):
-        import importlib
-
-        facade_module = importlib.import_module(facade)
-        home = getattr(importlib.import_module(home_module), attribute)
-        with pytest.warns(DeprecationWarning, match=name):
-            shimmed = getattr(facade_module, name)
-        assert shimmed is home
-
     def test_unknown_attribute_still_raises(self):
         import repro.serving as serving
 
