@@ -780,8 +780,8 @@ class LatencyService:
         """Price one shape bucket (same spec, same recycles flag) in one pass.
 
         Delegates to :meth:`SimulationSession.simulate_batch`, which stacks
-        the distinct lengths and evaluates stacking-capable backends with one
-        vectorized call (seeding the shared memo for every member).  Any
+        the distinct lengths and evaluates the backend with one vectorized
+        call (seeding the shared memo for every member).  Any
         failure falls back to the per-job serial path, so bucketing never
         costs correctness.
         """

@@ -234,9 +234,13 @@ class SimulationSession:
         Per-length tables resolve through :meth:`table` (session memo, disk
         cache, process LRU), so a stack is one concatenation over tables the
         session already owns; the assembled stack is memoized per length set.
+        A single length is a one-segment stack over its cached table, built
+        fresh and never memoized (the table memo already covers it).
         """
         include = self.include_recycles if include_recycles is None else include_recycles
         canonical = tuple(sorted({int(n) for n in lengths}))
+        if len(canonical) == 1:
+            return StackedOperatorTable.from_tables([self.table(canonical[0], include)])
         memo_key = (canonical, bool(include))
         stack = self._stacks.get(memo_key)
         if stack is None:
@@ -274,27 +278,19 @@ class SimulationSession:
 
         A miss prices a one-segment stack over the session's cached table.
         """
-        # Keyed by the backend's config digest, not its name: re-registering a
-        # different config under an existing name must not serve stale reports.
-        name, memo_key = self._memo_key(backend, sequence_length, include_recycles)
-        include = memo_key[2]
-        report = self._reports.get(memo_key)
-        if report is not None:
-            return self._labeled(report, name)
-        disk_key = None
-        if self.cache is not None:
-            disk_key = self._report_key(name, sequence_length, include)
-            report = self.cache.get(disk_key)
+        report = self.peek_report(backend, sequence_length, include_recycles)
         if report is None:
-            stack = StackedOperatorTable.from_tables([self.table(sequence_length, include)])
-            (report,) = self._backends[name].simulate_stack(stack)
-            if self.cache is not None and disk_key is not None:
-                self.cache.put(disk_key, report)
-        self._reports[memo_key] = report
-        return self._labeled(report, name)
+            name, memo_key = self._memo_key(backend, sequence_length, include_recycles)
+            self._price(name, [int(sequence_length)], memo_key[2])
+            report = self._labeled(self._reports[memo_key], name)
+        return report
 
     def _memo_key(self, spec, sequence_length: int, include_recycles: Optional[bool]):
-        """(digest, length, recycles) memo key plus the resolved backend name."""
+        """(digest, length, recycles) memo key plus the resolved backend name.
+
+        Keyed by the backend's config digest, not its name: re-registering a
+        different config under an existing name must not serve stale reports.
+        """
         name = self._name_of(self.backend(spec))
         include = self.include_recycles if include_recycles is None else include_recycles
         return name, (self._backend_digests[name], int(sequence_length), bool(include))
@@ -356,20 +352,25 @@ class SimulationSession:
         """Seed the memo for every length ``name`` is missing, in ONE engine pass.
 
         Lengths already memoized (or on disk) are skipped; the remaining ones
-        form a :class:`StackedOperatorTable` evaluated with a single
-        ``simulate_stack`` call — bit-identical per segment to the per-length
-        path — and every segment report is seeded into the memo/disk cache.
+        are priced by :meth:`_price`.
         """
         missing = [
             n
             for n in lengths
             if self.peek_report(name, n, include_recycles=include) is None
         ]
-        if not missing:
-            return
-        stack = self.stacked_table(missing, include)
+        if missing:
+            self._price(name, missing, include)
+
+    def _price(self, name: str, lengths: Sequence[int], include: bool) -> None:
+        """Price distinct ``lengths`` with one ``simulate_stack`` call.
+
+        The session's only pricing site: every segment report is seeded into
+        the memo/disk cache.
+        """
+        stack = self.stacked_table(lengths, include)
         reports = self._backends[name].simulate_stack(stack)
-        for n in missing:
+        for n in lengths:
             self.seed_report(
                 name, n, reports[stack.segment_index(n)], include_recycles=include
             )

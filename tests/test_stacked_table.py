@@ -96,13 +96,22 @@ def legacy_report(backend, config: PPMConfig, n: int):
     return backend.model.simulate_workload_legacy(workload, chunked=backend.chunked)
 
 
-def engine_table_report(backend, config: PPMConfig, n: int):
-    """The engine's own per-table path (``simulate_table``) behind ``backend``."""
+def engine_table_seconds(backend, config: PPMConfig, n: int):
+    """The engine's own per-table path (``simulate_table``) behind ``backend``.
+
+    Returns ``(total_seconds, phase_seconds, subphase_seconds, out_of_memory)``
+    in seconds for both engines (the accelerator reports cycles and never
+    runs out of memory).
+    """
     table = get_op_table(config, n)
     simulator = getattr(backend, "simulator", None)
-    if simulator is not None:
-        return simulator.simulate_table(table)
-    return backend.model.simulate_table(table, chunked=backend.chunked)
+    if simulator is None:
+        r = backend.model.simulate_table(table, chunked=backend.chunked)
+        return r.total_seconds, r.phase_seconds, r.subphase_seconds, r.out_of_memory
+    r = simulator.simulate_table(table)
+    clock = simulator.hw_config.cycles_per_second
+    subphases = {sub: cycles / clock for sub, cycles in r.subphase_cycles.items()}
+    return r.total_seconds, r.phase_seconds(clock), subphases, False
 
 
 # ---------------------------------------------------------------- invariants
@@ -226,13 +235,12 @@ class TestThreeWayParity:
                 assert seg == one
                 if spec in MULTICHIP:
                     continue
-                engine = engine_table_report(backend, config, n)
-                legacy = legacy_report(backend, config, n)
-                phases = engine.phase_seconds
-                if callable(phases):  # the accelerator reports cycles
-                    phases = phases(backend.simulator.hw_config.cycles_per_second)
-                assert seg.total_seconds == engine.total_seconds
+                total, phases, subphases, oom = engine_table_seconds(backend, config, n)
+                assert seg.total_seconds == total
                 assert seg.phase_seconds == phases
+                assert seg.subphase_seconds == subphases
+                assert seg.out_of_memory == oom
+                legacy = legacy_report(backend, config, n)
                 assert approx_equal(seg.total_seconds, legacy.total_seconds)
 
     def test_totals_exactly_equal_stacked_reports(self, config):
@@ -260,6 +268,7 @@ class TestBatchTotalSeconds:
             ]
 
     def test_single_distinct_length_uses_per_length_fallback(self, config, session):
+        """A single distinct length is now priced as a one-segment stack."""
         totals = session.batch_total_seconds([32, 32], backends=["lightnobel"])
         assert totals == [[session.simulate(32, backend="lightnobel").total_seconds] * 2]
 
