@@ -10,7 +10,12 @@ obs subsystems against the real stack:
    expected structure, that the Prometheus exposition of the service's
    metrics renders and parses back, and that the latency histogram counted
    every fulfilled request.
-2. **DES timeline** — a hand-built micro replay (synthetic service times,
+2. **JSON/Prometheus parity over HTTP** — a front door started with
+   :func:`~repro.serving.http.serve_in_thread` answers a few queries; every
+   declared counter (:data:`~repro.serving.stats.SERVICE_METRICS` and the
+   front door's :data:`~repro.serving.http.server.HTTP_METRICS`) must read
+   the same in ``GET /metrics`` as in ``GET /metrics?format=prom``.
+3. **DES timeline** — a hand-built micro replay (synthetic service times,
    one crash) runs with and without a
    :class:`~repro.obs.timeline.TimelineRecorder`; the smoke asserts the
    report and outcomes are bit-identical either way and that the Chrome
@@ -19,6 +24,7 @@ obs subsystems against the real stack:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import sys
 import tempfile
@@ -29,7 +35,11 @@ from ..cluster.fleet import FleetSpec
 from ..cluster.trace import Request, RequestTrace
 from ..ppm.config import PPMConfig
 from ..serving.api import LatencyRequest
+from ..serving.http import FrontDoorClient, serve_in_thread
+from ..serving.http.server import HTTP_METRICS
 from ..serving.service import LatencyService
+from ..serving.stats import SERVICE_METRICS
+from ..serving.wire import WireRequest
 from ..sim.cache import sandbox_cache_dir
 from . import prom
 from .timeline import TimelineRecorder
@@ -101,6 +111,36 @@ def _serving_smoke() -> int:
     return 0
 
 
+def _http_parity_smoke() -> int:
+    async def scrape(host: str, port: int):
+        async with FrontDoorClient(host, port) as client:
+            for n in (24, 32, 24):
+                await client.query(WireRequest(sequence_length=n))
+            return await client.metrics(), await client.metrics_prometheus()
+
+    handle = serve_in_thread(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    try:
+        metrics, text = asyncio.run(scrape(handle.host, handle.port))
+    finally:
+        handle.stop(drain=True)
+    families = prom.parse(text)
+    declared = [("service", m.name, m.prom) for m in SERVICE_METRICS]
+    declared += [("http", key, name) for key, name, _, _ in HTTP_METRICS]
+    for block, key, name in declared:
+        family = families.get(name)
+        if family is None:
+            return _fail(f"{name} missing from Prometheus exposition")
+        if metrics[block][key] != family.samples[0].value:
+            return _fail(
+                f"{block}.{key}={metrics[block][key]!r} in JSON but "
+                f"{name}={family.samples[0].value!r} in Prometheus"
+            )
+    if (metrics["service"]["completed"], metrics["service"]["errors"]) != (3, 0):
+        return _fail(f"expected 3 clean queries, got {metrics['service']}")
+    print(f"http: {len(declared)} declared counters read the same in JSON and Prometheus")
+    return 0
+
+
 def _timeline_smoke() -> int:
     arrivals = [0.4 * i for i in range(12)]
     trace = RequestTrace(
@@ -152,11 +192,11 @@ def _timeline_smoke() -> int:
 
 
 def main(argv=None) -> int:
-    for stage in (_serving_smoke, _timeline_smoke):
+    for stage in (_serving_smoke, _http_parity_smoke, _timeline_smoke):
         code = stage()
         if code:
             return code
-    print("smoke ok: tracing + Prometheus metrics + DES timeline export")
+    print("smoke ok: tracing + Prometheus metrics + JSON/Prometheus parity + DES timeline export")
     return 0
 
 

@@ -38,6 +38,10 @@ Every ``submit`` returns a ticket id; the ticket's life is:
    runs so the ticket table stays bounded).  ``abandon(ticket_id)`` marks a
    ticket for the next reap without waiting out a timeout.
 
+The service owns these states: ``LatencyService.ticket_state`` names the
+state of any id (``"unknown"`` if never issued).  Only live and reaped ids
+are stored; an issued id that is neither was consumed.
+
 The HTTP front door (:mod:`repro.serving.http`) maps this lifecycle onto
 status codes — pending → 202, fulfilled → 200 (consuming), unknown → 404,
 already consumed → 404 (``"already_consumed"``), reaped → **410 Gone** —

@@ -22,8 +22,11 @@ one service:
 * **observability** — ``/metrics`` exposes the full
   :class:`~repro.serving.stats.ServiceStats` snapshot plus the HTTP layer's
   own counters (``?format=prom`` renders Prometheus text exposition
-  instead); ``/healthz`` for probes; ``/v1/log`` exports the structured
-  request log, ready for
+  instead).  Service metrics are declared once, in
+  :data:`repro.serving.stats.SERVICE_METRICS`; the front door's own are the
+  rows of :data:`HTTP_METRICS`, which feed both the JSON ``http`` block and
+  the ``repro_http_*`` gauges; ``/healthz`` for probes; ``/v1/log``
+  exports the structured request log, ready for
   :meth:`repro.cluster.trace.RequestTrace.from_serving_log`; when the
   service carries a :class:`~repro.obs.tracing.Tracer`, requests are traced
   under their body ``trace_id`` (or the ``X-Trace-Id`` header — body wins)
@@ -37,6 +40,13 @@ The front door never polls the service: it registers a
 :meth:`~repro.serving.service.LatencyService.add_result_listener` callback
 that wakes the event loop (``call_soon_threadsafe``) as the dispatcher
 fulfills batches.
+
+**Who owns ticket state.**  The service: its
+:meth:`~repro.serving.service.LatencyService.ticket_state` tells 404
+``already_consumed`` from 410 ``reaped`` from 404 ``unknown_ticket``.  Per
+unclaimed ticket the front door keeps only what its event loop and admission
+need (asyncio event, tenant quota, ``fulfilled_at`` for the reap timer); a
+claimed ticket leaves nothing behind on either side.
 
 Endpoints (all bodies JSON, see :mod:`repro.serving.wire`):
 
@@ -64,7 +74,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ... import __version__
@@ -125,13 +135,36 @@ class _Response:
 
 @dataclass
 class _HttpTicket:
-    """HTTP-side bookkeeping for one submitted service ticket."""
+    """Event-loop state of one unclaimed HTTP ticket (the service owns the rest)."""
 
-    id: int
     tenant: str
     event: asyncio.Event = field(default_factory=asyncio.Event)
-    submitted_at: float = 0.0
     fulfilled_at: Optional[float] = None
+
+
+#: The front door's own metrics, each declared once: (``/metrics`` JSON
+#: ``http`` key, Prometheus gauge name, help, value reader).
+HTTP_METRICS: Tuple[Tuple[str, str, str, Callable[["LatencyFrontDoor"], Any]], ...] = (
+    ("pending", "repro_http_pending", "Submitted tickets not yet fulfilled.",
+     lambda door: door._pending_total()),
+    ("fulfilled_unclaimed", "repro_http_fulfilled_unclaimed",
+     "Fulfilled tickets awaiting a claim.",
+     lambda door: len(door._tickets) - door._pending_total()),
+    ("consumed", "repro_http_consumed_total", "Tickets claimed by clients.",
+     lambda door: door.service.ticket_counts()["consumed"]),
+    ("reaped", "repro_http_reaped_total", "Fulfilled-but-unclaimed tickets reaped.",
+     lambda door: door.service.ticket_counts()["reaped"]),
+    ("draining", "repro_http_draining", "1 while the server is draining.",
+     lambda door: door.draining),
+)
+
+#: Error for a result request on an id the front door holds no ticket for,
+#: by :meth:`~repro.serving.service.LatencyService.ticket_state`.
+_GONE = {
+    "consumed": (404, "already_consumed", "ticket {} already claimed"),
+    "reaped": (410, "reaped", "ticket {} was reaped (fulfilled but unclaimed)"),
+}
+_UNKNOWN = (404, "unknown_ticket", "no such ticket {}")
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -193,14 +226,11 @@ class LatencyFrontDoor:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._reaper_task: Optional[asyncio.Task] = None
+        #: Unclaimed HTTP tickets; claimed and reaped ones are the service's.
         self._tickets: Dict[int, _HttpTicket] = {}
-        #: Terminal tickets: id -> "consumed" | "reaped" (404 vs 410).
-        self._closed: Dict[int, str] = {}
         self._tenant_pending: Dict[str, int] = {}
         self._draining = False
         self._drain_report: Optional[Dict[str, Any]] = None
-        self._consumed_count = 0
-        self._reaped_count = 0
         self._started_at = time.perf_counter()
 
     # ---------------------------------------------------------------- lifecycle
@@ -255,9 +285,10 @@ class LatencyFrontDoor:
         report["unfulfilled"] = sum(
             1 for t in self._tickets.values() if not t.event.is_set()
         )
-        report["unclaimed"] = sum(1 for t in self._tickets.values() if t.event.is_set())
-        report["consumed"] = self._consumed_count
-        report["reaped"] = self._reaped_count
+        report["unclaimed"] = len(self._tickets) - report["unfulfilled"]
+        counts = self.service.ticket_counts()
+        report["consumed"] = counts["consumed"]
+        report["reaped"] = counts["reaped"]
         self._drain_report = report
         return report
 
@@ -320,9 +351,7 @@ class LatencyFrontDoor:
         the gap.
         """
         ticket_id = self.service.submit(wire_request.to_latency())
-        self._tickets[ticket_id] = _HttpTicket(
-            id=ticket_id, tenant=wire_request.tenant, submitted_at=self._loop.time()
-        )
+        self._tickets[ticket_id] = _HttpTicket(tenant=wire_request.tenant)
         self._tenant_pending[wire_request.tenant] = (
             self._tenant_pending.get(wire_request.tenant, 0) + 1
         )
@@ -337,12 +366,24 @@ class LatencyFrontDoor:
         try:
             response = self.service.poll(ticket_id)
         except KeyError:
-            response = None
-        self._closed[ticket_id] = "consumed"
+            return None
         if response is None:
             return None
-        self._consumed_count += 1
         return WireResponse.from_latency(response, tenant=ticket.tenant)
+
+    def _pending(self, ticket_id: int) -> _Response:
+        """202 for a ticket that is not fulfilled yet."""
+        payload = {"schema_version": SCHEMA_VERSION, "status": "pending", "ticket_id": ticket_id}
+        return _Response(
+            202,
+            _json_bytes(payload),
+            headers=(("Retry-After", f"{self.retry_after_seconds:.3f}"),),
+        )
+
+    def _gone(self, ticket_id: int) -> Tuple[int, str, str]:
+        """(status, code, message) for an id with no unclaimed HTTP ticket."""
+        status, code, message = _GONE.get(self.service.ticket_state(ticket_id), _UNKNOWN)
+        return status, code, message.format(ticket_id)
 
     def _reap_pass(self) -> List[int]:
         """Abandon + reap fulfilled tickets unclaimed past ``reap_after_seconds``."""
@@ -357,12 +398,8 @@ class LatencyFrontDoor:
             self.service.abandon(ticket_id)
         reaped: List[int] = []
         for response in self.service.reap_abandoned():
-            ticket_id = response.request_id
-            if ticket_id in self._tickets:
-                self._tickets.pop(ticket_id)
-                self._closed[ticket_id] = "reaped"
-                self._reaped_count += 1
-                reaped.append(ticket_id)
+            if self._tickets.pop(response.request_id, None) is not None:
+                reaped.append(response.request_id)
         return reaped
 
     async def _reaper_loop(self) -> None:
@@ -574,17 +611,7 @@ class LatencyFrontDoor:
         try:
             await asyncio.wait_for(ticket.event.wait(), timeout)
         except asyncio.TimeoutError:
-            return _Response(
-                202,
-                _json_bytes(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "status": "pending",
-                        "ticket_id": ticket_id,
-                    }
-                ),
-                headers=(("Retry-After", f"{self.retry_after_seconds:.3f}"),),
-            )
+            return self._pending(ticket_id)
         response = self._consume(ticket_id)
         if response is None:
             return self._error(404, "already_consumed", f"ticket {ticket_id} already claimed")
@@ -599,16 +626,9 @@ class LatencyFrontDoor:
             ticket_id = int(request.path.rsplit("/", 1)[1])
         except ValueError:
             return self._error(400, "invalid_field", "ticket id must be an integer")
-        closed = self._closed.get(ticket_id)
-        if closed == "reaped":
-            return self._error(
-                410, "reaped", f"ticket {ticket_id} was reaped (fulfilled but unclaimed)"
-            )
-        if closed == "consumed":
-            return self._error(404, "already_consumed", f"ticket {ticket_id} already claimed")
         ticket = self._tickets.get(ticket_id)
         if ticket is None:
-            return self._error(404, "unknown_ticket", f"no such ticket {ticket_id}")
+            return self._error(*self._gone(ticket_id))
         wait = self._wait_param(request, "wait_seconds", default=0.0)
         if not ticket.event.is_set() and wait > 0:
             try:
@@ -616,17 +636,7 @@ class LatencyFrontDoor:
             except asyncio.TimeoutError:
                 pass
         if not ticket.event.is_set():
-            return _Response(
-                202,
-                _json_bytes(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "status": "pending",
-                        "ticket_id": ticket_id,
-                    }
-                ),
-                headers=(("Retry-After", f"{self.retry_after_seconds:.3f}"),),
-            )
+            return self._pending(ticket_id)
         response = self._consume(ticket_id)
         if response is None:
             return self._error(404, "already_consumed", f"ticket {ticket_id} already claimed")
@@ -652,24 +662,12 @@ class LatencyFrontDoor:
         payload["schema_version"] = SCHEMA_VERSION
         return _Response(200, _json_bytes(payload))
 
-    def _http_gauges(self, registry: "MetricsRegistry") -> None:
-        """Contribute the front door's own counters to a scrape registry."""
-        rows = (
-            ("pending", "Submitted tickets not yet fulfilled.",
-             sum(1 for t in self._tickets.values() if not t.event.is_set())),
-            ("fulfilled_unclaimed", "Fulfilled tickets awaiting a claim.",
-             sum(1 for t in self._tickets.values() if t.event.is_set())),
-            ("consumed_total", "Tickets claimed by clients.", self._consumed_count),
-            ("reaped_total", "Fulfilled-but-unclaimed tickets reaped.", self._reaped_count),
-            ("draining", "1 while the server is draining.", int(self._draining)),
-        )
-        for suffix, help_text, value in rows:
-            Gauge(f"repro_http_{suffix}", help_text, registry=registry).set(float(value))
-
     def _handle_metrics(self, request: _HttpRequest) -> _Response:
+        http = [(key, name, help_text, read(self)) for key, name, help_text, read in HTTP_METRICS]
         if request.param("format") == "prom":
             registry = self.service.stats.fill_metrics(MetricsRegistry())
-            self._http_gauges(registry)
+            for _, name, help_text, value in http:
+                Gauge(name, help_text, registry=registry).set(float(value))
             return _Response(
                 200,
                 prom.render(registry).encode("utf-8"),
@@ -685,15 +683,7 @@ class LatencyFrontDoor:
             "service": snapshot,
             "capacity": capacity_report_to_dict(self.service.capacity_report()),
             "http": {
-                "pending": sum(
-                    1 for t in self._tickets.values() if not t.event.is_set()
-                ),
-                "fulfilled_unclaimed": sum(
-                    1 for t in self._tickets.values() if t.event.is_set()
-                ),
-                "consumed": self._consumed_count,
-                "reaped": self._reaped_count,
-                "draining": self._draining,
+                **{key: value for key, _, _, value in http},
                 "tenants": dict(sorted(self._tenant_pending.items())),
             },
         }
@@ -748,11 +738,7 @@ class LatencyFrontDoor:
         async def _one(ticket_id: int) -> str:
             ticket = self._tickets.get(ticket_id)
             if ticket is None:
-                status = self._closed.get(ticket_id)
-                code = {
-                    "reaped": "reaped",
-                    "consumed": "already_consumed",
-                }.get(status, "unknown_ticket")
+                code = self._gone(ticket_id)[1]
                 return ErrorBody(
                     code=code, message=f"ticket {ticket_id}: {code}"
                 ).to_json()

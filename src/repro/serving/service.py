@@ -44,7 +44,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .._digest import stable_digest
 from ..gpu.gpu_config import GPUS, GPUSpec
@@ -328,6 +328,7 @@ class LatencyService:
         #: Shape-bucket width for stacked batch admission (None = one bucket).
         self.length_bucket_size = length_bucket_size
         self.stats = ServiceStats(request_log_limit=request_log_limit)
+        self.stats.read_queue_depth = self.queue_depth
         #: Optional per-request span tracing (:mod:`repro.obs.tracing`).
         #: ``None`` keeps the hot path untouched; a disabled tracer records
         #: nothing.  Spans are keyed by ``request.trace_id`` when the client
@@ -345,7 +346,10 @@ class LatencyService:
         #: sorting the whole queue per batch.
         self._urgent_queued = 0
         self._pending: Dict[Tuple, _Job] = {}
+        #: Live tickets; an issued id neither live nor reaped was consumed.
         self._tickets: Dict[int, _Ticket] = {}
+        #: Ids taken by :meth:`reap_abandoned` rather than claimed by a client.
+        self._reaped: Set[int] = set()
         self._next_ticket = 0
         self._completed_index = 0
         self._executing = 0
@@ -504,7 +508,7 @@ class LatencyService:
         if not ticket.done.wait(timeout):
             with self._cond:
                 ticket.abandoned = True
-            self.stats.record_timeout()
+            self.stats.record(timeouts=1)
             raise TimeoutError(f"request {ticket_id} not fulfilled within {timeout}s")
         with self._cond:
             self._tickets.pop(ticket_id, None)
@@ -558,7 +562,30 @@ class LatencyService:
             ]
             for ticket in ripe:
                 del self._tickets[ticket.id]
+                self._reaped.add(ticket.id)
         return [t.response for t in ripe if t.response is not None]
+
+    def ticket_state(self, ticket_id: int) -> str:
+        """``"pending"``, ``"fulfilled"``, ``"consumed"``, ``"reaped"`` or ``"unknown"``.
+
+        The lifecycle of :mod:`repro.serving.api`; ``"unknown"`` means never issued.
+        """
+        with self._cond:
+            ticket = self._tickets.get(ticket_id)
+            if ticket is not None:
+                return "fulfilled" if ticket.done.is_set() else "pending"
+            if ticket_id in self._reaped:
+                return "reaped"
+            if 0 <= ticket_id < self._next_ticket:
+                return "consumed"
+            return "unknown"
+
+    def ticket_counts(self) -> Dict[str, int]:
+        """How many issued tickets were ``"consumed"`` and ``"reaped"``."""
+        with self._cond:
+            reaped = len(self._reaped)
+            consumed = self._next_ticket - len(self._tickets) - reaped
+            return {"consumed": consumed, "reaped": reaped}
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait until the queue is empty and no batch is executing."""
@@ -626,28 +653,7 @@ class LatencyService:
 
     def capacity_report(self) -> CapacityReport:
         """Throughput/hit-rate/latency snapshot (see :class:`CapacityReport`)."""
-        snap = self.stats.snapshot()
-        busy = float(snap["busy_seconds"])  # type: ignore[arg-type]
-        completed = int(snap["completed"])  # type: ignore[arg-type]
-        return CapacityReport(
-            requests=int(snap["submitted"]),
-            completed=completed,
-            errors=int(snap["errors"]),
-            coalesced=int(snap["coalesced"]),
-            memo_hits=int(snap["memo_hits"]),
-            simulations=int(snap["simulations"]),
-            queue_depth=self.queue_depth(),
-            peak_queue_depth=int(snap["peak_queue_depth"]),
-            wall_seconds=time.perf_counter() - self._started_at,
-            busy_seconds=busy,
-            queries_per_second=completed / busy if busy > 0 else 0.0,
-            backends=tuple(self.stats.backend_summaries()),
-            timed_out=int(snap["timeouts"]),
-            late_results=int(snap["late_results"]),
-            pool_rebuilds=int(snap["pool_rebuilds"]),
-            stacked_batches=int(snap["stacked_batches"]),
-            stacked_points=int(snap["stacked_points"]),
-        )
+        return self.stats.capacity_report(time.perf_counter() - self._started_at)
 
     # -------------------------------------------------------------- dispatcher
     def _run(self) -> None:
@@ -769,7 +775,7 @@ class LatencyService:
             )
         except Exception as exc:
             return (None, str(exc), False)
-        self.stats.record_simulations(1)
+        self.stats.record(simulations=1)
         return (report, None, False)
 
     def _simulate_bucketed(
@@ -797,8 +803,9 @@ class LatencyService:
             for job in jobs:
                 results[job.key] = self._simulate_serial(job)
             return
-        self.stats.record_simulations(len(lengths))
-        self.stats.record_stacked(batches=1, points=len(lengths))
+        self.stats.record(
+            simulations=len(lengths), stacked_batches=1, stacked_points=len(lengths)
+        )
         for job in jobs:
             results[job.key] = (reports[job.sequence_length], None, False)
             job.path = "stacked-simulate"
@@ -861,14 +868,14 @@ class LatencyService:
                         # on the retry.  A pool that could not even be
                         # created (executor None) will not appear by trying
                         # again — go straight to the serial fallback.
-                        self.stats.record_pool_rebuild()
+                        self.stats.record(pool_rebuilds=1)
                         continue
                     break
             if reports is None:
                 for job in group:
                     results[job.key] = self._simulate_serial(job)
                 continue
-            self.stats.record_simulations(len(group))
+            self.stats.record(simulations=len(group))
             for job, report in zip(group, reports):
                 # Seed the shared memo/disk cache so later duplicates are
                 # memo hits, exactly as if the session had simulated them.
@@ -953,7 +960,7 @@ class LatencyService:
                         # Every waiter gave up before this completion landed:
                         # count it so operators can see late work, and leave
                         # the response reclaimable (reap_abandoned / poll).
-                        self.stats.record_late_result()
+                        self.stats.record(late_results=1)
                     fulfilled.append(ticket)
             if traced:
                 # Recorded before done.set() so a waiter that wakes on the
@@ -963,10 +970,9 @@ class LatencyService:
             for ticket in fulfilled:
                 ticket.done.set()
             self._executing = 0
-            depth = len(self._queue)
             listeners = list(self._listeners)
             self._cond.notify_all()
-        self.stats.record_batch(busy_seconds=end - started, queue_depth=depth)
+        self.stats.record(batches=1, busy_seconds=end - started)
         # Listener contract: fulfilled responses are already pollable, the
         # lock is released (a listener may call poll()/stats), and a listener
         # crash never takes the dispatcher down with it.

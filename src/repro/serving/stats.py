@@ -4,17 +4,24 @@ One :class:`ServiceStats` instance lives inside every
 :class:`~repro.serving.service.LatencyService`.  Submission-side counters are
 updated under the service lock by client threads; fulfillment-side counters
 and the per-backend latency histograms are updated by the dispatcher.  All
-reads go through :meth:`ServiceStats.snapshot`, which copies under the lock,
+reads go through :meth:`ServiceStats.values`, which copies under the lock,
 so callers never observe a torn update.
+
+**Where a metric is declared.**  Every counter and gauge is one row of
+:data:`SERVICE_METRICS` (name = attribute and JSON key, Prometheus name,
+kind, help, :class:`~repro.serving.api.CapacityReport` field).  The JSON
+snapshot, Prometheus families, ``capacity_report()`` and the wire codec all
+derive from it, so a new counter is one row plus its ``CapacityReport``
+field and a :meth:`ServiceStats.record` call.  ``queue_depth`` is *live*: it
+reads the service's queue at scrape time.  Ticket states are not metrics;
+the service owns them (:meth:`~repro.serving.service.LatencyService.ticket_state`).
 
 Latency distributions are :class:`repro.obs.metrics.Histogram` families with
 fixed exponential buckets — **constant memory per backend** no matter how
 many requests flow through (the old per-backend sample reservoirs grew a
 2048-deque each and answered percentiles from a sampled window; the
 histograms answer from every observation ever made, at bounded-relative-error
-bucket resolution with exact min/max edges).  :meth:`ServiceStats.fill_metrics`
-contributes everything here to a :class:`~repro.obs.metrics.MetricsRegistry`
-for Prometheus exposition (``/metrics?format=prom``).
+bucket resolution with exact min/max edges).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs.metrics import (
     Counter,
@@ -31,11 +38,58 @@ from ..obs.metrics import (
     MetricsRegistry,
     exponential_buckets,
 )
-from .api import BackendServiceStats, RequestLogRecord
+from .api import BackendServiceStats, CapacityReport, RequestLogRecord
 
 #: Bucket ladder for service-latency histograms: 1 µs doubling to ~9 min,
 #: wide enough for memo hits and cold multi-minute simulations alike.
 SERVICE_LATENCY_BUCKETS = exponential_buckets(start=1e-6, factor=2.0, count=40)
+
+
+class ServiceMetric(NamedTuple):
+    """One declared metric; ``zero`` also fixes its type, ``live`` rows are properties."""
+
+    name: str
+    prom: str
+    kind: type
+    help: str
+    capacity: Optional[str]
+    zero: float = 0
+    live: bool = False
+
+
+#: Every :class:`ServiceStats` metric, declared once (see the module docstring).
+SERVICE_METRICS: Tuple[ServiceMetric, ...] = (
+    ServiceMetric("submitted", "repro_serving_requests_submitted_total", Counter,
+                  "Requests accepted by submit().", "requests"),
+    ServiceMetric("completed", "repro_serving_requests_completed_total", Counter,
+                  "Requests fulfilled (ok or error).", "completed"),
+    ServiceMetric("errors", "repro_serving_errors_total", Counter,
+                  "Requests fulfilled with an error.", "errors"),
+    ServiceMetric("coalesced", "repro_serving_coalesced_total", Counter,
+                  "Requests attached to an in-flight duplicate.", "coalesced"),
+    ServiceMetric("memo_hits", "repro_serving_memo_hits_total", Counter,
+                  "Requests answered from the session memo.", "memo_hits"),
+    ServiceMetric("simulations", "repro_serving_simulations_total", Counter,
+                  "Fresh simulator runs.", "simulations"),
+    ServiceMetric("batches", "repro_serving_batches_total", Counter,
+                  "Dispatcher execution batches.", None),
+    ServiceMetric("busy_seconds", "repro_serving_busy_seconds_total", Counter,
+                  "Dispatcher busy time, seconds.", "busy_seconds", zero=0.0),
+    ServiceMetric("queue_depth", "repro_serving_queue_depth", Gauge,
+                  "Requests queued right now.", "queue_depth", live=True),
+    ServiceMetric("peak_queue_depth", "repro_serving_peak_queue_depth", Gauge,
+                  "High-water queue depth.", "peak_queue_depth"),
+    ServiceMetric("timeouts", "repro_serving_timeouts_total", Counter,
+                  "result() calls that gave up waiting.", "timed_out"),
+    ServiceMetric("late_results", "repro_serving_late_results_total", Counter,
+                  "Requests completed after every waiter timed out.", "late_results"),
+    ServiceMetric("pool_rebuilds", "repro_serving_pool_rebuilds_total", Counter,
+                  "Worker-pool rebuilds after a pool failure.", "pool_rebuilds"),
+    ServiceMetric("stacked_batches", "repro_serving_stacked_batches_total", Counter,
+                  "Shape-bucketed batches priced in one stacked pass.", "stacked_batches"),
+    ServiceMetric("stacked_points", "repro_serving_stacked_points_total", Counter,
+                  "(backend, length) points covered by stacked passes.", "stacked_points"),
+)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -70,6 +124,10 @@ class ServiceStats:
     for cluster replay, where a truncated trace would misrepresent the
     traffic.
 
+    Each :data:`SERVICE_METRICS` row is an attribute (``stats.simulations``);
+    ``queue_depth`` calls :attr:`read_queue_depth`, which the owning service
+    binds to its queue.
+
     The latency histogram family is *private* to this instance (not in the
     process-wide :data:`repro.obs.metrics.REGISTRY`): many services live in
     one test process, and registering each would collide on the metric name.
@@ -79,21 +137,11 @@ class ServiceStats:
 
     def __init__(self, request_log_limit: Optional[int] = None) -> None:
         self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.errors = 0
-        self.coalesced = 0
-        self.memo_hits = 0
-        self.simulations = 0
-        self.batches = 0
-        self.busy_seconds = 0.0
-        self.queue_depth = 0
-        self.peak_queue_depth = 0
-        self.timeouts = 0
-        self.late_results = 0
-        self.pool_rebuilds = 0
-        self.stacked_batches = 0
-        self.stacked_points = 0
+        for metric in SERVICE_METRICS:
+            if not metric.live:
+                setattr(self, metric.name, metric.zero)
+        #: Live queue-depth reader; a stats object without a service reads 0.
+        self.read_queue_depth: Callable[[], int] = lambda: 0
         self._latency = Histogram(
             "repro_serving_request_duration_seconds",
             "Submit-to-fulfillment service time, by backend.",
@@ -103,22 +151,27 @@ class ServiceStats:
         self._backends: Dict[str, Histogram] = {}
         self._request_log: Deque[RequestLogRecord] = deque(maxlen=request_log_limit)
 
+    @property
+    def queue_depth(self) -> int:
+        """Requests queued right now (read live, never a stale copy)."""
+        return self.read_queue_depth()
+
+    def record(self, **increments: float) -> None:
+        """Add to declared counters by name, e.g. ``record(timeouts=1)``."""
+        with self._lock:
+            for name, amount in increments.items():
+                setattr(self, name, getattr(self, name) + amount)
+
     # ------------------------------------------------------------- submission
     def record_submit(self, coalesced: bool, queue_depth: int) -> None:
+        """One accepted request; ``queue_depth`` feeds the high-water mark."""
         with self._lock:
             self.submitted += 1
             if coalesced:
                 self.coalesced += 1
-            self.queue_depth = queue_depth
             self.peak_queue_depth = max(self.peak_queue_depth, queue_depth)
 
     # ------------------------------------------------------------ fulfillment
-    def record_batch(self, busy_seconds: float, queue_depth: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.busy_seconds += float(busy_seconds)
-            self.queue_depth = queue_depth
-
     def record_result(
         self,
         backend: str,
@@ -139,20 +192,6 @@ class ServiceStats:
                 )
         histogram.observe(float(service_seconds))
 
-    def record_simulations(self, count: int) -> None:
-        with self._lock:
-            self.simulations += int(count)
-
-    def record_timeout(self) -> None:
-        """A ``result()`` call gave up waiting (the ticket stays claimable)."""
-        with self._lock:
-            self.timeouts += 1
-
-    def record_late_result(self) -> None:
-        """A request completed after every waiter had timed out on it."""
-        with self._lock:
-            self.late_results += 1
-
     def record_request(self, record: RequestLogRecord) -> None:
         """Append one fulfilled request to the structured request log."""
         with self._lock:
@@ -163,25 +202,7 @@ class ServiceStats:
         with self._lock:
             return tuple(self._request_log)
 
-    def record_pool_rebuild(self) -> None:
-        """The dispatcher replaced a broken worker pool with a fresh one."""
-        with self._lock:
-            self.pool_rebuilds += 1
-
-    def record_stacked(self, batches: int, points: int) -> None:
-        """A shape-bucketed batch priced ``points`` lengths in one stacked pass."""
-        with self._lock:
-            self.stacked_batches += int(batches)
-            self.stacked_points += int(points)
-
     # ------------------------------------------------------------------ reads
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            if self.completed <= 0:
-                return 0.0
-            return (self.coalesced + self.memo_hits) / self.completed
-
     def _summary(self, name: str, histogram: Histogram) -> BackendServiceStats:
         return BackendServiceStats(
             backend=name,
@@ -196,80 +217,59 @@ class ServiceStats:
             backends = sorted(self._backends.items())
         return [self._summary(name, histogram) for name, histogram in backends]
 
+    def values(self) -> Dict[str, float]:
+        """Every :data:`SERVICE_METRICS` value by name, in declaration order."""
+        # Live rows read the service's queue under the service's lock, which
+        # is taken before ours on the fulfillment path: never nest it here.
+        live = {m.name: getattr(self, m.name) for m in SERVICE_METRICS if m.live}
+        with self._lock:
+            return {
+                m.name: live[m.name] if m.live else getattr(self, m.name)
+                for m in SERVICE_METRICS
+            }
+
     def snapshot(self) -> Dict[str, object]:
+        """:meth:`values` plus a :class:`BackendServiceStats` row per backend."""
+        out: Dict[str, object] = dict(self.values())
         with self._lock:
             backends = dict(self._backends)
-            out: Dict[str, object] = {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "errors": self.errors,
-                "coalesced": self.coalesced,
-                "memo_hits": self.memo_hits,
-                "simulations": self.simulations,
-                "batches": self.batches,
-                "busy_seconds": self.busy_seconds,
-                "queue_depth": self.queue_depth,
-                "peak_queue_depth": self.peak_queue_depth,
-                "timeouts": self.timeouts,
-                "late_results": self.late_results,
-                "pool_rebuilds": self.pool_rebuilds,
-                "stacked_batches": self.stacked_batches,
-                "stacked_points": self.stacked_points,
-            }
         out["backends"] = {
             name: self._summary(name, histogram)
             for name, histogram in backends.items()
         }
         return out
 
+    def capacity_report(self, wall_seconds: float) -> CapacityReport:
+        """The :class:`CapacityReport` of these stats (see :data:`SERVICE_METRICS`).
+
+        ``queries_per_second`` is the one derived field: completions over
+        busy time.
+        """
+        values = self.values()
+        busy = values["busy_seconds"]
+        return CapacityReport(
+            wall_seconds=wall_seconds,
+            queries_per_second=values["completed"] / busy if busy > 0 else 0.0,
+            backends=tuple(self.backend_summaries()),
+            **{m.capacity: values[m.name] for m in SERVICE_METRICS if m.capacity},
+        )
+
     # ------------------------------------------------------------- exposition
     def fill_metrics(self, registry: MetricsRegistry) -> MetricsRegistry:
-        """Contribute every counter plus the live latency family to ``registry``.
+        """Contribute every declared metric plus the live latency family to ``registry``.
 
         Counters and gauges are materialized fresh from the current values
         (they are plain ints on the hot path; typed metric objects would buy
         nothing but lock traffic), while the histogram family is registered
         live — its buckets are already exposition-shaped.
         """
-        with self._lock:
-            values = (
-                ("requests_submitted_total", Counter, self.submitted,
-                 "Requests accepted by submit()."),
-                ("requests_completed_total", Counter, self.completed,
-                 "Requests fulfilled (ok or error)."),
-                ("errors_total", Counter, self.errors,
-                 "Requests fulfilled with an error."),
-                ("coalesced_total", Counter, self.coalesced,
-                 "Requests attached to an in-flight duplicate."),
-                ("memo_hits_total", Counter, self.memo_hits,
-                 "Requests answered from the session memo."),
-                ("simulations_total", Counter, self.simulations,
-                 "Fresh simulator runs."),
-                ("batches_total", Counter, self.batches,
-                 "Dispatcher execution batches."),
-                ("busy_seconds_total", Counter, self.busy_seconds,
-                 "Dispatcher busy time, seconds."),
-                ("timeouts_total", Counter, self.timeouts,
-                 "result() calls that gave up waiting."),
-                ("late_results_total", Counter, self.late_results,
-                 "Requests completed after every waiter timed out."),
-                ("pool_rebuilds_total", Counter, self.pool_rebuilds,
-                 "Worker-pool rebuilds after a pool failure."),
-                ("stacked_batches_total", Counter, self.stacked_batches,
-                 "Shape-bucketed batches priced in one stacked pass."),
-                ("stacked_points_total", Counter, self.stacked_points,
-                 "(backend, length) points covered by stacked passes."),
-                ("queue_depth", Gauge, self.queue_depth,
-                 "Requests queued right now."),
-                ("peak_queue_depth", Gauge, self.peak_queue_depth,
-                 "High-water queue depth."),
-            )
-        for suffix, kind, value, help_text in values:
-            metric = kind(f"repro_serving_{suffix}", help_text, registry=registry)
-            if kind is Counter:
-                metric.inc(float(value))
+        values = self.values()
+        for metric in SERVICE_METRICS:
+            family = metric.kind(metric.prom, metric.help, registry=registry)
+            if metric.kind is Counter:
+                family.inc(float(values[metric.name]))
             else:
-                metric.set(float(value))
+                family.set(float(values[metric.name]))
         registry.register(self._latency)
         return registry
 

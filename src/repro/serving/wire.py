@@ -34,7 +34,7 @@ current :data:`SCHEMA_VERSION` (curl-friendliness); a payload with a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.backend import SimReport
@@ -496,31 +496,20 @@ def backend_stats_from_dict(payload: Mapping[str, Any]) -> BackendServiceStats:
     )
 
 
-_CAPACITY_INT_FIELDS = (
-    "requests",
-    "completed",
-    "errors",
-    "coalesced",
-    "memo_hits",
-    "simulations",
-    "queue_depth",
-    "peak_queue_depth",
-    "timed_out",
-    "late_results",
-    "pool_rebuilds",
-    "stacked_batches",
-    "stacked_points",
+#: CapacityReport's scalar fields as (name, type), ints first (the wire key
+#: order), read off the dataclass; a field of another type fails at import.
+_SCALAR_TYPES = {"int": int, "float": float, int: int, float: float}
+_CAPACITY_SCALARS = sorted(
+    ((f.name, _SCALAR_TYPES[f.type]) for f in fields(CapacityReport) if f.name != "backends"),
+    key=lambda item: item[1] is float,
 )
-_CAPACITY_FLOAT_FIELDS = ("wall_seconds", "busy_seconds", "queries_per_second")
 
 
 def capacity_report_to_dict(report: CapacityReport) -> Dict[str, Any]:
     """JSON-able dict of a :class:`~repro.serving.api.CapacityReport` (lossless)."""
     payload: Dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    for name in _CAPACITY_INT_FIELDS:
-        payload[name] = int(getattr(report, name))
-    for name in _CAPACITY_FLOAT_FIELDS:
-        payload[name] = float(getattr(report, name))
+    for name, kind in _CAPACITY_SCALARS:
+        payload[name] = kind(getattr(report, name))
     payload["backends"] = [backend_stats_to_dict(row) for row in report.backends]
     return payload
 
@@ -529,7 +518,7 @@ def capacity_report_from_dict(payload: Mapping[str, Any]) -> CapacityReport:
     payload = _require_dict(payload, "CapacityReport")
     _check_fields(
         payload,
-        ("schema_version", "backends") + _CAPACITY_INT_FIELDS + _CAPACITY_FLOAT_FIELDS,
+        ("schema_version", "backends") + tuple(name for name, _ in _CAPACITY_SCALARS),
         "CapacityReport",
     )
     _check_version(payload, "CapacityReport")
@@ -537,11 +526,9 @@ def capacity_report_from_dict(payload: Mapping[str, Any]) -> CapacityReport:
     if not isinstance(rows, (list, tuple)):
         raise WireFormatError("invalid_field", "backends must be a list")
     kwargs: Dict[str, Any] = {
-        name: _as_int(payload.get(name, 0), name) for name in _CAPACITY_INT_FIELDS
+        name: (_as_int if kind is int else _as_float)(payload.get(name, kind()), name)
+        for name, kind in _CAPACITY_SCALARS
     }
-    kwargs.update(
-        {name: _as_float(payload.get(name, 0.0), name) for name in _CAPACITY_FLOAT_FIELDS}
-    )
     kwargs["backends"] = tuple(backend_stats_from_dict(row) for row in rows)
     return CapacityReport(**kwargs)
 

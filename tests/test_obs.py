@@ -413,6 +413,38 @@ def call(handle, method, path, body=None, headers=None):
         conn.close()
 
 
+#: Every Prometheus family the front door exposes: name -> (TYPE, HELP).
+EXPOSED_FAMILIES = {
+    "repro_serving_requests_submitted_total": ("counter", "Requests accepted by submit()."),
+    "repro_serving_requests_completed_total": ("counter", "Requests fulfilled (ok or error)."),
+    "repro_serving_errors_total": ("counter", "Requests fulfilled with an error."),
+    "repro_serving_coalesced_total": (
+        "counter", "Requests attached to an in-flight duplicate."),
+    "repro_serving_memo_hits_total": ("counter", "Requests answered from the session memo."),
+    "repro_serving_simulations_total": ("counter", "Fresh simulator runs."),
+    "repro_serving_batches_total": ("counter", "Dispatcher execution batches."),
+    "repro_serving_busy_seconds_total": ("counter", "Dispatcher busy time, seconds."),
+    "repro_serving_timeouts_total": ("counter", "result() calls that gave up waiting."),
+    "repro_serving_late_results_total": (
+        "counter", "Requests completed after every waiter timed out."),
+    "repro_serving_pool_rebuilds_total": (
+        "counter", "Worker-pool rebuilds after a pool failure."),
+    "repro_serving_stacked_batches_total": (
+        "counter", "Shape-bucketed batches priced in one stacked pass."),
+    "repro_serving_stacked_points_total": (
+        "counter", "(backend, length) points covered by stacked passes."),
+    "repro_serving_queue_depth": ("gauge", "Requests queued right now."),
+    "repro_serving_peak_queue_depth": ("gauge", "High-water queue depth."),
+    "repro_serving_request_duration_seconds": (
+        "histogram", "Submit-to-fulfillment service time, by backend."),
+    "repro_http_pending": ("gauge", "Submitted tickets not yet fulfilled."),
+    "repro_http_fulfilled_unclaimed": ("gauge", "Fulfilled tickets awaiting a claim."),
+    "repro_http_consumed_total": ("gauge", "Tickets claimed by clients."),
+    "repro_http_reaped_total": ("gauge", "Fulfilled-but-unclaimed tickets reaped."),
+    "repro_http_draining": ("gauge", "1 while the server is draining."),
+}
+
+
 @pytest.fixture(scope="module")
 def traced_door():
     """A front door whose owned service carries a Tracer."""
@@ -471,8 +503,10 @@ class TestTracedFrontDoor:
         assert status == 200
         assert headers["Content-Type"] == prom.CONTENT_TYPE
         families = prom.parse(text)
-        assert "repro_serving_requests_completed_total" in families
-        assert "repro_http_pending" in families
+        # The full exposition surface: every family, its TYPE and its HELP.
+        assert {
+            name: (family.kind, family.help) for name, family in families.items()
+        } == EXPOSED_FAMILIES
         histogram = families["repro_serving_request_duration_seconds"]
         assert histogram.kind == "histogram"
         assert any(s.labels.get("backend") for s in histogram.samples)

@@ -285,11 +285,37 @@ class TestStatsAndCapacity:
 
     def test_queue_depth_tracks_staged_load(self, config):
         service = make_service(config, autostart=False)
+        # Hold the dispatcher inside its first batch, after it drained the
+        # queue, so a recorded copy of the depth would read stale.
+        running, release = threading.Event(), threading.Event()
+        execute = service._execute
+
+        def gated(jobs):
+            running.set()
+            assert release.wait(TIMEOUT)
+            return execute(jobs)
+
+        service._execute = gated
+
+        def readings():
+            prom = service.stats.metrics_registry().get("repro_serving_queue_depth")
+            return (
+                service.stats.queue_depth,
+                service.stats.snapshot()["queue_depth"],
+                service.capacity_report().queue_depth,
+                int(prom.value),
+            )
+
         service.submit_batch([("lightnobel", n) for n in LENGTHS])
         assert service.stats.peak_queue_depth == 2
+        assert readings() == (2, 2, 2, 2)
         service.start()
-        service.join(timeout=TIMEOUT)
+        assert running.wait(TIMEOUT)
         assert service.queue_depth() == 0
+        assert readings() == (0, 0, 0, 0)  # read live, not recorded at submit
+        release.set()
+        assert service.join(timeout=TIMEOUT)
+        assert service.stats.peak_queue_depth == 2
         service.close()
 
 

@@ -21,6 +21,7 @@ import http.client
 
 import pytest
 
+from repro.obs import prom
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService, WireRequest, WireResponse
 from repro.serving.http import FrontDoorClient, serve_in_thread
@@ -287,6 +288,75 @@ class TestPriorityOnTheWire:
             service.close()
 
 
+#: Keys of the ``service``, ``capacity`` and ``http`` blocks of ``GET /metrics``.
+METRICS_JSON_KEYS = {
+    "service": {
+        "submitted", "completed", "errors", "coalesced", "memo_hits", "simulations",
+        "batches", "busy_seconds", "queue_depth", "peak_queue_depth", "timeouts",
+        "late_results", "pool_rebuilds", "stacked_batches", "stacked_points", "backends",
+    },
+    "capacity": {
+        "schema_version", "requests", "completed", "errors", "coalesced", "memo_hits",
+        "simulations", "queue_depth", "peak_queue_depth", "timed_out", "late_results",
+        "pool_rebuilds", "stacked_batches", "stacked_points", "wall_seconds",
+        "busy_seconds", "queries_per_second", "backends",
+    },
+    "http": {
+        "pending", "fulfilled_unclaimed", "consumed", "reaped", "draining", "tenants",
+    },
+}
+
+#: ``/metrics`` JSON (block, key) -> the Prometheus family holding the same value.
+JSON_PROM_PAIRS = {
+    ("service", "submitted"): "repro_serving_requests_submitted_total",
+    ("service", "completed"): "repro_serving_requests_completed_total",
+    ("service", "errors"): "repro_serving_errors_total",
+    ("service", "coalesced"): "repro_serving_coalesced_total",
+    ("service", "memo_hits"): "repro_serving_memo_hits_total",
+    ("service", "simulations"): "repro_serving_simulations_total",
+    ("service", "batches"): "repro_serving_batches_total",
+    ("service", "busy_seconds"): "repro_serving_busy_seconds_total",
+    ("service", "queue_depth"): "repro_serving_queue_depth",
+    ("service", "peak_queue_depth"): "repro_serving_peak_queue_depth",
+    ("service", "timeouts"): "repro_serving_timeouts_total",
+    ("service", "late_results"): "repro_serving_late_results_total",
+    ("service", "pool_rebuilds"): "repro_serving_pool_rebuilds_total",
+    ("service", "stacked_batches"): "repro_serving_stacked_batches_total",
+    ("service", "stacked_points"): "repro_serving_stacked_points_total",
+    ("capacity", "requests"): "repro_serving_requests_submitted_total",
+    ("capacity", "completed"): "repro_serving_requests_completed_total",
+    ("capacity", "errors"): "repro_serving_errors_total",
+    ("capacity", "coalesced"): "repro_serving_coalesced_total",
+    ("capacity", "memo_hits"): "repro_serving_memo_hits_total",
+    ("capacity", "simulations"): "repro_serving_simulations_total",
+    ("capacity", "busy_seconds"): "repro_serving_busy_seconds_total",
+    ("capacity", "queue_depth"): "repro_serving_queue_depth",
+    ("capacity", "peak_queue_depth"): "repro_serving_peak_queue_depth",
+    ("capacity", "timed_out"): "repro_serving_timeouts_total",
+    ("capacity", "late_results"): "repro_serving_late_results_total",
+    ("capacity", "pool_rebuilds"): "repro_serving_pool_rebuilds_total",
+    ("capacity", "stacked_batches"): "repro_serving_stacked_batches_total",
+    ("capacity", "stacked_points"): "repro_serving_stacked_points_total",
+    ("http", "pending"): "repro_http_pending",
+    ("http", "fulfilled_unclaimed"): "repro_http_fulfilled_unclaimed",
+    ("http", "consumed"): "repro_http_consumed_total",
+    ("http", "reaped"): "repro_http_reaped_total",
+    ("http", "draining"): "repro_http_draining",
+}
+
+
+def get_text(handle, path: str) -> str:
+    """GET a non-JSON body (the Prometheus exposition) as text."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=TIMEOUT)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read().decode("utf-8")
+    finally:
+        conn.close()
+
+
 class TestMetricsAndLog:
     def test_metrics_parity_with_service_stats(self, tiny_config):
         service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
@@ -309,6 +379,19 @@ class TestMetricsAndLog:
             assert metrics["http"]["consumed"] == 3
             assert metrics["http"]["pending"] == 0
             assert metrics["http"]["draining"] is False
+            # The JSON surface: exactly these keys in each block.
+            assert set(metrics) == {"schema_version", "service", "capacity", "http"}
+            for block, keys in METRICS_JSON_KEYS.items():
+                assert set(metrics[block]) == keys, block
+            # Every counter and gauge reads the same in JSON and Prometheus.
+            families = prom.parse(get_text(handle, "/metrics?format=prom"))
+            scalar_families = {
+                name for name, family in families.items() if family.kind != "histogram"
+            }
+            assert set(JSON_PROM_PAIRS.values()) == scalar_families
+            for (block, key), name in JSON_PROM_PAIRS.items():
+                (sample,) = families[name].samples
+                assert metrics[block][key] == sample.value, (block, key, name)
         finally:
             handle.stop(drain=True)
             service.close()
@@ -365,6 +448,47 @@ class TestReap:
             _, _, metrics = call(handle, "GET", "/metrics")
             assert metrics["http"]["reaped"] == 1
             assert metrics["http"]["fulfilled_unclaimed"] == 0
+        finally:
+            handle.stop(drain=True)
+            service.close()
+
+
+class TestTicketState:
+    def test_claimed_tickets_leave_no_per_ticket_state(self, tiny_config):
+        """The service owns terminal ticket states; nothing grows per claim."""
+        claims = 300
+        service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+        handle = serve_in_thread(service=service, reap_after_seconds=0.0)
+        try:
+            for _ in range(claims):
+                status, _, _ = call(handle, "POST", "/v1/query", {"sequence_length": 24})
+                assert status == 200
+            # One reaped ticket: the exception path that is remembered.
+            _, _, payload = call(handle, "POST", "/v1/submit", {"sequence_length": 32})
+            reaped = payload["ticket_id"]
+            deadline = time.time() + TIMEOUT
+            while call(handle, "GET", "/metrics")[2]["http"]["fulfilled_unclaimed"] < 1:
+                assert time.time() < deadline
+                time.sleep(0.02)
+            assert call(handle, "POST", "/v1/reap")[2]["reaped"] == [reaped]
+
+            # No container on either side holds an entry per claimed ticket.
+            for owner in (handle.door, service):
+                sizes = {
+                    name: len(value)
+                    for name, value in vars(owner).items()
+                    if isinstance(value, (dict, set, list))
+                }
+                assert max(sizes.values()) <= 1, (type(owner).__name__, sizes)
+            assert service.ticket_counts() == {"consumed": claims, "reaped": 1}
+
+            # Each terminal state keeps its status code and error code.
+            status, _, body = call(handle, "GET", "/v1/result/0")
+            assert (status, body["code"]) == (404, "already_consumed")
+            status, _, body = call(handle, "GET", f"/v1/result/{reaped}")
+            assert (status, body["code"]) == (410, "reaped")
+            status, _, body = call(handle, "GET", f"/v1/result/{reaped + 1}")
+            assert (status, body["code"]) == (404, "unknown_ticket")
         finally:
             handle.stop(drain=True)
             service.close()

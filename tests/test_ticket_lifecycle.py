@@ -1,0 +1,189 @@
+"""Model-checked ticket lifecycle of :class:`repro.serving.LatencyService`.
+
+A hypothesis state machine drives a tiny-config service (``autostart=False``,
+so submissions stay queued until the first ``join``) through random
+interleavings of submit, join, poll, ``result(timeout=0)``, abandon,
+``reap_abandoned`` and close, and checks it against a small reference model
+of the lifecycle in :mod:`repro.serving.api`.  Once the dispatcher runs, a
+ticket the model has not seen fulfilled may be either pending or fulfilled;
+``join`` and ``close`` settle every live ticket.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Set
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.ppm import PPMConfig
+from repro.serving import LatencyRequest, LatencyService
+
+LENGTHS = (24, 32, 40)
+
+#: Picks an issued ticket id, or the next (never issued) one: ``pick % (issued + 1)``.
+PICKS = st.integers(min_value=0, max_value=1 << 16)
+
+
+class TicketLifecycle(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.service = LatencyService(
+            ppm_config=PPMConfig.tiny(), use_disk_cache=False, autostart=False
+        )
+        self.issued = 0
+        #: Live ids (pending or fulfilled-unclaimed) -> sequence length.
+        self.live: Dict[int, int] = {}
+        #: Live ids the model knows are fulfilled (settled by join/close).
+        self.fulfilled: Set[int] = set()
+        #: Live ids whose last word was a give-up (abandon or a timed-out result).
+        self.abandoned: Set[int] = set()
+        self.ever_abandoned: Set[int] = set()
+        self.consumed: Set[int] = set()
+        self.reaped: Set[int] = set()
+        self.lengths: Set[int] = set()
+        self.timeouts = 0
+        self.started = False
+        self.closed = False
+
+    def teardown(self) -> None:
+        self.service.close()
+
+    def _pick(self, pick: int) -> int:
+        return pick % (self.issued + 1)
+
+    def _finish(self, ticket: int, into: Set[int]) -> None:
+        """Move a live ticket to a terminal set; no id ends twice."""
+        assert ticket in self.live
+        assert ticket not in self.consumed and ticket not in self.reaped
+        del self.live[ticket]
+        self.fulfilled.discard(ticket)
+        self.abandoned.discard(ticket)
+        into.add(ticket)
+
+    def _settle(self) -> None:
+        self.fulfilled = set(self.live)
+
+    # ------------------------------------------------------------------ rules
+    @rule(length=st.sampled_from(LENGTHS))
+    def submit(self, length: int) -> None:
+        request = LatencyRequest(backend="lightnobel", sequence_length=length)
+        if self.closed:
+            with pytest.raises(RuntimeError):
+                self.service.submit(request)
+            return
+        before = self.service.stats.coalesced
+        ticket = self.service.submit(request)
+        assert ticket == self.issued
+        if not self.started:
+            # Nothing has been dispatched yet, so a duplicate length must
+            # attach to the queued job.
+            assert self.service.stats.coalesced - before == int(length in self.lengths)
+        self.issued += 1
+        self.live[ticket] = length
+        self.lengths.add(length)
+
+    @rule()
+    def join(self) -> None:
+        if not self.closed:
+            self.service.start()
+            self.started = True
+        assert self.service.join(timeout=60.0)
+        self._settle()
+
+    @rule(pick=PICKS)
+    def poll(self, pick: int) -> None:
+        ticket = self._pick(pick)
+        if ticket not in self.live:
+            with pytest.raises(KeyError):
+                self.service.poll(ticket)
+            return
+        response = self.service.poll(ticket)
+        if response is None:
+            assert ticket not in self.fulfilled
+            return
+        assert response.request_id == ticket and response.ok
+        self._finish(ticket, self.consumed)
+
+    @rule(pick=PICKS)
+    def result(self, pick: int) -> None:
+        ticket = self._pick(pick)
+        if ticket not in self.live:
+            with pytest.raises(KeyError):
+                self.service.result(ticket, timeout=0)
+            return
+        try:
+            response = self.service.result(ticket, timeout=0)
+        except TimeoutError:
+            assert ticket not in self.fulfilled
+            self.timeouts += 1
+            self.abandoned.add(ticket)
+            self.ever_abandoned.add(ticket)
+            return
+        assert response.request_id == ticket and response.ok
+        self._finish(ticket, self.consumed)
+
+    @rule(pick=PICKS)
+    def abandon(self, pick: int) -> None:
+        ticket = self._pick(pick)
+        assert self.service.abandon(ticket) == (ticket in self.live)
+        if ticket in self.live:
+            self.abandoned.add(ticket)
+            self.ever_abandoned.add(ticket)
+
+    @rule()
+    def reap_abandoned(self) -> None:
+        reaped = {response.request_id for response in self.service.reap_abandoned()}
+        # Every abandoned ticket known to be fulfilled is reaped; nothing
+        # that was not abandoned is.
+        assert self.abandoned & self.fulfilled <= reaped <= self.abandoned
+        for ticket in reaped:
+            self._finish(ticket, self.reaped)
+
+    @rule()
+    def close(self) -> None:
+        self.service.close()
+        self.started = self.closed = True
+        self._settle()
+
+    # ------------------------------------------------------------- invariants
+    @invariant()
+    def every_issued_id_has_exactly_one_state(self) -> None:
+        for ticket in range(self.issued):
+            state = self.service.ticket_state(ticket)
+            if ticket in self.consumed:
+                assert state == "consumed"
+            elif ticket in self.reaped:
+                assert state == "reaped"
+            elif ticket in self.fulfilled or self.closed:
+                # After close() no ticket is pending.
+                assert state == "fulfilled"
+            else:
+                assert ticket in self.live and state in ("pending", "fulfilled")
+        assert self.service.ticket_state(self.issued) == "unknown"
+        assert self.service.ticket_counts() == {
+            "consumed": len(self.consumed), "reaped": len(self.reaped),
+        }
+
+    @invariant()
+    def capacity_report_agrees(self) -> None:
+        report = self.service.capacity_report()
+        assert report.requests == self.issued
+        assert report.timed_out == self.timeouts
+        assert report.errors == 0
+        assert report.late_results <= len(self.ever_abandoned)
+        if set(self.live) <= self.fulfilled:
+            # Quiescent: every completion is a coalesced duplicate, a memo
+            # hit or a fresh simulation, and each length simulates once.
+            assert report.completed == self.issued
+            assert report.queue_depth == 0
+            assert report.coalesced + report.memo_hits + report.simulations == self.issued
+            assert report.simulations <= len(self.lengths)
+
+
+TicketLifecycle.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestTicketLifecycle = TicketLifecycle.TestCase
