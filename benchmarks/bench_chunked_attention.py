@@ -1,10 +1,11 @@
-"""Memory guard: chunked triangular attention vs the dense score tensor.
+"""Memory guards: chunked triangular attention vs the dense score tensor, and
+the peak of one AAQ-quantized fold.
 
 The dense TriangleAttention path materializes an (N, N, N, heads) score
 tensor, which is the activation-memory wall motivating the paper.  This
 benchmark measures *actual process peak RSS* (``VmHWM``) of one
 triangular-attention forward, dense vs chunked, each in a fresh subprocess so
-the high-water mark belongs to exactly one execution mode, and enforces two
+the high-water mark belongs to exactly one execution mode, and enforces three
 guarantees in CI:
 
 * at ``GUARD_LENGTH`` (where both modes can run) the chunked peak must be
@@ -12,7 +13,10 @@ guarantees in CI:
   re-materializes the score tensor fails the build;
 * at ``LONG_LENGTH`` — where the dense score tensor alone would exceed
   ``DENSE_BUDGET_MIB`` — the chunked path must complete inside that budget,
-  i.e. chunking really unlocks lengths the dense path cannot reach.
+  i.e. chunking really unlocks lengths the dense path cannot reach;
+* one LightNobel (AAQ) prediction of a ``FOLD_LENGTH``-residue protein at
+  chunk ``CHUNK_SIZE`` stays under ``FOLD_BUDGET_MIB`` — a quantizer that
+  materializes extra full-size copies of the activations fails the build.
 
 Run with ``-s`` to see the measured table; EXPERIMENTS.md records the numbers.
 """
@@ -40,6 +44,14 @@ DENSE_BUDGET_MIB = 448.0
 
 CHUNK_SIZE = 32
 
+#: Length of the AAQ fold guard (the ``fold-aaq`` benchmark's protein).
+FOLD_LENGTH = 96
+
+#: Peak RSS budget (MiB) of that fold.  The one-pass quantizer peaks at
+#: ~200 MiB; the former two-pass body, which held several full-size copies of
+#: each activation, at ~435 MiB.
+FOLD_BUDGET_MIB = 300.0
+
 #: "Materially below": chunked peak RSS must be under this fraction of the
 #: dense peak *and* at least this many MiB smaller.
 GUARD_MAX_FRACTION = 0.6
@@ -49,10 +61,9 @@ GUARD_MIN_GAP_MIB = 64.0
 #: rather than ``ru_maxrss``: the latter is inherited from the parent across
 #: fork+exec, so a large pytest parent would put a floor under every child
 #: measurement and mask the dense/chunked gap.
-_CHILD = """
+_PRELUDE = """
 import json, resource, sys, time
 import numpy as np
-from repro.ppm import PPMConfig, TriangleAttention
 
 def peak_mib():
     try:
@@ -65,6 +76,11 @@ def peak_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 n, chunk = int(sys.argv[1]), int(sys.argv[2])
+"""
+
+_CHILD = _PRELUDE + """
+from repro.ppm import PPMConfig, TriangleAttention
+
 config = PPMConfig.small()
 if chunk:
     config = config.with_chunking(attn_chunk_size=chunk)
@@ -79,14 +95,32 @@ print(json.dumps({"peak_mib": peak_mib(), "baseline_mib": baseline_mib,
                   "seconds": elapsed}))
 """
 
+_FOLD_CHILD = _PRELUDE + """
+from repro.core import get_scheme
+from repro.ppm import PPMConfig, ProteinStructureModel
+from repro.ppm.quantized import QuantizedPPM
+from repro.proteins import generate_protein
 
-def measure(length: int, chunk: int) -> dict:
+config = PPMConfig.small().with_chunking(attn_chunk_size=chunk, triangle_chunk_size=chunk)
+quantized = QuantizedPPM(ProteinStructureModel(config, seed=0), get_scheme("LightNobel (AAQ)"))
+protein = generate_protein(n, seed=1)
+baseline_mib = peak_mib()
+start = time.perf_counter()
+coordinates = quantized.predict(protein).structure.coordinates
+elapsed = time.perf_counter() - start
+assert np.isfinite(coordinates).all()
+print(json.dumps({"peak_mib": peak_mib(), "baseline_mib": baseline_mib,
+                  "seconds": elapsed}))
+"""
+
+
+def measure(length: int, chunk: int, child: str = _CHILD) -> dict:
     """Run one forward in a fresh subprocess; return its peak-RSS report."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(length), str(chunk)],
+        [sys.executable, "-c", child, str(length), str(chunk)],
         capture_output=True, text=True, env=env,
     )
     if result.returncode != 0:
@@ -139,3 +173,15 @@ def test_chunked_runs_length_dense_cannot():
         f"{chunked['seconds']:.2f} s"
     )
     assert chunked["peak_mib"] < DENSE_BUDGET_MIB
+
+
+def test_aaq_fold_peak_rss_within_budget():
+    fold = measure(FOLD_LENGTH, CHUNK_SIZE, child=_FOLD_CHILD)
+    print(
+        f"\n=== LightNobel (AAQ) fold, N={FOLD_LENGTH}, chunk {CHUNK_SIZE} (small config) ===\n"
+        f"  peak RSS {fold['peak_mib']:.0f} MiB (budget {FOLD_BUDGET_MIB:.0f} MiB), "
+        f"{fold['seconds']:.2f} s"
+    )
+    assert fold["peak_mib"] <= FOLD_BUDGET_MIB, (
+        f"AAQ fold peak RSS {fold['peak_mib']:.0f} MiB exceeds {FOLD_BUDGET_MIB:.0f} MiB"
+    )

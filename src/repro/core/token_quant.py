@@ -301,40 +301,41 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
     Equivalent to ``quantize_token`` + ``dequantize`` applied to every token of
     ``values`` (tokens are vectors along the last axis), but implemented with
     array operations so it can be injected into the PPM forward pass cheaply.
+
+    One pass, one full-size float buffer: the buffer holds the magnitudes
+    for the top-k selection and the inlier maximum, then is overwritten in
+    place with the inlier-grid reconstruction and returned.  Only the ``k``
+    gathered outliers per token are quantized on the outlier grid and
+    scattered back.  For a float64 input the transient peak, the returned
+    array included, is 1x the input's bytes without outliers and 2x with
+    them (the top-k selection's index array).  ``values`` is never written.
     """
     values = np.asarray(values, dtype=np.float64)
     original_shape = values.shape
     flat = values.reshape(-1, original_shape[-1])
-    num_tokens, hidden_dim = flat.shape
-    count = min(config.outlier_count, hidden_dim)
+    count = min(config.outlier_count, flat.shape[-1])
 
-    abs_values = np.abs(flat)
+    out = np.abs(flat)
     if count > 0:
-        outlier_positions = np.argpartition(abs_values, -count, axis=-1)[:, -count:]
-        outlier_mask = np.zeros_like(flat, dtype=bool)
-        rows = np.repeat(np.arange(num_tokens), count)
-        outlier_mask[rows, outlier_positions.reshape(-1)] = True
-    else:
-        outlier_mask = np.zeros_like(flat, dtype=bool)
-
-    inlier_abs = np.where(outlier_mask, 0.0, abs_values)
-    inlier_max = inlier_abs.max(axis=-1, keepdims=True)
-    inlier_scale = symmetric_scale(inlier_max, config.inlier_bits)
-    inlier_recon = dequantize_values(
-        quantize_values(flat, inlier_scale, config.inlier_bits), inlier_scale
-    )
+        # Copy the slice so the full (T, H) index array is freed at once.
+        positions = np.argpartition(out, -count, axis=-1)[:, -count:].copy()
+        outliers = np.take_along_axis(flat, positions, axis=-1)
+        np.put_along_axis(out, positions, 0.0, axis=-1)
+    inlier_scale = symmetric_scale(out.max(axis=-1, keepdims=True), config.inlier_bits)
+    qmax = integer_bounds(config.inlier_bits)
+    np.divide(flat, inlier_scale, out=out)
+    np.round(out, out=out)
+    np.clip(out, -qmax, qmax, out=out)
+    np.multiply(out, inlier_scale, out=out)
 
     if count > 0:
-        outlier_abs = np.where(outlier_mask, abs_values, 0.0)
-        outlier_max = outlier_abs.max(axis=-1, keepdims=True)
+        outlier_max = np.abs(outliers).max(axis=-1, keepdims=True)
         outlier_scale = symmetric_scale(outlier_max, config.outlier_bits)
         outlier_recon = dequantize_values(
-            quantize_values(flat, outlier_scale, config.outlier_bits), outlier_scale
+            quantize_values(outliers, outlier_scale, config.outlier_bits), outlier_scale
         )
-        reconstructed = np.where(outlier_mask, outlier_recon, inlier_recon)
-    else:
-        reconstructed = inlier_recon
-    return reconstructed.reshape(original_shape)
+        np.put_along_axis(out, positions, outlier_recon, axis=-1)
+    return out.reshape(original_shape)
 
 
 def token_quantization_rmse(values: np.ndarray, config: TokenQuantConfig) -> float:

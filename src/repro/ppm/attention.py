@@ -105,8 +105,8 @@ class OuterProductMean(Module):
         normalized = self.layer_norm(sequence)
         a = self.linear_a(normalized)
         b = self.linear_b(normalized)
-        outer = np.einsum("ic,jd->ijcd", a, b).reshape(a.shape[0], b.shape[0], -1)
-        outer = outer / np.sqrt(self.hidden_dim)
+        outer = (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0], b.shape[0], -1)
+        outer /= np.sqrt(self.hidden_dim)
         outer = ctx.process(f"{self.name}.outer", GROUP_C, outer)
         return self.linear_o(outer)
 

@@ -6,13 +6,16 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out.astype(x.dtype, copy=False)
+    """Numerically stable logistic sigmoid.
+
+    Float inputs keep their dtype; integer and boolean inputs give float64.
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow.
+    """
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -96,6 +96,15 @@ class TestSequenceAttentionAndOPM:
         out = module(seq)
         assert out.shape == (seq.shape[0], seq.shape[0], config.pair_dim)
 
+    def test_outer_product_mean_matches_einsum_bit_for_bit(self, config, reps):
+        seq, _ = reps
+        module = OuterProductMean(config, np.random.default_rng(7))
+        normalized = module.layer_norm(seq)
+        a, b = module.linear_a(normalized), module.linear_b(normalized)
+        outer = np.einsum("ic,jd->ijcd", a, b).reshape(a.shape[0], b.shape[0], -1)
+        expected = module.linear_o(outer / np.sqrt(module.hidden_dim))
+        assert module(seq).tobytes() == expected.tobytes()
+
 
 class TestFoldingBlock:
     def test_shapes_preserved(self, config, reps):

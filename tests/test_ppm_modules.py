@@ -21,6 +21,34 @@ class TestFunctional:
         assert y[0] == pytest.approx(0.0, abs=1e-12)
         assert y[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_sigmoid_of_integers_is_float64(self):
+        y = sigmoid(np.array([0, 1, -1, 3]))
+        assert y.dtype == np.float64
+        assert np.array_equal(y, sigmoid(np.array([0.0, 1.0, -1.0, 3.0])))
+        assert y[0] == 0.5 and 0.7 < y[1] < 0.75 and 0.25 < y[2] < 0.3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_matches_masked_reference_bit_for_bit(self, rng, dtype):
+        """The mask-free form equals the former gather/scatter form exactly."""
+
+        def masked_sigmoid(x):
+            out = np.empty_like(x, dtype=np.float64)
+            positive = x >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+            exp_x = np.exp(x[~positive])
+            out[~positive] = exp_x / (1.0 + exp_x)
+            return out.astype(x.dtype, copy=False)
+
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, 1.0, -1.0, 1e4, -1e4, info.max, -info.max, info.tiny, -info.tiny,
+                   info.smallest_subnormal, -info.smallest_subnormal, 3 * info.smallest_subnormal]
+        x = np.concatenate([np.array(special, dtype=dtype),
+                            rng.normal(scale=6, size=4000).astype(dtype),
+                            rng.uniform(-800, 800, size=1000).astype(dtype)])
+        y = sigmoid(x)
+        assert y.dtype == dtype
+        assert y.tobytes() == masked_sigmoid(x).tobytes()
+
     def test_relu(self):
         assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), np.array([0.0, 0.0, 2.0]))
 

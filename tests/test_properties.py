@@ -11,10 +11,12 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     PackedQuantizedTensor,
     TokenQuantConfig,
+    dequantize_values,
     fake_quantize_tokens,
     fake_quantize_tokenwise,
     integer_bounds,
     quantize_token,
+    quantize_values,
     symmetric_scale,
 )
 from repro.core.aaq import AAQConfig
@@ -229,6 +231,108 @@ def test_packed_to_tokens_from_tokens_is_lossless(values, bits, outliers):
     assert np.array_equal(rebuilt.scales, packed.scales)
     assert np.array_equal(rebuilt.outlier_scales, packed.outlier_scales)
     assert np.array_equal(rebuilt.unpack(), packed.unpack())
+
+
+# ------------------------------------------- fake_quantize_tokens bit identity
+def _reference_fake_quantize_tokens(values, config):
+    """Frozen two-pass body of ``fake_quantize_tokens`` (mask + ``np.where``).
+
+    The one-pass body must reproduce this reference bit for bit; it is kept
+    verbatim so any drift in tie-breaking, scales or grids shows up here.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    original_shape = values.shape
+    flat = values.reshape(-1, original_shape[-1])
+    num_tokens, hidden_dim = flat.shape
+    count = min(config.outlier_count, hidden_dim)
+
+    abs_values = np.abs(flat)
+    if count > 0:
+        outlier_positions = np.argpartition(abs_values, -count, axis=-1)[:, -count:]
+        outlier_mask = np.zeros_like(flat, dtype=bool)
+        rows = np.repeat(np.arange(num_tokens), count)
+        outlier_mask[rows, outlier_positions.reshape(-1)] = True
+    else:
+        outlier_mask = np.zeros_like(flat, dtype=bool)
+
+    inlier_abs = np.where(outlier_mask, 0.0, abs_values)
+    inlier_max = inlier_abs.max(axis=-1, keepdims=True)
+    inlier_scale = symmetric_scale(inlier_max, config.inlier_bits)
+    inlier_recon = dequantize_values(
+        quantize_values(flat, inlier_scale, config.inlier_bits), inlier_scale
+    )
+
+    if count > 0:
+        outlier_abs = np.where(outlier_mask, abs_values, 0.0)
+        outlier_max = outlier_abs.max(axis=-1, keepdims=True)
+        outlier_scale = symmetric_scale(outlier_max, config.outlier_bits)
+        outlier_recon = dequantize_values(
+            quantize_values(flat, outlier_scale, config.outlier_bits), outlier_scale
+        )
+        reconstructed = np.where(outlier_mask, outlier_recon, inlier_recon)
+    else:
+        reconstructed = inlier_recon
+    return reconstructed.reshape(original_shape)
+
+
+#: Values that force exact ties, +/- pairs of equal magnitude, signed zeros
+#: and subnormals into the top-k selection.
+_TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e4, -1e4, 5e-324, -5e-324, 1e-310]
+
+
+@st.composite
+def quantizer_inputs(draw):
+    """(values, config): 1-4-D, float64/float32, contiguous or not, tie-heavy."""
+    ndim = draw(st.integers(min_value=1, max_value=4))
+    shape = [draw(st.integers(min_value=1, max_value=4)) for _ in range(ndim - 1)]
+    shape.append(draw(st.integers(min_value=1, max_value=12)))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    width = 64 if dtype is np.float64 else 32
+    elements = st.one_of(
+        st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False, width=width),
+        st.sampled_from(_TIE_POOL).map(lambda v: float(dtype(v))),
+    )
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    if layout == "transposed":
+        values = draw(hnp.arrays(dtype, tuple(reversed(shape)), elements=elements)).T
+    elif layout == "strided":
+        doubled = tuple(shape[:-1]) + (2 * shape[-1],)
+        values = draw(hnp.arrays(dtype, doubled, elements=elements))[..., ::2]
+    else:
+        values = draw(hnp.arrays(dtype, tuple(shape), elements=elements))
+    if draw(st.booleans()):
+        values[(0,) * (values.ndim - 1)] = 0.0  # an all-zero token
+    config = draw(
+        st.one_of(
+            st.sampled_from(list(AAQConfig.paper_optimal().group_configs.values())),
+            st.builds(
+                TokenQuantConfig,
+                inlier_bits=st.sampled_from([2, 4, 8, 16]),
+                outlier_count=st.integers(min_value=0, max_value=16),
+            ),
+        )
+    )
+    return values, config
+
+
+@given(quantizer_inputs())
+@settings(max_examples=100, deadline=None)
+def test_fake_quantize_tokens_matches_frozen_two_pass_reference(case):
+    """The one-pass quantizer equals the two-pass reference bit for bit.
+
+    Covers Groups A/B/C, ``outlier_count >= hidden_dim``, tied and
+    +/- equal magnitudes, all-zero tokens, 1-4-D, transposed and strided
+    (non-contiguous) views and float32 input; the input is never written.
+    """
+    values, config = case
+    before = values.copy()
+    reference = _reference_fake_quantize_tokens(values, config)
+    assert values.tobytes() == before.tobytes()
+    result = fake_quantize_tokens(values, config)
+    assert values.tobytes() == before.tobytes()
+    assert result.dtype == reference.dtype and result.shape == reference.shape
+    assert np.array_equal(result, reference)
+    assert result.tobytes() == reference.tobytes()
 
 
 # --------------------------------------------------------------------------

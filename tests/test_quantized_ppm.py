@@ -1,5 +1,7 @@
 """Integration tests: running the PPM under quantization schemes (Fig. 13 machinery)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core import AAQConfig, AAQQuantizer, get_scheme
 from repro.metrics import tm_score_structures
 from repro.ppm import PPMConfig, ProteinStructureModel
 from repro.ppm.quantized import (
+    AAQScheme,
     QuantizedPPM,
     average_tm_score,
     compare_schemes_on_targets,
@@ -84,3 +87,31 @@ class TestSchemeComparison:
         scores = compare_schemes_on_targets(schemes, [target], config=PPMConfig.tiny(), seed=0)
         assert scores["Tender"] <= scores["Baseline"] + 1e-6
         assert abs(scores["LightNobel (AAQ)"] - scores["Baseline"]) < 0.05
+
+
+class TestAAQFoldGolden:
+    """Predicted coordinates of one small AAQ fold, pinned bit for bit.
+
+    The digest was captured from the two-pass quantizer and the ``einsum``
+    outer product mean; the dense, chunked and packed folds all produce it.
+    A numeric drift anywhere in the quantized fold changes it.
+    """
+
+    #: SHA-256 prefix of the (24, 3) float64 coordinates.
+    GOLDEN = "fd50c66825f6c7f2"
+
+    @pytest.mark.parametrize(
+        "config, scheme",
+        [
+            (PPMConfig.small(), get_scheme("LightNobel (AAQ)")),
+            (PPMConfig.small().with_chunking(8, 8), get_scheme("LightNobel (AAQ)")),
+            (PPMConfig.small(), AAQScheme(use_packed=True)),
+        ],
+        ids=["dense", "chunked", "packed"],
+    )
+    def test_fold_coordinates_match_golden(self, config, scheme):
+        protein = generate_protein(24, seed=7, name="golden")
+        model = ProteinStructureModel(config, seed=0)
+        coordinates = QuantizedPPM(model, scheme).predict(protein).structure.coordinates
+        digest = hashlib.sha256(np.ascontiguousarray(coordinates).tobytes()).hexdigest()[:16]
+        assert digest == self.GOLDEN

@@ -1,9 +1,12 @@
 """Unit tests for token-wise quantization with dynamic outlier handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    AAQConfig,
     QuantizedToken,
     TokenQuantConfig,
     fake_quantize_tokens,
@@ -12,6 +15,7 @@ from repro.core import (
     select_outliers,
     token_quantization_rmse,
 )
+from repro.ppm.activation_tap import GROUPS
 
 
 def token_with_outliers(rng, dim=128, outliers=4, outlier_value=50.0):
@@ -122,3 +126,32 @@ class TestFakeQuantizeTokens:
         base = token_quantization_rmse(tokens, TokenQuantConfig(inlier_bits=8, outlier_count=8))
         no_outliers = token_quantization_rmse(tokens, TokenQuantConfig(inlier_bits=8, outlier_count=0))
         assert no_outliers > 1.2 * base
+
+
+class TestTransientMemory:
+    """The quantizer's transient allocations stay within a small multiple of its input.
+
+    numpy reports its buffers to ``tracemalloc``, so the traced peak is
+    deterministic.  The two-pass body peaked at 4.1x (Group C) and 7.1x
+    (Groups A/B) of the input's bytes.
+    """
+
+    #: A 96-residue pair tensor with the outer product mean's 1024 channels.
+    SHAPE = (96 * 96, 1024)
+    #: Peak traced bytes, the returned array included, over ``input.nbytes``.
+    MAX_PEAK_RATIO = 2.25
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_peak_within_bound(self, group):
+        config = AAQConfig.paper_optimal().config_for(group)
+        values = np.random.default_rng(0).normal(size=self.SHAPE)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            out = fake_quantize_tokens(values, config)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert out.shape == values.shape
+        ratio = peak / values.nbytes
+        assert ratio <= self.MAX_PEAK_RATIO, f"group {group}: transient peak {ratio:.2f}x input bytes"
