@@ -10,7 +10,10 @@ Two guards:
 
 * the 30-length CI guard — stacked evaluation must beat the per-length loop
   by >= 3x on the tiny config (the overhead-dominated regime every planner
-  grid and serving batch runs in),
+  grid and serving batch runs in).  It reads the median of paired
+  per-length/stacked time ratios: each pair times both back to back, with
+  the order alternating from pair to pair, so machine drift cancels out of
+  a pair's ratio and the median discards the pairs a hiccup landed in,
 * bit-parity — every stacked segment report must match its per-length
   counterpart to <= 1e-9 relative on every registered backend.
 
@@ -19,6 +22,7 @@ before/after are printed and written to ``BENCH_stacked_batch.json`` for
 EXPERIMENTS.md.
 """
 
+import statistics
 import time
 
 from conftest import emit_bench_json, print_table
@@ -43,6 +47,11 @@ MIN_GUARD_SPEEDUP = 3.0
 
 #: Headline measurement recorded in EXPERIMENTS.md.
 HEADLINE_MIX = 50
+
+#: Paired rounds per measurement; the guard reads the median pair ratio.
+PAIRS = 21
+#: Calls per timed round, so a round outlasts a scheduler hiccup.
+CALLS_PER_ROUND = 5
 
 
 def length_mix(count, start=16, step=8):
@@ -81,8 +90,35 @@ def assert_parity(per_length, stacked):
         assert seg.out_of_memory == one.out_of_memory
 
 
+def paired_rounds(first, second):
+    """Per-call seconds of ``first`` and ``second`` over PAIRS adjacent pairs.
+
+    Each pair times one round of each back to back; which goes first
+    alternates from pair to pair.
+    """
+    def one_round(fn):
+        t0 = time.perf_counter()
+        for _ in range(CALLS_PER_ROUND):
+            fn()
+        return (time.perf_counter() - t0) / CALLS_PER_ROUND
+
+    firsts, seconds = [], []
+    for pair in range(PAIRS):
+        if pair % 2 == 0:
+            firsts.append(one_round(first))
+            seconds.append(one_round(second))
+        else:
+            seconds.append(one_round(second))
+            firsts.append(one_round(first))
+    return firsts, seconds
+
+
 def measure_backend(config, backend_name, lengths):
-    """(per-length seconds, stacked seconds, speedup) with warm tables."""
+    """Paired per-length vs stacked timings with warm tables.
+
+    Returns the median per-call seconds of each side, the median of the
+    per-pair loop/stacked ratios and that ratio's quartiles.
+    """
     backend = create_backend(backend_name, config)
     singles = one_segment_stacks(config, lengths)
     stack = get_stacked_table(config, lengths)
@@ -91,9 +127,17 @@ def measure_backend(config, backend_name, lengths):
     stacked_reports = backend.simulate_stack(stack)
     assert_parity(per_length_reports, stacked_reports)
 
-    loop = time_call(lambda: price_each(backend, singles))
-    stacked = time_call(lambda: backend.simulate_stack(stack))
-    return loop, stacked, loop / stacked
+    loops, stacks = paired_rounds(
+        lambda: price_each(backend, singles), lambda: backend.simulate_stack(stack)
+    )
+    ratios = [loop / stacked for loop, stacked in zip(loops, stacks)]
+    return {
+        "per_length_seconds": statistics.median(loops),
+        "stacked_seconds": statistics.median(stacks),
+        "speedup": statistics.median(ratios),
+        "pair_ratio_quartiles": statistics.quantiles(ratios, n=4),
+        "pairs": PAIRS,
+    }
 
 
 def test_stacked_mix_beats_per_length_loop():
@@ -102,26 +146,28 @@ def test_stacked_mix_beats_per_length_loop():
     guard = length_mix(GUARD_MIX)
     headline = length_mix(HEADLINE_MIX)
 
-    rows = [("backend", "mix", "per-length", "stacked", "speedup")]
+    rows = [("backend", "mix", "per-length", "stacked", "speedup", "pair quartiles")]
     results = {}
     for backend_name in ("lightnobel", "h100", "h100-chunk"):
         for label, lengths in (("guard30", guard), ("headline50", headline)):
-            loop, stacked, speedup = measure_backend(config, backend_name, lengths)
-            results[f"{backend_name}_{label}"] = {
-                "per_length_seconds": loop,
-                "stacked_seconds": stacked,
-                "speedup": speedup,
-            }
+            result = measure_backend(config, backend_name, lengths)
+            results[f"{backend_name}_{label}"] = result
+            low, _, high = result["pair_ratio_quartiles"]
             rows.append(
                 (
                     backend_name,
                     f"{len(lengths)} lengths",
-                    f"{loop * 1e3:8.2f} ms",
-                    f"{stacked * 1e3:8.2f} ms",
-                    f"{speedup:5.1f}x",
+                    f"{result['per_length_seconds'] * 1e3:8.2f} ms",
+                    f"{result['stacked_seconds'] * 1e3:8.2f} ms",
+                    f"{result['speedup']:5.1f}x",
+                    f"{low:4.1f}x / {high:4.1f}x",
                 )
             )
-    print_table("Stacked operator tables: one pass prices the whole mix", rows)
+    print_table(
+        f"Stacked operator tables: one pass prices the whole mix "
+        f"(medians of {PAIRS} pairs)",
+        rows,
+    )
 
     emit_bench_json("stacked_batch", results)
 
@@ -131,8 +177,8 @@ def test_stacked_mix_beats_per_length_loop():
         speedup = results[f"{backend_name}_guard30"]["speedup"]
         assert speedup >= MIN_GUARD_SPEEDUP, (
             f"stacked pass only {speedup:.1f}x faster than the per-length loop "
-            f"on {backend_name} ({GUARD_MIX} lengths); floor is "
-            f"{MIN_GUARD_SPEEDUP:.0f}x"
+            f"on {backend_name} ({GUARD_MIX} lengths, median of {PAIRS} paired "
+            f"ratios); floor is {MIN_GUARD_SPEEDUP:.0f}x"
         )
 
 

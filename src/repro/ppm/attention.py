@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .activation_tap import GROUP_C, ActivationContext, NULL_CONTEXT
-from .chunking import iter_chunks
+from .chunking import blockwise_attention
 from .config import PPMConfig
-from .functional import sigmoid, softmax
+from .functional import sigmoid
 from .modules import LayerNorm, Linear, Module
 
 
@@ -26,8 +26,8 @@ class SequenceAttention(Module):
     Honors ``PPMConfig.attn_chunk_size``: when set, attention is evaluated in
     query blocks (each against the full key axis — the score matrix is only
     (H, Ns, Ns) here, so the blocks exist for uniformity with the triangular
-    stack, not out of memory pressure).  ``None`` keeps the dense path
-    bit-for-bit.
+    stack, not out of memory pressure).  ``None`` is the dense path, one
+    block.  Both run :func:`~repro.ppm.chunking.blockwise_attention`.
     """
 
     def __init__(self, config: PPMConfig, rng: np.random.Generator, name: str = "sequence_attention") -> None:
@@ -62,16 +62,11 @@ class SequenceAttention(Module):
         bias = ctx.process(f"{self.name}.pair_bias", GROUP_C, bias)
         bias = bias.transpose(2, 0, 1)                          # (H, Ns, Ns)
 
-        if self.chunk_size is None:
-            scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(self.head_dim)
-            weights = softmax(scores + bias, axis=-1)
-            attended = np.einsum("hqk,khd->qhd", weights, v)
-        else:
-            attended = np.empty_like(q)
-            for qs in iter_chunks(q.shape[0], self.chunk_size):
-                scores = np.einsum("qhd,khd->hqk", q[qs], k) / np.sqrt(self.head_dim)
-                weights = softmax(scores + bias[:, qs, :], axis=-1)
-                attended[qs] = np.einsum("hqk,khd->qhd", weights, v)
+        attended = blockwise_attention(
+            q.transpose(1, 0, 2), k.transpose(1, 0, 2), v.transpose(1, 0, 2), bias,
+            scale_divisor=np.sqrt(self.head_dim),
+            query_chunk=self.chunk_size,
+        ).transpose(1, 0, 2)                                    # (Ns, H, D)
         attended = attended.reshape(sequence.shape[0], -1)
 
         gate = sigmoid(self.linear_g(normalized))

@@ -13,8 +13,10 @@ the same mathematics in tiles:
   benchmarks).
 * :func:`blockwise_attention` — query-block attention that *does* materialize
   the normalized weights of one query block at a time and reports them
-  through the activation context.  Tap names and group labels are identical
-  to the dense path, and each tap observes complete key-axis token vectors,
+  through the activation context.  With ``query_chunk=None`` it is the dense
+  path itself (one block), for triangular and sequence attention alike, so
+  tap names and group labels never depend on the chunking, and each tap
+  observes complete key-axis token vectors,
   so per-token transforms (AAQ fake-quantization, the packed pack/unpack
   round trip) are chunk-invariant: quantizing per block equals quantizing the
   dense tensor and slicing it.  Recording contexts are the one observable
@@ -36,7 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .activation_tap import ActivationContext
+from .activation_tap import GROUP_C, NULL_CONTEXT, ActivationContext
 from .functional import softmax
 
 
@@ -125,27 +127,37 @@ def blockwise_attention(
     bias: np.ndarray,
     scale_divisor: float,
     query_chunk: Optional[int],
-    ctx: ActivationContext,
-    weights_tap: str,
-    weights_group: str,
+    ctx: ActivationContext = NULL_CONTEXT,
+    weights_tap: Optional[str] = None,
+    weights_group: str = GROUP_C,
 ) -> np.ndarray:
-    """Query-block attention that reports normalized weights per block.
+    """Query-block softmax attention that reports normalized weights per block.
 
-    Specialized to the triangular-attention layout: ``q``/``k``/``v`` are
-    (N, H, N, D) and ``bias`` broadcasts against (N, H, N, N).  Each query
-    block computes its scores with the *same einsum expression, summation
-    order and ``/ scale_divisor`` division* as the dense path, so the softmax
-    weights handed to the ``weights_tap`` are bit-identical to the
-    corresponding rows of the dense weights tensor — and the key axis (the
+    Computes ``softmax(q @ k^T / scale_divisor + bias, axis=-1) @ v`` over the
+    last two axes with ``np.matmul``; ``q`` is (..., Q, D), ``k``/``v`` are
+    (..., K, D) and ``bias`` broadcasts against (..., Q, K).  This is the one
+    attention kernel of the pair and sequence stacks: triangular attention
+    passes (N, H, N, D) with its ``attention_weights`` tap, sequence attention
+    passes (H, Ns, D) with ``weights_tap=None`` (no tap).  ``query_chunk`` of
+    ``None`` is the dense path, a single block.
+
+    Each query block computes its scores with the *same matmul and
+    ``/ scale_divisor`` division* as the dense path, and the key axis (the
     per-token axis of the tap) is always complete, which keeps token-wise
     transforms (AAQ fake-quantization, packed pack/unpack) chunk-invariant.
+    The weights handed to the ``weights_tap`` are the corresponding rows of
+    the dense weights tensor up to rounding: BLAS may pick a different kernel
+    for a block's row count (one-row blocks, for instance), so a row is
+    bit-identical to its dense counterpart for most block shapes but not all.
     """
     num_queries = q.shape[-2]
     attended = np.empty(v.shape[:-2] + (num_queries, v.shape[-1]), dtype=v.dtype)
+    k_t = np.swapaxes(k, -1, -2)
     for qs in iter_chunks(num_queries, query_chunk):
-        scores = np.einsum("ihqd,ihkd->ihqk", q[..., qs, :], k) / scale_divisor
+        scores = np.matmul(q[..., qs, :], k_t) / scale_divisor
         scores = scores + bias[..., qs, :]
         weights = softmax(scores, axis=-1)
-        weights = ctx.process(weights_tap, weights_group, weights)
-        attended[..., qs, :] = np.einsum("ihqk,ihkd->ihqd", weights, v)
+        if weights_tap is not None:
+            weights = ctx.process(weights_tap, weights_group, weights)
+        attended[..., qs, :] = np.matmul(weights, v)
     return attended

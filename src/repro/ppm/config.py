@@ -47,7 +47,7 @@ class PPMConfig:
     #: None executes the dense paths unchanged.
     attn_chunk_size: Optional[int] = None
     #: Tile size of the third-axis contraction in triangular multiplication;
-    #: None executes the dense einsum unchanged.
+    #: None executes the dense contraction unchanged.
     triangle_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:

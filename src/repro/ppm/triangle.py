@@ -18,9 +18,9 @@ Both blocks support opt-in blockwise execution (``PPMConfig.attn_chunk_size``
 / ``triangle_chunk_size``): triangular attention evaluates query blocks with
 a streaming max/denominator softmax so the (N, N, N, heads) score tensor is
 never materialized, and triangular multiplication tiles its third-axis
-contraction.  ``None`` (the default) keeps the dense paths bit-for-bit; the
-chunked paths fire the same tap names with the same group labels and agree
-with dense at the repo-wide 1e-9 parity bar.
+contraction.  ``None`` (the default) runs the dense paths; the chunked paths
+fire the same tap names with the same group labels and agree with dense at
+the repo-wide 1e-9 parity bar.  Every contraction is a batched ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .chunking import (
     streaming_attention,
 )
 from .config import PPMConfig
-from .functional import sigmoid, softmax
+from .functional import sigmoid
 from .modules import LayerNorm, Linear, Module
 
 
@@ -74,26 +74,21 @@ class TriangleMultiplication(Module):
     def _contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Third-axis contraction, tiled over ``triangle_chunk_size`` edges.
 
-        Dense (``chunk_size is None``) keeps the single einsum of the seed
-        implementation; the tiled path accumulates the same per-element sums
-        chunk by chunk in ascending edge order.
+        One batched ``np.matmul`` per tile with the channel axis as the batch:
+        outgoing sums ``a[i, k] * b[j, k]`` over ``k``, incoming sums
+        ``a[k, i] * b[k, j]``.  Dense (``chunk_size is None``) is a single
+        tile; the tiled path accumulates the per-tile products in ascending
+        edge order.
         """
         if self.mode == "outgoing":
-            # product over k of a[i, k] * b[j, k]
-            if self.chunk_size is None:
-                return np.einsum("ikc,jkc->ijc", a, b)
-            edges = a.shape[1]
-            combined = np.zeros((a.shape[0], b.shape[0], a.shape[2]), dtype=a.dtype)
-            for ks in iter_chunks(edges, self.chunk_size):
-                combined += np.einsum("ikc,jkc->ijc", a[:, ks], b[:, ks])
-            return combined
-        # product over k of a[k, i] * b[k, j]
+            lhs, rhs = a.transpose(2, 0, 1), b.transpose(2, 1, 0)   # (C, I, K), (C, K, J)
+        else:
+            lhs, rhs = a.transpose(2, 1, 0), b.transpose(2, 0, 1)   # (C, I, K), (C, K, J)
         if self.chunk_size is None:
-            return np.einsum("kic,kjc->ijc", a, b)
-        edges = a.shape[0]
-        combined = np.zeros((a.shape[1], b.shape[1], a.shape[2]), dtype=a.dtype)
-        for ks in iter_chunks(edges, self.chunk_size):
-            combined += np.einsum("kic,kjc->ijc", a[ks], b[ks])
+            return np.matmul(lhs, rhs).transpose(1, 2, 0)
+        combined = np.zeros((lhs.shape[1], rhs.shape[2], lhs.shape[0]), dtype=a.dtype)
+        for ks in iter_chunks(lhs.shape[2], self.chunk_size):
+            combined += np.matmul(lhs[:, :, ks], rhs[:, ks]).transpose(1, 2, 0)
         return combined
 
     def forward(self, pair: np.ndarray, ctx: ActivationContext = NULL_CONTEXT) -> np.ndarray:
@@ -179,16 +174,11 @@ class TriangleAttention(Module):
         bias = ctx.process(f"{tag}.bias", GROUP_C, bias)
         bias = bias.transpose(2, 0, 1)                 # (H, Ns, Ns)
 
-        if self.chunk_size is None:
-            scores = np.einsum("ihqd,ihkd->ihqk", q, k) / np.sqrt(self.head_dim)
-            scores = scores + bias[None, :, :, :]
-            weights = softmax(scores, axis=-1)
-            weights = ctx.process(f"{tag}.attention_weights", GROUP_C, weights)
-            attended = np.einsum("ihqk,ihkd->ihqd", weights, v)
-        elif context_observes_taps(ctx):
-            # The context must see the normalized weights: evaluate query
-            # blocks with the full key axis so each `attention_weights` tap
-            # carries complete per-token vectors (chunk-invariant transforms).
+        if self.chunk_size is None or context_observes_taps(ctx):
+            # Dense, or a context that must see the normalized weights:
+            # evaluate query blocks with the full key axis so each
+            # `attention_weights` tap carries complete per-token vectors
+            # (chunk-invariant transforms).
             attended = blockwise_attention(
                 q, k, v, bias,
                 scale_divisor=np.sqrt(self.head_dim),

@@ -92,13 +92,13 @@ class TestSchemeComparison:
 class TestAAQFoldGolden:
     """Predicted coordinates of one small AAQ fold, pinned bit for bit.
 
-    The digest was captured from the two-pass quantizer and the ``einsum``
-    outer product mean; the dense, chunked and packed folds all produce it.
-    A numeric drift anywhere in the quantized fold changes it.
+    The digest was captured from the one-pass quantizer and the ``np.matmul``
+    attention and triangle contractions; the dense, chunked and packed folds
+    all produce it.  A numeric drift anywhere in the quantized fold changes it.
     """
 
     #: SHA-256 prefix of the (24, 3) float64 coordinates.
-    GOLDEN = "fd50c66825f6c7f2"
+    GOLDEN = "472e8eb36b143b63"
 
     @pytest.mark.parametrize(
         "config, scheme",
