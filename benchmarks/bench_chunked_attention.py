@@ -1,5 +1,5 @@
 """Memory guards: chunked triangular attention vs the dense score tensor, and
-the peak of one AAQ-quantized fold.
+the peaks of two chunked AAQ-quantized folds.
 
 The dense TriangleAttention path materializes an (N, N, N, heads) score
 tensor, which is the activation-memory wall motivating the paper.  This
@@ -16,7 +16,10 @@ guarantees in CI:
   i.e. chunking really unlocks lengths the dense path cannot reach;
 * one LightNobel (AAQ) prediction of a ``FOLD_LENGTH``-residue protein at
   chunk ``CHUNK_SIZE`` stays under ``FOLD_BUDGET_MIB`` — a quantizer that
-  materializes extra full-size copies of the activations fails the build.
+  materializes extra full-size copies of the activations fails the build;
+* the same chunked fold at ``LONG_FOLD_LENGTH`` stays under
+  ``LONG_FOLD_BUDGET_MIB`` — an outer product mean that re-materializes its
+  full (N, N, h*h) tensor, which grows 4x per doubling of N, fails the build.
 
 Run with ``-s`` to see the measured table; EXPERIMENTS.md records the numbers.
 """
@@ -28,6 +31,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.ppm import PPMConfig
 
@@ -47,10 +52,15 @@ CHUNK_SIZE = 32
 #: Length of the AAQ fold guard (the ``fold-aaq`` benchmark's protein).
 FOLD_LENGTH = 96
 
-#: Peak RSS budget (MiB) of that fold.  The one-pass quantizer peaks at
-#: ~200 MiB; the former two-pass body, which held several full-size copies of
-#: each activation, at ~435 MiB.
-FOLD_BUDGET_MIB = 300.0
+#: Peak RSS budget (MiB) of that fold.  With the row-blocked outer product
+#: mean it peaks at ~99 MiB; building the full outer tensor peaked at
+#: ~200 MiB, and the former two-pass quantizer at ~435 MiB.
+FOLD_BUDGET_MIB = 150.0
+
+#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard: ~205
+#: MiB row-blocked, ~673 MiB with the full outer tensor.
+LONG_FOLD_LENGTH = 192
+LONG_FOLD_BUDGET_MIB = 320.0
 
 #: "Materially below": chunked peak RSS must be under this fraction of the
 #: dense peak *and* at least this many MiB smaller.
@@ -175,13 +185,17 @@ def test_chunked_runs_length_dense_cannot():
     assert chunked["peak_mib"] < DENSE_BUDGET_MIB
 
 
-def test_aaq_fold_peak_rss_within_budget():
-    fold = measure(FOLD_LENGTH, CHUNK_SIZE, child=_FOLD_CHILD)
+@pytest.mark.parametrize(
+    "length, budget_mib",
+    [(FOLD_LENGTH, FOLD_BUDGET_MIB), (LONG_FOLD_LENGTH, LONG_FOLD_BUDGET_MIB)],
+)
+def test_aaq_fold_peak_rss_within_budget(length, budget_mib):
+    fold = measure(length, CHUNK_SIZE, child=_FOLD_CHILD)
     print(
-        f"\n=== LightNobel (AAQ) fold, N={FOLD_LENGTH}, chunk {CHUNK_SIZE} (small config) ===\n"
-        f"  peak RSS {fold['peak_mib']:.0f} MiB (budget {FOLD_BUDGET_MIB:.0f} MiB), "
+        f"\n=== LightNobel (AAQ) fold, N={length}, chunk {CHUNK_SIZE} (small config) ===\n"
+        f"  peak RSS {fold['peak_mib']:.0f} MiB (budget {budget_mib:.0f} MiB), "
         f"{fold['seconds']:.2f} s"
     )
-    assert fold["peak_mib"] <= FOLD_BUDGET_MIB, (
-        f"AAQ fold peak RSS {fold['peak_mib']:.0f} MiB exceeds {FOLD_BUDGET_MIB:.0f} MiB"
+    assert fold["peak_mib"] <= budget_mib, (
+        f"AAQ fold (N={length}) peak RSS {fold['peak_mib']:.0f} MiB exceeds {budget_mib:.0f} MiB"
     )

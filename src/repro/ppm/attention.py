@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .activation_tap import GROUP_C, ActivationContext, NULL_CONTEXT
-from .chunking import blockwise_attention
+from .chunking import blockwise_attention, iter_chunks
 from .config import PPMConfig
 from .functional import sigmoid
 from .modules import LayerNorm, Linear, Module
@@ -76,7 +76,19 @@ class SequenceAttention(Module):
 
 
 class OuterProductMean(Module):
-    """Project the sequence representation into a pair-representation update."""
+    """Project the sequence representation into a pair-representation update.
+
+    The (Ns, Ns, h*h) outer-product tensor is ``h*h / Hz`` times wider than
+    the pair update it produces (32x at ``small()``), so it is built one block
+    of rows (first residue axis) at a time: each block is scaled, sent through
+    the ``outer`` tap and projected by ``linear_o`` into its rows of the
+    output.  ``PPMConfig.attn_chunk_size`` sets the block (it already tiles
+    the output-row axis of attention); ``None`` is one block, the dense path.
+    Every block holds complete (i, j) tokens and ``linear_o`` projects each
+    row with the same matmul, so the output is bit-identical for any block
+    size, AAQ contexts included.  A recording context sees one ``outer``
+    record per block.
+    """
 
     def __init__(
         self,
@@ -86,6 +98,7 @@ class OuterProductMean(Module):
         name: str = "outer_product_mean",
     ) -> None:
         super().__init__(name)
+        self.chunk_size = config.attn_chunk_size
         hidden_dim = min(hidden_dim, config.seq_dim)
         self.hidden_dim = hidden_dim
         self.layer_norm = self.register_child("layer_norm", LayerNorm(config.seq_dim, "layer_norm"))
@@ -100,9 +113,13 @@ class OuterProductMean(Module):
         normalized = self.layer_norm(sequence)
         a = self.linear_a(normalized)
         b = self.linear_b(normalized)
-        outer = (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0], b.shape[0], -1)
-        outer /= np.sqrt(self.hidden_dim)
-        outer = ctx.process(f"{self.name}.outer", GROUP_C, outer)
-        return self.linear_o(outer)
+        num_residues = a.shape[0]
+        update = np.empty((num_residues, b.shape[0], self.linear_o.out_dim), dtype=a.dtype)
+        for rs in iter_chunks(num_residues, self.chunk_size):
+            outer = (a[rs, None, :, None] * b[None, :, None, :]).reshape(rs.stop - rs.start, b.shape[0], -1)
+            outer /= np.sqrt(self.hidden_dim)
+            outer = ctx.process(f"{self.name}.outer", GROUP_C, outer)
+            update[rs] = self.linear_o(outer)
+        return update
 
     __call__ = forward

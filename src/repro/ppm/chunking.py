@@ -20,12 +20,15 @@ the same mathematics in tiles:
   so per-token transforms (AAQ fake-quantization, the packed pack/unpack
   round trip) are chunk-invariant: quantizing per block equals quantizing the
   dense tensor and slicing it.  Recording contexts are the one observable
-  difference — they receive one ``attention_weights`` record per query block
-  instead of one per forward (just as every tap already records once per
-  folding block), so statistics pipelines that average per record should run
-  on the default dense configuration.
+  difference — they receive one ``attention_weights`` record per query block,
+  and one ``outer_product_mean.outer`` record per row block of the outer
+  product mean, instead of one per forward (just as every tap already records
+  once per folding block), so statistics pipelines that average per record
+  should run on the default dense configuration.
 * :func:`iter_chunks` — the shared tiling iterator (ragged last chunk,
-  ``chunk >= n`` and ``chunk is None`` degenerate to a single full slice).
+  ``chunk >= n`` and ``chunk is None`` degenerate to a single full slice),
+  also used for the row blocks of
+  :class:`~repro.ppm.attention.OuterProductMean`.
 
 Both attention kernels are exact (not approximations): dense ≡ chunked is
 asserted at the repo-wide 1e-9 parity bar across the module, block and model

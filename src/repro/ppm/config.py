@@ -21,11 +21,12 @@ class PPMConfig:
 
     ``attn_chunk_size`` / ``triangle_chunk_size`` opt the numeric substrate
     into blockwise execution of the pair stack (FlashAttention-style query
-    blocks with a streaming softmax, and a tiled third-axis contraction in
-    triangular multiplication).  ``None`` — the default — preserves the dense
-    execution paths bit-for-bit; setting them changes peak activation memory
-    only, never the operator graph or any reported number (dense ≡ chunked is
-    asserted at the repo-wide 1e-9 parity bar).
+    blocks with a streaming softmax, row blocks of the outer product mean,
+    and a tiled third-axis contraction in triangular multiplication).
+    ``None`` — the default — preserves the dense execution paths
+    bit-for-bit; setting them changes peak activation memory only, never the
+    operator graph or any reported number (dense ≡ chunked is asserted at the
+    repo-wide 1e-9 parity bar).
     """
 
     pair_dim: int = 128            # Hz: hidden dim of the Pair Representation
@@ -43,8 +44,9 @@ class PPMConfig:
     weight_bytes: float = 2.0      # bytes per weight element (FP16 baseline)
     activation_bytes: float = 2.0  # bytes per activation element (FP16 baseline)
     language_model_params: float = 3.0e9  # ESM-2 3B input-embedding model
-    #: Query-block size of chunked (triangular + sequence) attention;
-    #: None executes the dense paths unchanged.
+    #: Query-block size of chunked (triangular + sequence) attention and
+    #: row-block size of the outer product mean; None executes the dense
+    #: paths unchanged.
     attn_chunk_size: Optional[int] = None
     #: Tile size of the third-axis contraction in triangular multiplication;
     #: None executes the dense contraction unchanged.

@@ -14,6 +14,7 @@ budget.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.metrics.tm_score import tm_score_structures
 from repro.ppm import (
     FoldingBlock,
+    OuterProductMean,
     PPMConfig,
     ProteinStructureModel,
     SequenceAttention,
@@ -190,6 +192,54 @@ def test_chunked_taps_fire_same_names_and_groups(tiny_config, pair):
     ]
     assert len(weights_records) == -(-SEQ_LEN // 8)  # one per query block
     assert all(r.group == "C" for r in weights_records)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_outer_product_mean_row_blocks_bit_for_bit(tiny_config, sequence, chunk):
+    """Row-blocked OPM output is the dense output byte for byte, AAQ included."""
+    dense = OuterProductMean(tiny_config, np.random.default_rng(13))
+    tiled = OuterProductMean(with_chunks(tiny_config, chunk), np.random.default_rng(13))
+    assert tiled(sequence).tobytes() == dense(sequence).tobytes()
+    for dense_ctx, tiled_ctx in zip(quantized_contexts(), quantized_contexts()):
+        assert tiled(sequence, tiled_ctx).tobytes() == dense(sequence, dense_ctx).tobytes()
+
+
+def test_outer_product_mean_outer_tap_fires_once_per_row_block(tiny_config, sequence):
+    dense_recorder, tiled_recorder = ActivationRecorder(), ActivationRecorder()
+    OuterProductMean(tiny_config, np.random.default_rng(13))(sequence, dense_recorder)
+    OuterProductMean(with_chunks(tiny_config, 8), np.random.default_rng(13))(
+        sequence, tiled_recorder
+    )
+    dense_taps = {(r.name, r.group) for r in dense_recorder.records}
+    tiled_taps = {(r.name, r.group) for r in tiled_recorder.records}
+    assert dense_taps == tiled_taps == {("outer_product_mean.outer", "C")}
+    assert len(dense_recorder.records) == 1
+    assert len(tiled_recorder.records) == -(-SEQ_LEN // 8)  # one per row block
+    assert sum(r.token_count for r in tiled_recorder.records) == SEQ_LEN * SEQ_LEN
+
+
+def test_outer_product_mean_row_blocks_halve_peak_memory():
+    """At N=96 (small(), AAQ) the row-blocked OPM peaks at <= half the dense peak.
+
+    The dense (N, N, h*h) outer tensor and its quantized copy dominate the
+    forward; a regression that re-materializes them fails here.
+    """
+    config = PPMConfig.small()
+    sequence = np.random.default_rng(0).normal(size=(96, config.seq_dim))
+
+    def traced_peak(chunk):
+        module = OuterProductMean(
+            config.with_chunking(attn_chunk_size=chunk), np.random.default_rng(13)
+        )
+        ctx = AAQScheme().make_context()
+        tracemalloc.start()
+        try:
+            module(sequence, ctx)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(32) <= 0.5 * traced_peak(None)
 
 
 # ------------------------------------------------ block- and model-level parity
