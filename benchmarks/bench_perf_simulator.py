@@ -12,8 +12,16 @@ A second benchmark covers the PR 2 unified simulation layer: a
 versus the PR 1 per-call path, in the cold-process regime (the LRU is cleared
 each round, as a fresh sweep worker would see) and in the warm in-process
 regime (where the session's report memo skips even the vectorized engine).
+
+A third benchmark is the table-build guard: a fresh-length paper-config
+`get_op_table` (one folding block per graph segment, tiled) must be at least
+5x faster than building the same table from the object graph
+(`OperatorTable.from_workload(build_model_ops(...))`).  It reads the median
+of paired oracle/tiled time ratios, alternating which side runs first, with
+every cache cleared at the start of each pair.
 """
 
+import statistics
 import tempfile
 import time
 
@@ -21,7 +29,8 @@ from conftest import emit_bench_json, print_table
 
 from repro.core.aaq import AAQConfig
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
-from repro.ppm import PPMConfig, clear_workload_caches
+from repro.ppm import PPMConfig, clear_workload_caches, get_op_table
+from repro.ppm.op_table import OperatorTable
 from repro.ppm.workload import build_model_ops
 from repro.sim import SimulationSession
 
@@ -240,3 +249,71 @@ def test_perf_session_batch_and_disk_cache(paper_config):
         # measurably in the cold-process regime (the sharded-sweep regime).
         assert cold_speedup >= 1.5
         assert session_warm <= percall_warm * 1.5  # memo path never slower
+
+
+#: Table-build guard: paired rounds and the floor on the median pair ratio.
+BUILD_PAIRS = 15
+MIN_BUILD_SPEEDUP = 5.0
+#: Built untimed after each cache clear, so the timed lengths are fresh
+#: lengths of a config whose label template is loaded (the sweep regime).
+TEMPLATE_LENGTH = 17
+
+
+def time_builds(build, config, lengths):
+    """Seconds ``build(config, n)`` takes for each of ``lengths``."""
+    times = []
+    for n in lengths:
+        start = time.perf_counter()
+        build(config, n)
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def oracle_build(config, n):
+    return OperatorTable.from_workload(build_model_ops(config, n))
+
+
+def test_perf_table_build_guard(paper_config):
+    oracle_times, tiled_times = [], []
+    for pair in range(BUILD_PAIRS):
+        clear_workload_caches()
+        get_op_table(paper_config, TEMPLATE_LENGTH)
+        if pair % 2 == 0:
+            oracle_times.append(time_builds(oracle_build, paper_config, SEQUENCE_LENGTHS))
+            tiled_times.append(time_builds(get_op_table, paper_config, SEQUENCE_LENGTHS))
+        else:
+            tiled_times.append(time_builds(get_op_table, paper_config, SEQUENCE_LENGTHS))
+            oracle_times.append(time_builds(oracle_build, paper_config, SEQUENCE_LENGTHS))
+    clear_workload_caches()
+    ratios = [sum(o) / sum(t) for o, t in zip(oracle_times, tiled_times)]
+    speedup = statistics.median(ratios)
+    per_length = [
+        (
+            n,
+            statistics.median(o[i] for o in oracle_times),
+            statistics.median(t[i] for t in tiled_times),
+        )
+        for i, n in enumerate(SEQUENCE_LENGTHS)
+    ]
+    print_table(
+        f"Table build: fresh length, paper config (medians of {BUILD_PAIRS} pairs)",
+        [("length", "object graph", "tiled", "speedup")]
+        + [
+            (str(n), f"{oracle * 1e3:7.2f} ms", f"{tiled * 1e3:7.2f} ms", f"{oracle / tiled:5.1f}x")
+            for n, oracle, tiled in per_length
+        ]
+        + [("median pair ratio", "-", "-", f"{speedup:5.1f}x")],
+    )
+    emit_bench_json(
+        "table_build",
+        {
+            "per_length_ms": {
+                str(n): {"object_graph": oracle * 1e3, "tiled": tiled * 1e3}
+                for n, oracle, tiled in per_length
+            },
+            "speedup": speedup,
+            "pair_ratio_quartiles": statistics.quantiles(ratios, n=4),
+            "pairs": BUILD_PAIRS,
+        },
+    )
+    assert speedup >= MIN_BUILD_SPEEDUP

@@ -11,9 +11,17 @@ and the DSE/length sweeps re-consume the identical graph dozens of times.
 per-table string vocabularies (phases, subphases, engines, activation groups)
 with integer code arrays, so reductions like "total MACs of the pair dataflow"
 are single vectorized expressions instead of Python loops.  Tables convert
-losslessly to and from :class:`~repro.ppm.workload.Workload`, and
-:func:`get_op_table` / :func:`get_workload` add an LRU cache keyed on
-``(config, n, include_recycles)`` so repeated sweeps stop rebuilding the graph.
+losslessly to and from :class:`~repro.ppm.workload.Workload`.
+
+:func:`get_op_table` builds a table without the object graph.  Its label
+columns are the same at every sequence length, so they come from one
+per-``(config, include_recycles)`` template.  Its numeric columns come from
+one block of each :func:`~repro.ppm.workload.model_segments` run, tiled
+``blocks`` times: no operator's numbers depend on its block index.  The
+result is bytewise ``OperatorTable.from_workload(build_model_ops(...))``,
+which stays the object-graph view (:func:`get_workload`, :meth:`to_workload`)
+and the tests' oracle.  Tables, templates and workloads each have an LRU
+cache, so repeated sweeps build nothing twice.
 
 :class:`StackedOperatorTable` generalizes one table to a whole *traffic mix*:
 the tables of many distinct sequence lengths concatenated into one ragged
@@ -27,14 +35,20 @@ evaluation bit-identical to the per-length path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import PPMConfig
-from .workload import Operator, Workload, build_model_ops
+from .workload import (
+    Operator,
+    Workload,
+    build_model_ops,
+    check_sequence_length,
+    model_segments,
+)
 
 #: Column names holding per-operator numeric data.
 NUMERIC_COLUMNS = (
@@ -64,6 +78,20 @@ def _encode(labels: Sequence) -> Tuple[np.ndarray, Tuple]:
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _numeric_rows(operators: Sequence[Operator]) -> np.ndarray:
+    """``(len(NUMERIC_COLUMNS), len(operators))`` float64 array of the numbers."""
+    return np.array(
+        [[getattr(op, column) for op in operators] for column in NUMERIC_COLUMNS],
+        dtype=np.float64,
+    )
+
+
+def _numeric_fields(rows: np.ndarray) -> Dict[str, np.ndarray]:
+    """Read-only per-column views of a :func:`_numeric_rows` array."""
+    _freeze(rows)
+    return dict(zip(NUMERIC_COLUMNS, rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +137,8 @@ class OperatorTable:
             subphase_codes=_freeze(subphase_codes),
             groups=groups,
             group_codes=_freeze(group_codes),
-            macs=_freeze(np.array([op.macs for op in operators], dtype=np.float64)),
-            vector_ops=_freeze(np.array([op.vector_ops for op in operators], dtype=np.float64)),
-            input_elements=_freeze(
-                np.array([op.input_elements for op in operators], dtype=np.float64)
-            ),
-            output_elements=_freeze(
-                np.array([op.output_elements for op in operators], dtype=np.float64)
-            ),
-            weight_elements=_freeze(
-                np.array([op.weight_elements for op in operators], dtype=np.float64)
-            ),
             fusible=_freeze(np.array([op.fusible for op in operators], dtype=bool)),
+            **_numeric_fields(_numeric_rows(operators)),
         )
 
     @classmethod
@@ -525,17 +543,43 @@ def _cached_workload(config: PPMConfig, n: int, include_recycles: bool) -> Workl
     return build_model_ops(config, n, include_recycles=include_recycles)
 
 
+@lru_cache(maxsize=16)
+def _cached_labels(config: PPMConfig, include_recycles: bool) -> OperatorTable:
+    """The one-residue table, whose label columns every length shares.
+
+    Names, engine/phase/subphase/group codes and ``fusible`` are the same at
+    every sequence length (:meth:`Workload.structure_signature`), so they are
+    factorized once per ``(config, include_recycles)``.
+    """
+    return OperatorTable.from_workload(
+        build_model_ops(config, 1, include_recycles=include_recycles)
+    )
+
+
 @lru_cache(maxsize=64)
 def _cached_table(config: PPMConfig, n: int, include_recycles: bool) -> OperatorTable:
-    return OperatorTable.from_workload(_cached_workload(config, n, include_recycles))
+    check_sequence_length(n)
+    rows_of: Dict = {}  # one block's numbers per builder (recycle passes repeat)
+    parts = []
+    for builder, blocks in model_segments(config, include_recycles):
+        rows = rows_of.get(builder)
+        if rows is None:
+            rows = rows_of[builder] = _numeric_rows(builder(config, n, 0))
+        parts.append(np.tile(rows, blocks))
+    return replace(
+        _cached_labels(config, include_recycles),
+        sequence_length=n,
+        **_numeric_fields(np.concatenate(parts, axis=1)),
+    )
 
 
 def get_workload(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:
-    """LRU-cached :func:`~repro.ppm.workload.build_model_ops`.
+    """LRU-cached :func:`~repro.ppm.workload.build_model_ops` (the object-graph view).
 
     Returns a fresh :class:`Workload` wrapper around the cached operator list
     (the :class:`Operator` entries are frozen and shared), so mutating the
-    returned ``operators`` list cannot poison the cache.
+    returned ``operators`` list cannot poison the cache.  Operator tables do
+    not go through this cache.
     """
     cached = _cached_workload(config, int(n), bool(include_recycles))
     return Workload(
@@ -546,7 +590,14 @@ def get_workload(config: PPMConfig, n: int, include_recycles: bool = False) -> W
 
 
 def get_op_table(config: PPMConfig, n: int, include_recycles: bool = False) -> OperatorTable:
-    """LRU-cached columnar operator table for ``(config, n, include_recycles)``."""
+    """LRU-cached columnar operator table for ``(config, n, include_recycles)``.
+
+    Bytewise the table ``OperatorTable.from_workload(build_model_ops(...))``
+    would give, built without the object graph: the label columns come from
+    the per-config template, and the numeric columns from one block of each
+    :func:`~repro.ppm.workload.model_segments` run, tiled ``blocks`` times
+    (no operator's numbers depend on its block index).
+    """
     return _cached_table(config, int(n), bool(include_recycles))
 
 
@@ -575,13 +626,32 @@ def get_stacked_table(
     return _cached_stack(config, canonical, bool(include_recycles))
 
 
+class WorkloadCacheInfo(NamedTuple):
+    """LRU statistics of every operator-graph cache in this module."""
+
+    workloads: object
+    labels: object
+    tables: object
+    stacks: object
+
+
 def clear_workload_caches() -> None:
-    """Drop all cached workloads/tables (mainly for tests and memory pressure)."""
+    """Drop all cached workloads, label templates, tables and stacks.
+
+    Mainly for tests, memory pressure and cold-process benchmarks: after this
+    call the next table build starts from nothing, label template included.
+    """
     _cached_stack.cache_clear()
     _cached_table.cache_clear()
+    _cached_labels.cache_clear()
     _cached_workload.cache_clear()
 
 
-def workload_cache_info():
-    """(workload, table) LRU statistics, for the perf benchmarks."""
-    return _cached_workload.cache_info(), _cached_table.cache_info()
+def workload_cache_info() -> WorkloadCacheInfo:
+    """LRU statistics of the workload, label-template, table and stack caches."""
+    return WorkloadCacheInfo(
+        workloads=_cached_workload.cache_info(),
+        labels=_cached_labels.cache_info(),
+        tables=_cached_table.cache_info(),
+        stacks=_cached_stack.cache_info(),
+    )

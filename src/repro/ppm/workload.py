@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .activation_tap import GROUP_A, GROUP_B, GROUP_C
 from .config import PPMConfig
@@ -355,17 +355,52 @@ def build_structure_module_ops(config: PPMConfig, n: int, num_layers: int = 8) -
     return ops
 
 
-def build_model_ops(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:
-    """Full operator graph of one PPM inference at sequence length ``n``."""
+#: Builds the operators of one block of a segment: ``(config, n, block)``.
+SegmentBuilder = Callable[[PPMConfig, int, int], List[Operator]]
+
+
+def _input_embedding_segment(config: PPMConfig, n: int, block: int) -> List[Operator]:
+    return build_input_embedding_ops(config, n)
+
+
+def _structure_module_segment(config: PPMConfig, n: int, block: int) -> List[Operator]:
+    return build_structure_module_ops(config, n)
+
+
+def model_segments(
+    config: PPMConfig, include_recycles: bool = False
+) -> List[Tuple[SegmentBuilder, int]]:
+    """The operator graph in graph order, as ``(builder, blocks)`` runs.
+
+    The graph is ``builder(config, n, block)`` for ``block in range(blocks)``
+    over each run in turn: the input embedding, then per recycle pass the
+    ``num_blocks`` folding blocks and the structure module.  This list is the
+    one owner of graph order — :func:`build_model_ops` expands it into
+    operators and :func:`repro.ppm.op_table.get_op_table` tiles one block of
+    each run into numeric columns.  No builder's numbers depend on ``block``
+    (only the operator names carry it).
+    """
+    passes = (config.num_recycles + 1) if include_recycles else 1
+    segments: List[Tuple[SegmentBuilder, int]] = [(_input_embedding_segment, 1)]
+    for _ in range(passes):
+        segments.append((build_folding_block_ops, config.num_blocks))
+        segments.append((_structure_module_segment, 1))
+    return segments
+
+
+def check_sequence_length(n: int) -> None:
+    """Reject a non-positive sequence length (every graph builder's precondition)."""
     if n <= 0:
         raise ValueError("sequence length must be positive")
+
+
+def build_model_ops(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:
+    """Full operator graph of one PPM inference at sequence length ``n``."""
+    check_sequence_length(n)
     operators: List[Operator] = []
-    operators.extend(build_input_embedding_ops(config, n))
-    passes = (config.num_recycles + 1) if include_recycles else 1
-    for _ in range(passes):
-        for block in range(config.num_blocks):
-            operators.extend(build_folding_block_ops(config, n, block))
-        operators.extend(build_structure_module_ops(config, n))
+    for builder, blocks in model_segments(config, include_recycles):
+        for block in range(blocks):
+            operators.extend(builder(config, n, block))
     return Workload(sequence_length=n, config=config, operators=operators)
 
 

@@ -403,13 +403,13 @@ class LatencyService:
         self.close()
 
     # ------------------------------------------------------------------ submit
-    def _job_key(self, request: LatencyRequest) -> Tuple:
+    def _job_key(self, request: LatencyRequest, spec_key: Tuple[str, object]) -> Tuple:
         include = (
             self.session.include_recycles
             if request.include_recycles is None
             else bool(request.include_recycles)
         )
-        return (_spec_key(request.backend), int(request.sequence_length), include)
+        return (spec_key, int(request.sequence_length), include)
 
     def submit(self, request: RequestLike) -> int:
         """Enqueue one request; returns a ticket id for :meth:`poll`/:meth:`result`.
@@ -425,8 +425,15 @@ class LatencyService:
 
         The whole batch is enqueued under one lock hold with one wake-up, so
         a running dispatcher drains it together rather than a slice at a time.
+        Each distinct spec object is keyed once per batch, not once per request.
         """
-        keyed = [(r, self._job_key(r)) for r in map(_as_request, requests)]
+        spec_keys: Dict[int, Tuple[str, object]] = {}
+        keyed = []
+        for request in map(_as_request, requests):
+            spec_key = spec_keys.get(id(request.backend))
+            if spec_key is None:
+                spec_key = spec_keys[id(request.backend)] = _spec_key(request.backend)
+            keyed.append((request, self._job_key(request, spec_key)))
         if not keyed:
             return []
         now = time.perf_counter()

@@ -149,17 +149,16 @@ class SimulationSession:
         self._names_by_id[id(backend)] = key
         return backend
 
-    def _name_of(self, backend: LatencyBackend) -> str:
-        """Registered name of a resolved backend instance (O(1) reverse map).
+    def _name_of(self, backend: LatencyBackend) -> Optional[str]:
+        """Registered name of a backend instance, or ``None`` if unregistered.
 
-        Falls back to a linear scan only if the reverse map went stale (an
-        explicit-name rebinding displaced the instance), mirroring the old
-        per-call ``next(k for k, v in ...)`` behavior.
+        O(1) through the reverse map; falls back to a linear scan only if the
+        map went stale (an explicit-name rebinding displaced the instance).
         """
         name = self._names_by_id.get(id(backend))
         if name is not None and self._backends.get(name) is backend:
             return name
-        return next(k for k, v in self._backends.items() if v is backend)
+        return next((k for k, v in self._backends.items() if v is backend), None)
 
     def backend(self, spec) -> LatencyBackend:
         """Look up a registered backend by name, or resolve-and-register it."""
@@ -179,7 +178,7 @@ class SimulationSession:
         if cached is not None:
             # Guard against displacement by a later explicit-name rebinding:
             # only serve the memo while the instance is still registered.
-            if any(v is cached for v in self._backends.values()):
+            if self._name_of(cached) is not None:
                 return cached
         backend = self.add_backend(spec)
         if hashable:

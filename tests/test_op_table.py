@@ -2,20 +2,28 @@
 
 The acceptance bar for the columnar refactor: `OperatorTable`-backed
 `simulate()` and DSE results must be numerically identical (within 1e-9
-relative) to the legacy per-operator object-graph path.
+relative) to the legacy per-operator object-graph path.  The tables
+themselves, built from one tiled block per graph segment, must be bytewise
+the tables of the object graph (`build_model_ops`, the oracle).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.ppm import PPMConfig
 from repro.ppm.op_table import (
+    NUMERIC_COLUMNS,
     OperatorTable,
+    StackedOperatorTable,
     clear_workload_caches,
     get_op_table,
+    get_stacked_table,
     get_workload,
+    workload_cache_info,
 )
 from repro.ppm.workload import (
     ENGINE_MATMUL,
@@ -103,7 +111,113 @@ class TestOperatorTable:
             table.macs[0] = 1.0
 
 
+#: Every array column of a table; vocab tuples are compared by equality.
+ARRAY_COLUMNS = NUMERIC_COLUMNS + (
+    "engine_codes", "phase_codes", "subphase_codes", "group_codes", "fusible",
+)
+VOCABS = ("names", "engines", "phases", "subphases", "groups")
+STACK_VOCABS = ("engines", "phases", "subphases", "groups")
+
+PRESETS = {"paper": PPMConfig.paper, "small": PPMConfig.small, "tiny": PPMConfig.tiny}
+
+configs = st.builds(
+    lambda preset, blocks, recycles: PRESETS[preset]()
+    .with_blocks(blocks)
+    .with_recycles(recycles),
+    st.sampled_from(sorted(PRESETS)),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+lengths = st.integers(1, 8192)
+
+
+def oracle_table(config, n, include_recycles):
+    return OperatorTable.from_workload(
+        build_model_ops(config, n, include_recycles=include_recycles)
+    )
+
+
+def assert_bytewise_equal(actual, expected, arrays=ARRAY_COLUMNS, vocabs=VOCABS):
+    for name in arrays:
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for name in vocabs:
+        assert getattr(actual, name) == getattr(expected, name), name
+
+
+class TestTableParity:
+    """Tiled tables against the object-graph oracle, column for column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=configs, n=lengths, include_recycles=st.booleans())
+    def test_table_is_bytewise_the_object_graph_table(self, config, n, include_recycles):
+        table = get_op_table(config, n, include_recycles=include_recycles)
+        expected = oracle_table(config, n, include_recycles)
+        assert table.sequence_length == n and table.config == config
+        assert_bytewise_equal(table, expected)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("include_recycles", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 96, 257, 1000, 4096])
+    def test_presets_at_pinned_lengths(self, preset, include_recycles, n):
+        config = PRESETS[preset]()
+        assert_bytewise_equal(
+            get_op_table(config, n, include_recycles=include_recycles),
+            oracle_table(config, n, include_recycles),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        config=configs,
+        mix=st.lists(lengths, min_size=1, max_size=6, unique=True),
+        include_recycles=st.booleans(),
+    )
+    def test_stacked_table_is_bytewise_the_object_graph_stack(
+        self, config, mix, include_recycles
+    ):
+        stack = get_stacked_table(config, mix, include_recycles=include_recycles)
+        expected = StackedOperatorTable.from_tables(
+            [oracle_table(config, n, include_recycles) for n in sorted(mix)]
+        )
+        assert stack.lengths == expected.lengths
+        assert stack.segment_starts.tobytes() == expected.segment_starts.tobytes()
+        assert_bytewise_equal(stack, expected, vocabs=STACK_VOCABS)
+
+    @settings(max_examples=20, deadline=None)
+    @given(config=configs, n=st.integers(1, 512), include_recycles=st.booleans())
+    def test_to_workload_round_trips_to_the_object_graph(self, config, n, include_recycles):
+        table = get_op_table(config, n, include_recycles=include_recycles)
+        restored = table.to_workload()
+        expected = build_model_ops(config, n, include_recycles=include_recycles)
+        assert restored.sequence_length == n
+        assert restored.operators == expected.operators
+
+    def test_non_positive_length_is_rejected(self, paper_config):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                get_op_table(paper_config, n)
+
+
 class TestWorkloadCache:
+    def test_tables_do_not_populate_the_workload_cache(self, paper_config):
+        clear_workload_caches()
+        get_op_table(paper_config, 64)
+        get_op_table(paper_config, 65, include_recycles=True)
+        get_stacked_table(paper_config, [66, 67])
+        info = workload_cache_info()
+        assert info.workloads.currsize == 0
+        assert info.labels.currsize == 2  # one template per include_recycles
+        assert info.tables.currsize == 4
+        assert info.stacks.currsize == 1
+
+    def test_clear_drops_the_label_templates(self, paper_config):
+        get_op_table(paper_config, 64)
+        assert workload_cache_info().labels.currsize >= 1
+        clear_workload_caches()
+        assert all(cache.currsize == 0 for cache in workload_cache_info())
+
     def test_cache_returns_same_object(self, paper_config):
         clear_workload_caches()
         first = get_op_table(paper_config, 64)

@@ -14,6 +14,7 @@ from repro.serving import (
     LatencyService,
     LatencyServiceError,
 )
+from repro.serving import service as service_module
 from repro.sim import SimulationSession
 from repro.sim.backend import AcceleratorBackend
 
@@ -115,6 +116,44 @@ class TestCoalescing:
             assert count_accelerator_sims["n"] == 1
             assert service.stats.memo_hits == 1
             assert service.stats.coalesced == 0
+
+
+class TestSpecKeys:
+    def test_batch_digests_each_spec_object_once(self, config, monkeypatch):
+        calls = {"n": 0}
+        original = service_module._spec_key
+
+        def counting(spec):
+            calls["n"] += 1
+            return original(spec)
+
+        monkeypatch.setattr(service_module, "_spec_key", counting)
+        specs = [LightNobelConfig(num_rmpus=r) for r in range(1, 21)]
+        lengths = [16 + 4 * i for i in range(16)]
+        with make_service(config) as service:
+            reports = service.query_batch(
+                [LatencyRequest(spec, n) for spec in specs for n in lengths],
+                timeout=TIMEOUT,
+            )
+        assert len(reports) == 320
+        assert calls["n"] == 20
+
+    def test_equal_configs_in_distinct_objects_coalesce_within_a_batch(self, config):
+        first, second = LightNobelConfig(num_rmpus=8), LightNobelConfig(num_rmpus=8)
+        assert first is not second
+        service = make_service(config, autostart=False)
+        service.submit_batch([(first, LENGTHS[0]), (second, LENGTHS[0])])
+        assert service.queue_depth() == 1
+        assert service.stats.coalesced == 1
+        service.close()
+
+    def test_equal_configs_in_distinct_objects_coalesce_across_batches(self, config):
+        service = make_service(config, autostart=False)
+        service.submit_batch([(LightNobelConfig(num_rmpus=8), LENGTHS[0])])
+        service.submit_batch([(LightNobelConfig(num_rmpus=8), LENGTHS[0])])
+        assert service.queue_depth() == 1
+        assert service.stats.coalesced == 1
+        service.close()
 
 
 class TestQueueOrdering:

@@ -129,6 +129,25 @@ class TestSimulateBatch:
         direct = LightNobelAccelerator(hw_config=spec, ppm_config=config).simulate(LENGTHS[0])
         assert relative_difference(report.total_seconds, direct.total_seconds) <= 1e-9
 
+    def test_memoized_spec_lookup_does_not_scan_the_registry(self, config):
+        class CountingDict(dict):
+            scans = 0
+
+            def values(self):
+                CountingDict.scans += 1
+                return super().values()
+
+            def items(self):
+                CountingDict.scans += 1
+                return super().items()
+
+        session = SimulationSession(ppm_config=config, backends=())
+        specs = [LightNobelConfig(num_rmpus=r) for r in range(1, 61)]
+        backends = [session.backend(spec) for spec in specs]
+        session._backends = CountingDict(session._backends)
+        assert [session.backend(spec) for spec in specs] == backends
+        assert CountingDict.scans == 0
+
     def test_batch_helpers(self, config):
         session = SimulationSession(ppm_config=config)
         batch = session.simulate_batch(LENGTHS, backends=["lightnobel", "h100"])
