@@ -17,6 +17,7 @@ O(n^2) queue handling, per-event simulator calls) fails CI rather than
 silently making capacity planning 100x slower.
 """
 
+import statistics
 import time
 
 from conftest import emit_bench_json, print_table
@@ -146,6 +147,12 @@ def test_cluster_replay_throughput(benchmark):
 #: scenario-grid planning (which replays faults per cell) stays interactive.
 MAX_FAULT_SLOWDOWN = 2.0
 
+#: Healthy/faulty pairs; the guard reads the median per-pair slowdown.  Each
+#: pair replays both back to back, the order alternating from pair to pair,
+#: so machine drift cancels out of a pair's ratio and the median discards
+#: the pairs a hiccup landed in.
+FAULT_PAIRS = 11
+
 
 def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
     trace, fleet, times = build_inputs()
@@ -171,56 +178,76 @@ def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
             slo_target=0.95,
         ),
     )
+    paths = (("healthy", {}), ("faulty", closed_loop))
 
-    def replay_both():
-        results = {}
-        for label, kwargs in (("healthy", {}), ("faulty", closed_loop)):
-            start = time.perf_counter()
-            report = replay_trace(
-                trace,
-                fleet,
-                scheduler="edf",
-                service_times=times,
-                same_length_reuse_discount=0.25,
-                **kwargs,
-            )
-            elapsed = time.perf_counter() - start
-            results[label] = (report, report.events_processed / elapsed)
+    def replay(kwargs):
+        start = time.perf_counter()
+        report = replay_trace(
+            trace,
+            fleet,
+            scheduler="edf",
+            service_times=times,
+            same_length_reuse_discount=0.25,
+            **kwargs,
+        )
+        return report, report.events_processed / (time.perf_counter() - start)
+
+    def replay_pairs():
+        """{label: [(report, events/s) per pair]}, order alternating."""
+        results = {label: [] for label, _ in paths}
+        for pair in range(FAULT_PAIRS):
+            for label, kwargs in paths if pair % 2 == 0 else paths[::-1]:
+                results[label].append(replay(kwargs))
         return results
 
-    results = benchmark.pedantic(replay_both, rounds=1, iterations=1)
+    results = benchmark.pedantic(replay_pairs, rounds=1, iterations=1)
+    slowdowns = [
+        healthy / faulty
+        for (_, healthy), (_, faulty) in zip(results["healthy"], results["faulty"])
+    ]
+    slowdown = statistics.median(slowdowns)
+    low, _, high = statistics.quantiles(slowdowns, n=4)
+    eps = {
+        label: statistics.median(e for _, e in runs) for label, runs in results.items()
+    }
 
     rows = [("path", "events", "events/s", "completed", "retried", "SLO")]
-    for label, (report, eps) in results.items():
+    for label, runs in results.items():
+        report = runs[0][0]
         rows.append(
             (
                 label,
                 report.events_processed,
-                f"{eps:10.0f}",
+                f"{eps[label]:10.0f}",
                 report.completed,
                 report.retried,
                 f"{report.slo_attainment:.3f}",
             )
         )
+    rows.append(
+        ("slowdown", "-", f"{slowdown:.2f}x", f"[{low:.2f}, {high:.2f}]", "-", "-")
+    )
     print_table(
-        f"Fault-aware replay overhead ({NUM_REQUESTS} requests, {FLEET_SIZE} workers)",
+        f"Fault-aware replay overhead ({NUM_REQUESTS} requests, {FLEET_SIZE} workers,"
+        f" medians of {FAULT_PAIRS} pairs)",
         rows,
     )
 
-    healthy_eps = results["healthy"][1]
-    faulty_eps = results["faulty"][1]
     emit_bench_json(
         "cluster_faulty_replay",
         {
             "num_requests": NUM_REQUESTS,
             "fleet_size": FLEET_SIZE,
-            "healthy_events_per_second": healthy_eps,
-            "faulty_events_per_second": faulty_eps,
-            "fault_slowdown": healthy_eps / faulty_eps if faulty_eps else None,
+            "healthy_events_per_second": eps["healthy"],
+            "faulty_events_per_second": eps["faulty"],
+            "fault_slowdown": slowdown,
+            "fault_slowdown_quartiles": [low, high],
+            "pairs": FAULT_PAIRS,
         },
     )
-    assert faulty_eps >= MIN_EVENTS_PER_SECOND
-    assert faulty_eps * MAX_FAULT_SLOWDOWN >= healthy_eps, (
-        f"fault-aware event loop too slow: {faulty_eps:.0f} events/s vs "
-        f"{healthy_eps:.0f} healthy (> {MAX_FAULT_SLOWDOWN:.0f}x slowdown)"
+    assert eps["faulty"] >= MIN_EVENTS_PER_SECOND
+    assert slowdown <= MAX_FAULT_SLOWDOWN, (
+        f"fault-aware event loop too slow: median pair slowdown {slowdown:.2f}x"
+        f" > {MAX_FAULT_SLOWDOWN:.0f}x ({eps['faulty']:.0f} events/s faulty vs"
+        f" {eps['healthy']:.0f} healthy)"
     )

@@ -336,29 +336,19 @@ def replay_trace(
     trace: RequestTrace,
     fleet: FleetSpec,
     scheduler: SchedulerSpec = "fifo",
-    ppm_config: Optional[PPMConfig] = None,
-    session: Optional[SimulationSession] = None,
-    service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
-    dispatch_overhead_seconds: float = 0.0,
-    same_length_reuse_discount: float = 0.0,
-    service_times: Optional[ServiceTimes] = None,
-    faults: Optional[FaultSchedule] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    admission: Optional[AdmissionController] = None,
-    autoscaler=None,
-    communication_times: Optional[CommunicationTimes] = None,
-    router: RouterSpec = None,
-    timeline: Optional[TimelineRecorder] = None,
+    **options,
 ) -> ClusterReport:
     """Replay ``trace`` against ``fleet`` under ``scheduler``; emit a report.
 
+    The options are keyword-only and declared once, on the event loop
+    :func:`_replay`; an unknown one raises :class:`TypeError`.
+
     ``service_times`` short-circuits the prefetch (the planner reuses one
-    prefetch across every fleet size and policy it sweeps).
-    ``dispatch_overhead_seconds`` is a fixed per-request scheduling cost added
-    to every service; ``same_length_reuse_discount`` (in [0, 1)) is the
-    service-time fraction saved when a worker serves the same length twice in
-    a row (shape/table reuse — 0 models a stateless worker).
+    prefetch across every fleet size and policy it sweeps); ``ppm_config``,
+    ``session``, ``service`` and ``workers`` configure the prefetch otherwise
+    (:func:`prefetch_service_times`).  ``same_length_reuse_discount`` (in
+    [0, 1)) is the service-time fraction saved when a worker serves the same
+    length twice in a row (shape/table reuse — 0 models a stateless worker).
 
     ``router`` selects a group-aware routing policy for heterogeneous fleets
     (:mod:`repro.cluster.routing`): ``None`` keeps the group-oblivious
@@ -371,74 +361,25 @@ def replay_trace(
     in which case the replay is bit-identical to the open-loop one.
     ``autoscaler`` accepts one :class:`~repro.cluster.control.Autoscaler`
     (applied independently to every worker group) or a sequence with one per
-    group.
+    group.  ``communication_times`` short-circuits the degraded-link
+    prefetch (:func:`prefetch_communication_seconds`).
 
     ``timeline`` attaches a :class:`~repro.obs.timeline.TimelineRecorder`
     that captures the replay's event stream for Chrome trace-event /
     Perfetto export.  Recording is append-only observation — the report is
     bit-identical with or without it.
     """
-    report, _ = _replay(
-        trace,
-        fleet,
-        scheduler=scheduler,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        workers=workers,
-        dispatch_overhead_seconds=dispatch_overhead_seconds,
-        same_length_reuse_discount=same_length_reuse_discount,
-        service_times=service_times,
-        faults=faults,
-        recovery=recovery,
-        admission=admission,
-        autoscaler=autoscaler,
-        communication_times=communication_times,
-        router=router,
-        timeline=timeline,
-    )
-    return report
+    return _replay(trace, fleet, scheduler, **options)[0]
 
 
 def replay_trace_outcomes(
     trace: RequestTrace,
     fleet: FleetSpec,
     scheduler: SchedulerSpec = "fifo",
-    ppm_config: Optional[PPMConfig] = None,
-    session: Optional[SimulationSession] = None,
-    service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
-    dispatch_overhead_seconds: float = 0.0,
-    same_length_reuse_discount: float = 0.0,
-    service_times: Optional[ServiceTimes] = None,
-    faults: Optional[FaultSchedule] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    admission: Optional[AdmissionController] = None,
-    autoscaler=None,
-    communication_times: Optional[CommunicationTimes] = None,
-    router: RouterSpec = None,
-    timeline: Optional[TimelineRecorder] = None,
+    **options,
 ) -> Tuple[ClusterReport, Tuple[RequestOutcome, ...]]:
     """:func:`replay_trace` plus the per-request :class:`RequestOutcome` log."""
-    report, rows = _replay(
-        trace,
-        fleet,
-        scheduler=scheduler,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        workers=workers,
-        dispatch_overhead_seconds=dispatch_overhead_seconds,
-        same_length_reuse_discount=same_length_reuse_discount,
-        service_times=service_times,
-        faults=faults,
-        recovery=recovery,
-        admission=admission,
-        autoscaler=autoscaler,
-        communication_times=communication_times,
-        router=router,
-        timeline=timeline,
-    )
+    report, rows = _replay(trace, fleet, scheduler, **options)
     return report, tuple(
         RequestOutcome(
             request_id=request.id,
@@ -460,11 +401,11 @@ def _replay(
     trace: RequestTrace,
     fleet: FleetSpec,
     scheduler: SchedulerSpec = "fifo",
+    *,
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
     workers: Optional[int] = None,
-    dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     service_times: Optional[ServiceTimes] = None,
     faults: Optional[FaultSchedule] = None,
@@ -526,8 +467,8 @@ def _replay(
             for n in trace.distinct_lengths()
         }
     # Per-group queue-depth signal for multi-group autoscaling: a queued
-    # request counts toward every group that could serve its length.  The
-    # single-group path keeps reading len(policy) directly (bit-compat).
+    # request counts toward every group that could serve its length.  One
+    # group reads the queue depth itself.
     queued_feasible: Optional[List[int]] = None
     feasible_of: Optional[Dict[int, Tuple[int, ...]]] = None
     if autoscalers is not None and num_groups > 1:
@@ -771,21 +712,17 @@ def _replay(
                 window = len(recent_met)
                 attainment = sum(recent_met) / window if window else 1.0
                 for gi_scale, scaler in enumerate(autoscalers):
-                    if num_groups == 1:
-                        # The homogeneous signals of PR 6, bit-for-bit: whole
-                        # queue, whole fleet.
-                        depth_signal = depth
-                        alive = sum(
-                            1 for h in health
-                            if h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
-                        )
-                    else:
-                        depth_signal = queued_feasible[gi_scale]
-                        alive = sum(
-                            1 for w, h in enumerate(health)
-                            if group_of[w] == gi_scale
-                            and h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
-                        )
+                    # One group reads the whole queue and the whole fleet
+                    # (every group_of[w] is 0).
+                    depth_signal = (
+                        depth if queued_feasible is None
+                        else queued_feasible[gi_scale]
+                    )
+                    alive = sum(
+                        1 for g, h in zip(group_of, health)
+                        if g == gi_scale
+                        and h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
+                    )
                     delta = scaler.desired_delta(
                         depth_signal, alive, pending_up[gi_scale], attainment
                     )
@@ -898,8 +835,8 @@ def _replay(
                         warmup_extra[worker] = 0.0
                     if health[worker] is WorkerHealth.WARMING:
                         health[worker] = WorkerHealth.HEALTHY
-                finish = time_now + dispatch_overhead_seconds + seconds + extra
-                busy_seconds[worker] += dispatch_overhead_seconds + seconds + extra
+                finish = time_now + seconds + extra
+                busy_seconds[worker] += seconds + extra
                 if faults is not None:
                     running[worker] = (request, time_now, finish)
                 in_flight += 1
@@ -945,11 +882,7 @@ def _replay(
         )
         for g in range(num_groups)
     ]
-    provisioned_total = (
-        provisioned_by_group[0]
-        if num_groups == 1
-        else sum(provisioned_by_group)
-    )
+    provisioned_total = sum(provisioned_by_group)
 
     latencies: List[float] = []
     waits: List[float] = []

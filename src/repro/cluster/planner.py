@@ -31,7 +31,10 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from functools import partial
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from ..ppm.config import PPMConfig
 from ..sim.session import SimulationSession
@@ -112,6 +115,87 @@ class CapacityPlan:
         ]
 
 
+def _resized(
+    base_fleet: Optional[FleetSpec], fleet_sizes: Sequence[int]
+) -> List[FleetSpec]:
+    """``base_fleet`` (default: one ``"lightnobel"`` worker) at each distinct
+    size, ascending."""
+    base_fleet = base_fleet or FleetSpec.homogeneous("lightnobel", 1)
+    if len(base_fleet.groups) != 1:
+        raise ValueError("base_fleet must be homogeneous for a fleet-size sweep")
+    return [
+        base_fleet.with_size(size)
+        for size in sorted(dict.fromkeys(int(s) for s in fleet_sizes))
+    ]
+
+
+def _grid(
+    runs: Sequence[Tuple[RequestTrace, Callable[..., ClusterReport]]],
+    fleets: Sequence[FleetSpec],
+    policies: Sequence[SchedulerSpec],
+    slo_target: float,
+    prefetch: Mapping[str, object],
+    **options,
+) -> List[Tuple[PlanPoint, ...]]:
+    """Replay every (fleet, policy) cell once per ``(trace, replay)`` run.
+
+    The loop behind every planner.  It checks ``slo_target`` before any
+    work, prefetches service times once per distinct trace object
+    (``prefetch`` are :func:`~repro.cluster.des.prefetch_service_times`
+    options), and calls ``replay(fleet, scheduler=..., service_times=...,
+    **options)`` for each cell.  Returns one tuple of points per run.
+    """
+    if not 0.0 < slo_target <= 1.0:
+        raise ValueError("slo_target must be in (0, 1]")
+    # One prefetch per trace prices each distinct backend spec once, however
+    # many fleets share it; per-fleet tables are re-keyed views of it.
+    distinct: Dict[str, object] = {}
+    for fleet in fleets:
+        for group in fleet.groups:
+            distinct.setdefault(_spec_digest(group.backend), group.backend)
+    source_index = {d: i for i, d in enumerate(distinct)}
+    synthetic = FleetSpec(
+        groups=tuple(
+            WorkerGroup(backend=backend, count=1) for backend in distinct.values()
+        ),
+        name="planner-prefetch",
+    )
+    shared_by_trace: Dict[int, ServiceTimes] = {}
+    grids: List[Tuple[PlanPoint, ...]] = []
+    for trace, replay in runs:
+        shared = shared_by_trace.get(id(trace))
+        if shared is None:
+            shared = shared_by_trace[id(trace)] = prefetch_service_times(
+                trace, synthetic, **prefetch
+            )
+        lengths = trace.distinct_lengths()
+        points: List[PlanPoint] = []
+        for fleet in fleets:
+            times: ServiceTimes = {}
+            for gi, group in enumerate(fleet.groups):
+                src = source_index[_spec_digest(group.backend)]
+                for n in lengths:
+                    times[(gi, n)] = shared[(src, n)]
+            for policy in policies:
+                # Scheduler *instances* are stateful (bucket cursors, quotas):
+                # every grid cell replays against a fresh copy so a cell's
+                # report is identical to a standalone replay of that cell.
+                fresh = getattr(policy, "fresh", None)
+                cell_policy = (
+                    fresh()
+                    if callable(fresh) and not isinstance(policy, type)
+                    else policy
+                )
+                report = replay(
+                    fleet, scheduler=cell_policy, service_times=times, **options
+                )
+                points.append(
+                    PlanPoint(fleet=fleet, policy=scheduler_name(policy), report=report)
+                )
+        grids.append(tuple(points))
+    return grids
+
+
 def plan_capacity(
     trace: RequestTrace,
     base_fleet: Optional[FleetSpec] = None,
@@ -122,7 +206,6 @@ def plan_capacity(
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
     workers: Optional[int] = None,
-    dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
     router: RouterSpec = None,
@@ -140,48 +223,19 @@ def plan_capacity(
     shrinking the planner grid's simulation cost from O(distinct lengths) to
     O(buckets).  Default ``None`` keeps exact per-length pricing.
     """
-    if not 0.0 < slo_target <= 1.0:
-        raise ValueError("slo_target must be in (0, 1]")
-    base_fleet = base_fleet or FleetSpec.homogeneous("lightnobel", 1)
-    if len(base_fleet.groups) != 1:
-        # Fail before the prefetch: with_size() would raise anyway, but only
-        # after the expensive service-time stage already ran.
-        raise ValueError("base_fleet must be homogeneous for a fleet-size sweep")
-    # One prefetch serves the whole grid: service times depend only on the
-    # worker group's backend and the request length.
-    times = prefetch_service_times(
-        trace,
-        base_fleet,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        workers=workers,
-        length_bucket_size=length_bucket_size,
+    (points,) = _grid(
+        [(trace, partial(replay_trace, trace))],
+        _resized(base_fleet, fleet_sizes),
+        policies,
+        slo_target,
+        dict(
+            ppm_config=ppm_config, session=session, service=service,
+            workers=workers, length_bucket_size=length_bucket_size,
+        ),
+        same_length_reuse_discount=same_length_reuse_discount,
+        router=router,
     )
-    points: List[PlanPoint] = []
-    for size in sorted(dict.fromkeys(int(s) for s in fleet_sizes)):
-        fleet = base_fleet.with_size(size)
-        for policy in policies:
-            # Scheduler *instances* are stateful (bucket cursors, quotas):
-            # every grid cell replays against a fresh copy so a cell's report
-            # is identical to a standalone replay of that cell.
-            fresh = getattr(policy, "fresh", None)
-            cell_policy = fresh() if callable(fresh) and not isinstance(policy, type) else policy
-            report = replay_trace(
-                trace,
-                fleet,
-                scheduler=cell_policy,
-                service_times=times,
-                dispatch_overhead_seconds=dispatch_overhead_seconds,
-                same_length_reuse_discount=same_length_reuse_discount,
-                router=router,
-            )
-            points.append(
-                PlanPoint(fleet=fleet, policy=scheduler_name(policy), report=report)
-            )
-    return CapacityPlan(
-        trace_name=trace.name, slo_target=slo_target, points=tuple(points)
-    )
+    return CapacityPlan(trace_name=trace.name, slo_target=slo_target, points=points)
 
 
 @dataclass(frozen=True)
@@ -251,7 +305,6 @@ def compare_fleets(
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
     workers: Optional[int] = None,
-    dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
 ) -> FleetComparison:
@@ -268,65 +321,21 @@ def compare_fleets(
     prefetch simulates each distinct backend once no matter how many
     candidate fleets share it.
     """
-    if not 0.0 < slo_target <= 1.0:
-        raise ValueError("slo_target must be in (0, 1]")
     if not fleets:
         raise ValueError("compare_fleets needs at least one candidate fleet")
-    # One prefetch prices each distinct backend spec once; per-fleet tables
-    # are then re-keyed views of it.
-    distinct: Dict[str, object] = {}
-    for fleet in fleets:
-        for group in fleet.groups:
-            distinct.setdefault(_spec_digest(group.backend), group.backend)
-    digests = list(distinct)
-    synthetic = FleetSpec(
-        groups=tuple(
-            WorkerGroup(backend=distinct[d], count=1) for d in digests
+    (points,) = _grid(
+        [(trace, partial(replay_trace, trace))],
+        fleets,
+        policies,
+        slo_target,
+        dict(
+            ppm_config=ppm_config, session=session, service=service,
+            workers=workers, length_bucket_size=length_bucket_size,
         ),
-        name="compare-fleets-prefetch",
+        same_length_reuse_discount=same_length_reuse_discount,
+        router=router,
     )
-    shared = prefetch_service_times(
-        trace,
-        synthetic,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        workers=workers,
-        length_bucket_size=length_bucket_size,
-    )
-    source_index = {d: i for i, d in enumerate(digests)}
-    lengths = trace.distinct_lengths()
-    points: List[PlanPoint] = []
-    for fleet in fleets:
-        times: ServiceTimes = {}
-        for gi, group in enumerate(fleet.groups):
-            src = source_index[_spec_digest(group.backend)]
-            for n in lengths:
-                times[(gi, n)] = shared[(src, n)]
-        for policy in policies:
-            fresh = getattr(policy, "fresh", None)
-            cell_policy = (
-                fresh()
-                if callable(fresh) and not isinstance(policy, type)
-                else policy
-            )
-            report = replay_trace(
-                trace,
-                fleet,
-                scheduler=cell_policy,
-                service_times=times,
-                dispatch_overhead_seconds=dispatch_overhead_seconds,
-                same_length_reuse_discount=same_length_reuse_discount,
-                router=router,
-            )
-            points.append(
-                PlanPoint(
-                    fleet=fleet, policy=scheduler_name(policy), report=report
-                )
-            )
-    return FleetComparison(
-        trace_name=trace.name, slo_target=slo_target, points=tuple(points)
-    )
+    return FleetComparison(trace_name=trace.name, slo_target=slo_target, points=points)
 
 
 def plan_capacity_under_scenarios(
@@ -339,7 +348,6 @@ def plan_capacity_under_scenarios(
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
     workers: Optional[int] = None,
-    dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
 ) -> Dict[str, CapacityPlan]:
@@ -354,55 +362,28 @@ def plan_capacity_under_scenarios(
     :func:`robust_minimal_fleet` for the fleet that survives *every*
     scenario.
     """
-    if not 0.0 < slo_target <= 1.0:
-        raise ValueError("slo_target must be in (0, 1]")
-    base_fleet = base_fleet or FleetSpec.homogeneous("lightnobel", 1)
-    if len(base_fleet.groups) != 1:
-        raise ValueError("base_fleet must be homogeneous for a fleet-size sweep")
-    sizes = sorted(dict.fromkeys(int(s) for s in fleet_sizes))
-    times_by_trace: Dict[str, object] = {}
-    plans: Dict[str, CapacityPlan] = {}
-    for scenario in scenarios:
-        digest = scenario.trace.config_digest()
-        if digest not in times_by_trace:
-            times_by_trace[digest] = prefetch_service_times(
-                scenario.trace,
-                base_fleet,
-                ppm_config=ppm_config,
-                session=session,
-                service=service,
-                workers=workers,
-                length_bucket_size=length_bucket_size,
-            )
-        times = times_by_trace[digest]
-        points: List[PlanPoint] = []
-        for size in sizes:
-            fleet = base_fleet.with_size(size)
-            for policy in policies:
-                fresh = getattr(policy, "fresh", None)
-                cell_policy = (
-                    fresh()
-                    if callable(fresh) and not isinstance(policy, type)
-                    else policy
-                )
-                report = scenario.replay(
-                    fleet,
-                    scheduler=cell_policy,
-                    service_times=times,
-                    dispatch_overhead_seconds=dispatch_overhead_seconds,
-                    same_length_reuse_discount=same_length_reuse_discount,
-                )
-                points.append(
-                    PlanPoint(
-                        fleet=fleet, policy=scheduler_name(policy), report=report
-                    )
-                )
-        plans[scenario.name] = CapacityPlan(
-            trace_name=scenario.trace.name,
-            slo_target=slo_target,
-            points=tuple(points),
+    # Equal traces share one prefetch: map each to the first of its digest.
+    canonical: Dict[str, RequestTrace] = {}
+    grids = _grid(
+        [
+            (canonical.setdefault(s.trace.config_digest(), s.trace), s.replay)
+            for s in scenarios
+        ],
+        _resized(base_fleet, fleet_sizes),
+        policies,
+        slo_target,
+        dict(
+            ppm_config=ppm_config, session=session, service=service,
+            workers=workers, length_bucket_size=length_bucket_size,
+        ),
+        same_length_reuse_discount=same_length_reuse_discount,
+    )
+    return {
+        scenario.name: CapacityPlan(
+            trace_name=scenario.trace.name, slo_target=slo_target, points=points
         )
-    return plans
+        for scenario, points in zip(scenarios, grids)
+    }
 
 
 def robust_minimal_fleet(

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis import cluster_capacity_dse
 from repro.cluster import (
     BucketedScheduler,
+    ClusterScenario,
     EDFScheduler,
     FIFOScheduler,
     FleetSpec,
@@ -28,10 +29,12 @@ from repro.cluster import (
     SLOPolicy,
     WorkerGroup,
     bursty_trace,
+    compare_fleets,
     create_scheduler,
     dataset_lengths,
     mixture_lengths,
     plan_capacity,
+    plan_capacity_under_scenarios,
     poisson_trace,
     prefetch_service_times,
     replay_trace,
@@ -532,6 +535,37 @@ class TestReplayDeterminism:
 
 
 # -------------------------------------------------------- policy invariants
+class TestReplayOptions:
+    """The replay options are declared once, on the event loop; every
+    forwarder passes ``**options`` through, so none is silently dropped."""
+
+    @pytest.fixture(scope="class")
+    def tiny_trace(self):
+        pool, _ = mixture_lengths([(24, 1.0)])
+        return poisson_trace(rate_rps=10.0, num_requests=5, length_pool=pool, seed=0)
+
+    @pytest.mark.parametrize(
+        "option", ["dispatch_overhead_seconds", "same_length_reuse_discont"]
+    )
+    def test_forwarders_reject_unknown_options(self, tiny_trace, option):
+        fleet = FleetSpec.homogeneous("h100-chunk", 1)
+        scenario = ClusterScenario(name="plain", trace=tiny_trace)
+        replays = (
+            lambda **kw: replay_trace(tiny_trace, fleet, **kw),
+            lambda **kw: replay_trace_outcomes(tiny_trace, fleet, **kw),
+            lambda **kw: scenario.replay(fleet, **kw),
+            lambda **kw: scenario.replay_outcomes(fleet, **kw),
+        )
+        for replay in replays:
+            with pytest.raises(TypeError, match=option):
+                replay(**{option: 0.0})
+
+    def test_scenario_owned_options_are_not_overridable(self, tiny_trace):
+        scenario = ClusterScenario(name="plain", trace=tiny_trace)
+        with pytest.raises(TypeError, match="faults"):
+            scenario.replay(FleetSpec.homogeneous("h100-chunk", 1), faults=None)
+
+
 class TestPolicyInvariants:
     def test_neutral_traffic_makes_every_policy_fifo(self, tiny_session):
         """Without deadlines/priorities, EDF degrades to exact FIFO (shared
@@ -691,6 +725,38 @@ class TestPlanner:
                 service_times=times,
             )
             assert point.report == standalone
+
+    @pytest.mark.parametrize("router", [None, "cost-greedy"])
+    @pytest.mark.parametrize("policy", ["fifo", "edf", "bucketed"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planners_share_one_grid(self, tiny_session, seed, policy, router):
+        """plan_capacity is compare_fleets over the resized base fleet, and a
+        scenario with no faults and no controllers plans like its trace."""
+        pool, weights = mixture_lengths(PINNED_MIX)
+        trace = bursty_trace(
+            rate_rps=300.0, num_requests=150, length_pool=pool,
+            length_weights=weights, slo=PINNED_SLO, seed=seed,
+        )
+        base = FleetSpec.homogeneous("h100-chunk", 1)
+        sizes = (1, 2, 4)
+        grid = dict(
+            policies=(policy,), session=tiny_session,
+            same_length_reuse_discount=PINNED_REUSE_DISCOUNT,
+        )
+        plan = plan_capacity(
+            trace, base_fleet=base, fleet_sizes=sizes, router=router, **grid
+        )
+        comparison = compare_fleets(
+            trace, [base.with_size(s) for s in sizes], router=router, **grid
+        )
+        assert len(plan.points) == len(sizes)
+        assert plan.points == comparison.points
+        if router is None:
+            plans = plan_capacity_under_scenarios(
+                [ClusterScenario(name="plain", trace=trace)],
+                base_fleet=base, fleet_sizes=sizes, **grid,
+            )
+            assert plans == {"plain": plan}
 
     def test_unmeetable_slo_returns_none(self, tiny_session):
         pool, weights = mixture_lengths(PINNED_MIX)
