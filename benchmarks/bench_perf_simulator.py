@@ -1,9 +1,10 @@
-"""Perf: columnar (OperatorTable) simulator vs the legacy object-graph path.
+"""Perf: columnar (OperatorTable) simulator vs the scalar object-graph reference.
 
 Times `LightNobelAccelerator.simulate()` across sequence lengths and a
 Fig. 11-style quantization DSE sweep through the accelerator, comparing the
-vectorized + LRU-cached columnar engine against the per-operator legacy loop
-that rebuilds the operator graph on every call.  Prints the speedup table and
+vectorized + LRU-cached columnar engine against the per-operator scalar
+reference (`tests/reference_pricing.py`) that rebuilds the operator graph on
+every call.  Prints the speedup table and
 asserts the columnar path is no slower (the repeated-sweep workload must be
 at least 5x faster; in practice it is 20-60x).
 
@@ -26,6 +27,7 @@ import tempfile
 import time
 
 from conftest import emit_bench_json, print_table
+from reference_pricing import simulate_accelerator_workload
 
 from repro.core.aaq import AAQConfig
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
@@ -56,7 +58,7 @@ def time_call(fn, repeats=1):
 def run_legacy_lengths(config):
     accelerator = LightNobelAccelerator(ppm_config=config)
     return [
-        accelerator.simulate_workload_legacy(build_model_ops(config, n)).total_seconds
+        simulate_accelerator_workload(accelerator, build_model_ops(config, n)).total_seconds
         for n in SEQUENCE_LENGTHS
     ]
 
@@ -73,7 +75,9 @@ def run_legacy_sweep(config):
         accelerator = LightNobelAccelerator(ppm_config=config, aaq_config=aaq)
         for n in SEQUENCE_LENGTHS:
             results.append(
-                accelerator.simulate_workload_legacy(build_model_ops(config, n)).total_seconds
+                simulate_accelerator_workload(
+                    accelerator, build_model_ops(config, n)
+                ).total_seconds
             )
     return results
 

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
 from repro.ppm import PPMConfig
 from repro.proteins import build_all_catalogs
+
+# The scalar pricing reference is test-only code; benchmarks time against it.
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 
 try:
     import resource

@@ -24,15 +24,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_op_table
+from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
 from ..ppm.workload import (
     ENGINE_MATMUL,
-    PHASE_INPUT_EMBEDDING,
     PHASE_PAIR,
     PHASE_SEQUENCE,
-    PHASE_STRUCTURE,
-    Operator,
-    Workload,
     pair_activation_elements,
     score_matrix_elements,
     sequence_activation_elements,
@@ -90,59 +86,6 @@ class GPUModel:
         self._fits_cache: Dict[Tuple[int, bool], bool] = {}
 
     # ------------------------------------------------------------------ timing
-    def operator_seconds(self, op: Operator, chunked: bool) -> tuple:
-        """(seconds, kernel count) for one operator."""
-        compute_eff = self.gpu.effective_flops
-        chunk_applies = chunked and op.phase == PHASE_PAIR
-        if chunk_applies:
-            compute_eff *= CHUNK_COMPUTE_PENALTY
-
-        flops = op.flops
-        compute_time = flops / compute_eff if op.engine == ENGINE_MATMUL else flops / (
-            self.gpu.effective_flops * 0.1
-        )
-
-        traffic = (op.input_elements + op.output_elements) * FP16_BYTES + op.weight_elements * FP16_BYTES
-        if chunk_applies:
-            traffic *= CHUNK_TRAFFIC_FACTOR
-        memory_time = traffic / self.gpu.effective_bandwidth
-
-        if chunk_applies:
-            # Chunked pair kernels launch one kernel per CHUNK_ROWS rows of the
-            # (Ns, Ns, Hz) pair tensor, i.e. roughly Ns / CHUNK_ROWS kernels.
-            tokens = max(1.0, op.output_elements / max(self.ppm_config.pair_dim, 1))
-            rows = tokens ** 0.5
-            kernels = max(1.0, rows / CHUNK_ROWS)
-        else:
-            kernels = 1.0
-        launch_time = kernels * self.gpu.kernel_launch_us * 1e-6
-        return max(compute_time, memory_time) + launch_time, kernels
-
-    def simulate_workload_legacy(self, workload: Workload, chunked: bool = False) -> GPULatencyReport:
-        """Reference implementation: one Python iteration per operator."""
-        phase_seconds: Dict[str, float] = {}
-        subphase_seconds: Dict[str, float] = {}
-        total = 0.0
-        kernels = 0.0
-        for op in workload.operators:
-            seconds, op_kernels = self.operator_seconds(op, chunked)
-            total += seconds
-            kernels += op_kernels
-            phase_seconds[op.phase] = phase_seconds.get(op.phase, 0.0) + seconds
-            if op.subphase:
-                subphase_seconds[op.subphase] = subphase_seconds.get(op.subphase, 0.0) + seconds
-        oom = not self.fits_in_memory(workload.sequence_length, chunked=chunked)
-        return GPULatencyReport(
-            gpu=self.gpu.name,
-            sequence_length=workload.sequence_length,
-            chunked=chunked,
-            total_seconds=total,
-            phase_seconds=phase_seconds,
-            subphase_seconds=subphase_seconds,
-            kernel_count=kernels,
-            out_of_memory=oom,
-        )
-
     def _operator_columns(self, table, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
         """(seconds, kernels) per-operator arrays over table columns.
 
@@ -172,47 +115,6 @@ class GPUModel:
         )
         return seconds, kernels
 
-    def _assemble_report(
-        self,
-        table: OperatorTable,
-        seconds: np.ndarray,
-        kernels: np.ndarray,
-        chunked: bool,
-    ) -> GPULatencyReport:
-        return self._finish_report(
-            table,
-            float(seconds.sum()),
-            float(kernels.sum()),
-            chunked,
-            table.weighted_sums("phase", seconds),
-            table.weighted_sums("subphase", seconds),
-        )
-
-    def _finish_report(
-        self,
-        table: OperatorTable,
-        total_seconds: float,
-        kernel_count: float,
-        chunked: bool,
-        phase_seconds: Dict[str, float],
-        subphase_seconds: Dict[str, float],
-    ) -> GPULatencyReport:
-        return GPULatencyReport(
-            gpu=self.gpu.name,
-            sequence_length=table.sequence_length,
-            chunked=chunked,
-            total_seconds=total_seconds,
-            phase_seconds=phase_seconds,
-            subphase_seconds={sub: s for sub, s in subphase_seconds.items() if sub},
-            kernel_count=kernel_count,
-            out_of_memory=not self.fits_in_memory(table.sequence_length, chunked=chunked),
-        )
-
-    def simulate_table(self, table: OperatorTable, chunked: bool = False) -> GPULatencyReport:
-        """Vectorized roofline model over the columns of an :class:`OperatorTable`."""
-        seconds, kernels = self._operator_columns(table, chunked)
-        return self._assemble_report(table, seconds, kernels, chunked)
-
     def simulate_stack(
         self, stack: StackedOperatorTable, chunked: bool = False
     ) -> List[GPULatencyReport]:
@@ -220,26 +122,32 @@ class GPUModel:
 
         Elementwise arithmetic runs once over the stack, phase/subphase
         reductions once over combined (segment, label) bins, totals over
-        contiguous slices — all bit-identical to :meth:`simulate_table`.
+        contiguous slices, so a length's report is the same in any mix, a
+        one-segment stack included.
         """
         seconds, kernels = self._operator_columns(stack, chunked)
         phase_dicts = stack.segment_weighted_sums_all("phase", seconds)
         subphase_dicts = stack.segment_weighted_sums_all("subphase", seconds)
         # One 2-row axis-sum per segment totals seconds and kernels together;
-        # pairwise summation runs over each contiguous row exactly as it does
-        # over the standalone per-length array.
+        # pairwise summation runs over each contiguous row, so a segment's
+        # totals do not depend on its neighbours in the stack.
         pair = np.vstack((seconds, kernels))
         reports = []
-        for i, sl in enumerate(stack.segments):
+        for table, sl, phases, subphases in zip(
+            stack.tables, stack.segments, phase_dicts, subphase_dicts
+        ):
             total_seconds, kernel_count = pair[:, sl].sum(axis=1).tolist()
+            n = table.sequence_length
             reports.append(
-                self._finish_report(
-                    stack.tables[i],
-                    total_seconds,
-                    kernel_count,
-                    chunked,
-                    phase_dicts[i],
-                    subphase_dicts[i],
+                GPULatencyReport(
+                    gpu=self.gpu.name,
+                    sequence_length=n,
+                    chunked=chunked,
+                    total_seconds=total_seconds,
+                    phase_seconds=phases,
+                    subphase_seconds={sub: s for sub, s in subphases.items() if sub},
+                    kernel_count=kernel_count,
+                    out_of_memory=not self.fits_in_memory(n, chunked=chunked),
                 )
             )
         return reports
@@ -262,13 +170,15 @@ class GPUModel:
             count=stack.num_segments,
         ).tolist()
 
-    def simulate_workload(self, workload: Workload, chunked: bool = False) -> GPULatencyReport:
-        """Simulate an explicit workload through the columnar engine."""
-        return self.simulate_table(OperatorTable.from_workload(workload), chunked=chunked)
+    def simulate_table(self, table: OperatorTable, chunked: bool = False) -> GPULatencyReport:
+        """Price one operator table as a one-segment stack."""
+        return self.simulate_stack(StackedOperatorTable.from_tables([table]), chunked=chunked)[0]
 
     def simulate(self, sequence_length: int, chunked: bool = False) -> GPULatencyReport:
-        table = get_op_table(self.ppm_config, sequence_length)
-        return self.simulate_table(table, chunked=chunked)
+        """Simulate one inference at ``sequence_length`` residues."""
+        return self.simulate_stack(
+            get_stacked_table(self.ppm_config, [sequence_length]), chunked=chunked
+        )[0]
 
     # ------------------------------------------------------------------ memory
     def weight_bytes(self, include_language_model: bool = True) -> float:

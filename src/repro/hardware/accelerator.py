@@ -12,11 +12,13 @@ the engine delays for that stage; the end-to-end latency is their sum.  The
 token-wise MHA optimization (Section 5.4) keeps the attention score matrix on
 chip, which removes both its DRAM traffic and its quantization cost.
 
-The hot path is columnar: :meth:`LightNobelAccelerator.simulate` fetches the
-LRU-cached :class:`~repro.ppm.op_table.OperatorTable` and evaluates all engine
-latencies as vectorized expressions over its columns.  The original
-per-operator loop is kept as :meth:`simulate_workload_legacy` and serves as
-the numerical reference for the parity tests and perf benchmarks.
+Pricing is columnar and has one path:
+:meth:`LightNobelAccelerator.simulate_stack` evaluates every engine latency as
+a vectorized expression over the columns of a
+:class:`~repro.ppm.op_table.StackedOperatorTable` and reduces them to one
+report per length.  A single length or table is priced as a one-segment
+stack.  The per-operator scalar reference the parity tests and perf
+benchmarks compare against lives in ``tests/reference_pricing.py``.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ import numpy as np
 from ..core.aaq import AAQConfig
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_op_table
+from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
 from ..ppm.workload import (
     ENGINE_MATMUL,
     PHASE_INPUT_EMBEDDING,
     PHASE_PAIR,
     PHASE_SEQUENCE,
     PHASE_STRUCTURE,
-    Operator,
-    Workload,
 )
 from .config import LightNobelConfig
 from .memory import HBMModel
@@ -121,9 +121,9 @@ class LatencyReport:
 
     @property
     def operator_latencies(self) -> List[OperatorLatency]:
-        """Per-operator latencies (materialized on demand on the columnar path)."""
+        """Per-operator latencies, materialized from the columns on first use."""
         if self._latencies is None:
-            self._latencies = self._columns.materialize() if self._columns else []
+            self._latencies = self._columns.materialize()
         return self._latencies
 
     def phase_seconds(self, clock_hz: float) -> Dict[str, float]:
@@ -131,28 +131,22 @@ class LatencyReport:
 
     def bottleneck_share(self) -> Dict[str, float]:
         """Fraction of stage latency bound by each engine."""
-        if self._columns is not None:
-            stacked = np.vstack(
-                [
-                    self._columns.rmpu_cycles,
-                    self._columns.vvpu_cycles,
-                    self._columns.memory_cycles,
-                ]
-            )
-            stage = stacked.max(axis=0)
-            winner = stacked.argmax(axis=0)
-            sums = np.bincount(winner, weights=stage, minlength=3)
-            total = float(sums.sum()) or 1.0
-            return {
-                "rmpu": float(sums[0]) / total,
-                "vvpu": float(sums[1]) / total,
-                "memory": float(sums[2]) / total,
-            }
-        totals: Dict[str, float] = {"rmpu": 0.0, "vvpu": 0.0, "memory": 0.0}
-        for op in self.operator_latencies:
-            totals[op.bottleneck] += op.stage_cycles
-        total = sum(totals.values()) or 1.0
-        return {k: v / total for k, v in totals.items()}
+        stacked = np.vstack(
+            [
+                self._columns.rmpu_cycles,
+                self._columns.vvpu_cycles,
+                self._columns.memory_cycles,
+            ]
+        )
+        stage = stacked.max(axis=0)
+        winner = stacked.argmax(axis=0)
+        sums = np.bincount(winner, weights=stage, minlength=3)
+        total = float(sums.sum()) or 1.0
+        return {
+            "rmpu": float(sums[0]) / total,
+            "vvpu": float(sums[1]) / total,
+            "memory": float(sums[2]) / total,
+        }
 
 
 class LightNobelAccelerator:
@@ -181,15 +175,6 @@ class LightNobelAccelerator:
         hidden = self.ppm_config.pair_dim
         return self.aaq_config.bits_per_token(hidden, group) / hidden / 8.0
 
-    def operator_dram_bytes(self, op: Operator) -> float:
-        """DRAM traffic of one operator under AAQ and token-wise MHA."""
-        if op.fusible and self.tokenwise_mha:
-            return 0.0
-        in_bytes = op.input_elements * self.activation_bytes_per_element(op.output_group or GROUP_C)
-        out_bytes = op.output_elements * self.activation_bytes_per_element(op.output_group)
-        weight_bytes = op.weight_elements * 2.0  # 16-bit weights, streamed once
-        return in_bytes + out_bytes + weight_bytes
-
     # --------------------------------------------------- per-group constants
     def _group_parameters(
         self, groups: Tuple[Optional[str], ...]
@@ -197,8 +182,9 @@ class LightNobelAccelerator:
         """Per-group scalars of the engine models, indexed by table group code.
 
         Mirrors, term by term, the arithmetic of :meth:`RMPU.operator_cycles`,
-        :meth:`VVPU.quantization_cycles` and :meth:`operator_dram_bytes` so the
-        vectorized path is bit-identical to the legacy per-operator loop.
+        :meth:`VVPU.quantization_cycles` and the per-operator DRAM traffic of
+        the scalar reference in ``tests/reference_pricing.py``, so the
+        vectorized path agrees with that per-operator loop.
         """
         rmpu_hidden = self.rmpu.config_hidden_dim()
         quant_hidden = self.ppm_config.pair_dim
@@ -242,56 +228,6 @@ class LightNobelAccelerator:
         }
 
     # -------------------------------------------------------------- simulation
-    def simulate_operator(self, op: Operator) -> OperatorLatency:
-        """Legacy per-operator reference model (kept for parity checks)."""
-        quantize_output = op.output_group is not None and not (op.fusible and self.tokenwise_mha)
-        rmpu_cycles = 0.0
-        vvpu_cycles = 0.0
-        if op.engine == ENGINE_MATMUL:
-            rmpu_cycles = self.rmpu.operator_cycles(op, aaq=self.aaq_config)
-        else:
-            vvpu_cycles = self.vvpu.operator_cycles(op)
-        if quantize_output:
-            tokens = op.output_elements / self.ppm_config.pair_dim
-            group_config = self.aaq_config.config_for(op.output_group)
-            vvpu_cycles += self.vvpu.quantization_cycles(
-                tokens, self.ppm_config.pair_dim, group_config.outlier_count
-            )
-        memory_cycles = self.hbm.transfer_cycles(self.operator_dram_bytes(op))
-        return OperatorLatency(
-            name=op.name,
-            phase=op.phase,
-            subphase=op.subphase,
-            rmpu_cycles=rmpu_cycles,
-            vvpu_cycles=vvpu_cycles,
-            memory_cycles=memory_cycles,
-        )
-
-    def simulate_workload_legacy(self, workload: Workload) -> LatencyReport:
-        """Reference implementation: one Python iteration per operator."""
-        operator_latencies = [self.simulate_operator(op) for op in workload.operators]
-        phase_cycles: Dict[str, float] = {}
-        subphase_cycles: Dict[str, float] = {}
-        total = 0.0
-        dram_bytes = 0.0
-        for op, latency in zip(workload.operators, operator_latencies):
-            stage = latency.stage_cycles + self.hw_config.per_op_overhead_cycles
-            total += stage
-            phase_cycles[op.phase] = phase_cycles.get(op.phase, 0.0) + stage
-            if op.subphase:
-                subphase_cycles[op.subphase] = subphase_cycles.get(op.subphase, 0.0) + stage
-            dram_bytes += self.operator_dram_bytes(op)
-        total += self.hw_config.pipeline_fill_cycles
-        return LatencyReport(
-            sequence_length=workload.sequence_length,
-            total_cycles=total,
-            total_seconds=total / self.hw_config.cycles_per_second,
-            phase_cycles=phase_cycles,
-            subphase_cycles=subphase_cycles,
-            dram_bytes=dram_bytes,
-            _latencies=operator_latencies,
-        )
-
     def _engine_cycles(self, table) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rmpu, vvpu, memory, dram) per-operator arrays over table columns.
 
@@ -340,75 +276,15 @@ class LightNobelAccelerator:
         )
         return rmpu_cycles, vvpu_cycles, memory_cycles, dram
 
-    def _assemble_report(
-        self,
-        table: OperatorTable,
-        rmpu_cycles: np.ndarray,
-        vvpu_cycles: np.ndarray,
-        memory_cycles: np.ndarray,
-        dram: np.ndarray,
-    ) -> LatencyReport:
-        """Reduce per-operator engine cycles to one :class:`LatencyReport`."""
-        stage = (
-            np.maximum(np.maximum(rmpu_cycles, vvpu_cycles), memory_cycles)
-            + self.hw_config.per_op_overhead_cycles
-        )
-        return self._finish_report(
-            table,
-            stage,
-            rmpu_cycles,
-            vvpu_cycles,
-            memory_cycles,
-            dram,
-            table.weighted_sums("phase", stage),
-            table.weighted_sums("subphase", stage),
-        )
-
-    def _finish_report(
-        self,
-        table: OperatorTable,
-        stage: np.ndarray,
-        rmpu_cycles: np.ndarray,
-        vvpu_cycles: np.ndarray,
-        memory_cycles: np.ndarray,
-        dram: np.ndarray,
-        phase_cycles: Dict[str, float],
-        subphase_cycles: Dict[str, float],
-    ) -> LatencyReport:
-        total = float(stage.sum()) + self.hw_config.pipeline_fill_cycles
-        return LatencyReport(
-            sequence_length=table.sequence_length,
-            total_cycles=total,
-            total_seconds=total / self.hw_config.cycles_per_second,
-            phase_cycles=phase_cycles,
-            subphase_cycles={sub: c for sub, c in subphase_cycles.items() if sub},
-            dram_bytes=float(dram.sum()),
-            _columns=_LatencyColumns(
-                names=table.names,
-                phase_codes=table.phase_codes,
-                phases=table.phases,
-                subphase_codes=table.subphase_codes,
-                subphases=table.subphases,
-                rmpu_cycles=rmpu_cycles,
-                vvpu_cycles=vvpu_cycles,
-                memory_cycles=memory_cycles,
-            ),
-        )
-
-    def simulate_table(self, table: OperatorTable) -> LatencyReport:
-        """Vectorized simulation over the columns of an :class:`OperatorTable`."""
-        rmpu, vvpu, memory, dram = self._engine_cycles(table)
-        return self._assemble_report(table, rmpu, vvpu, memory, dram)
-
     def simulate_stack(self, stack: StackedOperatorTable) -> List[LatencyReport]:
         """One vectorized pass over a whole length mix; one report per segment.
 
         The engine arithmetic runs once over the stacked concatenation, the
         phase/subphase reductions once over combined (segment, label) bins,
-        and per-segment totals over contiguous slices — all accumulation
-        orders match the per-length call, so every returned report is
-        bit-identical to :meth:`simulate_table` on that length (asserted by
-        ``tests/test_stacked_table.py``).
+        and per-segment totals over contiguous slices.  Every elementwise
+        expression and every accumulation order is independent of the other
+        segments, so a length's report is the same in any mix, a one-segment
+        stack included (asserted by ``tests/test_stacked_table.py``).
         """
         rmpu, vvpu, memory, dram = self._engine_cycles(stack)
         stage = (
@@ -417,19 +293,32 @@ class LightNobelAccelerator:
         )
         phase_dicts = stack.segment_weighted_sums_all("phase", stage)
         subphase_dicts = stack.segment_weighted_sums_all("subphase", stage)
-        return [
-            self._finish_report(
-                stack.tables[i],
-                stage[sl],
-                rmpu[sl],
-                vvpu[sl],
-                memory[sl],
-                dram[sl],
-                phase_dicts[i],
-                subphase_dicts[i],
+        reports = []
+        for table, sl, phases, subphases in zip(
+            stack.tables, stack.segments, phase_dicts, subphase_dicts
+        ):
+            total = float(stage[sl].sum()) + self.hw_config.pipeline_fill_cycles
+            reports.append(
+                LatencyReport(
+                    sequence_length=table.sequence_length,
+                    total_cycles=total,
+                    total_seconds=total / self.hw_config.cycles_per_second,
+                    phase_cycles=phases,
+                    subphase_cycles={sub: c for sub, c in subphases.items() if sub},
+                    dram_bytes=float(dram[sl].sum()),
+                    _columns=_LatencyColumns(
+                        names=table.names,
+                        phase_codes=table.phase_codes,
+                        phases=table.phases,
+                        subphase_codes=table.subphase_codes,
+                        subphases=table.subphases,
+                        rmpu_cycles=rmpu[sl],
+                        vvpu_cycles=vvpu[sl],
+                        memory_cycles=memory[sl],
+                    ),
+                )
             )
-            for i, sl in enumerate(stack.segments)
-        ]
+        return reports
 
     def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[float]:
         """Per-segment ``total_seconds`` only — no report materialization.
@@ -437,7 +326,7 @@ class LightNobelAccelerator:
         Totals-only consumers (the planner's service-time prefetch prices
         thousands of lengths and reads nothing but the scalar) skip the
         per-segment ``LatencyReport`` assembly entirely.  Each total is the
-        same contiguous-slice sum :meth:`simulate_table` computes
+        same contiguous-slice sum :meth:`simulate_stack` computes
         (``ndarray.sum`` delegates to ``np.add.reduce``), so the floats are
         bit-identical to the full-report path.
         """
@@ -461,14 +350,17 @@ class LightNobelAccelerator:
             / self.hw_config.cycles_per_second
         ).tolist()
 
-    def simulate_workload(self, workload: Workload) -> LatencyReport:
-        """Simulate an explicit workload through the columnar engine."""
-        return self.simulate_table(OperatorTable.from_workload(workload))
+    def simulate_table(self, table: OperatorTable) -> LatencyReport:
+        """Price one operator table as a one-segment stack."""
+        return self.simulate_stack(StackedOperatorTable.from_tables([table]))[0]
 
     def simulate(self, sequence_length: int, include_recycles: bool = False) -> LatencyReport:
         """Simulate one inference at ``sequence_length`` residues."""
-        table = get_op_table(self.ppm_config, sequence_length, include_recycles=include_recycles)
-        return self.simulate_table(table)
+        return self.simulate_stack(
+            get_stacked_table(
+                self.ppm_config, [sequence_length], include_recycles=include_recycles
+            )
+        )[0]
 
     # ------------------------------------------------------------- convenience
     def folding_block_seconds(self, sequence_length: int) -> float:

@@ -285,9 +285,6 @@ class OperatorTable:
         return {phase: self.select(self.phase_codes == code)
                 for code, phase in enumerate(self.phases)}
 
-    def phase_sums(self, column: str = "macs") -> Dict[str, float]:
-        return self.groupby_sum("phase", column)
-
 
 def _remap_codes(
     codes: Sequence[np.ndarray], vocabs: Sequence[Tuple]
@@ -425,10 +422,6 @@ class StackedOperatorTable:
             object.__setattr__(self, "_segments", cached)
         return cached
 
-    def segment_table(self, index: int) -> OperatorTable:
-        """The source per-length table of segment ``index``."""
-        return self.tables[index]
-
     def segment_index(self, sequence_length: int) -> int:
         """Segment holding ``sequence_length`` (raises ``ValueError`` if absent)."""
         return self.lengths.index(int(sequence_length))
@@ -445,17 +438,6 @@ class StackedOperatorTable:
         return self.phase_codes == self.phases.index(phase)
 
     # ------------------------------------------------------------- reductions
-    def segment_sums(self, values: np.ndarray) -> List[float]:
-        """Per-segment sum of a stacked per-operator array.
-
-        Summed slice by slice (not via ``reduceat``): each slice is the
-        contiguous per-length array, so numpy's pairwise summation yields the
-        bit-identical total the per-length evaluation computes.
-        """
-        return [
-            float(np.sum(values[self.segment(i)])) for i in range(self.num_segments)
-        ]
-
     def segment_weighted_sums(self, key: str, values: np.ndarray) -> List[Dict]:
         """Per-segment :meth:`OperatorTable.weighted_sums` over stacked values.
 

@@ -1,0 +1,167 @@
+"""Per-operator scalar pricing: the independent oracle for the columnar engines.
+
+The engines (:class:`~repro.hardware.LightNobelAccelerator` and
+:class:`~repro.gpu.GPUModel`) price whole stacked operator tables with
+vectorized column expressions.  The functions here price the same operator
+graph one :class:`~repro.ppm.workload.Operator` at a time, composing the
+per-engine component models (``RMPU.operator_cycles``,
+``VVPU.operator_cycles``/``quantization_cycles``, ``HBMModel.transfer_cycles``)
+in plain Python.  Parity tests and the columnar-vs-scalar perf guard compare
+the engines against them; agreement is within float rounding (1e-9 relative),
+not bitwise, because the loops accumulate in operator order.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+from repro.gpu.gpu_model import (
+    CHUNK_COMPUTE_PENALTY,
+    CHUNK_ROWS,
+    CHUNK_TRAFFIC_FACTOR,
+    FP16_BYTES,
+    GPULatencyReport,
+    GPUModel,
+)
+from repro.hardware import LatencyReport, LightNobelAccelerator, OperatorLatency
+from repro.ppm.activation_tap import GROUP_C
+from repro.ppm.workload import ENGINE_MATMUL, PHASE_PAIR, Operator, Workload
+
+
+# ---------------------------------------------------------------- accelerator
+def operator_dram_bytes(accelerator: LightNobelAccelerator, op: Operator) -> float:
+    """DRAM traffic of one operator under AAQ and token-wise MHA."""
+    if op.fusible and accelerator.tokenwise_mha:
+        return 0.0
+    bytes_per_element = accelerator.activation_bytes_per_element
+    in_bytes = op.input_elements * bytes_per_element(op.output_group or GROUP_C)
+    out_bytes = op.output_elements * bytes_per_element(op.output_group)
+    weight_bytes = op.weight_elements * 2.0  # 16-bit weights, streamed once
+    return in_bytes + out_bytes + weight_bytes
+
+
+def simulate_operator(accelerator: LightNobelAccelerator, op: Operator) -> OperatorLatency:
+    """Engine cycles of one operator on the accelerator."""
+    ppm = accelerator.ppm_config
+    quantize_output = op.output_group is not None and not (
+        op.fusible and accelerator.tokenwise_mha
+    )
+    rmpu_cycles = 0.0
+    vvpu_cycles = 0.0
+    if op.engine == ENGINE_MATMUL:
+        rmpu_cycles = accelerator.rmpu.operator_cycles(op, aaq=accelerator.aaq_config)
+    else:
+        vvpu_cycles = accelerator.vvpu.operator_cycles(op)
+    if quantize_output:
+        tokens = op.output_elements / ppm.pair_dim
+        group_config = accelerator.aaq_config.config_for(op.output_group)
+        vvpu_cycles += accelerator.vvpu.quantization_cycles(
+            tokens, ppm.pair_dim, group_config.outlier_count
+        )
+    memory_cycles = accelerator.hbm.transfer_cycles(operator_dram_bytes(accelerator, op))
+    return OperatorLatency(
+        name=op.name,
+        phase=op.phase,
+        subphase=op.subphase,
+        rmpu_cycles=rmpu_cycles,
+        vvpu_cycles=vvpu_cycles,
+        memory_cycles=memory_cycles,
+    )
+
+
+def simulate_accelerator_workload(
+    accelerator: LightNobelAccelerator, workload: Workload
+) -> LatencyReport:
+    """One Python iteration per operator; carries per-operator latencies only."""
+    hw = accelerator.hw_config
+    operator_latencies = [simulate_operator(accelerator, op) for op in workload.operators]
+    phase_cycles: Dict[str, float] = {}
+    subphase_cycles: Dict[str, float] = {}
+    total = 0.0
+    dram_bytes = 0.0
+    for op, latency in zip(workload.operators, operator_latencies):
+        stage = latency.stage_cycles + hw.per_op_overhead_cycles
+        total += stage
+        phase_cycles[op.phase] = phase_cycles.get(op.phase, 0.0) + stage
+        if op.subphase:
+            subphase_cycles[op.subphase] = subphase_cycles.get(op.subphase, 0.0) + stage
+        dram_bytes += operator_dram_bytes(accelerator, op)
+    total += hw.pipeline_fill_cycles
+    return LatencyReport(
+        sequence_length=workload.sequence_length,
+        total_cycles=total,
+        total_seconds=total / hw.cycles_per_second,
+        phase_cycles=phase_cycles,
+        subphase_cycles=subphase_cycles,
+        dram_bytes=dram_bytes,
+        _latencies=operator_latencies,
+    )
+
+
+def bottleneck_share(report: LatencyReport) -> Dict[str, float]:
+    """Fraction of stage latency bound by each engine, operator by operator."""
+    totals: Dict[str, float] = {"rmpu": 0.0, "vvpu": 0.0, "memory": 0.0}
+    for op in report.operator_latencies:
+        totals[op.bottleneck] += op.stage_cycles
+    total = sum(totals.values()) or 1.0
+    return {k: v / total for k, v in totals.items()}
+
+
+# ------------------------------------------------------------------------ GPU
+def operator_seconds(model: GPUModel, op: Operator, chunked: bool) -> Tuple[float, float]:
+    """(seconds, kernel count) of one operator on the GPU roofline."""
+    gpu = model.gpu
+    compute_eff = gpu.effective_flops
+    chunk_applies = chunked and op.phase == PHASE_PAIR
+    if chunk_applies:
+        compute_eff *= CHUNK_COMPUTE_PENALTY
+
+    flops = op.flops
+    if op.engine == ENGINE_MATMUL:
+        compute_time = flops / compute_eff
+    else:
+        compute_time = flops / (gpu.effective_flops * 0.1)
+
+    traffic = (
+        op.input_elements + op.output_elements
+    ) * FP16_BYTES + op.weight_elements * FP16_BYTES
+    if chunk_applies:
+        traffic *= CHUNK_TRAFFIC_FACTOR
+    memory_time = traffic / gpu.effective_bandwidth
+
+    if chunk_applies:
+        # Chunked pair kernels launch one kernel per CHUNK_ROWS rows of the
+        # (Ns, Ns, Hz) pair tensor, i.e. roughly Ns / CHUNK_ROWS kernels.
+        tokens = max(1.0, op.output_elements / max(model.ppm_config.pair_dim, 1))
+        kernels = max(1.0, tokens ** 0.5 / CHUNK_ROWS)
+    else:
+        kernels = 1.0
+    launch_time = kernels * gpu.kernel_launch_us * 1e-6
+    return max(compute_time, memory_time) + launch_time, kernels
+
+
+def simulate_gpu_workload(
+    model: GPUModel, workload: Workload, chunked: bool = False
+) -> GPULatencyReport:
+    """One Python iteration per operator on the GPU roofline."""
+    phase_seconds: Dict[str, float] = {}
+    subphase_seconds: Dict[str, float] = {}
+    total = 0.0
+    kernels = 0.0
+    for op in workload.operators:
+        seconds, op_kernels = operator_seconds(model, op, chunked)
+        total += seconds
+        kernels += op_kernels
+        phase_seconds[op.phase] = phase_seconds.get(op.phase, 0.0) + seconds
+        if op.subphase:
+            subphase_seconds[op.subphase] = subphase_seconds.get(op.subphase, 0.0) + seconds
+    return GPULatencyReport(
+        gpu=model.gpu.name,
+        sequence_length=workload.sequence_length,
+        chunked=chunked,
+        total_seconds=total,
+        phase_seconds=phase_seconds,
+        subphase_seconds=subphase_seconds,
+        kernel_count=kernels,
+        out_of_memory=not model.fits_in_memory(workload.sequence_length, chunked=chunked),
+    )

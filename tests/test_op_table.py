@@ -2,15 +2,21 @@
 
 The acceptance bar for the columnar refactor: `OperatorTable`-backed
 `simulate()` and DSE results must be numerically identical (within 1e-9
-relative) to the legacy per-operator object-graph path.  The tables
-themselves, built from one tiled block per graph segment, must be bytewise
-the tables of the object graph (`build_model_ops`, the oracle).
+relative) to the per-operator scalar reference of `reference_pricing`.  The
+tables themselves, built from one tiled block per graph segment, must be
+bytewise the tables of the object graph (`build_model_ops`, the oracle).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from reference_pricing import (
+    bottleneck_share,
+    simulate_accelerator_workload,
+    simulate_gpu_workload,
+)
 
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
@@ -254,7 +260,7 @@ class TestAcceleratorParity:
     @pytest.mark.parametrize("tokenwise_mha", [True, False])
     def test_simulate_matches_legacy(self, paper_config, n, tokenwise_mha):
         accelerator = LightNobelAccelerator(ppm_config=paper_config, tokenwise_mha=tokenwise_mha)
-        legacy = accelerator.simulate_workload_legacy(build_model_ops(paper_config, n))
+        legacy = simulate_accelerator_workload(accelerator, build_model_ops(paper_config, n))
         fast = accelerator.simulate(n)
         assert relerr(fast.total_cycles, legacy.total_cycles) < REL
         assert relerr(fast.total_seconds, legacy.total_seconds) < REL
@@ -268,8 +274,8 @@ class TestAcceleratorParity:
     def test_per_operator_latencies_match_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         workload = build_model_ops(paper_config, 64)
-        legacy = accelerator.simulate_workload_legacy(workload)
-        fast = accelerator.simulate_workload(workload)
+        legacy = simulate_accelerator_workload(accelerator, workload)
+        fast = accelerator.simulate_table(OperatorTable.from_workload(workload))
         assert len(fast.operator_latencies) == len(legacy.operator_latencies)
         for a, b in zip(fast.operator_latencies, legacy.operator_latencies):
             assert a.name == b.name and a.phase == b.phase and a.subphase == b.subphase
@@ -281,7 +287,7 @@ class TestAcceleratorParity:
     def test_bottleneck_share_matches_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         workload = build_model_ops(paper_config, 96)
-        legacy = accelerator.simulate_workload_legacy(workload).bottleneck_share()
+        legacy = bottleneck_share(simulate_accelerator_workload(accelerator, workload))
         fast = accelerator.simulate(96).bottleneck_share()
         assert set(fast) == set(legacy)
         for engine, share in legacy.items():
@@ -295,8 +301,8 @@ class TestAcceleratorParity:
             accelerator = LightNobelAccelerator(hw_config=hw, ppm_config=paper_config)
             legacy = np.mean(
                 [
-                    accelerator.simulate_workload_legacy(
-                        build_model_ops(paper_config, n)
+                    simulate_accelerator_workload(
+                        accelerator, build_model_ops(paper_config, n)
                     ).total_seconds
                     for n in lengths
                 ]
@@ -310,7 +316,7 @@ class TestGPUParity:
     @pytest.mark.parametrize("gpu", ["A100", "H100"])
     def test_simulate_matches_legacy(self, paper_config, gpu, chunked):
         model = GPUModel(gpu, ppm_config=paper_config)
-        legacy = model.simulate_workload_legacy(build_model_ops(paper_config, 96), chunked=chunked)
+        legacy = simulate_gpu_workload(model, build_model_ops(paper_config, 96), chunked=chunked)
         fast = model.simulate(96, chunked=chunked)
         assert relerr(fast.total_seconds, legacy.total_seconds) < REL
         assert relerr(fast.kernel_count, legacy.kernel_count) < REL

@@ -1,15 +1,14 @@
 """Stacked multi-length operator tables (PR 7): invariants, goldens, parity.
 
-Three independent implementations must agree on every latency number:
+Every latency number must agree across:
 
-* the **legacy per-operator loop** (``simulate_workload_legacy``) — the
-  original reference engine,
-* the **per-length columnar path** (the engines' ``simulate_table``) — one
-  table per length,
+* the **scalar reference** (``reference_pricing``) — one Python iteration
+  per operator, independent of the columnar engines,
+* the engines' **per-length entry points** (``simulate(n)`` and
+  ``simulate_table``), which price a one-segment stack,
 * the **stacked path** (``simulate_stack`` / ``simulate_stack_totals``) —
   one ragged table, one vectorized pass over a whole traffic mix.  A single
-  length is a one-segment stack (how the session prices one length), which
-  must equal the same segment of a wider stack exactly.
+  length must equal the same segment of a wider stack exactly.
 
 The stacked path must reproduce the pinned goldens of
 :mod:`test_sim_goldens` on every registered backend, the totals-only fast
@@ -25,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_pricing import simulate_accelerator_workload, simulate_gpu_workload
 from test_sim_goldens import (
     BACKENDS as GOLDEN_BACKENDS,
     GOLDENS,
@@ -39,7 +39,9 @@ from repro.cluster import (
     poisson_trace,
     prefetch_service_times,
 )
+from repro.gpu import GPUModel
 from repro.gpu.gpu_config import get_gpu
+from repro.hardware import LightNobelAccelerator
 from repro.ppm import PPMConfig, get_op_table, get_stacked_table, get_workload
 from repro.ppm.op_table import StackedOperatorTable
 from repro.serving import LatencyRequest, LatencyService
@@ -88,30 +90,48 @@ def approx_equal(a: float, b: float) -> bool:
 
 
 def legacy_report(backend, config: PPMConfig, n: int):
-    """The pre-columnar per-operator loop behind ``backend`` for length ``n``."""
+    """The per-operator scalar reference behind ``backend`` for length ``n``."""
     workload = get_workload(config, n)
     simulator = getattr(backend, "simulator", None)
     if simulator is not None:
-        return simulator.simulate_workload_legacy(workload)
-    return backend.model.simulate_workload_legacy(workload, chunked=backend.chunked)
+        return simulate_accelerator_workload(simulator, workload)
+    return simulate_gpu_workload(backend.model, workload, chunked=backend.chunked)
 
 
-def engine_table_seconds(backend, config: PPMConfig, n: int):
-    """The engine's own per-table path (``simulate_table``) behind ``backend``.
+def engine_seconds(backend, report):
+    """``(total, phase, subphase seconds, out_of_memory)`` of an engine report.
 
-    Returns ``(total_seconds, phase_seconds, subphase_seconds, out_of_memory)``
-    in seconds for both engines (the accelerator reports cycles and never
-    runs out of memory).
+    Both engines in seconds (the accelerator reports cycles and never runs
+    out of memory).
+    """
+    simulator = getattr(backend, "simulator", None)
+    if simulator is None:
+        return (
+            report.total_seconds,
+            report.phase_seconds,
+            report.subphase_seconds,
+            report.out_of_memory,
+        )
+    clock = simulator.hw_config.cycles_per_second
+    subphases = {sub: cycles / clock for sub, cycles in report.subphase_cycles.items()}
+    return report.total_seconds, report.phase_seconds(clock), subphases, False
+
+
+def engine_per_length(backend, config: PPMConfig, n: int):
+    """The engine's ``simulate(n)`` and ``simulate_table`` reports behind ``backend``.
+
+    The accelerator prices ``simulate(n)`` with ``include_recycles=True``
+    (the tiny config runs no recycles, so the operators are the same).
     """
     table = get_op_table(config, n)
     simulator = getattr(backend, "simulator", None)
     if simulator is None:
-        r = backend.model.simulate_table(table, chunked=backend.chunked)
-        return r.total_seconds, r.phase_seconds, r.subphase_seconds, r.out_of_memory
-    r = simulator.simulate_table(table)
-    clock = simulator.hw_config.cycles_per_second
-    subphases = {sub: cycles / clock for sub, cycles in r.subphase_cycles.items()}
-    return r.total_seconds, r.phase_seconds(clock), subphases, False
+        model, chunked = backend.model, backend.chunked
+        return (
+            model.simulate(n, chunked=chunked),
+            model.simulate_table(table, chunked=chunked),
+        )
+    return simulator.simulate(n, include_recycles=True), simulator.simulate_table(table)
 
 
 # ---------------------------------------------------------------- invariants
@@ -166,13 +186,6 @@ class TestStackInvariants:
     def test_reduction_plan_is_cached(self, config):
         stack = get_stacked_table(config, MIX)
         assert stack._reduction_plan("phase") is stack._reduction_plan("phase")
-
-    def test_segment_sums_match_slice_sums(self, config):
-        stack = get_stacked_table(config, MIX)
-        values = np.linspace(0.25, 4.0, len(stack))
-        assert stack.segment_sums(values) == [
-            float(values[sl].sum()) for sl in stack.segments
-        ]
 
     def test_single_length_stack(self, config):
         stack = get_stacked_table(config, [40])
@@ -235,11 +248,14 @@ class TestThreeWayParity:
                 assert seg == one
                 if spec in MULTICHIP:
                     continue
-                total, phases, subphases, oom = engine_table_seconds(backend, config, n)
-                assert seg.total_seconds == total
-                assert seg.phase_seconds == phases
-                assert seg.subphase_seconds == subphases
-                assert seg.out_of_memory == oom
+                for report in engine_per_length(backend, config, n):
+                    total, phases, subphases, oom = engine_seconds(backend, report)
+                    assert seg.total_seconds == total
+                    assert seg.phase_seconds == phases
+                    assert list(seg.phase_seconds) == list(phases)
+                    assert seg.subphase_seconds == subphases
+                    assert list(seg.subphase_seconds) == list(subphases)
+                    assert seg.out_of_memory == oom
                 legacy = legacy_report(backend, config, n)
                 assert approx_equal(seg.total_seconds, legacy.total_seconds)
 
@@ -253,6 +269,22 @@ class TestThreeWayParity:
                 (r.total_seconds, r.out_of_memory)
                 for r in backend.simulate_stack(stack)
             ]
+
+
+class TestPricingSurface:
+    """Each engine prices stacks through one path and exposes nothing else."""
+
+    @pytest.mark.parametrize("engine", [LightNobelAccelerator, GPUModel])
+    def test_engines_expose_only_stack_pricing(self, engine):
+        public = {name for name in dir(engine) if name.startswith("simulate")}
+        assert public == {
+            "simulate",
+            "simulate_table",
+            "simulate_stack",
+            "simulate_stack_totals",
+        }
+        for name in ("operator_seconds", "simulate_operator", "_assemble_report"):
+            assert not hasattr(engine, name), name
 
 
 # ------------------------------------------------------- session batch totals
