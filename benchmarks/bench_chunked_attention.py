@@ -57,8 +57,9 @@ FOLD_LENGTH = 96
 #: ~200 MiB, and the former two-pass quantizer at ~435 MiB.
 FOLD_BUDGET_MIB = 150.0
 
-#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard: ~205
-#: MiB row-blocked, ~673 MiB with the full outer tensor.
+#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard: ~186
+#: MiB row-blocked with one reused block buffer, ~673 MiB with the full outer
+#: tensor.
 LONG_FOLD_LENGTH = 192
 LONG_FOLD_BUDGET_MIB = 320.0
 

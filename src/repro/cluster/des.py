@@ -324,10 +324,6 @@ class RequestOutcome:
     retries: int = 0
 
     @property
-    def latency_seconds(self) -> float:
-        return self.finish_seconds - self.arrival_seconds
-
-    @property
     def wait_seconds(self) -> float:
         return self.start_seconds - self.arrival_seconds
 

@@ -14,7 +14,7 @@ from .pe import (
     chunks_for_bits,
     units_per_mac,
 )
-from .rmpu import RMPU, RDAReport
+from .rmpu import RMPU
 from .validation import CrossValidationResult, cross_validate, rtl_reference_seconds
 from .vvpu import VVPU, VVPUTimings, bitonic_stage_count, bitonic_topk
 
@@ -35,7 +35,6 @@ __all__ = [
     "PECluster",
     "PELane",
     "ProcessingElement",
-    "RDAReport",
     "RMPU",
     "SUPPORTED_LANE_GROUPS",
     "ScratchpadSpec",

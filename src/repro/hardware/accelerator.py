@@ -32,13 +32,7 @@ from ..core.aaq import AAQConfig
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
-from ..ppm.workload import (
-    ENGINE_MATMUL,
-    PHASE_INPUT_EMBEDDING,
-    PHASE_PAIR,
-    PHASE_SEQUENCE,
-    PHASE_STRUCTURE,
-)
+from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from .config import LightNobelConfig
 from .memory import HBMModel
 from .pe import units_per_mac
@@ -368,9 +362,3 @@ class LightNobelAccelerator:
         report = self.simulate(sequence_length)
         cycles = report.phase_cycles.get(PHASE_PAIR, 0.0) + report.phase_cycles.get(PHASE_SEQUENCE, 0.0)
         return cycles / self.hw_config.cycles_per_second
-
-    def accelerated_phases(self) -> tuple:
-        return (PHASE_PAIR, PHASE_SEQUENCE)
-
-    def unaccelerated_phases(self) -> tuple:
-        return (PHASE_INPUT_EMBEDDING, PHASE_STRUCTURE)

@@ -89,10 +89,6 @@ class LightNobelConfig:
         return self.multiplier_units_per_rmpu * self.num_rmpus
 
     @property
-    def total_simd_lanes(self) -> int:
-        return self.num_vvpus * self.simd_lanes_per_vvpu
-
-    @property
     def cycles_per_second(self) -> float:
         return self.clock_ghz * 1e9
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Optional
 
 from ..core.memory_layout import BlockedLayout
@@ -24,9 +23,6 @@ class ScratchpadSpec:
 
     def fits(self, bytes_needed: float) -> bool:
         return bytes_needed <= self.capacity_bytes
-
-    def lines_for(self, bytes_needed: float) -> int:
-        return int(ceil(bytes_needed / self.line_bytes))
 
 
 class TokenAligner:
@@ -52,10 +48,6 @@ class CrossbarNetwork:
             raise ValueError("ports and port width must be positive")
         self.ports = ports
         self.port_bytes_per_cycle = port_bytes_per_cycle
-
-    @property
-    def bisection_bytes_per_cycle(self) -> float:
-        return self.ports * self.port_bytes_per_cycle
 
     def transfer_cycles(self, total_bytes: float, active_ports: Optional[int] = None) -> float:
         """Cycles to move ``total_bytes`` spread across ``active_ports`` ports."""

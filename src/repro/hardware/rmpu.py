@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.aaq import AAQConfig
@@ -11,20 +10,6 @@ from ..ppm.activation_tap import GROUP_C
 from ..ppm.workload import Operator
 from .config import LightNobelConfig
 from .pe import PECluster, units_per_mac
-
-
-@dataclass(frozen=True)
-class RDAReport:
-    """Work done by the Reconfigurable Data Aligner for one operator."""
-
-    tokens: float
-    chunks_per_token: float
-
-    @property
-    def alignment_cycles(self) -> float:
-        # The RDA realigns one token per cycle per RMPU; chunk splitting is
-        # pipelined with the engine so only the per-token pass is visible.
-        return self.tokens
 
 
 class RMPU:
@@ -84,7 +69,3 @@ class RMPU:
     def config_hidden_dim(self) -> int:
         """Hidden dimension assumed for token-shaped dot products (paper: 128)."""
         return 128
-
-    def rda_report(self, op: Operator) -> RDAReport:
-        tokens = op.input_elements / self.config_hidden_dim()
-        return RDAReport(tokens=tokens, chunks_per_token=self.config_hidden_dim() / 4)

@@ -344,10 +344,6 @@ class MetricsRegistry:
             self._families[family.name] = family
         return family
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._families.pop(name, None)
-
     def get(self, name: str) -> Optional[_Family]:
         return self._families.get(name)
 

@@ -87,7 +87,9 @@ class OuterProductMean(Module):
     Every block holds complete (i, j) tokens and ``linear_o`` projects each
     row with the same matmul, so the output is bit-identical for any block
     size, AAQ contexts included.  A recording context sees one ``outer``
-    record per block.
+    record per block.  Every block is built in the same reused buffer, so
+    the array handed to the ``outer`` tap is valid only during that call: a
+    context that keeps it must copy it (``ActivationRecorder`` does).
     """
 
     def __init__(
@@ -113,10 +115,13 @@ class OuterProductMean(Module):
         normalized = self.layer_norm(sequence)
         a = self.linear_a(normalized)
         b = self.linear_b(normalized)
-        num_residues = a.shape[0]
-        update = np.empty((num_residues, b.shape[0], self.linear_o.out_dim), dtype=a.dtype)
+        num_residues, num_cols = a.shape[0], b.shape[0]
+        update = np.empty((num_residues, num_cols, self.linear_o.out_dim), dtype=a.dtype)
+        block = min(self.chunk_size or num_residues, num_residues)
+        buffer = np.empty((block, num_cols, a.shape[1], b.shape[1]), dtype=a.dtype)
         for rs in iter_chunks(num_residues, self.chunk_size):
-            outer = (a[rs, None, :, None] * b[None, :, None, :]).reshape(rs.stop - rs.start, b.shape[0], -1)
+            outer = np.multiply(a[rs, None, :, None], b[None, :, None, :], out=buffer[: rs.stop - rs.start])
+            outer = outer.reshape(rs.stop - rs.start, num_cols, -1)
             outer /= np.sqrt(self.hidden_dim)
             outer = ctx.process(f"{self.name}.outer", GROUP_C, outer)
             update[rs] = self.linear_o(outer)

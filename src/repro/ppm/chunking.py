@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .activation_tap import GROUP_C, NULL_CONTEXT, ActivationContext
-from .functional import softmax
+from .functional import inplace_target, softmax
 
 
 def iter_chunks(total: int, chunk: Optional[int]) -> Iterator[slice]:
@@ -157,8 +157,9 @@ def blockwise_attention(
     attended = np.empty(v.shape[:-2] + (num_queries, v.shape[-1]), dtype=v.dtype)
     k_t = np.swapaxes(k, -1, -2)
     for qs in iter_chunks(num_queries, query_chunk):
-        scores = np.matmul(q[..., qs, :], k_t) / scale_divisor
-        scores = scores + bias[..., qs, :]
+        scores = np.matmul(q[..., qs, :], k_t)
+        out = inplace_target(scores, scale_divisor, bias)
+        scores = np.add(np.divide(scores, scale_divisor, out=out), bias[..., qs, :], out=out)
         weights = softmax(scores, axis=-1)
         if weights_tap is not None:
             weights = ctx.process(weights_tap, weights_group, weights)

@@ -115,7 +115,7 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.T
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return out
 
     __call__ = forward

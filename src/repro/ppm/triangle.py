@@ -98,8 +98,10 @@ class TriangleMultiplication(Module):
         normalized = self.layer_norm_in(pair)
         normalized = ctx.process(f"{tag}.post_ln", GROUP_B, normalized)
 
-        a = self.linear_a_p(normalized) * sigmoid(self.linear_a_g(normalized))
-        b = self.linear_b_p(normalized) * sigmoid(self.linear_b_g(normalized))
+        a = self.linear_a_p(normalized)
+        a *= sigmoid(self.linear_a_g(normalized))
+        b = self.linear_b_p(normalized)
+        b *= sigmoid(self.linear_b_g(normalized))
         a = ctx.process(f"{tag}.proj_a", GROUP_C, a)
         b = ctx.process(f"{tag}.proj_b", GROUP_C, b)
 

@@ -263,9 +263,3 @@ class CapacityReport:
         if self.completed <= 0:
             return 0.0
         return (self.coalesced + self.memo_hits) / self.completed
-
-    @property
-    def coalescing_rate(self) -> float:
-        if self.requests <= 0:
-            return 0.0
-        return self.coalesced / self.requests

@@ -458,9 +458,3 @@ class SimulationSession:
             "backends": self.backend_names(),
             "disk_cache": self.cache.stats() if self.cache is not None else None,
         }
-
-    def clear_memo(self) -> None:
-        """Drop the in-memory memo (disk cache entries are kept)."""
-        self._tables.clear()
-        self._stacks.clear()
-        self._reports.clear()

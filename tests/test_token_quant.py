@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_quant import reference_fake_quantize_tokens
 
 from repro.core import (
     AAQConfig,
@@ -15,6 +18,7 @@ from repro.core import (
     select_outliers,
     token_quantization_rmse,
 )
+from repro.core import token_quant
 from repro.ppm.activation_tap import GROUPS
 
 
@@ -136,22 +140,80 @@ class TestTransientMemory:
     (Groups A/B) of the input's bytes.
     """
 
-    #: A 96-residue pair tensor with the outer product mean's 1024 channels.
-    SHAPE = (96 * 96, 1024)
+    #: A 96-residue pair tensor with 8 (triangle attention head), 32 (pair)
+    #: and 1024 (outer product mean) channels.  Per-token temporaries weigh
+    #: 1/H of the input each, so the narrow widths bound them too.
+    SHAPES = ((96 * 96, 8), (96 * 96, 32), (96 * 96, 1024))
     #: Peak traced bytes, the returned array included, over ``input.nbytes``.
     MAX_PEAK_RATIO = 2.25
 
     @pytest.mark.parametrize("group", GROUPS)
     def test_peak_within_bound(self, group):
         config = AAQConfig.paper_optimal().config_for(group)
-        values = np.random.default_rng(0).normal(size=self.SHAPE)
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            out = fake_quantize_tokens(values, config)
-            peak = tracemalloc.get_traced_memory()[1] - baseline
-        finally:
-            tracemalloc.stop()
-        assert out.shape == values.shape
-        ratio = peak / values.nbytes
-        assert ratio <= self.MAX_PEAK_RATIO, f"group {group}: transient peak {ratio:.2f}x input bytes"
+        for shape in self.SHAPES:
+            values = np.random.default_rng(0).normal(size=shape)
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                out = fake_quantize_tokens(values, config)
+                peak = tracemalloc.get_traced_memory()[1] - baseline
+            finally:
+                tracemalloc.stop()
+            assert out.shape == values.shape
+            ratio = peak / values.nbytes
+            assert ratio <= self.MAX_PEAK_RATIO, (
+                f"group {group}, shape {shape}: transient peak {ratio:.2f}x input bytes"
+            )
+
+
+#: Token widths of the reference parity test: degenerate widths, the fold's
+#: 2, 8, 16, 32, 96 and 1024, and both sides of each row-max strategy edge.
+PARITY_WIDTHS = (1, 2, 3, 8, 16, 17, 32, 63, 64, 96, 255, 256, 1024)
+
+#: Kinds of token the parity test mixes row by row.
+TOKEN_KINDS = ("normal", "quantized", "pairs", "repeated", "zero", "equal")
+
+
+@st.composite
+def tie_heavy_tokens(draw):
+    """(tokens, config): normal, already-quantized, +/-x pairs, repeated
+    magnitudes, all-zero and all-equal tokens, mixed row by row, over up to
+    three row blocks of the quantizer's outlier path."""
+    width = draw(st.sampled_from(PARITY_WIDTHS))
+    count = draw(st.sampled_from(sorted({0, 1, 4, width - 1, width, width + 3})))
+    config = TokenQuantConfig(inlier_bits=draw(st.sampled_from([4, 8])), outlier_count=count)
+    block_rows = max(token_quant._OUTLIER_BLOCK_VALUES // width, 1)
+    rows = draw(st.integers(min_value=1, max_value=min(3 * block_rows, 4096)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1e-14, 1.0, 1e3]))
+    tokens = rng.normal(scale=scale, size=(rows, width))
+    for row, kind in zip(tokens, rng.choice(TOKEN_KINDS, size=rows)):
+        if kind == "quantized":
+            row[:] = fake_quantize_tokens(row, TokenQuantConfig(inlier_bits=4, outlier_count=0))
+        elif kind == "pairs":
+            row[1::2] = -row[: width - width % 2 : 2]
+        elif kind == "repeated":
+            row[:] = rng.choice([-2.0, -1.0, 1.0, 2.0, 0.5], size=width) * scale
+        elif kind == "zero":
+            row[:] = rng.choice([0.0, -0.0], size=width)
+        elif kind == "equal":
+            row[:] = row[0]
+    return tokens, config
+
+
+@given(tie_heavy_tokens())
+@settings(max_examples=300, deadline=None)
+def test_fake_quantize_tokens_byte_equal_to_reference(case):
+    """The per-element scale pass equals the gather/scatter reference byte for byte.
+
+    The cases cross every path: no outliers, every value an outlier
+    (``k >= H``), and top-k selection with ties at the cut, in one row block
+    or several.
+    """
+    tokens, config = case
+    before = tokens.copy()
+    result = fake_quantize_tokens(tokens, config)
+    assert tokens.tobytes() == before.tobytes()
+    reference = reference_fake_quantize_tokens(tokens, config)
+    assert result.dtype == reference.dtype and result.shape == reference.shape
+    assert result.tobytes() == reference.tobytes()
