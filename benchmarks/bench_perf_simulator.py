@@ -20,18 +20,27 @@ A third benchmark is the table-build guard: a fresh-length paper-config
 (`OperatorTable.from_workload(build_model_ops(...))`).  It reads the median
 of paired oracle/tiled time ratios, alternating which side runs first, with
 every cache cleared at the start of each pair.
+
+A fourth guard counts rather than times: the engines run their arithmetic
+over a stack's representative rows only (its row map), so the 16-length
+paper-config stack of the ``dse-sweep`` strata (256-4096) must price at most
+1/20 of its rows on both the accelerator and the GPU model (reads 1,360 of
+51,744, one block of each distinct graph segment per length).
 """
 
 import statistics
 import tempfile
 import time
 
+import numpy as np
+
 from conftest import emit_bench_json, print_table
 from reference_pricing import simulate_accelerator_workload
 
 from repro.core.aaq import AAQConfig
+from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
-from repro.ppm import PPMConfig, clear_workload_caches, get_op_table
+from repro.ppm import PPMConfig, clear_workload_caches, get_op_table, get_stacked_table
 from repro.ppm.op_table import OperatorTable
 from repro.ppm.workload import build_model_ops
 from repro.sim import SimulationSession
@@ -321,3 +330,26 @@ def test_perf_table_build_guard(paper_config):
         },
     )
     assert speedup >= MIN_BUILD_SPEEDUP
+
+
+#: Row-count guard: the dse-sweep length strata and the ceiling on the share
+#: of a stack's rows the engines' arithmetic may read.
+DSE_STRATA = np.linspace(256, 4096, 17)
+MAX_PRICED_SHARE = 1 / 20
+
+
+def test_pricing_reads_representative_rows_only(paper_config):
+    lengths = [int(lo + hi) // 2 for lo, hi in zip(DSE_STRATA[:-1], DSE_STRATA[1:])]
+    stack = get_stacked_table(paper_config, lengths)
+    priced = {
+        "accelerator": len(LightNobelAccelerator(ppm_config=paper_config)._engine_cycles(stack)[0]),
+        "gpu": len(GPUModel("H100", ppm_config=paper_config)._operator_columns(stack, True)[0]),
+    }
+    print_table(
+        f"Rows priced per {len(lengths)}-length paper stack ({len(stack)} rows)",
+        [("engine", "priced rows", "share")]
+        + [(name, str(rows), f"1/{len(stack) / rows:.0f}") for name, rows in priced.items()],
+    )
+    for rows in priced.values():
+        assert rows == len(stack.rep_rows)
+        assert rows <= MAX_PRICED_SHARE * len(stack)

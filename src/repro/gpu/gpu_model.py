@@ -87,13 +87,16 @@ class GPUModel:
 
     # ------------------------------------------------------------------ timing
     def _operator_columns(self, table, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """(seconds, kernels) per-operator arrays over table columns.
+        """(seconds, kernels) arrays over the table's representative rows.
 
-        ``table`` is anything exposing the columnar protocol — an
-        :class:`OperatorTable` or a :class:`~repro.ppm.op_table.StackedOperatorTable`.
-        Purely elementwise, so stacked evaluation matches the per-length call
-        bit for bit.
+        ``table`` is an :class:`OperatorTable` or a
+        :class:`~repro.ppm.op_table.StackedOperatorTable`.  The roofline runs
+        over ``table.representatives()`` only; ``np.take(values,
+        table.rep_index)`` gives the per-row arrays.  Purely elementwise, and a
+        representative's inputs are its rows' inputs, so the gathered values
+        match an every-row (or per-length) evaluation bit for bit.
         """
+        table = table.representatives()
         eff = self.gpu.effective_flops
         is_matmul = table.engine_mask(ENGINE_MATMUL)
         chunk_applies = table.phase_mask(PHASE_PAIR) & chunked
@@ -120,18 +123,22 @@ class GPUModel:
     ) -> List[GPULatencyReport]:
         """One roofline pass over a whole length mix; one report per segment.
 
-        Elementwise arithmetic runs once over the stack, phase/subphase
-        reductions once over combined (segment, label) bins, totals over
-        contiguous slices, so a length's report is the same in any mix, a
-        one-segment stack included.
+        Elementwise arithmetic runs once over the stack's representative
+        rows and one take through ``stack.rep_index`` gathers seconds and
+        kernels per row.  Phase/subphase reductions then run once over
+        combined (segment, label) bins and totals over contiguous slices, in
+        every-row order, so the floats are unchanged and a length's report is
+        the same in any mix, a one-segment stack included.
         """
-        seconds, kernels = self._operator_columns(stack, chunked)
-        phase_dicts = stack.segment_weighted_sums_all("phase", seconds)
-        subphase_dicts = stack.segment_weighted_sums_all("subphase", seconds)
         # One 2-row axis-sum per segment totals seconds and kernels together;
         # pairwise summation runs over each contiguous row, so a segment's
         # totals do not depend on its neighbours in the stack.
-        pair = np.vstack((seconds, kernels))
+        pair = np.take(
+            np.vstack(self._operator_columns(stack, chunked)), stack.rep_index, axis=1
+        )
+        seconds = pair[0]
+        phase_dicts = stack.segment_weighted_sums_all("phase", seconds)
+        subphase_dicts = stack.segment_weighted_sums_all("subphase", seconds)
         reports = []
         for table, sl, phases, subphases in zip(
             stack.tables, stack.segments, phase_dicts, subphase_dicts
@@ -157,12 +164,14 @@ class GPUModel:
     ) -> List[float]:
         """Per-segment ``total_seconds`` only — no report materialization.
 
-        Same contiguous-slice sums as :meth:`simulate_stack` (``ndarray.sum``
-        delegates to ``np.add.reduce``), so each float is bit-identical to the
-        full-report path; memory feasibility is the caller's concern (see
-        :meth:`fits_in_memory`, which is memoized).
+        One take gathers the representative rows' seconds per row; the
+        totals are the same contiguous-slice sums as :meth:`simulate_stack`
+        (``ndarray.sum`` delegates to ``np.add.reduce``), so each float is
+        bit-identical to the full-report path; memory feasibility is the
+        caller's concern (see :meth:`fits_in_memory`, which is memoized).
         """
         seconds, _ = self._operator_columns(stack, chunked)
+        seconds = np.take(seconds, stack.rep_index)
         total = np.add.reduce
         return np.fromiter(
             (total(seconds[sl]) for sl in stack.segments),

@@ -14,11 +14,12 @@ chip, which removes both its DRAM traffic and its quantization cost.
 
 Pricing is columnar and has one path:
 :meth:`LightNobelAccelerator.simulate_stack` evaluates every engine latency as
-a vectorized expression over the columns of a
-:class:`~repro.ppm.op_table.StackedOperatorTable` and reduces them to one
-report per length.  A single length or table is priced as a one-segment
-stack.  The per-operator scalar reference the parity tests and perf
-benchmarks compare against lives in ``tests/reference_pricing.py``.
+a vectorized expression over the representative rows of a
+:class:`~repro.ppm.op_table.StackedOperatorTable` (its row map), gathers the
+per-row values it reduces and reduces them to one report per length.  A
+single length or table is priced as a one-segment stack.  The per-operator
+scalar reference the parity tests and perf benchmarks compare against lives
+in ``tests/reference_pricing.py``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ class OperatorLatency:
 
 @dataclass
 class _LatencyColumns:
-    """Columnar per-operator latencies backing a lazily-built object list."""
+    """Columnar per-operator latencies backing a lazily-built object list.
+
+    The engine cycles are held per representative row of the segment's table;
+    ``rep_index`` (the table's row map) gathers them to per-operator rows
+    only when a caller reads them.
+    """
 
     names: Sequence[str]
     phase_codes: np.ndarray
@@ -78,8 +84,14 @@ class _LatencyColumns:
     rmpu_cycles: np.ndarray
     vvpu_cycles: np.ndarray
     memory_cycles: np.ndarray
+    rep_index: np.ndarray
+
+    def engines(self) -> np.ndarray:
+        """``(3, representatives)`` rmpu/vvpu/memory cycles."""
+        return np.vstack([self.rmpu_cycles, self.vvpu_cycles, self.memory_cycles])
 
     def materialize(self) -> List[OperatorLatency]:
+        rmpu, vvpu, memory = np.take(self.engines(), self.rep_index, axis=1)
         return [
             OperatorLatency(
                 name=name,
@@ -93,9 +105,9 @@ class _LatencyColumns:
                 self.names,
                 self.phase_codes,
                 self.subphase_codes,
-                self.rmpu_cycles,
-                self.vvpu_cycles,
-                self.memory_cycles,
+                rmpu,
+                vvpu,
+                memory,
             )
         ]
 
@@ -125,15 +137,11 @@ class LatencyReport:
 
     def bottleneck_share(self) -> Dict[str, float]:
         """Fraction of stage latency bound by each engine."""
-        stacked = np.vstack(
-            [
-                self._columns.rmpu_cycles,
-                self._columns.vvpu_cycles,
-                self._columns.memory_cycles,
-            ]
-        )
-        stage = stacked.max(axis=0)
-        winner = stacked.argmax(axis=0)
+        columns = self._columns
+        stacked = columns.engines()
+        # Per-row stage and winner through the row map, summed in row order.
+        stage = np.take(stacked.max(axis=0), columns.rep_index)
+        winner = np.take(stacked.argmax(axis=0), columns.rep_index)
         sums = np.bincount(winner, weights=stage, minlength=3)
         total = float(sums.sum()) or 1.0
         return {
@@ -223,13 +231,18 @@ class LightNobelAccelerator:
 
     # -------------------------------------------------------------- simulation
     def _engine_cycles(self, table) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rmpu, vvpu, memory, dram) per-operator arrays over table columns.
+        """(rmpu, vvpu, memory, dram) arrays over the table's representative rows.
 
-        ``table`` is anything exposing the columnar protocol — an
-        :class:`OperatorTable` or a :class:`~repro.ppm.op_table.StackedOperatorTable`.
-        Every expression is elementwise, so evaluating a stacked concatenation
-        yields, per segment, bit-identical values to the per-length call.
+        ``table`` is an :class:`OperatorTable` or a
+        :class:`~repro.ppm.op_table.StackedOperatorTable`.  The arithmetic
+        runs over ``table.representatives()`` only (85 of 3,234 rows per
+        paper-config length); value ``i`` belongs to every row ``r`` with
+        ``table.rep_index[r] == i``, and ``np.take(values, table.rep_index)``
+        gives the per-row array.  Every expression is elementwise and a
+        representative's inputs are its rows' inputs, so the gathered values
+        are bit-identical to evaluating every row (or every segment alone).
         """
+        table = table.representatives()
         params = self._group_parameters(table.groups)
         g = table.group_codes
         fill = float(self.hw_config.pipeline_fill_cycles)
@@ -273,23 +286,30 @@ class LightNobelAccelerator:
     def simulate_stack(self, stack: StackedOperatorTable) -> List[LatencyReport]:
         """One vectorized pass over a whole length mix; one report per segment.
 
-        The engine arithmetic runs once over the stacked concatenation, the
-        phase/subphase reductions once over combined (segment, label) bins,
-        and per-segment totals over contiguous slices.  Every elementwise
-        expression and every accumulation order is independent of the other
-        segments, so a length's report is the same in any mix, a one-segment
-        stack included (asserted by ``tests/test_stacked_table.py``).
+        The engine arithmetic and the stage maximum run once over the stack's
+        representative rows; two takes through ``stack.rep_index`` give the
+        per-row stage and DRAM bytes.  The phase/subphase reductions then run
+        once over combined (segment, label) bins and per-segment totals over
+        contiguous slices, in the same row order as an every-row evaluation,
+        so every float is unchanged.  Every elementwise expression and every
+        accumulation order is independent of the other segments, so a
+        length's report is the same in any mix, a one-segment stack included
+        (asserted by ``tests/test_stacked_table.py``).  Per-operator engine
+        cycles stay per representative until a report's
+        ``operator_latencies`` or ``bottleneck_share()`` reads them.
         """
         rmpu, vvpu, memory, dram = self._engine_cycles(stack)
         stage = (
             np.maximum(np.maximum(rmpu, vvpu), memory)
             + self.hw_config.per_op_overhead_cycles
         )
+        stage = np.take(stage, stack.rep_index)
+        dram = np.take(dram, stack.rep_index)
         phase_dicts = stack.segment_weighted_sums_all("phase", stage)
         subphase_dicts = stack.segment_weighted_sums_all("subphase", stage)
         reports = []
-        for table, sl, phases, subphases in zip(
-            stack.tables, stack.segments, phase_dicts, subphase_dicts
+        for table, sl, reps, phases, subphases in zip(
+            stack.tables, stack.segments, stack.rep_segments, phase_dicts, subphase_dicts
         ):
             total = float(stage[sl].sum()) + self.hw_config.pipeline_fill_cycles
             reports.append(
@@ -306,9 +326,10 @@ class LightNobelAccelerator:
                         phases=table.phases,
                         subphase_codes=table.subphase_codes,
                         subphases=table.subphases,
-                        rmpu_cycles=rmpu[sl],
-                        vvpu_cycles=vvpu[sl],
-                        memory_cycles=memory[sl],
+                        rmpu_cycles=rmpu[reps],
+                        vvpu_cycles=vvpu[reps],
+                        memory_cycles=memory[reps],
+                        rep_index=table.rep_index,
                     ),
                 )
             )
@@ -319,8 +340,9 @@ class LightNobelAccelerator:
 
         Totals-only consumers (the planner's service-time prefetch prices
         thousands of lengths and reads nothing but the scalar) skip the
-        per-segment ``LatencyReport`` assembly entirely.  Each total is the
-        same contiguous-slice sum :meth:`simulate_stack` computes
+        per-segment ``LatencyReport`` assembly entirely.  The stage runs over
+        representative rows and one take gathers it per row; each total is
+        then the same contiguous-slice sum :meth:`simulate_stack` computes
         (``ndarray.sum`` delegates to ``np.add.reduce``), so the floats are
         bit-identical to the full-report path.
         """
@@ -331,6 +353,7 @@ class LightNobelAccelerator:
         stage = np.maximum(rmpu, vvpu)
         np.maximum(stage, memory, out=stage)
         stage += self.hw_config.per_op_overhead_cycles
+        stage = np.take(stage, stack.rep_index)
         total = np.add.reduce
         totals = np.fromiter(
             (total(stage[sl]) for sl in stack.segments),

@@ -31,11 +31,21 @@ to its per-length report, so pricing a mix of hundreds of distinct lengths is
 one numpy pass instead of one engine invocation per length.  Each segment's
 columns are bytewise the per-length table's columns, which keeps stacked
 evaluation bit-identical to the per-length path.
+
+Every table and stack also carries a *row map*: ``rep_rows``, the rows that
+represent each distinct set of pricing columns (label codes, ``fusible`` and
+the numbers), and ``rep_index``, each row's position in ``rep_rows``.  A tiled
+table has one representative per row of one block of each distinct segment
+builder (85 of the paper config's 3,234 rows), shared by every length.  The
+latency backends evaluate their elementwise arithmetic over
+:meth:`~OperatorTable.representatives` only and gather per-row values back
+with one ``np.take`` through ``rep_index``: each row then holds exactly the
+value its own inputs would give, so every downstream reduction is unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -94,9 +104,104 @@ def _numeric_fields(rows: np.ndarray) -> Dict[str, np.ndarray]:
     return dict(zip(NUMERIC_COLUMNS, rows))
 
 
+def _row_map(*keys: np.ndarray) -> Dict[str, np.ndarray]:
+    """``rep_rows``/``rep_index`` fields of the rows keyed by integer ``keys``.
+
+    Rows with equal keys (every key column equal) share one representative,
+    the first of them; representatives keep row order.  Both arrays are int32.
+    """
+    ids: Dict = {}  # key -> representative position, in first-appearance order
+    rep_index = np.fromiter(
+        (ids.setdefault(key, len(ids)) for key in zip(*(k.tolist() for k in keys))),
+        dtype=np.int32,
+        count=len(keys[0]),
+    )
+    _, first = np.unique(rep_index, return_index=True)
+    return {
+        "rep_rows": _freeze(first.astype(np.int32)),
+        "rep_index": _freeze(rep_index),
+    }
+
+
+def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Read-only concatenation; a lone (already read-only) array is reused."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return _freeze(np.concatenate(arrays))
+
+
+class _Columns:
+    """Derived columns and label masks of any columnar operator view."""
+
+    @property
+    def flops(self) -> np.ndarray:
+        return 2.0 * self.macs + self.vector_ops
+
+    def engine_mask(self, engine: str) -> np.ndarray:
+        if engine not in self.engines:
+            return np.zeros(len(self.engine_codes), dtype=bool)
+        return self.engine_codes == self.engines.index(engine)
+
+    def phase_mask(self, phase: str) -> np.ndarray:
+        if phase not in self.phases:
+            return np.zeros(len(self.phase_codes), dtype=bool)
+        return self.phase_codes == self.phases.index(phase)
+
+
 @dataclass(frozen=True, eq=False)
-class OperatorTable:
-    """One operator graph stored column-wise (struct of arrays)."""
+class RepresentativeRows(_Columns):
+    """The pricing columns of a table's representative rows, and nothing else.
+
+    Built by :meth:`OperatorTable.representatives` and
+    :meth:`StackedOperatorTable.representatives`; row ``i`` is table row
+    ``rep_rows[i]``.  Vocabularies are the table's own, so the label masks and
+    per-group parameter gathers of the backends work unchanged.
+    """
+
+    engines: Tuple[str, ...]
+    engine_codes: np.ndarray
+    phases: Tuple[str, ...]
+    phase_codes: np.ndarray
+    groups: Tuple[Optional[str], ...]
+    group_codes: np.ndarray
+    fusible: np.ndarray
+    macs: np.ndarray
+    vector_ops: np.ndarray
+    input_elements: np.ndarray
+    output_elements: np.ndarray
+    weight_elements: np.ndarray
+
+
+class _RowMapped(_Columns):
+    """The row-map half of the table protocol (``rep_rows``/``rep_index``)."""
+
+    def representatives(self) -> RepresentativeRows:
+        """The pricing columns gathered at ``rep_rows`` (one take each)."""
+        rows = self.rep_rows
+        return RepresentativeRows(
+            engines=self.engines,
+            engine_codes=np.take(self.engine_codes, rows),
+            phases=self.phases,
+            phase_codes=np.take(self.phase_codes, rows),
+            groups=self.groups,
+            group_codes=np.take(self.group_codes, rows),
+            fusible=np.take(self.fusible, rows),
+            macs=np.take(self.macs, rows),
+            vector_ops=np.take(self.vector_ops, rows),
+            input_elements=np.take(self.input_elements, rows),
+            output_elements=np.take(self.output_elements, rows),
+            weight_elements=np.take(self.weight_elements, rows),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorTable(_RowMapped):
+    """One operator graph stored column-wise (struct of arrays).
+
+    ``rep_rows`` and ``rep_index`` (int32, built with the table, kept out of
+    its repr) are the row map: row ``i`` has the same label codes,
+    ``fusible`` and numeric columns as row ``rep_rows[rep_index[i]]``.
+    """
 
     sequence_length: int
     config: PPMConfig
@@ -115,6 +220,8 @@ class OperatorTable:
     output_elements: np.ndarray
     weight_elements: np.ndarray
     fusible: np.ndarray
+    rep_rows: np.ndarray = field(repr=False)
+    rep_index: np.ndarray = field(repr=False)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -125,6 +232,8 @@ class OperatorTable:
         phase_codes, phases = _encode([op.phase for op in operators])
         subphase_codes, subphases = _encode([op.subphase for op in operators])
         group_codes, groups = _encode([op.output_group for op in operators])
+        fusible = np.array([op.fusible for op in operators], dtype=bool)
+        numbers = _numeric_rows(operators)
         return cls(
             sequence_length=sequence_length,
             config=config,
@@ -137,8 +246,13 @@ class OperatorTable:
             subphase_codes=_freeze(subphase_codes),
             groups=groups,
             group_codes=_freeze(group_codes),
-            fusible=_freeze(np.array([op.fusible for op in operators], dtype=bool)),
-            **_numeric_fields(_numeric_rows(operators)),
+            fusible=_freeze(fusible),
+            # Numbers are keyed by their bits: 0.0 and -0.0 stay apart.
+            **_row_map(
+                engine_codes, phase_codes, subphase_codes, group_codes, fusible,
+                *numbers.view(np.int64),
+            ),
+            **_numeric_fields(numbers),
         )
 
     @classmethod
@@ -171,10 +285,6 @@ class OperatorTable:
     def __len__(self) -> int:
         return len(self.names)
 
-    @property
-    def flops(self) -> np.ndarray:
-        return 2.0 * self.macs + self.vector_ops
-
     def total_macs(self) -> float:
         return float(np.sum(self.macs))
 
@@ -192,24 +302,23 @@ class OperatorTable:
         return getattr(self, name)
 
     # ----------------------------------------------------------------- masks
-    def engine_mask(self, engine: str) -> np.ndarray:
-        if engine not in self.engines:
-            return np.zeros(len(self), dtype=bool)
-        return self.engine_codes == self.engines.index(engine)
-
-    def phase_mask(self, phase: str) -> np.ndarray:
-        if phase not in self.phases:
-            return np.zeros(len(self), dtype=bool)
-        return self.phase_codes == self.phases.index(phase)
-
     def subphase_mask(self, subphase: str) -> np.ndarray:
         if subphase not in self.subphases:
             return np.zeros(len(self), dtype=bool)
         return self.subphase_codes == self.subphases.index(subphase)
 
     def select(self, mask: np.ndarray) -> "OperatorTable":
-        """Sub-table of the rows where ``mask`` is True (labels re-factorized)."""
-        indices = np.nonzero(np.asarray(mask, dtype=bool))[0]
+        """Sub-table of the rows where ``mask`` is True (labels re-factorized).
+
+        ``mask`` must have shape ``(len(self),)``.  Selected rows sharing a
+        representative here share one in the sub-table too.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(self),):
+            raise ValueError(
+                f"mask shape {mask.shape} does not match the table's {(len(self),)}"
+            )
+        indices = np.nonzero(mask)[0]
         engine_codes, engines = _encode([self.engines[self.engine_codes[i]] for i in indices])
         phase_codes, phases = _encode([self.phases[self.phase_codes[i]] for i in indices])
         subphase_codes, subphases = _encode(
@@ -234,6 +343,7 @@ class OperatorTable:
             output_elements=_freeze(self.output_elements[indices]),
             weight_elements=_freeze(self.weight_elements[indices]),
             fusible=_freeze(self.fusible[indices]),
+            **_row_map(self.rep_index[indices]),
         )
 
     def filter(
@@ -299,7 +409,7 @@ def _remap_codes(
     """
     first = vocabs[0]
     if all(vocab == first for vocab in vocabs[1:]):
-        return np.concatenate(codes), first
+        return _join(codes), first
     union: List = []
     index: Dict = {}
     remapped: List[np.ndarray] = []
@@ -313,11 +423,11 @@ def _remap_codes(
                 union.append(label)
             lookup[i] = code
         remapped.append(lookup[table_codes])
-    return np.concatenate(remapped), tuple(union)
+    return _join(remapped), tuple(union)
 
 
 @dataclass(frozen=True, eq=False)
-class StackedOperatorTable:
+class StackedOperatorTable(_RowMapped):
     """Operator tables of many sequence lengths, concatenated column-wise.
 
     Segment ``i`` (rows ``segment_starts[i]:segment_starts[i+1]``) holds the
@@ -326,6 +436,12 @@ class StackedOperatorTable:
     produces, per segment, exactly the values the per-length evaluation
     would.  Label vocabularies are shared across segments (codes remapped at
     build time) so per-group/per-engine parameter gathers also run once.
+
+    The row map joins the tables' maps: segment ``i``'s representatives are
+    ``rep_rows[rep_starts[i]:rep_starts[i+1]]`` (``tables[i].rep_rows``
+    shifted by the segment's first row), and ``rep_index`` is each table's
+    ``rep_index`` shifted by ``rep_starts[i]``.  A one-table stack reuses the
+    table's arrays instead of copying them.
     """
 
     config: PPMConfig
@@ -346,6 +462,9 @@ class StackedOperatorTable:
     output_elements: np.ndarray
     weight_elements: np.ndarray
     fusible: np.ndarray
+    rep_starts: np.ndarray = field(repr=False)
+    rep_rows: np.ndarray = field(repr=False)
+    rep_index: np.ndarray = field(repr=False)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -361,6 +480,10 @@ class StackedOperatorTable:
             raise ValueError("stacked lengths must be distinct")
         starts = np.zeros(len(tables) + 1, dtype=np.int64)
         np.cumsum([len(t) for t in tables], out=starts[1:])
+        rep_starts = np.zeros(len(tables) + 1, dtype=np.int64)
+        np.cumsum([len(t.rep_rows) for t in tables], out=rep_starts[1:])
+        # Python-int offsets keep the int32 maps int32.
+        row_offsets, rep_offsets = starts.tolist(), rep_starts.tolist()
         engine_codes, engines = _remap_codes(
             [t.engine_codes for t in tables], [t.engines for t in tables]
         )
@@ -386,12 +509,21 @@ class StackedOperatorTable:
             subphase_codes=_freeze(subphase_codes),
             groups=groups,
             group_codes=_freeze(group_codes),
-            macs=_freeze(np.concatenate([t.macs for t in tables])),
-            vector_ops=_freeze(np.concatenate([t.vector_ops for t in tables])),
-            input_elements=_freeze(np.concatenate([t.input_elements for t in tables])),
-            output_elements=_freeze(np.concatenate([t.output_elements for t in tables])),
-            weight_elements=_freeze(np.concatenate([t.weight_elements for t in tables])),
-            fusible=_freeze(np.concatenate([t.fusible for t in tables])),
+            macs=_join([t.macs for t in tables]),
+            vector_ops=_join([t.vector_ops for t in tables]),
+            input_elements=_join([t.input_elements for t in tables]),
+            output_elements=_join([t.output_elements for t in tables]),
+            weight_elements=_join([t.weight_elements for t in tables]),
+            fusible=_join([t.fusible for t in tables]),
+            rep_starts=_freeze(rep_starts),
+            rep_rows=_join(
+                [t.rep_rows + offset if offset else t.rep_rows
+                 for t, offset in zip(tables, row_offsets)]
+            ),
+            rep_index=_join(
+                [t.rep_index + offset if offset else t.rep_index
+                 for t, offset in zip(tables, rep_offsets)]
+            ),
         )
 
     # ---------------------------------------------------------------- queries
@@ -401,10 +533,6 @@ class StackedOperatorTable:
     @property
     def num_segments(self) -> int:
         return len(self.lengths)
-
-    @property
-    def flops(self) -> np.ndarray:
-        return 2.0 * self.macs + self.vector_ops
 
     def segment(self, index: int) -> slice:
         """Row slice of segment ``index`` in the stacked columns."""
@@ -422,20 +550,15 @@ class StackedOperatorTable:
             object.__setattr__(self, "_segments", cached)
         return cached
 
+    @property
+    def rep_segments(self) -> Tuple[slice, ...]:
+        """Per segment, its slice of ``rep_rows`` (and of representative values)."""
+        bounds = self.rep_starts.tolist()
+        return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
     def segment_index(self, sequence_length: int) -> int:
         """Segment holding ``sequence_length`` (raises ``ValueError`` if absent)."""
         return self.lengths.index(int(sequence_length))
-
-    # ----------------------------------------------------------------- masks
-    def engine_mask(self, engine: str) -> np.ndarray:
-        if engine not in self.engines:
-            return np.zeros(len(self), dtype=bool)
-        return self.engine_codes == self.engines.index(engine)
-
-    def phase_mask(self, phase: str) -> np.ndarray:
-        if phase not in self.phases:
-            return np.zeros(len(self), dtype=bool)
-        return self.phase_codes == self.phases.index(phase)
 
     # ------------------------------------------------------------- reductions
     def segment_weighted_sums(self, key: str, values: np.ndarray) -> List[Dict]:
@@ -527,14 +650,32 @@ def _cached_workload(config: PPMConfig, n: int, include_recycles: bool) -> Workl
 
 @lru_cache(maxsize=16)
 def _cached_labels(config: PPMConfig, include_recycles: bool) -> OperatorTable:
-    """The one-residue table, whose label columns every length shares.
+    """The one-residue table, whose label columns and row map every length shares.
 
     Names, engine/phase/subphase/group codes and ``fusible`` are the same at
     every sequence length (:meth:`Workload.structure_signature`), so they are
-    factorized once per ``(config, include_recycles)``.
+    factorized once per ``(config, include_recycles)``.  The row map is the
+    tiling's: :func:`_cached_table` copies every row's numbers from its
+    *origin*, the same row of the first block of the first run with the same
+    builder, so rows with equal origin and labels are equal at every length.
     """
-    return OperatorTable.from_workload(
+    table = OperatorTable.from_workload(
         build_model_ops(config, 1, include_recycles=include_recycles)
+    )
+    origins = []
+    first_row: Dict = {}
+    start = 0
+    for builder, blocks in model_segments(config, include_recycles):
+        width = len(builder(config, 1, 0))
+        base = first_row.setdefault(builder, start)
+        origins.append(np.tile(np.arange(base, base + width), blocks))
+        start += width * blocks
+    return replace(
+        table,
+        **_row_map(
+            np.concatenate(origins), table.engine_codes, table.phase_codes,
+            table.subphase_codes, table.group_codes, table.fusible,
+        ),
     )
 
 

@@ -34,7 +34,7 @@ from .. import __version__
 #: self-invalidate instead of deserializing into garbage.  Entries are also
 #: stamped with ``repro.__version__`` so cached tables/reports cannot outlive
 #: a release that changes workload-builder or cost-model semantics.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"

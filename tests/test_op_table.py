@@ -7,6 +7,8 @@ tables themselves, built from one tiled block per graph segment, must be
 bytewise the tables of the object graph (`build_model_ops`, the oracle).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from repro.ppm.workload import (
     PHASE_SEQUENCE,
     SUBPHASE_TRI_ATT,
     build_model_ops,
+    model_segments,
     model_weight_elements,
 )
 from repro.analysis.sizes import int8_equivalent_cost
@@ -115,6 +118,24 @@ class TestOperatorTable:
     def test_columns_are_read_only(self, table):
         with pytest.raises(ValueError):
             table.macs[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "shape", ["prefix", "longer", "two-dimensional", "scalar"]
+    )
+    def test_select_rejects_a_mask_of_another_shape(self, table, shape):
+        rows = len(table)
+        mask = {
+            "prefix": [1, 0, 1, 1],
+            "longer": np.ones(rows + 1, dtype=bool),
+            "two-dimensional": np.ones((1, rows), dtype=bool),
+            "scalar": True,
+        }[shape]
+        with pytest.raises(ValueError, match="mask shape"):
+            table.select(mask)
+
+    def test_select_accepts_a_full_length_list(self, table):
+        mask = [i % 3 == 0 for i in range(len(table))]
+        assert len(table.select(mask)) == sum(mask)
 
 
 #: Every array column of a table; vocab tuples are compared by equality.
@@ -206,6 +227,126 @@ class TestTableParity:
                 get_op_table(paper_config, n)
 
 
+#: The columns the engines' elementwise arithmetic reads (subphases only
+#: feed the full-row reductions, but tiled rows share them too).
+PRICING_COLUMNS = NUMERIC_COLUMNS + (
+    "engine_codes", "phase_codes", "subphase_codes", "group_codes", "fusible",
+)
+
+
+def assert_valid_row_map(table):
+    """Every row's pricing columns are bytewise its representative's."""
+    rows = len(table)
+    assert table.rep_rows.dtype == np.int32 and table.rep_index.dtype == np.int32
+    assert table.rep_index.shape == (rows,)
+    count = len(table.rep_rows)
+    assert (count == 0) == (rows == 0)
+    # Representatives are distinct rows in row order, each its own representative.
+    assert np.all(np.diff(table.rep_rows) > 0)
+    assert np.array_equal(table.rep_index[table.rep_rows], np.arange(count))
+    representative = table.rep_rows[table.rep_index]
+    for name in PRICING_COLUMNS:
+        column = getattr(table, name)
+        assert column[representative].tobytes() == column.tobytes(), name
+    reps = table.representatives()
+    for name in PRICING_COLUMNS:
+        if name != "subphase_codes":
+            gathered = getattr(table, name)[table.rep_rows]
+            assert getattr(reps, name).tobytes() == gathered.tobytes(), name
+
+
+def tiled_representatives(config, include_recycles):
+    """One block of each distinct segment builder."""
+    builders = {b for b, _ in model_segments(config, include_recycles)}
+    return sum(len(builder(config, 1, 0)) for builder in builders)
+
+
+class TestRowMap:
+    """Row maps of tiled, object-graph, sub- and stacked tables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=configs, n=lengths, include_recycles=st.booleans())
+    def test_tiled_rows_match_their_representatives(self, config, n, include_recycles):
+        table = get_op_table(config, n, include_recycles=include_recycles)
+        assert_valid_row_map(table)
+        assert len(table.rep_rows) == tiled_representatives(config, include_recycles)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("include_recycles", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 96, 257, 1000, 4096])
+    def test_presets_at_pinned_lengths(self, preset, include_recycles, n):
+        assert_valid_row_map(
+            get_op_table(PRESETS[preset](), n, include_recycles=include_recycles)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=configs, n=st.integers(1, 1024), include_recycles=st.booleans())
+    def test_object_graph_rows_match_their_representatives(
+        self, config, n, include_recycles
+    ):
+        table = oracle_table(config, n, include_recycles)
+        assert_valid_row_map(table)
+        # Bytewise dedup never finds more distinct rows than the tiling.
+        assert len(table.rep_rows) <= tiled_representatives(config, include_recycles)
+
+    def test_object_graph_keeps_signed_zeros_apart(self, paper_config):
+        base = build_model_ops(paper_config, 8).operators[0]
+        operators = [replace(base, macs=0.0), replace(base, macs=-0.0)]
+        table = OperatorTable.from_operators(operators, paper_config, 8)
+        assert table.rep_rows.tolist() == [0, 1]
+        assert_valid_row_map(table)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        config=configs,
+        n=lengths,
+        include_recycles=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+    def test_select_and_filter_keep_a_valid_map(
+        self, config, n, include_recycles, seed, density
+    ):
+        table = get_op_table(config, n, include_recycles=include_recycles)
+        mask = np.random.default_rng(seed).random(len(table)) < density
+        sub = table.select(mask)
+        assert_valid_row_map(sub)
+        assert len(sub.rep_rows) == len(np.unique(table.rep_index[mask]))
+        for kwargs in ({"phase": PHASE_PAIR}, {"engine": ENGINE_MATMUL},
+                       {"subphase": SUBPHASE_TRI_ATT}):
+            assert_valid_row_map(table.filter(**kwargs))
+        for sub in table.by_phase().values():
+            assert_valid_row_map(sub)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        config=configs,
+        mix=st.lists(lengths, min_size=1, max_size=6, unique=True),
+        include_recycles=st.booleans(),
+    )
+    def test_stacks_join_the_table_maps(self, config, mix, include_recycles):
+        stack = get_stacked_table(config, mix, include_recycles=include_recycles)
+        assert_valid_row_map(stack)
+        assert stack.rep_starts.tolist() == np.cumsum(
+            [0] + [len(t.rep_rows) for t in stack.tables]
+        ).tolist()
+        for table, rows, reps in zip(stack.tables, stack.segments, stack.rep_segments):
+            assert np.array_equal(stack.rep_rows[reps] - rows.start, table.rep_rows)
+            assert np.array_equal(stack.rep_index[rows] - reps.start, table.rep_index)
+        lone = StackedOperatorTable.from_tables([stack.tables[0]])
+        assert_valid_row_map(lone)
+        assert lone.rep_index is stack.tables[0].rep_index  # reused, not copied
+
+    def test_tiled_tables_share_one_map_per_config(self, paper_config):
+        first, second = get_op_table(paper_config, 300), get_op_table(paper_config, 301)
+        assert first.rep_rows is second.rep_rows
+        assert first.rep_index is second.rep_index
+        assert len(first.rep_rows) == 85 and len(first) == 3234
+
+    def test_map_stays_out_of_repr(self, paper_config):
+        assert "rep_" not in repr(get_op_table(paper_config, 4))
+
+
 class TestWorkloadCache:
     def test_tables_do_not_populate_the_workload_cache(self, paper_config):
         clear_workload_caches()
@@ -255,6 +396,16 @@ class TestWorkloadCache:
         )
 
 
+def assert_operator_latencies_match(fast, legacy):
+    assert len(fast.operator_latencies) == len(legacy.operator_latencies)
+    for a, b in zip(fast.operator_latencies, legacy.operator_latencies):
+        assert a.name == b.name and a.phase == b.phase and a.subphase == b.subphase
+        assert a.rmpu_cycles == pytest.approx(b.rmpu_cycles, rel=REL, abs=1e-12)
+        assert a.vvpu_cycles == pytest.approx(b.vvpu_cycles, rel=REL, abs=1e-12)
+        assert a.memory_cycles == pytest.approx(b.memory_cycles, rel=REL, abs=1e-12)
+        assert a.bottleneck == b.bottleneck
+
+
 class TestAcceleratorParity:
     @pytest.mark.parametrize("n", [48, 160])
     @pytest.mark.parametrize("tokenwise_mha", [True, False])
@@ -276,13 +427,32 @@ class TestAcceleratorParity:
         workload = build_model_ops(paper_config, 64)
         legacy = simulate_accelerator_workload(accelerator, workload)
         fast = accelerator.simulate_table(OperatorTable.from_workload(workload))
-        assert len(fast.operator_latencies) == len(legacy.operator_latencies)
-        for a, b in zip(fast.operator_latencies, legacy.operator_latencies):
-            assert a.name == b.name and a.phase == b.phase and a.subphase == b.subphase
-            assert a.rmpu_cycles == pytest.approx(b.rmpu_cycles, rel=REL, abs=1e-12)
-            assert a.vvpu_cycles == pytest.approx(b.vvpu_cycles, rel=REL, abs=1e-12)
-            assert a.memory_cycles == pytest.approx(b.memory_cycles, rel=REL, abs=1e-12)
-            assert a.bottleneck == b.bottleneck
+        assert_operator_latencies_match(fast, legacy)
+
+    @pytest.mark.parametrize("source", ["tiled", "stack segment"])
+    @pytest.mark.parametrize("n", [64, 257])
+    def test_per_operator_latencies_match_legacy_on_tiled_tables(
+        self, paper_config, source, n
+    ):
+        accelerator = LightNobelAccelerator(ppm_config=paper_config)
+        legacy = simulate_accelerator_workload(accelerator, build_model_ops(paper_config, n))
+        if source == "tiled":
+            fast = accelerator.simulate_table(get_op_table(paper_config, n))
+        else:
+            stack = get_stacked_table(paper_config, [48, n, 1000])
+            fast = accelerator.simulate_stack(stack)[stack.segment_index(n)]
+        assert_operator_latencies_match(fast, legacy)
+
+    def test_stack_segments_equal_one_segment_reports_exactly(self, paper_config):
+        accelerator = LightNobelAccelerator(ppm_config=paper_config)
+        mix = [64, 257, 1000]
+        stacked = accelerator.simulate_stack(get_stacked_table(paper_config, mix))
+        for n, report in zip(mix, stacked):
+            alone = accelerator.simulate_table(get_op_table(paper_config, n))
+            assert report.operator_latencies == alone.operator_latencies
+            assert report.bottleneck_share() == alone.bottleneck_share()
+            assert report.total_cycles == alone.total_cycles
+            assert report.dram_bytes == alone.dram_bytes
 
     def test_bottleneck_share_matches_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
