@@ -19,13 +19,13 @@ Sub-packages
     LightNobel accelerator simulator and A100/H100 analytical baselines.
 ``repro.sim``
     Unified simulation-backend layer: every latency number flows through a
-    :class:`~repro.sim.session.SimulationSession` (batch API, backend
-    registry, process-pool ``sweep()``, on-disk table/report cache keyed by
-    stable config digests — see the :mod:`repro.sim` docstring for usage).
+    :class:`~repro.sim.session.SimulationSession` (stacked batch API,
+    backend registry, on-disk table/report cache keyed by stable config
+    digests — see the :mod:`repro.sim` docstring for usage).
 ``repro.serving``
     Latency/capacity query service over ``repro.sim``: request queue,
-    coalescing of duplicate in-flight queries, worker-pool execution and
-    service-level stats (see the :mod:`repro.serving` docstring for usage).
+    coalescing of duplicate in-flight queries, stacked in-process pricing
+    and service-level stats (see the :mod:`repro.serving` docstring for usage).
 ``repro.analysis``
     Cost models, activation statistics and design-space exploration.
 """

@@ -18,8 +18,7 @@ if TYPE_CHECKING:  # optional routing targets; avoid imports at runtime
 from ..core.aaq import AAQConfig
 from ..core.token_quant import TokenQuantConfig, token_quantization_rmse
 from ..hardware.config import LightNobelConfig
-from ..sim import SweepPoint, sweep
-from ..sim.sweep import resolve_workers
+from ..sim.session import SimulationSession
 from ..ppm.config import PPMConfig
 from ..ppm.model import ProteinStructureModel
 from ..ppm.quantized import AAQScheme, QuantizedPPM
@@ -62,7 +61,8 @@ def efficiency_metric(tm: float, baseline_tm: float, bytes_per_token: float, hid
 
 
 #: Per-worker-process model memo for the sharded Fig. 11 sweep, keyed by
-#: (PPM config digest, seed).  Bounded FIFO like the sweep worker sessions.
+#: (PPM config digest, seed).  Bounded FIFO, so a long-lived worker sweeping
+#: many configs does not pin models forever.
 _QDSE_WORKER_MODELS: Dict[Tuple[str, int], ProteinStructureModel] = {}
 _QDSE_WORKER_MODEL_LIMIT = 4
 
@@ -142,12 +142,12 @@ class QuantizationDSE:
     ) -> List[float]:
         """TM-scores for many AAQ configs, optionally sharded across a pool.
 
-        Model inference per point dominates the Fig. 11 sweep, so the points
-        shard the same way :func:`hardware_dse` shards latency points: a
-        process pool with the sweep module's degrade-to-serial contract, and
-        pooled ≡ serial results exactly (asserted by ``tests/test_analysis.py``).
+        Model inference per point dominates the Fig. 11 sweep, so ``workers >
+        1`` shards the points across a process pool; any failure to stand up
+        or use the pool (no ``fork``/semaphores, unpicklable inputs) degrades
+        to the serial loop, and pooled ≡ serial results exactly (asserted by
+        ``tests/test_analysis.py``).
         """
-        workers = resolve_workers(workers)
         if workers is not None and workers > 1 and len(aaqs) > 1:
             try:
                 with ProcessPoolExecutor(
@@ -165,7 +165,7 @@ class QuantizationDSE:
                 ImportError,
                 NotImplementedError,
             ):
-                pass  # same fallback taxonomy as repro.sim.sweep.sweep
+                pass  # pool infrastructure or pickling failed: run serially
         return [self._average_tm(aaq) for aaq in aaqs]
 
     def sweep_group(
@@ -265,18 +265,16 @@ def hardware_dse(
     fixed_vvpus_per_rmpu: int = 4,
     fixed_rmpus: int = 32,
     config: Optional[PPMConfig] = None,
-    workers: Optional[int] = None,
     service: Optional["LatencyService"] = None,
 ) -> Dict[str, List[HardwareDSEPoint]]:
     """Fig. 12: latency versus #VVPUs/RMPU (a) and versus #RMPUs (b).
 
-    Every (hardware config, length) point is independent, so the whole grid is
-    submitted to :func:`repro.sim.sweep` as one flat point list; ``workers``
-    > 1 shards it across a process pool (serial otherwise, identical numbers
-    either way).  With ``service=`` the grid is submitted through a shared
-    :class:`~repro.serving.service.LatencyService` instead — the service's
-    own worker pool (and coalescing with concurrent tenants) then applies,
-    and ``workers`` is ignored.
+    The whole (hardware config x length) grid is priced by one
+    :meth:`~repro.sim.session.SimulationSession.simulate_batch` call: one
+    stacked pass per config over every length.  With ``service=`` the grid
+    is submitted through a shared
+    :class:`~repro.serving.service.LatencyService` instead (its memo and
+    coalescing with concurrent tenants apply); the numbers are identical.
     """
     config = config or PPMConfig.paper()
     if service is not None and service.session.ppm_config != config:
@@ -291,24 +289,24 @@ def hardware_dse(
         for r in rmpu_counts
     ]
     grid = vvpu_configs + rmpu_configs
-    points = [SweepPoint(hw, n) for hw in grid for n in lengths]
     if service is not None:
-        reports = service.query_batch(
-            [(p.backend, p.sequence_length) for p in points]
-        )
+        reports = service.query_batch([(hw, n) for hw in grid for n in lengths])
+        totals = [
+            [r.total_seconds for r in reports[i * len(lengths) : (i + 1) * len(lengths)]]
+            for i in range(len(grid))
+        ]
     else:
-        reports = sweep(points, ppm_config=config, workers=workers)
-
-    def average_latency(config_index: int) -> float:
-        start = config_index * len(lengths)
-        block = reports[start : start + len(lengths)]
-        return float(np.mean([r.total_seconds for r in block]))
+        batch = SimulationSession(ppm_config=config, backends=()).simulate_batch(
+            lengths, backends=grid
+        )
+        totals = [batch.totals(name) for name in batch.backends]
+    averages = [float(np.mean(config_totals)) for config_totals in totals]
 
     vvpu_sweep = [
         HardwareDSEPoint(
             num_rmpus=fixed_rmpus,
             vvpus_per_rmpu=hw.vvpus_per_rmpu,
-            average_latency_seconds=average_latency(i),
+            average_latency_seconds=averages[i],
         )
         for i, hw in enumerate(vvpu_configs)
     ]
@@ -316,7 +314,7 @@ def hardware_dse(
         HardwareDSEPoint(
             num_rmpus=hw.num_rmpus,
             vvpus_per_rmpu=fixed_vvpus_per_rmpu,
-            average_latency_seconds=average_latency(len(vvpu_configs) + i),
+            average_latency_seconds=averages[len(vvpu_configs) + i],
         )
         for i, hw in enumerate(rmpu_configs)
     ]
@@ -331,7 +329,6 @@ def cluster_capacity_dse(
     policies: Sequence[str] = ("fifo", "edf"),
     slo_target: float = 0.95,
     config: Optional[PPMConfig] = None,
-    workers: Optional[int] = None,
     service: Optional["LatencyService"] = None,
     same_length_reuse_discount: float = 0.0,
 ) -> "CapacityPlan":
@@ -340,8 +337,8 @@ def cluster_capacity_dse(
     The design-space axis here is the *fleet* (size x scheduling policy)
     rather than the chip (Fig. 12's RMPU/VVPU counts): the trace replays
     against every grid cell via :func:`repro.cluster.planner.plan_capacity`,
-    sharing one service-time prefetch (sharded across the sweep pool with
-    ``workers > 1``, or routed through ``service=``).  Returns the
+    sharing one service-time prefetch (routed through ``service=`` when
+    given).  Returns the
     :class:`~repro.cluster.planner.CapacityPlan`, whose ``minimal_fleet()`` /
     ``cheapest_plan()`` answer the capacity question directly.
     """
@@ -356,7 +353,6 @@ def cluster_capacity_dse(
         slo_target=slo_target,
         ppm_config=config,
         service=service,
-        workers=workers,
         same_length_reuse_discount=same_length_reuse_discount,
     )
 

@@ -11,8 +11,7 @@ The split keeps replay cheap and bit-deterministic:
 1. **Prefetch** — every distinct (worker-group backend, protein length) pair
    is simulated once through the shared
    :class:`~repro.sim.session.SimulationSession` (or a
-   :class:`~repro.serving.service.LatencyService`, or sharded across
-   :func:`repro.sim.sweep.sweep` with ``workers > 1``) — the only stage that
+   :class:`~repro.serving.service.LatencyService`) — the only stage that
    touches a simulator.
 2. **Replay** — a pure-Python event loop.  Arrivals are read from the
    trace in arrival order (sorted once if the trace is not already) and
@@ -79,7 +78,6 @@ from ..obs.timeline import TimelineRecorder
 from ..ppm.config import PPMConfig
 from ..serving.stats import percentile
 from ..sim.session import SimulationSession, session_for
-from ..sim.sweep import SweepPoint, sweep
 from .control import AdmissionController, Autoscaler
 from .faults import FaultSchedule, RecoveryPolicy
 from .fleet import FleetSpec, MultiChipVariant, WorkerHealth
@@ -191,19 +189,16 @@ def prefetch_service_times(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     length_bucket_size: Optional[int] = None,
 ) -> ServiceTimes:
     """Simulate every distinct (worker-group backend, length) pair once.
 
     With ``service=`` the pairs route through a shared
-    :class:`~repro.serving.service.LatencyService` (its coalescing and worker
-    pool apply); otherwise a session serves them via
-    :meth:`~repro.sim.session.SimulationSession.simulate_batch` — one stacked
-    vectorized pass per backend over the whole length mix (bit-identical to
-    the per-length loop) — optionally warmed by a ``workers``-wide
-    :func:`repro.sim.sweep.sweep` whose reports are seeded back into the
-    session memo/disk cache first.
+    :class:`~repro.serving.service.LatencyService` (its coalescing and memo
+    apply); otherwise a session prices them with
+    :meth:`~repro.sim.session.SimulationSession.batch_total_seconds` — one
+    stacked totals-only pass per backend over the whole length mix
+    (bit-identical to the per-length loop).
 
     ``length_bucket_size`` trades exactness for fewer simulated points: each
     distinct trace length maps to its shape bucket's *longest* member
@@ -231,37 +226,10 @@ def prefetch_service_times(
             for n, rep in representative.items():
                 times[(gi, n)] = by_rep[(gi, rep)]
         return times
+    # The planner only reads the scalar total per (group, length), so take
+    # the totals-only stacked fast path — one engine pass per backend, no
+    # per-length report assembly.
     session = session_for(ppm_config, session, backends=())
-    if workers is not None and workers > 1:
-        points = [SweepPoint(spec, n) for spec in specs for n in lengths]
-        # The session's recycle setting must reach the sweep workers AND the
-        # seed keys, or a recycles-enabled session would be warmed with (and
-        # then serve) recycle-free reports — breaking pooled ≡ serial parity.
-        reports = sweep(
-            points,
-            ppm_config=session.ppm_config,
-            workers=workers,
-            include_recycles=session.include_recycles,
-        )
-        for point, report in zip(points, reports):
-            session.seed_report(
-                point.backend,
-                point.sequence_length,
-                report,
-                include_recycles=session.include_recycles,
-            )
-        # The pool already paid for full reports; consume them from the memo
-        # rather than re-pricing in-process.
-        batch = session.simulate_batch(lengths, backends=specs)
-        for gi in range(len(specs)):
-            name = batch.backends[gi]
-            for n, rep in representative.items():
-                report = batch.report(name, rep)
-                times[(gi, n)] = None if report.out_of_memory else report.total_seconds
-        return times
-    # In-process: the planner only reads the scalar total per (group, length),
-    # so take the totals-only stacked fast path — one engine pass per backend,
-    # no per-length report assembly.
     totals = session.batch_total_seconds(lengths, backends=specs)
     index = {n: j for j, n in enumerate(lengths)}
     for gi in range(len(specs)):
@@ -341,7 +309,7 @@ def replay_trace(
 
     ``service_times`` short-circuits the prefetch (the planner reuses one
     prefetch across every fleet size and policy it sweeps); ``ppm_config``,
-    ``session``, ``service`` and ``workers`` configure the prefetch otherwise
+    ``session`` and ``service`` configure the prefetch otherwise
     (:func:`prefetch_service_times`).  ``same_length_reuse_discount`` (in
     [0, 1)) is the service-time fraction saved when a worker serves the same
     length twice in a row (shape/table reuse — 0 models a stateless worker).
@@ -401,7 +369,6 @@ def _replay(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     same_length_reuse_discount: float = 0.0,
     service_times: Optional[ServiceTimes] = None,
     faults: Optional[FaultSchedule] = None,
@@ -451,8 +418,7 @@ def _replay(
     router_obj = create_router(router)
     if service_times is None:
         service_times = prefetch_service_times(
-            trace, fleet, ppm_config=ppm_config, session=session,
-            service=service, workers=workers,
+            trace, fleet, ppm_config=ppm_config, session=session, service=service
         )
     #: length -> router's group-preference order (None = group-oblivious).
     pref_of: Optional[Dict[int, Tuple[int, ...]]] = None

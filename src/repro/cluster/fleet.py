@@ -7,9 +7,9 @@ and a cluster:
   copies of one backend sharding each request, composed from the per-chip
   :class:`~repro.sim.backend.SimReport` plus all-gather costs from
   :class:`~repro.hardware.interconnect.ChipLinkSpec` (the package-scale
-  crossbar model).  The variant is a frozen, picklable spec, so multi-chip
-  design points fan out across :func:`repro.sim.sweep.sweep` workers exactly
-  like the single-chip variants do.
+  crossbar model).  The variant is a frozen, hashable spec, so multi-chip
+  design points memoize and coalesce exactly like the single-chip variants
+  do.
 * :class:`FleetSpec` / :class:`WorkerGroup` — the fleet: how many workers of
   which backend (possibly heterogeneous), each with an hourly cost so a
   :class:`~repro.cluster.des.ClusterReport` can price SLO attainment in

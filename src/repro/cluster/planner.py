@@ -19,9 +19,8 @@ at the lowest cost per million requests.
 
 The expensive stage — simulating every distinct (backend, length) pair — is
 shared across the whole grid: one :func:`~repro.cluster.des.prefetch_service_times`
-call (sharded across :func:`repro.sim.sweep.sweep`'s process pool with
-``workers > 1``) feeds every replay, because fleet size and policy change
-queueing, never per-request service time.  ``compare_fleets`` extends the
+call (one stacked pass per backend) feeds every replay, because fleet size
+and policy change queueing, never per-request service time.  ``compare_fleets`` extends the
 sharing across fleets: backend specs are deduplicated by content digest, so
 a backend appearing in five candidate fleets is simulated once.  Replays
 themselves are pure Python and deterministic, so a plan is exactly
@@ -205,7 +204,6 @@ def plan_capacity(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
     router: RouterSpec = None,
@@ -213,9 +211,8 @@ def plan_capacity(
     """Sweep ``fleet_sizes`` x ``policies`` over ``trace``; rank against the SLO.
 
     ``base_fleet`` must be homogeneous (its single worker group is rescaled
-    to each size; default: one ``"lightnobel"`` group).  ``workers > 1``
-    shards the one shared service-time prefetch across the sweep process
-    pool; the replays themselves are cheap and run serially.
+    to each size; default: one ``"lightnobel"`` group).  One shared
+    service-time prefetch feeds every cell.
 
     ``length_bucket_size`` forwards to
     :func:`~repro.cluster.des.prefetch_service_times`: the prefetch simulates
@@ -230,7 +227,7 @@ def plan_capacity(
         slo_target,
         dict(
             ppm_config=ppm_config, session=session, service=service,
-            workers=workers, length_bucket_size=length_bucket_size,
+            length_bucket_size=length_bucket_size,
         ),
         same_length_reuse_discount=same_length_reuse_discount,
         router=router,
@@ -304,7 +301,6 @@ def compare_fleets(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
 ) -> FleetComparison:
@@ -330,7 +326,7 @@ def compare_fleets(
         slo_target,
         dict(
             ppm_config=ppm_config, session=session, service=service,
-            workers=workers, length_bucket_size=length_bucket_size,
+            length_bucket_size=length_bucket_size,
         ),
         same_length_reuse_discount=same_length_reuse_discount,
         router=router,
@@ -347,7 +343,6 @@ def plan_capacity_under_scenarios(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
 ) -> Dict[str, CapacityPlan]:
@@ -374,7 +369,7 @@ def plan_capacity_under_scenarios(
         slo_target,
         dict(
             ppm_config=ppm_config, session=session, service=service,
-            workers=workers, length_bucket_size=length_bucket_size,
+            length_bucket_size=length_bucket_size,
         ),
         same_length_reuse_discount=same_length_reuse_discount,
     )

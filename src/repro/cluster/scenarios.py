@@ -319,7 +319,6 @@ def resilience_experiment(
     scheduler: SchedulerSpec = "edf",
     same_length_reuse_discount: float = 0.25,
     seed: int = 11,
-    workers: Optional[int] = None,
 ) -> ResilienceSummary:
     """Plan a healthy fleet, then break it — and close the loop.
 
@@ -342,7 +341,6 @@ def resilience_experiment(
         ppm_config=ppm_config,
         session=session,
         service=service,
-        workers=workers,
     )
     plan = plan_capacity(
         trace,
@@ -540,7 +538,6 @@ def mixed_fleet_experiment(
     scheduler: SchedulerSpec = "edf",
     router: RouterSpec = "cost-greedy",
     seed: int = 11,
-    workers: Optional[int] = None,
 ) -> MixedFleetSummary:
     """Price mixed fleets against homogeneous ones on long-tail traffic.
 
@@ -566,7 +563,6 @@ def mixed_fleet_experiment(
         ppm_config=ppm_config,
         session=session,
         service=service,
-        workers=workers,
     )
     by_side: dict = {"mixed": [], "homogeneous": []}
     for point in comparison.meeting():

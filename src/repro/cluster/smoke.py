@@ -22,8 +22,7 @@ Run as ``PYTHONPATH=src python -m repro.cluster.smoke [--scenario NAME]``.
 
 Both modes print the drop split (``oom``/``shed``/``failed``) so a CI log
 shows where requests went, and every cache write is sandboxed in a
-throwaway directory — the cluster sibling of :mod:`repro.sim.smoke` and
-:mod:`repro.serving.smoke`.
+throwaway directory — the cluster sibling of :mod:`repro.serving.smoke`.
 """
 
 from __future__ import annotations
@@ -193,9 +192,7 @@ def _log_replay(cache_dir: str) -> int:
         )
         for i, n in enumerate((24, 48, 96, 24, 48, 96, 24, 48))
     ]
-    service = LatencyService(
-        ppm_config=config, workers=2, cache_dir=cache_dir, autostart=False
-    )
+    service = LatencyService(ppm_config=config, cache_dir=cache_dir, autostart=False)
     tickets = service.submit_batch(requests)
     with service:
         for ticket in tickets:

@@ -1,10 +1,10 @@
 """Latency-serving layer: concurrent, multi-tenant queries over `repro.sim`.
 
-The third layer of the simulation stack: PR 1 made one simulation cheap
-(columnar engine), PR 2 made repeated simulations cheap (sessions, sweeps,
-disk cache), and this package makes *concurrent* simulations cheap — a
+The third layer of the simulation stack: the columnar engine makes one
+simulation cheap, sessions and the disk cache make repeated simulations
+cheap, and this package makes *concurrent* simulations cheap — a
 request/response front end that coalesces duplicate in-flight work and
-shards unique work across the sweep process pool.
+prices each backend's unique work in one stacked pass.
 
 Facade
 ------
@@ -45,7 +45,7 @@ Batch submit/poll with coalescing (duplicates share one simulation)::
 
     from repro.serving import LatencyRequest, create_service
 
-    with create_service(workers=2) as service:
+    with create_service() as service:
         tickets = service.submit_batch(
             [LatencyRequest("h100", 800)] * 16      # -> exactly 1 simulation
             + [("lightnobel", n) for n in (300, 800, 1410)]

@@ -63,12 +63,11 @@ class LatencyServiceError(RuntimeError):
 def length_bucket(sequence_length: int, bucket_size: Optional[int]) -> int:
     """Shape-bucket index of a sequence length.
 
-    ``bucket_size=None`` (or 0) puts every length in one shared bucket —
-    maximal batching.  A positive ``bucket_size`` groups lengths into
-    ``(length - 1) // bucket_size`` buckets, bounding how many distinct
-    lengths one stacked simulation spans.  Bucketing only changes *batching
-    granularity*: each bucket's stack still contains the exact requested
-    lengths, so per-length results are identical either way.
+    ``bucket_size=None`` (or 0) puts every length in one shared bucket.  A
+    positive ``bucket_size`` groups lengths into ``(length - 1) //
+    bucket_size`` buckets — the boundaries
+    :meth:`repro.cluster.trace.RequestTrace.bucketed_lengths` prices each
+    bucket's longest member by.
     """
     if not bucket_size or int(bucket_size) <= 0:
         return 0
@@ -228,11 +227,9 @@ class CapacityReport:
     requests that completed *after* every waiter had timed out on them —
     such responses are stored, counted, and reclaimable via
     :meth:`~repro.serving.service.LatencyService.reap_abandoned`, never
-    silently dropped; ``pool_rebuilds`` counts times the dispatcher replaced
-    a broken worker pool with a fresh one before falling back to serial
-    execution.
+    silently dropped.
 
-    Stacked-batch counters: ``stacked_batches`` counts shape-bucketed batches
+    Stacked-batch counters: ``stacked_batches`` counts same-spec batches
     the dispatcher priced with one vectorized stacked pass;
     ``stacked_points`` counts the (backend, length) points those passes
     covered — points that would each have cost a separate simulation on the
@@ -253,7 +250,6 @@ class CapacityReport:
     backends: Tuple[BackendServiceStats, ...] = field(default_factory=tuple)
     timed_out: int = 0
     late_results: int = 0
-    pool_rebuilds: int = 0
     stacked_batches: int = 0
     stacked_points: int = 0
 

@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ppm", choices=sorted(_PPM_PRESETS), default="tiny", help="PPM config preset"
     )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--length-bucket-size", type=int, default=None)
     parser.add_argument("--max-pending-per-tenant", type=int, default=256)
     parser.add_argument("--max-pending-total", type=int, default=4096)
     parser.add_argument("--reap-after-seconds", type=float, default=300.0)
@@ -74,8 +72,6 @@ async def _serve(args: argparse.Namespace) -> int:
         drain_timeout_seconds=args.drain_timeout_seconds,
         claim_grace_seconds=args.claim_grace_seconds,
         ppm_config=_PPM_PRESETS[args.ppm](),
-        workers=args.workers,
-        length_bucket_size=args.length_bucket_size,
         tracer=Tracer(max_traces=args.trace_max_traces) if args.trace else None,
     )
     await door.start()

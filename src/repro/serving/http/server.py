@@ -175,7 +175,7 @@ class LatencyFrontDoor:
     """One HTTP listener over one :class:`LatencyService`.
 
     ``service=None`` builds a service from the remaining keyword arguments
-    (``ppm_config``, ``workers``, ``length_bucket_size``, …) and owns it —
+    (``ppm_config``, ``backends``, ``tracer``, …) and owns it —
     :meth:`shutdown` closes it.  A caller-supplied service is shared, not
     owned: tests stage priority batches on an ``autostart=False`` service
     and start its dispatcher when they choose; :meth:`shutdown` leaves it

@@ -10,30 +10,20 @@ into something that answers concurrent, multi-tenant traffic:
 * **coalescing** — duplicate in-flight (backend, length) queries attach to
   the first one's job, so N identical concurrent requests cost exactly one
   simulation (the NeMo-style same-shape batching, applied to sim points),
-* **shape-bucketed batch admission** — serial-path jobs that share a backend
-  spec (and recycles flag) are grouped by length bucket
-  (:func:`repro.serving.api.length_bucket`; ``length_bucket_size=None`` =
-  one shared bucket) and each multi-length group is priced by **one**
+* **stacked batch admission** — each drained batch of *unique* jobs is
+  priced in-process through the shared session (memo + disk cache): jobs
+  that share a backend spec and recycles flag are priced by **one**
   vectorized stacked pass through
   :meth:`repro.sim.session.SimulationSession.simulate_batch`, seeding the
   shared memo for every member — bit-identical to per-length simulation,
-* **worker pool** — each drained batch of *unique* jobs is evaluated either
-  serially through the shared session (memo + disk cache) or, with
-  ``workers > 1``, sharded via :func:`repro.sim.sweep.sweep` across a
-  **long-lived process pool** owned by the service (created lazily on the
-  first pooled batch, reused for every batch after, shut down when the
-  dispatcher drains out — no per-batch executor standup); pool results are
-  seeded back into the session memo (and the ``REPRO_SIM_CACHE_DIR`` disk
-  cache) so the service warms up like any other session user,
 * **dispatch order** — requests carry ``priority``/``deadline_seconds``
   (:func:`repro.serving.api.dispatch_order_key`): the dispatcher drains
   higher-priority, earlier-deadline jobs first and falls back to FIFO for
   all-default traffic — the same semantics the cluster simulator's EDF
   scheduler applies (:mod:`repro.cluster.scheduler`).
 
-Both execution paths run the identical per-point simulation code, so pooled
-and serial services return bit-identical numbers — asserted by
-``tests/test_serving.py`` and the CI smoke (:mod:`repro.serving.smoke`).
+A service returns the same bits as a bare session pricing the same points —
+asserted by ``tests/test_serving.py`` and ``tests/test_sim_goldens.py``.
 """
 
 from __future__ import annotations
@@ -41,24 +31,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .._digest import stable_digest
-from ..gpu.gpu_config import GPUS, GPUSpec
-from ..hardware.config import LightNobelConfig
 from ..obs.tracing import Tracer
 from ..ppm.config import PPMConfig
-from ..sim.backend import (
-    AcceleratorVariant,
-    GPUVariant,
-    SimReport,
-    available_backends,
-)
+from ..sim.backend import SimReport
 from ..sim.session import DEFAULT_BACKENDS, SimulationSession
-from ..sim.sweep import SweepPoint, resolve_workers, sweep
 from .api import (
     CapacityReport,
     LatencyRequest,
@@ -66,7 +47,6 @@ from .api import (
     LatencyServiceError,
     RequestLogRecord,
     dispatch_order_key,
-    length_bucket,
 )
 from .stats import ServiceStats
 
@@ -108,36 +88,6 @@ def _spec_key(spec: Any) -> Tuple[str, object]:
         return ("digest", stable_digest("serving-spec", spec))
     except TypeError:
         return ("id", id(spec))
-
-
-def _poolable(spec: Any) -> bool:
-    """Whether a spec can be rebuilt inside a sweep worker process.
-
-    Registry names and frozen config/variant dataclasses ship cleanly across
-    the process boundary; session-local registrations (digest-derived names)
-    and live backend instances are evaluated serially instead.
-    """
-    if isinstance(spec, (AcceleratorVariant, GPUVariant, LightNobelConfig, GPUSpec)):
-        return True
-    # Variant-style frozen dataclasses with a build() factory (e.g.
-    # repro.cluster.fleet.MultiChipVariant) pickle by value and rebuild in the
-    # worker.  A spec that wraps a nested `base` spec (a multi-chip node over
-    # some inner backend) is only pool-safe if that base would resolve in a
-    # worker too — a session-local digest name or live backend instance
-    # inside would fail worker-side and needlessly cost us the long-lived
-    # pool, so such jobs run serially instead.
-    if is_dataclass(spec) and not isinstance(spec, type) and callable(
-        getattr(spec, "build", None)
-    ):
-        base = getattr(spec, "base", None)
-        return base is None or _poolable(base)
-    if isinstance(spec, str):
-        key = spec.lower()
-        if key in available_backends():
-            return True
-        base = key[: -len("-chunk")] if key.endswith("-chunk") else key
-        return base.upper() in GPUS
-    return False
 
 
 def _backend_label(spec: Any, report: Optional[SimReport]) -> str:
@@ -230,8 +180,8 @@ class _Job:
     deadline: Optional[float] = None
     #: True while the job sits in the pending queue (dispatch bookkeeping).
     queued: bool = True
-    #: Which execution path priced this job ("memo-hit", "pool-dispatch",
-    #: "stacked-simulate", "simulate", "error") — the span name tracing gives
+    #: Which execution path priced this job ("memo-hit", "stacked-simulate",
+    #: "simulate", "error") — the span name tracing gives
     #: the execution window of every non-coalesced ticket.
     path: str = "simulate"
     tickets: List[_Ticket] = field(default_factory=list)
@@ -250,25 +200,17 @@ class _Job:
 
 
 class LatencyService:
-    """Request queue + coalescing + worker pool over one shared session.
+    """Request queue + coalescing + stacked pricing over one shared session.
 
-    ``workers`` selects the execution path for each drained batch of unique
-    jobs: ``None``/0/1 (or ``$REPRO_SIM_WORKERS``) evaluates serially through
-    the shared :class:`~repro.sim.session.SimulationSession`; ``workers > 1``
-    shards pool-safe jobs across :func:`repro.sim.sweep.sweep` and seeds the
-    results back into the session memo.  ``cache_dir`` /
-    ``REPRO_SIM_CACHE_DIR`` enable the shared disk cache exactly as on a bare
-    session.
-
-    On the serial path, jobs sharing a backend spec are additionally grouped
-    by shape bucket (``length_bucket_size``; ``None`` = one shared bucket)
-    and each multi-length group is priced in a single stacked pass — see the
-    module docstring.  Results are bit-identical to per-length simulation, so
-    the bucket width is purely a batching-granularity knob.
+    Every drained batch of unique jobs is priced in-process through the
+    shared :class:`~repro.sim.session.SimulationSession`; jobs sharing a
+    backend spec and recycles flag are priced in a single stacked pass — see
+    the module docstring.  ``cache_dir`` / ``REPRO_SIM_CACHE_DIR`` enable the
+    shared disk cache exactly as on a bare session.
 
     ``tracer`` switches on per-request span tracing: every fulfilled ticket
     records a root ``request`` span with ``queue-wait``, an execution span
-    named after the path that priced it (``memo-hit`` / ``pool-dispatch`` /
+    named after the path that priced it (``memo-hit`` /
     ``stacked-simulate`` / ``simulate``, or ``coalesce`` for tickets that
     attached to an in-flight duplicate) and a ``fulfill`` span, keyed by the
     client's ``trace_id`` or the ticket id (see :mod:`repro.obs.tracing`).
@@ -284,14 +226,12 @@ class LatencyService:
         self,
         ppm_config: Optional[PPMConfig] = None,
         backends: Iterable = DEFAULT_BACKENDS,
-        workers: Optional[int] = None,
         cache_dir: Optional[Path | str] = None,
         use_disk_cache: Optional[bool] = None,
         include_recycles: bool = False,
         session: Optional[SimulationSession] = None,
         max_batch: int = 64,
         autostart: bool = True,
-        length_bucket_size: Optional[int] = None,
         request_log_limit: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -322,11 +262,8 @@ class LatencyService:
                 use_disk_cache=use_disk_cache,
                 include_recycles=include_recycles,
             )
-        self.workers = resolve_workers(workers)
         self.max_batch = int(max_batch)
         self.autostart = bool(autostart)
-        #: Shape-bucket width for stacked batch admission (None = one bucket).
-        self.length_bucket_size = length_bucket_size
         self.stats = ServiceStats(request_log_limit=request_log_limit)
         self.stats.read_queue_depth = self.queue_depth
         #: Optional per-request span tracing (:mod:`repro.obs.tracing`).
@@ -355,11 +292,6 @@ class LatencyService:
         self._executing = 0
         self._stopped = False
         self._thread: Optional[threading.Thread] = None
-        #: Long-lived worker pool (created lazily by the dispatcher on the
-        #: first pooled batch, reused for every batch after, shut down when
-        #: the dispatcher drains out).  Owned exclusively by the dispatcher
-        #: thread, so no lock guards it.
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._started_at = time.perf_counter()
 
     # ---------------------------------------------------------------- lifecycle
@@ -391,10 +323,6 @@ class LatencyService:
             thread = self._thread
         if wait and thread is not None:
             thread.join()
-        if thread is None:
-            # Never-started service: no dispatcher will run to release the
-            # pool (it cannot exist yet, but keep the invariant explicit).
-            self._shutdown_pool()
 
     def __enter__(self) -> "LatencyService":
         return self.start()
@@ -671,7 +599,7 @@ class LatencyService:
                     # plain wait needs no polling interval.
                     self._cond.wait()
                 if not self._queue:
-                    break  # stopped and drained; release the pool below
+                    break  # stopped and drained
                 # Drain up to max_batch jobs in dispatch order: priority desc,
                 # then earliest deadline, then submission order (the shared
                 # dispatch_order_key semantics).  While nothing queued carries
@@ -702,8 +630,8 @@ class LatencyService:
             try:
                 results = self._execute(jobs)
             except Exception as exc:
-                # A dispatcher-level failure (pool machinery, session
-                # corruption) must not kill this thread: a dead dispatcher
+                # A dispatcher-level failure (session corruption) must not
+                # kill this thread: a dead dispatcher
                 # would hang every future poll()/result() forever.  Convert
                 # the crash into per-ticket error responses and keep serving.
                 for job in jobs:
@@ -714,18 +642,16 @@ class LatencyService:
                 # Fulfill even if _execute blew up: every drained ticket gets a
                 # response (an error one, in the worst case), never a hang.
                 self._fulfill(jobs, results, started)
-        # The dispatcher owns the worker pool and releases it on the way out —
-        # outside the condition lock, since joining worker processes can take
-        # a while and must not stall concurrent poll()/stats readers.
-        self._shutdown_pool()
 
     def _execute(
         self, jobs: List[_Job]
     ) -> Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]]:
         """Evaluate unique jobs; returns key -> (report, error, memo_hit)."""
         results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
-        pooled: List[_Job] = []
-        serial: List[_Job] = []
+        # Stacked batch admission: misses sharing a backend spec and recycles
+        # flag are priced by a single stacked pass; loners keep the plain
+        # per-job path.
+        buckets: Dict[Tuple, List[_Job]] = {}
         with self._session_lock:
             for job in jobs:
                 try:
@@ -739,35 +665,13 @@ class LatencyService:
                 if report is not None:
                     results[job.key] = (report, None, True)
                     job.path = "memo-hit"
-                elif (
-                    self.workers is not None
-                    and self.workers > 1
-                    and _poolable(job.spec)
-                ):
-                    pooled.append(job)
                 else:
-                    serial.append(job)
-            # Shape-bucketed batch admission: serial jobs sharing a backend
-            # spec (and recycles flag) within one length bucket are priced by
-            # a single stacked pass; loners keep the plain per-job path.
-            buckets: Dict[Tuple, List[_Job]] = {}
-            for job in serial:
-                bucket = (
-                    job.key[0],
-                    job.include_recycles,
-                    length_bucket(job.sequence_length, self.length_bucket_size),
-                )
-                buckets.setdefault(bucket, []).append(job)
+                    buckets.setdefault((job.key[0], job.include_recycles), []).append(job)
             for group in buckets.values():
                 if len(group) > 1:
                     self._simulate_bucketed(group, results)
                 else:
                     results[group[0].key] = self._simulate_serial(group[0])
-            if len(pooled) == 1:
-                # A single point gains nothing from a pool; keep it in-session.
-                results[pooled[0].key] = self._simulate_serial(pooled[0])
-            elif pooled:
-                self._simulate_pooled(pooled, results)
         return results
 
     def _simulate_serial(
@@ -790,7 +694,7 @@ class LatencyService:
         jobs: List[_Job],
         results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]],
     ) -> None:
-        """Price one shape bucket (same spec, same recycles flag) in one pass.
+        """Price one bucket (same spec, same recycles flag) in one pass.
 
         Delegates to :meth:`SimulationSession.simulate_batch`, which stacks
         the distinct lengths and evaluates the backend with one vectorized
@@ -816,84 +720,6 @@ class LatencyService:
         for job in jobs:
             results[job.key] = (reports[job.sequence_length], None, False)
             job.path = "stacked-simulate"
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The long-lived worker pool, created lazily (``None`` if unavailable)."""
-        if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            except Exception:
-                return None
-        return self._pool
-
-    def _shutdown_pool(self, wait: bool = True) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def _simulate_pooled(
-        self,
-        jobs: List[_Job],
-        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]],
-    ) -> None:
-        """Shard a batch of unique jobs across the long-lived worker pool.
-
-        The pool is created once and reused across batches (no per-batch
-        executor standup); jobs are grouped by recycles flag (a sweep-level
-        setting).  A broken pool (workers OOM-killed, crashed mid-batch) is
-        discarded and **rebuilt once** — a single dead worker must not cost
-        the whole pooled path — and only if the fresh pool fails too does the
-        batch degrade to the per-job serial path, so the service keeps the
-        sweep module's never-have-to-care fallback contract.
-        """
-        by_include: Dict[bool, List[_Job]] = {}
-        for job in jobs:
-            by_include.setdefault(job.include_recycles, []).append(job)
-        for include, group in by_include.items():
-            points = [SweepPoint(job.spec, job.sequence_length) for job in group]
-            reports = None
-            for attempt in (0, 1):
-                executor = self._ensure_pool()
-                try:
-                    reports = sweep(
-                        points,
-                        ppm_config=self.session.ppm_config,
-                        workers=self.workers,
-                        include_recycles=include,
-                        executor=executor,
-                    )
-                    break
-                except Exception:
-                    if executor is not None:
-                        # The pool itself may be broken (dead workers,
-                        # pickling of a poisoned spec): discard it so the
-                        # retry (and the next batch) starts clean rather
-                        # than failing forever.
-                        self._shutdown_pool(wait=False)
-                    if attempt == 0 and executor is not None:
-                        # One rebuild: _ensure_pool() stands up a fresh pool
-                        # on the retry.  A pool that could not even be
-                        # created (executor None) will not appear by trying
-                        # again — go straight to the serial fallback.
-                        self.stats.record(pool_rebuilds=1)
-                        continue
-                    break
-            if reports is None:
-                for job in group:
-                    results[job.key] = self._simulate_serial(job)
-                continue
-            self.stats.record(simulations=len(group))
-            for job, report in zip(group, reports):
-                # Seed the shared memo/disk cache so later duplicates are
-                # memo hits, exactly as if the session had simulated them.
-                try:
-                    self.session.seed_report(
-                        job.spec, job.sequence_length, report, include
-                    )
-                except Exception:
-                    pass
-                results[job.key] = (report, None, False)
-                job.path = "pool-dispatch"
 
     def _fulfill(
         self,

@@ -83,8 +83,6 @@ SERVICE_METRICS: Tuple[ServiceMetric, ...] = (
                   "result() calls that gave up waiting.", "timed_out"),
     ServiceMetric("late_results", "repro_serving_late_results_total", Counter,
                   "Requests completed after every waiter timed out.", "late_results"),
-    ServiceMetric("pool_rebuilds", "repro_serving_pool_rebuilds_total", Counter,
-                  "Worker-pool rebuilds after a pool failure.", "pool_rebuilds"),
     ServiceMetric("stacked_batches", "repro_serving_stacked_batches_total", Counter,
                   "Shape-bucketed batches priced in one stacked pass.", "stacked_batches"),
     ServiceMetric("stacked_points", "repro_serving_stacked_points_total", Counter,

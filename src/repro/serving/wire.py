@@ -48,7 +48,7 @@ from .api import (
 
 #: Version of the wire schema.  Bump when a field changes meaning or shape;
 #: additive optional fields do not require a bump.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class WireFormatError(ValueError):

@@ -1,4 +1,4 @@
-"""Unified simulation-backend layer: sessions, batches, sweeps, disk cache.
+"""Unified simulation-backend layer: sessions, batches, disk cache.
 
 Every latency number in the repository — the accelerator model, the GPU
 rooflines, the Fig. 12–16 figure loops — flows through this package.  It
@@ -19,17 +19,13 @@ evaluated columnar-style)::
     )
     batch.mean_folding_seconds("h100-chunk")           # Fig. 14b-d metric
 
-Sharded sweeps (process pool with serial fallback; pool ≡ serial results)::
+Design-space grids (one stacked pass per config over every length)::
 
-    from repro.sim import SweepPoint, sweep
     from repro.hardware import LightNobelConfig
 
-    points = [
-        SweepPoint(LightNobelConfig(num_rmpus=r), n)
-        for r in (8, 16, 32)
-        for n in (200, 400)
-    ]
-    reports = sweep(points, workers=4)                 # or workers=None: serial
+    grid = [LightNobelConfig(num_rmpus=r) for r in (8, 16, 32)]
+    batch = SimulationSession(backends=()).simulate_batch([200, 400], backends=grid)
+    [batch.totals(name) for name in batch.backends]    # aligned with grid
 
 Disk cache (cross-process reuse of tables and reports; version-stamped, safe
 to delete)::
@@ -56,7 +52,6 @@ from .backend import (
 )
 from .cache import CACHE_DIR_ENV, CACHE_SCHEMA_VERSION, DiskCache, default_cache_dir
 from .session import BatchResult, DEFAULT_BACKENDS, SimulationSession, session_for
-from .sweep import SweepPoint, sweep
 
 __all__ = [
     "AcceleratorBackend",
@@ -71,11 +66,9 @@ __all__ = [
     "LatencyBackend",
     "SimReport",
     "SimulationSession",
-    "SweepPoint",
     "available_backends",
     "create_backend",
     "default_cache_dir",
     "register_backend",
     "session_for",
-    "sweep",
 ]

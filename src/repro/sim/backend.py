@@ -24,7 +24,8 @@ Backends are resolved from *specs*: a registered name (``"lightnobel"``,
 ``"h100"``, ``"a100-chunk"`` …), a :class:`~repro.hardware.config.LightNobelConfig`,
 a :class:`~repro.gpu.gpu_config.GPUSpec`, a frozen :class:`AcceleratorVariant` /
 :class:`GPUVariant`, or an already-built backend.  Specs are plain frozen
-dataclasses, so sweep points ship cleanly across process boundaries.
+dataclasses, so they hash, digest and pickle by value (memo, coalescing and
+disk-cache keys).
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class GPUBackend:
 # ------------------------------------------------------------ declarative specs
 @dataclass(frozen=True)
 class AcceleratorVariant:
-    """Picklable spec for an accelerator backend (sweep fan-out friendly)."""
+    """Frozen, hashable spec for an accelerator backend."""
 
     hw_config: Optional[LightNobelConfig] = None
     aaq_config: Optional[AAQConfig] = None
@@ -268,7 +269,7 @@ class AcceleratorVariant:
 
 @dataclass(frozen=True)
 class GPUVariant:
-    """Picklable spec for a GPU backend (sweep fan-out friendly)."""
+    """Frozen, hashable spec for a GPU backend."""
 
     gpu: str = "H100"
     chunked: bool = False

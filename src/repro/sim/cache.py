@@ -1,7 +1,7 @@
 """On-disk cache for operator tables and simulation reports.
 
 Cross-process companion to the in-process LRU of
-:mod:`repro.ppm.op_table`: a sharded DSE sweep (or a fresh CI process)
+:mod:`repro.ppm.op_table`: a fresh process (a CI step, a later figure run)
 should not rebuild the ~3k-operator graph for a (config, length) pair that
 any earlier process already built.  Entries are pickle files named by a
 stable config digest (:mod:`repro._digest`), wrapped in a version-stamped
@@ -16,7 +16,7 @@ cache directory is always safe to delete wholesale.
 
 The default directory is ``$REPRO_SIM_CACHE_DIR`` when set, else
 ``~/.cache/repro-sim``.  Writes are atomic (temp file + ``os.replace``) so
-concurrent sweep workers can share one directory.
+concurrent processes can share one directory.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def default_cache_dir() -> Path:
 def sandbox_cache_dir(path: Path | str):
     """Point ``CACHE_DIR_ENV`` at ``path`` for the duration of the block.
 
-    Covers every cache consumer inside the block — direct sessions, serial
-    sweeps, and process-pool sweep workers (which inherit the environment) —
-    and restores the previous value on exit.  The CI smoke entry points use
+    Covers every cache consumer inside the block — sessions, services and
+    any child process (which inherits the environment) — and restores the
+    previous value on exit.  The CI smoke entry points use
     this so nothing writes cache state into the runner workspace or home;
     the test suite's conftest applies the same sandbox session-wide.
     """

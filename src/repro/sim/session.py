@@ -327,24 +327,6 @@ class SimulationSession:
                 self._reports[memo_key] = report
         return self._labeled(report, name) if report is not None else None
 
-    def seed_report(
-        self,
-        backend,
-        sequence_length: int,
-        report: SimReport,
-        include_recycles: Optional[bool] = None,
-    ) -> None:
-        """Insert an externally computed report into the memo (and disk cache).
-
-        Used by pool-based executors (the serving layer's worker path) whose
-        simulations ran in other processes: seeding keeps the shared session
-        as warm as if it had simulated the point itself.
-        """
-        name, memo_key = self._memo_key(backend, sequence_length, include_recycles)
-        self._reports[memo_key] = report
-        if self.cache is not None:
-            self.cache.put(self._report_key(name, sequence_length, memo_key[2]), report)
-
     def _fill_from_stack(
         self, name: str, lengths: Sequence[int], include: bool
     ) -> None:
@@ -369,10 +351,12 @@ class SimulationSession:
         """
         stack = self.stacked_table(lengths, include)
         reports = self._backends[name].simulate_stack(stack)
+        digest = self._backend_digests[name]
         for n in lengths:
-            self.seed_report(
-                name, n, reports[stack.segment_index(n)], include_recycles=include
-            )
+            report = reports[stack.segment_index(n)]
+            self._reports[(digest, int(n), bool(include))] = report
+            if self.cache is not None:
+                self.cache.put(self._report_key(name, n, include), report)
 
     def simulate_batch(
         self,

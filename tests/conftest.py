@@ -18,10 +18,10 @@ def _isolated_sim_cache(tmp_path_factory):
 
     Tests must never read cache state leaked by an earlier run (stale entries
     could mask regressions) nor write into the developer's real
-    ``~/.cache/repro-sim``.  Session-scoped on purpose: process-pool sweep
-    workers inherit the environment, so they share the same sandboxed
-    directory.  Tests that need a pristine or disabled cache still override
-    per-test with ``monkeypatch``/``cache_dir=``.
+    ``~/.cache/repro-sim``.  Session-scoped on purpose: child processes (the
+    HTTP server tests, the Fig. 11 model pool) inherit the environment, so
+    they share the same sandboxed directory.  Tests that need a pristine or
+    disabled cache still override per-test with ``monkeypatch``/``cache_dir=``.
     """
     cache_dir = tmp_path_factory.mktemp("repro-sim-cache")
     previous = os.environ.get(CACHE_DIR_ENV)

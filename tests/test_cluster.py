@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import cluster_capacity_dse
+from repro.analysis import cluster_capacity_dse, hardware_dse
 from repro.cluster import (
     BucketedScheduler,
     ClusterScenario,
@@ -40,12 +40,14 @@ from repro.cluster import (
     replay_trace,
     replay_trace_outcomes,
 )
+from repro.cluster.scenarios import mixed_fleet_experiment, resilience_experiment
 from repro.cluster.scheduler import scheduler_name
 from repro.hardware import ChipLinkSpec
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService
 from repro.serving.api import dispatch_order_key
-from repro.sim import SimulationSession, SweepPoint, sweep
+from repro.serving.http.server import LatencyFrontDoor
+from repro.sim import SimulationSession
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -340,16 +342,6 @@ class TestMultiChipAndFleet:
         }
         assert len(digests) == 3
 
-    def test_multichip_sweeps_pool_equals_serial(self, tiny_config):
-        points = [
-            SweepPoint(MultiChipVariant(base="lightnobel", chips=c), n)
-            for c in (2, 4)
-            for n in (24, 48)
-        ]
-        pooled = sweep(points, ppm_config=tiny_config, workers=2)
-        serial = sweep(points, ppm_config=tiny_config, workers=None)
-        assert [r.total_seconds for r in pooled] == [r.total_seconds for r in serial]
-
     def test_fleet_spec_accounting(self):
         fleet = FleetSpec.homogeneous("lightnobel", 4)
         assert fleet.num_workers == 4
@@ -446,38 +438,26 @@ class TestReplayDeterminism:
         )
         fleet = FleetSpec.homogeneous("h100-chunk", 2)
         via_session = prefetch_service_times(trace, fleet, session=tiny_session)
-        via_sweep = prefetch_service_times(
-            trace, fleet, ppm_config=tiny_config, workers=2
-        )
+        via_config = prefetch_service_times(trace, fleet, ppm_config=tiny_config)
         with LatencyService(session=tiny_session, autostart=False) as service:
             via_service = prefetch_service_times(trace, fleet, service=service)
-        assert via_session == via_sweep == via_service
+        assert via_session == via_config == via_service
 
-    def test_sharded_prefetch_honors_session_recycles(self):
-        """A recycles-enabled session must get recycle-inclusive service
-        times from the sharded prefetch (regression: the sweep ran with
-        recycles off and seeded wrong reports into the session memo)."""
+    def test_prefetch_honors_session_recycles(self):
+        """A recycles-enabled session gets recycle-inclusive service times."""
         cfg = PPMConfig.tiny().with_recycles(2)
         pool, _ = mixture_lengths([(24, 0.5), (48, 0.5)])
         trace = poisson_trace(rate_rps=50.0, num_requests=20, length_pool=pool, seed=1)
         fleet = FleetSpec.homogeneous("lightnobel", 2)
-        serial = prefetch_service_times(
-            trace, fleet,
-            session=SimulationSession(ppm_config=cfg, include_recycles=True,
-                                      use_disk_cache=False),
-        )
-        pooled = prefetch_service_times(
-            trace, fleet,
-            session=SimulationSession(ppm_config=cfg, include_recycles=True,
-                                      use_disk_cache=False),
-            workers=2,
-        )
+        session = SimulationSession(ppm_config=cfg, include_recycles=True, use_disk_cache=False)
+        with_recycles = prefetch_service_times(trace, fleet, session=session)
         no_recycles = prefetch_service_times(
             trace, fleet,
             session=SimulationSession(ppm_config=cfg, use_disk_cache=False),
         )
-        assert pooled == serial
-        assert serial != no_recycles  # recycles genuinely change the numbers
+        for (_, n), seconds in with_recycles.items():
+            assert seconds == session.simulate(n, backend="lightnobel").total_seconds
+        assert with_recycles != no_recycles  # recycles genuinely change the numbers
 
     def test_all_requests_accounted(self, pinned_times):
         report = pinned_replay("fifo", pinned_times)
@@ -545,20 +525,41 @@ class TestReplayOptions:
         return poisson_trace(rate_rps=10.0, num_requests=5, length_pool=pool, seed=0)
 
     @pytest.mark.parametrize(
-        "option", ["dispatch_overhead_seconds", "same_length_reuse_discont"]
+        "option",
+        [
+            "dispatch_overhead_seconds",
+            "same_length_reuse_discont",
+            # No latency entry point takes a worker count, and a service
+            # stacks each spec's misses without a bucket width.
+            "workers",
+            "length_bucket_size",
+        ],
     )
     def test_forwarders_reject_unknown_options(self, tiny_trace, option):
         fleet = FleetSpec.homogeneous("h100-chunk", 1)
         scenario = ClusterScenario(name="plain", trace=tiny_trace)
-        replays = (
+        entry_points = [
             lambda **kw: replay_trace(tiny_trace, fleet, **kw),
             lambda **kw: replay_trace_outcomes(tiny_trace, fleet, **kw),
             lambda **kw: scenario.replay(fleet, **kw),
             lambda **kw: scenario.replay_outcomes(fleet, **kw),
-        )
-        for replay in replays:
+            LatencyService,
+            LatencyFrontDoor,
+        ]
+        if option != "length_bucket_size":  # the prefetch's own bucketing knob
+            entry_points += [
+                lambda **kw: prefetch_service_times(tiny_trace, fleet, **kw),
+                lambda **kw: plan_capacity(tiny_trace, **kw),
+                lambda **kw: compare_fleets(tiny_trace, [fleet], **kw),
+                lambda **kw: plan_capacity_under_scenarios([scenario], **kw),
+                lambda **kw: cluster_capacity_dse(tiny_trace, **kw),
+                lambda **kw: hardware_dse([24], **kw),
+                lambda **kw: resilience_experiment(**kw),
+                lambda **kw: mixed_fleet_experiment(**kw),
+            ]
+        for entry_point in entry_points:
             with pytest.raises(TypeError, match=option):
-                replay(**{option: 0.0})
+                entry_point(**{option: 0.0})
 
     def test_scenario_owned_options_are_not_overridable(self, tiny_trace):
         scenario = ClusterScenario(name="plain", trace=tiny_trace)
@@ -781,7 +782,7 @@ class TestPlanner:
         )
         plan = cluster_capacity_dse(
             trace, backend="h100-chunk", fleet_sizes=(1, 2, 4),
-            config=PPMConfig.tiny(), workers=2,
+            config=PPMConfig.tiny(),
         )
         assert {p.policy for p in plan.points} == {"fifo", "edf"}
         minimal = plan.minimal_fleet()

@@ -427,8 +427,6 @@ EXPOSED_FAMILIES = {
     "repro_serving_timeouts_total": ("counter", "result() calls that gave up waiting."),
     "repro_serving_late_results_total": (
         "counter", "Requests completed after every waiter timed out."),
-    "repro_serving_pool_rebuilds_total": (
-        "counter", "Worker-pool rebuilds after a pool failure."),
     "repro_serving_stacked_batches_total": (
         "counter", "Shape-bucketed batches priced in one stacked pass."),
     "repro_serving_stacked_points_total": (

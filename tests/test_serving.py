@@ -1,5 +1,6 @@
-"""Latency-serving layer: coalescing, ordering, pool-vs-serial parity, stats."""
+"""Latency-serving layer: coalescing, ordering, service ≡ session parity, stats."""
 
+import multiprocessing
 import threading
 
 import pytest
@@ -191,37 +192,14 @@ class TestQueueOrdering:
 
 
 class TestWorkerPoolParity:
-    def grid(self):
-        return [
-            (spec, n)
-            for spec in ("lightnobel", "h100", "h100-chunk", LightNobelConfig(num_rmpus=8))
-            for n in LENGTHS
-        ]
-
-    def test_pooled_matches_serial_and_direct_session(self, config):
-        with make_service(config, workers=2) as pooled:
-            pooled_reports = pooled.query_batch(self.grid(), timeout=TIMEOUT)
-        with make_service(config, workers=None) as serial:
-            serial_reports = serial.query_batch(self.grid(), timeout=TIMEOUT)
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
-        for (spec, n), fast, slow in zip(self.grid(), pooled_reports, serial_reports):
-            direct = session.simulate(n, backend=spec)
-            assert fast.total_seconds == slow.total_seconds == direct.total_seconds
-            assert fast.phase_seconds == direct.phase_seconds
-
-    def test_pooled_results_seed_the_session_memo(self, config):
-        with make_service(config, workers=2) as service:
-            service.query_batch(self.grid(), timeout=TIMEOUT)
-            # Every pooled result must now be a memo hit on the shared session.
-            for spec, n in self.grid():
-                assert service.session.peek_report(spec, n) is not None
+    """Specs that could never cross a process boundary are served in-process."""
 
     def test_pool_unsafe_specs_still_served(self, config):
         # A live backend instance cannot be shipped to a worker process; the
         # service must evaluate it serially instead of failing.
         backend = AcceleratorBackend(ppm_config=config)
         backend.unpicklable = threading.Lock()
-        with make_service(config, workers=2) as service:
+        with make_service(config) as service:
             report = service.query(backend, LENGTHS[0], timeout=TIMEOUT)
         direct = SimulationSession(ppm_config=config, use_disk_cache=False).simulate(
             LENGTHS[0], backend="lightnobel"
@@ -369,7 +347,7 @@ class TestRewiredEntryPoints:
         assert via_service.subphase_fractions == direct.subphase_fractions
 
     def test_compare_hardware_matches_session_path(self, config):
-        with make_service(config, workers=2) as service:
+        with make_service(config) as service:
             via_service = compare_hardware_on_lengths(
                 "dataset", LENGTHS, config=config, service=service
             )
@@ -389,7 +367,7 @@ class TestRewiredEntryPoints:
             vvpu_counts=(2, 4),
             config=config,
         )
-        with make_service(config, workers=2) as service:
+        with make_service(config) as service:
             via_service = hardware_dse(service=service, **kwargs)
         direct = hardware_dse(**kwargs)
         for key in ("vvpu_sweep", "rmpu_sweep"):
@@ -444,51 +422,14 @@ class TestRewiredEntryPoints:
 
 
 class TestWorkerPoolLifecycle:
-    """The long-lived worker pool: created once, reused, cleanly shut down."""
-
-    def grid(self):
-        return [
-            (spec, n)
-            for spec in ("lightnobel", "h100", "h100-chunk")
-            for n in LENGTHS
-        ]
-
-    def test_pool_is_created_lazily_and_reused_across_batches(self, config):
-        with make_service(config, workers=2) as service:
-            assert service._pool is None  # nothing pooled yet
-            service.query_batch(self.grid(), timeout=TIMEOUT)
-            first_pool = service._pool
-            assert first_pool is not None
-            # A second batch of *new* unique keys must reuse the same executor,
-            # not stand up a fresh one per batch.
-            service.query_batch(
-                [("a100", n) for n in LENGTHS] + [("a100-chunk", n) for n in LENGTHS],
-                timeout=TIMEOUT,
-            )
-            assert service._pool is first_pool
-
-    def test_close_shuts_the_pool_down(self, config):
-        service = make_service(config, workers=2)
-        with service:
-            service.query_batch(self.grid(), timeout=TIMEOUT)
-            pool = service._pool
-            assert pool is not None
-        assert service._pool is None
-        # The executor is genuinely shut down, not leaked: submitting raises.
-        with pytest.raises(RuntimeError):
-            pool.submit(int, 0)
+    """Latency pricing never leaves the process."""
 
     def test_serial_service_never_creates_a_pool(self, config):
-        with make_service(config, workers=None) as service:
-            service.query_batch(self.grid(), timeout=TIMEOUT)
-            assert service._pool is None
-
-    def test_pooled_results_still_match_direct_session(self, config):
-        with make_service(config, workers=2) as service:
-            reports = service.query_batch(self.grid(), timeout=TIMEOUT)
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
-        for (spec, n), report in zip(self.grid(), reports):
-            assert report.total_seconds == session.simulate(n, backend=spec).total_seconds
+        grid = [(spec, n) for spec in ("lightnobel", "h100", "h100-chunk") for n in LENGTHS]
+        before = set(multiprocessing.active_children())
+        with make_service(config) as service:
+            service.query_batch(grid, timeout=TIMEOUT)
+            assert set(multiprocessing.active_children()) <= before
 
 
 class TestPriorityDeadlineDispatch:
@@ -576,85 +517,23 @@ class TestPriorityDeadlineDispatch:
 
 
 class TestPoolableVariantSpecs:
-    """Duck-typed variant specs only shard when a worker could rebuild them."""
-
-    def test_multichip_over_registry_name_is_poolable(self, config):
-        from repro.cluster import MultiChipVariant
-        from repro.serving.service import _poolable
-
-        assert _poolable(MultiChipVariant(base="lightnobel", chips=2))
-        assert _poolable(MultiChipVariant(base="h100-chunk", chips=4))
-
-    def test_multichip_over_live_backend_is_not_poolable(self, config):
-        from repro.cluster import MultiChipVariant
-        from repro.serving.service import _poolable
-        from repro.sim.backend import AcceleratorBackend
-
-        live = AcceleratorBackend(ppm_config=config)
-        assert not _poolable(MultiChipVariant(base=live, chips=2))
+    """Duck-typed variant specs over live backends are served in-process."""
 
     def test_unpoolable_multichip_job_runs_serially_without_pool_teardown(self, config):
         from repro.cluster import MultiChipVariant
         from repro.sim.backend import AcceleratorBackend
 
-        with make_service(config, workers=2) as service:
-            # Warm the pool with ordinary poolable work.
+        with make_service(config) as service:
             service.query_batch([("h100", n) for n in LENGTHS], timeout=TIMEOUT)
-            pool = service._pool
-            assert pool is not None
-            # A node spec wrapping a live backend cannot rebuild in a worker:
-            # it must run serially and leave the healthy pool untouched.
+            # A node spec wrapping a live backend is priced like any other.
             live_node = MultiChipVariant(base=AcceleratorBackend(ppm_config=config), chips=2)
             report = service.query(live_node, LENGTHS[0], timeout=TIMEOUT)
             assert report.details["chips"] == 2.0
-            assert service._pool is pool
+            assert service.stats.errors == 0
 
 
 class TestServiceResilience:
-    """Worker-pool death, result timeouts, and dispatcher crashes stay contained."""
-
-    def grid(self):
-        return [("lightnobel", n) for n in LENGTHS] + [("h100", n) for n in LENGTHS]
-
-    def test_broken_pool_is_rebuilt_once_and_the_batch_still_succeeds(
-        self, config, monkeypatch
-    ):
-        import repro.serving.service as service_module
-
-        real_sweep = service_module.sweep
-        calls = {"n": 0}
-
-        def dying_sweep(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise BrokenPipeError("worker pool died mid-batch")
-            return real_sweep(*args, **kwargs)
-
-        monkeypatch.setattr(service_module, "sweep", dying_sweep)
-        with make_service(config, workers=2) as service:
-            reports = service.query_batch(self.grid(), timeout=TIMEOUT)
-            assert service.stats.pool_rebuilds == 1
-            assert service.capacity_report().pool_rebuilds == 1
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
-        for (spec, n), report in zip(self.grid(), reports):
-            assert report.total_seconds == session.simulate(n, backend=spec).total_seconds
-
-    def test_persistently_broken_pool_degrades_to_serial(self, config, monkeypatch):
-        import repro.serving.service as service_module
-
-        def always_broken(*args, **kwargs):
-            raise BrokenPipeError("every pool is cursed")
-
-        monkeypatch.setattr(service_module, "sweep", always_broken)
-        with make_service(config, workers=2) as service:
-            reports = service.query_batch(self.grid(), timeout=TIMEOUT)
-            # One rebuild attempt, then the serial fallback — never an error
-            # response, never a hang.
-            assert service.stats.pool_rebuilds == 1
-            assert service.stats.errors == 0
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
-        for (spec, n), report in zip(self.grid(), reports):
-            assert report.total_seconds == session.simulate(n, backend=spec).total_seconds
+    """Result timeouts and dispatcher crashes stay contained."""
 
     def test_result_timeout_is_counted_and_leaves_the_ticket_claimable(self, config):
         service = make_service(config, autostart=False)

@@ -293,12 +293,12 @@ METRICS_JSON_KEYS = {
     "service": {
         "submitted", "completed", "errors", "coalesced", "memo_hits", "simulations",
         "batches", "busy_seconds", "queue_depth", "peak_queue_depth", "timeouts",
-        "late_results", "pool_rebuilds", "stacked_batches", "stacked_points", "backends",
+        "late_results", "stacked_batches", "stacked_points", "backends",
     },
     "capacity": {
         "schema_version", "requests", "completed", "errors", "coalesced", "memo_hits",
         "simulations", "queue_depth", "peak_queue_depth", "timed_out", "late_results",
-        "pool_rebuilds", "stacked_batches", "stacked_points", "wall_seconds",
+        "stacked_batches", "stacked_points", "wall_seconds",
         "busy_seconds", "queries_per_second", "backends",
     },
     "http": {
@@ -320,7 +320,6 @@ JSON_PROM_PAIRS = {
     ("service", "peak_queue_depth"): "repro_serving_peak_queue_depth",
     ("service", "timeouts"): "repro_serving_timeouts_total",
     ("service", "late_results"): "repro_serving_late_results_total",
-    ("service", "pool_rebuilds"): "repro_serving_pool_rebuilds_total",
     ("service", "stacked_batches"): "repro_serving_stacked_batches_total",
     ("service", "stacked_points"): "repro_serving_stacked_points_total",
     ("capacity", "requests"): "repro_serving_requests_submitted_total",
@@ -334,7 +333,6 @@ JSON_PROM_PAIRS = {
     ("capacity", "peak_queue_depth"): "repro_serving_peak_queue_depth",
     ("capacity", "timed_out"): "repro_serving_timeouts_total",
     ("capacity", "late_results"): "repro_serving_late_results_total",
-    ("capacity", "pool_rebuilds"): "repro_serving_pool_rebuilds_total",
     ("capacity", "stacked_batches"): "repro_serving_stacked_batches_total",
     ("capacity", "stacked_points"): "repro_serving_stacked_points_total",
     ("http", "pending"): "repro_http_pending",

@@ -9,14 +9,14 @@ that changes them must update this table deliberately and say why.
 
 The values must hold bit-for-bit modulo float noise (relative 1e-9, the
 repo-wide parity bar) on every execution path: direct session, disk-cache
-round trip, sharded sweep, and the serving layer.
+round trip, a fresh stacked grid pass, and the serving layer.
 """
 
 import pytest
 
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService
-from repro.sim import SimulationSession, SweepPoint, sweep
+from repro.sim import SimulationSession
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -94,18 +94,20 @@ def test_disk_cache_roundtrip_matches_goldens(tmp_path):
     assert warm.cache.hits > 0  # the goldens really came off disk
 
 
-def test_sharded_sweep_matches_goldens():
-    points = [SweepPoint(backend, length) for backend, length in sorted(GOLDENS)]
-    reports = sweep(points, ppm_config=PPMConfig.tiny(), workers=2)
-    for point, report in zip(points, reports):
-        assert_matches_golden(report, point.backend, point.sequence_length)
+def test_fresh_grid_batch_matches_goldens():
+    # The Fig. 12 grid path: a fresh session prices every backend's lengths
+    # in one stacked pass, with nothing memoized beforehand.
+    session = SimulationSession(
+        ppm_config=PPMConfig.tiny(), backends=(), use_disk_cache=False
+    )
+    batch = session.simulate_batch(LENGTHS, backends=BACKENDS)
+    for backend in BACKENDS:
+        for length in LENGTHS:
+            assert_matches_golden(batch.report(backend, length), backend, length)
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_serving_layer_matches_goldens(workers):
-    with LatencyService(
-        ppm_config=PPMConfig.tiny(), workers=workers, use_disk_cache=False
-    ) as service:
+def test_serving_layer_matches_goldens():
+    with LatencyService(ppm_config=PPMConfig.tiny(), use_disk_cache=False) as service:
         reports = service.query_batch(sorted(GOLDENS), timeout=120.0)
     for (backend, length), report in zip(sorted(GOLDENS), reports):
         assert_matches_golden(report, backend, length)

@@ -1,9 +1,12 @@
-"""Unified simulation layer: backend parity, batching, disk cache, sweeps."""
+"""Unified simulation layer: backend parity, batching, disk cache."""
 
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.gpu import EndToEndComparison, GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.ppm import PPMConfig, get_stacked_table
@@ -13,10 +16,8 @@ from repro.sim import (
     DiskCache,
     GPUVariant,
     SimulationSession,
-    SweepPoint,
     available_backends,
     create_backend,
-    sweep,
 )
 
 LENGTHS = (24, 40)
@@ -239,63 +240,17 @@ class TestDiskCache:
         assert b.cache.hits == 0
 
 
-class TestSweep:
-    def points(self):
-        return [
-            SweepPoint(LightNobelConfig(num_rmpus=rmpus), n)
-            for rmpus in (8, 32)
-            for n in LENGTHS
-        ] + [SweepPoint(GPUVariant(gpu="H100", chunked=True), LENGTHS[0])]
-
-    def test_serial_matches_session(self, config):
-        reports = sweep(self.points(), ppm_config=config, workers=None)
-        assert len(reports) == 5
-        direct = LightNobelAccelerator(
-            hw_config=LightNobelConfig(num_rmpus=8), ppm_config=config
-        ).simulate(LENGTHS[0])
-        assert relative_difference(reports[0].total_seconds, direct.total_seconds) <= 1e-9
-
-    def test_process_pool_matches_serial(self, config):
-        serial = sweep(self.points(), ppm_config=config, workers=None)
-        sharded = sweep(self.points(), ppm_config=config, workers=2)
-        assert [r.total_seconds for r in sharded] == [r.total_seconds for r in serial]
-        assert [r.backend for r in sharded] == [r.backend for r in serial]
-
-    def test_tuple_points_accepted(self, config):
-        reports = sweep([("lightnobel", LENGTHS[0])], ppm_config=config)
-        assert reports[0].backend == "lightnobel"
-
-    def test_unpicklable_spec_falls_back_to_serial(self, config):
-        import threading
-
-        backend = create_backend("lightnobel", config)
-        backend.unpicklable = threading.Lock()  # poisons pool submission
-        points = [SweepPoint(backend, n) for n in LENGTHS]
-        reports = sweep(points, ppm_config=config, workers=2)
-        serial = sweep([SweepPoint("lightnobel", n) for n in LENGTHS], ppm_config=config)
-        assert [r.total_seconds for r in reports] == [r.total_seconds for r in serial]
-
-    def test_workers_env_default(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-        serial = sweep(self.points()[:2], ppm_config=config, workers=1)
-        env_pooled = sweep(self.points()[:2], ppm_config=config)
-        assert [r.total_seconds for r in env_pooled] == [r.total_seconds for r in serial]
-
-    def test_hardware_dse_pool_equals_serial(self, config):
-        from repro.analysis import hardware_dse
-
-        kwargs = dict(
-            sequence_lengths=[LENGTHS[0]],
-            rmpu_counts=(8, 32),
-            vvpu_counts=(2, 4),
-            config=config,
+class TestSinglePricingPath:
+    def test_process_pools_only_in_the_fig11_model_sweep(self):
+        # Latency pricing runs in-process only; the one process pool left
+        # in src/ shards Fig. 11's model inferences (analysis/dse.py).
+        src = Path(repro.__file__).resolve().parent
+        users = sorted(
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if re.search(r"ProcessPoolExecutor|REPRO_SIM_WORKERS", path.read_text())
         )
-        serial = hardware_dse(workers=None, **kwargs)
-        sharded = hardware_dse(workers=2, **kwargs)
-        for key in ("vvpu_sweep", "rmpu_sweep"):
-            assert [p.average_latency_seconds for p in sharded[key]] == [
-                p.average_latency_seconds for p in serial[key]
-            ]
+        assert users == ["analysis/dse.py"]
 
 
 class TestEndToEndCaching:

@@ -46,7 +46,7 @@ from repro.ppm import PPMConfig, get_op_table, get_stacked_table, get_workload
 from repro.ppm.op_table import StackedOperatorTable
 from repro.serving import LatencyRequest, LatencyService
 from repro.serving.api import length_bucket
-from repro.sim import SimulationSession, available_backends, create_backend, sweep
+from repro.sim import SimulationSession, available_backends, create_backend
 from repro.sim.backend import GPUBackend
 
 RELATIVE_TOLERANCE = 1e-9
@@ -394,22 +394,19 @@ class TestRandomMixes:
 # --------------------------------------------------- serving bucketed batches
 class TestBucketedServing:
     def test_bucketed_admission_matches_exact_and_counts_batches(self, config, session):
-        lengths = (16, 24, 40, 48, 72, 80)
-        requests = [LatencyRequest("lightnobel", n) for n in lengths]
+        points = [
+            (backend, n) for backend in ("lightnobel", "h100", "a100-chunk") for n in (16, 80)
+        ]
         expected = {
-            n: session.simulate(n, backend="lightnobel").total_seconds for n in lengths
+            (backend, n): session.simulate(n, backend=backend).total_seconds
+            for backend, n in points
         }
 
         # Queue everything before starting the dispatcher so the whole batch
-        # lands in one dispatch: bucket width 32 over 16..80 = three buckets
-        # of two lengths, each priced by one stacked pass.
-        service = LatencyService(
-            ppm_config=config,
-            use_disk_cache=False,
-            autostart=False,
-            length_bucket_size=32,
-        )
-        tickets = service.submit_batch(requests)
+        # lands in one dispatch: one bucket per backend spec, each priced by
+        # one stacked pass over its two lengths.
+        service = LatencyService(ppm_config=config, use_disk_cache=False, autostart=False)
+        tickets = service.submit_batch([LatencyRequest(b, n) for b, n in points])
         service.start()
         reports = [
             service.result(t, timeout=TIMEOUT).raise_for_error().report
@@ -418,16 +415,14 @@ class TestBucketedServing:
         capacity = service.capacity_report()
         service.close()
 
-        for n, report in zip(lengths, reports):
-            assert report.total_seconds == expected[n]
+        for point, report in zip(points, reports):
+            assert report.total_seconds == expected[point]
         assert capacity.stacked_batches == 3
-        assert capacity.stacked_points == len(lengths)
+        assert capacity.stacked_points == len(points)
 
     def test_shared_bucket_stacks_the_whole_batch(self, config, session):
         lengths = (16, 40, 72)
-        service = LatencyService(
-            ppm_config=config, use_disk_cache=False, autostart=False
-        )  # length_bucket_size=None: one shared bucket
+        service = LatencyService(ppm_config=config, use_disk_cache=False, autostart=False)
         tickets = service.submit_batch(
             [LatencyRequest("lightnobel", n) for n in lengths]
         )
@@ -477,11 +472,13 @@ class TestPlannerPrefetch:
 
 class TestSweepGrouping:
     def test_grouped_sweep_matches_session_exactly(self, config, session):
-        points = [
-            (backend, n) for backend in ("lightnobel", "h100") for n in (16, 32, 48)
-        ]
-        results = sweep(points, ppm_config=config, workers=None)
-        for (backend, n), report in zip(points, results):
-            assert report.total_seconds == (
-                session.simulate(n, backend=backend).total_seconds
-            )
+        # A design sweep priced grouped by backend (one stacked pass each, on
+        # a fresh session) equals per-point pricing.
+        backends, lengths = ("lightnobel", "h100"), (16, 32, 48)
+        fresh = SimulationSession(ppm_config=config, use_disk_cache=False)
+        batch = fresh.simulate_batch(lengths, backends=backends)
+        for backend in backends:
+            for n in lengths:
+                assert batch.report(backend, n).total_seconds == (
+                    session.simulate(n, backend=backend).total_seconds
+                )

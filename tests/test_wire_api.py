@@ -190,7 +190,6 @@ class TestOperatorTypes:
             ),
             timed_out=1,
             late_results=1,
-            pool_rebuilds=0,
             stacked_batches=2,
             stacked_points=6,
         )
