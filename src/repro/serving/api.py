@@ -218,7 +218,8 @@ class CapacityReport:
     """Operator-facing snapshot of a :class:`~repro.serving.service.LatencyService`.
 
     ``queries_per_second`` is sustained throughput over *busy* time (the
-    dispatcher's execution windows), so idle services do not dilute it;
+    dispatcher's execution windows plus the time spent answering memo hits
+    at submit), so idle services do not dilute it;
     ``wall_seconds`` is time since the service started, for offered-load math.
 
     Resilience counters: ``timed_out`` counts :meth:`~repro.serving.service.LatencyService.result`

@@ -5,6 +5,9 @@ tests and the smoke parse this line), serves until SIGTERM/SIGINT, then
 drains — every in-flight ticket fulfills, clients get a claim grace window —
 and prints ``drain <json report>`` before exiting 0.  A drain report with
 ``"unfulfilled": 0`` is the clean-shutdown contract.
+
+The service keeps the latest :data:`REQUEST_LOG_LIMIT` request-log records
+(``GET /v1/log``), so a long-running server's memory stays bounded.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ import sys
 from ...obs.tracing import Tracer
 from ...ppm.config import PPMConfig
 from .server import LatencyFrontDoor
+
+#: Request-log records the server keeps (oldest fall out first); one record
+#: is ~312 B, so the log holds at most ~30 MiB.
+REQUEST_LOG_LIMIT = 100_000
 
 _PPM_PRESETS = {
     "tiny": PPMConfig.tiny,
@@ -61,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    door = LatencyFrontDoor(
+def build_door(args: argparse.Namespace) -> LatencyFrontDoor:
+    """The front door (and its owned service) for parsed command-line ``args``."""
+    return LatencyFrontDoor(
         host=args.host,
         port=args.port,
         max_pending_per_tenant=args.max_pending_per_tenant,
@@ -73,7 +81,12 @@ async def _serve(args: argparse.Namespace) -> int:
         claim_grace_seconds=args.claim_grace_seconds,
         ppm_config=_PPM_PRESETS[args.ppm](),
         tracer=Tracer(max_traces=args.trace_max_traces) if args.trace else None,
+        request_log_limit=REQUEST_LOG_LIMIT,
     )
+
+
+async def _serve(args: argparse.Namespace) -> int:
+    door = build_door(args)
     await door.start()
     print(f"listening {door.host} {door.port}", flush=True)
 

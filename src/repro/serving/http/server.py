@@ -36,7 +36,10 @@ one service:
   clients a claim grace window, and reports exactly what happened
   (``unfulfilled`` is the dropped-ticket count; 0 on a clean drain).
 
-The front door never polls the service: it registers a
+The front door never polls the service.  A memo hit is answered inside
+``service.submit`` on the event loop's own thread, so the front door settles
+its ticket right there: no thread hop, no self-pipe write and no
+``asyncio.wait_for`` task.  For everything else it registers a
 :meth:`~repro.serving.service.LatencyService.add_result_listener` callback
 that wakes the event loop (``call_soon_threadsafe``) as the dispatcher
 fulfills batches.
@@ -224,6 +227,8 @@ class LatencyFrontDoor:
         self.claim_grace_seconds = float(claim_grace_seconds)
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: ``threading.get_ident()`` of the thread running ``_loop``.
+        self._loop_thread: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._reaper_task: Optional[asyncio.Task] = None
         #: Unclaimed HTTP tickets; claimed and reaped ones are the service's.
@@ -237,6 +242,7 @@ class LatencyFrontDoor:
     async def start(self) -> "LatencyFrontDoor":
         """Bind the listener and register the fulfillment listener."""
         self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
         self.service.add_result_listener(self._listener)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port, limit=MAX_BODY_BYTES
@@ -298,25 +304,36 @@ class LatencyFrontDoor:
 
     # ------------------------------------------------------------- fulfillment
     def _listener(self, ticket_ids: Tuple[int, ...]) -> None:
+        if self._loop is None:
+            return
+        if threading.get_ident() == self._loop_thread:
+            # Memo hits fulfilled inside service.submit on this loop's own
+            # thread: no hop needed, and _submit_one settles its ticket.
+            self._on_fulfilled(ticket_ids)
+            return
         # Dispatcher thread -> event loop.  After loop shutdown the
         # call_soon_threadsafe raises; the service swallows listener errors,
         # and a closed front door has nothing left to wake.
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._on_fulfilled, ticket_ids)
+        self._loop.call_soon_threadsafe(self._on_fulfilled, ticket_ids)
 
     def _on_fulfilled(self, ticket_ids: Tuple[int, ...]) -> None:
         now = self._loop.time()
         for ticket_id in ticket_ids:
             ticket = self._tickets.get(ticket_id)
-            if ticket is None or ticket.event.is_set():
-                continue
-            ticket.fulfilled_at = now
-            ticket.event.set()
-            remaining = self._tenant_pending.get(ticket.tenant, 1) - 1
-            if remaining <= 0:
-                self._tenant_pending.pop(ticket.tenant, None)
-            else:
-                self._tenant_pending[ticket.tenant] = remaining
+            if ticket is not None:
+                self._settle(ticket, now)
+
+    def _settle(self, ticket: _HttpTicket, now: float) -> None:
+        """Mark one fulfilled ticket claimable and free its tenant quota (idempotent)."""
+        if ticket.event.is_set():
+            return
+        ticket.fulfilled_at = now
+        ticket.event.set()
+        remaining = self._tenant_pending.get(ticket.tenant, 1) - 1
+        if remaining <= 0:
+            self._tenant_pending.pop(ticket.tenant, None)
+        else:
+            self._tenant_pending[ticket.tenant] = remaining
 
     def _pending_total(self) -> int:
         return sum(self._tenant_pending.values())
@@ -348,13 +365,16 @@ class LatencyFrontDoor:
 
         No ``await`` between ``service.submit`` and the ticket registration:
         the fulfillment callback runs on this same loop, so it cannot observe
-        the gap.
+        the gap.  A ticket the service answered at submit (a memo hit) is
+        settled here, before this returns.
         """
         ticket_id = self.service.submit(wire_request.to_latency())
-        self._tickets[ticket_id] = _HttpTicket(tenant=wire_request.tenant)
+        ticket = self._tickets[ticket_id] = _HttpTicket(tenant=wire_request.tenant)
         self._tenant_pending[wire_request.tenant] = (
             self._tenant_pending.get(wire_request.tenant, 0) + 1
         )
+        if self.service.ticket_state(ticket_id) == "fulfilled":
+            self._settle(ticket, self._loop.time())
         return ticket_id
 
     # -------------------------------------------------------------- consumption
@@ -608,10 +628,11 @@ class LatencyFrontDoor:
         timeout = self._wait_param(request, "timeout_seconds", default=MAX_WAIT_SECONDS)
         ticket_id = self._submit_one(wire_request)
         ticket = self._tickets[ticket_id]
-        try:
-            await asyncio.wait_for(ticket.event.wait(), timeout)
-        except asyncio.TimeoutError:
-            return self._pending(ticket_id)
+        if not ticket.event.is_set():  # memo hits come back settled
+            try:
+                await asyncio.wait_for(ticket.event.wait(), timeout)
+            except asyncio.TimeoutError:
+                return self._pending(ticket_id)
         response = self._consume(ticket_id)
         if response is None:
             return self._error(404, "already_consumed", f"ticket {ticket_id} already claimed")

@@ -7,6 +7,11 @@ into something that answers concurrent, multi-tenant traffic:
   :class:`~repro.serving.api.LatencyRequest` objects and poll/await
   :class:`~repro.serving.api.LatencyResponse` tickets; a dispatcher thread
   drains the queue in FIFO order,
+* **memo hits at submit** — a request whose report the session memo already
+  holds is answered on the submitting thread before ``submit`` returns (also
+  on an ``autostart=False`` service), through the same fulfilment, stats,
+  request log and trace as queued work; only if the dispatcher is pricing at
+  that moment does the hit queue and get answered by the dispatcher,
 * **coalescing** — duplicate in-flight (backend, length) queries attach to
   the first one's job, so N identical concurrent requests cost exactly one
   simulation (the NeMo-style same-shape batching, applied to sim points),
@@ -20,7 +25,10 @@ into something that answers concurrent, multi-tenant traffic:
   (:func:`repro.serving.api.dispatch_order_key`): the dispatcher drains
   higher-priority, earlier-deadline jobs first and falls back to FIFO for
   all-default traffic — the same semantics the cluster simulator's EDF
-  scheduler applies (:mod:`repro.cluster.scheduler`).
+  scheduler applies (:mod:`repro.cluster.scheduler`).  The order applies to
+  work that needs pricing; a memo hit answered at submit never waits behind
+  it, so ``completed_index`` across hits and queued misses is fulfilment
+  order.
 
 A service returns the same bits as a bare session pricing the same points —
 asserted by ``tests/test_serving.py`` and ``tests/test_sim_goldens.py``.
@@ -180,6 +188,10 @@ class _Job:
     deadline: Optional[float] = None
     #: True while the job sits in the pending queue (dispatch bookkeeping).
     queued: bool = True
+    #: True when submit found the key missing from the memo: the dispatcher
+    #: prices it without looking again.  Jobs queued while the session was
+    #: busy (or whose peek raised) are classified by the dispatcher.
+    peeked: bool = False
     #: Which execution path priced this job ("memo-hit", "stacked-simulate",
     #: "simulate", "error") — the span name tracing gives
     #: the execution window of every non-coalesced ticket.
@@ -217,9 +229,10 @@ class LatencyService:
 
     The dispatcher thread starts lazily on first submit (``autostart=True``)
     or explicitly via :meth:`start` — tests submit with ``autostart=False``
-    to stage a concurrent batch deterministically.  The service is a context
-    manager; leaving the ``with`` block drains the queue and stops the
-    dispatcher.
+    to stage a concurrent batch deterministically (memo hits are still
+    answered at submit; only work that needs pricing stages).  The service
+    is a context manager; leaving the ``with`` block drains the queue and
+    stops the dispatcher.
     """
 
     def __init__(
@@ -275,7 +288,7 @@ class LatencyService:
         self._cond = threading.Condition()
         self._session_lock = threading.RLock()
         #: Fulfillment listeners (see :meth:`add_result_listener`), invoked by
-        #: the dispatcher thread outside the service lock.
+        #: the fulfilling thread outside the service lock.
         self._listeners: List = []
         self._queue: Deque[_Job] = deque()
         #: Queued jobs with non-default priority/deadline; while zero the
@@ -344,15 +357,21 @@ class LatencyService:
 
         A request whose (backend, length, recycles) key matches a queued or
         in-flight job attaches to that job — sharing its single simulation —
-        instead of enqueueing a new one.
+        instead of enqueueing a new one; a memo hit comes back already
+        fulfilled (see :meth:`submit_batch`).
         """
         return self.submit_batch((request,))[0]
 
     def submit_batch(self, requests: Iterable[RequestLike]) -> List[int]:
         """Enqueue many requests at once; returns ticket ids in input order.
 
-        The whole batch is enqueued under one lock hold with one wake-up, so
-        a running dispatcher drains it together rather than a slice at a time.
+        A new key whose report the session memo already holds is answered
+        here, on the calling thread, before this returns: its ticket is
+        ``"fulfilled"`` at once and the dispatcher never sees it.  The memo is
+        only read while the session is idle; if the dispatcher is pricing,
+        the request queues and the dispatcher answers it.  Everything queued
+        by one call is enqueued under one lock hold with one wake-up, so a
+        running dispatcher drains it together rather than a slice at a time.
         Each distinct spec object is keyed once per batch, not once per request.
         """
         spec_keys: Dict[int, Tuple[str, object]] = {}
@@ -367,44 +386,75 @@ class LatencyService:
         now = time.perf_counter()
         ticket_ids: List[int] = []
         submits: List[Tuple[bool, int]] = []
+        hits: List[_Job] = []
+        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
+        queued = False
         with self._cond:
             if self._stopped:
                 raise RuntimeError("service is closed")
-            for request, key in keyed:
-                ticket_id = self._next_ticket
-                self._next_ticket += 1
-                job = self._pending.get(key)
-                coalesced = job is not None
-                ticket = _Ticket(
-                    id=ticket_id, request=request, submitted_at=now, coalesced=coalesced
-                )
-                self._tickets[ticket_id] = ticket
-                deadline = (
-                    None
-                    if request.deadline_seconds is None
-                    else now + float(request.deadline_seconds)
-                )
-                if job is None:
-                    include = key[2]
-                    job = _Job(
-                        key=key,
-                        spec=request.backend,
-                        sequence_length=int(request.sequence_length),
-                        include_recycles=include,
-                        seq=ticket_id,
+            # Never wait for the session: a busy one is pricing a batch, and
+            # the dispatcher classifies whatever queues meanwhile.
+            peek = self._session_lock.acquire(blocking=False)
+            try:
+                for request, key in keyed:
+                    ticket_id = self._next_ticket
+                    self._next_ticket += 1
+                    job = self._pending.get(key)
+                    coalesced = job is not None
+                    ticket = _Ticket(
+                        id=ticket_id, request=request, submitted_at=now, coalesced=coalesced
                     )
-                    self._pending[key] = job
-                    self._queue.append(job)
-                was_default = job.is_default_order()
-                job.absorb(request.priority, deadline)
-                if job.queued and was_default and not job.is_default_order():
-                    self._urgent_queued += 1
-                job.tickets.append(ticket)
-                ticket_ids.append(ticket_id)
-                submits.append((coalesced, len(self._queue)))
-            self._cond.notify_all()
+                    self._tickets[ticket_id] = ticket
+                    deadline = (
+                        None
+                        if request.deadline_seconds is None
+                        else now + float(request.deadline_seconds)
+                    )
+                    if job is None:
+                        job = _Job(
+                            key=key,
+                            spec=request.backend,
+                            sequence_length=int(request.sequence_length),
+                            include_recycles=key[2],
+                            seq=ticket_id,
+                            peeked=peek,
+                        )
+                        # Pending either way, so duplicates later in this
+                        # batch coalesce onto it exactly as onto a queued job.
+                        self._pending[key] = job
+                        report = None
+                        if peek:
+                            try:
+                                report = self.session.peek_report(
+                                    job.spec, job.sequence_length, job.include_recycles
+                                )
+                            except Exception:
+                                # Bad spec: the dispatcher reports the error.
+                                job.peeked = False
+                        if report is None:
+                            self._queue.append(job)
+                            queued = True
+                        else:
+                            job.queued = False
+                            job.path = "memo-hit"
+                            results[key] = (report, None, True)
+                            hits.append(job)
+                    was_default = job.is_default_order()
+                    job.absorb(request.priority, deadline)
+                    if job.queued and was_default and not job.is_default_order():
+                        self._urgent_queued += 1
+                    job.tickets.append(ticket)
+                    ticket_ids.append(ticket_id)
+                    submits.append((coalesced, len(self._queue)))
+            finally:
+                if peek:
+                    self._session_lock.release()
+            if queued:
+                self._cond.notify_all()
         for coalesced, depth in submits:
             self.stats.record_submit(coalesced=coalesced, queue_depth=depth)
+        if hits:
+            self._fulfill(hits, results, now, inline=True)
         if self.autostart:
             self.start()
         return ticket_ids
@@ -472,10 +522,13 @@ class LatencyService:
     def add_result_listener(self, listener) -> None:
         """Register ``listener(ticket_ids)`` to run after each fulfilled batch.
 
-        Called from the dispatcher thread, outside the service lock, with the
-        tuple of ticket ids fulfilled by one batch — *after* every ticket's
-        response is readable via :meth:`poll`.  Listeners must be fast and
-        must not raise (exceptions are swallowed to protect the dispatcher);
+        Called outside the service lock, on the thread that fulfilled the
+        batch, with the tuple of ticket ids it fulfilled — *after* every
+        ticket's response is readable via :meth:`poll`.  That is the
+        dispatcher thread for queued work and the submitter's own thread for
+        memo hits answered at submit, in which case the listener runs before
+        ``submit`` returns the ids.  Listeners must be fast and must not
+        raise (exceptions are swallowed to protect the fulfilling thread);
         the HTTP front door uses this to wake its event loop instead of
         polling.
         """
@@ -654,6 +707,9 @@ class LatencyService:
         buckets: Dict[Tuple, List[_Job]] = {}
         with self._session_lock:
             for job in jobs:
+                if job.peeked:  # submit already found it missing from the memo
+                    buckets.setdefault((job.key[0], job.include_recycles), []).append(job)
+                    continue
                 try:
                     report = self.session.peek_report(
                         job.spec, job.sequence_length, job.include_recycles
@@ -726,7 +782,16 @@ class LatencyService:
         jobs: List[_Job],
         results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]],
         started: float,
+        inline: bool = False,
     ) -> None:
+        """Give every ticket of ``jobs`` its response, then tell the listeners.
+
+        The one place a ticket gets its response.  The dispatcher calls it
+        once per drained batch; :meth:`submit_batch` calls it with
+        ``inline=True`` for the memo hits it answers itself, which leaves the
+        dispatcher's ``_executing`` count and ``batches`` counter alone and
+        wakes no one.
+        """
         end = time.perf_counter()
         tracer = self.tracer
         #: One deferred span row per ticket when tracing (Tracer.record_deferred).
@@ -802,10 +867,14 @@ class LatencyService:
                 tracer.record_deferred(traced, _REQUEST_SPANS)
             for ticket in fulfilled:
                 ticket.done.set()
-            self._executing = 0
             listeners = list(self._listeners)
-            self._cond.notify_all()
-        self.stats.record(batches=1, busy_seconds=end - started)
+            if not inline:
+                self._executing = 0
+                self._cond.notify_all()
+        if inline:
+            self.stats.record(busy_seconds=end - started)
+        else:
+            self.stats.record(batches=1, busy_seconds=end - started)
         # Listener contract: fulfilled responses are already pollable, the
         # lock is released (a listener may call poll()/stats), and a listener
         # crash never takes the dispatcher down with it.

@@ -2,10 +2,11 @@
 
 One :class:`ServiceStats` instance lives inside every
 :class:`~repro.serving.service.LatencyService`.  Submission-side counters are
-updated under the service lock by client threads; fulfillment-side counters
-and the per-backend latency histograms are updated by the dispatcher.  All
-reads go through :meth:`ServiceStats.values`, which copies under the lock,
-so callers never observe a torn update.
+updated by client threads; fulfillment-side counters and the per-backend
+latency histograms are updated by the fulfilling thread (the dispatcher, or
+a client whose memo hit was answered at submit).  All reads go through
+:meth:`ServiceStats.values`, which copies under the lock, so callers never
+observe a torn update.
 
 **Where a metric is declared.**  Every counter and gauge is one row of
 :data:`SERVICE_METRICS` (name = attribute and JSON key, Prometheus name,
@@ -66,19 +67,22 @@ SERVICE_METRICS: Tuple[ServiceMetric, ...] = (
     ServiceMetric("errors", "repro_serving_errors_total", Counter,
                   "Requests fulfilled with an error.", "errors"),
     ServiceMetric("coalesced", "repro_serving_coalesced_total", Counter,
-                  "Requests attached to an in-flight duplicate.", "coalesced"),
+                  "Requests attached to a pending job for the same key.", "coalesced"),
     ServiceMetric("memo_hits", "repro_serving_memo_hits_total", Counter,
-                  "Requests answered from the session memo.", "memo_hits"),
+                  "Requests answered from the session memo, at submit or by the dispatcher.",
+                  "memo_hits"),
     ServiceMetric("simulations", "repro_serving_simulations_total", Counter,
-                  "Fresh simulator runs.", "simulations"),
+                  "(backend, length) points sent to a simulator.", "simulations"),
     ServiceMetric("batches", "repro_serving_batches_total", Counter,
-                  "Dispatcher execution batches.", None),
+                  "Batches the dispatcher drained; memo hits answered at submit are none.", None),
     ServiceMetric("busy_seconds", "repro_serving_busy_seconds_total", Counter,
-                  "Dispatcher busy time, seconds.", "busy_seconds", zero=0.0),
+                  "Seconds spent fulfilling: dispatcher batches plus memo hits at submit.",
+                  "busy_seconds", zero=0.0),
     ServiceMetric("queue_depth", "repro_serving_queue_depth", Gauge,
-                  "Requests queued right now.", "queue_depth", live=True),
+                  "Jobs (distinct keys) queued for the dispatcher right now.", "queue_depth",
+                  live=True),
     ServiceMetric("peak_queue_depth", "repro_serving_peak_queue_depth", Gauge,
-                  "High-water queue depth.", "peak_queue_depth"),
+                  "High-water mark of the queue depth, in jobs.", "peak_queue_depth"),
     ServiceMetric("timeouts", "repro_serving_timeouts_total", Counter,
                   "result() calls that gave up waiting.", "timed_out"),
     ServiceMetric("late_results", "repro_serving_late_results_total", Counter,
@@ -151,7 +155,7 @@ class ServiceStats:
 
     @property
     def queue_depth(self) -> int:
-        """Requests queued right now (read live, never a stale copy)."""
+        """Jobs queued for the dispatcher right now (read live, never a stale copy)."""
         return self.read_queue_depth()
 
     def record(self, **increments: float) -> None:

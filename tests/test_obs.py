@@ -419,11 +419,14 @@ EXPOSED_FAMILIES = {
     "repro_serving_requests_completed_total": ("counter", "Requests fulfilled (ok or error)."),
     "repro_serving_errors_total": ("counter", "Requests fulfilled with an error."),
     "repro_serving_coalesced_total": (
-        "counter", "Requests attached to an in-flight duplicate."),
-    "repro_serving_memo_hits_total": ("counter", "Requests answered from the session memo."),
-    "repro_serving_simulations_total": ("counter", "Fresh simulator runs."),
-    "repro_serving_batches_total": ("counter", "Dispatcher execution batches."),
-    "repro_serving_busy_seconds_total": ("counter", "Dispatcher busy time, seconds."),
+        "counter", "Requests attached to a pending job for the same key."),
+    "repro_serving_memo_hits_total": (
+        "counter", "Requests answered from the session memo, at submit or by the dispatcher."),
+    "repro_serving_simulations_total": ("counter", "(backend, length) points sent to a simulator."),
+    "repro_serving_batches_total": (
+        "counter", "Batches the dispatcher drained; memo hits answered at submit are none."),
+    "repro_serving_busy_seconds_total": (
+        "counter", "Seconds spent fulfilling: dispatcher batches plus memo hits at submit."),
     "repro_serving_timeouts_total": ("counter", "result() calls that gave up waiting."),
     "repro_serving_late_results_total": (
         "counter", "Requests completed after every waiter timed out."),
@@ -431,8 +434,9 @@ EXPOSED_FAMILIES = {
         "counter", "Shape-bucketed batches priced in one stacked pass."),
     "repro_serving_stacked_points_total": (
         "counter", "(backend, length) points covered by stacked passes."),
-    "repro_serving_queue_depth": ("gauge", "Requests queued right now."),
-    "repro_serving_peak_queue_depth": ("gauge", "High-water queue depth."),
+    "repro_serving_queue_depth": (
+        "gauge", "Jobs (distinct keys) queued for the dispatcher right now."),
+    "repro_serving_peak_queue_depth": ("gauge", "High-water mark of the queue depth, in jobs."),
     "repro_serving_request_duration_seconds": (
         "histogram", "Submit-to-fulfillment service time, by backend."),
     "repro_http_pending": ("gauge", "Submitted tickets not yet fulfilled."),

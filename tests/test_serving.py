@@ -1,6 +1,7 @@
 """Latency-serving layer: coalescing, ordering, service ≡ session parity, stats."""
 
 import multiprocessing
+import sys
 import threading
 
 import pytest
@@ -9,6 +10,7 @@ from repro.analysis import hardware_dse, latency_breakdown
 from repro.analysis.latency import compare_hardware_on_lengths
 from repro.gpu import EndToEndComparison
 from repro.hardware import LightNobelConfig
+from repro.obs.tracing import Tracer
 from repro.ppm import PPMConfig
 from repro.serving import (
     LatencyRequest,
@@ -275,6 +277,134 @@ class TestSynchronousAndErrors:
         session = SimulationSession(ppm_config=config)
         with pytest.raises(ValueError):
             LatencyService(ppm_config=PPMConfig.small(), session=session)
+
+
+class TestMemoHitsAtSubmit:
+    """A memo hit is answered on the submitting thread, through ``_fulfill``."""
+
+    def test_warm_hit_is_fulfilled_before_submit_returns(self, config):
+        tracer = Tracer()
+        with make_service(config, tracer=tracer) as service:
+            service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
+            assert service.join(timeout=TIMEOUT)
+            batches, busy = service.stats.batches, service.stats.busy_seconds
+            ticket = service.submit(
+                LatencyRequest("lightnobel", LENGTHS[0], trace_id="warm-hit")
+            )
+            assert service.ticket_state(ticket) == "fulfilled"
+            response = service.poll(ticket)
+            assert response.ok and response.queue_seconds == 0.0
+            assert service.stats.memo_hits == 1
+            assert service.stats.batches == batches  # batches stay dispatcher batches
+            assert service.stats.busy_seconds > busy  # inline time is busy time
+            log = service.request_log()
+            assert log[-1].ticket_id == ticket and log[-1].outcome == "ok"
+        root = tracer.to_dict("warm-hit")["tree"][0]
+        assert root["attributes"]["path"] == "memo-hit"
+        assert root["attributes"]["ticket_id"] == ticket
+
+    def test_hit_on_a_never_started_service_is_answered_at_submit(self, config):
+        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session.simulate(LENGTHS[0])
+        service = LatencyService(session=session, autostart=False)
+        ticket = service.submit(LatencyRequest("lightnobel", LENGTHS[0]))
+        assert service.ticket_state(ticket) == "fulfilled"
+        assert service.queue_depth() == 0 and service.stats.batches == 0
+        service.close()
+
+    def test_busy_session_queues_the_hit_for_the_dispatcher(self, config):
+        tracer = Tracer()
+        with make_service(config, tracer=tracer) as service:
+            service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
+            assert service.join(timeout=TIMEOUT)
+            batches = service.stats.batches
+            held, release = threading.Event(), threading.Event()
+
+            def hold_session():
+                with service._session_lock:
+                    held.set()
+                    assert release.wait(TIMEOUT)
+
+            holder = threading.Thread(target=hold_session)
+            holder.start()
+            assert held.wait(TIMEOUT)
+            ticket = service.submit(
+                LatencyRequest("lightnobel", LENGTHS[0], trace_id="busy-hit")
+            )
+            assert service.ticket_state(ticket) == "pending"
+            release.set()
+            holder.join()
+            assert service.result(ticket, timeout=TIMEOUT).ok
+            assert service.stats.memo_hits == 1
+            assert service.stats.batches == batches + 1
+        root = tracer.to_dict("busy-hit")["tree"][0]
+        assert root["attributes"]["path"] == "memo-hit"
+
+    def test_unknown_backend_on_a_warm_service_gets_the_dispatcher_error(self, config):
+        with make_service(config) as service:
+            service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
+            assert service.join(timeout=TIMEOUT)
+            batches = service.stats.batches
+            ticket = service.submit(LatencyRequest("not-a-backend", LENGTHS[0]))
+            response = service.result(ticket, timeout=TIMEOUT)
+            assert not response.ok and "not-a-backend" in response.error
+            assert service.stats.batches == batches + 1
+            assert service.stats.errors == 1
+
+    def test_concurrent_submitters_and_dispatcher_lose_no_update(self, config):
+        lengths = (24, 32, 40, 48, 56)
+        threads, per_thread = 6, 40
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service(config) as service:
+                failures = []
+
+                def tenant(offset):
+                    try:
+                        for i in range(per_thread):
+                            length = lengths[(i + offset) % len(lengths)]
+                            ticket = service.submit(LatencyRequest("lightnobel", length))
+                            assert service.result(ticket, timeout=TIMEOUT).ok
+                    except Exception as exc:  # surfaced below
+                        failures.append(exc)
+
+                workers = [
+                    threading.Thread(target=tenant, args=(k,)) for k in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(TIMEOUT)
+                assert not any(worker.is_alive() for worker in workers)
+                assert failures == []
+                report = service.capacity_report()
+                log = service.request_log()
+        finally:
+            sys.setswitchinterval(switch)
+        issued = threads * per_thread
+        assert report.requests == report.completed == issued == len(log)
+        assert len({record.ticket_id for record in log}) == issued
+        assert report.simulations == len(lengths)
+        assert report.coalesced + report.memo_hits + report.simulations == issued
+
+    def test_a_miss_is_looked_up_once_before_pricing(self, config):
+        bare = SimulationSession(ppm_config=config, use_disk_cache=False)
+        with make_service(config) as service:
+            counts = {}
+            for name, session in (("bare", bare), ("service", service.session)):
+                original = session.peek_report
+
+                def counting(*args, _original=original, _name=name, **kwargs):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _original(*args, **kwargs)
+
+                session.peek_report = counting
+            bare.simulate(LENGTHS[0])
+            service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
+        # Submit's peek, then whatever the session's own pricing checks.
+        assert counts["service"] == counts["bare"] + 1
+        assert service.stats.simulations == 1 and service.stats.memo_hits == 0
 
 
 class TestStatsAndCapacity:

@@ -418,6 +418,46 @@ class TestMetricsAndLog:
             service.close()
 
 
+class TestWarmQueryOnTheLoop:
+    def test_warm_queries_schedule_no_loop_callbacks(self, tiny_config):
+        handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+        scheduled = []
+        try:
+            for n in (24, 40):  # warm the memo through the dispatcher
+                assert call(handle, "POST", "/v1/query", {"sequence_length": n})[0] == 200
+            loop = handle._loop
+            original = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                scheduled.append(callback)
+                return original(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            try:
+                for i in range(50):
+                    status, _, payload = call(
+                        handle, "POST", "/v1/query", {"sequence_length": (24, 40)[i % 2]}
+                    )
+                    assert status == 200 and WireResponse.from_dict(payload).ok
+            finally:
+                del loop.call_soon_threadsafe
+            assert handle.door.service.stats.memo_hits == 50
+        finally:
+            report = handle.stop(drain=True)
+        assert scheduled == []
+        assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
+
+    def test_standalone_server_keeps_the_latest_log_records(self, monkeypatch):
+        from repro.serving.http import __main__ as cli
+
+        assert cli.REQUEST_LOG_LIMIT == 100_000
+        monkeypatch.setattr(cli, "REQUEST_LOG_LIMIT", 3)
+        service = cli.build_door(cli.build_parser().parse_args([])).service
+        with service:
+            service.query_batch([("lightnobel", n) for n in (24, 32, 40, 48)], timeout=TIMEOUT)
+        assert [record.sequence_length for record in service.request_log()] == [32, 40, 48]
+
+
 class TestReap:
     def test_unclaimed_ticket_becomes_410_gone(self, tiny_config):
         service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)

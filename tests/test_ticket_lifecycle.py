@@ -6,7 +6,9 @@ interleavings of submit, join, poll, ``result(timeout=0)``, abandon,
 ``reap_abandoned`` and close, and checks it against a small reference model
 of the lifecycle in :mod:`repro.serving.api`.  Once the dispatcher runs, a
 ticket the model has not seen fulfilled may be either pending or fulfilled;
-``join`` and ``close`` settle every live ticket.
+``join`` and ``close`` settle every live ticket.  A length simulated before
+the last settle is a memo hit: while nothing new waits for pricing, its
+ticket is fulfilled before ``submit`` returns.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ class TicketLifecycle(RuleBasedStateMachine):
         self.consumed: Set[int] = set()
         self.reaped: Set[int] = set()
         self.lengths: Set[int] = set()
+        #: Lengths in the session memo (submitted before the last settle).
+        self.simulated: Set[int] = set()
+        #: A new length was submitted since the last settle, so the
+        #: dispatcher may be pricing and a hit may queue behind it.
+        self.pricing = False
         self.timeouts = 0
         self.started = False
         self.closed = False
@@ -65,6 +72,8 @@ class TicketLifecycle(RuleBasedStateMachine):
 
     def _settle(self) -> None:
         self.fulfilled = set(self.live)
+        self.simulated |= self.lengths
+        self.pricing = False
 
     # ------------------------------------------------------------------ rules
     @rule(length=st.sampled_from(LENGTHS))
@@ -84,6 +93,11 @@ class TicketLifecycle(RuleBasedStateMachine):
         self.issued += 1
         self.live[ticket] = length
         self.lengths.add(length)
+        if length not in self.simulated:
+            self.pricing = True
+        elif not self.pricing:
+            assert self.service.ticket_state(ticket) == "fulfilled"
+            self.fulfilled.add(ticket)
 
     @rule()
     def join(self) -> None:
