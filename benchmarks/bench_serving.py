@@ -18,14 +18,22 @@ Each cycle clears the process-wide table LRUs and uses a new disk cache, so
 Asserts the coalescing invariant (simulations == unique keys on every cold
 round), exact parity with a direct `SimulationSession`, and that the median
 warm/cold and fresh/cold q/s ratios over the cycles are at least 1x.
+
+A third guard prices the Fig. 12 hardware grid twice per pair, through a
+fresh two-tenant service and through a bare session's ``simulate_batch``,
+and bounds the median service/bare time ratio: the service's own cost on
+the miss path.
 """
 
 import statistics
 import tempfile
+import threading
 import time
 
 from conftest import emit_bench_json, print_table
 
+from repro.analysis import hardware_dse
+from repro.hardware import LightNobelConfig
 from repro.ppm import clear_workload_caches
 from repro.serving import LatencyRequest, LatencyService
 from repro.sim import SimulationSession
@@ -230,3 +238,98 @@ def test_http_socket_path_throughput(paper_config):
             "drain": drain,
         },
     )
+
+
+#: The Fig. 12 grid as two tenants serve it: ``hardware_dse`` around three
+#: (RMPUs, VVPUs per RMPU) anchors, then the GPU baselines.  51 distinct
+#: accelerator configs plus 4 baselines, over 16 lengths of 256-4096.
+FIG12_RMPUS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
+FIG12_VVPUS = (1, 2, 3, 4, 5, 6, 7, 8)
+FIG12_ANCHORS = ((32, 4), (64, 2), (16, 8))
+FIG12_BASELINES = ("h100", "h100-chunk", "a100", "a100-chunk")
+FIG12_LENGTHS = tuple(300 + 240 * i for i in range(16))
+FIG12_TENANTS = 2
+#: Paired passes; the guard reads the median of the per-pair ratios.
+FIG12_PAIRS = 11
+#: Bound on the median (two-tenant service pass) / (bare simulate_batch)
+#: time ratio.  Reads 1.54-1.64 on a 2-core container; 2.13-2.53 when every
+#: ticket built its own Event, every fresh config object was digested and
+#: every request took its own stats-lock holds.
+SERVICE_OVERHEAD_BOUND = 2.0
+
+
+def fig12_grid():
+    """Every distinct (backend spec) the served figure prices, in first-use order."""
+    grid = [
+        LightNobelConfig(num_rmpus=r, vvpus_per_rmpu=v)
+        for rmpus, vvpus in FIG12_ANCHORS
+        for r, v in [(rmpus, v) for v in FIG12_VVPUS] + [(r, vvpus) for r in FIG12_RMPUS]
+    ]
+    return list(dict.fromkeys(grid)) + list(FIG12_BASELINES)
+
+
+def served_pass(config, lengths):
+    """Seconds for two tenants to serve the figure through a fresh service."""
+    service = LatencyService(ppm_config=config, use_disk_cache=False)
+    failures = []
+
+    def tenant():
+        try:
+            for rmpus, vvpus in FIG12_ANCHORS:
+                hardware_dse(
+                    lengths, rmpu_counts=FIG12_RMPUS, vvpu_counts=FIG12_VVPUS,
+                    fixed_vvpus_per_rmpu=vvpus, fixed_rmpus=rmpus, config=config,
+                    service=service,
+                )
+            service.query_batch([(b, n) for b in FIG12_BASELINES for n in lengths])
+        except Exception as exc:  # surfaced by the assert below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=tenant) for _ in range(FIG12_TENANTS)]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    report = service.capacity_report()
+    service.close()
+    assert not failures, failures
+    assert report.errors == 0
+    assert report.simulations == len(fig12_grid()) * len(lengths)
+    return elapsed
+
+
+def bare_pass(config, lengths):
+    """Seconds for one bare session to price the same grid in one call."""
+    session = SimulationSession(ppm_config=config, backends=(), use_disk_cache=False)
+    start = time.perf_counter()
+    session.simulate_batch(lengths, backends=fig12_grid())
+    return time.perf_counter() - start
+
+
+def test_service_overhead_on_the_fig12_grid(paper_config):
+    ratios = []
+    for pair in range(FIG12_PAIRS):
+        lengths = [n + pair for n in FIG12_LENGTHS]
+        bare_pass(paper_config, lengths)  # build the op tables both passes read
+        if pair % 2:
+            bare = bare_pass(paper_config, lengths)
+            served = served_pass(paper_config, lengths)
+        else:
+            served = served_pass(paper_config, lengths)
+            bare = bare_pass(paper_config, lengths)
+        ratios.append((served, bare, served / bare))
+    median = statistics.median(ratio for _, _, ratio in ratios)
+    print_table(
+        f"Fig. 12 grid: two-tenant service vs bare simulate_batch ({FIG12_PAIRS} pairs)",
+        [
+            ("pair", "service ms", "bare ms", "ratio"),
+            *(
+                (i, f"{s * 1e3:7.1f}", f"{b * 1e3:7.1f}", f"{r:5.2f}")
+                for i, (s, b, r) in enumerate(ratios)
+            ),
+            ("median", "", "", f"{median:5.2f}"),
+        ],
+    )
+    assert median <= SERVICE_OVERHEAD_BOUND

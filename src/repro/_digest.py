@@ -38,6 +38,10 @@ def canonicalize(value: Any) -> Any:
     Unsupported types raise ``TypeError`` rather than falling back to
     ``repr`` so non-canonical inputs are caught at digest time.
     """
+    # Leaves first: they are most of any config, and the Mapping check (an
+    # ABC instance check) is the slowest test, so it goes last.
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__class__": type(value).__name__,
@@ -46,16 +50,14 @@ def canonicalize(value: Any) -> Any:
                 for f in dataclasses.fields(value)
             },
         }
+    if isinstance(value, (list, tuple)):
+        return [canonicalize(item) for item in value]
     if isinstance(value, Mapping):
         return {
             "__mapping__": sorted(
                 (str(key), canonicalize(item)) for key, item in value.items()
             )
         }
-    if isinstance(value, (list, tuple)):
-        return [canonicalize(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise TypeError(f"cannot canonicalize {type(value).__name__!r} for digesting")
 
 

@@ -523,6 +523,11 @@ def _replay(
     last_time = trace.duration_seconds
     in_flight = 0
     pending_up = [0] * num_groups  # requested-but-not-yet-arrived, per group
+    #: Live (healthy or warming) workers per group, kept on crash, recover,
+    #: scale-up and retire so an autoscaler tick never scans the fleet.
+    alive = [0] * num_groups
+    for g in group_of:
+        alive[g] += 1
     provisioned_done = [0.0] * num_groups  # retired workers' worker-seconds
     active_count = num_workers  # provisioned (non-retired) workers right now
     peak_fleet = num_workers
@@ -605,6 +610,7 @@ def _replay(
                 w = crash.worker_id
                 if health[w] in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
                     health[w] = WorkerHealth.DEAD
+                    alive[group_of[w]] -= 1
                     generation[w] += 1
                     down_since[w] = time_now
                     if timeline is not None:
@@ -648,6 +654,7 @@ def _replay(
                         WorkerHealth.WARMING if crash.warmup_seconds > 0
                         else WorkerHealth.HEALTHY
                     )
+                    alive[group_of[w]] += 1
                     last_length[w] = None  # restarted cold: no shape to reuse
                     insort(idle, w)
                     if timeline is not None:
@@ -663,6 +670,7 @@ def _replay(
                 generation.append(0)
                 warmup_extra.append(0.0)
                 provision_start.append(time_now)
+                alive[up_group] += 1
                 active_count += 1
                 peak_fleet = max(peak_fleet, active_count)
                 insort(idle, w)
@@ -680,13 +688,8 @@ def _replay(
                         depth if queued_feasible is None
                         else queued_feasible[gi_scale]
                     )
-                    alive = sum(
-                        1 for g, h in zip(group_of, health)
-                        if g == gi_scale
-                        and h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
-                    )
                     delta = scaler.desired_delta(
-                        depth_signal, alive, pending_up[gi_scale], attainment
+                        depth_signal, alive[gi_scale], pending_up[gi_scale], attainment
                     )
                     if delta > 0:
                         arrive = time_now + scaler.scale_up_lag_seconds
@@ -707,6 +710,7 @@ def _replay(
                         for w in retirable:
                             idle.remove(w)
                             health[w] = WorkerHealth.RETIRED
+                            alive[gi_scale] -= 1
                             provisioned_done[gi_scale] += (
                                 time_now - provision_start[w]
                             )

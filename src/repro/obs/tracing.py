@@ -10,9 +10,9 @@ works for every fulfilled request either way.
 
 Design constraints, in order:
 
-1. **Hot-path cost.**  The warm serving path fulfills a request in ~15 µs;
-   tracing rides it by storing one flat tuple per request, a whole
-   dispatch batch of requests under one lock
+1. **Hot-path cost.**  The warm serving path fulfills a request in ~6 µs;
+   tracing rides it by storing one flat tuple of plain values per request,
+   a whole dispatch batch of requests under one lock
    (:meth:`Tracer.record_deferred`).  Span tuples, attribute dicts, span
    IDs, dataclasses and trees are materialized only at read time — the
    read path is an HTTP endpoint, not the dispatcher.
@@ -30,10 +30,14 @@ import itertools
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    Any, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple, Union,
+)
 
 __all__ = ["Span", "SpanBatch", "Tracer", "new_trace_id"]
 
@@ -124,9 +128,14 @@ class Tracer:
         self._ids = itertools.count(1)
         self._dropped_spans = 0
         self._evicted_traces = 0
-        #: record_deferred calls not filed into ``_traces`` yet: (rows, spans).
-        self._unfiled: List[Tuple[List[tuple], int]] = []
+        #: record_deferred calls not filed into ``_traces`` yet:
+        #: (rows, spans, build).
+        self._unfiled: Deque[Tuple[List[tuple], int, Callable]] = deque()
         self._unfiled_rows = 0
+        #: While ``_fresh_ok`` every unfiled row opens a new trace (keys
+        #: distinct, none in ``_traces``); ``_fresh`` holds at least their keys.
+        self._fresh: Set[TraceKey] = set()
+        self._fresh_ok = True
 
     # -- recording ---------------------------------------------------------
     def _index(self) -> "OrderedDict[TraceKey, list]":
@@ -162,26 +171,51 @@ class Tracer:
         with self._lock:
             self._file(trace_key, batch, len(batch))
 
-    def record_deferred(self, rows: List[tuple], spans: int) -> None:
+    def record_deferred(self, rows: List[tuple], spans: int, build: Callable) -> None:
         """Queue many batches in one lock acquisition, each built at read time.
 
-        A row is ``(build, trace_key, *fields)``; ``build(*fields)`` returns
-        the row's :data:`SpanBatch` of ``spans`` spans.  The hot path builds
-        one flat tuple per batch and hands over the list (the tracer keeps
-        it).  Rows are filed into the trace index, in record order and with
-        the bucketing, eviction and span cap of :meth:`record_batch`, only
-        when something reads the tracer or records otherwise, or once
-        ``_UNFILED_PER_TRACE * max_traces`` rows are queued — so rows that
-        newer traffic would evict before any read are mostly never filed.
+        A row is ``(trace_key, *fields)``; ``build(*fields)`` returns the
+        row's :data:`SpanBatch` of ``spans`` spans.  The hot path builds one
+        flat tuple per batch and hands over the list (the tracer keeps it);
+        rows of plain values are not tracked by the garbage collector.  Rows
+        are filed into the trace index, in record order and with the
+        bucketing, eviction and span cap of :meth:`record_batch`, only when
+        something reads the tracer or records otherwise, or once
+        ``_UNFILED_PER_TRACE * max_traces`` rows are queued.  While every
+        queued row opens a new trace, a queued batch followed by at least
+        ``max_traces`` newer rows is counted evicted and dropped at once
+        (with every filed trace), exactly as filing would evict it, so rows
+        that newer traffic would evict before any read are never filed.
         Span tuples and attribute dicts are built by :meth:`trace`, only for
         the traces that are read.
         """
         if not self.enabled:
             return
         with self._lock:
-            self._unfiled.append((rows, spans))
+            self._unfiled.append((rows, spans, build))
             self._unfiled_rows += len(rows)
-            if self._unfiled_rows >= _UNFILED_PER_TRACE * self.max_traces:
+            if self._fresh_ok:
+                fresh, size = self._fresh, len(self._fresh)
+                fresh.update(map(itemgetter(0), rows))
+                self._fresh_ok = len(fresh) - size == len(rows) and (
+                    not self._traces
+                    or self._traces.keys().isdisjoint(map(itemgetter(0), rows))
+                )
+            if self._fresh_ok and self._unfiled_rows >= self.max_traces:
+                self._evicted_traces += len(self._traces)
+                self._traces.clear()
+                queued = self._unfiled
+                while self._unfiled_rows - len(queued[0][0]) >= self.max_traces:
+                    dropped = len(queued.popleft()[0])
+                    self._unfiled_rows -= dropped
+                    self._evicted_traces += dropped
+                if len(self._fresh) > _UNFILED_PER_TRACE * self.max_traces:
+                    # Forget dropped keys; one left over would only cost a
+                    # needless filing when it recurs.
+                    self._fresh = set(map(itemgetter(0), chain.from_iterable(
+                        rows for rows, _, _ in queued
+                    )))
+            elif self._unfiled_rows >= _UNFILED_PER_TRACE * self.max_traces:
                 self._file_unfiled()
 
     def _file_unfiled(self) -> None:
@@ -192,22 +226,26 @@ class Tracer:
         rows are counted evicted without being filed.  Otherwise each row is
         filed in turn.
         """
-        queued, self._unfiled, self._unfiled_rows = self._unfiled, [], 0
+        queued, self._unfiled = self._unfiled, deque()
+        count, self._unfiled_rows = self._unfiled_rows, 0
+        all_new, self._fresh_ok, self._fresh = self._fresh_ok, True, set()
         traces = self._traces
-        keys = [row[1] for rows, _ in queued for row in rows]
-        if len(set(keys)) < len(keys) or not traces.keys().isdisjoint(keys):
-            for rows, spans in queued:
+        if not all_new:
+            for rows, spans, build in queued:
                 for row in rows:
-                    self._file(row[1], row, spans)
+                    self._file(row[0], (build, *row), spans)
             return
-        skip = max(0, len(keys) - self.max_traces)  # rows evicted unfiled
-        excess = max(0, len(traces) + len(keys) - skip - self.max_traces)
-        for _ in range(excess):
-            traces.popitem(last=False)
+        skip = max(0, count - self.max_traces)  # rows evicted unfiled
+        excess = max(0, len(traces) + count - skip - self.max_traces)
+        if excess == len(traces):
+            traces.clear()
+        else:
+            for _ in range(excess):
+                traces.popitem(last=False)
         self._evicted_traces += skip + excess
-        for rows, spans in queued:
+        for rows, spans, build in queued:
             for row in rows[skip:]:
-                traces[row[1]] = [spans, row]
+                traces[row[0]] = [spans, (build, *row)]
             skip = max(0, skip - len(rows))
 
     def record_span(
@@ -359,4 +397,5 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-            self._unfiled, self._unfiled_rows = [], 0
+            self._unfiled, self._unfiled_rows = deque(), 0
+            self._fresh, self._fresh_ok = set(), True

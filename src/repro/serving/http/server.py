@@ -48,8 +48,9 @@ fulfills batches.
 :meth:`~repro.serving.service.LatencyService.ticket_state` tells 404
 ``already_consumed`` from 410 ``reaped`` from 404 ``unknown_ticket``.  Per
 unclaimed ticket the front door keeps only what its event loop and admission
-need (asyncio event, tenant quota, ``fulfilled_at`` for the reap timer); a
-claimed ticket leaves nothing behind on either side.
+need (tenant quota, ``fulfilled_at`` for the reap timer, and an asyncio event
+only while a handler or the drain waits for it); a claimed ticket leaves
+nothing behind on either side.
 
 Endpoints (all bodies JSON, see :mod:`repro.serving.wire`):
 
@@ -76,7 +77,7 @@ import asyncio
 import json
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -138,11 +139,27 @@ class _Response:
 
 @dataclass
 class _HttpTicket:
-    """Event-loop state of one unclaimed HTTP ticket (the service owns the rest)."""
+    """Event-loop state of one unclaimed HTTP ticket (the service owns the rest).
+
+    ``fulfilled_at`` is set when the ticket settles.  The event is built
+    only when something must wait for that, so a memo hit settled at submit
+    never builds one.
+    """
 
     tenant: str
-    event: asyncio.Event = field(default_factory=asyncio.Event)
     fulfilled_at: Optional[float] = None
+    event: Optional[asyncio.Event] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.fulfilled_at is not None
+
+    async def wait(self) -> None:
+        """Return once the ticket has settled."""
+        if self.fulfilled_at is None:
+            if self.event is None:
+                self.event = asyncio.Event()
+            await self.event.wait()
 
 
 #: The front door's own metrics, each declared once: (``/metrics`` JSON
@@ -263,12 +280,12 @@ class LatencyFrontDoor:
         if self._drain_report is not None:
             return self._drain_report
         self._draining = True
-        pending = [t for t in self._tickets.values() if not t.event.is_set()]
+        pending = [t for t in self._tickets.values() if not t.settled]
         report: Dict[str, Any] = {"pending_at_shutdown": len(pending)}
         if drain and pending:
             try:
                 await asyncio.wait_for(
-                    asyncio.gather(*(t.event.wait() for t in pending)),
+                    asyncio.gather(*(t.wait() for t in pending)),
                     timeout=self.drain_timeout_seconds,
                 )
             except asyncio.TimeoutError:
@@ -289,7 +306,7 @@ class LatencyFrontDoor:
             # close() joins the dispatcher thread; keep the loop responsive.
             await self._loop.run_in_executor(None, self.service.close)
         report["unfulfilled"] = sum(
-            1 for t in self._tickets.values() if not t.event.is_set()
+            1 for t in self._tickets.values() if not t.settled
         )
         report["unclaimed"] = len(self._tickets) - report["unfulfilled"]
         counts = self.service.ticket_counts()
@@ -325,10 +342,11 @@ class LatencyFrontDoor:
 
     def _settle(self, ticket: _HttpTicket, now: float) -> None:
         """Mark one fulfilled ticket claimable and free its tenant quota (idempotent)."""
-        if ticket.event.is_set():
+        if ticket.settled:
             return
         ticket.fulfilled_at = now
-        ticket.event.set()
+        if ticket.event is not None:
+            ticket.event.set()
         remaining = self._tenant_pending.get(ticket.tenant, 1) - 1
         if remaining <= 0:
             self._tenant_pending.pop(ticket.tenant, None)
@@ -628,9 +646,9 @@ class LatencyFrontDoor:
         timeout = self._wait_param(request, "timeout_seconds", default=MAX_WAIT_SECONDS)
         ticket_id = self._submit_one(wire_request)
         ticket = self._tickets[ticket_id]
-        if not ticket.event.is_set():  # memo hits come back settled
+        if not ticket.settled:  # memo hits come back settled
             try:
-                await asyncio.wait_for(ticket.event.wait(), timeout)
+                await asyncio.wait_for(ticket.wait(), timeout)
             except asyncio.TimeoutError:
                 return self._pending(ticket_id)
         response = self._consume(ticket_id)
@@ -651,12 +669,12 @@ class LatencyFrontDoor:
         if ticket is None:
             return self._error(*self._gone(ticket_id))
         wait = self._wait_param(request, "wait_seconds", default=0.0)
-        if not ticket.event.is_set() and wait > 0:
+        if not ticket.settled and wait > 0:
             try:
-                await asyncio.wait_for(ticket.event.wait(), wait)
+                await asyncio.wait_for(ticket.wait(), wait)
             except asyncio.TimeoutError:
                 pass
-        if not ticket.event.is_set():
+        if not ticket.settled:
             return self._pending(ticket_id)
         response = self._consume(ticket_id)
         if response is None:
@@ -763,7 +781,7 @@ class LatencyFrontDoor:
                 return ErrorBody(
                     code=code, message=f"ticket {ticket_id}: {code}"
                 ).to_json()
-            await ticket.event.wait()
+            await ticket.wait()
             response = self._consume(ticket_id)
             if response is None:
                 return ErrorBody(

@@ -36,6 +36,7 @@ asserted by ``tests/test_serving.py`` and ``tests/test_sim_goldens.py``.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -60,6 +61,9 @@ from .stats import ServiceStats
 
 RequestLike = Union[LatencyRequest, Tuple[Any, int]]
 
+#: Hashable spec values a service remembers the coalescing key of.
+SPEC_KEY_MEMO_LIMIT = 1024
+
 
 def create_service(**kwargs) -> "LatencyService":
     """Factory twin of :class:`LatencyService` (same keyword arguments).
@@ -76,7 +80,7 @@ def _as_request(request: RequestLike) -> LatencyRequest:
     if isinstance(request, LatencyRequest):
         return request
     spec, length = request
-    return LatencyRequest(backend=spec, sequence_length=int(length))
+    return LatencyRequest(spec, int(length))  # positional: ~25% cheaper than keywords
 
 
 def _spec_key(spec: Any) -> Tuple[str, object]:
@@ -114,21 +118,15 @@ def _backend_label(spec: Any, report: Optional[SimReport]) -> str:
 _REQUEST_SPANS = 4
 
 
-def _request_spans(
-    job: Tuple[str, str, bool, float, float],
-    released: List[float],
-    ticket_id: int,
-    sequence_length: int,
-    coalesced: bool,
-    submitted: float,
-):
+def _request_spans(released: List[float], job: tuple, row: tuple):
     """One fulfilled request's span batch, built when its trace is read.
 
-    ``job`` is (backend label, execution path, ok, started, end), shared by
-    the job's tickets; ``released[0]`` is when the dispatch batch released
-    its waiters.
+    ``released[0]`` is when the fulfilled batch released its waiters; ``job``
+    is (backend label, execution path, ok, started, end), shared by the
+    job's tickets; ``row`` is the request's log row (see ``_fulfill``).
     """
     backend, path, ok, started, end = job
+    ticket_id, sequence_length, submitted, coalesced = row[0], row[2], row[5], row[7]
     exec_name = "coalesce" if coalesced else path
     return (
         (
@@ -154,6 +152,8 @@ def _request_spans(
 class _Ticket:
     """One submitted request awaiting fulfillment.
 
+    ``fulfilled`` is set, with ``response``, under the service lock; waiters
+    block on the service's ``_settled`` condition, not on a per-ticket event.
     ``abandoned`` flips on when a :meth:`LatencyService.result` waiter times
     out and back off when a waiter returns for the ticket; a fulfillment that
     lands while the flag is up is a *late result* — counted in stats and
@@ -165,7 +165,7 @@ class _Ticket:
     request: LatencyRequest
     submitted_at: float
     coalesced: bool
-    done: threading.Event = field(default_factory=threading.Event)
+    fulfilled: bool = False
     response: Optional[LatencyResponse] = None
     abandoned: bool = False
 
@@ -277,7 +277,8 @@ class LatencyService:
             )
         self.max_batch = int(max_batch)
         self.autostart = bool(autostart)
-        self.stats = ServiceStats(request_log_limit=request_log_limit)
+        self._started_at = time.perf_counter()
+        self.stats = ServiceStats(request_log_limit=request_log_limit, epoch=self._started_at)
         self.stats.read_queue_depth = self.queue_depth
         #: Optional per-request span tracing (:mod:`repro.obs.tracing`).
         #: ``None`` keeps the hot path untouched; a disabled tracer records
@@ -285,8 +286,14 @@ class LatencyService:
         #: supplied one, else by the integer ticket id.
         self.tracer = tracer
 
-        self._cond = threading.Condition()
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)  # queue, dispatcher and join() wake-ups
+        #: result() wake-ups on the same lock: fulfilling a ticket never
+        #: wakes an idle dispatcher.
+        self._settled = threading.Condition(lock)
         self._session_lock = threading.RLock()
+        #: Hashable spec value -> coalescing key (see :meth:`_spec_key`).
+        self._spec_keys: Dict[Any, Tuple[str, object]] = {}
         #: Fulfillment listeners (see :meth:`add_result_listener`), invoked by
         #: the fulfilling thread outside the service lock.
         self._listeners: List = []
@@ -305,7 +312,6 @@ class LatencyService:
         self._executing = 0
         self._stopped = False
         self._thread: Optional[threading.Thread] = None
-        self._started_at = time.perf_counter()
 
     # ---------------------------------------------------------------- lifecycle
     def start(self) -> "LatencyService":
@@ -344,13 +350,17 @@ class LatencyService:
         self.close()
 
     # ------------------------------------------------------------------ submit
-    def _job_key(self, request: LatencyRequest, spec_key: Tuple[str, object]) -> Tuple:
-        include = (
-            self.session.include_recycles
-            if request.include_recycles is None
-            else bool(request.include_recycles)
-        )
-        return (spec_key, int(request.sequence_length), include)
+    def _spec_key(self, spec: Any) -> Tuple[str, object]:
+        """:func:`_spec_key`, memoized by value like the session's spec memo."""
+        try:
+            key = self._spec_keys.get(spec)
+        except TypeError:  # unhashable: keyed afresh
+            return _spec_key(spec)
+        if key is None:
+            key = _spec_key(spec)
+            if len(self._spec_keys) < SPEC_KEY_MEMO_LIMIT:
+                self._spec_keys[spec] = key
+        return key
 
     def submit(self, request: RequestLike) -> int:
         """Enqueue one request; returns a ticket id for :meth:`poll`/:meth:`result`.
@@ -372,20 +382,31 @@ class LatencyService:
         the request queues and the dispatcher answers it.  Everything queued
         by one call is enqueued under one lock hold with one wake-up, so a
         running dispatcher drains it together rather than a slice at a time.
-        Each distinct spec object is keyed once per batch, not once per request.
+        Each distinct spec object is keyed once per batch, and each distinct
+        hashable spec value once per service.
         """
         spec_keys: Dict[int, Tuple[str, object]] = {}
+        default_include = self.session.include_recycles
         keyed = []
         for request in map(_as_request, requests):
             spec_key = spec_keys.get(id(request.backend))
             if spec_key is None:
-                spec_key = spec_keys[id(request.backend)] = _spec_key(request.backend)
-            keyed.append((request, self._job_key(request, spec_key)))
+                spec_key = spec_keys[id(request.backend)] = self._spec_key(request.backend)
+            include = (
+                default_include
+                if request.include_recycles is None
+                else bool(request.include_recycles)
+            )
+            # Job key: (spec key, length, recycles flag).
+            keyed.append((request, (spec_key, int(request.sequence_length), include)))
         if not keyed:
             return []
+        #: id(spec) -> the session's backend for it: each spec object of the
+        #: batch is resolved once, not once per peeked job.
+        backends: Dict[int, Any] = {}
         now = time.perf_counter()
         ticket_ids: List[int] = []
-        submits: List[Tuple[bool, int]] = []
+        coalesced_count = 0
         hits: List[_Job] = []
         results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
         queued = False
@@ -401,9 +422,7 @@ class LatencyService:
                     self._next_ticket += 1
                     job = self._pending.get(key)
                     coalesced = job is not None
-                    ticket = _Ticket(
-                        id=ticket_id, request=request, submitted_at=now, coalesced=coalesced
-                    )
+                    ticket = _Ticket(ticket_id, request, now, coalesced)
                     self._tickets[ticket_id] = ticket
                     deadline = (
                         None
@@ -412,12 +431,8 @@ class LatencyService:
                     )
                     if job is None:
                         job = _Job(
-                            key=key,
-                            spec=request.backend,
-                            sequence_length=int(request.sequence_length),
-                            include_recycles=key[2],
-                            seq=ticket_id,
-                            peeked=peek,
+                            key=key, spec=request.backend, sequence_length=key[1],
+                            include_recycles=key[2], seq=ticket_id, peeked=peek,
                         )
                         # Pending either way, so duplicates later in this
                         # batch coalesce onto it exactly as onto a queued job.
@@ -425,8 +440,13 @@ class LatencyService:
                         report = None
                         if peek:
                             try:
+                                backend = backends.get(id(job.spec))
+                                if backend is None:
+                                    backend = backends[id(job.spec)] = self.session.backend(
+                                        job.spec
+                                    )
                                 report = self.session.peek_report(
-                                    job.spec, job.sequence_length, job.include_recycles
+                                    backend, job.sequence_length, job.include_recycles
                                 )
                             except Exception:
                                 # Bad spec: the dispatcher reports the error.
@@ -439,23 +459,24 @@ class LatencyService:
                             job.path = "memo-hit"
                             results[key] = (report, None, True)
                             hits.append(job)
-                    was_default = job.is_default_order()
-                    job.absorb(request.priority, deadline)
-                    if job.queued and was_default and not job.is_default_order():
-                        self._urgent_queued += 1
+                    if request.priority > 0 or deadline is not None:  # else a no-op
+                        was_default = job.is_default_order()
+                        job.absorb(request.priority, deadline)
+                        if job.queued and was_default and not job.is_default_order():
+                            self._urgent_queued += 1
                     job.tickets.append(ticket)
                     ticket_ids.append(ticket_id)
-                    submits.append((coalesced, len(self._queue)))
+                    coalesced_count += coalesced
             finally:
                 if peek:
                     self._session_lock.release()
+            depth = len(self._queue)  # only grew in the loop: its peak
             if queued:
                 self._cond.notify_all()
-        for coalesced, depth in submits:
-            self.stats.record_submit(coalesced=coalesced, queue_depth=depth)
+        self.stats.record_submits(len(ticket_ids), coalesced_count, depth)
         if hits:
             self._fulfill(hits, results, now, inline=True)
-        if self.autostart:
+        if self.autostart and self._thread is None:  # start() is idempotent
             self.start()
         return ticket_ids
 
@@ -467,7 +488,7 @@ class LatencyService:
         """
         with self._cond:
             ticket = self._tickets[ticket_id]
-            if not ticket.done.is_set():
+            if not ticket.fulfilled:
                 return None
             del self._tickets[ticket_id]
             return ticket.response
@@ -490,15 +511,12 @@ class LatencyService:
             # A returning waiter re-arms the ticket: a completion that lands
             # while someone is actively waiting is on-time, not late.
             ticket.abandoned = False
-        if not ticket.done.wait(timeout):
-            with self._cond:
-                ticket.abandoned = True
-            self.stats.record(timeouts=1)
-            raise TimeoutError(f"request {ticket_id} not fulfilled within {timeout}s")
-        with self._cond:
-            self._tickets.pop(ticket_id, None)
-        assert ticket.response is not None
-        return ticket.response
+            if ticket.fulfilled or self._settled.wait_for(lambda: ticket.fulfilled, timeout):
+                self._tickets.pop(ticket_id, None)
+                return ticket.response
+            ticket.abandoned = True
+        self.stats.record(timeouts=1)
+        raise TimeoutError(f"request {ticket_id} not fulfilled within {timeout}s")
 
     def abandon(self, ticket_id: int) -> bool:
         """Mark a ticket abandoned without blocking on it; returns whether it exists.
@@ -546,7 +564,7 @@ class LatencyService:
         with self._cond:
             ripe = [
                 t for t in self._tickets.values()
-                if t.abandoned and t.done.is_set()
+                if t.abandoned and t.fulfilled
             ]
             for ticket in ripe:
                 del self._tickets[ticket.id]
@@ -561,7 +579,7 @@ class LatencyService:
         with self._cond:
             ticket = self._tickets.get(ticket_id)
             if ticket is not None:
-                return "fulfilled" if ticket.done.is_set() else "pending"
+                return "fulfilled" if ticket.fulfilled else "pending"
             if ticket_id in self._reaped:
                 return "reaped"
             if 0 <= ticket_id < self._next_ticket:
@@ -786,11 +804,11 @@ class LatencyService:
     ) -> None:
         """Give every ticket of ``jobs`` its response, then tell the listeners.
 
-        The one place a ticket gets its response.  The dispatcher calls it
-        once per drained batch; :meth:`submit_batch` calls it with
-        ``inline=True`` for the memo hits it answers itself, which leaves the
-        dispatcher's ``_executing`` count and ``batches`` counter alone and
-        wakes no one.
+        The one place a ticket gets its response, with one stats-lock hold
+        per call.  The dispatcher calls it once per drained batch;
+        :meth:`submit_batch` calls it with ``inline=True`` for the memo hits
+        it answers itself, which leaves the dispatcher's ``_executing`` count
+        and ``batches`` counter alone and wakes only :meth:`result` waiters.
         """
         end = time.perf_counter()
         tracer = self.tracer
@@ -799,7 +817,9 @@ class LatencyService:
             [] if tracer is not None and tracer.enabled else None
         )
         released = [0.0]  # when the waiters below are woken
-        fulfilled: List[_Ticket] = []
+        #: One request-log row per ticket (see ServiceStats.record_fulfilled).
+        log: List[tuple] = []
+        errors = memo_hits = late_results = 0
         with self._cond:
             for job in jobs:
                 report, error, memo_hit = results.get(
@@ -810,77 +830,54 @@ class LatencyService:
                 self._completed_index += 1
                 label = _backend_label(job.spec, report)
                 job_spans = (label, job.path, error is None, started, end)
+                outcome = "ok" if error is None else "error"
+                errors += len(job.tickets) if error is not None else 0
                 for ticket in job.tickets:
+                    request, submitted = ticket.request, ticket.submitted_at
+                    queue_seconds = max(0.0, started - submitted)
+                    service_seconds = max(0.0, end - submitted)
                     ticket.response = LatencyResponse(
-                        request_id=ticket.id,
-                        request=ticket.request,
-                        report=report,
-                        error=error,
-                        coalesced=ticket.coalesced,
-                        queue_seconds=max(0.0, started - ticket.submitted_at),
-                        service_seconds=max(0.0, end - ticket.submitted_at),
-                        completed_index=index,
+                        request_id=ticket.id, request=request, report=report, error=error,
+                        coalesced=ticket.coalesced, queue_seconds=queue_seconds,
+                        service_seconds=service_seconds, completed_index=index,
                     )
-                    # Coalesced tickets are already counted at submit time;
-                    # counting them as memo hits too would double-credit the
-                    # hit rate.
-                    self.stats.record_result(
-                        label,
-                        ticket.response.service_seconds,
-                        error=error is not None,
-                        memo_hit=memo_hit and not ticket.coalesced,
+                    ticket.fulfilled = True
+                    # A coalesced ticket was counted at submit; a memo hit too
+                    # would double-credit the hit rate.
+                    memo_hits += memo_hit and not ticket.coalesced
+                    # Every waiter gave up before this landed: a late result,
+                    # left reclaimable (reap_abandoned / poll).
+                    late_results += ticket.abandoned
+                    row = (
+                        ticket.id, label, request.sequence_length, request.priority,
+                        request.deadline_seconds, submitted, outcome, ticket.coalesced,
+                        queue_seconds, service_seconds, request.trace_id,
                     )
-                    self.stats.record_request(
-                        RequestLogRecord(
-                            ticket_id=ticket.id,
-                            backend=label,
-                            sequence_length=ticket.request.sequence_length,
-                            priority=ticket.request.priority,
-                            deadline_seconds=ticket.request.deadline_seconds,
-                            arrival_seconds=max(
-                                0.0, ticket.submitted_at - self._started_at
-                            ),
-                            outcome="ok" if error is None else "error",
-                            coalesced=ticket.coalesced,
-                            queue_seconds=ticket.response.queue_seconds,
-                            service_seconds=ticket.response.service_seconds,
-                            trace_id=ticket.request.trace_id,
-                        )
-                    )
+                    log.append(row)
                     if traced is not None:
-                        traced.append((
-                            _request_spans, ticket.request.trace_id or ticket.id,
-                            job_spans, released, ticket.id,
-                            ticket.request.sequence_length, ticket.coalesced,
-                            ticket.submitted_at,
-                        ))
-                    if ticket.abandoned:
-                        # Every waiter gave up before this completion landed:
-                        # count it so operators can see late work, and leave
-                        # the response reclaimable (reap_abandoned / poll).
-                        self.stats.record(late_results=1)
-                    fulfilled.append(ticket)
+                        traced.append((request.trace_id or ticket.id, job_spans, row))
+            self.stats.record_fulfilled(
+                log, errors=errors, memo_hits=memo_hits, late_results=late_results,
+                batches=0 if inline else 1, busy_seconds=end - started,
+            )
             if traced:
-                # Recorded before done.set() so a waiter that wakes on the
-                # event always finds its trace complete.
+                # Recorded before the lock is released so a woken waiter
+                # always finds its trace complete.
                 released[0] = time.perf_counter()
-                tracer.record_deferred(traced, _REQUEST_SPANS)
-            for ticket in fulfilled:
-                ticket.done.set()
+                tracer.record_deferred(
+                    traced, _REQUEST_SPANS, functools.partial(_request_spans, released)
+                )
+            self._settled.notify_all()
             listeners = list(self._listeners)
             if not inline:
                 self._executing = 0
                 self._cond.notify_all()
-        if inline:
-            self.stats.record(busy_seconds=end - started)
-        else:
-            self.stats.record(batches=1, busy_seconds=end - started)
         # Listener contract: fulfilled responses are already pollable, the
         # lock is released (a listener may call poll()/stats), and a listener
         # crash never takes the dispatcher down with it.
-        ids = tuple(ticket.id for ticket in fulfilled)
+        fulfilled = tuple(row[0] for row in log)
         for listener in listeners:
             try:
-                listener(ids)
+                listener(fulfilled)
             except Exception:
                 pass

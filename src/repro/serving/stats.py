@@ -13,9 +13,12 @@ observe a torn update.
 kind, help, :class:`~repro.serving.api.CapacityReport` field).  The JSON
 snapshot, Prometheus families, ``capacity_report()`` and the wire codec all
 derive from it, so a new counter is one row plus its ``CapacityReport``
-field and a :meth:`ServiceStats.record` call.  ``queue_depth`` is *live*: it
-reads the service's queue at scrape time.  Ticket states are not metrics;
-the service owns them (:meth:`~repro.serving.service.LatencyService.ticket_state`).
+field and a :meth:`ServiceStats.record` call.  The service takes the stats
+lock once per submitted batch (:meth:`ServiceStats.record_submits`) and once
+per fulfilled batch (:meth:`ServiceStats.record_fulfilled`).
+``queue_depth`` is *live*: it reads the service's queue at scrape time.
+Ticket states are not metrics; the service owns them
+(:meth:`~repro.serving.service.LatencyService.ticket_state`).
 
 Latency distributions are :class:`repro.obs.metrics.Histogram` families with
 fixed exponential buckets — **constant memory per backend** no matter how
@@ -137,8 +140,10 @@ class ServiceStats:
     scrape time instead.
     """
 
-    def __init__(self, request_log_limit: Optional[int] = None) -> None:
+    def __init__(self, request_log_limit: Optional[int] = None, epoch: float = 0.0) -> None:
         self._lock = threading.Lock()
+        #: ``perf_counter`` time that request-log arrivals are measured from.
+        self.epoch = epoch
         for metric in SERVICE_METRICS:
             if not metric.live:
                 setattr(self, metric.name, metric.zero)
@@ -151,7 +156,9 @@ class ServiceStats:
             buckets=SERVICE_LATENCY_BUCKETS,
         )
         self._backends: Dict[str, Histogram] = {}
-        self._request_log: Deque[RequestLogRecord] = deque(maxlen=request_log_limit)
+        #: Request-log rows (see :meth:`record_fulfilled`), built into records
+        #: only when the log is read.
+        self._request_log: Deque[tuple] = deque(maxlen=request_log_limit)
 
     @property
     def queue_depth(self) -> int:
@@ -165,44 +172,48 @@ class ServiceStats:
                 setattr(self, name, getattr(self, name) + amount)
 
     # ------------------------------------------------------------- submission
-    def record_submit(self, coalesced: bool, queue_depth: int) -> None:
-        """One accepted request; ``queue_depth`` feeds the high-water mark."""
+    def record_submits(self, count: int, coalesced: int, queue_depth: int) -> None:
+        """``count`` accepted requests, ``coalesced`` of them attached to a
+        pending job; ``queue_depth`` (the batch's deepest) feeds the high-water
+        mark."""
         with self._lock:
-            self.submitted += 1
-            if coalesced:
-                self.coalesced += 1
+            self.submitted += count
+            self.coalesced += coalesced
             self.peak_queue_depth = max(self.peak_queue_depth, queue_depth)
 
     # ------------------------------------------------------------ fulfillment
-    def record_result(
-        self,
-        backend: str,
-        service_seconds: float,
-        error: bool = False,
-        memo_hit: bool = False,
-    ) -> None:
-        with self._lock:
-            self.completed += 1
-            if error:
-                self.errors += 1
-            if memo_hit:
-                self.memo_hits += 1
-            histogram = self._backends.get(backend)
-            if histogram is None:
-                histogram = self._backends[backend] = self._latency.labels(
-                    backend=backend
-                )
-        histogram.observe(float(service_seconds))
+    def record_fulfilled(self, rows: Sequence[tuple], **increments: float) -> None:
+        """One fulfilled batch under one lock hold.
 
-    def record_request(self, record: RequestLogRecord) -> None:
-        """Append one fulfilled request to the structured request log."""
+        ``rows`` holds one request-log row per fulfilled request: the
+        :class:`RequestLogRecord` fields in order, except that the sixth is
+        the absolute submit time (``perf_counter``), which :meth:`request_log`
+        turns into ``arrival_seconds`` after :attr:`epoch`.  Each row counts
+        as completed, feeds its backend's latency histogram and joins the
+        request log.  ``increments`` add to declared counters as in
+        :meth:`record`.
+        """
         with self._lock:
-            self._request_log.append(record)
+            self.completed += len(rows)
+            for name, amount in increments.items():
+                setattr(self, name, getattr(self, name) + amount)
+            self._request_log.extend(rows)
+            for row in rows:
+                histogram = self._backends.get(row[1])
+                if histogram is None:
+                    histogram = self._backends[row[1]] = self._latency.labels(
+                        backend=row[1]
+                    )
+                histogram.observe(float(row[9]))
 
     def request_log(self) -> Tuple[RequestLogRecord, ...]:
         """Snapshot of the structured request log (fulfillment order)."""
         with self._lock:
-            return tuple(self._request_log)
+            rows = tuple(self._request_log)
+        epoch = self.epoch
+        return tuple(
+            RequestLogRecord(*row[:5], max(0.0, row[5] - epoch), *row[6:]) for row in rows
+        )
 
     # ------------------------------------------------------------------ reads
     def _summary(self, name: str, histogram: Histogram) -> BackendServiceStats:

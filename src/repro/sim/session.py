@@ -335,10 +335,12 @@ class SimulationSession:
         Lengths already memoized (or on disk) are skipped; the remaining ones
         are priced by :meth:`_price`.
         """
+        digest = self._backend_digests[name]
         missing = [
             n
             for n in lengths
-            if self.peek_report(name, n, include_recycles=include) is None
+            if (digest, n, include) not in self._reports
+            and (self.cache is None or self.peek_report(name, n, include) is None)
         ]
         if missing:
             self._price(name, missing, include)
@@ -381,11 +383,13 @@ class SimulationSession:
         distinct = list(dict.fromkeys(lengths))  # preserve order, dedupe
         for name in dict.fromkeys(resolved_names):
             self._fill_from_stack(name, distinct, include)
+        # Every (backend, length) is in the memo now: read it directly.
+        digests = [self._backend_digests[name] for name in resolved_names]
         result = BatchResult(lengths=lengths, backends=resolved_names)
         for n in distinct:
-            for name in resolved_names:
-                result.reports[(name, n)] = self.simulate(
-                    n, backend=name, include_recycles=include
+            for name, digest in zip(resolved_names, digests):
+                result.reports[(name, n)] = self._labeled(
+                    self._reports[(digest, n, include)], name
                 )
         return result
 

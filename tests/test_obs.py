@@ -284,17 +284,23 @@ class TestTracer:
     @given(
         calls=st.lists(
             st.tuples(
-                st.sampled_from(["batch", "deferred", "read"]),
+                st.sampled_from(["batch", "deferred", "deferred", "read"]),
                 st.lists(st.integers(min_value=0, max_value=40), max_size=12),
             ),
             max_size=30,
         ),
         max_traces=st.integers(min_value=1, max_value=6),
+        spread=st.sampled_from([1, 1000]),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_deferred_rows_file_like_batches(self, calls, max_traces):
+    @settings(max_examples=300, deadline=None)
+    def test_deferred_rows_file_like_batches(self, calls, max_traces, spread):
         """Queued deferred rows end up exactly where record_batch puts the
-        same batches, one by one: same traces, order, evictions and drops."""
+        same batches, one by one: same traces, order, evictions and drops.
+
+        ``spread`` 1000 makes most keys new, so queued batches are mostly
+        dropped before filing rather than filed."""
+        calls = [(kind, [key * spread for key in keys]) for kind, keys in calls]
+
         def build(start):
             return (("request", start, start + 1.0, None), ("child", start, start, None))
 
@@ -310,7 +316,7 @@ class TestTracer:
                     tracer.record_batch(key, batch)
             else:
                 tracer.record_deferred(
-                    [(build, key, float(i)) for i, key in enumerate(keys)], 2
+                    [(key, float(i)) for i, key in enumerate(keys)], 2, build
                 )
             for key, batch in batches:
                 reference.record_batch(key, batch)

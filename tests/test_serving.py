@@ -1,11 +1,14 @@
 """Latency-serving layer: coalescing, ordering, service ≡ session parity, stats."""
 
+import dataclasses
 import multiprocessing
 import sys
 import threading
+import time
 
 import pytest
 
+from repro import _digest as digest_module
 from repro.analysis import hardware_dse, latency_breakdown
 from repro.analysis.latency import compare_hardware_on_lengths
 from repro.gpu import EndToEndComparison
@@ -141,6 +144,41 @@ class TestSpecKeys:
         assert len(reports) == 320
         assert calls["n"] == 20
 
+    def test_each_config_value_is_digested_once_across_batches(self, config, monkeypatch):
+        digested = []
+        original = digest_module.stable_digest
+
+        def counting(kind, value):
+            if isinstance(value, LightNobelConfig):
+                digested.append(value)
+            return original(kind, value)
+
+        monkeypatch.setattr(digest_module, "stable_digest", counting)
+        with make_service(config) as service:
+            # Fresh but equal config objects in every request, as
+            # hardware_dse builds them on every call.
+            for _ in range(3):
+                service.query_batch(
+                    [(LightNobelConfig(num_rmpus=r), n) for r in (3, 5) for n in LENGTHS],
+                    timeout=TIMEOUT,
+                )
+            assert service.stats.simulations == 4
+        assert digested == [LightNobelConfig(num_rmpus=3), LightNobelConfig(num_rmpus=5)]
+
+    def test_spec_key_memo_is_bounded_and_skips_unhashable_specs(self, config, monkeypatch):
+        @dataclasses.dataclass
+        class MutableSpec:  # eq without frozen: unhashable
+            rmpus: int
+
+        monkeypatch.setattr(service_module, "SPEC_KEY_MEMO_LIMIT", 1)
+        service = make_service(config, autostart=False)
+        first, second = LightNobelConfig(num_rmpus=3), LightNobelConfig(num_rmpus=5)
+        assert service._spec_key(first) == service_module._spec_key(first)
+        assert service._spec_key(second) == service_module._spec_key(second)
+        assert service._spec_key(MutableSpec(2)) == service._spec_key(MutableSpec(2))
+        assert list(service._spec_keys) == [first]
+        service.close()
+
     def test_equal_configs_in_distinct_objects_coalesce_within_a_batch(self, config):
         first, second = LightNobelConfig(num_rmpus=8), LightNobelConfig(num_rmpus=8)
         assert first is not second
@@ -157,6 +195,80 @@ class TestSpecKeys:
         assert service.queue_depth() == 1
         assert service.stats.coalesced == 1
         service.close()
+
+
+class TestTicketWaits:
+    """Tickets wait on the service's condition, not on per-ticket primitives."""
+
+    def test_fig12_batch_builds_no_sync_objects_per_ticket(self, config, monkeypatch):
+        with make_service(config) as service:
+            service.start()
+            threads = (threading.current_thread(), service._thread)
+            built = []
+            for name in ("Event", "Condition"):
+                original = getattr(threading, name)
+
+                class Counting(original):
+                    def __init__(self, *args, _name=name, **kwargs):
+                        if threading.current_thread() in threads:
+                            built.append(_name)
+                        super().__init__(*args, **kwargs)
+
+                monkeypatch.setattr(threading, name, Counting)
+            served = hardware_dse(
+                LENGTHS, rmpu_counts=(1, 2, 4), vvpu_counts=(1, 2), config=config,
+                service=service,
+            )
+            monkeypatch.undo()
+            assert service.stats.completed == 5 * len(LENGTHS)
+        assert built == []
+        assert served == hardware_dse(
+            LENGTHS, rmpu_counts=(1, 2, 4), vvpu_counts=(1, 2), config=config
+        )
+
+    def test_waiter_is_woken_when_the_dispatcher_fulfils(self, config):
+        service = make_service(config, autostart=False)
+        ticket = service.submit(("lightnobel", LENGTHS[0]))
+        woken = {}
+        waiter = threading.Thread(
+            target=lambda: woken.setdefault("response", service.result(ticket, timeout=10.0))
+        )
+        waiter.start()
+        time.sleep(0.05)  # let it block: the dispatcher has not started
+        assert service.ticket_state(ticket) == "pending"
+        service.start()
+        waiter.join(5.0)  # well inside its own timeout
+        assert not waiter.is_alive()
+        assert woken["response"].ok and service.stats.timeouts == 0
+        service.close()
+
+    def test_waiter_on_a_coalesced_memo_hit_is_woken(self, config):
+        """A duplicate attached to a hit being answered at submit wakes too."""
+        with make_service(config) as service:
+            service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
+            duplicate = {}
+            original = service._fulfill
+
+            def racing_fulfill(jobs, results, started, inline=False):
+                # Another client submits the same key while this hit is
+                # still pending, then blocks on it from its own thread.
+                if inline and not duplicate:
+                    ticket = service.submit(("lightnobel", LENGTHS[0]))
+                    duplicate["waiter"] = threading.Thread(
+                        target=lambda: duplicate.setdefault(
+                            "response", service.result(ticket, timeout=10.0)
+                        )
+                    )
+                    duplicate["waiter"].start()
+                    time.sleep(0.05)
+                original(jobs, results, started, inline=inline)
+
+            service._fulfill = racing_fulfill
+            first = service.submit(("lightnobel", LENGTHS[0]))
+            duplicate["waiter"].join(5.0)  # well inside its own timeout
+            assert not duplicate["waiter"].is_alive()
+            assert duplicate["response"].coalesced and duplicate["response"].ok
+            assert service.result(first, timeout=0).ok
 
 
 class TestQueueOrdering:

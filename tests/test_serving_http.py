@@ -447,11 +447,42 @@ class TestWarmQueryOnTheLoop:
         assert scheduled == []
         assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
 
-    def test_standalone_server_keeps_the_latest_log_records(self, monkeypatch):
+    def test_warm_queries_build_no_asyncio_events(self, tiny_config, monkeypatch):
+        handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+        built = []
+        original = asyncio.Event.__init__
+
+        def counting(event, *args, **kwargs):
+            built.append(event)
+            original(event, *args, **kwargs)
+
+        try:
+            for n in (24, 40):  # warm the memo through the dispatcher
+                assert call(handle, "POST", "/v1/query", {"sequence_length": n})[0] == 200
+            monkeypatch.setattr(asyncio.Event, "__init__", counting)
+            for i in range(50):
+                status, _, payload = call(
+                    handle, "POST", "/v1/query", {"sequence_length": (24, 40)[i % 2]}
+                )
+                assert status == 200 and WireResponse.from_dict(payload).ok
+            monkeypatch.undo()
+            # A query that has to wait still gets its event and its answer.
+            status, _, payload = call(handle, "POST", "/v1/query", {"sequence_length": 56})
+            assert status == 200 and WireResponse.from_dict(payload).ok
+        finally:
+            report = handle.stop(drain=True)
+        assert built == []
+        assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
+
+    def test_standalone_server_keeps_the_latest_log_records(self, monkeypatch, tmp_path):
         from repro.serving.http import __main__ as cli
+        from repro.sim.cache import CACHE_DIR_ENV
 
         assert cli.REQUEST_LOG_LIMIT == 100_000
         monkeypatch.setattr(cli, "REQUEST_LOG_LIMIT", 3)
+        # An empty disk cache: a length another test left on disk would be
+        # answered at submit, ahead of the others, and reorder the log.
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         service = cli.build_door(cli.build_parser().parse_args([])).service
         with service:
             service.query_batch([("lightnobel", n) for n in (24, 32, 40, 48)], timeout=TIMEOUT)

@@ -2,9 +2,10 @@
 
 A hypothesis state machine drives a tiny-config service (``autostart=False``,
 so submissions stay queued until the first ``join``) through random
-interleavings of submit, join, poll, ``result(timeout=0)``, abandon,
-``reap_abandoned`` and close, and checks it against a small reference model
-of the lifecycle in :mod:`repro.serving.api`.  Once the dispatcher runs, a
+interleavings of submit, join, poll, ``result(timeout=0)``, a ``result``
+that blocks on another thread, abandon, ``reap_abandoned`` and close, and
+checks it against a small reference model of the lifecycle in
+:mod:`repro.serving.api`.  Once the dispatcher runs, a
 ticket the model has not seen fulfilled may be either pending or fulfilled;
 ``join`` and ``close`` settle every live ticket.  A length simulated before
 the last settle is a memo hit: while nothing new waits for pricing, its
@@ -13,6 +14,7 @@ ticket is fulfilled before ``submit`` returns.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Set
 
 import pytest
@@ -136,6 +138,49 @@ class TicketLifecycle(RuleBasedStateMachine):
             self.abandoned.add(ticket)
             self.ever_abandoned.add(ticket)
             return
+        assert response.request_id == ticket and response.ok
+        self._finish(ticket, self.consumed)
+
+    @rule(pick=PICKS, settle=st.booleans())
+    def result_from_thread(self, pick: int, settle: bool) -> None:
+        """A waiter blocks in ``result(timeout)`` on its own thread.
+
+        With ``settle`` the main thread starts the dispatcher and joins while
+        it waits, so the waiter must be woken promptly with its response;
+        without, it waits briefly and either claims a fulfilled ticket or
+        gives up, exactly like ``result(timeout=0)``.
+        """
+        # Prefer a ticket that may still be pending: that is the wait to check.
+        candidates = sorted(set(self.live) - self.fulfilled) or sorted(self.live)
+        if not candidates:
+            return
+        ticket = candidates[pick % len(candidates)]
+        settle = settle and not self.closed
+        outcome: Dict[str, object] = {}
+
+        def wait() -> None:
+            try:
+                outcome["response"] = self.service.result(
+                    ticket, timeout=20.0 if settle else 0.01
+                )
+            except TimeoutError:
+                outcome["timeout"] = True
+
+        waiter = threading.Thread(target=wait)
+        waiter.start()
+        if settle:
+            self.join()
+        # Once the ticket is settled, fulfilment must wake the waiter at once.
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        if "timeout" in outcome:
+            assert not settle and ticket not in self.fulfilled
+            assert self.started or self.service.ticket_state(ticket) == "pending"
+            self.timeouts += 1
+            self.abandoned.add(ticket)
+            self.ever_abandoned.add(ticket)
+            return
+        response = outcome["response"]
         assert response.request_id == ticket and response.ok
         self._finish(ticket, self.consumed)
 
