@@ -15,8 +15,10 @@ guarantees in CI:
   ``DENSE_BUDGET_MIB`` — the chunked path must complete inside that budget,
   i.e. chunking really unlocks lengths the dense path cannot reach;
 * one LightNobel (AAQ) prediction of a ``FOLD_LENGTH``-residue protein at
-  chunk ``CHUNK_SIZE`` stays under ``FOLD_BUDGET_MIB`` — a quantizer that
-  materializes extra full-size copies of the activations fails the build;
+  chunk ``CHUNK_SIZE``, in the default float32, stays under
+  ``FOLD_BUDGET_MIB`` — a quantizer that materializes extra full-size copies
+  of the activations, or a stray float64 promotion that doubles them, fails
+  the build;
 * the same chunked fold at ``LONG_FOLD_LENGTH`` stays under
   ``LONG_FOLD_BUDGET_MIB`` — an outer product mean that re-materializes its
   full (N, N, h*h) tensor, which grows 4x per doubling of N, fails the build.
@@ -52,16 +54,16 @@ CHUNK_SIZE = 32
 #: Length of the AAQ fold guard (the ``fold-aaq`` benchmark's protein).
 FOLD_LENGTH = 96
 
-#: Peak RSS budget (MiB) of that fold.  With the row-blocked outer product
-#: mean it peaks at ~99 MiB; building the full outer tensor peaked at
+#: Peak RSS budget (MiB) of that fold.  In float32 it peaks at ~68 MiB; the
+#: float64 fold peaked at ~99 MiB, building the full outer tensor at
 #: ~200 MiB, and the former two-pass quantizer at ~435 MiB.
-FOLD_BUDGET_MIB = 150.0
+FOLD_BUDGET_MIB = 100.0
 
-#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard: ~186
-#: MiB row-blocked with one reused block buffer, ~673 MiB with the full outer
-#: tensor.
+#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard: ~103
+#: MiB in float32, ~186 MiB in float64 (row-blocked with one reused block
+#: buffer), ~673 MiB with the full float64 outer tensor.
 LONG_FOLD_LENGTH = 192
-LONG_FOLD_BUDGET_MIB = 320.0
+LONG_FOLD_BUDGET_MIB = 160.0
 
 #: "Materially below": chunked peak RSS must be under this fraction of the
 #: dense peak *and* at least this many MiB smaller.
@@ -92,7 +94,7 @@ n, chunk = int(sys.argv[1]), int(sys.argv[2])
 _CHILD = _PRELUDE + """
 from repro.ppm import PPMConfig, TriangleAttention
 
-config = PPMConfig.small()
+config = PPMConfig.small().with_dtype("float64")
 if chunk:
     config = config.with_chunking(attn_chunk_size=chunk)
 attention = TriangleAttention(config, np.random.default_rng(0), mode="starting")

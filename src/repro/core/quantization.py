@@ -10,6 +10,11 @@ Granularities follow Section 2.2:
 * tensor-wise  — one scaling factor for the whole tensor,
 * channel-wise — one scaling factor per channel (last-axis index),
 * token-wise   — one scaling factor per token (vector along the last axis).
+
+Every fake-quantizer computes in its input's float precision: float32 in
+gives float32 out, float64 in gives float64 out, and any other input
+(integer, bool, float16) is quantized as float64.  Scaling factors are
+derived in float64 and cast to that precision.
 """
 
 from __future__ import annotations
@@ -26,10 +31,29 @@ def integer_bounds(bits: int) -> int:
     return 2 ** (bits - 1) - 1
 
 
-def symmetric_scale(max_abs: np.ndarray | float, bits: int) -> np.ndarray | float:
-    """Scaling factor of Equation 1: ``sigma = M / (2^(m-1) - 1)``."""
+def float_values(values: np.ndarray) -> np.ndarray:
+    """``values`` as an array of the float precision the fake-quantizers compute in.
+
+    float32 and float64 arrays pass through unchanged (no copy); every other
+    dtype is converted to float64.
+    """
+    values = np.asarray(values)
+    if values.dtype == np.float32 or values.dtype == np.float64:
+        return values
+    return values.astype(np.float64)
+
+
+def symmetric_scale(
+    max_abs: np.ndarray | float, bits: int, dtype: np.typing.DTypeLike = np.float64
+) -> np.ndarray | float:
+    """Scaling factor of Equation 1: ``sigma = M / (2^(m-1) - 1)``.
+
+    Computed in float64 and returned in ``dtype``, the precision of the
+    values it scales.
+    """
     qmax = integer_bounds(bits)
-    return np.maximum(np.asarray(max_abs, dtype=np.float64), 1e-12) / qmax
+    scale = np.maximum(np.asarray(max_abs, dtype=np.float64), 1e-12) / qmax
+    return scale.astype(dtype, copy=False)
 
 
 def quantize_values(values: np.ndarray, scale: np.ndarray | float, bits: int) -> np.ndarray:
@@ -67,27 +91,27 @@ def quantization_error(original: np.ndarray, reconstructed: np.ndarray) -> Quant
 
 def fake_quantize_tensorwise(values: np.ndarray, bits: int) -> np.ndarray:
     """Quantize/dequantize with a single scaling factor for the whole tensor."""
-    values = np.asarray(values, dtype=np.float64)
-    scale = symmetric_scale(np.max(np.abs(values)) if values.size else 0.0, bits)
+    values = float_values(values)
+    scale = symmetric_scale(np.max(np.abs(values)) if values.size else 0.0, bits, values.dtype)
     return dequantize_values(quantize_values(values, scale, bits), scale)
 
 
 def fake_quantize_channelwise(values: np.ndarray, bits: int) -> np.ndarray:
     """Quantize/dequantize with one scaling factor per channel (last axis)."""
-    values = np.asarray(values, dtype=np.float64)
+    values = float_values(values)
     flat = values.reshape(-1, values.shape[-1])
     max_abs = np.max(np.abs(flat), axis=0)
-    scale = symmetric_scale(max_abs, bits)
+    scale = symmetric_scale(max_abs, bits, values.dtype)
     reconstructed = dequantize_values(quantize_values(flat, scale, bits), scale)
     return reconstructed.reshape(values.shape)
 
 
 def fake_quantize_tokenwise(values: np.ndarray, bits: int) -> np.ndarray:
     """Quantize/dequantize with one scaling factor per token (last-axis vector)."""
-    values = np.asarray(values, dtype=np.float64)
+    values = float_values(values)
     flat = values.reshape(-1, values.shape[-1])
     max_abs = np.max(np.abs(flat), axis=-1, keepdims=True)
-    scale = symmetric_scale(max_abs, bits)
+    scale = symmetric_scale(max_abs, bits, values.dtype)
     reconstructed = dequantize_values(quantize_values(flat, scale, bits), scale)
     return reconstructed.reshape(values.shape)
 

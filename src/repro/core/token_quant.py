@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .quantization import dequantize_values, quantize_values, symmetric_scale
+from .quantization import dequantize_values, float_values, quantize_values, symmetric_scale
 
 #: Precision used for outlier values (paper: INT16 to minimize information loss).
 OUTLIER_BITS = 16
@@ -148,8 +148,10 @@ class PackedQuantizedTensor:
         Numerically identical to applying :func:`quantize_token` row by row:
         the same top-k selection, the same per-token scaling factors and the
         same integer grids, just computed with axis-wise array operations.
+        float32 tokens are quantized in float32 (scales and grid values
+        included); other non-float64 input is quantized as float64.
         """
-        tokens = np.asarray(tokens, dtype=np.float64)
+        tokens = float_values(tokens)
         if tokens.ndim != 2:
             raise ValueError("tokens must be a 2-D array of shape (num_tokens, hidden_dim)")
         num_tokens, hidden_dim = tokens.shape
@@ -169,8 +171,8 @@ class PackedQuantizedTensor:
 
         inlier_max = np.abs(inliers).max(axis=-1) if inliers.shape[-1] else np.zeros(num_tokens)
         outlier_max = np.abs(outliers).max(axis=-1) if count else np.zeros(num_tokens)
-        scales = np.asarray(symmetric_scale(inlier_max, config.inlier_bits))
-        outlier_scales = np.asarray(symmetric_scale(outlier_max, config.outlier_bits))
+        scales = np.asarray(symmetric_scale(inlier_max, config.inlier_bits, tokens.dtype))
+        outlier_scales = np.asarray(symmetric_scale(outlier_max, config.outlier_bits, tokens.dtype))
         return cls(
             inlier_values=quantize_values(inliers, scales[:, None], config.inlier_bits),
             inlier_indices=inlier_indices,
@@ -183,8 +185,11 @@ class PackedQuantizedTensor:
         )
 
     def unpack(self) -> np.ndarray:
-        """Reconstruct the full ``(num_tokens, hidden_dim)`` array (vectorized)."""
-        tokens = np.zeros((self.num_tokens, self.hidden_dim), dtype=np.float64)
+        """Reconstruct the full ``(num_tokens, hidden_dim)`` array (vectorized).
+
+        The result has the dtype of the scales, i.e. of the packed tokens.
+        """
+        tokens = np.zeros((self.num_tokens, self.hidden_dim), dtype=self.scales.dtype)
         if self.inlier_indices.shape[-1]:
             np.put_along_axis(
                 tokens,
@@ -250,8 +255,11 @@ class PackedQuantizedTensor:
 
 
 def quantize_token(token: np.ndarray, config: TokenQuantConfig) -> QuantizedToken:
-    """Quantize a single token vector with dynamic outlier handling."""
-    token = np.asarray(token, dtype=np.float64).reshape(-1)
+    """Quantize a single token vector with dynamic outlier handling.
+
+    Computes in the token's float precision, like :meth:`PackedQuantizedTensor.pack`.
+    """
+    token = float_values(token).reshape(-1)
     hidden_dim = token.size
     outlier_indices = np.sort(select_outliers(token, config.outlier_count))
     mask = np.ones(hidden_dim, dtype=bool)
@@ -261,10 +269,10 @@ def quantize_token(token: np.ndarray, config: TokenQuantConfig) -> QuantizedToke
     inliers = token[inlier_indices]
     outliers = token[outlier_indices]
 
-    inlier_scale = float(symmetric_scale(np.max(np.abs(inliers)) if inliers.size else 0.0, config.inlier_bits))
-    outlier_scale = float(
-        symmetric_scale(np.max(np.abs(outliers)) if outliers.size else 0.0, config.outlier_bits)
-    )
+    inlier_max = np.max(np.abs(inliers)) if inliers.size else 0.0
+    outlier_max = np.max(np.abs(outliers)) if outliers.size else 0.0
+    inlier_scale = float(symmetric_scale(inlier_max, config.inlier_bits, token.dtype))
+    outlier_scale = float(symmetric_scale(outlier_max, config.outlier_bits, token.dtype))
     return QuantizedToken(
         inlier_values=quantize_values(inliers, inlier_scale, config.inlier_bits),
         inlier_indices=inlier_indices,
@@ -300,7 +308,7 @@ def packed_fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) ->
     scales, integer grids, scatter-based reassembly), which is what the
     packed-layout parity tests and the packed AAQ contexts run.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = float_values(values)
     original_shape = values.shape
     flat = values.reshape(-1, original_shape[-1])
     return PackedQuantizedTensor.pack(flat, config).unpack().reshape(original_shape)
@@ -330,8 +338,9 @@ def _abs_row_max(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
 
 
-#: Values per row block of the outlier path: 128 KiB of float64, so a block's
-#: partition, mask and scale buffers stay cache-resident between passes.
+#: Values per row block of the outlier path: 128 KiB of float64 (64 KiB of
+#: float32), so a block's partition, mask and scale buffers stay
+#: cache-resident between passes.
 _OUTLIER_BLOCK_VALUES = 1 << 14
 
 
@@ -358,8 +367,8 @@ def _element_scales(block: np.ndarray, count: int, config: TokenQuantConfig):
     del ranked
     scales = np.where(
         magnitudes >= cut[:, None],
-        symmetric_scale(outlier_max, config.outlier_bits)[:, None],
-        symmetric_scale(inlier_max, config.inlier_bits)[:, None],
+        symmetric_scale(outlier_max, config.outlier_bits, block.dtype)[:, None],
+        symmetric_scale(inlier_max, config.inlier_bits, block.dtype)[:, None],
     )
     return scales, np.flatnonzero(cut == inlier_max)
 
@@ -380,8 +389,8 @@ def _requantize_tied(flat: np.ndarray, rows: np.ndarray, count: int, config: Tok
     outlier_max = magnitudes.max(axis=-1, keepdims=True)
     scales = np.where(
         is_outlier,
-        symmetric_scale(outlier_max, config.outlier_bits),
-        symmetric_scale(inlier_max, config.inlier_bits),
+        symmetric_scale(outlier_max, config.outlier_bits, values.dtype),
+        symmetric_scale(inlier_max, config.inlier_bits, values.dtype),
     )
     _scale_round(values, scales, values)
     out[rows] = values
@@ -408,26 +417,30 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
 
     Every element is divided by its token's grid step (the inlier scale, or
     the outlier scale at the token's top-k positions), rounded and multiplied
-    back in one pass into the returned buffer.  Without outliers (``k == 0``,
-    or ``k >= H`` where every value is an outlier) the step is one per token
-    and the transient peak, the returned array included, is 1x the bytes of a
-    float64 input.  With outliers (``0 < k < H``) the tokens go through in
-    row blocks of about 16384 values, each with its
-    own top-k partition, outlier mask and per-element steps, so the peak is
-    1x plus a few block-sized buffers: 1.24x for a (9216, 32) pair tensor,
-    2.06x for (9216, 8), where one block is a fifth of the input.  Tokens
-    tied at the top-k cut are redone afterwards with the positions
+    back in one pass into the returned buffer, in the input's float precision:
+    float32 values give a float32 result with float32 steps, float64 values
+    a float64 one, and integer or bool values are quantized as float64.
+    Without outliers (``k == 0``, or ``k >= H`` where every value is an
+    outlier) the step is one per token and the transient peak, the returned
+    array included, is about 1x the bytes of the float input (1.09x float64,
+    1.16x float32 for a (9216, 32) pair tensor).  With outliers
+    (``0 < k < H``) the tokens go through in row blocks of about 16384
+    values, each with its own top-k partition, outlier mask and per-element
+    steps, so the peak is 1x plus a few block-sized buffers: 1.24x (float64)
+    and 1.25x (float32) of the input's bytes for a (9216, 32) pair tensor,
+    2.06x and 2.10x for (9216, 8), where one block is a fifth of the input.
+    Tokens tied at the top-k cut are redone afterwards with the positions
     :func:`outlier_positions` picks, the selection the packed layout uses.
     For finite input the result equals the former gather, clip and scatter
-    formulation bit for bit.  ``values`` is never written.
+    formulation bit for bit, at both precisions.  ``values`` is never written.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = float_values(values)
     original_shape = values.shape
     flat = values.reshape(-1, original_shape[-1])
     hidden_dim = flat.shape[-1]
     count = min(config.outlier_count, hidden_dim)
 
-    out = np.empty(flat.shape)
+    out = np.empty(flat.shape, dtype=flat.dtype)
     if 0 < count < hidden_dim:
         rows = max(_OUTLIER_BLOCK_VALUES // hidden_dim, 1)
         tied = []
@@ -441,7 +454,7 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
             _requantize_tied(flat, np.concatenate(tied), count, config, out)
     else:
         bits = config.outlier_bits if count else config.inlier_bits
-        _scale_round(flat, symmetric_scale(_abs_row_max(flat, out), bits)[:, None], out)
+        _scale_round(flat, symmetric_scale(_abs_row_max(flat, out), bits, flat.dtype)[:, None], out)
     return out.reshape(original_shape)
 
 

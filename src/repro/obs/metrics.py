@@ -240,6 +240,10 @@ class Histogram(_Family):
             raise ValueError("bucket bounds must be strictly increasing")
         if any(math.isnan(b) or math.isinf(b) for b in bounds):
             raise ValueError("bucket bounds must be finite (+Inf is implicit)")
+        self._empty(bounds)
+
+    def _empty(self, bounds: Tuple[float, ...]) -> None:
+        """Start with no observations over the (validated) ``bounds``."""
         self.bounds = bounds
         # counts[i] <= bounds[i] bucket; counts[-1] is the +Inf overflow.
         self._counts = [0] * (len(bounds) + 1)
@@ -249,7 +253,12 @@ class Histogram(_Family):
         self._max = -math.inf
 
     def _new_child(self) -> "Histogram":
-        return Histogram(self.name, self.help, buckets=self.bounds)
+        # The family validated its bounds once; children share that tuple
+        # instead of re-checking all of them per label value.
+        child = Histogram.__new__(Histogram)
+        _Family.__init__(child, self.name, self.help)
+        child._empty(self.bounds)
+        return child
 
     def observe(self, value: float) -> None:
         self._require_child()

@@ -11,6 +11,8 @@ Sequence Representation" that motivates dynamic outlier handling.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .activation_tap import GROUP_C, ActivationContext, NULL_CONTEXT
@@ -32,22 +34,38 @@ class SequenceAttention(Module):
 
     def __init__(self, config: PPMConfig, rng: np.random.Generator, name: str = "sequence_attention") -> None:
         super().__init__(name)
+        dtype = config.dtype
         self.chunk_size = config.attn_chunk_size
         self.num_heads = config.seq_num_heads
         if config.seq_dim % self.num_heads != 0:
             raise ValueError("seq_dim must be divisible by seq_num_heads")
         self.head_dim = config.seq_dim // self.num_heads
         seq_dim = config.seq_dim
-        self.layer_norm = self.register_child("layer_norm", LayerNorm(seq_dim, "layer_norm"))
-        self.pair_norm = self.register_child("pair_norm", LayerNorm(config.pair_dim, "pair_norm"))
-        self.linear_q = self.register_child("linear_q", Linear(seq_dim, seq_dim, rng, "linear_q", bias=False))
-        self.linear_k = self.register_child("linear_k", Linear(seq_dim, seq_dim, rng, "linear_k", bias=False))
-        self.linear_v = self.register_child("linear_v", Linear(seq_dim, seq_dim, rng, "linear_v", bias=False))
-        self.linear_bias = self.register_child(
-            "linear_bias", Linear(config.pair_dim, self.num_heads, rng, "linear_bias", bias=False)
+        self.layer_norm = self.register_child(
+            "layer_norm", LayerNorm(seq_dim, "layer_norm", dtype=dtype)
         )
-        self.linear_g = self.register_child("linear_g", Linear(seq_dim, seq_dim, rng, "linear_g", init="gating"))
-        self.linear_o = self.register_child("linear_o", Linear(seq_dim, seq_dim, rng, "linear_o", init="final"))
+        self.pair_norm = self.register_child(
+            "pair_norm", LayerNorm(config.pair_dim, "pair_norm", dtype=dtype)
+        )
+        self.linear_q = self.register_child(
+            "linear_q", Linear(seq_dim, seq_dim, rng, "linear_q", bias=False, dtype=dtype)
+        )
+        self.linear_k = self.register_child(
+            "linear_k", Linear(seq_dim, seq_dim, rng, "linear_k", bias=False, dtype=dtype)
+        )
+        self.linear_v = self.register_child(
+            "linear_v", Linear(seq_dim, seq_dim, rng, "linear_v", bias=False, dtype=dtype)
+        )
+        self.linear_bias = self.register_child(
+            "linear_bias",
+            Linear(config.pair_dim, self.num_heads, rng, "linear_bias", bias=False, dtype=dtype),
+        )
+        self.linear_g = self.register_child(
+            "linear_g", Linear(seq_dim, seq_dim, rng, "linear_g", init="gating", dtype=dtype)
+        )
+        self.linear_o = self.register_child(
+            "linear_o", Linear(seq_dim, seq_dim, rng, "linear_o", init="final", dtype=dtype)
+        )
 
     def forward(
         self, sequence: np.ndarray, pair: np.ndarray, ctx: ActivationContext = NULL_CONTEXT
@@ -64,7 +82,7 @@ class SequenceAttention(Module):
 
         attended = blockwise_attention(
             q.transpose(1, 0, 2), k.transpose(1, 0, 2), v.transpose(1, 0, 2), bias,
-            scale_divisor=np.sqrt(self.head_dim),
+            scale_divisor=math.sqrt(self.head_dim),
             query_chunk=self.chunk_size,
         ).transpose(1, 0, 2)                                    # (Ns, H, D)
         attended = attended.reshape(sequence.shape[0], -1)
@@ -100,14 +118,22 @@ class OuterProductMean(Module):
         name: str = "outer_product_mean",
     ) -> None:
         super().__init__(name)
+        dtype = config.dtype
         self.chunk_size = config.attn_chunk_size
         hidden_dim = min(hidden_dim, config.seq_dim)
         self.hidden_dim = hidden_dim
-        self.layer_norm = self.register_child("layer_norm", LayerNorm(config.seq_dim, "layer_norm"))
-        self.linear_a = self.register_child("linear_a", Linear(config.seq_dim, hidden_dim, rng, "linear_a"))
-        self.linear_b = self.register_child("linear_b", Linear(config.seq_dim, hidden_dim, rng, "linear_b"))
+        self.layer_norm = self.register_child(
+            "layer_norm", LayerNorm(config.seq_dim, "layer_norm", dtype=dtype)
+        )
+        self.linear_a = self.register_child(
+            "linear_a", Linear(config.seq_dim, hidden_dim, rng, "linear_a", dtype=dtype)
+        )
+        self.linear_b = self.register_child(
+            "linear_b", Linear(config.seq_dim, hidden_dim, rng, "linear_b", dtype=dtype)
+        )
         self.linear_o = self.register_child(
-            "linear_o", Linear(hidden_dim * hidden_dim, config.pair_dim, rng, "linear_o", init="final")
+            "linear_o",
+            Linear(hidden_dim * hidden_dim, config.pair_dim, rng, "linear_o", init="final", dtype=dtype),
         )
 
     def forward(self, sequence: np.ndarray, ctx: ActivationContext = NULL_CONTEXT) -> np.ndarray:
@@ -122,7 +148,7 @@ class OuterProductMean(Module):
         for rs in iter_chunks(num_residues, self.chunk_size):
             outer = np.multiply(a[rs, None, :, None], b[None, :, None, :], out=buffer[: rs.stop - rs.start])
             outer = outer.reshape(rs.stop - rs.start, num_cols, -1)
-            outer /= np.sqrt(self.hidden_dim)
+            outer /= math.sqrt(self.hidden_dim)
             outer = ctx.process(f"{self.name}.outer", GROUP_C, outer)
             update[rs] = self.linear_o(outer)
         return update

@@ -97,15 +97,16 @@ def streaming_attention(
     num_queries = q.shape[-2]
     num_keys = k.shape[-2]
     batch_shape = q.shape[:-2]
-    out = np.empty((*batch_shape, num_queries, v.shape[-1]), dtype=np.result_type(q, k, v))
+    dtype = np.result_type(q, k, v)
+    out = np.empty((*batch_shape, num_queries, v.shape[-1]), dtype=dtype)
     k_t = np.swapaxes(k, -1, -2)
 
     for qs in iter_chunks(num_queries, query_chunk):
         q_tile = q[..., qs, :]
         block = qs.stop - qs.start
-        running_max = np.full((*batch_shape, block), -np.inf)
-        denominator = np.zeros((*batch_shape, block))
-        accumulator = np.zeros((*batch_shape, block, v.shape[-1]))
+        running_max = np.full((*batch_shape, block), -np.inf, dtype=dtype)
+        denominator = np.zeros((*batch_shape, block), dtype=dtype)
+        accumulator = np.zeros((*batch_shape, block, v.shape[-1]), dtype=dtype)
         for ks in iter_chunks(num_keys, key_chunk):
             scores = np.matmul(q_tile, k_t[..., ks]) * scale
             if bias is not None:

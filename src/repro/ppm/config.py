@@ -26,7 +26,14 @@ class PPMConfig:
     ``None`` — the default — preserves the dense execution paths
     bit-for-bit; setting them changes peak activation memory only, never the
     operator graph or any reported number (dense ≡ chunked is asserted at the
-    repo-wide 1e-9 parity bar).
+    repo-wide 1e-9 parity bar in float64, and at a float32-eps bar in float32).
+
+    ``dtype`` is the float precision the numeric substrate executes in:
+    parameters are created in it and the input embedding emits it, so every
+    activation of the trunk carries it.  ``"float32"`` (the default) is the
+    precision PPMs run in; ``"float64"`` reproduces the float64 fold bit for
+    bit and is what exact oracles pin.  It does not touch the analytical
+    ``weight_bytes``/``activation_bytes`` accounting.
     """
 
     pair_dim: int = 128            # Hz: hidden dim of the Pair Representation
@@ -51,6 +58,8 @@ class PPMConfig:
     #: Tile size of the third-axis contraction in triangular multiplication;
     #: None executes the dense contraction unchanged.
     triangle_chunk_size: Optional[int] = None
+    #: Float precision of the executed numpy substrate ("float32" or "float64").
+    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.pair_dim <= 0 or self.seq_dim <= 0 or self.num_blocks <= 0:
@@ -61,6 +70,8 @@ class PPMConfig:
                 continue
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{knob} must be a positive integer or None")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
         if self.num_heads * self.head_dim > 4 * self.pair_dim:
             raise ValueError("attention width is unreasonably large for the pair dim")
         if self.distogram_channels > self.pair_dim:
@@ -136,6 +147,10 @@ class PPMConfig:
             attn_chunk_size=attn_chunk_size,
             triangle_chunk_size=triangle_chunk_size,
         )
+
+    def with_dtype(self, dtype: str) -> "PPMConfig":
+        """Copy of this configuration executing in float precision ``dtype``."""
+        return replace(self, dtype=dtype)
 
     @property
     def is_chunked(self) -> bool:

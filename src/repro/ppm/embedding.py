@@ -46,22 +46,27 @@ class EmbeddingOutput:
     pair_representation: np.ndarray      # (Ns, Ns, Hz)
 
 
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """Transformer-style sinusoidal positional features of shape (length, dim)."""
+def sinusoidal_positions(length: int, dim: int, dtype: str = "float64") -> np.ndarray:
+    """Transformer-style sinusoidal positional features of shape (length, dim).
+
+    The angles are computed in float64 and stored in ``dtype``.
+    """
     positions = np.arange(length)[:, None]
     frequencies = np.exp(-np.log(10000.0) * (np.arange(dim // 2) / max(1, dim // 2)))
     angles = positions * frequencies[None, :]
-    features = np.zeros((length, dim))
+    features = np.zeros((length, dim), dtype=dtype)
     features[:, 0::2] = np.sin(angles)[:, : features[:, 0::2].shape[1]]
     features[:, 1::2] = np.cos(angles)[:, : features[:, 1::2].shape[1]]
     return features
 
 
-def relative_position_encoding(length: int, num_bins: int = 32) -> np.ndarray:
+def relative_position_encoding(
+    length: int, num_bins: int = 32, dtype: str = "float64"
+) -> np.ndarray:
     """Clipped relative-position one-hot features of shape (Ns, Ns, num_bins)."""
     offsets = np.arange(length)[:, None] - np.arange(length)[None, :]
     clipped = np.clip(offsets + num_bins // 2, 0, num_bins - 1)
-    one_hot = np.zeros((length, length, num_bins), dtype=np.float64)
+    one_hot = np.zeros((length, length, num_bins), dtype=dtype)
     rows, cols = np.indices((length, length))
     one_hot[rows, cols, clipped] = 1.0
     return one_hot
@@ -86,22 +91,27 @@ class StructurePrior:
 
 
 class InputEmbedding(Module):
-    """Builds the initial sequence and pair representations."""
+    """Builds the initial sequence and pair representations.
+
+    Both representations come out in ``config.dtype``, which is what sets
+    the precision of the whole trunk downstream.
+    """
 
     def __init__(self, config: PPMConfig, rng: np.random.Generator, name: str = "input_embedding") -> None:
         super().__init__(name)
         self.config = config
+        dtype = config.dtype
         self.residue_embedding = self.register_parameter(
             "residue_embedding",
-            rng.normal(scale=0.5, size=(VOCABULARY_SIZE, config.seq_dim)),
+            rng.normal(scale=0.5, size=(VOCABULARY_SIZE, config.seq_dim)).astype(dtype),
         )
-        self.position_scale = self.register_parameter("position_scale", np.array([0.3]))
+        self.position_scale = self.register_parameter("position_scale", np.array([0.3], dtype=dtype))
         rel_bins = min(32, config.pair_dim)
         self.relative_bins = rel_bins
         self.linear_relpos = self.register_child(
-            "linear_relpos", Linear(rel_bins, config.pair_dim, rng, "linear_relpos")
+            "linear_relpos", Linear(rel_bins, config.pair_dim, rng, "linear_relpos", dtype=dtype)
         )
-        self.prior_gain = self.register_parameter("prior_gain", np.array([8.0]))
+        self.prior_gain = self.register_parameter("prior_gain", np.array([8.0], dtype=dtype))
 
     def forward(
         self,
@@ -115,10 +125,10 @@ class InputEmbedding(Module):
         length = len(sequence)
         tokens = sequence.encoded()
         seq_rep = self.residue_embedding[tokens] + self.position_scale * sinusoidal_positions(
-            length, config.seq_dim
+            length, config.seq_dim, config.dtype
         )
 
-        rel = relative_position_encoding(length, self.relative_bins)
+        rel = relative_position_encoding(length, self.relative_bins, config.dtype)
         pair = self.linear_relpos(rel)
 
         if prior_distances is not None:
@@ -135,7 +145,7 @@ class InputEmbedding(Module):
         """
         config = self.config
         length = distances.shape[0]
-        channels = np.zeros((length, length, config.pair_dim))
+        channels = np.zeros((length, length, config.pair_dim), dtype=config.dtype)
         normalized = distances / DISTANCE_SCALE
         gain = float(self.prior_gain[0])
         channels[:, :, 0] = gain * normalized

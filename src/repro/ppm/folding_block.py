@@ -42,7 +42,10 @@ class FoldingBlock(Module):
         )
         self.sequence_transition = self.register_child(
             "sequence_transition",
-            Transition(config.seq_dim, config.transition_factor, rng, name="sequence_transition"),
+            Transition(
+                config.seq_dim, config.transition_factor, rng,
+                name="sequence_transition", dtype=config.dtype,
+            ),
         )
         self.outer_product_mean = self.register_child(
             "outer_product_mean", OuterProductMean(config, rng, name="outer_product_mean")
@@ -65,7 +68,10 @@ class FoldingBlock(Module):
         )
         self.pair_transition = self.register_child(
             "pair_transition",
-            Transition(config.pair_dim, config.transition_factor, rng, name="pair_transition"),
+            Transition(
+                config.pair_dim, config.transition_factor, rng,
+                name="pair_transition", dtype=config.dtype,
+            ),
         )
         self.residual_scale = scale
 

@@ -78,7 +78,9 @@ class Linear(Module):
     open state, and ``"final"`` draws small weights so that sub-layer outputs
     start close to zero — the residual stream then dominates, which is what
     lets an untrained trunk preserve the structural signal injected by the
-    input embedding.
+    input embedding.  Weights are drawn in float64 from ``rng`` and stored in
+    ``dtype``, so the random stream (and a float64 model) does not depend on
+    the precision.
     """
 
     def __init__(
@@ -89,6 +91,7 @@ class Linear(Module):
         name: str = "linear",
         bias: bool = True,
         init: str = "default",
+        dtype: str = "float64",
     ) -> None:
         super().__init__(name)
         if in_dim <= 0 or out_dim <= 0:
@@ -104,10 +107,10 @@ class Linear(Module):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = self.register_parameter(
-            "weight", rng.normal(scale=scale, size=(out_dim, in_dim)).astype(np.float64)
+            "weight", rng.normal(scale=scale, size=(out_dim, in_dim)).astype(dtype)
         )
         if bias:
-            bias_value = np.full(out_dim, 1.0 if init == "gating" else 0.0, dtype=np.float64)
+            bias_value = np.full(out_dim, 1.0 if init == "gating" else 0.0, dtype=dtype)
             self.bias: Optional[np.ndarray] = self.register_parameter("bias", bias_value)
         else:
             self.bias = None
@@ -124,14 +127,16 @@ class Linear(Module):
 class LayerNorm(Module):
     """Layer normalization over the channel (last) axis."""
 
-    def __init__(self, dim: int, name: str = "layer_norm", eps: float = 1e-5) -> None:
+    def __init__(
+        self, dim: int, name: str = "layer_norm", eps: float = 1e-5, dtype: str = "float64"
+    ) -> None:
         super().__init__(name)
         if dim <= 0:
             raise ValueError("LayerNorm dimension must be positive")
         self.dim = dim
         self.eps = eps
-        self.gamma = self.register_parameter("gamma", np.ones(dim, dtype=np.float64))
-        self.beta = self.register_parameter("beta", np.zeros(dim, dtype=np.float64))
+        self.gamma = self.register_parameter("gamma", np.ones(dim, dtype=dtype))
+        self.beta = self.register_parameter("beta", np.zeros(dim, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
@@ -150,15 +155,16 @@ class Transition(Module):
         factor: int,
         rng: np.random.Generator,
         name: str = "transition",
+        dtype: str = "float64",
     ) -> None:
         super().__init__(name)
         hidden = dim * factor
-        self.layer_norm = self.register_child("layer_norm", LayerNorm(dim, name="layer_norm"))
+        self.layer_norm = self.register_child("layer_norm", LayerNorm(dim, name="layer_norm", dtype=dtype))
         self.expand = self.register_child(
-            "expand", Linear(dim, hidden, rng, name="expand", init="relu")
+            "expand", Linear(dim, hidden, rng, name="expand", init="relu", dtype=dtype)
         )
         self.contract = self.register_child(
-            "contract", Linear(hidden, dim, rng, name="contract", init="final")
+            "contract", Linear(hidden, dim, rng, name="contract", init="final", dtype=dtype)
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -134,23 +134,30 @@ class StructureModule(Module):
 
     def __init__(self, config: PPMConfig, rng: np.random.Generator, name: str = "structure_module") -> None:
         super().__init__(name)
+        dtype = config.dtype
         self.config = config
-        self.layer_norm = self.register_child("layer_norm", LayerNorm(config.pair_dim, "layer_norm"))
+        self.layer_norm = self.register_child(
+            "layer_norm", LayerNorm(config.pair_dim, "layer_norm", dtype=dtype)
+        )
         self.distance_head = self.register_child(
-            "distance_head", Linear(config.pair_dim, 1, rng, "distance_head", init="final")
+            "distance_head", Linear(config.pair_dim, 1, rng, "distance_head", init="final", dtype=dtype)
         )
         self.confidence_head = self.register_child(
-            "confidence_head", Linear(config.pair_dim, 1, rng, "confidence_head", init="final")
+            "confidence_head", Linear(config.pair_dim, 1, rng, "confidence_head", init="final", dtype=dtype)
         )
         self.prior_gain = 8.0
         self.refinement_iterations = 20
 
     def predict_distances(self, pair: np.ndarray) -> np.ndarray:
-        """Predicted pairwise distance matrix from the pair representation."""
+        """Predicted pairwise distance matrix from the pair representation.
+
+        Read out in the pair's precision and returned as float64: the MDS
+        eigendecomposition and the refinement always run in float64.
+        """
         base = decode_prior_distances(pair, self.prior_gain)
         correction = self.distance_head(self.layer_norm(pair))[..., 0] * DISTANCE_SCALE * 0.01
         correction = 0.5 * (correction + correction.T)
-        predicted = np.clip(base + correction, 0.0, None)
+        predicted = np.clip(base + correction, 0.0, None).astype(np.float64, copy=False)
         np.fill_diagonal(predicted, 0.0)
         return predicted
 

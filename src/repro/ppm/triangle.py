@@ -25,6 +25,8 @@ the repo-wide 1e-9 parity bar.  Every contraction is a batched ``np.matmul``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .activation_tap import GROUP_A, GROUP_B, GROUP_C, ActivationContext, NULL_CONTEXT
@@ -50,25 +52,36 @@ class TriangleMultiplication(Module):
         name: str = "triangle_multiplication",
     ) -> None:
         super().__init__(name)
+        dtype = config.dtype
         if mode not in ("outgoing", "incoming"):
             raise ValueError("mode must be 'outgoing' or 'incoming'")
         self.mode = mode
         self.chunk_size = config.triangle_chunk_size
         pair_dim = config.pair_dim
         hidden = config.triangle_hidden
-        self.layer_norm_in = self.register_child("layer_norm_in", LayerNorm(pair_dim, "layer_norm_in"))
-        self.linear_a_p = self.register_child("linear_a_p", Linear(pair_dim, hidden, rng, "linear_a_p"))
+        self.layer_norm_in = self.register_child(
+            "layer_norm_in", LayerNorm(pair_dim, "layer_norm_in", dtype=dtype)
+        )
+        self.linear_a_p = self.register_child(
+            "linear_a_p", Linear(pair_dim, hidden, rng, "linear_a_p", dtype=dtype)
+        )
         self.linear_a_g = self.register_child(
-            "linear_a_g", Linear(pair_dim, hidden, rng, "linear_a_g", init="gating")
+            "linear_a_g", Linear(pair_dim, hidden, rng, "linear_a_g", init="gating", dtype=dtype)
         )
-        self.linear_b_p = self.register_child("linear_b_p", Linear(pair_dim, hidden, rng, "linear_b_p"))
+        self.linear_b_p = self.register_child(
+            "linear_b_p", Linear(pair_dim, hidden, rng, "linear_b_p", dtype=dtype)
+        )
         self.linear_b_g = self.register_child(
-            "linear_b_g", Linear(pair_dim, hidden, rng, "linear_b_g", init="gating")
+            "linear_b_g", Linear(pair_dim, hidden, rng, "linear_b_g", init="gating", dtype=dtype)
         )
-        self.layer_norm_out = self.register_child("layer_norm_out", LayerNorm(hidden, "layer_norm_out"))
-        self.linear_o = self.register_child("linear_o", Linear(hidden, pair_dim, rng, "linear_o", init="final"))
+        self.layer_norm_out = self.register_child(
+            "layer_norm_out", LayerNorm(hidden, "layer_norm_out", dtype=dtype)
+        )
+        self.linear_o = self.register_child(
+            "linear_o", Linear(hidden, pair_dim, rng, "linear_o", init="final", dtype=dtype)
+        )
         self.linear_g = self.register_child(
-            "linear_g", Linear(pair_dim, pair_dim, rng, "linear_g", init="gating")
+            "linear_g", Linear(pair_dim, pair_dim, rng, "linear_g", init="gating", dtype=dtype)
         )
 
     def _contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,7 +119,7 @@ class TriangleMultiplication(Module):
         b = ctx.process(f"{tag}.proj_b", GROUP_C, b)
 
         combined = self._contract(a, b)
-        combined = combined / np.sqrt(a.shape[-2])
+        combined = combined / math.sqrt(a.shape[-2])
         combined = ctx.process(f"{tag}.matmul", GROUP_A, combined)
 
         normalized_out = self.layer_norm_out(combined)
@@ -130,6 +143,7 @@ class TriangleAttention(Module):
         name: str = "triangle_attention",
     ) -> None:
         super().__init__(name)
+        dtype = config.dtype
         if mode not in ("starting", "ending"):
             raise ValueError("mode must be 'starting' or 'ending'")
         self.mode = mode
@@ -138,17 +152,27 @@ class TriangleAttention(Module):
         self.head_dim = config.head_dim
         pair_dim = config.pair_dim
         width = config.attention_dim
-        self.layer_norm = self.register_child("layer_norm", LayerNorm(pair_dim, "layer_norm"))
-        self.linear_q = self.register_child("linear_q", Linear(pair_dim, width, rng, "linear_q", bias=False))
-        self.linear_k = self.register_child("linear_k", Linear(pair_dim, width, rng, "linear_k", bias=False))
-        self.linear_v = self.register_child("linear_v", Linear(pair_dim, width, rng, "linear_v", bias=False))
+        self.layer_norm = self.register_child(
+            "layer_norm", LayerNorm(pair_dim, "layer_norm", dtype=dtype)
+        )
+        self.linear_q = self.register_child(
+            "linear_q", Linear(pair_dim, width, rng, "linear_q", bias=False, dtype=dtype)
+        )
+        self.linear_k = self.register_child(
+            "linear_k", Linear(pair_dim, width, rng, "linear_k", bias=False, dtype=dtype)
+        )
+        self.linear_v = self.register_child(
+            "linear_v", Linear(pair_dim, width, rng, "linear_v", bias=False, dtype=dtype)
+        )
         self.linear_bias = self.register_child(
-            "linear_bias", Linear(pair_dim, config.num_heads, rng, "linear_bias", bias=False)
+            "linear_bias", Linear(pair_dim, config.num_heads, rng, "linear_bias", bias=False, dtype=dtype)
         )
         self.linear_g = self.register_child(
-            "linear_g", Linear(pair_dim, width, rng, "linear_g", init="gating")
+            "linear_g", Linear(pair_dim, width, rng, "linear_g", init="gating", dtype=dtype)
         )
-        self.linear_o = self.register_child("linear_o", Linear(width, pair_dim, rng, "linear_o", init="final"))
+        self.linear_o = self.register_child(
+            "linear_o", Linear(width, pair_dim, rng, "linear_o", init="final", dtype=dtype)
+        )
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         """(Ns, Ns, H*D) -> (Ns, H, Ns, D)"""
@@ -183,7 +207,7 @@ class TriangleAttention(Module):
             # (chunk-invariant transforms).
             attended = blockwise_attention(
                 q, k, v, bias,
-                scale_divisor=np.sqrt(self.head_dim),
+                scale_divisor=math.sqrt(self.head_dim),
                 query_chunk=self.chunk_size,
                 ctx=ctx,
                 weights_tap=f"{tag}.attention_weights",
@@ -195,7 +219,7 @@ class TriangleAttention(Module):
             # (Ns, H, chunk, chunk) ever exists.
             attended = streaming_attention(
                 q, k, v, bias=bias,
-                scale=1.0 / np.sqrt(self.head_dim),
+                scale=1.0 / math.sqrt(self.head_dim),
                 query_chunk=self.chunk_size,
                 key_chunk=self.chunk_size,
             )

@@ -3,7 +3,8 @@
 The chunked execution mode (``PPMConfig.attn_chunk_size`` /
 ``triangle_chunk_size``) must change peak activation memory only — never a
 number.  This suite asserts dense ≡ chunked at the repo-wide 1e-9 bar on
-every level the refactor touches: the attention/multiplication modules
+every level the refactor touches (in float64; float32 holds at a bound
+argued from float32 eps): the attention/multiplication modules
 (``attention.py``, ``triangle.py``), a full folding block
 (``folding_block.py``), the end-to-end model through the structure module
 (``structure_module.py``), and the quantized variants (``ppm/quantized.py``)
@@ -277,6 +278,33 @@ def test_full_model_parity_through_structure_module(tiny_config, tiny_protein):
     np.testing.assert_allclose(
         tiled_result.structure.coordinates, dense_result.structure.coordinates,
         rtol=0, atol=1e-6,
+    )
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_float32_model_parity_through_structure_module(tiny_config, tiny_protein, chunk):
+    """Dense ≡ chunked in float32, at a bound argued from float32 eps.
+
+    Both run the same float32 operations except the blocked contractions,
+    whose sums associate differently.  Each of a folding block's five
+    residual adds rounds the pair stream to float32 once, so the two streams
+    may drift apart by about one rounding, ``eps * max|pair|``, per add: the
+    bound allows one per add (10 in the tiny trunk; half of one is measured).
+    Coordinates get the float64 test's allowance for the eigendecomposition
+    and refinement, 1000x the pair bound (1e-6 there over 1e-9).
+    """
+    config = tiny_config.with_dtype("float32")
+    dense = ProteinStructureModel(config, seed=0).predict_from_structure(tiny_protein)
+    tiled_model = ProteinStructureModel(with_chunks(config, chunk), seed=0)
+    tiled = tiled_model.predict_from_structure(tiny_protein)
+    assert dense.pair_representation.dtype == tiled.pair_representation.dtype == np.float32
+    residual_adds = 5 * config.num_blocks
+    bound = residual_adds * np.finfo(np.float32).eps * np.abs(dense.pair_representation).max()
+    np.testing.assert_allclose(
+        tiled.pair_representation, dense.pair_representation, rtol=0, atol=bound
+    )
+    np.testing.assert_allclose(
+        tiled.structure.coordinates, dense.structure.coordinates, rtol=0, atol=1e3 * bound
     )
 
 

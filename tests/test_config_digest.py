@@ -11,6 +11,10 @@ from repro.hardware import LightNobelConfig
 from repro.ppm import PPMConfig
 
 
+#: String fields restricted to a set of values perturb to another member.
+STRING_ALTERNATIVES = {"float32": "float64", "float64": "float32"}
+
+
 def perturb(value):
     """A different-but-valid value of the same type."""
     if value is None:
@@ -22,7 +26,7 @@ def perturb(value):
     if isinstance(value, float):
         return value + 0.125
     if isinstance(value, str):
-        return value + "x"
+        return STRING_ALTERNATIVES.get(value, value + "x")
     raise TypeError(f"no perturbation for {type(value).__name__}")
 
 

@@ -128,6 +128,16 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.observe(1.0)  # labeled family: must go through a child
 
+    def test_children_share_validated_bounds(self):
+        """Children reuse the family's validated bound tuple; bad bounds fail at the family."""
+        h = Histogram("t_share", "test", labelnames=("backend",), buckets=[1, 2.5, 10])
+        assert h.bounds == (1.0, 2.5, 10.0)
+        assert h.labels("a").bounds is h.bounds
+        assert h.labels("b").bounds is h.bounds
+        for bad in ((), (2.0, 1.0), (1.0, 1.0), (1.0, float("inf")), (float("nan"),)):
+            with pytest.raises(ValueError):
+                Histogram("t_bad", "test", labelnames=("backend",), buckets=bad)
+
     def test_counter_and_gauge(self):
         c = Counter("t_counter", "test")
         c.inc()

@@ -8,6 +8,8 @@ Required parity properties:
   bit-for-bit — including ``outlier_count >= hidden_dim`` and all-zero tokens.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,9 +48,11 @@ def tokens(rng):
 class TestRowwiseEquivalence:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_quantize_token_rowwise_equals_fake_quantize(self, tokens, config):
-        fake = fake_quantize_tokens(tokens, config)
-        for row, expected in zip(tokens, fake):
-            assert np.array_equal(quantize_token(row, config).dequantize(), expected)
+        for dtype in (np.float64, np.float32):
+            values = tokens.astype(dtype)
+            fake = fake_quantize_tokens(values, config)
+            for row, expected in zip(values, fake):
+                assert np.array_equal(quantize_token(row, config).dequantize(), expected)
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_unpack_pack_matches_per_token_path(self, tokens, config):
@@ -87,10 +91,11 @@ class TestRowwiseEquivalence:
                 assert np.array_equal(token.dequantize(), np.zeros(32))
 
     def test_packed_fake_quantize_equals_fused_expression(self, tokens):
-        for config in CONFIGS:
-            fused = fake_quantize_tokens(tokens, config)
-            via_layout = packed_fake_quantize_tokens(tokens, config)
-            assert np.array_equal(fused, via_layout)
+        for config, dtype in itertools.product(CONFIGS, (np.float64, np.float32)):
+            fused = fake_quantize_tokens(tokens.astype(dtype), config)
+            via_layout = packed_fake_quantize_tokens(tokens.astype(dtype), config)
+            assert fused.dtype == via_layout.dtype == dtype
+            assert fused.tobytes() == via_layout.tobytes()
         # >2-D tensors are flattened to tokens along the last axis, like the
         # activation taps do.
         cube = tokens.reshape(4, 24, 64)
@@ -171,8 +176,10 @@ class TestPackedAAQContext:
         from repro.ppm.quantized import AAQScheme, QuantizedPPM
         from repro.proteins import generate_protein
 
-        model = ProteinStructureModel(PPMConfig.tiny(), seed=0)
         target = generate_protein(24, seed=3)
-        fused = QuantizedPPM(model, AAQScheme()).predict(target)
-        packed = QuantizedPPM(model, AAQScheme(use_packed=True)).predict(target)
-        assert np.array_equal(fused.structure.coordinates, packed.structure.coordinates)
+        for dtype in ("float64", "float32"):
+            model = ProteinStructureModel(PPMConfig.tiny().with_dtype(dtype), seed=0)
+            fused = QuantizedPPM(model, AAQScheme()).predict(target)
+            packed = QuantizedPPM(model, AAQScheme(use_packed=True)).predict(target)
+            assert fused.pair_representation.dtype == dtype
+            assert np.array_equal(fused.structure.coordinates, packed.structure.coordinates)

@@ -134,12 +134,13 @@ def test_softmax_rows_are_distributions(x):
 #: entry, so a change in the canonical serialization (field order, float
 #: formatting, dataclass handling) must show up here, not as silently
 #: mismatched cache keys.  Regenerate deliberately via ``config_digest()``.
-#: PPMConfig digests re-pinned in PR 4: the chunked-execution knobs
-#: (attn_chunk_size/triangle_chunk_size) are new fields, and new fields must
-#: move the digest so stale cached tables/reports self-invalidate.
+#: PPMConfig digests re-pinned twice for a new field, since new fields must
+#: move the digest so stale cached tables/reports self-invalidate: for the
+#: chunked-execution knobs (attn_chunk_size/triangle_chunk_size), then for
+#: the execution precision ``dtype``.
 PINNED_DIGESTS = {
-    "PPMConfig.paper": (PPMConfig.paper, "cfae6b1b13d8def6"),
-    "PPMConfig.tiny": (PPMConfig.tiny, "94e7609b01b1dfea"),
+    "PPMConfig.paper": (PPMConfig.paper, "4c9ca3030a57fe4d"),
+    "PPMConfig.tiny": (PPMConfig.tiny, "e074b1efb95cd5ea"),
     "LightNobelConfig": (LightNobelConfig, "5a8efafda3dbc9fb"),
     "GPUSpec.H100": (lambda: get_gpu("H100"), "aede25983e2495e2"),
     "AAQConfig.paper_optimal": (AAQConfig.paper_optimal, "a9d0d690670a8fff"),
@@ -239,8 +240,13 @@ def _reference_fake_quantize_tokens(values, config):
 
     The one-pass body must reproduce this reference bit for bit; it is kept
     verbatim so any drift in tie-breaking, scales or grids shows up here.
+    The one edit since: it computes in the input's float precision, with
+    each scale derived in float64 and cast to it, as the library does.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype not in (np.float32, np.float64):
+        values = values.astype(np.float64)
+    dtype = values.dtype
     original_shape = values.shape
     flat = values.reshape(-1, original_shape[-1])
     num_tokens, hidden_dim = flat.shape
@@ -257,7 +263,7 @@ def _reference_fake_quantize_tokens(values, config):
 
     inlier_abs = np.where(outlier_mask, 0.0, abs_values)
     inlier_max = inlier_abs.max(axis=-1, keepdims=True)
-    inlier_scale = symmetric_scale(inlier_max, config.inlier_bits)
+    inlier_scale = symmetric_scale(inlier_max, config.inlier_bits).astype(dtype)
     inlier_recon = dequantize_values(
         quantize_values(flat, inlier_scale, config.inlier_bits), inlier_scale
     )
@@ -265,7 +271,7 @@ def _reference_fake_quantize_tokens(values, config):
     if count > 0:
         outlier_abs = np.where(outlier_mask, abs_values, 0.0)
         outlier_max = outlier_abs.max(axis=-1, keepdims=True)
-        outlier_scale = symmetric_scale(outlier_max, config.outlier_bits)
+        outlier_scale = symmetric_scale(outlier_max, config.outlier_bits).astype(dtype)
         outlier_recon = dequantize_values(
             quantize_values(flat, outlier_scale, config.outlier_bits), outlier_scale
         )

@@ -89,29 +89,51 @@ class TestSchemeComparison:
         assert abs(scores["LightNobel (AAQ)"] - scores["Baseline"]) < 0.05
 
 
+#: The golden folds: dense, chunked (8-wide blocks) and packed AAQ.
+GOLDEN_FOLDS = pytest.mark.parametrize(
+    "chunk, use_packed",
+    [(None, False), (8, False), (None, True)],
+    ids=["dense", "chunked", "packed"],
+)
+
+
 class TestAAQFoldGolden:
     """Predicted coordinates of one small AAQ fold, pinned bit for bit.
 
-    The digest was captured from the one-pass quantizer and the ``np.matmul``
-    attention and triangle contractions; the dense, chunked and packed folds
-    all produce it.  A numeric drift anywhere in the quantized fold changes it.
+    The float64 digest was captured from the one-pass quantizer and the
+    ``np.matmul`` attention and triangle contractions; the dense, chunked and
+    packed folds all produce it.  A numeric drift anywhere in the quantized
+    fold changes it.  The float32 fold has its own pins: dense and packed
+    share one (the packed round trip equals the fused quantizer in float32
+    too), while the chunked fold's blocked float32 contractions round
+    differently from the dense ones, so it has its own digest.  Coordinates
+    are float64 at both precisions.
     """
 
-    #: SHA-256 prefix of the (24, 3) float64 coordinates.
+    #: SHA-256 prefix of the (24, 3) coordinates of the float64 fold.
     GOLDEN = "472e8eb36b143b63"
+    #: The same for the float32 fold, per execution path.
+    GOLDEN_FLOAT32 = {
+        "dense": "93de9b2b6cebfce1",
+        "chunked": "abf555d51cdade1f",
+        "packed": "93de9b2b6cebfce1",
+    }
 
-    @pytest.mark.parametrize(
-        "config, scheme",
-        [
-            (PPMConfig.small(), get_scheme("LightNobel (AAQ)")),
-            (PPMConfig.small().with_chunking(8, 8), get_scheme("LightNobel (AAQ)")),
-            (PPMConfig.small(), AAQScheme(use_packed=True)),
-        ],
-        ids=["dense", "chunked", "packed"],
-    )
-    def test_fold_coordinates_match_golden(self, config, scheme):
+    @staticmethod
+    def _run(dtype, chunk, use_packed):
+        config = PPMConfig.small().with_dtype(dtype).with_chunking(chunk, chunk)
+        scheme = AAQScheme(use_packed=True) if use_packed else get_scheme("LightNobel (AAQ)")
         protein = generate_protein(24, seed=7, name="golden")
         model = ProteinStructureModel(config, seed=0)
         coordinates = QuantizedPPM(model, scheme).predict(protein).structure.coordinates
-        digest = hashlib.sha256(np.ascontiguousarray(coordinates).tobytes()).hexdigest()[:16]
-        assert digest == self.GOLDEN
+        assert coordinates.dtype == np.float64
+        return hashlib.sha256(np.ascontiguousarray(coordinates).tobytes()).hexdigest()[:16]
+
+    @GOLDEN_FOLDS
+    def test_fold_coordinates_match_golden(self, chunk, use_packed):
+        assert self._run("float64", chunk, use_packed) == self.GOLDEN
+
+    @GOLDEN_FOLDS
+    def test_float32_fold_coordinates_match_golden(self, request, chunk, use_packed):
+        path = request.node.callspec.id
+        assert self._run("float32", chunk, use_packed) == self.GOLDEN_FLOAT32[path]
