@@ -25,14 +25,19 @@ A fourth guard counts rather than times: the engines run their arithmetic
 over a stack's representative rows only (its row map), so the 16-length
 paper-config stack of the ``dse-sweep`` strata (256-4096) must price at most
 1/20 of its rows on both the accelerator and the GPU model (reads 1,360 of
-51,744, one block of each distinct graph segment per length).
+51,744, one block of each distinct graph segment per length).  Its companion
+hides every full-row column of that stack behind objects that raise when
+read: both engines' ``simulate_stack`` and ``simulate_stack_totals`` must
+return the real stack's numbers without touching one.
 """
 
+import copy
 import statistics
 import tempfile
 import time
 
 import numpy as np
+import pytest
 
 from conftest import emit_bench_json, print_table
 from reference_pricing import simulate_accelerator_workload
@@ -41,7 +46,7 @@ from repro.core.aaq import AAQConfig
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.ppm import PPMConfig, clear_workload_caches, get_op_table, get_stacked_table
-from repro.ppm.op_table import OperatorTable
+from repro.ppm.op_table import NUMERIC_COLUMNS, OperatorTable, StackedOperatorTable
 from repro.ppm.workload import build_model_ops
 from repro.sim import SimulationSession
 
@@ -353,3 +358,85 @@ def test_pricing_reads_representative_rows_only(paper_config):
     for rows in priced.values():
         assert rows == len(stack.rep_rows)
         assert rows <= MAX_PRICED_SHARE * len(stack)
+
+
+#: Every per-row column of a table: label codes, ``fusible``, numbers, row map.
+ROW_COLUMNS = (
+    "engine_codes", "phase_codes", "subphase_codes", "group_codes", "fusible", "rep_index",
+) + NUMERIC_COLUMNS
+
+
+class RowRead(AssertionError):
+    """A pricing path read a full-row column."""
+
+
+class Unreadable:
+    """Stands in for a full-row column; any read of it raises :class:`RowRead`."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _read(self, *args, **kwargs):
+        raise RowRead(f"pricing read the full-row column {self.name!r}")
+
+    __array__ = __getitem__ = __len__ = __iter__ = _read
+    __add__ = __mul__ = __eq__ = __bool__ = _read
+
+    def __getattr__(self, attribute):
+        self._read()
+
+
+def row_free_stack(stack):
+    """A fresh stack over copies of ``stack.tables`` whose per-row columns raise.
+
+    Each copy keeps its table's cached representatives (per-representative
+    columns, which pricing may read), so the stack builds its own from them.
+    """
+    hidden = []
+    for table in stack.tables:
+        table.representatives()
+        clone = copy.copy(table)
+        for name in ROW_COLUMNS:
+            object.__setattr__(clone, name, Unreadable(name))
+        hidden.append(clone)
+    return StackedOperatorTable.from_tables(hidden)
+
+
+def priced(engine, stack):
+    """Both pricing methods' numbers (report fields that hold no arrays)."""
+    reports = engine.simulate_stack(stack)
+    fields = [
+        {k: v for k, v in vars(r).items() if not k.startswith("_")} for r in reports
+    ]
+    return fields, engine.simulate_stack_totals(stack)
+
+
+class RowGatheringAccelerator(LightNobelAccelerator):
+    """The accelerator with one per-row gather put back: the guard must trip."""
+
+    def simulate_stack_totals(self, stack):
+        rmpu, vvpu, memory, _ = self._engine_cycles(stack)
+        np.take(np.maximum(np.maximum(rmpu, vvpu), memory), stack.rep_index)
+        return super().simulate_stack_totals(stack)
+
+
+def test_pricing_reads_no_full_row_column(paper_config):
+    lengths = [int(lo + hi) // 2 for lo, hi in zip(DSE_STRATA[:-1], DSE_STRATA[1:])]
+    stack = get_stacked_table(paper_config, lengths)
+    hidden = row_free_stack(stack)
+    engines = {
+        "accelerator": LightNobelAccelerator(ppm_config=paper_config),
+        "gpu": GPUModel("H100", ppm_config=paper_config),
+    }
+    for name, engine in engines.items():
+        assert priced(engine, hidden) == priced(engine, stack), name
+    # The guard is live: one np.take through the stack's row map trips it.
+    gatherer = RowGatheringAccelerator(ppm_config=paper_config)
+    gatherer.simulate_stack_totals(stack)
+    with pytest.raises(RowRead):
+        gatherer.simulate_stack_totals(hidden)
+    print_table(
+        f"Full-row reads while pricing the {len(lengths)}-length paper stack",
+        [("engine", "simulate_stack + totals")]
+        + [(name, "0 (every column hidden)") for name in engines],
+    )

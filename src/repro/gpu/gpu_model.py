@@ -86,17 +86,14 @@ class GPUModel:
         self._fits_cache: Dict[Tuple[int, bool], bool] = {}
 
     # ------------------------------------------------------------------ timing
-    def _operator_columns(self, table, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """(seconds, kernels) arrays over the table's representative rows.
+    def _operator_columns(self, stack, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """(seconds, kernels) arrays over the stack's representative rows.
 
-        ``table`` is an :class:`OperatorTable` or a
-        :class:`~repro.ppm.op_table.StackedOperatorTable`.  The roofline runs
-        over ``table.representatives()`` only; ``np.take(values,
-        table.rep_index)`` gives the per-row arrays.  Purely elementwise, and a
-        representative's inputs are its rows' inputs, so the gathered values
-        match an every-row (or per-length) evaluation bit for bit.
+        The roofline runs over ``stack.representatives()`` only.  Purely
+        elementwise, and a representative's inputs are its rows' inputs, so
+        value ``i`` is what each row it stands for would get, in any mix.
         """
-        table = table.representatives()
+        table = stack.representatives()
         eff = self.gpu.effective_flops
         is_matmul = table.engine_mask(ENGINE_MATMUL)
         chunk_applies = table.phase_mask(PHASE_PAIR) & chunked
@@ -124,26 +121,19 @@ class GPUModel:
         """One roofline pass over a whole length mix; one report per segment.
 
         Elementwise arithmetic runs once over the stack's representative
-        rows and one take through ``stack.rep_index`` gathers seconds and
-        kernels per row.  Phase/subphase reductions then run once over
-        combined (segment, label) bins and totals over contiguous slices, in
-        every-row order, so the floats are unchanged and a length's report is
-        the same in any mix, a one-segment stack included.
+        rows, and :meth:`StackedOperatorTable.segment_sums` reduces seconds
+        and kernels per segment (totals, phases and subphases), each
+        representative weighted by the rows it stands for.  No full-row
+        column is read, and a length's report is the same in any mix, a
+        one-segment stack included.
         """
-        # One 2-row axis-sum per segment totals seconds and kernels together;
-        # pairwise summation runs over each contiguous row, so a segment's
-        # totals do not depend on its neighbours in the stack.
-        pair = np.take(
-            np.vstack(self._operator_columns(stack, chunked)), stack.rep_index, axis=1
+        totals, (phase_dicts, subphase_dicts) = stack.segment_sums(
+            np.vstack(self._operator_columns(stack, chunked)), "phase", "subphase"
         )
-        seconds = pair[0]
-        phase_dicts = stack.segment_weighted_sums_all("phase", seconds)
-        subphase_dicts = stack.segment_weighted_sums_all("subphase", seconds)
         reports = []
-        for table, sl, phases, subphases in zip(
-            stack.tables, stack.segments, phase_dicts, subphase_dicts
+        for table, total_seconds, kernel_count, phases, subphases in zip(
+            stack.tables, *totals.tolist(), phase_dicts, subphase_dicts
         ):
-            total_seconds, kernel_count = pair[:, sl].sum(axis=1).tolist()
             n = table.sequence_length
             reports.append(
                 GPULatencyReport(
@@ -164,20 +154,13 @@ class GPUModel:
     ) -> List[float]:
         """Per-segment ``total_seconds`` only — no report materialization.
 
-        One take gathers the representative rows' seconds per row; the
-        totals are the same contiguous-slice sums as :meth:`simulate_stack`
-        (``ndarray.sum`` delegates to ``np.add.reduce``), so each float is
-        bit-identical to the full-report path; memory feasibility is the
-        caller's concern (see :meth:`fits_in_memory`, which is memoized).
+        The totals come from the same :meth:`StackedOperatorTable.segment_sums`
+        reduction :meth:`simulate_stack` uses, so each float is identical to
+        the full-report path; memory feasibility is the caller's concern (see
+        :meth:`fits_in_memory`, which is memoized).
         """
         seconds, _ = self._operator_columns(stack, chunked)
-        seconds = np.take(seconds, stack.rep_index)
-        total = np.add.reduce
-        return np.fromiter(
-            (total(seconds[sl]) for sl in stack.segments),
-            dtype=np.float64,
-            count=stack.num_segments,
-        ).tolist()
+        return stack.segment_sums(seconds)[0][0].tolist()
 
     def simulate_table(self, table: OperatorTable, chunked: bool = False) -> GPULatencyReport:
         """Price one operator table as a one-segment stack."""

@@ -15,9 +15,9 @@ chip, which removes both its DRAM traffic and its quantization cost.
 Pricing is columnar and has one path:
 :meth:`LightNobelAccelerator.simulate_stack` evaluates every engine latency as
 a vectorized expression over the representative rows of a
-:class:`~repro.ppm.op_table.StackedOperatorTable` (its row map), gathers the
-per-row values it reduces and reduces them to one report per length.  A
-single length or table is priced as a one-segment stack.  The per-operator
+:class:`~repro.ppm.op_table.StackedOperatorTable` (its row map) and reduces
+them, weighted by how many rows each stands for, to one report per length.
+A single length or table is priced as a one-segment stack.  The per-operator
 scalar reference the parity tests and perf benchmarks compare against lives
 in ``tests/reference_pricing.py``.
 """
@@ -71,9 +71,9 @@ class OperatorLatency:
 class _LatencyColumns:
     """Columnar per-operator latencies backing a lazily-built object list.
 
-    The engine cycles are held per representative row of the segment's table;
-    ``rep_index`` (the table's row map) gathers them to per-operator rows
-    only when a caller reads them.
+    The engine cycles are held per representative row of the segment's table,
+    with ``counts``, the rows each stands for; ``rep_index`` (the table's row
+    map) gathers them to per-operator rows only when a caller reads them.
     """
 
     names: Sequence[str]
@@ -84,6 +84,7 @@ class _LatencyColumns:
     rmpu_cycles: np.ndarray
     vvpu_cycles: np.ndarray
     memory_cycles: np.ndarray
+    counts: np.ndarray
     rep_index: np.ndarray
 
     def engines(self) -> np.ndarray:
@@ -139,10 +140,10 @@ class LatencyReport:
         """Fraction of stage latency bound by each engine."""
         columns = self._columns
         stacked = columns.engines()
-        # Per-row stage and winner through the row map, summed in row order.
-        stage = np.take(stacked.max(axis=0), columns.rep_index)
-        winner = np.take(stacked.argmax(axis=0), columns.rep_index)
-        sums = np.bincount(winner, weights=stage, minlength=3)
+        # Each representative's stage, weighted by its rows, to its winner.
+        sums = np.bincount(
+            stacked.argmax(axis=0), weights=columns.counts * stacked.max(axis=0), minlength=3
+        )
         total = float(sums.sum()) or 1.0
         return {
             "rmpu": float(sums[0]) / total,
@@ -230,19 +231,15 @@ class LightNobelAccelerator:
         }
 
     # -------------------------------------------------------------- simulation
-    def _engine_cycles(self, table) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rmpu, vvpu, memory, dram) arrays over the table's representative rows.
+    def _engine_cycles(self, stack) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rmpu, vvpu, memory, dram) arrays over the stack's representative rows.
 
-        ``table`` is an :class:`OperatorTable` or a
-        :class:`~repro.ppm.op_table.StackedOperatorTable`.  The arithmetic
-        runs over ``table.representatives()`` only (85 of 3,234 rows per
-        paper-config length); value ``i`` belongs to every row ``r`` with
-        ``table.rep_index[r] == i``, and ``np.take(values, table.rep_index)``
-        gives the per-row array.  Every expression is elementwise and a
-        representative's inputs are its rows' inputs, so the gathered values
-        are bit-identical to evaluating every row (or every segment alone).
+        The arithmetic runs over ``stack.representatives()`` only (85 of 3,234
+        rows per paper-config length).  Every expression is elementwise and a
+        representative's inputs are its rows' inputs, so value ``i`` is what
+        each row it stands for would get, in any mix.
         """
-        table = table.representatives()
+        table = stack.representatives()
         params = self._group_parameters(table.groups)
         g = table.group_codes
         fill = float(self.hw_config.pipeline_fill_cycles)
@@ -287,31 +284,28 @@ class LightNobelAccelerator:
         """One vectorized pass over a whole length mix; one report per segment.
 
         The engine arithmetic and the stage maximum run once over the stack's
-        representative rows; two takes through ``stack.rep_index`` give the
-        per-row stage and DRAM bytes.  The phase/subphase reductions then run
-        once over combined (segment, label) bins and per-segment totals over
-        contiguous slices, in the same row order as an every-row evaluation,
-        so every float is unchanged.  Every elementwise expression and every
-        accumulation order is independent of the other segments, so a
-        length's report is the same in any mix, a one-segment stack included
-        (asserted by ``tests/test_stacked_table.py``).  Per-operator engine
-        cycles stay per representative until a report's
-        ``operator_latencies`` or ``bottleneck_share()`` reads them.
+        representative rows, and :meth:`StackedOperatorTable.segment_sums`
+        reduces stage and DRAM bytes per segment (totals, phases and
+        subphases), each representative weighted by the rows it stands for.
+        No full-row column is read.  A length's report is the same in any
+        mix, a one-segment stack included (asserted by
+        ``tests/test_stacked_table.py``).  Per-operator engine cycles stay per
+        representative until a report's ``operator_latencies`` reads them.
         """
         rmpu, vvpu, memory, dram = self._engine_cycles(stack)
         stage = (
             np.maximum(np.maximum(rmpu, vvpu), memory)
             + self.hw_config.per_op_overhead_cycles
         )
-        stage = np.take(stage, stack.rep_index)
-        dram = np.take(dram, stack.rep_index)
-        phase_dicts = stack.segment_weighted_sums_all("phase", stage)
-        subphase_dicts = stack.segment_weighted_sums_all("subphase", stage)
+        totals, (phase_dicts, subphase_dicts) = stack.segment_sums(
+            np.vstack([stage, dram]), "phase", "subphase"
+        )
+        counts = stack.representatives().counts
         reports = []
-        for table, sl, reps, phases, subphases in zip(
-            stack.tables, stack.segments, stack.rep_segments, phase_dicts, subphase_dicts
+        for table, reps, stage_sum, dram_sum, phases, subphases in zip(
+            stack.tables, stack.rep_segments, *totals.tolist(), phase_dicts, subphase_dicts
         ):
-            total = float(stage[sl].sum()) + self.hw_config.pipeline_fill_cycles
+            total = stage_sum + self.hw_config.pipeline_fill_cycles
             reports.append(
                 LatencyReport(
                     sequence_length=table.sequence_length,
@@ -319,7 +313,7 @@ class LightNobelAccelerator:
                     total_seconds=total / self.hw_config.cycles_per_second,
                     phase_cycles=phases,
                     subphase_cycles={sub: c for sub, c in subphases.items() if sub},
-                    dram_bytes=float(dram[sl].sum()),
+                    dram_bytes=dram_sum,
                     _columns=_LatencyColumns(
                         names=table.names,
                         phase_codes=table.phase_codes,
@@ -329,6 +323,7 @@ class LightNobelAccelerator:
                         rmpu_cycles=rmpu[reps],
                         vvpu_cycles=vvpu[reps],
                         memory_cycles=memory[reps],
+                        counts=counts[reps],
                         rep_index=table.rep_index,
                     ),
                 )
@@ -340,11 +335,10 @@ class LightNobelAccelerator:
 
         Totals-only consumers (the planner's service-time prefetch prices
         thousands of lengths and reads nothing but the scalar) skip the
-        per-segment ``LatencyReport`` assembly entirely.  The stage runs over
-        representative rows and one take gathers it per row; each total is
-        then the same contiguous-slice sum :meth:`simulate_stack` computes
-        (``ndarray.sum`` delegates to ``np.add.reduce``), so the floats are
-        bit-identical to the full-report path.
+        per-segment ``LatencyReport`` assembly entirely.  The stage totals
+        come from the same :meth:`StackedOperatorTable.segment_sums`
+        reduction :meth:`simulate_stack` uses, so the floats are identical to
+        the full-report path.
         """
         rmpu, vvpu, memory, _ = self._engine_cycles(stack)
         # Same max/max/add chain as the report paths, fused in place (the
@@ -353,17 +347,11 @@ class LightNobelAccelerator:
         stage = np.maximum(rmpu, vvpu)
         np.maximum(stage, memory, out=stage)
         stage += self.hw_config.per_op_overhead_cycles
-        stage = np.take(stage, stack.rep_index)
-        total = np.add.reduce
-        totals = np.fromiter(
-            (total(stage[sl]) for sl in stack.segments),
-            dtype=np.float64,
-            count=stack.num_segments,
-        )
+        totals, _ = stack.segment_sums(stage)
         # Elementwise add/divide on float64 matches the per-report scalar
         # arithmetic bit for bit.
         return (
-            (totals + self.hw_config.pipeline_fill_cycles)
+            (totals[0] + self.hw_config.pipeline_fill_cycles)
             / self.hw_config.cycles_per_second
         ).tolist()
 

@@ -63,15 +63,18 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     """Layer normalization over the last axis with scale and shift.
 
     ``x.var`` squares and sums its own ``x - x.mean()``; this computes that
-    difference once and reuses it, dividing by the same ``np.intp`` count, so
-    the variance is bit-identical to ``x.var(axis=-1)`` (for every dtype but
+    difference once and reuses it.  ``x.var`` divides by an ``np.intp`` count,
+    which runs float32 through a float64 loop; the count here is a Python
+    int, so float32 divides in float32.  Rounding a quotient to float64 and
+    then to float32 gives the float32 rounding (53 >= 2 * 24 + 2), so the
+    variance is bit-identical to ``x.var(axis=-1)`` (for every dtype but
     float16, whose mean ``x.mean`` accumulates in float32).  Normalization,
     scale and shift then run in place wherever that keeps numpy's result
     dtype (float32 input times float64 ``gamma`` gives float64, as before).
     """
     centered = x - x.mean(axis=-1, keepdims=True)
     variance = np.square(centered).sum(axis=-1, keepdims=True)
-    np.true_divide(variance, np.intp(centered.shape[-1]), out=variance, casting="unsafe")
+    variance /= centered.shape[-1]
     centered /= np.sqrt(variance + eps)
     out = inplace_target(centered, gamma, beta)
     return np.add(np.multiply(centered, gamma, out=out), beta, out=out)

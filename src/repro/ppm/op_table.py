@@ -29,24 +29,29 @@ column set with per-length segment offsets.  A latency backend evaluates its
 vectorized expressions once over the full stack and reduces each segment back
 to its per-length report, so pricing a mix of hundreds of distinct lengths is
 one numpy pass instead of one engine invocation per length.  Each segment's
-columns are bytewise the per-length table's columns, which keeps stacked
-evaluation bit-identical to the per-length path.
+columns are bytewise the per-length table's columns; a stack joins them only
+when something reads them, since pricing reads the representatives alone.
 
 Every table and stack also carries a *row map*: ``rep_rows``, the rows that
 represent each distinct set of pricing columns (label codes, ``fusible`` and
 the numbers), and ``rep_index``, each row's position in ``rep_rows``.  A tiled
 table has one representative per row of one block of each distinct segment
-builder (85 of the paper config's 3,234 rows), shared by every length.  The
-latency backends evaluate their elementwise arithmetic over
-:meth:`~OperatorTable.representatives` only and gather per-row values back
-with one ``np.take`` through ``rep_index``: each row then holds exactly the
-value its own inputs would give, so every downstream reduction is unchanged.
+builder (85 of the paper config's 3,234 rows), shared by every length.
+:meth:`~OperatorTable.representatives` holds those rows' pricing columns and
+their *multiplicities* (how many rows each stands for); a tiled table takes
+the labels and multiplicities from its template and only its numbers per
+length.  The latency backends price representatives only, and
+:meth:`StackedOperatorTable.segment_sums` reduces them per segment as
+multiplicity times value, so no pricing step reads a full-row column.  The
+sums accumulate in representative order, which a segment keeps in any mix:
+a length prices the same in every stack.  They differ from row-order sums by
+rounding only (under 4e-14 relative on the paper config).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,6 +135,14 @@ def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return _freeze(np.concatenate(arrays))
 
 
+#: Label keys of :meth:`OperatorTable.weighted_sums`; key ``k`` has codes
+#: ``{k}_codes`` and vocab ``{k}s``.
+_LABEL_KEYS = ("engine", "phase", "subphase", "group")
+
+#: The per-row columns a representative keeps (label codes, ``fusible``, numbers).
+_PRICING_COLUMNS = tuple(f"{key}_codes" for key in _LABEL_KEYS) + ("fusible",) + NUMERIC_COLUMNS
+
+
 class _Columns:
     """Derived columns and label masks of any columnar operator view."""
 
@@ -147,24 +160,35 @@ class _Columns:
             return np.zeros(len(self.phase_codes), dtype=bool)
         return self.phase_codes == self.phases.index(phase)
 
+    def _codes_for(self, key: str) -> Tuple[np.ndarray, Tuple]:
+        if key not in _LABEL_KEYS:
+            raise ValueError(
+                f"unknown groupby key {key!r}; expected phase/subphase/engine/group"
+            )
+        return getattr(self, f"{key}_codes"), getattr(self, f"{key}s")
+
 
 @dataclass(frozen=True, eq=False)
 class RepresentativeRows(_Columns):
     """The pricing columns of a table's representative rows, and nothing else.
 
-    Built by :meth:`OperatorTable.representatives` and
-    :meth:`StackedOperatorTable.representatives`; row ``i`` is table row
-    ``rep_rows[i]``.  Vocabularies are the table's own, so the label masks and
-    per-group parameter gathers of the backends work unchanged.
+    Built once per table or stack by :meth:`OperatorTable.representatives`
+    and :meth:`StackedOperatorTable.representatives`; row ``i`` is table row
+    ``rep_rows[i]`` and stands for ``counts[i]`` rows (float64, so weighting a
+    value is one multiply).  Vocabularies are the table's own, so the label
+    masks and per-group parameter gathers of the backends work unchanged.
     """
 
     engines: Tuple[str, ...]
     engine_codes: np.ndarray
     phases: Tuple[str, ...]
     phase_codes: np.ndarray
+    subphases: Tuple[str, ...]
+    subphase_codes: np.ndarray
     groups: Tuple[Optional[str], ...]
     group_codes: np.ndarray
     fusible: np.ndarray
+    counts: np.ndarray
     macs: np.ndarray
     vector_ops: np.ndarray
     input_elements: np.ndarray
@@ -176,22 +200,15 @@ class _RowMapped(_Columns):
     """The row-map half of the table protocol (``rep_rows``/``rep_index``)."""
 
     def representatives(self) -> RepresentativeRows:
-        """The pricing columns gathered at ``rep_rows`` (one take each)."""
-        rows = self.rep_rows
-        return RepresentativeRows(
-            engines=self.engines,
-            engine_codes=np.take(self.engine_codes, rows),
-            phases=self.phases,
-            phase_codes=np.take(self.phase_codes, rows),
-            groups=self.groups,
-            group_codes=np.take(self.group_codes, rows),
-            fusible=np.take(self.fusible, rows),
-            macs=np.take(self.macs, rows),
-            vector_ops=np.take(self.vector_ops, rows),
-            input_elements=np.take(self.input_elements, rows),
-            output_elements=np.take(self.output_elements, rows),
-            weight_elements=np.take(self.weight_elements, rows),
-        )
+        """The representative rows' pricing columns and counts, built once."""
+        reps = self.__dict__.get("_representatives")
+        if reps is None:
+            reps = self._gather_representatives()
+            object.__setattr__(self, "_representatives", reps)
+        return reps
+
+    def _vocabs(self) -> Dict[str, Tuple]:
+        return {f"{key}s": getattr(self, f"{key}s") for key in _LABEL_KEYS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +298,15 @@ class OperatorTable(_RowMapped):
             sequence_length=self.sequence_length, config=self.config, operators=operators
         )
 
+    def _gather_representatives(self) -> RepresentativeRows:
+        rows = self.rep_rows
+        counts = np.bincount(self.rep_index, minlength=len(rows)).astype(np.float64)
+        return RepresentativeRows(
+            counts=_freeze(counts),
+            **self._vocabs(),
+            **{name: _freeze(np.take(getattr(self, name), rows)) for name in _PRICING_COLUMNS},
+        )
+
     # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
         return len(self.names)
@@ -363,19 +389,6 @@ class OperatorTable(_RowMapped):
         return self.select(mask)
 
     # --------------------------------------------------------------- groupby
-    def _codes_for(self, key: str) -> Tuple[np.ndarray, Tuple]:
-        try:
-            return {
-                "phase": (self.phase_codes, self.phases),
-                "subphase": (self.subphase_codes, self.subphases),
-                "engine": (self.engine_codes, self.engines),
-                "group": (self.group_codes, self.groups),
-            }[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown groupby key {key!r}; expected phase/subphase/engine/group"
-            ) from None
-
     def groupby_sum(self, key: str, column: str = "macs") -> Dict:
         """Sum a numeric column per label of ``key`` (phase/subphase/engine/group)."""
         return self.weighted_sums(key, self.column(column))
@@ -396,34 +409,34 @@ class OperatorTable(_RowMapped):
                 for code, phase in enumerate(self.phases)}
 
 
-def _remap_codes(
-    codes: Sequence[np.ndarray], vocabs: Sequence[Tuple]
-) -> Tuple[np.ndarray, Tuple]:
-    """Concatenate per-table code arrays under one shared (union) vocabulary.
+def _union_vocab(vocabs: Sequence[Tuple]) -> Tuple[Tuple, Optional[Tuple[np.ndarray, ...]]]:
+    """One shared (union) vocabulary and, per table, its code lookup array.
 
     Fast path: when every table factorized its labels identically (the norm —
     one config emits the same operator sequence at every length), the shared
-    vocab *is* the per-table vocab and the codes concatenate untouched.
-    Otherwise each table's codes are remapped through a small lookup array
-    (vectorized; no per-operator Python).
+    vocab *is* the per-table vocab and the lookups are ``None``: codes join
+    untouched.  Otherwise table code ``c`` is shared code ``lookups[t][c]``.
     """
     first = vocabs[0]
     if all(vocab == first for vocab in vocabs[1:]):
-        return _join(codes), first
-    union: List = []
-    index: Dict = {}
-    remapped: List[np.ndarray] = []
-    for table_codes, vocab in zip(codes, vocabs):
-        lookup = np.empty(len(vocab), dtype=np.int64)
-        for i, label in enumerate(vocab):
-            code = index.get(label)
-            if code is None:
-                code = len(union)
-                index[label] = code
-                union.append(label)
-            lookup[i] = code
-        remapped.append(lookup[table_codes])
-    return _join(remapped), tuple(union)
+        return first, None
+    union = tuple(dict.fromkeys(label for vocab in vocabs for label in vocab))
+    index = {label: code for code, label in enumerate(union)}
+    return union, tuple(
+        np.array([index[label] for label in vocab], dtype=np.int64) for vocab in vocabs
+    )
+
+
+def _slices(bounds: np.ndarray) -> Tuple[slice, ...]:
+    bounds = bounds.tolist()
+    return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def _lazy_column(name: str) -> cached_property:
+    """A stack's full-row column, joined from its tables' on first read."""
+    return cached_property(
+        lambda stack: stack._concat(name, [getattr(t, name) for t in stack.tables])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,8 +447,11 @@ class StackedOperatorTable(_RowMapped):
     operators of ``lengths[i]`` — bytewise the columns of ``tables[i]`` — so
     any elementwise latency expression evaluated over the stacked columns
     produces, per segment, exactly the values the per-length evaluation
-    would.  Label vocabularies are shared across segments (codes remapped at
-    build time) so per-group/per-engine parameter gathers also run once.
+    would.  Label vocabularies are shared across segments (``code_maps``
+    remaps each table's codes, ``None`` where they already agree) so
+    per-group/per-engine parameter gathers also run once.  The full-row
+    columns are joined on first read: pricing reads only
+    :meth:`representatives`, so a stack that is only priced never builds them.
 
     The row map joins the tables' maps: segment ``i``'s representatives are
     ``rep_rows[rep_starts[i]:rep_starts[i+1]]`` (``tables[i].rep_rows``
@@ -449,22 +465,22 @@ class StackedOperatorTable(_RowMapped):
     tables: Tuple[OperatorTable, ...]
     segment_starts: np.ndarray
     engines: Tuple[str, ...]
-    engine_codes: np.ndarray
     phases: Tuple[str, ...]
-    phase_codes: np.ndarray
     subphases: Tuple[str, ...]
-    subphase_codes: np.ndarray
     groups: Tuple[Optional[str], ...]
-    group_codes: np.ndarray
-    macs: np.ndarray
-    vector_ops: np.ndarray
-    input_elements: np.ndarray
-    output_elements: np.ndarray
-    weight_elements: np.ndarray
-    fusible: np.ndarray
+    code_maps: Dict[str, Optional[Tuple[np.ndarray, ...]]] = field(repr=False)
     rep_starts: np.ndarray = field(repr=False)
-    rep_rows: np.ndarray = field(repr=False)
-    rep_index: np.ndarray = field(repr=False)
+
+    engine_codes = _lazy_column("engine_codes")
+    phase_codes = _lazy_column("phase_codes")
+    subphase_codes = _lazy_column("subphase_codes")
+    group_codes = _lazy_column("group_codes")
+    macs = _lazy_column("macs")
+    vector_ops = _lazy_column("vector_ops")
+    input_elements = _lazy_column("input_elements")
+    output_elements = _lazy_column("output_elements")
+    weight_elements = _lazy_column("weight_elements")
+    fusible = _lazy_column("fusible")
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -478,52 +494,55 @@ class StackedOperatorTable(_RowMapped):
         lengths = tuple(t.sequence_length for t in tables)
         if len(set(lengths)) != len(lengths):
             raise ValueError("stacked lengths must be distinct")
-        starts = np.zeros(len(tables) + 1, dtype=np.int64)
-        np.cumsum([len(t) for t in tables], out=starts[1:])
-        rep_starts = np.zeros(len(tables) + 1, dtype=np.int64)
-        np.cumsum([len(t.rep_rows) for t in tables], out=rep_starts[1:])
-        # Python-int offsets keep the int32 maps int32.
-        row_offsets, rep_offsets = starts.tolist(), rep_starts.tolist()
-        engine_codes, engines = _remap_codes(
-            [t.engine_codes for t in tables], [t.engines for t in tables]
-        )
-        phase_codes, phases = _remap_codes(
-            [t.phase_codes for t in tables], [t.phases for t in tables]
-        )
-        subphase_codes, subphases = _remap_codes(
-            [t.subphase_codes for t in tables], [t.subphases for t in tables]
-        )
-        group_codes, groups = _remap_codes(
-            [t.group_codes for t in tables], [t.groups for t in tables]
-        )
+        starts = np.cumsum([0] + [len(t) for t in tables], dtype=np.int64)
+        rep_starts = np.cumsum([0] + [len(t.rep_rows) for t in tables], dtype=np.int64)
+        vocabs, code_maps = {}, {}
+        for key in _LABEL_KEYS:
+            vocabs[f"{key}s"], code_maps[f"{key}_codes"] = _union_vocab(
+                [getattr(t, f"{key}s") for t in tables]
+            )
         return cls(
             config=config,
             lengths=lengths,
             tables=tuple(tables),
             segment_starts=_freeze(starts),
-            engines=engines,
-            engine_codes=_freeze(engine_codes),
-            phases=phases,
-            phase_codes=_freeze(phase_codes),
-            subphases=subphases,
-            subphase_codes=_freeze(subphase_codes),
-            groups=groups,
-            group_codes=_freeze(group_codes),
-            macs=_join([t.macs for t in tables]),
-            vector_ops=_join([t.vector_ops for t in tables]),
-            input_elements=_join([t.input_elements for t in tables]),
-            output_elements=_join([t.output_elements for t in tables]),
-            weight_elements=_join([t.weight_elements for t in tables]),
-            fusible=_join([t.fusible for t in tables]),
+            code_maps=code_maps,
             rep_starts=_freeze(rep_starts),
-            rep_rows=_join(
-                [t.rep_rows + offset if offset else t.rep_rows
-                 for t, offset in zip(tables, row_offsets)]
-            ),
-            rep_index=_join(
-                [t.rep_index + offset if offset else t.rep_index
-                 for t, offset in zip(tables, rep_offsets)]
-            ),
+            **vocabs,
+        )
+
+    def _concat(self, name: str, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-table ``name`` arrays joined, label codes in the shared vocab."""
+        lookups = self.code_maps.get(name)
+        if lookups is not None:
+            arrays = [lookup[codes] for lookup, codes in zip(lookups, arrays)]
+        return _join(arrays)
+
+    def _shifted(self, name: str, offsets: np.ndarray) -> np.ndarray:
+        # Python-int offsets keep the int32 maps int32.
+        return _join([
+            getattr(t, name) + offset if offset else getattr(t, name)
+            for t, offset in zip(self.tables, offsets.tolist())
+        ])
+
+    @cached_property
+    def rep_rows(self) -> np.ndarray:
+        return self._shifted("rep_rows", self.segment_starts)
+
+    @cached_property
+    def rep_index(self) -> np.ndarray:
+        return self._shifted("rep_index", self.rep_starts)
+
+    def _gather_representatives(self) -> RepresentativeRows:
+        parts = [t.representatives() for t in self.tables]
+        if len(parts) == 1:
+            return parts[0]
+        return RepresentativeRows(
+            **self._vocabs(),
+            **{
+                name: self._concat(name, [getattr(p, name) for p in parts])
+                for name in _PRICING_COLUMNS + ("counts",)
+            },
         )
 
     # ---------------------------------------------------------------- queries
@@ -538,108 +557,80 @@ class StackedOperatorTable(_RowMapped):
         """Row slice of segment ``index`` in the stacked columns."""
         return self.segments[index]
 
-    @property
+    @cached_property
     def segments(self) -> Tuple[slice, ...]:
         """All segment slices, materialized once per stack."""
-        cached = self.__dict__.get("_segments")
-        if cached is None:
-            bounds = self.segment_starts.tolist()
-            cached = tuple(
-                slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-            )
-            object.__setattr__(self, "_segments", cached)
-        return cached
+        return _slices(self.segment_starts)
 
-    @property
+    @cached_property
     def rep_segments(self) -> Tuple[slice, ...]:
         """Per segment, its slice of ``rep_rows`` (and of representative values)."""
-        bounds = self.rep_starts.tolist()
-        return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        return _slices(self.rep_starts)
 
     def segment_index(self, sequence_length: int) -> int:
         """Segment holding ``sequence_length`` (raises ``ValueError`` if absent)."""
         return self.lengths.index(int(sequence_length))
 
     # ------------------------------------------------------------- reductions
-    def segment_weighted_sums(self, key: str, values: np.ndarray) -> List[Dict]:
-        """Per-segment :meth:`OperatorTable.weighted_sums` over stacked values.
+    @cached_property
+    def _segment_ids(self) -> np.ndarray:
+        """Each representative's segment."""
+        return np.repeat(np.arange(self.num_segments), np.diff(self.rep_starts))
 
-        Delegates each segment's reduction to its source table (per-length
-        codes and vocab order), so labels and floats match the per-length
-        path exactly.
+    def _label_bins(self, key: str) -> Tuple[np.ndarray, int, Tuple]:
+        """(per-representative bins, minlength, per-segment label layout) of ``key``.
+
+        A representative's bin is ``segment * len(vocab) + code``.  Built once
+        per stack and key: stacks are LRU-cached and priced many times.  A
+        lone length is priced as a fresh one-segment stack per backend, so
+        its bins are cached on its table, which outlives those stacks.
         """
-        return [
-            self.tables[i].weighted_sums(key, values[self.segment(i)])
-            for i in range(self.num_segments)
-        ]
-
-    def _stacked_codes_for(self, key: str) -> Tuple[np.ndarray, Tuple]:
-        try:
-            return {
-                "phase": (self.phase_codes, self.phases),
-                "subphase": (self.subphase_codes, self.subphases),
-                "engine": (self.engine_codes, self.engines),
-                "group": (self.group_codes, self.groups),
-            }[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown groupby key {key!r}; expected phase/subphase/engine/group"
-            ) from None
-
-    def _reduction_plan(self, key: str) -> Tuple[np.ndarray, int, Tuple]:
-        """(combined bins, minlength, per-segment label layout) for ``key``.
-
-        Built once per stack and cached: stacks themselves are LRU-cached, so
-        repeated pricing of the same length mix skips the bin-index and
-        vocab-layout construction entirely.
-        """
-        cache = self.__dict__.get("_plans")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_plans", cache)
-        plan = cache.get(key)
-        if plan is None:
-            codes, vocab = self._stacked_codes_for(key)
+        owner = self.tables[0] if self.num_segments == 1 else self
+        cache = owner.__dict__.setdefault("_bins", {})
+        bins = cache.get(key)
+        if bins is None:
+            codes, vocab = self.representatives()._codes_for(key)
             width = len(vocab)
-            counts = np.diff(self.segment_starts)
-            segment_ids = np.repeat(
-                np.arange(self.num_segments, dtype=np.int64), counts
+            shared = {label: code for code, label in enumerate(vocab)}
+            layouts = tuple(
+                tuple((label, i * width + shared[label]) for label in getattr(t, f"{key}s"))
+                for i, t in enumerate(self.tables)
             )
-            shared_index = {label: code for code, label in enumerate(vocab)}
-            layouts = []
-            for i, table in enumerate(self.tables):
-                _, table_vocab = table._codes_for(key)
-                base = i * width
-                layouts.append(
-                    tuple((label, base + shared_index[label]) for label in table_vocab)
-                )
-            plan = (
-                _freeze(segment_ids * width + codes),
+            bins = cache[key] = (
+                _freeze(self._segment_ids * width + codes),
                 self.num_segments * width,
-                tuple(layouts),
+                layouts,
             )
-            cache[key] = plan
-        return plan
+        return bins
 
-    def segment_weighted_sums_all(self, key: str, values: np.ndarray) -> List[Dict]:
-        """Every segment's ``weighted_sums(key, ...)`` dict from ONE bincount.
+    def segment_sums(self, values: np.ndarray, *keys: str) -> Tuple[np.ndarray, List[List[Dict]]]:
+        """Per-segment row sums of representative ``values``, one bincount each.
 
-        The combined bin index is ``segment * len(vocab) + code``.
-        ``np.bincount`` accumulates elements in array order, and each
-        (segment, label) bin receives exactly the elements — in exactly the
-        order — that the per-length bincount would, so every float matches
-        :meth:`segment_weighted_sums` bit for bit.  Each segment's dict is
-        built over its source table's own vocab (labels and ordering), so the
-        result is interchangeable with the per-length path.
+        ``values`` is ``(len(rep_rows),)`` or ``(k, len(rep_rows))``: per
+        representative, the value every row it stands for holds.  Each is
+        weighted by its multiplicity, so a segment's sum over its
+        representatives is the sum over its rows.  Returns ``(totals,
+        labelled)``: ``totals[j, i]`` is segment ``i``'s sum of ``values[j]``,
+        and ``labelled[k][i]`` is segment ``i``'s
+        :meth:`OperatorTable.weighted_sums` dict of ``values[0]`` for
+        ``keys[k]``, over its own table's vocab in that table's order.
+
+        ``np.bincount`` adds in array order, and a segment's representatives
+        keep their order in any mix, so every float is the same in any stack
+        (a one-segment stack included) and on every call.  Row-order sums of
+        the same values differ by rounding only.
         """
-        bins, minlength, layouts = self._reduction_plan(key)
-        # One tolist() converts every bin to a Python float (exact for
-        # float64), avoiding a numpy-scalar __float__ per (segment, label).
-        combined = np.bincount(bins, weights=values, minlength=minlength).tolist()
-        return [
-            {label: combined[idx] for label, idx in layout}
-            for layout in layouts
-        ]
+        weighted = np.atleast_2d(self.representatives().counts * values)
+        segments, count = self._segment_ids, self.num_segments
+        totals = np.array([np.bincount(segments, weights=w, minlength=count) for w in weighted])
+        labelled = []
+        for key in keys:
+            bins, minlength, layouts = self._label_bins(key)
+            # One tolist() converts every bin to a Python float (exact for
+            # float64), avoiding a numpy-scalar __float__ per (segment, label).
+            sums = np.bincount(bins, weights=weighted[0], minlength=minlength).tolist()
+            labelled.append([{label: sums[i] for label, i in layout} for layout in layouts])
+        return totals, labelled
 
 
 # ------------------------------------------------------------------- caching
@@ -658,6 +649,8 @@ def _cached_labels(config: PPMConfig, include_recycles: bool) -> OperatorTable:
     tiling's: :func:`_cached_table` copies every row's numbers from its
     *origin*, the same row of the first block of the first run with the same
     builder, so rows with equal origin and labels are equal at every length.
+    Its :meth:`~OperatorTable.representatives` labels and counts are every
+    length's too; only their numbers change.
     """
     table = OperatorTable.from_workload(
         build_model_ops(config, 1, include_recycles=include_recycles)
@@ -689,11 +682,14 @@ def _cached_table(config: PPMConfig, n: int, include_recycles: bool) -> Operator
         if rows is None:
             rows = rows_of[builder] = _numeric_rows(builder(config, n, 0))
         parts.append(np.tile(rows, blocks))
-    return replace(
-        _cached_labels(config, include_recycles),
-        sequence_length=n,
-        **_numeric_fields(np.concatenate(parts, axis=1)),
+    template = _cached_labels(config, include_recycles)
+    numbers = np.concatenate(parts, axis=1)
+    table = replace(template, sequence_length=n, **_numeric_fields(numbers))
+    reps = replace(
+        template.representatives(), **_numeric_fields(numbers[:, template.rep_rows])
     )
+    object.__setattr__(table, "_representatives", reps)
+    return table
 
 
 def get_workload(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:

@@ -33,8 +33,9 @@ from .. import __version__
 #: Bump whenever the pickled payload layout changes; older entries then
 #: self-invalidate instead of deserializing into garbage.  Entries are also
 #: stamped with ``repro.__version__`` so cached tables/reports cannot outlive
-#: a release that changes workload-builder or cost-model semantics.
-CACHE_SCHEMA_VERSION = 2
+#: a release that changes workload-builder or cost-model semantics.  3: reports
+#: sum representatives weighted by multiplicity, which moves last-bit floats.
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"

@@ -152,3 +152,18 @@ class TestPrimitivesInPlace:
                 [base],
                 x,
             )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 3, 8, 96, 128, 257])
+def test_layer_norm_variance_is_x_var(rng, dtype, width):
+    # The variance divides by a Python int (a float32 loop for float32)
+    # where ``x.var`` divides by an ``np.intp`` (a float64 loop): unit scale
+    # and zero shift expose it byte for byte, over many rows.
+    x = (rng.normal(size=(512, width)) * rng.lognormal(size=(512, 1))).astype(dtype)
+    gamma, beta = np.ones(width, dtype=dtype), np.zeros(width, dtype=dtype)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    expected = centered / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    result = layer_norm(x, gamma, beta)
+    assert result.dtype == expected.dtype == dtype
+    assert result.tobytes() == expected.tobytes()

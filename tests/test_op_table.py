@@ -227,8 +227,8 @@ class TestTableParity:
                 get_op_table(paper_config, n)
 
 
-#: The columns the engines' elementwise arithmetic reads (subphases only
-#: feed the full-row reductions, but tiled rows share them too).
+#: The columns a representative keeps: what the engines' arithmetic reads,
+#: plus the phase/subphase codes their reductions bin by.
 PRICING_COLUMNS = NUMERIC_COLUMNS + (
     "engine_codes", "phase_codes", "subphase_codes", "group_codes", "fusible",
 )
@@ -250,9 +250,11 @@ def assert_valid_row_map(table):
         assert column[representative].tobytes() == column.tobytes(), name
     reps = table.representatives()
     for name in PRICING_COLUMNS:
-        if name != "subphase_codes":
-            gathered = getattr(table, name)[table.rep_rows]
-            assert getattr(reps, name).tobytes() == gathered.tobytes(), name
+        gathered = getattr(table, name)[table.rep_rows]
+        assert getattr(reps, name).tobytes() == gathered.tobytes(), name
+    # Multiplicities: how many rows each representative stands for.
+    assert reps.counts.dtype == np.float64
+    assert reps.counts.tolist() == np.bincount(table.rep_index, minlength=count).tolist()
 
 
 def tiled_representatives(config, include_recycles):
@@ -342,6 +344,12 @@ class TestRowMap:
         assert first.rep_rows is second.rep_rows
         assert first.rep_index is second.rep_index
         assert len(first.rep_rows) == 85 and len(first) == 3234
+
+    def test_representatives_are_built_once(self, paper_config):
+        oracle = OperatorTable.from_workload(build_model_ops(paper_config, 8))
+        stack = get_stacked_table(paper_config, [300, 302])
+        for view in (get_op_table(paper_config, 302), oracle, stack):
+            assert view.representatives() is view.representatives()
 
     def test_map_stays_out_of_repr(self, paper_config):
         assert "rep_" not in repr(get_op_table(paper_config, 4))

@@ -175,17 +175,53 @@ class TestStackInvariants:
         )
         assert stack.segments is stack.segments  # computed once per stack
 
-    def test_weighted_sums_all_matches_per_segment_reduction(self, config):
+    def test_segment_sums_match_per_segment_reduction(self, config):
+        # Half-integer values keep every sum exact in float64, so the
+        # multiplicity-weighted representative sums must equal the row-order
+        # per-table reduction exactly.
         stack = get_stacked_table(config, MIX)
-        values = np.arange(len(stack), dtype=np.float64) + 0.5
-        for key in ("phase", "subphase", "engine"):
-            assert stack.segment_weighted_sums_all(
-                key, values
-            ) == stack.segment_weighted_sums(key, values)
+        values = np.arange(2 * len(stack.rep_rows), dtype=np.float64).reshape(2, -1) + 0.5
+        rows = np.take(values, stack.rep_index, axis=1)
+        keys = ("phase", "subphase", "engine", "group")
+        totals, labelled = stack.segment_sums(values, *keys)
+        for key, dicts in zip(keys, labelled):
+            assert dicts == [
+                table.weighted_sums(key, rows[0][sl])
+                for table, sl in zip(stack.tables, stack.segments)
+            ]
+        assert totals.tolist() == [
+            [float(row[sl].sum()) for sl in stack.segments] for row in rows
+        ]
 
-    def test_reduction_plan_is_cached(self, config):
+    def test_segment_sums_bins_are_cached(self, config):
         stack = get_stacked_table(config, MIX)
-        assert stack._reduction_plan("phase") is stack._reduction_plan("phase")
+        assert stack._label_bins("phase") is stack._label_bins("phase")
+        assert stack.representatives() is stack.representatives()
+        # A lone length's fresh one-segment stacks share their table's bins.
+        table = stack.tables[0]
+        assert (
+            StackedOperatorTable.from_tables([table])._label_bins("phase")
+            is StackedOperatorTable.from_tables([table])._label_bins("phase")
+        )
+
+    def test_mixed_vocabularies_price_like_one_segment_stacks(self, config):
+        # Filtered tables factorize their labels differently, so the stack
+        # remaps codes into a union vocab; each segment still reports in
+        # its own table's label order.
+        tables = [
+            get_op_table(config, 20).filter(phase="pair_dataflow"),
+            get_op_table(config, 30).filter(engine="matmul"),
+            get_op_table(config, 40),
+        ]
+        stack = StackedOperatorTable.from_tables(tables)
+        assert stack.code_maps["phase_codes"] is not None
+        for spec in available_backends():
+            backend = create_backend(spec, config)
+            reports = backend.simulate_stack(stack)
+            for table, report in zip(tables, reports):
+                (alone,) = backend.simulate_stack(StackedOperatorTable.from_tables([table]))
+                assert report == alone
+                assert list(report.phase_seconds) == list(alone.phase_seconds)
 
     def test_single_length_stack(self, config):
         stack = get_stacked_table(config, [40])
@@ -285,6 +321,57 @@ class TestPricingSurface:
         }
         for name in ("operator_seconds", "simulate_operator", "_assemble_report"):
             assert not hasattr(engine, name), name
+
+
+#: The sixteen ``dse-sweep`` strata midpoints (256-4096): the paper-config
+#: stack the Fig. 12 sweep prices.
+PAPER_STRATA = np.linspace(256, 4096, 17)
+PAPER_LENGTHS = tuple(int(lo + hi) // 2 for lo, hi in zip(PAPER_STRATA[:-1], PAPER_STRATA[1:]))
+#: Multiplicity-weighted sums against the operator-order scalar reference
+#: (reads under 4e-14); tighter than the suite's 1e-9.
+PAPER_TOLERANCE = 1e-12
+
+
+class TestPaperScaleStack:
+    """The representative reduction on the stack the Fig. 12 sweep prices."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return get_stacked_table(PPMConfig.paper(), PAPER_LENGTHS)
+
+    def test_multiplicities_count_every_row(self, stack):
+        for table in stack.tables:
+            counts = table.representatives().counts
+            assert counts.sum() == len(table)
+            assert np.array_equal(counts, np.bincount(table.rep_index))
+        assert stack.representatives().counts.sum() == len(stack)
+
+    @pytest.mark.parametrize("spec", available_backends())
+    def test_segments_equal_one_segment_stacks(self, stack, spec):
+        backend = create_backend(spec, stack.config)
+        reports = backend.simulate_stack(stack)
+        assert backend.simulate_stack_totals(stack) == [
+            (r.total_seconds, r.out_of_memory) for r in reports
+        ]
+        for table, report in zip(stack.tables, reports):
+            assert backend.simulate_stack(StackedOperatorTable.from_tables([table])) == [report]
+
+    @pytest.mark.parametrize("spec", available_backends())
+    def test_sums_match_the_scalar_reference(self, stack, spec):
+        backend = create_backend(spec, stack.config)
+        for n, report in zip(stack.lengths, backend.simulate_stack(stack)):
+            legacy = legacy_report(backend, stack.config, n)
+            total, phases, subphases, _ = engine_seconds(backend, legacy)
+            pairs = [
+                ({"total": report.total_seconds}, {"total": total}),
+                (report.phase_seconds, phases),
+                (report.subphase_seconds, subphases),
+                (report.details, {k: getattr(legacy, k) for k in report.details}),
+            ]
+            for actual, expected in pairs:
+                assert actual.keys() == expected.keys()
+                for key, value in expected.items():
+                    assert abs(actual[key] - value) <= PAPER_TOLERANCE * abs(value), (n, key)
 
 
 # ------------------------------------------------------- session batch totals
