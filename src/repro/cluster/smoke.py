@@ -22,7 +22,7 @@ Run as ``PYTHONPATH=src python -m repro.cluster.smoke [--scenario NAME]``.
 
 Both modes print the drop split (``oom``/``shed``/``failed``) so a CI log
 shows where requests went, and every cache write is sandboxed in a
-throwaway directory — the cluster sibling of :mod:`repro.serving.smoke`.
+throwaway directory.
 """
 
 from __future__ import annotations

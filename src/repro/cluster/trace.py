@@ -35,6 +35,20 @@ from .._digest import stable_digest
 from ..proteins.datasets import build_catalog
 
 
+def length_bucket(sequence_length: int, bucket_size: Optional[int]) -> int:
+    """Shape-bucket index of a sequence length.
+
+    ``bucket_size=None`` (or 0) puts every length in one shared bucket.  A
+    positive ``bucket_size`` groups lengths into ``(length - 1) //
+    bucket_size`` buckets — the boundaries
+    :meth:`RequestTrace.bucketed_lengths` prices each bucket's longest
+    member by.
+    """
+    if not bucket_size or int(bucket_size) <= 0:
+        return 0
+    return (int(sequence_length) - 1) // int(bucket_size)
+
+
 @dataclass(frozen=True)
 class Request:
     """One serving request of a cluster trace.
@@ -113,13 +127,11 @@ class RequestTrace:
         """Distinct length -> its shape-bucket representative length.
 
         The representative is the *longest* length in the bucket
-        (:func:`repro.serving.api.length_bucket` boundaries), so bucketed
-        service-time estimates are conservative — a bucket never under-prices
-        its members.  ``bucket_size=None``/0 is the identity map (exact
+        (:func:`length_bucket` boundaries), so bucketed service-time
+        estimates are conservative — a bucket never under-prices its
+        members.  ``bucket_size=None``/0 is the identity map (exact
         per-length simulation).
         """
-        from ..serving.api import length_bucket
-
         distinct = self.distinct_lengths()
         if not bucket_size or int(bucket_size) <= 0:
             return {n: n for n in distinct}

@@ -12,14 +12,18 @@ This module is the package's one documented import surface, organized in
 three tiers:
 
 * **service** — :func:`create_service` / :class:`LatencyService` (the
-  engine), :class:`LatencyRequest` / :class:`LatencyResponse` (the typed
-  in-process API), :class:`CapacityReport` / :class:`BackendServiceStats` /
-  :class:`ServiceStats` (observability), :class:`RequestLogRecord` (the
-  structured traffic log shared with :mod:`repro.cluster`),
-* **wire** — the versioned JSON twins for crossing process boundaries:
-  :class:`WireRequest` / :class:`WireResponse` / :class:`ErrorBody`, all
-  stamped with :data:`SCHEMA_VERSION` and validated strictly
-  (:class:`WireFormatError` carries a machine-readable code),
+  engine), :class:`LatencyRequest` / :class:`LatencyResponse` (the one
+  request type and the one response type), :class:`CapacityReport` /
+  :class:`BackendServiceStats` / :class:`ServiceStats` (observability),
+  :class:`RequestLogRecord` (the structured traffic log shared with
+  :mod:`repro.cluster`),
+* **wire** — the versioned JSON codec of those same types, derived from
+  their field declarations: ``to_json``/``from_json`` on each type, plus
+  :class:`ErrorBody` for error responses, all stamped with
+  :data:`SCHEMA_VERSION` and validated strictly (:class:`WireFormatError`
+  carries a machine-readable code).  :class:`WireRequest` and
+  :class:`WireResponse` are the request and response classes under their
+  wire names,
 * **HTTP** — the socket front door lives one level down in
   :mod:`repro.serving.http` (server, client, trace-driven load harness);
   it is not re-exported here because it drags in asyncio plumbing most
@@ -55,10 +59,10 @@ Batch submit/poll with coalescing (duplicates share one simulation)::
 
 Over the wire (one schema for HTTP bodies, logs, and archived reports)::
 
-    from repro.serving import WireRequest, WireResponse
+    from repro.serving import LatencyRequest, LatencyResponse
 
-    body = WireRequest(backend="h100", sequence_length=800).to_json()
-    response = WireResponse.from_json(http_body)    # lossless round trip
+    body = LatencyRequest("h100", 800, tenant="team-a").to_json()
+    response = LatencyResponse.from_json(http_body)  # lossless round trip
 
 Figure entry points (``latency_breakdown``, ``compare_hardware_on_lengths``,
 ``hardware_dse``, ``EndToEndComparison``) accept ``service=`` to route their

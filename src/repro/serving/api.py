@@ -1,23 +1,27 @@
 """Typed request/response surface of the latency-serving layer.
 
-The serving layer speaks in three frozen dataclasses:
+The serving layer speaks in frozen dataclasses, one class per concept:
 
 * :class:`LatencyRequest` — what a client asks for: a backend *spec*
   (anything :func:`repro.sim.backend.create_backend` resolves — a registered
-  name, a frozen hardware config, a variant spec) plus a sequence length,
-* :class:`LatencyResponse` — the fulfilled request: the
+  name, a frozen hardware config, a variant spec), a sequence length, and
+  the tenant whose bounded queue admits it at the HTTP front door,
+* :class:`LatencyResponse` — the fulfilled request: its ticket id, the
   :class:`~repro.sim.backend.SimReport`, per-request service timings, and
   whether the request was coalesced onto an earlier in-flight duplicate,
 * :class:`CapacityReport` — an operator-facing snapshot of the service:
   sustained queries/sec, hit rates, queue depth, and per-backend p50/p99
-  service latency (one :class:`BackendServiceStats` row per backend).
+  service latency (one :class:`BackendServiceStats` row per backend),
+* :class:`RequestLogRecord` — one row of the structured request log.
 
-Responses are produced by :class:`~repro.serving.service.LatencyService`;
-nothing here imports the service, so these types are cheap to ship across
-process or serialization boundaries.  The wire twins of these types —
-JSON-serializable, ``schema_version``-stamped — live in
-:mod:`repro.serving.wire`; the HTTP front door that speaks them lives in
-:mod:`repro.serving.http`.
+The same objects cross the socket: there is no separate wire type.  Each
+class's fields are its one declaration — the annotation gives the field's
+type, and :func:`declare` metadata names a validator and whether the wire
+may omit the field.  :mod:`repro.serving.wire` derives every JSON codec
+(``to_dict``/``to_json``/``from_dict``/``from_json``, strict validation, the
+``schema_version`` stamp) from these declarations, and
+:class:`LatencyRequest` runs the same validators in process.  Nothing here
+imports the service; the HTTP front door lives in :mod:`repro.serving.http`.
 
 Ticket lifecycle
 ----------------
@@ -50,8 +54,9 @@ so a socket client observes exactly the in-process semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+import math
+from dataclasses import MISSING, dataclass, field
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.backend import SimReport
 
@@ -60,18 +65,60 @@ class LatencyServiceError(RuntimeError):
     """A request failed inside the service (bad spec, simulator error)."""
 
 
-def length_bucket(sequence_length: int, bucket_size: Optional[int]) -> int:
-    """Shape-bucket index of a sequence length.
+# ------------------------------------------------------------------ validators
+# Each takes (field name, value) and raises ValueError; the wire decoder
+# turns that into a WireFormatError with code "invalid_field".
+def positive(name: str, value: Any) -> None:
+    """A positive, finite number (NaN and infinity are rejected)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
-    ``bucket_size=None`` (or 0) puts every length in one shared bucket.  A
-    positive ``bucket_size`` groups lengths into ``(length - 1) //
-    bucket_size`` buckets — the boundaries
-    :meth:`repro.cluster.trace.RequestTrace.bucketed_lengths` prices each
-    bucket's longest member by.
+
+def non_negative(name: str, value: Any) -> None:
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def non_empty(name: str, value: Any) -> None:
+    if not value:
+        raise ValueError(f"{name} must be non-empty, got {value!r}")
+
+
+def declare(
+    default: Any = MISSING,
+    *,
+    check: Optional[Callable[[str, Any], None]] = None,
+    required: bool = False,
+) -> Any:
+    """A dataclass field whose metadata names its validator.
+
+    ``required`` makes the wire demand a field the in-process constructor
+    defaults (a field without a default is always required).
     """
-    if not bucket_size or int(bucket_size) <= 0:
-        return 0
-    return (int(sequence_length) - 1) // int(bucket_size)
+    return field(default=default, metadata={"check": check, "required": required})
+
+
+#: type -> its JSON codec; :mod:`repro.serving.wire` derives and registers one
+#: per declared type at import.
+CODECS: Dict[type, Any] = {}
+
+
+class WireMessage:
+    """The JSON codec methods of a declared type (see :mod:`repro.serving.wire`)."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return CODECS[type(self)].to_dict(self)
+
+    def to_json(self) -> str:
+        return CODECS[type(self)].to_json(self)
+
+    @classmethod
+    def from_dict(cls, payload: Any) -> Any:
+        return CODECS[cls].from_dict(payload)
+
+    @classmethod
+    def from_json(cls, text: Any) -> Any:
+        return CODECS[cls].from_json(text)
 
 
 def dispatch_order_key(
@@ -96,13 +143,15 @@ def dispatch_order_key(
 
 
 @dataclass(frozen=True)
-class LatencyRequest:
-    """One latency/capacity query.
+class LatencyRequest(WireMessage):
+    """One latency/capacity query, in process and on the wire.
 
     ``backend`` is a backend spec, not necessarily a built backend: strings
     (``"lightnobel"``, ``"h100-chunk"``), frozen config dataclasses and
     :class:`~repro.sim.backend.AcceleratorVariant`/:class:`~repro.sim.backend.GPUVariant`
-    specs all work.  ``include_recycles=None`` defers to the service default.
+    specs all work in process; only registry *names* cross the wire (encoding
+    any other spec raises ``WireFormatError("unserializable_backend")``).
+    ``include_recycles=None`` defers to the service default.
 
     ``priority`` and ``deadline_seconds`` feed :func:`dispatch_order_key`:
     the dispatcher drains higher-priority requests first and breaks priority
@@ -111,41 +160,48 @@ class LatencyRequest:
     applies to a :class:`repro.cluster.trace.Request`.  Both default to the
     neutral values (0, ``None``), which preserve strict FIFO dispatch.
 
-    ``trace_id`` is the client's distributed-tracing ID: when the service
-    has a :class:`~repro.obs.tracing.Tracer`, the request's server-side
-    spans are recorded under this ID (so a front-door client's trace
-    continues inside the service and ``GET /v1/trace/<id>`` finds it).
-    ``None`` lets the service key the spans by ticket ID instead.
+    ``tenant`` is the HTTP front door's per-tenant bounded-queue key; the
+    service itself ignores it.  ``trace_id`` is the client's
+    distributed-tracing ID: when the service has a
+    :class:`~repro.obs.tracing.Tracer`, the request's server-side spans are
+    recorded under this ID (so a front-door client's trace continues inside
+    the service and ``GET /v1/trace/<id>`` finds it).  ``None`` lets the
+    service key the spans by ticket ID instead.
     """
 
-    backend: Any = "lightnobel"
-    sequence_length: int = 0
+    backend: Any = declare("lightnobel", check=non_empty)
+    sequence_length: int = declare(0, check=positive, required=True)
     include_recycles: Optional[bool] = None
     priority: int = 0
-    deadline_seconds: Optional[float] = None
-    trace_id: Optional[str] = None
+    deadline_seconds: Optional[float] = declare(None, check=positive)
+    tenant: str = declare("default", check=non_empty)
+    trace_id: Optional[str] = declare(None, check=non_empty)
 
     def __post_init__(self) -> None:
-        if int(self.sequence_length) <= 0:
-            raise ValueError("sequence_length must be positive")
-        if self.deadline_seconds is not None and float(self.deadline_seconds) <= 0:
-            raise ValueError("deadline_seconds must be positive (or None)")
-        if self.trace_id is not None and not str(self.trace_id):
-            raise ValueError("trace_id must be a non-empty string (or None)")
+        # The declared checks, unrolled: this runs once per request, and a
+        # loop over the declarations costs a third of the construction.
+        non_empty("backend", self.backend)
+        positive("sequence_length", self.sequence_length)
+        if self.deadline_seconds is not None:
+            positive("deadline_seconds", self.deadline_seconds)
+        non_empty("tenant", self.tenant)
+        if self.trace_id is not None:
+            non_empty("trace_id", self.trace_id)
 
 
 @dataclass(frozen=True)
-class LatencyResponse:
+class LatencyResponse(WireMessage):
     """A fulfilled (or failed) :class:`LatencyRequest`.
 
-    ``queue_seconds`` is the time the request waited before its job started
-    executing; ``service_seconds`` is submit-to-fulfillment.  ``coalesced``
-    marks requests that attached to an earlier in-flight duplicate instead of
+    ``ticket_id`` is the id ``submit`` returned.  ``queue_seconds`` is the
+    time the request waited before its job started executing;
+    ``service_seconds`` is submit-to-fulfillment.  ``coalesced`` marks
+    requests that attached to an earlier in-flight duplicate instead of
     enqueueing their own simulation.  ``completed_index`` is the global
     fulfillment sequence number (jobs complete in FIFO submission order).
     """
 
-    request_id: int
+    ticket_id: int = declare(check=non_negative)
     request: LatencyRequest
     report: Optional[SimReport] = None
     error: Optional[str] = None
@@ -161,14 +217,14 @@ class LatencyResponse:
     def raise_for_error(self) -> "LatencyResponse":
         if not self.ok:
             raise LatencyServiceError(
-                f"request {self.request_id} ({self.request.backend!r}, "
+                f"request {self.ticket_id} ({self.request.backend!r}, "
                 f"n={self.request.sequence_length}) failed: {self.error}"
             )
         return self
 
 
 @dataclass(frozen=True)
-class RequestLogRecord:
+class RequestLogRecord(WireMessage):
     """One fulfilled request, as the service's structured request log sees it.
 
     This is the *shared traffic format* between the serving and cluster
@@ -185,17 +241,17 @@ class RequestLogRecord:
     traces at all — are keyed by ``ticket_id``).
     """
 
-    ticket_id: int
-    backend: str
-    sequence_length: int
-    priority: int
-    deadline_seconds: Optional[float]
-    arrival_seconds: float
-    outcome: str
+    ticket_id: int = declare(check=non_negative)
+    backend: str = declare(check=non_empty)
+    sequence_length: int = declare(check=positive)
+    priority: int = 0
+    deadline_seconds: Optional[float] = declare(None, check=positive)
+    arrival_seconds: float = 0.0
+    outcome: str = declare("ok", check=non_empty)
     coalesced: bool = False
     queue_seconds: float = 0.0
     service_seconds: float = 0.0
-    trace_id: Optional[str] = None
+    trace_id: Optional[str] = declare(None, check=non_empty)
 
     @property
     def ok(self) -> bool:
@@ -203,18 +259,18 @@ class RequestLogRecord:
 
 
 @dataclass(frozen=True)
-class BackendServiceStats:
+class BackendServiceStats(WireMessage):
     """Per-backend service-latency summary (seconds, submit-to-fulfillment)."""
 
-    backend: str
-    requests: int
+    backend: str = declare(check=non_empty)
+    requests: int = declare(check=non_negative)
     mean_seconds: float
     p50_seconds: float
     p99_seconds: float
 
 
 @dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(WireMessage):
     """Operator-facing snapshot of a :class:`~repro.serving.service.LatencyService`.
 
     ``queries_per_second`` is sustained throughput over *busy* time (the
@@ -235,19 +291,21 @@ class CapacityReport:
     ``stacked_points`` counts the (backend, length) points those passes
     covered — points that would each have cost a separate simulation on the
     per-length path.
+
+    Every counter defaults to zero, so a payload that omits one reads as 0.
     """
 
-    requests: int
-    completed: int
-    errors: int
-    coalesced: int
-    memo_hits: int
-    simulations: int
-    queue_depth: int
-    peak_queue_depth: int
-    wall_seconds: float
-    busy_seconds: float
-    queries_per_second: float
+    requests: int = 0
+    completed: int = 0
+    errors: int = 0
+    coalesced: int = 0
+    memo_hits: int = 0
+    simulations: int = 0
+    queue_depth: int = 0
+    peak_queue_depth: int = 0
+    wall_seconds: float = 0.0
+    busy_seconds: float = 0.0
+    queries_per_second: float = 0.0
     backends: Tuple[BackendServiceStats, ...] = field(default_factory=tuple)
     timed_out: int = 0
     late_results: int = 0

@@ -6,15 +6,14 @@ Public surface:
   :func:`~repro.serving.http.server.create_front_door` — the asyncio server,
 * :func:`~repro.serving.http.server.serve_in_thread` /
   :class:`~repro.serving.http.server.FrontDoorHandle` — run the server on a
-  background thread from synchronous code (tests, benchmarks, smoke),
+  background thread from synchronous code (tests, benchmarks),
 * :class:`~repro.serving.http.client.FrontDoorClient` — minimal async
   HTTP/1.1 client speaking the wire schema,
 * :mod:`~repro.serving.http.loadgen` — replay a
   :class:`~repro.cluster.trace.RequestTrace` through the socket path and
   grade responses with the trace's own SLO deadlines.
 
-``python -m repro.serving.http`` starts a standalone server;
-``python -m repro.serving.http.smoke`` runs the pinned end-to-end scenario.
+``python -m repro.serving.http`` starts a standalone server.
 """
 
 from .client import FrontDoorClient

@@ -2,8 +2,8 @@
 
 One :class:`FrontDoorClient` holds one keep-alive connection and speaks the
 wire schema (:mod:`repro.serving.wire`): requests go out as
-:class:`~repro.serving.wire.WireRequest` JSON, results come back as
-:class:`~repro.serving.wire.WireResponse`.  Error statuses surface as
+:class:`~repro.serving.api.LatencyRequest` JSON, results come back as
+:class:`~repro.serving.api.LatencyResponse`.  Error statuses surface as
 :class:`FrontDoorError` carrying the parsed
 :class:`~repro.serving.wire.ErrorBody` (code, message, retry-after), so a
 caller can distinguish backpressure (429) from a reaped ticket (410) without
@@ -20,7 +20,8 @@ import asyncio
 import json
 from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..wire import ErrorBody, WireRequest, WireResponse
+from ..api import LatencyRequest, LatencyResponse
+from ..wire import ErrorBody
 
 
 class FrontDoorError(RuntimeError):
@@ -121,14 +122,14 @@ class FrontDoorClient:
         return status, payload
 
     # -------------------------------------------------------------- wire calls
-    async def submit(self, request: WireRequest) -> int:
+    async def submit(self, request: LatencyRequest) -> int:
         """POST /v1/submit -> ticket id."""
         _status, payload = await self._json(
             "POST", "/v1/submit", request.to_json().encode("utf-8")
         )
         return int(payload["ticket_id"])
 
-    async def submit_batch(self, requests: Sequence[WireRequest]) -> List[int]:
+    async def submit_batch(self, requests: Sequence[LatencyRequest]) -> List[int]:
         """POST /v1/batch -> ticket ids (all-or-nothing admission)."""
         body = json.dumps(
             {"requests": [request.to_dict() for request in requests]}
@@ -137,8 +138,8 @@ class FrontDoorClient:
         return [int(ticket_id) for ticket_id in payload["ticket_ids"]]
 
     async def query(
-        self, request: WireRequest, timeout_seconds: Optional[float] = None
-    ) -> WireResponse:
+        self, request: LatencyRequest, timeout_seconds: Optional[float] = None
+    ) -> LatencyResponse:
         """POST /v1/query — submit and wait inline for the response."""
         path = "/v1/query"
         if timeout_seconds is not None:
@@ -150,11 +151,11 @@ class FrontDoorClient:
             raise TimeoutError(
                 f"query still pending (ticket {payload.get('ticket_id')})"
             )
-        return WireResponse.from_dict(payload)
+        return LatencyResponse.from_dict(payload)
 
     async def result(
         self, ticket_id: int, wait_seconds: Optional[float] = None
-    ) -> Optional[WireResponse]:
+    ) -> Optional[LatencyResponse]:
         """GET /v1/result/<id>; ``None`` while pending, raises on 404/410."""
         path = f"/v1/result/{ticket_id}"
         if wait_seconds is not None:
@@ -162,11 +163,11 @@ class FrontDoorClient:
         status, payload = await self._json("GET", path)
         if status == 202:
             return None
-        return WireResponse.from_dict(payload)
+        return LatencyResponse.from_dict(payload)
 
     async def stream_results(
         self, ticket_ids: Sequence[int]
-    ) -> AsyncIterator[Union[WireResponse, ErrorBody]]:
+    ) -> AsyncIterator[Union[LatencyResponse, ErrorBody]]:
         """GET /v1/stream — yield results in completion order (dedicated connection)."""
         if not ticket_ids:
             return
@@ -187,7 +188,7 @@ class FrontDoorClient:
             async for line in _iter_chunked_lines(reader):
                 payload = json.loads(line)
                 if "ticket_id" in payload:
-                    yield WireResponse.from_dict(payload)
+                    yield LatencyResponse.from_dict(payload)
                 else:
                     yield ErrorBody.from_dict(payload)
         finally:

@@ -35,7 +35,6 @@ from ...cluster.trace import RequestTrace
 from ..api import LatencyRequest, LatencyResponse
 from ..service import LatencyService
 from ..stats import percentile
-from ..wire import WireRequest, WireResponse
 from .client import FrontDoorClient, FrontDoorError
 
 
@@ -132,8 +131,9 @@ def _grade(
     )
 
 
-def _wire_request(request, backend: str, tenant: str) -> WireRequest:
-    return WireRequest(
+def _latency_request(request, backend: str, tenant: str = "default") -> LatencyRequest:
+    """The service request for one trace request (both replay paths)."""
+    return LatencyRequest(
         backend=backend,
         sequence_length=request.sequence_length,
         priority=request.priority,
@@ -168,10 +168,10 @@ async def replay_trace_async(
                 if delay > 0:
                     await asyncio.sleep(delay)
             client = clients[index % len(clients)]
-            wire_request = _wire_request(request, backend, tenant)
+            latency_request = _latency_request(request, backend, tenant)
             for _attempt in range(max_submit_retries):
                 try:
-                    ticket_id = await client.submit(wire_request)
+                    ticket_id = await client.submit(latency_request)
                     break
                 except FrontDoorError as exc:
                     if exc.status != 429:
@@ -188,7 +188,7 @@ async def replay_trace_async(
         outcomes: Dict[int, Tuple[bool, float, int]] = {}
         stream_client = clients[0]
         async for item in stream_client.stream_results(sorted(ticket_to_trace)):
-            if isinstance(item, WireResponse):
+            if isinstance(item, LatencyResponse):
                 trace_id, priority = ticket_to_trace[item.ticket_id]
                 outcomes[trace_id] = (item.ok, item.service_seconds, priority)
         wall = time.perf_counter() - started
@@ -220,14 +220,7 @@ def replay_trace_inprocess(
             delay = target - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-        ticket_id = service.submit(
-            LatencyRequest(
-                backend=backend,
-                sequence_length=request.sequence_length,
-                priority=request.priority,
-                deadline_seconds=_relative_deadline(request),
-            )
-        )
+        ticket_id = service.submit(_latency_request(request, backend))
         tickets.append((ticket_id, request.id, request.priority))
     outcomes: Dict[int, Tuple[bool, float, int]] = {}
     for ticket_id, trace_id, priority in tickets:

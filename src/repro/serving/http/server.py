@@ -48,18 +48,20 @@ fulfills batches.
 :meth:`~repro.serving.service.LatencyService.ticket_state` tells 404
 ``already_consumed`` from 410 ``reaped`` from 404 ``unknown_ticket``.  Per
 unclaimed ticket the front door keeps only what its event loop and admission
-need (tenant quota, ``fulfilled_at`` for the reap timer, and an asyncio event
-only while a handler or the drain waits for it); a claimed ticket leaves
-nothing behind on either side.
+need (the admitted request, whose ``tenant`` names the quota to free,
+``fulfilled_at`` for the reap timer, and an asyncio event only while a
+handler or the drain waits for it); a claimed ticket leaves nothing behind
+on either side.  The request decoded off the socket is the object the
+service queues, and the service's response is the object encoded back.
 
 Endpoints (all bodies JSON, see :mod:`repro.serving.wire`):
 
 ==========================  ====================================================
-``POST /v1/submit``         WireRequest -> 202 ``{"ticket_id": n}``
+``POST /v1/submit``         LatencyRequest -> 202 ``{"ticket_id": n}``
 ``POST /v1/batch``          ``{"requests": [...]}`` -> 202 ``{"ticket_ids": []}``
-``POST /v1/query``          WireRequest -> 200 WireResponse (synchronous;
+``POST /v1/query``          LatencyRequest -> 200 LatencyResponse (synchronous;
                             ``?timeout_seconds=`` caps the wait, 202 on timeout)
-``GET /v1/result/<id>``     200 WireResponse (consumes) | 202 pending | 404 | 410
+``GET /v1/result/<id>``     200 LatencyResponse (consumes) | 202 pending | 404 | 410
                             (``?wait_seconds=`` long-polls)
 ``GET /v1/stream``          ``?tickets=1,2,3`` -> chunked NDJSON, completion order
 ``GET /v1/log``             structured request log (wire format)
@@ -84,13 +86,12 @@ from urllib.parse import parse_qs, urlsplit
 from ... import __version__
 from ...obs import prom
 from ...obs.metrics import Gauge, MetricsRegistry
+from ..api import LatencyRequest, LatencyResponse
 from ..service import LatencyService
 from ..wire import (
     SCHEMA_VERSION,
     ErrorBody,
     WireFormatError,
-    WireRequest,
-    WireResponse,
     backend_stats_to_dict,
     capacity_report_to_dict,
     request_log_to_json,
@@ -146,7 +147,7 @@ class _HttpTicket:
     never builds one.
     """
 
-    tenant: str
+    request: LatencyRequest
     fulfilled_at: Optional[float] = None
     event: Optional[asyncio.Event] = None
 
@@ -347,17 +348,18 @@ class LatencyFrontDoor:
         ticket.fulfilled_at = now
         if ticket.event is not None:
             ticket.event.set()
-        remaining = self._tenant_pending.get(ticket.tenant, 1) - 1
+        tenant = ticket.request.tenant
+        remaining = self._tenant_pending.get(tenant, 1) - 1
         if remaining <= 0:
-            self._tenant_pending.pop(ticket.tenant, None)
+            self._tenant_pending.pop(tenant, None)
         else:
-            self._tenant_pending[ticket.tenant] = remaining
+            self._tenant_pending[tenant] = remaining
 
     def _pending_total(self) -> int:
         return sum(self._tenant_pending.values())
 
     # --------------------------------------------------------------- admission
-    def _admit(self, wire_request: WireRequest, count: int = 1) -> Optional[_Response]:
+    def _admit(self, wire_request: LatencyRequest, count: int = 1) -> Optional[_Response]:
         """The 429/503 gate; ``None`` means admitted."""
         if self._draining:
             return self._error(503, "draining", "server is draining; not accepting work")
@@ -378,7 +380,7 @@ class LatencyFrontDoor:
             )
         return None
 
-    def _submit_one(self, wire_request: WireRequest) -> int:
+    def _submit_one(self, wire_request: LatencyRequest) -> int:
         """Admitted request -> service ticket + HTTP bookkeeping.
 
         No ``await`` between ``service.submit`` and the ticket registration:
@@ -386,8 +388,8 @@ class LatencyFrontDoor:
         the gap.  A ticket the service answered at submit (a memo hit) is
         settled here, before this returns.
         """
-        ticket_id = self.service.submit(wire_request.to_latency())
-        ticket = self._tickets[ticket_id] = _HttpTicket(tenant=wire_request.tenant)
+        ticket_id = self.service.submit(wire_request)
+        ticket = self._tickets[ticket_id] = _HttpTicket(wire_request)
         self._tenant_pending[wire_request.tenant] = (
             self._tenant_pending.get(wire_request.tenant, 0) + 1
         )
@@ -396,18 +398,14 @@ class LatencyFrontDoor:
         return ticket_id
 
     # -------------------------------------------------------------- consumption
-    def _consume(self, ticket_id: int) -> Optional[WireResponse]:
+    def _consume(self, ticket_id: int) -> Optional[LatencyResponse]:
         """Claim a fulfilled ticket (service-side consume included)."""
-        ticket = self._tickets.pop(ticket_id, None)
-        if ticket is None:
+        if self._tickets.pop(ticket_id, None) is None:
             return None
         try:
-            response = self.service.poll(ticket_id)
+            return self.service.poll(ticket_id)
         except KeyError:
             return None
-        if response is None:
-            return None
-        return WireResponse.from_latency(response, tenant=ticket.tenant)
 
     def _pending(self, ticket_id: int) -> _Response:
         """202 for a ticket that is not fulfilled yet."""
@@ -436,8 +434,8 @@ class LatencyFrontDoor:
             self.service.abandon(ticket_id)
         reaped: List[int] = []
         for response in self.service.reap_abandoned():
-            if self._tickets.pop(response.request_id, None) is not None:
-                reaped.append(response.request_id)
+            if self._tickets.pop(response.ticket_id, None) is not None:
+                reaped.append(response.ticket_id)
         return reaped
 
     async def _reaper_loop(self) -> None:
@@ -577,7 +575,7 @@ class LatencyFrontDoor:
         return self._error(404, "not_found", f"no route {request.method} {request.path}")
 
     @staticmethod
-    def _with_trace(wire_request: WireRequest, request: _HttpRequest) -> WireRequest:
+    def _with_trace(wire_request: LatencyRequest, request: _HttpRequest) -> LatencyRequest:
         """Fold the ``X-Trace-Id`` header into the request; the body wins."""
         if wire_request.trace_id is not None:
             return wire_request
@@ -587,14 +585,14 @@ class LatencyFrontDoor:
         return replace(wire_request, trace_id=header)
 
     @staticmethod
-    def _trace_headers(wire_request: WireRequest) -> Tuple[Tuple[str, str], ...]:
+    def _trace_headers(wire_request: LatencyRequest) -> Tuple[Tuple[str, str], ...]:
         """Echo the effective trace id back so clients can correlate."""
         if wire_request.trace_id is None:
             return ()
         return (("X-Trace-Id", wire_request.trace_id),)
 
     def _handle_submit(self, request: _HttpRequest) -> _Response:
-        wire_request = self._with_trace(WireRequest.from_json(request.body), request)
+        wire_request = self._with_trace(LatencyRequest.from_json(request.body), request)
         rejected = self._admit(wire_request)
         if rejected is not None:
             return rejected
@@ -615,10 +613,10 @@ class LatencyFrontDoor:
         payload = json.loads(request.body.decode("utf-8")) if request.body else None
         if not isinstance(payload, dict) or not isinstance(payload.get("requests"), list):
             raise WireFormatError(
-                "invalid_field", 'batch body must be {"requests": [WireRequest, ...]}'
+                "invalid_field", 'batch body must be {"requests": [LatencyRequest, ...]}'
             )
         wire_requests = [
-            self._with_trace(WireRequest.from_dict(item), request)
+            self._with_trace(LatencyRequest.from_dict(item), request)
             for item in payload["requests"]
         ]
         if not wire_requests:
@@ -639,7 +637,7 @@ class LatencyFrontDoor:
         )
 
     async def _handle_query(self, request: _HttpRequest) -> _Response:
-        wire_request = self._with_trace(WireRequest.from_json(request.body), request)
+        wire_request = self._with_trace(LatencyRequest.from_json(request.body), request)
         rejected = self._admit(wire_request)
         if rejected is not None:
             return rejected
@@ -754,7 +752,7 @@ class LatencyFrontDoor:
     async def _stream_results(
         self, request: _HttpRequest, writer: asyncio.StreamWriter
     ) -> None:
-        """Chunked NDJSON of WireResponses in completion order (consumes each)."""
+        """Chunked NDJSON of LatencyResponses in completion order (consumes each)."""
         raw = request.param("tickets") or ""
         try:
             ticket_ids = [int(part) for part in raw.split(",") if part != ""]

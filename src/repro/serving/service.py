@@ -837,7 +837,7 @@ class LatencyService:
                     queue_seconds = max(0.0, started - submitted)
                     service_seconds = max(0.0, end - submitted)
                     ticket.response = LatencyResponse(
-                        request_id=ticket.id, request=request, report=report, error=error,
+                        ticket_id=ticket.id, request=request, report=report, error=error,
                         coalesced=ticket.coalesced, queue_seconds=queue_seconds,
                         service_seconds=service_seconds, completed_index=index,
                     )

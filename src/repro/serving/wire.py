@@ -1,29 +1,36 @@
 """Versioned JSON wire format of the serving layer.
 
-The in-process API speaks frozen dataclasses whose fields grew PR-by-PR
-(:class:`~repro.serving.api.LatencyRequest`, ``LatencyResponse``,
-``CapacityReport``, ``RequestLogRecord``).  This module is the *wire
-contract* those types serialize through — the schema the HTTP front door
-(:mod:`repro.serving.http`) validates against:
+The serving types of :mod:`repro.serving.api` cross the socket as
+themselves: :class:`WireRequest` *is* :class:`~repro.serving.api.LatencyRequest`
+and :class:`WireResponse` *is* :class:`~repro.serving.api.LatencyResponse`.
+This module derives one JSON codec per type from the type's field
+declaration and registers it, which gives every declared type
+``to_dict``/``to_json`` and ``from_dict``/``from_json``.  It also owns:
 
-* :class:`WireRequest` / :class:`WireResponse` — the request/response pair a
-  client puts on the socket.  Each converts losslessly to and from its
-  in-process sibling (``WireRequest.to_latency`` /
-  ``WireResponse.from_latency``) and round-trips through JSON exactly
-  (``to_json`` / ``from_json``); the only restriction the wire adds is that
-  ``backend`` must be a registry *name* — live backend objects and frozen
-  config dataclasses are an in-process convenience, not a wire type.
 * :class:`ErrorBody` — every non-2xx HTTP response body: a machine-readable
   ``code``, a human-readable ``message``, and (for backpressure) a
-  ``retry_after_seconds`` hint mirroring the ``Retry-After`` header.
-* converters for the operator-facing types —
-  :func:`capacity_report_to_dict` / :func:`capacity_report_from_dict`,
-  :func:`log_record_to_dict` / :func:`log_record_from_dict`,
-  :func:`request_log_to_json` / :func:`request_log_from_json`, and
-  :func:`sim_report_to_dict` / :func:`sim_report_from_dict` — all lossless
-  round trips, all carrying ``schema_version``.
+  ``retry_after_seconds`` hint mirroring the ``Retry-After`` header;
+* the codec of :class:`~repro.sim.backend.SimReport` (the simulator's type,
+  declared by its annotations plus the two checks below) and of the
+  ``GET /v1/log`` envelope;
+* the converter names :func:`sim_report_to_dict`,
+  :func:`capacity_report_to_dict`, :func:`log_record_to_dict`,
+  :func:`request_log_to_json` and their ``from`` inverses — all lossless
+  round trips.
 
-Validation is strict: unknown fields, wrong types, non-positive lengths and
+A codec reads each dataclass field once:
+
+* the annotation picks the encoder and the type check (``int``, ``float``,
+  ``bool``, ``str``, ``Mapping[str, float]``, ``Optional[...]``, a nested
+  declared type, or ``Tuple[T, ...]`` of one); ``Any`` is a backend spec,
+  which crosses the wire only as a registry name;
+* ``declare(check=...)`` metadata names the validator, and a field is
+  required when it has no default or is declared ``required``.
+
+Encoding coerces each value to its declared type and puts
+``schema_version`` first (``BackendServiceStats`` rows, nested in a
+stamped capacity report, carry no stamp of their own).  Decoding is strict:
+unknown fields, missing required fields, wrong types, failed checks and
 unsupported schema versions raise :class:`WireFormatError` with a stable
 ``code``, which the HTTP layer maps to a 400 with the same code in the
 :class:`ErrorBody`.  A payload without ``schema_version`` is read as the
@@ -34,16 +41,21 @@ current :data:`SCHEMA_VERSION` (curl-friendliness); a payload with a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.backend import SimReport
 from .api import (
+    CODECS,
     BackendServiceStats,
     CapacityReport,
     LatencyRequest,
     LatencyResponse,
     RequestLogRecord,
+    WireMessage,
+    declare,
+    non_empty,
+    positive,
 )
 
 #: Version of the wire schema.  Bump when a field changes meaning or shape;
@@ -66,70 +78,127 @@ class WireFormatError(ValueError):
         self.message = message
 
 
-# ------------------------------------------------------------------ validators
-def _require_dict(payload: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(payload, dict):
+# ------------------------------------------------------------ field decoders
+# Each takes (value, field name) and returns the decoded value.
+def _invalid(name: str, expected: str, value: Any) -> WireFormatError:
+    return WireFormatError("invalid_field", f"{name} must be {expected}, got {value!r}")
+
+
+def _int(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _invalid(name, "an integer", value)
+    return value
+
+
+def _float(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _invalid(name, "a number", value)
+    return float(value)
+
+
+def _bool(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise _invalid(name, "a boolean", value)
+    return value
+
+
+def _str(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise _invalid(name, "a string", value)
+    return value
+
+
+def _dict(value: Any, name: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
         raise WireFormatError(
-            "invalid_field", f"{what} must be a JSON object, got {type(payload).__name__}"
+            "invalid_field", f"{name} must be a JSON object, got {type(value).__name__}"
         )
-    return payload
+    return value
 
 
-def _check_fields(payload: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
-    for key in payload:
-        if key not in allowed:
-            raise WireFormatError("unknown_field", f"{what} does not accept field {key!r}")
+def _float_map(value: Any, name: str) -> Dict[str, float]:
+    decoded = {}
+    for key, item in _dict(value, name).items():
+        if not isinstance(key, str) or not key:
+            raise _invalid(f"{name} key", "a non-empty string", key)
+        decoded[key] = _float(item, f"{name}[{key!r}]")
+    return decoded
 
 
-def _check_version(payload: Mapping[str, Any], what: str) -> int:
+def _list(value: Any, name: str) -> Sequence[Any]:
+    if not isinstance(value, (list, tuple)):
+        raise _invalid(name, "a list", value)
+    return value
+
+
+def _checked(decode: Callable, check: Callable[[str, Any], None]) -> Callable:
+    """``decode`` followed by the declared validator (``None`` passes)."""
+
+    def run(value: Any, name: str) -> Any:
+        value = decode(value, name)
+        if value is not None:
+            try:
+                check(name, value)
+            except ValueError as exc:
+                raise WireFormatError("invalid_field", str(exc)) from None
+        return value
+
+    return run
+
+
+def _backend_name(spec: Any) -> str:
+    if not isinstance(spec, str):
+        raise WireFormatError(
+            "unserializable_backend",
+            "only string backend names cross the wire; register the spec "
+            f"and submit by name (got {type(spec).__name__})",
+        )
+    return spec
+
+
+#: Annotation -> (encode, decode) for the leaf types; encode ``None`` means
+#: the value is written as it is.
+_SCALARS: Dict[str, Tuple[Optional[Callable], Callable]] = {
+    "int": (int, _int),
+    "float": (float, _float),
+    "bool": (bool, _bool),
+    "str": (None, _str),
+    "Any": (_backend_name, _str),
+    "Mapping[str, float]": (
+        lambda mapping: {str(k): float(v) for k, v in mapping.items()},
+        _float_map,
+    ),
+}
+
+#: Class name -> codec, for nested annotations; filled as codecs are derived.
+_NAMED: Dict[str, "_Codec"] = {}
+
+
+def _kind(annotation: str) -> Tuple[Optional[Callable], Callable]:
+    """(encode, decode) of one field annotation."""
+    if annotation in _SCALARS:
+        return _SCALARS[annotation]
+    if annotation.startswith("Optional[") and annotation.endswith("]"):
+        inner, decode = _kind(annotation[len("Optional["):-1])
+        encode = None if inner is None else (lambda value: None if value is None else inner(value))
+        return encode, lambda value, name: None if value is None else decode(value, name)
+    if annotation.startswith("Tuple[") and annotation.endswith(", ...]"):
+        row = _NAMED[annotation[len("Tuple["):-len(", ...]")]]
+        return (
+            lambda rows: [row.to_dict(item) for item in rows],
+            lambda rows, name: tuple(row.from_dict(item) for item in _list(rows, name)),
+        )
+    nested = _NAMED[annotation]
+    return nested.to_dict, lambda value, name: nested.from_dict(value)
+
+
+def _check_version(payload: Dict[str, Any], what: str) -> None:
     version = payload.get("schema_version", SCHEMA_VERSION)
     if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
         raise WireFormatError(
             "unsupported_schema_version",
             f"{what} schema_version must be {SCHEMA_VERSION}, got {version!r}",
         )
-    return version
-
-
-def _as_int(value: Any, field: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireFormatError("invalid_field", f"{field} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise WireFormatError("invalid_field", f"{field} must be >= {minimum}, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireFormatError("invalid_field", f"{field} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_optional_positive_float(value: Any, field: str) -> Optional[float]:
-    if value is None:
-        return None
-    result = _as_float(value, field)
-    if result <= 0:
-        raise WireFormatError("invalid_field", f"{field} must be positive, got {value!r}")
-    return result
-
-
-def _as_optional_bool(value: Any, field: str) -> Optional[bool]:
-    if value is None or isinstance(value, bool):
-        return value
-    raise WireFormatError("invalid_field", f"{field} must be a boolean, got {value!r}")
-
-
-def _as_str(value: Any, field: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise WireFormatError("invalid_field", f"{field} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _as_optional_str(value: Any, field: str) -> Optional[str]:
-    if value is None:
-        return None
-    return _as_str(value, field)
 
 
 def _parse_json(text: Any, what: str) -> Any:
@@ -144,9 +213,75 @@ def _parse_json(text: Any, what: str) -> Any:
         raise WireFormatError("invalid_json", f"{what} is not valid JSON: {exc}") from None
 
 
-# ------------------------------------------------------------------- ErrorBody
+class _Codec:
+    """The JSON codec of one declared dataclass, derived from its fields.
+
+    ``checks`` adds validators to a type that cannot carry ``declare``
+    metadata itself (the simulator's :class:`SimReport`).
+    """
+
+    def __init__(
+        self,
+        cls: type,
+        stamped: bool = True,
+        checks: Optional[Dict[str, Callable[[str, Any], None]]] = None,
+    ) -> None:
+        self.cls = cls
+        self.stamped = stamped
+        self.encoders: List[Tuple[str, Optional[Callable]]] = []
+        self.decoders: Dict[str, Callable] = {}
+        self.required: List[str] = []
+        for f in fields(cls):
+            try:
+                encode, decode = _kind(str(f.type))
+            except KeyError:
+                raise TypeError(f"{cls.__name__}.{f.name}: no wire codec for {f.type!r}") from None
+            check = (checks or {}).get(f.name) or f.metadata.get("check")
+            self.encoders.append((f.name, encode))
+            self.decoders[f.name] = decode if check is None else _checked(decode, check)
+            if f.metadata.get("required") or (
+                f.default is MISSING and f.default_factory is MISSING
+            ):
+                self.required.append(f.name)
+        self.allowed = frozenset(list(self.decoders) + ["schema_version"] * stamped)
+        _NAMED[cls.__name__] = CODECS[cls] = self
+
+    def to_dict(self, obj: Any) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {"schema_version": SCHEMA_VERSION} if self.stamped else {}
+        for name, encode in self.encoders:
+            value = getattr(obj, name)
+            payload[name] = value if encode is None else encode(value)
+        return payload
+
+    def to_json(self, obj: Any) -> str:
+        return json.dumps(self.to_dict(obj), sort_keys=True)
+
+    def from_dict(self, payload: Any) -> Any:
+        what = self.cls.__name__
+        payload = _dict(payload, what)
+        if not self.allowed.issuperset(payload):
+            unknown = next(key for key in payload if key not in self.allowed)
+            raise WireFormatError("unknown_field", f"{what} does not accept field {unknown!r}")
+        if self.stamped:
+            _check_version(payload, what)
+        for name in self.required:
+            if name not in payload:
+                raise WireFormatError("missing_field", f"{what} requires {name}")
+        decoders = self.decoders
+        return self.cls(
+            **{
+                key: decoders[key](value, key)
+                for key, value in payload.items()
+                if key != "schema_version"
+            }
+        )
+
+    def from_json(self, text: Any) -> Any:
+        return self.from_dict(_parse_json(text, self.cls.__name__))
+
+
 @dataclass(frozen=True)
-class ErrorBody:
+class ErrorBody(WireMessage):
     """The body of every non-2xx HTTP response.
 
     ``code`` is stable and machine-readable (the same codes
@@ -157,449 +292,42 @@ class ErrorBody:
     header for clients that only read bodies.
     """
 
-    code: str
-    message: str
-    retry_after_seconds: Optional[float] = None
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "code": self.code,
-            "message": self.message,
-            "retry_after_seconds": self.retry_after_seconds,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ErrorBody":
-        payload = _require_dict(payload, "ErrorBody")
-        _check_fields(
-            payload,
-            ("schema_version", "code", "message", "retry_after_seconds"),
-            "ErrorBody",
-        )
-        version = _check_version(payload, "ErrorBody")
-        return cls(
-            code=_as_str(payload.get("code"), "code"),
-            message=_as_str(payload.get("message"), "message"),
-            retry_after_seconds=_as_optional_positive_float(
-                payload.get("retry_after_seconds"), "retry_after_seconds"
-            ),
-            schema_version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: Any) -> "ErrorBody":
-        return cls.from_dict(_parse_json(text, "ErrorBody"))
+    code: str = declare(check=non_empty)
+    message: str = declare(check=non_empty)
+    retry_after_seconds: Optional[float] = declare(None, check=positive)
 
 
-# ----------------------------------------------------------------- WireRequest
 @dataclass(frozen=True)
-class WireRequest:
-    """One latency query as it crosses the socket.
+class _RequestLog:
+    """The ``GET /v1/log`` body."""
 
-    The wire twin of :class:`~repro.serving.api.LatencyRequest` plus
-    ``tenant`` — the HTTP layer's per-tenant bounded-queue key, which the
-    in-process API has no use for and therefore drops on
-    :meth:`to_latency`.  ``backend`` must be a backend registry name (the
-    wire cannot carry live objects); everything
-    :func:`repro.sim.backend.create_backend` resolves from a string works.
-
-    ``trace_id`` carries the client's distributed-tracing ID into the
-    service (additive optional field — no schema bump): when the service
-    traces, its server-side spans land under this ID and
-    ``GET /v1/trace/<id>`` returns them.  The HTTP layer also accepts it via
-    the ``X-Trace-Id`` header (body wins when both are present).
-    """
-
-    backend: str = "lightnobel"
-    sequence_length: int = 0
-    include_recycles: Optional[bool] = None
-    priority: int = 0
-    deadline_seconds: Optional[float] = None
-    tenant: str = "default"
-    trace_id: Optional[str] = None
-    schema_version: int = SCHEMA_VERSION
-
-    _FIELDS = (
-        "schema_version",
-        "backend",
-        "sequence_length",
-        "include_recycles",
-        "priority",
-        "deadline_seconds",
-        "tenant",
-        "trace_id",
-    )
-
-    def to_latency(self) -> LatencyRequest:
-        """The in-process request (drops ``tenant``; validates in __post_init__)."""
-        return LatencyRequest(
-            backend=self.backend,
-            sequence_length=self.sequence_length,
-            include_recycles=self.include_recycles,
-            priority=self.priority,
-            deadline_seconds=self.deadline_seconds,
-            trace_id=self.trace_id,
-        )
-
-    @classmethod
-    def from_latency(cls, request: LatencyRequest, tenant: str = "default") -> "WireRequest":
-        """Wire twin of an in-process request.
-
-        Raises :class:`WireFormatError` (``"unserializable_backend"``) for
-        non-string backend specs — config dataclasses and live backends are
-        in-process conveniences; the wire speaks registry names only.
-        """
-        if not isinstance(request.backend, str):
-            raise WireFormatError(
-                "unserializable_backend",
-                "only string backend names cross the wire; register the spec "
-                f"and submit by name (got {type(request.backend).__name__})",
-            )
-        return cls(
-            backend=request.backend,
-            sequence_length=request.sequence_length,
-            include_recycles=request.include_recycles,
-            priority=request.priority,
-            deadline_seconds=request.deadline_seconds,
-            tenant=tenant,
-            trace_id=request.trace_id,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "backend": self.backend,
-            "sequence_length": self.sequence_length,
-            "include_recycles": self.include_recycles,
-            "priority": self.priority,
-            "deadline_seconds": self.deadline_seconds,
-            "tenant": self.tenant,
-            "trace_id": self.trace_id,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WireRequest":
-        payload = _require_dict(payload, "WireRequest")
-        _check_fields(payload, cls._FIELDS, "WireRequest")
-        version = _check_version(payload, "WireRequest")
-        if "sequence_length" not in payload:
-            raise WireFormatError("missing_field", "WireRequest requires sequence_length")
-        return cls(
-            backend=_as_str(payload.get("backend", "lightnobel"), "backend"),
-            sequence_length=_as_int(payload["sequence_length"], "sequence_length", minimum=1),
-            include_recycles=_as_optional_bool(
-                payload.get("include_recycles"), "include_recycles"
-            ),
-            priority=_as_int(payload.get("priority", 0), "priority"),
-            deadline_seconds=_as_optional_positive_float(
-                payload.get("deadline_seconds"), "deadline_seconds"
-            ),
-            tenant=_as_str(payload.get("tenant", "default"), "tenant"),
-            trace_id=_as_optional_str(payload.get("trace_id"), "trace_id"),
-            schema_version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: Any) -> "WireRequest":
-        return cls.from_dict(_parse_json(text, "WireRequest"))
+    records: Tuple[RequestLogRecord, ...] = ()
 
 
-# ------------------------------------------------------------------- SimReport
-def sim_report_to_dict(report: SimReport) -> Dict[str, Any]:
-    """JSON-able dict of a :class:`~repro.sim.backend.SimReport` (lossless)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "backend": report.backend,
-        "sequence_length": int(report.sequence_length),
-        "total_seconds": float(report.total_seconds),
-        "phase_seconds": {str(k): float(v) for k, v in report.phase_seconds.items()},
-        "subphase_seconds": {str(k): float(v) for k, v in report.subphase_seconds.items()},
-        "out_of_memory": bool(report.out_of_memory),
-        "details": {str(k): float(v) for k, v in report.details.items()},
-    }
+# Nested types first: a codec resolves nested annotations by class name.
+_SIM_REPORT = _Codec(SimReport, checks={"backend": non_empty, "sequence_length": positive})
+for _cls in (LatencyRequest, LatencyResponse, ErrorBody, RequestLogRecord, _RequestLog):
+    _Codec(_cls)
+_Codec(BackendServiceStats, stamped=False)
+_Codec(CapacityReport)
 
+#: The wire names of the one request and one response type.
+WireRequest = LatencyRequest
+WireResponse = LatencyResponse
 
-def sim_report_from_dict(payload: Mapping[str, Any]) -> SimReport:
-    payload = _require_dict(payload, "SimReport")
-    _check_fields(
-        payload,
-        (
-            "schema_version",
-            "backend",
-            "sequence_length",
-            "total_seconds",
-            "phase_seconds",
-            "subphase_seconds",
-            "out_of_memory",
-            "details",
-        ),
-        "SimReport",
-    )
-    _check_version(payload, "SimReport")
-    if not isinstance(payload.get("out_of_memory", False), bool):
-        raise WireFormatError("invalid_field", "out_of_memory must be a boolean")
-
-    def _float_map(name: str) -> Dict[str, float]:
-        mapping = _require_dict(payload.get(name, {}), f"SimReport.{name}")
-        return {_as_str(k, f"{name} key"): _as_float(v, f"{name}[{k!r}]") for k, v in mapping.items()}
-
-    return SimReport(
-        backend=_as_str(payload.get("backend"), "backend"),
-        sequence_length=_as_int(payload.get("sequence_length"), "sequence_length", minimum=1),
-        total_seconds=_as_float(payload.get("total_seconds"), "total_seconds"),
-        phase_seconds=_float_map("phase_seconds"),
-        subphase_seconds=_float_map("subphase_seconds"),
-        out_of_memory=bool(payload.get("out_of_memory", False)),
-        details=_float_map("details"),
-    )
-
-
-# ---------------------------------------------------------------- WireResponse
-@dataclass(frozen=True)
-class WireResponse:
-    """One fulfilled (or failed) request as it crosses the socket.
-
-    The wire twin of :class:`~repro.serving.api.LatencyResponse`: the ticket
-    id, the request as admitted (a :class:`WireRequest`, so the tenant rides
-    along), the full :class:`~repro.sim.backend.SimReport` when the request
-    succeeded, and the service-side timings.  ``to_latency`` /
-    ``from_latency`` round-trip losslessly for any string-backend request.
-    """
-
-    ticket_id: int
-    request: WireRequest
-    report: Optional[SimReport] = None
-    error: Optional[str] = None
-    coalesced: bool = False
-    queue_seconds: float = 0.0
-    service_seconds: float = 0.0
-    completed_index: int = -1
-    schema_version: int = SCHEMA_VERSION
-
-    _FIELDS = (
-        "schema_version",
-        "ticket_id",
-        "request",
-        "report",
-        "error",
-        "coalesced",
-        "queue_seconds",
-        "service_seconds",
-        "completed_index",
-    )
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and self.report is not None
-
-    @classmethod
-    def from_latency(
-        cls, response: LatencyResponse, tenant: str = "default"
-    ) -> "WireResponse":
-        return cls(
-            ticket_id=response.request_id,
-            request=WireRequest.from_latency(response.request, tenant=tenant),
-            report=response.report,
-            error=response.error,
-            coalesced=response.coalesced,
-            queue_seconds=response.queue_seconds,
-            service_seconds=response.service_seconds,
-            completed_index=response.completed_index,
-        )
-
-    def to_latency(self) -> LatencyResponse:
-        return LatencyResponse(
-            request_id=self.ticket_id,
-            request=self.request.to_latency(),
-            report=self.report,
-            error=self.error,
-            coalesced=self.coalesced,
-            queue_seconds=self.queue_seconds,
-            service_seconds=self.service_seconds,
-            completed_index=self.completed_index,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "ticket_id": self.ticket_id,
-            "request": self.request.to_dict(),
-            "report": None if self.report is None else sim_report_to_dict(self.report),
-            "error": self.error,
-            "coalesced": self.coalesced,
-            "queue_seconds": float(self.queue_seconds),
-            "service_seconds": float(self.service_seconds),
-            "completed_index": self.completed_index,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WireResponse":
-        payload = _require_dict(payload, "WireResponse")
-        _check_fields(payload, cls._FIELDS, "WireResponse")
-        version = _check_version(payload, "WireResponse")
-        error = payload.get("error")
-        if error is not None and not isinstance(error, str):
-            raise WireFormatError("invalid_field", "error must be a string or null")
-        report = payload.get("report")
-        return cls(
-            ticket_id=_as_int(payload.get("ticket_id"), "ticket_id", minimum=0),
-            request=WireRequest.from_dict(payload.get("request", {})),
-            report=None if report is None else sim_report_from_dict(report),
-            error=error,
-            coalesced=bool(_as_optional_bool(payload.get("coalesced", False), "coalesced")),
-            queue_seconds=_as_float(payload.get("queue_seconds", 0.0), "queue_seconds"),
-            service_seconds=_as_float(payload.get("service_seconds", 0.0), "service_seconds"),
-            completed_index=_as_int(payload.get("completed_index", -1), "completed_index"),
-            schema_version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: Any) -> "WireResponse":
-        return cls.from_dict(_parse_json(text, "WireResponse"))
-
-
-# -------------------------------------------------------------- CapacityReport
-def backend_stats_to_dict(row: BackendServiceStats) -> Dict[str, Any]:
-    return {
-        "backend": row.backend,
-        "requests": int(row.requests),
-        "mean_seconds": float(row.mean_seconds),
-        "p50_seconds": float(row.p50_seconds),
-        "p99_seconds": float(row.p99_seconds),
-    }
-
-
-def backend_stats_from_dict(payload: Mapping[str, Any]) -> BackendServiceStats:
-    payload = _require_dict(payload, "BackendServiceStats")
-    _check_fields(
-        payload,
-        ("backend", "requests", "mean_seconds", "p50_seconds", "p99_seconds"),
-        "BackendServiceStats",
-    )
-    return BackendServiceStats(
-        backend=_as_str(payload.get("backend"), "backend"),
-        requests=_as_int(payload.get("requests"), "requests", minimum=0),
-        mean_seconds=_as_float(payload.get("mean_seconds"), "mean_seconds"),
-        p50_seconds=_as_float(payload.get("p50_seconds"), "p50_seconds"),
-        p99_seconds=_as_float(payload.get("p99_seconds"), "p99_seconds"),
-    )
-
-
-#: CapacityReport's scalar fields as (name, type), ints first (the wire key
-#: order), read off the dataclass; a field of another type fails at import.
-_SCALAR_TYPES = {"int": int, "float": float, int: int, float: float}
-_CAPACITY_SCALARS = sorted(
-    ((f.name, _SCALAR_TYPES[f.type]) for f in fields(CapacityReport) if f.name != "backends"),
-    key=lambda item: item[1] is float,
-)
-
-
-def capacity_report_to_dict(report: CapacityReport) -> Dict[str, Any]:
-    """JSON-able dict of a :class:`~repro.serving.api.CapacityReport` (lossless)."""
-    payload: Dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    for name, kind in _CAPACITY_SCALARS:
-        payload[name] = kind(getattr(report, name))
-    payload["backends"] = [backend_stats_to_dict(row) for row in report.backends]
-    return payload
-
-
-def capacity_report_from_dict(payload: Mapping[str, Any]) -> CapacityReport:
-    payload = _require_dict(payload, "CapacityReport")
-    _check_fields(
-        payload,
-        ("schema_version", "backends") + tuple(name for name, _ in _CAPACITY_SCALARS),
-        "CapacityReport",
-    )
-    _check_version(payload, "CapacityReport")
-    rows = payload.get("backends", [])
-    if not isinstance(rows, (list, tuple)):
-        raise WireFormatError("invalid_field", "backends must be a list")
-    kwargs: Dict[str, Any] = {
-        name: (_as_int if kind is int else _as_float)(payload.get(name, kind()), name)
-        for name, kind in _CAPACITY_SCALARS
-    }
-    kwargs["backends"] = tuple(backend_stats_from_dict(row) for row in rows)
-    return CapacityReport(**kwargs)
-
-
-# ------------------------------------------------------------ RequestLogRecord
-_LOG_FIELDS = (
-    "schema_version",
-    "ticket_id",
-    "backend",
-    "sequence_length",
-    "priority",
-    "deadline_seconds",
-    "arrival_seconds",
-    "outcome",
-    "coalesced",
-    "queue_seconds",
-    "service_seconds",
-    "trace_id",
-)
-
-
-def log_record_to_dict(record: RequestLogRecord) -> Dict[str, Any]:
-    """JSON-able dict of a :class:`~repro.serving.api.RequestLogRecord` (lossless)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ticket_id": int(record.ticket_id),
-        "backend": record.backend,
-        "sequence_length": int(record.sequence_length),
-        "priority": int(record.priority),
-        "deadline_seconds": (
-            None if record.deadline_seconds is None else float(record.deadline_seconds)
-        ),
-        "arrival_seconds": float(record.arrival_seconds),
-        "outcome": record.outcome,
-        "coalesced": bool(record.coalesced),
-        "queue_seconds": float(record.queue_seconds),
-        "service_seconds": float(record.service_seconds),
-        "trace_id": record.trace_id,
-    }
-
-
-def log_record_from_dict(payload: Mapping[str, Any]) -> RequestLogRecord:
-    payload = _require_dict(payload, "RequestLogRecord")
-    _check_fields(payload, _LOG_FIELDS, "RequestLogRecord")
-    _check_version(payload, "RequestLogRecord")
-    return RequestLogRecord(
-        ticket_id=_as_int(payload.get("ticket_id"), "ticket_id", minimum=0),
-        backend=_as_str(payload.get("backend"), "backend"),
-        sequence_length=_as_int(payload.get("sequence_length"), "sequence_length", minimum=1),
-        priority=_as_int(payload.get("priority", 0), "priority"),
-        deadline_seconds=_as_optional_positive_float(
-            payload.get("deadline_seconds"), "deadline_seconds"
-        ),
-        arrival_seconds=_as_float(payload.get("arrival_seconds", 0.0), "arrival_seconds"),
-        outcome=_as_str(payload.get("outcome", "ok"), "outcome"),
-        coalesced=bool(_as_optional_bool(payload.get("coalesced", False), "coalesced")),
-        queue_seconds=_as_float(payload.get("queue_seconds", 0.0), "queue_seconds"),
-        service_seconds=_as_float(payload.get("service_seconds", 0.0), "service_seconds"),
-        trace_id=_as_optional_str(payload.get("trace_id"), "trace_id"),
-    )
+sim_report_to_dict = _SIM_REPORT.to_dict
+sim_report_from_dict = _SIM_REPORT.from_dict
+backend_stats_to_dict = CODECS[BackendServiceStats].to_dict
+backend_stats_from_dict = CODECS[BackendServiceStats].from_dict
+capacity_report_to_dict = CODECS[CapacityReport].to_dict
+capacity_report_from_dict = CODECS[CapacityReport].from_dict
+log_record_to_dict = CODECS[RequestLogRecord].to_dict
+log_record_from_dict = CODECS[RequestLogRecord].from_dict
 
 
 def request_log_to_json(records: Sequence[RequestLogRecord]) -> str:
     """Serialize a request log — the ``GET /v1/log`` response body."""
-    return json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "records": [log_record_to_dict(record) for record in records],
-        },
-        sort_keys=True,
-    )
+    return CODECS[_RequestLog].to_json(_RequestLog(tuple(records)))
 
 
 def request_log_from_json(text: Any) -> List[RequestLogRecord]:
@@ -608,10 +336,4 @@ def request_log_from_json(text: Any) -> List[RequestLogRecord]:
     The result feeds :meth:`repro.cluster.trace.RequestTrace.from_serving_log`
     directly: live HTTP traffic becomes a replayable cluster trace.
     """
-    payload = _require_dict(_parse_json(text, "request log"), "request log")
-    _check_fields(payload, ("schema_version", "records"), "request log")
-    _check_version(payload, "request log")
-    records = payload.get("records", [])
-    if not isinstance(records, list):
-        raise WireFormatError("invalid_field", "records must be a list")
-    return [log_record_from_dict(record) for record in records]
+    return list(CODECS[_RequestLog].from_json(text).records)

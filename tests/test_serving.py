@@ -92,6 +92,30 @@ class TestCoalescing:
         assert service.stats.coalesced == 4
         service.close()
 
+    def test_duplicated_mixed_batch_coalesces_stacks_and_matches_session(self, config):
+        # Four specs (three names and a config) x two lengths, the whole batch
+        # submitted twice and staged before the dispatcher starts, so every
+        # copy is in flight with its original: the copies must coalesce and
+        # each spec's misses must be priced by one stacked pass.
+        specs = ("lightnobel", "h100", "h100-chunk", LightNobelConfig(num_rmpus=8))
+        requests = [LatencyRequest(spec, n) for spec in specs for n in (24, 48)] * 2
+        unique = len(requests) // 2
+        service = make_service(config, autostart=False)
+        tickets = service.submit_batch(requests)
+        with service:
+            responses = [service.result(t, timeout=TIMEOUT) for t in tickets]
+            report = service.capacity_report()
+        reference = SimulationSession(ppm_config=config, use_disk_cache=False)
+        for response in responses:
+            response.raise_for_error()
+            direct = reference.simulate(
+                response.request.sequence_length, backend=response.request.backend
+            )
+            assert response.report.total_seconds == direct.total_seconds
+        assert report.coalesced >= len(requests) - unique
+        assert report.stacked_points == unique
+        assert report.errors == 0
+
     def test_case_variants_of_a_name_coalesce(self, config):
         service = make_service(config, autostart=False)
         service.submit_batch([("H100", LENGTHS[0]), ("h100", LENGTHS[0])])

@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -416,6 +417,96 @@ class TestMetricsAndLog:
         finally:
             handle.stop(drain=True)
             service.close()
+
+
+class TestPinnedTraceOverSockets:
+    def test_pinned_trace_completes_meets_slo_and_drains_clean(self):
+        """90 seeded Poisson arrivals replayed over real sockets by the load harness."""
+        from repro.cluster.trace import RequestTrace, SLOPolicy, mixture_lengths, poisson_trace
+        from repro.serving.http.loadgen import replay_trace_http
+
+        lengths, weights = mixture_lengths([(24, 0.6), (48, 0.3), (96, 0.1)])
+        trace = poisson_trace(
+            rate_rps=300.0,
+            num_requests=90,
+            length_pool=lengths,
+            length_weights=weights,
+            # The tiny config simulates in microseconds; the 2 s base absorbs
+            # socket and scheduling jitter on a slow machine.
+            slo=SLOPolicy(base_seconds=2.0, per_residue_seconds=0.01),
+            seed=23,
+            name="http-pinned",
+        )
+        handle = serve_in_thread(
+            ppm_config=PPMConfig.tiny(), use_disk_cache=False, max_pending_per_tenant=512
+        )
+        try:
+            report = replay_trace_http(trace, handle.host, handle.port, tenant="pinned")
+            log_json = get_text(handle, "/v1/log")
+        finally:
+            drain = handle.stop(drain=True)
+        assert report.completed == len(trace) == 90
+        assert report.errors == 0
+        assert report.slo_attainment >= 0.95
+        records = request_log_from_json(log_json)
+        first = RequestTrace.from_serving_log(records, name="http-pinned-replayed")
+        second = RequestTrace.from_serving_log(records, name="http-pinned-replayed")
+        assert first.config_digest() == second.config_digest()
+        assert len(first) == 90
+        assert drain["unfulfilled"] == 0 and drain["unclaimed"] == 0
+
+
+def raw_query(handle, body: bytes) -> bytes:
+    """POST /v1/query over a bare socket; returns the raw HTTP response."""
+    head = (
+        "POST /v1/query HTTP/1.1\r\nHost: {}:{}\r\nContent-Type: application/json\r\n"
+        "Content-Length: {}\r\nConnection: close\r\n\r\n"
+    ).format(handle.host, handle.port, len(body))
+    chunks = []
+    with socket.create_connection((handle.host, handle.port), timeout=TIMEOUT) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestOneObjectPerDirection:
+    def test_warm_query_builds_one_request_and_one_response(self, tiny_config, monkeypatch):
+        """The decoded request is what the service queues; its response is what is encoded."""
+        import repro.serving.api as api
+        import repro.serving.wire as wire
+
+        handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+        built = {"request": 0, "response": 0}
+
+        def counting(cls, kind):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[kind] += 1
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        try:
+            body = b'{"backend": "lightnobel", "sequence_length": 24, "tenant": "count"}'
+            assert raw_query(handle, body).startswith(b"HTTP/1.1 200 ")  # warms the memo
+            # Both names: a separate wire class would be counted too.
+            for cls in {api.LatencyRequest, wire.WireRequest}:
+                counting(cls, "request")
+            for cls in {api.LatencyResponse, wire.WireResponse}:
+                counting(cls, "response")
+            reply = raw_query(handle, body)
+            monkeypatch.undo()
+        finally:
+            report = handle.stop(drain=True)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b'"tenant": "count"' in reply
+        assert built == {"request": 1, "response": 1}
+        assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
 
 
 class TestWarmQueryOnTheLoop:

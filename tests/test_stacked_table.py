@@ -39,13 +39,13 @@ from repro.cluster import (
     poisson_trace,
     prefetch_service_times,
 )
+from repro.cluster.trace import length_bucket
 from repro.gpu import GPUModel
 from repro.gpu.gpu_config import get_gpu
 from repro.hardware import LightNobelAccelerator
 from repro.ppm import PPMConfig, get_op_table, get_stacked_table, get_workload
 from repro.ppm.op_table import StackedOperatorTable
 from repro.serving import LatencyRequest, LatencyService
-from repro.serving.api import length_bucket
 from repro.sim import SimulationSession, available_backends, create_backend
 from repro.sim.backend import GPUBackend
 

@@ -120,7 +120,7 @@ class TicketLifecycle(RuleBasedStateMachine):
         if response is None:
             assert ticket not in self.fulfilled
             return
-        assert response.request_id == ticket and response.ok
+        assert response.ticket_id == ticket and response.ok
         self._finish(ticket, self.consumed)
 
     @rule(pick=PICKS)
@@ -138,7 +138,7 @@ class TicketLifecycle(RuleBasedStateMachine):
             self.abandoned.add(ticket)
             self.ever_abandoned.add(ticket)
             return
-        assert response.request_id == ticket and response.ok
+        assert response.ticket_id == ticket and response.ok
         self._finish(ticket, self.consumed)
 
     @rule(pick=PICKS, settle=st.booleans())
@@ -181,7 +181,7 @@ class TicketLifecycle(RuleBasedStateMachine):
             self.ever_abandoned.add(ticket)
             return
         response = outcome["response"]
-        assert response.request_id == ticket and response.ok
+        assert response.ticket_id == ticket and response.ok
         self._finish(ticket, self.consumed)
 
     @rule(pick=PICKS)
@@ -194,7 +194,7 @@ class TicketLifecycle(RuleBasedStateMachine):
 
     @rule()
     def reap_abandoned(self) -> None:
-        reaped = {response.request_id for response in self.service.reap_abandoned()}
+        reaped = {response.ticket_id for response in self.service.reap_abandoned()}
         # Every abandoned ticket known to be fulfilled is reaped; nothing
         # that was not abandoned is.
         assert self.abandoned & self.fulfilled <= reaped <= self.abandoned

@@ -1,11 +1,12 @@
 """Wire-format round trips and the redesigned public facade.
 
-The wire contract (ISSUE 9): every in-process API type —
-``LatencyRequest``/``LatencyResponse``, ``CapacityReport``,
-``RequestLogRecord`` — serializes to its JSON wire twin and back
-*losslessly*, every payload carries ``schema_version``, and validation is
-strict (unknown fields, wrong types, and foreign schema versions are
-rejected with stable error codes).  Facade tests pin the ``create_*``
+The wire contract: every serving type — ``LatencyRequest``/
+``LatencyResponse``, ``CapacityReport``, ``RequestLogRecord`` — crosses the
+wire as itself and round-trips through JSON *losslessly*, every payload
+carries ``schema_version``, and validation is strict (unknown fields, wrong
+types, and foreign schema versions are rejected with stable error codes).
+Each codec is derived from its type's field declaration, so the encoded
+keys are exactly the declared fields.  Facade tests pin the ``create_*``
 factory family and the ``DeprecationWarning`` shims for moved names.
 """
 
@@ -53,6 +54,10 @@ def _sim_report() -> SimReport:
 
 
 class TestWireRequest:
+    def test_one_class_per_direction(self):
+        assert WireRequest is LatencyRequest
+        assert WireResponse is LatencyResponse
+
     def test_json_round_trip(self):
         request = WireRequest(
             backend="h100",
@@ -61,34 +66,35 @@ class TestWireRequest:
             priority=2,
             deadline_seconds=1.5,
             tenant="team-a",
+            trace_id="trace-1",
         )
         assert WireRequest.from_json(request.to_json()) == request
 
     def test_latency_round_trip(self):
-        latency = LatencyRequest(
+        request = LatencyRequest(
             backend="h100-chunk",
             sequence_length=300,
             include_recycles=False,
             priority=1,
             deadline_seconds=0.75,
+            tenant="t",
         )
-        wire = WireRequest.from_latency(latency, tenant="t")
-        assert wire.tenant == "t"
-        assert wire.to_latency() == latency
+        assert request.tenant == "t"
+        assert LatencyRequest("h100", 24).tenant == "default"
+        assert LatencyRequest.from_json(request.to_json()) == request
 
     def test_defaults_are_curl_friendly(self):
         # Minimal body: just a length.  Version defaults to current.
-        wire = WireRequest.from_json('{"sequence_length": 24}')
-        assert wire.backend == "lightnobel"
-        assert wire.schema_version == SCHEMA_VERSION
-        assert wire.to_latency().sequence_length == 24
+        request = WireRequest.from_json('{"sequence_length": 24}')
+        assert request == LatencyRequest("lightnobel", 24)
+        assert json.loads(request.to_json())["schema_version"] == SCHEMA_VERSION
 
     def test_non_string_backend_is_unserializable(self):
         from repro.hardware import LightNobelConfig
 
         latency = LatencyRequest(backend=LightNobelConfig(), sequence_length=24)
         with pytest.raises(WireFormatError) as excinfo:
-            WireRequest.from_latency(latency)
+            latency.to_json()
         assert excinfo.value.code == "unserializable_backend"
 
     @pytest.mark.parametrize(
@@ -100,6 +106,8 @@ class TestWireRequest:
             ('{"sequence_length": 0}', "invalid_field"),
             ('{"sequence_length": true}', "invalid_field"),
             ('{"sequence_length": 24, "deadline_seconds": -1}', "invalid_field"),
+            ('{"sequence_length": 24, "deadline_seconds": NaN}', "invalid_field"),
+            ('{"sequence_length": 24, "deadline_seconds": Infinity}', "invalid_field"),
             ('{"sequence_length": 24, "schema_version": 99}', "unsupported_schema_version"),
         ],
     )
@@ -108,46 +116,67 @@ class TestWireRequest:
             WireRequest.from_json(payload)
         assert excinfo.value.code == code
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_in_process_deadline_must_be_positive_and_finite(self, deadline):
+        # A NaN deadline would sort ahead of every finite one in
+        # dispatch_order_key and echo back as invalid JSON.
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            LatencyRequest(sequence_length=24, deadline_seconds=deadline)
+
+    def test_in_process_checks_are_the_declared_ones(self):
+        # __post_init__ unrolls the fields' declared checks: each is enforced.
+        from dataclasses import fields
+
+        from repro.serving.api import non_empty, positive
+
+        invalid = {positive: 0, non_empty: ""}
+        declared = {
+            f.name: f.metadata["check"] for f in fields(LatencyRequest) if f.metadata.get("check")
+        }
+        assert set(declared) == {
+            "backend", "sequence_length", "deadline_seconds", "tenant", "trace_id",
+        }
+        for name, check in declared.items():
+            with pytest.raises(ValueError, match=name):
+                LatencyRequest(**{"sequence_length": 24, name: invalid[check]})
+        with pytest.raises(TypeError):
+            LatencyRequest(sequence_length=None)
+
 
 class TestWireResponse:
     def test_full_round_trip_with_report(self):
-        latency = LatencyResponse(
-            request_id=7,
-            request=LatencyRequest(backend="lightnobel", sequence_length=48),
+        response = LatencyResponse(
+            ticket_id=7,
+            request=LatencyRequest(backend="lightnobel", sequence_length=48, tenant="t"),
             report=_sim_report(),
             coalesced=True,
             queue_seconds=0.002,
             service_seconds=0.01,
             completed_index=3,
         )
-        wire = WireResponse.from_latency(latency, tenant="t")
-        rebuilt = WireResponse.from_json(wire.to_json())
-        assert rebuilt == wire
+        rebuilt = LatencyResponse.from_json(response.to_json())
         assert rebuilt.ok
-        # Lossless back to the in-process type, SimReport included.
-        assert rebuilt.to_latency() == latency
+        # Lossless, SimReport and tenant included.
+        assert rebuilt == response
 
     def test_error_response_round_trip(self):
-        latency = LatencyResponse(
-            request_id=9,
+        response = LatencyResponse(
+            ticket_id=9,
             request=LatencyRequest(sequence_length=24),
             error="backend exploded",
             service_seconds=0.5,
         )
-        wire = WireResponse.from_latency(latency)
-        rebuilt = WireResponse.from_json(wire.to_json())
+        rebuilt = LatencyResponse.from_json(response.to_json())
         assert not rebuilt.ok
-        assert rebuilt.to_latency() == latency
+        assert rebuilt == response
 
     def test_sim_report_round_trip_is_lossless(self):
         report = _sim_report()
         assert sim_report_from_dict(sim_report_to_dict(report)) == report
 
     def test_unknown_field_rejected(self):
-        wire = WireResponse.from_latency(
-            LatencyResponse(request_id=0, request=LatencyRequest(sequence_length=24))
-        )
-        payload = json.loads(wire.to_json())
+        response = LatencyResponse(ticket_id=0, request=LatencyRequest(sequence_length=24))
+        payload = json.loads(response.to_json())
         payload["surprise"] = 1
         with pytest.raises(WireFormatError) as excinfo:
             WireResponse.from_dict(payload)
@@ -251,6 +280,56 @@ class TestOperatorTypes:
         again = RequestTrace.from_serving_log(request_log_from_json(request_log_to_json(records)))
         assert trace.config_digest() == again.config_digest()
         assert len(trace) == 3
+
+
+class TestDeclarations:
+    """Every codec is derived from its type's one field declaration."""
+
+    @staticmethod
+    def _samples():
+        from repro.serving.wire import _RequestLog
+
+        record = RequestLogRecord(
+            ticket_id=1, backend="h100", sequence_length=24, trace_id="t-1"
+        )
+        row = BackendServiceStats(
+            backend="h100", requests=1, mean_seconds=0.1, p50_seconds=0.1, p99_seconds=0.1
+        )
+        request = LatencyRequest("h100", 24)
+        return {
+            LatencyRequest: request,
+            LatencyResponse: LatencyResponse(ticket_id=1, request=request, report=_sim_report()),
+            ErrorBody: ErrorBody(code="x", message="y"),
+            SimReport: _sim_report(),
+            BackendServiceStats: row,
+            CapacityReport: CapacityReport(backends=(row,)),
+            RequestLogRecord: record,
+            _RequestLog: _RequestLog((record,)),
+        }
+
+    def test_every_codec_is_sampled(self):
+        from repro.serving.api import CODECS
+
+        assert set(self._samples()) == set(CODECS)
+
+    def test_encoded_keys_are_the_declared_fields_plus_the_stamp(self):
+        from dataclasses import fields
+
+        from repro.serving.api import CODECS
+
+        for cls, sample in self._samples().items():
+            declared = {f.name for f in fields(cls)}
+            # Backend rows ride inside a stamped capacity report unstamped.
+            stamp = set() if cls is BackendServiceStats else {"schema_version"}
+            encoded = json.loads(CODECS[cls].to_json(sample))
+            assert set(encoded) == declared | stamp, cls.__name__
+            assert CODECS[cls].from_dict(encoded) == sample, cls.__name__
+
+    def test_schema_version_is_not_a_stored_field(self):
+        from dataclasses import fields
+
+        for cls in (LatencyRequest, LatencyResponse, ErrorBody):
+            assert "schema_version" not in {f.name for f in fields(cls)}
 
 
 class TestFacade:
