@@ -16,12 +16,13 @@ if TYPE_CHECKING:  # optional routing targets; avoid imports at runtime
     from ..serving.service import LatencyService
 
 from ..core.aaq import AAQConfig
+from ..core.schemes import lightnobel_aaq
 from ..core.token_quant import TokenQuantConfig, token_quantization_rmse
 from ..hardware.config import LightNobelConfig
 from ..sim.session import SimulationSession
 from ..ppm.config import PPMConfig
 from ..ppm.model import ProteinStructureModel
-from ..ppm.quantized import AAQScheme, QuantizedPPM
+from ..ppm.quantized import QuantizedPPM
 from ..metrics.tm_score import tm_score_structures
 from ..proteins.structure import ProteinStructure
 
@@ -98,8 +99,7 @@ def _qdse_point_tm(aaq: AAQConfig) -> float:
     """
     ppm_config, seed, targets = _QDSE_WORKER_CONTEXT["sweep"]
     model = _qdse_worker_model(ppm_config, seed)
-    scheme = AAQScheme(aaq)
-    quantized = QuantizedPPM(model, scheme)
+    quantized = QuantizedPPM(model, lightnobel_aaq(aaq))
     scores = [
         tm_score_structures(quantized.predict(target).structure, target)
         for target in targets
@@ -132,8 +132,7 @@ class QuantizationDSE:
             if aaq is None:
                 prediction = self.model.predict_from_structure(target)
             else:
-                scheme = AAQScheme(aaq)
-                prediction = QuantizedPPM(self.model, scheme).predict(target)
+                prediction = QuantizedPPM(self.model, lightnobel_aaq(aaq)).predict(target)
             scores.append(tm_score_structures(prediction.structure, target))
         return float(np.mean(scores))
 

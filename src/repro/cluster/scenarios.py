@@ -233,7 +233,7 @@ def scenario_suite(
     num_workers: int = 4,
     slo_target: float = 0.99,
 ) -> Tuple[ClusterScenario, ...]:
-    """The three pinned scenarios the golden tests (and CI smoke) replay."""
+    """The three pinned scenarios the golden tests replay."""
     trace = scenario_trace(seed=seed)
     faults = scenario_faults(num_workers, trace.duration_seconds, seed=seed)
     admission, autoscaler = scenario_controllers(num_workers, slo_target)
@@ -252,7 +252,7 @@ def scenario_suite(
 
 
 def named_scenario(name: str, **kwargs) -> ClusterScenario:
-    """Look up one pinned scenario by name (CLI/smoke entry point)."""
+    """Look up one pinned scenario by name."""
     suite = scenario_suite(**kwargs)
     for scenario in suite:
         if scenario.name == name:

@@ -10,6 +10,11 @@ per-group adaptation of precision and outlier handling (Section 4.2):
 with weights left unquantized at 16-bit fixed point.  These defaults are the
 optimum found by the paper's design-space exploration (Fig. 11); the
 exploration itself is reproduced in :mod:`repro.analysis.dse`.
+
+:class:`AAQQuantizer` applies a configuration through
+:func:`~repro.core.token_quant.fake_quantize_tokens`, and
+:func:`repro.core.schemes.lightnobel_aaq` wraps it as the scheme every model
+run uses (the Fig. 11 sweep and Fig. 13 included).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .._digest import config_digest as _config_digest
 from ..ppm.activation_tap import GROUP_A, GROUP_B, GROUP_C, GROUPS, TransformingContext
-from .token_quant import TokenQuantConfig, fake_quantize_tokens, packed_fake_quantize_tokens
+from .token_quant import TokenQuantConfig, fake_quantize_tokens
 
 #: Weight precision of LightNobel (16-bit fixed point, not quantized).
 WEIGHT_BITS = 16
@@ -103,31 +108,19 @@ class AAQConfig:
 
 
 class AAQQuantizer:
-    """Applies AAQ fake-quantization to activations, by group.
+    """Applies AAQ fake-quantization to activations, by group."""
 
-    ``use_packed=True`` routes every tap through the
-    :class:`~repro.core.token_quant.PackedQuantizedTensor` pack/unpack round
-    trip — the exact storage path of the hardware — instead of the fused
-    fake-quantization expression.  Both produce identical reconstructions;
-    the packed path is what the layout parity tests exercise end to end.
-    """
-
-    def __init__(self, config: Optional[AAQConfig] = None, use_packed: bool = False) -> None:
+    def __init__(self, config: Optional[AAQConfig] = None) -> None:
         self.config = config or AAQConfig.paper_optimal()
-        self.use_packed = use_packed
-
-    def _function(self) -> Callable[[np.ndarray, TokenQuantConfig], np.ndarray]:
-        return packed_fake_quantize_tokens if self.use_packed else fake_quantize_tokens
 
     def quantize(self, group: str, values: np.ndarray) -> np.ndarray:
         """Fake-quantize an activation tensor belonging to ``group``."""
-        return self._function()(values, self.config.config_for(group))
+        return fake_quantize_tokens(values, self.config.config_for(group))
 
     def transform_for(self, group: str) -> Callable[[np.ndarray], np.ndarray]:
         """A callable suitable for :class:`TransformingContext`."""
         group_config = self.config.config_for(group)
-        function = self._function()
-        return lambda values: function(values, group_config)
+        return lambda values: fake_quantize_tokens(values, group_config)
 
     def make_context(self, recorder=None) -> TransformingContext:
         """Build an activation context injecting AAQ at every tap point."""

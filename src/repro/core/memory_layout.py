@@ -8,13 +8,15 @@ scratchpad lines.
 
 The layout object below computes exact byte offsets, block packing and
 bandwidth utilization; the hardware simulator and the footprint models consume
-these numbers, and the tests assert the pack/unpack round trip is lossless.
+these numbers.  :func:`pack_packed_tensor` serializes a
+:class:`~repro.core.token_quant.PackedQuantizedTensor` in the Fig. 7 field
+order and :func:`unpack_packed_tensor` restores it losslessly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .token_quant import (
     INDEX_BITS,
     SCALE_BITS,
     PackedQuantizedTensor,
-    QuantizedToken,
     TokenQuantConfig,
 )
 
@@ -135,12 +136,13 @@ def pack_tokens_into_blocks(
 
 
 def pack_packed_tensor(packed: PackedQuantizedTensor) -> np.ndarray:
-    """Vectorized Fig. 7 serialization of a whole :class:`PackedQuantizedTensor`.
+    """Fig. 7 serialization of a whole :class:`PackedQuantizedTensor`.
 
-    Emits exactly the same flat array as :func:`pack_quantized_tokens` applied
-    to ``packed.to_tokens()`` — per token: inliers, outliers, the two scaling
-    factors, then the outlier indices — but in one ``hstack`` over the columnar
-    fields instead of a Python loop over tokens.
+    Per token, in order: inliers, outliers, the two scaling factors, then the
+    outlier indices, as one ``hstack`` over the columnar fields.  Values are
+    stored one float64 per field element (sub-byte fields are padded up),
+    which keeps the round trip exact; the *size accounting* used by the
+    experiments relies on :func:`token_layout`, not on this serializer.
     """
     rows = np.hstack(
         [
@@ -155,7 +157,7 @@ def pack_packed_tensor(packed: PackedQuantizedTensor) -> np.ndarray:
 
 
 def unpack_packed_tensor(flat: np.ndarray, template: PackedQuantizedTensor) -> PackedQuantizedTensor:
-    """Vectorized inverse of :func:`pack_packed_tensor` (layout from ``template``)."""
+    """Inverse of :func:`pack_packed_tensor` (layout from ``template``)."""
     num_tokens = template.num_tokens
     n_in = template.inlier_values.shape[-1]
     n_out = template.outlier_values.shape[-1]
@@ -177,59 +179,3 @@ def blocked_layout_for(packed: PackedQuantizedTensor, channel_bytes: int = 64) -
     return pack_tokens_into_blocks(
         packed.num_tokens, packed.config, packed.hidden_dim, channel_bytes=channel_bytes
     )
-
-
-def pack_quantized_tokens(tokens) -> np.ndarray:
-    """Serialize quantized tokens into a flat byte-granular array (for tests).
-
-    The serialization follows the Fig. 7 field order.  Values are stored one
-    byte per field element (sub-byte fields are padded up), which keeps the
-    round trip exact; the *size accounting* used by the experiments relies on
-    :func:`token_layout`, not on this test-oriented serializer.  Accepts a
-    :class:`PackedQuantizedTensor` (fast columnar path) or a sequence of
-    :class:`QuantizedToken` objects.
-    """
-    if isinstance(tokens, PackedQuantizedTensor):
-        return pack_packed_tensor(tokens)
-    parts: List[np.ndarray] = []
-    for token in tokens:
-        parts.append(np.asarray(token.inlier_values, dtype=np.float64))
-        parts.append(np.asarray(token.outlier_values, dtype=np.float64))
-        parts.append(np.asarray([token.scale, token.outlier_scale], dtype=np.float64))
-        parts.append(np.asarray(token.outlier_indices, dtype=np.float64))
-    if not parts:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(parts)
-
-
-def unpack_quantized_tokens(
-    packed: np.ndarray,
-    template: Sequence[QuantizedToken],
-) -> List[QuantizedToken]:
-    """Inverse of :func:`pack_quantized_tokens`, using tokens as layout templates."""
-    cursor = 0
-    restored: List[QuantizedToken] = []
-    for token in template:
-        n_in = token.inlier_values.size
-        n_out = token.outlier_values.size
-        inliers = packed[cursor:cursor + n_in]
-        cursor += n_in
-        outliers = packed[cursor:cursor + n_out]
-        cursor += n_out
-        scale, outlier_scale = packed[cursor:cursor + 2]
-        cursor += 2
-        indices = packed[cursor:cursor + n_out].astype(np.int64)
-        cursor += n_out
-        restored.append(
-            QuantizedToken(
-                inlier_values=inliers,
-                inlier_indices=token.inlier_indices,
-                outlier_values=outliers,
-                outlier_indices=indices,
-                scale=float(scale),
-                outlier_scale=float(outlier_scale),
-                hidden_dim=token.hidden_dim,
-                config=token.config,
-            )
-        )
-    return restored

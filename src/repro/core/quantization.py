@@ -106,14 +106,57 @@ def fake_quantize_channelwise(values: np.ndarray, bits: int) -> np.ndarray:
     return reconstructed.reshape(values.shape)
 
 
+def _abs_row_max(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``max |x|`` of every row of ``flat``, by the cheapest pass for its width.
+
+    numpy reduces a narrow last axis slowly (one short inner loop per row), so
+    rows up to 16 wide fold column by column; up to 256 wide take one ``abs``
+    pass into ``scratch`` and reduce it; wider rows reduce ``max`` and
+    ``min`` directly with no ``abs`` pass (faster from about 256 columns on,
+    slower below).  ``max`` is exact, so all three equal
+    ``np.abs(flat).max(-1)`` up to the sign of a zero maximum, which
+    :func:`symmetric_scale` clamps to the same ``1e-12`` floor.
+    """
+    width = flat.shape[-1]
+    if width <= 16:
+        column = np.abs(flat[:, 0])
+        row_max = column.copy()
+        for j in range(1, width):
+            np.abs(flat[:, j], out=column)
+            np.maximum(row_max, column, out=row_max)
+        return row_max
+    if width < 256:
+        return np.abs(flat, out=scratch).max(axis=-1)
+    return np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
+
+
+def _scale_round(values: np.ndarray, scales: np.ndarray, out: np.ndarray) -> None:
+    """``out = round(values / scales) * scales``, one element at a time.
+
+    No clip: every ``|x| <= M`` and ``s = max(M, 1e-12) / qmax``, so
+    ``|x / s|`` exceeds ``qmax`` by at most a few ulps and rounds to at most
+    ``qmax``.
+    """
+    np.divide(values, scales, out=out)
+    np.round(out, out=out)
+    np.multiply(out, scales, out=out)
+
+
 def fake_quantize_tokenwise(values: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize/dequantize with one scaling factor per token (last-axis vector)."""
+    """Quantize/dequantize with one scaling factor per token (last-axis vector).
+
+    The one token-wise pass without outliers: each token's maximum magnitude
+    sets its scale, and every element is divided, rounded and multiplied back
+    into the returned buffer, which is also the scratch of the maximum.  The
+    transient peak, the result included, is about 1x the bytes of the float
+    input.  :func:`~repro.core.token_quant.fake_quantize_tokens` runs its
+    ``k == 0`` and ``k >= H`` cases through here.
+    """
     values = float_values(values)
     flat = values.reshape(-1, values.shape[-1])
-    max_abs = np.max(np.abs(flat), axis=-1, keepdims=True)
-    scale = symmetric_scale(max_abs, bits, values.dtype)
-    reconstructed = dequantize_values(quantize_values(flat, scale, bits), scale)
-    return reconstructed.reshape(values.shape)
+    out = np.empty(flat.shape, dtype=flat.dtype)
+    _scale_round(flat, symmetric_scale(_abs_row_max(flat, out), bits, flat.dtype)[:, None], out)
+    return out.reshape(values.shape)
 
 
 GRANULARITY_FUNCTIONS = {

@@ -9,16 +9,28 @@ quantized independently with
   token are carved out and stored separately at INT16 precision (the paper's
   top-k selection, implemented in hardware by the VVPU's bitonic sorter),
 * **uniform symmetric quantization** of the remaining inliers at INT4/INT8.
+
+The fold quantizes through :func:`fake_quantize_tokens`, which returns the
+reconstruction without building the stored form.  The stored form is
+:class:`PackedQuantizedTensor`, the Fig. 7 layout as one array per field,
+which :mod:`repro.core.memory_layout` serializes.  Both pick outliers with
+:func:`outlier_positions`, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quantization import dequantize_values, float_values, quantize_values, symmetric_scale
+from .quantization import (
+    _scale_round,
+    dequantize_values,
+    fake_quantize_tokenwise,
+    float_values,
+    quantize_values,
+    symmetric_scale,
+)
 
 #: Precision used for outlier values (paper: INT16 to minimize information loss).
 OUTLIER_BITS = 16
@@ -73,50 +85,16 @@ class TokenQuantConfig:
         return (hidden_dim * baseline_bits) / self.bits_per_token(hidden_dim)
 
 
-@dataclass
-class QuantizedToken:
-    """One token in the packed representation of Fig. 7."""
-
-    inlier_values: np.ndarray      # signed integers on the inlier grid
-    inlier_indices: np.ndarray     # positions of inliers within the token
-    outlier_values: np.ndarray     # INT16-grid integers for outliers
-    outlier_indices: np.ndarray    # positions of outliers within the token
-    scale: float                   # per-token scaling factor (inliers)
-    outlier_scale: float           # scaling factor for the outlier grid
-    hidden_dim: int
-    config: TokenQuantConfig
-
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the token vector."""
-        token = np.zeros(self.hidden_dim, dtype=np.float64)
-        token[self.inlier_indices] = dequantize_values(self.inlier_values, self.scale)
-        if self.outlier_indices.size:
-            token[self.outlier_indices] = dequantize_values(self.outlier_values, self.outlier_scale)
-        return token
-
-    def bits(self) -> float:
-        return self.config.bits_per_token(self.hidden_dim)
-
-
 def outlier_positions(magnitudes: np.ndarray, count: int) -> np.ndarray:
     """Unsorted positions of the ``count`` largest ``magnitudes`` along the last axis.
 
-    The module's one top-k selection: :func:`select_outliers`,
-    :meth:`PackedQuantizedTensor.pack` and the tied rows of
-    :func:`fake_quantize_tokens` all call it, so they agree on which of
-    several equal magnitudes become outliers.  Rows are selected
+    The module's one top-k selection: :meth:`PackedQuantizedTensor.pack` and
+    the tied rows of :func:`fake_quantize_tokens` both call it, so they agree
+    on which of several equal magnitudes become outliers.  Rows are selected
     independently, so a subset of rows selects as it would in the full array.
     Requires ``0 < count <= magnitudes.shape[-1]``.
     """
     return np.argpartition(magnitudes, -count, axis=-1)[..., -count:]
-
-
-def select_outliers(token: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest-magnitude values of ``token`` (top-k)."""
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-    count = min(count, token.size)
-    return outlier_positions(np.abs(token), count)
 
 
 @dataclass
@@ -124,9 +102,9 @@ class PackedQuantizedTensor:
     """A batch of quantized tokens in struct-of-arrays (columnar) layout.
 
     The per-token representation of Fig. 7 stored as one array per field:
-    row ``i`` of every array describes token ``i``.  ``pack`` replaces the
-    per-token Python loop of :func:`quantize_tokens` with batched array
-    operations; ``unpack`` is the vectorized inverse.  All tokens share one
+    row ``i`` of every array describes token ``i``.  ``pack`` quantizes every
+    token in one batched pass; ``unpack`` is its inverse, and equals
+    :func:`fake_quantize_tokens` on the packed tokens.  All tokens share one
     :class:`TokenQuantConfig`, so the field shapes are rectangular:
     ``(num_tokens, hidden_dim - k)`` inliers and ``(num_tokens, k)`` outliers,
     where ``k = min(outlier_count, hidden_dim)``.
@@ -145,9 +123,9 @@ class PackedQuantizedTensor:
     def pack(cls, tokens: np.ndarray, config: TokenQuantConfig) -> "PackedQuantizedTensor":
         """Quantize a 2-D array of tokens (rows are tokens) in one batched pass.
 
-        Numerically identical to applying :func:`quantize_token` row by row:
-        the same top-k selection, the same per-token scaling factors and the
-        same integer grids, just computed with axis-wise array operations.
+        Each token's k largest magnitudes (:func:`outlier_positions`, stored in
+        ascending position order) go on the outlier grid with their own scale;
+        the rest go on the inlier grid, scaled by the largest inlier magnitude.
         float32 tokens are quantized in float32 (scales and grid values
         included); other non-float64 input is quantized as float64.
         """
@@ -218,125 +196,6 @@ class PackedQuantizedTensor:
         """Total packed size of the batch in bits (Fig. 7 layout accounting)."""
         return self.num_tokens * self.config.bits_per_token(self.hidden_dim)
 
-    # ---------------------------------------------------------- compatibility
-    def token(self, index: int) -> QuantizedToken:
-        """The ``index``-th token as a per-token :class:`QuantizedToken` view."""
-        return QuantizedToken(
-            inlier_values=self.inlier_values[index],
-            inlier_indices=self.inlier_indices[index],
-            outlier_values=self.outlier_values[index],
-            outlier_indices=self.outlier_indices[index],
-            scale=float(self.scales[index]),
-            outlier_scale=float(self.outlier_scales[index]),
-            hidden_dim=self.hidden_dim,
-            config=self.config,
-        )
-
-    def to_tokens(self) -> List[QuantizedToken]:
-        """Materialize the legacy list-of-tokens representation."""
-        return [self.token(i) for i in range(self.num_tokens)]
-
-    @classmethod
-    def from_tokens(cls, tokens: List[QuantizedToken]) -> "PackedQuantizedTensor":
-        """Build the columnar layout from per-token objects (inverse of ``to_tokens``)."""
-        if not tokens:
-            raise ValueError("from_tokens requires at least one token")
-        first = tokens[0]
-        return cls(
-            inlier_values=np.stack([t.inlier_values for t in tokens]),
-            inlier_indices=np.stack([t.inlier_indices for t in tokens]),
-            outlier_values=np.stack([t.outlier_values for t in tokens]),
-            outlier_indices=np.stack([t.outlier_indices for t in tokens]),
-            scales=np.array([t.scale for t in tokens], dtype=np.float64),
-            outlier_scales=np.array([t.outlier_scale for t in tokens], dtype=np.float64),
-            hidden_dim=first.hidden_dim,
-            config=first.config,
-        )
-
-
-def quantize_token(token: np.ndarray, config: TokenQuantConfig) -> QuantizedToken:
-    """Quantize a single token vector with dynamic outlier handling.
-
-    Computes in the token's float precision, like :meth:`PackedQuantizedTensor.pack`.
-    """
-    token = float_values(token).reshape(-1)
-    hidden_dim = token.size
-    outlier_indices = np.sort(select_outliers(token, config.outlier_count))
-    mask = np.ones(hidden_dim, dtype=bool)
-    mask[outlier_indices] = False
-    inlier_indices = np.nonzero(mask)[0]
-
-    inliers = token[inlier_indices]
-    outliers = token[outlier_indices]
-
-    inlier_max = np.max(np.abs(inliers)) if inliers.size else 0.0
-    outlier_max = np.max(np.abs(outliers)) if outliers.size else 0.0
-    inlier_scale = float(symmetric_scale(inlier_max, config.inlier_bits, token.dtype))
-    outlier_scale = float(symmetric_scale(outlier_max, config.outlier_bits, token.dtype))
-    return QuantizedToken(
-        inlier_values=quantize_values(inliers, inlier_scale, config.inlier_bits),
-        inlier_indices=inlier_indices,
-        outlier_values=quantize_values(outliers, outlier_scale, config.outlier_bits),
-        outlier_indices=outlier_indices,
-        scale=inlier_scale,
-        outlier_scale=outlier_scale,
-        hidden_dim=hidden_dim,
-        config=config,
-    )
-
-
-def quantize_tokens_packed(tokens: np.ndarray, config: TokenQuantConfig) -> PackedQuantizedTensor:
-    """Quantize a 2-D array of tokens into the columnar packed layout."""
-    return PackedQuantizedTensor.pack(tokens, config)
-
-
-def quantize_tokens(tokens: np.ndarray, config: TokenQuantConfig) -> List[QuantizedToken]:
-    """Quantize a 2-D array of tokens (rows are tokens).
-
-    The quantization itself runs through the batched
-    :meth:`PackedQuantizedTensor.pack`; only the returned per-token views are
-    materialized as objects, for callers that want the legacy list API.
-    """
-    return PackedQuantizedTensor.pack(tokens, config).to_tokens()
-
-
-def packed_fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.ndarray:
-    """Token-wise fake quantization through the packed pack/unpack round trip.
-
-    Produces the same reconstruction as :func:`fake_quantize_tokens` but by
-    exercising the exact storage path of the hardware (top-k split, per-token
-    scales, integer grids, scatter-based reassembly), which is what the
-    packed-layout parity tests and the packed AAQ contexts run.
-    """
-    values = float_values(values)
-    original_shape = values.shape
-    flat = values.reshape(-1, original_shape[-1])
-    return PackedQuantizedTensor.pack(flat, config).unpack().reshape(original_shape)
-
-
-def _abs_row_max(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``max |x|`` of every row of ``flat``, by the cheapest pass for its width.
-
-    numpy reduces a narrow last axis slowly (one short inner loop per row), so
-    rows up to 16 wide fold column by column; up to 256 wide take one ``abs``
-    pass into ``scratch`` and reduce it; wider rows reduce ``max`` and
-    ``min`` directly with no ``abs`` pass (faster from about 256 columns on,
-    slower below).  ``max`` is exact, so all three equal
-    ``np.abs(flat).max(-1)`` up to the sign of a zero maximum, which
-    :func:`symmetric_scale` clamps to the same ``1e-12`` floor.
-    """
-    width = flat.shape[-1]
-    if width <= 16:
-        column = np.abs(flat[:, 0])
-        row_max = column.copy()
-        for j in range(1, width):
-            np.abs(flat[:, j], out=column)
-            np.maximum(row_max, column, out=row_max)
-        return row_max
-    if width < 256:
-        return np.abs(flat, out=scratch).max(axis=-1)
-    return np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
-
 
 #: Values per row block of the outlier path: 128 KiB of float64 (64 KiB of
 #: float32), so a block's partition, mask and scale buffers stay
@@ -396,24 +255,13 @@ def _requantize_tied(flat: np.ndarray, rows: np.ndarray, count: int, config: Tok
     out[rows] = values
 
 
-def _scale_round(values: np.ndarray, scales: np.ndarray, out: np.ndarray) -> None:
-    """``out = round(values / scales) * scales``, one element at a time.
-
-    No clip: every ``|x| <= M`` and ``s = max(M, 1e-12) / qmax``, so
-    ``|x / s|`` exceeds ``qmax`` by at most a few ulps and rounds to at most
-    ``qmax``.
-    """
-    np.divide(values, scales, out=out)
-    np.round(out, out=out)
-    np.multiply(out, scales, out=out)
-
-
 def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.ndarray:
     """Vectorized token-wise fake quantization with top-k outlier handling.
 
-    Equivalent to ``quantize_token`` + ``dequantize`` applied to every token of
-    ``values`` (tokens are vectors along the last axis), but implemented with
-    array operations so it can be injected into the PPM forward pass cheaply.
+    Equals ``PackedQuantizedTensor.pack(tokens, config).unpack()`` on the
+    tokens of ``values`` (vectors along the last axis) byte for byte, without
+    building the stored form, so it can be injected into the PPM forward pass
+    cheaply.
 
     Every element is divided by its token's grid step (the inlier scale, or
     the outlier scale at the token's top-k positions), rounded and multiplied
@@ -421,9 +269,11 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
     float32 values give a float32 result with float32 steps, float64 values
     a float64 one, and integer or bool values are quantized as float64.
     Without outliers (``k == 0``, or ``k >= H`` where every value is an
-    outlier) the step is one per token and the transient peak, the returned
-    array included, is about 1x the bytes of the float input (1.09x float64,
-    1.16x float32 for a (9216, 32) pair tensor).  With outliers
+    outlier) the step is one per token: this is
+    :func:`~repro.core.quantization.fake_quantize_tokenwise` at the inlier
+    (or outlier) precision, whose transient peak, the returned array
+    included, is about 1x the bytes of the float input (1.09x float64, 1.16x
+    float32 for a (9216, 32) pair tensor).  With outliers
     (``0 < k < H``) the tokens go through in row blocks of about 16384
     values, each with its own top-k partition, outlier mask and per-element
     steps, so the peak is 1x plus a few block-sized buffers: 1.24x (float64)
@@ -435,27 +285,24 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
     formulation bit for bit, at both precisions.  ``values`` is never written.
     """
     values = float_values(values)
-    original_shape = values.shape
-    flat = values.reshape(-1, original_shape[-1])
-    hidden_dim = flat.shape[-1]
+    hidden_dim = values.shape[-1]
     count = min(config.outlier_count, hidden_dim)
+    if not 0 < count < hidden_dim:
+        return fake_quantize_tokenwise(values, config.outlier_bits if count else config.inlier_bits)
 
+    flat = values.reshape(-1, hidden_dim)
     out = np.empty(flat.shape, dtype=flat.dtype)
-    if 0 < count < hidden_dim:
-        rows = max(_OUTLIER_BLOCK_VALUES // hidden_dim, 1)
-        tied = []
-        for start in range(0, flat.shape[0], rows):
-            block = slice(start, start + rows)
-            scales, block_tied = _element_scales(flat[block], count, config)
-            _scale_round(flat[block], scales, out[block])
-            if block_tied.size:
-                tied.append(block_tied + start)
-        if tied:
-            _requantize_tied(flat, np.concatenate(tied), count, config, out)
-    else:
-        bits = config.outlier_bits if count else config.inlier_bits
-        _scale_round(flat, symmetric_scale(_abs_row_max(flat, out), bits, flat.dtype)[:, None], out)
-    return out.reshape(original_shape)
+    rows = max(_OUTLIER_BLOCK_VALUES // hidden_dim, 1)
+    tied = []
+    for start in range(0, flat.shape[0], rows):
+        block = slice(start, start + rows)
+        scales, block_tied = _element_scales(flat[block], count, config)
+        _scale_round(flat[block], scales, out[block])
+        if block_tied.size:
+            tied.append(block_tied + start)
+    if tied:
+        _requantize_tied(flat, np.concatenate(tied), count, config, out)
+    return out.reshape(values.shape)
 
 
 def token_quantization_rmse(values: np.ndarray, config: TokenQuantConfig) -> float:

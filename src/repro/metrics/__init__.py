@@ -1,8 +1,8 @@
-"""Structure-quality and quantization-error metrics."""
+"""Structure-quality metrics."""
 
 from .gdt import gdt_ts, lddt
 from .kabsch import Superposition, kabsch, superpose
-from .rmsd import distance_rmse, quantization_rmse, rmsd
+from .rmsd import distance_rmse, rmsd
 from .tm_score import d0_from_length, tm_score, tm_score_structures
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "gdt_ts",
     "kabsch",
     "lddt",
-    "quantization_rmse",
     "rmsd",
     "superpose",
     "tm_score",

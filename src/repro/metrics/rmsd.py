@@ -32,11 +32,3 @@ def distance_rmse(predicted_distances: np.ndarray, reference_distances: np.ndarr
     diff = predicted_distances - reference_distances
     return float(np.sqrt(np.mean(diff * diff)))
 
-
-def quantization_rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """RMSE between an activation tensor and its quantize/dequantize round trip."""
-    original = np.asarray(original, dtype=np.float64)
-    reconstructed = np.asarray(reconstructed, dtype=np.float64)
-    if original.shape != reconstructed.shape:
-        raise ValueError("original and reconstructed must have the same shape")
-    return float(np.sqrt(np.mean((original - reconstructed) ** 2)))

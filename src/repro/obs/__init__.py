@@ -15,8 +15,6 @@ layer wires into rather than reinventing:
 * :mod:`repro.obs.timeline` — :class:`TimelineRecorder`: the cluster DES
   event stream captured via ``replay_trace(timeline=...)`` and exported as
   Chrome trace-event / Perfetto JSON, without perturbing bit-determinism.
-
-``python -m repro.obs.smoke`` exercises all three end to end.
 """
 
 from .metrics import (

@@ -1,11 +1,12 @@
 """Running the PPM under an activation-quantization scheme.
 
-Ties a :class:`~repro.core.schemes.QuantizationScheme` (or a raw AAQ config)
-to a :class:`~repro.ppm.model.ProteinStructureModel`: activations are
+Ties a :class:`~repro.core.schemes.QuantizationScheme` to a
+:class:`~repro.ppm.model.ProteinStructureModel`: activations are
 fake-quantized at every tap point of the Pair-Representation dataflow and, for
 weight-quantizing baselines (MEFold, Tender, ...), the model weights are
 fake-quantized once up front.  This is the machinery behind the accuracy
-experiments (Fig. 11 and Fig. 13).
+experiments (Fig. 11 and Fig. 13); a bare AAQ configuration runs as
+``lightnobel_aaq(config)``.
 """
 
 from __future__ import annotations
@@ -21,30 +22,6 @@ from ..proteins.structure import ProteinStructure
 from .activation_tap import ActivationRecorder
 from .config import PPMConfig
 from .model import PredictionResult, ProteinStructureModel
-
-
-class AAQScheme:
-    """Adapter running a raw AAQ configuration as a quantization scheme.
-
-    Used by the DSE sweeps and the packed-layout accuracy tests, where a bare
-    :class:`~repro.core.aaq.AAQConfig` (rather than a full Table 1 scheme) is
-    what varies.  ``use_packed=True`` injects quantization through the
-    :class:`~repro.core.token_quant.PackedQuantizedTensor` pack/unpack round
-    trip, i.e. the exact packed memory layout of the hardware.
-    """
-
-    weight_quant_bits = None
-
-    def __init__(self, config=None, use_packed: bool = False) -> None:
-        from ..core.aaq import AAQConfig, AAQQuantizer
-
-        self.config = config or AAQConfig.paper_optimal()
-        self.use_packed = use_packed
-        self.name = "AAQ (packed)" if use_packed else "AAQ"
-        self._quantizer = AAQQuantizer(self.config, use_packed=use_packed)
-
-    def make_context(self, recorder: Optional[ActivationRecorder] = None):
-        return self._quantizer.make_context(recorder)
 
 
 @dataclass

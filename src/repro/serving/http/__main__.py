@@ -1,7 +1,7 @@
 """Standalone front-door server: ``python -m repro.serving.http``.
 
 Prints ``listening <host> <port>`` once the socket is bound (the subprocess
-tests and the smoke parse this line), serves until SIGTERM/SIGINT, then
+tests parse this line), serves until SIGTERM/SIGINT, then
 drains — every in-flight ticket fulfills, clients get a claim grace window —
 and prints ``drain <json report>`` before exiting 0.  A drain report with
 ``"unfulfilled": 0`` is the clean-shutdown contract.

@@ -92,6 +92,7 @@ from ..wire import (
     SCHEMA_VERSION,
     ErrorBody,
     WireFormatError,
+    _parse_json,
     backend_stats_to_dict,
     capacity_report_to_dict,
     request_log_to_json,
@@ -275,7 +276,7 @@ class LatencyFrontDoor:
 
         The report's contract: ``unfulfilled`` counts tickets that never got
         a response (0 on a clean drain — the "zero dropped tickets"
-        invariant the smoke pins), ``unclaimed`` counts fulfilled responses
+        invariant the tests pin), ``unclaimed`` counts fulfilled responses
         no client collected within the claim grace window.
         """
         if self._drain_report is not None:
@@ -610,7 +611,7 @@ class LatencyFrontDoor:
         )
 
     def _handle_batch(self, request: _HttpRequest) -> _Response:
-        payload = json.loads(request.body.decode("utf-8")) if request.body else None
+        payload = _parse_json(request.body, "batch body")
         if not isinstance(payload, dict) or not isinstance(payload.get("requests"), list):
             raise WireFormatError(
                 "invalid_field", 'batch body must be {"requests": [LatencyRequest, ...]}'
@@ -811,7 +812,7 @@ def create_front_door(**kwargs: Any) -> LatencyFrontDoor:
 
 # ------------------------------------------------------------ thread embedding
 class FrontDoorHandle:
-    """A front door running on its own event-loop thread (tests, loadgen, smoke)."""
+    """A front door running on its own event-loop thread (tests, loadgen)."""
 
     def __init__(
         self, door: LatencyFrontDoor, loop: asyncio.AbstractEventLoop, thread: threading.Thread

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -47,27 +46,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-sim"
-
-
-@contextmanager
-def sandbox_cache_dir(path: Path | str):
-    """Point ``CACHE_DIR_ENV`` at ``path`` for the duration of the block.
-
-    Covers every cache consumer inside the block — sessions, services and
-    any child process (which inherits the environment) — and restores the
-    previous value on exit.  The CI smoke entry points use
-    this so nothing writes cache state into the runner workspace or home;
-    the test suite's conftest applies the same sandbox session-wide.
-    """
-    previous = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(path)
-    try:
-        yield Path(path)
-    finally:
-        if previous is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = previous
 
 
 class DiskCache:

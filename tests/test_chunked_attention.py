@@ -19,7 +19,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_quant import packed_aaq_context
 
+from repro.core import lightnobel_aaq
 from repro.metrics.tm_score import tm_score_structures
 from repro.ppm import (
     FoldingBlock,
@@ -34,7 +36,7 @@ from repro.ppm import (
 )
 from repro.ppm.activation_tap import NULL_CONTEXT, ActivationRecorder
 from repro.ppm.chunking import context_observes_taps
-from repro.ppm.quantized import AAQScheme, QuantizedPPM
+from repro.ppm.quantized import QuantizedPPM
 
 #: Repo-wide parity bar (absolute, on unit-scale activations).
 TOL = 1e-9
@@ -62,10 +64,7 @@ def sequence(tiny_config, rng) -> np.ndarray:
 
 def quantized_contexts():
     """Fresh AAQ contexts (fused and packed-layout) for one forward pass."""
-    return [
-        AAQScheme().make_context(),
-        AAQScheme(use_packed=True).make_context(),
-    ]
+    return [lightnobel_aaq().make_context(), packed_aaq_context()]
 
 
 # ---------------------------------------------------------------- helpers
@@ -232,7 +231,7 @@ def test_outer_product_mean_row_blocks_halve_peak_memory():
         module = OuterProductMean(
             config.with_chunking(attn_chunk_size=chunk), np.random.default_rng(13)
         )
-        ctx = AAQScheme().make_context()
+        ctx = lightnobel_aaq().make_context()
         tracemalloc.start()
         try:
             module(sequence, ctx)
@@ -312,11 +311,13 @@ def test_quantized_model_parity(tiny_config, tiny_protein):
     """The accuracy experiments see identical numbers with chunking enabled."""
     dense_model = ProteinStructureModel(tiny_config, seed=0)
     tiled_model = ProteinStructureModel(with_chunks(tiny_config, 7), seed=0)
-    for use_packed in (False, True):
-        dense_quantized = QuantizedPPM(dense_model, AAQScheme(use_packed=use_packed))
-        tiled_quantized = QuantizedPPM(tiled_model, AAQScheme(use_packed=use_packed))
-        dense_prediction = dense_quantized.predict(tiny_protein)
-        tiled_prediction = tiled_quantized.predict(tiny_protein)
+    predictions = [
+        (QuantizedPPM(dense_model, lightnobel_aaq()).predict(tiny_protein),
+         QuantizedPPM(tiled_model, lightnobel_aaq()).predict(tiny_protein)),
+        (dense_model.predict_from_structure(tiny_protein, ctx=packed_aaq_context()),
+         tiled_model.predict_from_structure(tiny_protein, ctx=packed_aaq_context())),
+    ]
+    for dense_prediction, tiled_prediction in predictions:
         np.testing.assert_allclose(
             tiled_prediction.predicted_distances,
             dense_prediction.predicted_distances,

@@ -413,9 +413,10 @@ class TestMultiChipAndFleet:
 # ------------------------------------------------------------------- replay
 class TestReplayDeterminism:
     def test_same_seed_same_report_bitwise(self, pinned_times):
-        first = pinned_replay("edf", pinned_times)
-        again = pinned_replay("edf", pinned_times)
-        assert first == again  # dataclass equality: every field, bit-for-bit
+        for policy in ("fifo", "edf"):
+            first = pinned_replay(policy, pinned_times)
+            again = pinned_replay(policy, pinned_times)
+            assert first == again  # dataclass equality: every field, bit-for-bit
 
     def test_report_survives_trace_regeneration(self, pinned_times):
         # Not just replay determinism: regenerating the trace from the seed
@@ -932,11 +933,13 @@ class TestServingLogRoundTrip:
         trace = RequestTrace.from_serving_log(records)
         assert len(trace) == 4
         assert sorted(trace.lengths()) == [24, 24, 40, 40]
+        assert trace.config_digest() == RequestTrace.from_serving_log(records).config_digest()
         fleet = FleetSpec.homogeneous("h100-chunk", 2)
         times = prefetch_service_times(trace, fleet, session=tiny_session)
         first = replay_trace(trace, fleet, scheduler="edf", service_times=times)
         again = replay_trace(trace, fleet, scheduler="edf", service_times=times)
         assert first == again  # bit-identical, every field
+        assert first.completed == first.requests == 4
 
 
 class TestLogTraceProperties:

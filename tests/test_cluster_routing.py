@@ -28,11 +28,14 @@ from repro.cluster import (
     create_router,
     mixed_fleet_experiment,
     mixed_fleet_trace,
+    prefetch_service_times,
     replay_trace,
     small_memory_gpu,
 )
 from repro.cluster.routing import group_infos, router_name
 from repro.cluster.scenarios import MIXED_FLEET_SLO
+from repro.ppm import PPMConfig
+from repro.sim import SimulationSession
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -259,6 +262,26 @@ class TestRoutedReplay:
         first = replay_trace(trace, fleet, service_times=times, router="cost-greedy")
         again = replay_trace(trace, fleet, service_times=times, router="cost-greedy")
         assert first == again
+
+    def test_cost_greedy_serves_the_long_tail_a_mixed_fleet_oom_drops(self):
+        """Simulated service times: routed, every request completes with no OOM
+        drop and every group works; unrouted, the 512-residue tail OOM-drops."""
+        trace = mixed_fleet_trace(seed=11, rate_rps=15.0, num_requests=80)
+        fleet = FleetSpec(
+            groups=(
+                WorkerGroup(backend="h100-chunk", count=1),
+                WorkerGroup(backend=small_memory_gpu(), count=2, cost_per_hour=2.05),
+            ),
+            name="hetero",
+        )
+        session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+        times = prefetch_service_times(trace, fleet, session=session)
+        kwargs = dict(scheduler="edf", service_times=times)
+        routed = replay_trace(trace, fleet, router="cost-greedy", **kwargs)
+        assert routed == replay_trace(trace, fleet, router="cost-greedy", **kwargs)
+        assert routed.oom_dropped == 0 and routed.completed == routed.requests
+        assert min(routed.utilization.values()) > 0.0
+        assert replay_trace(trace, fleet, **kwargs).oom_dropped > 0
 
     def test_per_group_autoscaler_with_router_completes_the_burst(self):
         trace = micro_trace([0.005 * i for i in range(40)], length=32)

@@ -5,15 +5,15 @@ import pytest
 
 from repro.core import (
     GroupThresholds,
+    PackedQuantizedTensor,
     TokenQuantConfig,
     classification_agreement,
     classify_records,
     group_statistics,
-    pack_quantized_tokens,
+    pack_packed_tensor,
     pack_tokens_into_blocks,
-    quantize_tokens,
     token_layout,
-    unpack_quantized_tokens,
+    unpack_packed_tensor,
 )
 from repro.ppm.activation_tap import GROUP_A, GROUP_B, GROUP_C, ActivationRecord
 
@@ -101,8 +101,6 @@ class TestMemoryLayout:
     def test_pack_unpack_roundtrip(self, rng):
         tokens = rng.normal(size=(6, 32)) * 5
         config = TokenQuantConfig(inlier_bits=8, outlier_count=2)
-        quantized = quantize_tokens(tokens, config)
-        packed = pack_quantized_tokens(quantized)
-        restored = unpack_quantized_tokens(packed, quantized)
-        for original, back in zip(quantized, restored):
-            assert np.allclose(original.dequantize(), back.dequantize())
+        quantized = PackedQuantizedTensor.pack(tokens, config)
+        restored = unpack_packed_tensor(pack_packed_tensor(quantized), quantized)
+        assert np.array_equal(quantized.unpack(), restored.unpack())

@@ -360,12 +360,25 @@ class TestTracedService:
                 LatencyRequest(sequence_length=24, trace_id="client-1"),
                 LatencyRequest(sequence_length=24, trace_id="client-2"),
                 LatencyRequest(sequence_length=32),
+                LatencyRequest(backend="h100-chunk", sequence_length=48),
             ]
         )
         with service:
             responses = [service.result(t, timeout=TIMEOUT) for t in tickets]
         for response in responses:
             response.raise_for_error()
+        # Every trace is one request span over queue-wait, execution and fulfill.
+        for key in ("client-1", "client-2", tickets[2], tickets[3]):
+            tree = tracer.to_dict(key)["tree"]
+            assert len(tree) == 1 and len(tree[0]["children"]) == 3
+        # The latency histogram, summed over its backend labels, counts every request.
+        families = prom.parse(prom.render(service.stats.metrics_registry()))
+        assert "repro_serving_requests_completed_total" in families
+        histogram = families["repro_serving_request_duration_seconds"]
+        observed = sum(
+            int(sample.value) for sample in histogram.samples if sample.name.endswith("_count")
+        )
+        assert observed == service.stats.completed == len(tickets)
 
         first = tracer.to_dict("client-1")
         names = [span["name"] for span in first["spans"]]
@@ -380,7 +393,8 @@ class TestTracedService:
         exec_names = {span["name"] for span in second["spans"]}
         assert "coalesce" in exec_names  # the duplicate attached, not re-ran
 
-        # The untraced request is keyed by its ticket ID.
+        # The untraced requests are keyed by their ticket IDs.
+        assert [key for key in tracer.trace_keys() if isinstance(key, int)] == tickets[2:]
         assert tracer.find(str(tickets[2])) == tickets[2]
         untraced = tracer.to_dict(tickets[2])
         assert untraced["spans"][0]["name"] == "request"
@@ -600,6 +614,8 @@ class TestTimelineBitIdentity:
         )
         assert baseline == traced
         counts = recorder.event_counts()
+        assert counts["arrival"] == counts["complete"] == len(trace)
+        assert counts["dispatch"] == len(trace) + 1  # the crash victim runs twice
         assert counts["crash"] == counts["recover"] == 1
         assert counts["abort"] == counts["retry"] == 1
 

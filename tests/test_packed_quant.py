@@ -1,17 +1,25 @@
-"""Property tests for the batched packed-quantization path (SoA layout).
+"""Property tests for the packed quantization store (SoA layout, Fig. 7).
 
 Required parity properties:
 
-* ``quantize_token`` + ``dequantize`` applied row-wise equals
-  ``fake_quantize_tokens`` on the same array,
-* ``PackedQuantizedTensor.unpack(pack(x))`` matches the per-token path
-  bit-for-bit — including ``outlier_count >= hidden_dim`` and all-zero tokens.
+* ``PackedQuantizedTensor.pack`` equals the per-token reference
+  (``tests/reference_quant.py``) field for field, row by row, and its
+  ``unpack`` equals ``fake_quantize_tokens`` on the same array byte for
+  byte — including ``outlier_count >= hidden_dim`` and all-zero tokens,
+* an AAQ fold whose taps go through ``pack(...).unpack()`` predicts the
+  coordinates of the fused quantizer.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from reference_quant import (
+    assert_packed_row_equals,
+    packed_aaq_context,
+    packed_fake_quantize,
+    reference_quantize_token,
+)
 
 from repro.core import (
     PackedQuantizedTensor,
@@ -19,12 +27,7 @@ from repro.core import (
     blocked_layout_for,
     fake_quantize_tokens,
     pack_packed_tensor,
-    pack_quantized_tokens,
     pack_tokens_into_blocks,
-    packed_fake_quantize_tokens,
-    quantize_token,
-    quantize_tokens,
-    quantize_tokens_packed,
     unpack_packed_tensor,
 )
 from repro.core.aaq import AAQConfig, AAQQuantizer
@@ -52,21 +55,17 @@ class TestRowwiseEquivalence:
             values = tokens.astype(dtype)
             fake = fake_quantize_tokens(values, config)
             for row, expected in zip(values, fake):
-                assert np.array_equal(quantize_token(row, config).dequantize(), expected)
+                reference = reference_quantize_token(row, config)
+                assert reference.dequantize().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_unpack_pack_matches_per_token_path(self, tokens, config):
         packed = PackedQuantizedTensor.pack(tokens, config)
         reconstructed = packed.unpack()
         for i, row in enumerate(tokens):
-            token = quantize_token(row, config)
-            assert np.array_equal(token.dequantize(), reconstructed[i])
-            assert np.array_equal(token.inlier_values, packed.inlier_values[i])
-            assert np.array_equal(token.inlier_indices, packed.inlier_indices[i])
-            assert np.array_equal(token.outlier_values, packed.outlier_values[i])
-            assert np.array_equal(token.outlier_indices, packed.outlier_indices[i])
-            assert token.scale == packed.scales[i]
-            assert token.outlier_scale == packed.outlier_scales[i]
+            reference = reference_quantize_token(row, config)
+            assert_packed_row_equals(packed, i, reference)
+            assert np.array_equal(reference.dequantize(), reconstructed[i])
 
     def test_outlier_count_exceeding_hidden_dim(self, rng):
         config = TokenQuantConfig(inlier_bits=4, outlier_count=64)
@@ -75,9 +74,9 @@ class TestRowwiseEquivalence:
         assert packed.inlier_values.shape == (17, 0)
         assert packed.outlier_values.shape == (17, 16)
         for i, row in enumerate(values):
-            token = quantize_token(row, config)
-            assert np.array_equal(token.dequantize(), packed.unpack()[i])
-            assert token.scale == packed.scales[i]
+            reference = reference_quantize_token(row, config)
+            assert_packed_row_equals(packed, i, reference)
+            assert np.array_equal(reference.dequantize(), packed.unpack()[i])
 
     def test_all_zero_tokens_round_trip_to_zero(self):
         for config in CONFIGS:
@@ -85,61 +84,43 @@ class TestRowwiseEquivalence:
             packed = PackedQuantizedTensor.pack(values, config)
             assert np.array_equal(packed.unpack(), values)
             for i in range(5):
-                token = quantize_token(values[i], config)
-                assert token.scale == packed.scales[i]
-                assert token.outlier_scale == packed.outlier_scales[i]
-                assert np.array_equal(token.dequantize(), np.zeros(32))
+                assert_packed_row_equals(packed, i, reference_quantize_token(values[i], config))
 
     def test_packed_fake_quantize_equals_fused_expression(self, tokens):
         for config, dtype in itertools.product(CONFIGS, (np.float64, np.float32)):
             fused = fake_quantize_tokens(tokens.astype(dtype), config)
-            via_layout = packed_fake_quantize_tokens(tokens.astype(dtype), config)
+            via_layout = PackedQuantizedTensor.pack(tokens.astype(dtype), config).unpack()
             assert fused.dtype == via_layout.dtype == dtype
             assert fused.tobytes() == via_layout.tobytes()
         # >2-D tensors are flattened to tokens along the last axis, like the
         # activation taps do.
         cube = tokens.reshape(4, 24, 64)
         assert np.array_equal(
-            packed_fake_quantize_tokens(cube, CONFIGS[0]),
+            packed_fake_quantize(cube, CONFIGS[0]),
             fake_quantize_tokens(cube, CONFIGS[0]),
         )
 
 
-class TestLegacyListAPI:
-    def test_quantize_tokens_matches_per_token_objects(self, tokens):
-        config = CONFIGS[0]
-        via_packed = quantize_tokens(tokens, config)
-        assert len(via_packed) == tokens.shape[0]
-        for row, token in zip(tokens, via_packed):
-            reference = quantize_token(row, config)
-            assert np.array_equal(reference.dequantize(), token.dequantize())
-            assert reference.scale == token.scale
-        with pytest.raises(ValueError):
-            quantize_tokens(tokens[0], config)  # 1-D input still rejected
-
-    def test_from_tokens_round_trip(self, tokens):
-        config = CONFIGS[1]
-        packed = quantize_tokens_packed(tokens, config)
-        rebuilt = PackedQuantizedTensor.from_tokens(packed.to_tokens())
-        assert np.array_equal(rebuilt.unpack(), packed.unpack())
-        assert np.array_equal(rebuilt.scales, packed.scales)
-        with pytest.raises(ValueError):
-            PackedQuantizedTensor.from_tokens([])
-
-
 class TestMemoryLayoutWiring:
     def test_serializer_matches_per_token_serializer(self, tokens):
+        """The columnar serializer emits each reference token's fields in Fig. 7 order."""
         for config in CONFIGS:
-            packed = quantize_tokens_packed(tokens, config)
-            flat_columnar = pack_packed_tensor(packed)
-            flat_legacy = pack_quantized_tokens(packed.to_tokens())
-            assert np.array_equal(flat_columnar, flat_legacy)
-            # pack_quantized_tokens dispatches packed tensors to the fast path
-            assert np.array_equal(pack_quantized_tokens(packed), flat_legacy)
+            packed = PackedQuantizedTensor.pack(tokens, config)
+            per_token = []
+            for row in tokens:
+                reference = reference_quantize_token(row, config)
+                per_token += [
+                    reference.inlier_values,
+                    reference.outlier_values,
+                    [reference.scale, reference.outlier_scale],
+                    reference.outlier_indices,
+                ]
+            expected = np.concatenate([np.asarray(part, dtype=np.float64) for part in per_token])
+            assert np.array_equal(pack_packed_tensor(packed), expected)
 
     def test_unpack_packed_tensor_round_trip(self, tokens):
         config = CONFIGS[0]
-        packed = quantize_tokens_packed(tokens, config)
+        packed = PackedQuantizedTensor.pack(tokens, config)
         restored = unpack_packed_tensor(pack_packed_tensor(packed), packed)
         assert np.array_equal(restored.unpack(), packed.unpack())
         assert np.array_equal(restored.outlier_indices, packed.outlier_indices)
@@ -147,7 +128,7 @@ class TestMemoryLayoutWiring:
 
     def test_blocked_layout_for_matches_count_based_packing(self, tokens):
         config = CONFIGS[0]
-        packed = quantize_tokens_packed(tokens, config)
+        packed = PackedQuantizedTensor.pack(tokens, config)
         layout = blocked_layout_for(packed, channel_bytes=64)
         reference = pack_tokens_into_blocks(len(packed), config, packed.hidden_dim, 64)
         assert len(layout.blocks) == len(reference.blocks)
@@ -155,31 +136,32 @@ class TestMemoryLayoutWiring:
 
     def test_bits_accounting(self, tokens):
         config = CONFIGS[0]
-        packed = quantize_tokens_packed(tokens, config)
+        packed = PackedQuantizedTensor.pack(tokens, config)
         assert packed.bits() == len(packed) * config.bits_per_token(packed.hidden_dim)
 
 
 class TestPackedAAQContext:
     def test_packed_quantizer_matches_fused_quantizer(self, rng):
         values = rng.normal(size=(40, 32))
-        fused = AAQQuantizer(AAQConfig.paper_optimal(), use_packed=False)
-        packed = AAQQuantizer(AAQConfig.paper_optimal(), use_packed=True)
+        fused = AAQQuantizer(AAQConfig.paper_optimal())
+        packed = packed_aaq_context()
         for group in GROUPS:
             assert np.array_equal(
-                fused.quantize(group, values), packed.quantize(group, values)
+                fused.quantize(group, values), packed.process("tap", group, values)
             )
 
     def test_packed_scheme_prediction_identical(self):
-        """QuantizedPPM through the packed layout equals the fused AAQ path."""
+        """A fold through the packed layout equals the fused AAQ fold."""
+        from repro.core import lightnobel_aaq
         from repro.ppm import PPMConfig
         from repro.ppm.model import ProteinStructureModel
-        from repro.ppm.quantized import AAQScheme, QuantizedPPM
+        from repro.ppm.quantized import QuantizedPPM
         from repro.proteins import generate_protein
 
         target = generate_protein(24, seed=3)
         for dtype in ("float64", "float32"):
             model = ProteinStructureModel(PPMConfig.tiny().with_dtype(dtype), seed=0)
-            fused = QuantizedPPM(model, AAQScheme()).predict(target)
-            packed = QuantizedPPM(model, AAQScheme(use_packed=True)).predict(target)
+            fused = QuantizedPPM(model, lightnobel_aaq()).predict(target)
+            packed = model.predict_from_structure(target, ctx=packed_aaq_context())
             assert fused.pair_representation.dtype == dtype
             assert np.array_equal(fused.structure.coordinates, packed.structure.coordinates)

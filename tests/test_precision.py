@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_quant import packed_aaq_context
 
 from repro.analysis import (
     AccuracyExperiment,
@@ -24,7 +25,7 @@ from repro.core import get_scheme
 from repro.metrics import tm_score_structures
 from repro.ppm import PPMConfig, ProteinStructureModel
 from repro.ppm.activation_tap import ActivationContext
-from repro.ppm.quantized import AAQScheme, QuantizedPPM
+from repro.ppm.quantized import QuantizedPPM
 from repro.proteins import generate_protein
 
 SEEDS = range(1, 9)
@@ -52,13 +53,14 @@ def test_dtype_defaults_to_float32_and_is_validated():
 
 class TestFloat32Guard:
     @pytest.mark.parametrize(
-        "chunk, use_packed",
+        "chunk, packed",
         [(None, False), (8, False), (None, True)],
         ids=["dense", "chunked", "packed"],
     )
-    def test_aaq_fold_stays_float32(self, chunk, use_packed):
+    def test_aaq_fold_stays_float32(self, chunk, packed):
         model = ProteinStructureModel(PPMConfig.small().with_chunking(chunk, chunk), seed=0)
-        ctx = TapDtypes(AAQScheme(use_packed=use_packed).make_context())
+        inner = packed_aaq_context() if packed else get_scheme("LightNobel (AAQ)").make_context()
+        ctx = TapDtypes(inner)
         result = model.predict_from_structure(generate_protein(24, seed=7), ctx=ctx)
         assert len(ctx.dtypes) > 40
         promoted = {name: seen for name, seen in ctx.dtypes.items() if seen != {np.dtype(np.float32)}}

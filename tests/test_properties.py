@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference_quant import assert_packed_row_equals, reference_quantize_token
 
 from repro.core import (
     PackedQuantizedTensor,
@@ -15,7 +16,6 @@ from repro.core import (
     fake_quantize_tokens,
     fake_quantize_tokenwise,
     integer_bounds,
-    quantize_token,
     quantize_values,
     symmetric_scale,
 )
@@ -66,8 +66,8 @@ def test_vectorized_and_scalar_token_quantizers_agree(values, outliers):
     config = TokenQuantConfig(inlier_bits=8, outlier_count=outliers)
     vectorized = fake_quantize_tokens(values, config)
     for row_index in range(values.shape[0]):
-        scalar = quantize_token(values[row_index], config).dequantize()
-        assert np.allclose(vectorized[row_index], scalar, atol=1e-9)
+        scalar = reference_quantize_token(values[row_index], config).dequantize()
+        assert vectorized[row_index].tobytes() == scalar.tobytes()
 
 
 @given(st.integers(min_value=2, max_value=16))
@@ -204,8 +204,8 @@ def test_packed_roundtrip_on_random_shapes(values, bits, outliers):
     assert reconstructed.shape == values.shape
     assert np.all(np.isfinite(reconstructed))
     for row_index in range(values.shape[0]):
-        per_token = quantize_token(values[row_index], config).dequantize()
-        assert np.array_equal(reconstructed[row_index], per_token)
+        per_token = reference_quantize_token(values[row_index], config).dequantize()
+        assert reconstructed[row_index].tobytes() == per_token.tobytes()
 
 
 @given(token_arrays(max_tokens=5, max_dim=16), st.integers(0, 6))
@@ -217,21 +217,6 @@ def test_packed_roundtrip_error_bounded_by_scales(values, outliers):
     error = np.abs(values - packed.unpack())
     bound = np.maximum(packed.scales, packed.outlier_scales)[:, None] / 2.0
     assert np.all(error <= bound + 1e-12)
-
-
-@given(token_arrays(max_tokens=5, max_dim=16), st.sampled_from([4, 8]), st.integers(0, 6))
-@settings(max_examples=30, deadline=None)
-def test_packed_to_tokens_from_tokens_is_lossless(values, bits, outliers):
-    config = TokenQuantConfig(inlier_bits=bits, outlier_count=outliers)
-    packed = PackedQuantizedTensor.pack(values, config)
-    rebuilt = PackedQuantizedTensor.from_tokens(packed.to_tokens())
-    assert np.array_equal(rebuilt.inlier_values, packed.inlier_values)
-    assert np.array_equal(rebuilt.inlier_indices, packed.inlier_indices)
-    assert np.array_equal(rebuilt.outlier_values, packed.outlier_values)
-    assert np.array_equal(rebuilt.outlier_indices, packed.outlier_indices)
-    assert np.array_equal(rebuilt.scales, packed.scales)
-    assert np.array_equal(rebuilt.outlier_scales, packed.outlier_scales)
-    assert np.array_equal(rebuilt.unpack(), packed.unpack())
 
 
 # ------------------------------------------- fake_quantize_tokens bit identity
@@ -339,6 +324,50 @@ def test_fake_quantize_tokens_matches_frozen_two_pass_reference(case):
     assert result.dtype == reference.dtype and result.shape == reference.shape
     assert np.array_equal(result, reference)
     assert result.tobytes() == reference.tobytes()
+
+
+# ---------------------------------- one quantized token: store, fold, reference
+def _tokens_of(values):
+    return values.reshape(-1, values.shape[-1])
+
+
+@given(quantizer_inputs())
+@settings(max_examples=100, deadline=None)
+def test_pack_unpack_is_byte_equal_to_fake_quantize_tokens(case):
+    """The Fig. 7 store reconstructs what the fold computes, byte for byte.
+
+    float64 and float32, tied magnitudes and ``outlier_count >= hidden_dim``.
+    """
+    values, config = case
+    tokens = _tokens_of(values)
+    unpacked = PackedQuantizedTensor.pack(tokens, config).unpack()
+    fused = fake_quantize_tokens(values, config)
+    assert unpacked.dtype == fused.dtype == values.dtype
+    assert unpacked.tobytes() == _tokens_of(fused).tobytes()
+
+
+@given(quantizer_inputs())
+@settings(max_examples=100, deadline=None)
+def test_tokenwise_is_fake_quantize_tokens_without_outliers(case):
+    """``fake_quantize_tokenwise(x, b)`` is ``fake_quantize_tokens`` at ``k = 0``."""
+    values, config = case
+    bits = config.inlier_bits
+    tokenwise = fake_quantize_tokenwise(values, bits)
+    tokens = fake_quantize_tokens(values, TokenQuantConfig(inlier_bits=bits, outlier_count=0))
+    assert tokenwise.dtype == tokens.dtype == values.dtype
+    assert tokenwise.shape == values.shape
+    assert tokenwise.tobytes() == tokens.tobytes()
+
+
+@given(quantizer_inputs())
+@settings(max_examples=100, deadline=None)
+def test_pack_fields_equal_the_per_token_reference(case):
+    """pack's integer grids, indices and scales are each token's, quantized alone."""
+    values, config = case
+    tokens = _tokens_of(values)
+    packed = PackedQuantizedTensor.pack(tokens, config)
+    for i, token in enumerate(tokens):
+        assert_packed_row_equals(packed, i, reference_quantize_token(token, config))
 
 
 # --------------------------------------------------------------------------

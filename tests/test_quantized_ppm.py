@@ -4,12 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from reference_quant import packed_aaq_context
 
 from repro.core import AAQConfig, AAQQuantizer, get_scheme
 from repro.metrics import tm_score_structures
 from repro.ppm import PPMConfig, ProteinStructureModel
 from repro.ppm.quantized import (
-    AAQScheme,
     QuantizedPPM,
     average_tm_score,
     compare_schemes_on_targets,
@@ -89,11 +89,12 @@ class TestSchemeComparison:
         assert abs(scores["LightNobel (AAQ)"] - scores["Baseline"]) < 0.05
 
 
-#: The golden folds: dense, chunked (8-wide blocks) and packed AAQ.
+#: The golden folds: dense, chunked (8-wide blocks) and packed AAQ, whose
+#: taps go through the Fig. 7 store (``PackedQuantizedTensor.pack/unpack``).
 GOLDEN_FOLDS = pytest.mark.parametrize(
-    "chunk, use_packed",
-    [(None, False), (8, False), (None, True)],
-    ids=["dense", "chunked", "packed"],
+    "chunk, packed",
+    [(None, False), (8, False), (None, True), (8, True)],
+    ids=["dense", "chunked", "packed", "packed-chunked"],
 )
 
 
@@ -102,12 +103,13 @@ class TestAAQFoldGolden:
 
     The float64 digest was captured from the one-pass quantizer and the
     ``np.matmul`` attention and triangle contractions; the dense, chunked and
-    packed folds all produce it.  A numeric drift anywhere in the quantized
-    fold changes it.  The float32 fold has its own pins: dense and packed
-    share one (the packed round trip equals the fused quantizer in float32
-    too), while the chunked fold's blocked float32 contractions round
-    differently from the dense ones, so it has its own digest.  Coordinates
-    are float64 at both precisions.
+    packed folds (dense and chunked) all produce it.  A numeric drift
+    anywhere in the quantized fold changes it.  The float32 fold has its own
+    pins: dense and packed share one (the packed round trip equals the fused
+    quantizer in float32 too), while the chunked fold's blocked float32
+    contractions round differently from the dense ones, so it has its own
+    digest, which the packed chunked fold shares.  Coordinates are float64 at
+    both precisions.
     """
 
     #: SHA-256 prefix of the (24, 3) coordinates of the float64 fold.
@@ -117,23 +119,27 @@ class TestAAQFoldGolden:
         "dense": "93de9b2b6cebfce1",
         "chunked": "abf555d51cdade1f",
         "packed": "93de9b2b6cebfce1",
+        "packed-chunked": "abf555d51cdade1f",
     }
 
     @staticmethod
-    def _run(dtype, chunk, use_packed):
+    def _run(dtype, chunk, packed):
         config = PPMConfig.small().with_dtype(dtype).with_chunking(chunk, chunk)
-        scheme = AAQScheme(use_packed=True) if use_packed else get_scheme("LightNobel (AAQ)")
         protein = generate_protein(24, seed=7, name="golden")
         model = ProteinStructureModel(config, seed=0)
-        coordinates = QuantizedPPM(model, scheme).predict(protein).structure.coordinates
+        if packed:
+            prediction = model.predict_from_structure(protein, ctx=packed_aaq_context())
+        else:
+            prediction = QuantizedPPM(model, get_scheme("LightNobel (AAQ)")).predict(protein)
+        coordinates = prediction.structure.coordinates
         assert coordinates.dtype == np.float64
         return hashlib.sha256(np.ascontiguousarray(coordinates).tobytes()).hexdigest()[:16]
 
     @GOLDEN_FOLDS
-    def test_fold_coordinates_match_golden(self, chunk, use_packed):
-        assert self._run("float64", chunk, use_packed) == self.GOLDEN
+    def test_fold_coordinates_match_golden(self, chunk, packed):
+        assert self._run("float64", chunk, packed) == self.GOLDEN
 
     @GOLDEN_FOLDS
-    def test_float32_fold_coordinates_match_golden(self, request, chunk, use_packed):
+    def test_float32_fold_coordinates_match_golden(self, request, chunk, packed):
         path = request.node.callspec.id
-        assert self._run("float32", chunk, use_packed) == self.GOLDEN_FLOAT32[path]
+        assert self._run("float32", chunk, packed) == self.GOLDEN_FLOAT32[path]

@@ -26,6 +26,8 @@ from repro.obs import prom
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService, WireRequest, WireResponse
 from repro.serving.http import FrontDoorClient, serve_in_thread
+from repro.serving.http.server import HTTP_METRICS
+from repro.serving.stats import SERVICE_METRICS
 from repro.serving.wire import request_log_from_json
 from repro.sim import SimulationSession
 
@@ -38,9 +40,10 @@ def call(
     """One plain-HTTP round trip; returns (status, headers dict, parsed JSON)."""
     conn = http.client.HTTPConnection(handle.host, handle.port, timeout=TIMEOUT)
     try:
-        payload = None if body is None else json.dumps(body).encode()
         if isinstance(body, (str, bytes)):
             payload = body if isinstance(body, bytes) else body.encode()
+        else:
+            payload = None if body is None else json.dumps(body).encode()
         conn.request(method, path, payload, {"Content-Type": "application/json"})
         response = conn.getresponse()
         raw = response.read()
@@ -167,6 +170,15 @@ class TestValidation:
         status, _, payload = call(door, "POST", "/v1/submit", body)
         assert status == 400
         assert payload["code"] == code
+
+    @pytest.mark.parametrize("route", ["/v1/submit", "/v1/query", "/v1/batch"])
+    @pytest.mark.parametrize(
+        "body", ["{not json", b"\xff", b""], ids=["not-json", "not-utf8", "empty"]
+    )
+    def test_malformed_json_is_invalid_json_on_every_body_route(self, door, route, body):
+        status, _, payload = call(door, "POST", route, body)
+        assert status == 400
+        assert payload["code"] == "invalid_json"
 
     def test_batch_requires_requests_list(self, door):
         status, _, payload = call(door, "POST", "/v1/batch", {"requests": "nope"})
@@ -375,6 +387,7 @@ class TestMetricsAndLog:
             assert metrics["capacity"]["requests"] == report.requests
             served = {row["backend"] for row in metrics["capacity"]["backends"]}
             assert "lightnobel" in served
+            assert (metrics["service"]["completed"], metrics["service"]["errors"]) == (3, 0)
             assert metrics["http"]["consumed"] == 3
             assert metrics["http"]["pending"] == 0
             assert metrics["http"]["draining"] is False
@@ -388,6 +401,10 @@ class TestMetricsAndLog:
                 name for name, family in families.items() if family.kind != "histogram"
             }
             assert set(JSON_PROM_PAIRS.values()) == scalar_families
+            # ... and every declared counter is one of the compared pairs.
+            declared = {("service", m.name): m.prom for m in SERVICE_METRICS}
+            declared.update({("http", key): name for key, name, _, _ in HTTP_METRICS})
+            assert declared.items() <= JSON_PROM_PAIRS.items()
             for (block, key), name in JSON_PROM_PAIRS.items():
                 (sample,) = families[name].samples
                 assert metrics[block][key] == sample.value, (block, key, name)

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_quant import reference_fake_quantize_tokens
+from reference_quant import (
+    packed_fake_quantize,
+    reference_fake_quantize_tokens,
+    reference_quantize_token,
+)
 
 from repro.core import (
     AAQConfig,
-    QuantizedToken,
+    PackedQuantizedTensor,
     TokenQuantConfig,
     fake_quantize_tokens,
-    quantize_token,
-    quantize_tokens,
-    select_outliers,
     token_quantization_rmse,
 )
 from repro.core import token_quant
@@ -55,48 +56,47 @@ class TestConfig:
 class TestOutlierSelection:
     def test_top_k_selects_largest_magnitudes(self, rng):
         token, positions = token_with_outliers(rng)
-        selected = select_outliers(token, 4)
-        assert set(selected) == set(positions)
+        selected = PackedQuantizedTensor.pack(token[None], TokenQuantConfig(outlier_count=4))
+        assert set(selected.outlier_indices[0]) == set(positions)
 
     def test_zero_count_returns_empty(self, rng):
-        assert select_outliers(rng.normal(size=16), 0).size == 0
+        packed = PackedQuantizedTensor.pack(rng.normal(size=(1, 16)), TokenQuantConfig(outlier_count=0))
+        assert packed.outlier_indices.size == 0
 
     def test_count_clamped_to_token_size(self, rng):
-        assert select_outliers(rng.normal(size=8), 100).size == 8
+        packed = PackedQuantizedTensor.pack(rng.normal(size=(1, 8)), TokenQuantConfig(outlier_count=100))
+        assert packed.outlier_indices.size == 8
 
 
 class TestQuantizeToken:
     def test_roundtrip_with_outliers_is_accurate(self, rng):
         token, _ = token_with_outliers(rng)
         config = TokenQuantConfig(inlier_bits=8, outlier_count=4)
-        quantized = quantize_token(token, config)
-        recon = quantized.dequantize()
+        recon = packed_fake_quantize(token, config)
         assert np.max(np.abs(recon - token)) < 0.05
 
     def test_outlier_handling_reduces_error(self, rng):
         token, _ = token_with_outliers(rng, outlier_value=200.0)
         with_outliers = TokenQuantConfig(inlier_bits=4, outlier_count=4)
         without = TokenQuantConfig(inlier_bits=4, outlier_count=0)
-        err_with = np.abs(quantize_token(token, with_outliers).dequantize() - token).mean()
-        err_without = np.abs(quantize_token(token, without).dequantize() - token).mean()
+        err_with = np.abs(packed_fake_quantize(token, with_outliers) - token).mean()
+        err_without = np.abs(packed_fake_quantize(token, without) - token).mean()
         assert err_with < err_without
 
     def test_quantized_token_bit_accounting(self, rng):
         token, _ = token_with_outliers(rng)
         config = TokenQuantConfig(inlier_bits=4, outlier_count=4)
-        quantized = quantize_token(token, config)
-        assert isinstance(quantized, QuantizedToken)
-        assert quantized.bits() == config.bits_per_token(128)
-        assert quantized.inlier_values.size == 124
-        assert quantized.outlier_values.size == 4
+        packed = PackedQuantizedTensor.pack(token[None], config)
+        assert packed.bits() == config.bits_per_token(128)
+        assert packed.inlier_values.shape == (1, 124)
+        assert packed.outlier_values.shape == (1, 4)
 
     def test_quantize_tokens_batch(self, rng):
         tokens = rng.normal(size=(10, 32))
         config = TokenQuantConfig(inlier_bits=8, outlier_count=2)
-        result = quantize_tokens(tokens, config)
-        assert len(result) == 10
+        assert len(PackedQuantizedTensor.pack(tokens, config)) == 10
         with pytest.raises(ValueError):
-            quantize_tokens(rng.normal(size=32), config)
+            PackedQuantizedTensor.pack(rng.normal(size=32), config)
 
 
 class TestFakeQuantizeTokens:
@@ -104,8 +104,8 @@ class TestFakeQuantizeTokens:
         tokens = np.stack([token_with_outliers(rng, dim=64)[0] for _ in range(5)])
         config = TokenQuantConfig(inlier_bits=8, outlier_count=4)
         vectorized = fake_quantize_tokens(tokens, config)
-        reference = np.stack([quantize_token(t, config).dequantize() for t in tokens])
-        assert np.allclose(vectorized, reference, atol=1e-9)
+        reference = np.stack([reference_quantize_token(t, config).dequantize() for t in tokens])
+        assert vectorized.tobytes() == reference.tobytes()
 
     def test_preserves_shape_for_3d_input(self, rng):
         values = rng.normal(size=(6, 7, 16))
