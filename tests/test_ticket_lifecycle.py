@@ -5,7 +5,10 @@ so submissions stay queued until the first ``join``) through random
 interleavings of submit, join, poll, ``result(timeout=0)``, a ``result``
 that blocks on another thread, abandon, ``reap_abandoned`` and close, and
 checks it against a small reference model of the lifecycle in
-:mod:`repro.serving.api`.  Once the dispatcher runs, a
+:mod:`repro.serving.api`.  Batch rules drive the same lifecycle a batch at a
+time: ``submit_batch`` issues a contiguous id range, ``query_batch`` claims
+a whole batch, one slot of a batch is abandoned alone, and a reap runs while
+a batch is half claimed.  Once the dispatcher runs, a
 ticket the model has not seen fulfilled may be either pending or fulfilled;
 ``join`` and ``close`` settle every live ticket.  A length simulated before
 the last settle is a memo hit: while nothing new waits for pricing, its
@@ -15,7 +18,7 @@ ticket is fulfilled before ``submit`` returns.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 import pytest
 from hypothesis import settings
@@ -48,6 +51,8 @@ class TicketLifecycle(RuleBasedStateMachine):
         self.consumed: Set[int] = set()
         self.reaped: Set[int] = set()
         self.lengths: Set[int] = set()
+        #: Id ranges issued by ``submit_batch``, in issue order.
+        self.batches: List[range] = []
         #: Lengths in the session memo (submitted before the last settle).
         self.simulated: Set[int] = set()
         #: A new length was submitted since the last settle, so the
@@ -77,6 +82,33 @@ class TicketLifecycle(RuleBasedStateMachine):
         self.simulated |= self.lengths
         self.pricing = False
 
+    def _issue(self, lengths: List[int], tickets: List[int]) -> None:
+        """Model the tickets one ``submit``/``submit_batch`` call returned.
+
+        Ids are contiguous from the next unissued one.  A length the memo
+        holds is answered at submit when nothing was pricing as the call
+        began: the call peeks the memo before it queues anything.
+        """
+        assert tickets == list(range(self.issued, self.issued + len(lengths)))
+        pricing = self.pricing
+        for ticket, length in zip(tickets, lengths):
+            self.live[ticket] = length
+            if length not in self.simulated:
+                self.pricing = True
+            elif not pricing:
+                assert self.service.ticket_state(ticket) == "fulfilled"
+                self.fulfilled.add(ticket)
+        self.issued += len(lengths)
+
+    def _coalesced_in(self, lengths: List[int]) -> int:
+        """Duplicates a call must attach to queued jobs before any dispatch."""
+        seen = set(self.lengths)
+        duplicates = 0
+        for length in lengths:
+            duplicates += length in seen
+            seen.add(length)
+        return duplicates
+
     # ------------------------------------------------------------------ rules
     @rule(length=st.sampled_from(LENGTHS))
     def submit(self, length: int) -> None:
@@ -87,19 +119,90 @@ class TicketLifecycle(RuleBasedStateMachine):
             return
         before = self.service.stats.coalesced
         ticket = self.service.submit(request)
-        assert ticket == self.issued
         if not self.started:
             # Nothing has been dispatched yet, so a duplicate length must
             # attach to the queued job.
-            assert self.service.stats.coalesced - before == int(length in self.lengths)
-        self.issued += 1
-        self.live[ticket] = length
+            assert self.service.stats.coalesced - before == self._coalesced_in([length])
+        self._issue([length], [ticket])
         self.lengths.add(length)
-        if length not in self.simulated:
-            self.pricing = True
-        elif not self.pricing:
-            assert self.service.ticket_state(ticket) == "fulfilled"
-            self.fulfilled.add(ticket)
+
+    @rule(lengths=st.lists(st.sampled_from(LENGTHS), min_size=1, max_size=6))
+    def submit_batch(self, lengths: List[int]) -> None:
+        requests = [("lightnobel", length) for length in lengths]
+        if self.closed:
+            with pytest.raises(RuntimeError):
+                self.service.submit_batch(requests)
+            return
+        before = self.service.stats.coalesced
+        tickets = self.service.submit_batch(requests)
+        if not self.started:
+            assert self.service.stats.coalesced - before == self._coalesced_in(lengths)
+        self._issue(lengths, tickets)
+        self.lengths.update(lengths)
+        self.batches.append(range(tickets[0], tickets[-1] + 1))
+
+    @rule(lengths=st.lists(st.sampled_from(LENGTHS), min_size=1, max_size=6))
+    def query_batch(self, lengths: List[int]) -> None:
+        """Claim a whole batch: every slot is consumed, in input order."""
+        requests = [("lightnobel", length) for length in lengths]
+        if self.closed:
+            with pytest.raises(RuntimeError):
+                self.service.query_batch(requests, timeout=60.0)
+            return
+        self.service.start()
+        self.started = True
+        before = self.service.capacity_report().requests
+        reports = self.service.query_batch(requests, timeout=60.0)
+        assert [report.sequence_length for report in reports] == lengths
+        first = self.issued
+        assert self.service.capacity_report().requests - before == len(lengths)
+        self.issued += len(lengths)
+        for ticket in range(first, self.issued):
+            assert self.service.ticket_state(ticket) == "consumed"
+            self.consumed.add(ticket)
+        # Priced before query_batch returned; anything still pricing is
+        # older work, so the flag keeps its value.
+        self.lengths.update(lengths)
+        self.simulated.update(lengths)
+
+    @rule(pick=PICKS, slot=PICKS)
+    def abandon_one_slot(self, pick: int, slot: int) -> None:
+        """Abandon one live slot of a batch; its siblings stay unabandoned."""
+        batches = [b for b in self.batches if any(t in self.live for t in b)]
+        if not batches:
+            return
+        batch = batches[pick % len(batches)]
+        live = [t for t in batch if t in self.live]
+        ticket = live[slot % len(live)]
+        siblings = {t for t in live if t != ticket and t not in self.abandoned}
+        assert self.service.abandon(ticket)
+        self.abandoned.add(ticket)
+        self.ever_abandoned.add(ticket)
+        reaped = self._reap()
+        assert not reaped & siblings
+
+    @rule(pick=PICKS)
+    def reap_half_claimed_batch(self, pick: int) -> None:
+        """Settle a batch, claim its first half, abandon the rest, then reap."""
+        batches = [b for b in self.batches if sum(t in self.live for t in b) >= 2]
+        if not batches:
+            return
+        batch = batches[pick % len(batches)]
+        self.join()
+        live = [t for t in batch if t in self.live]
+        half = len(live) // 2
+        for ticket in live[:half]:
+            response = self.service.poll(ticket)
+            assert response is not None and response.ticket_id == ticket
+            self._finish(ticket, self.consumed)
+        for ticket in live[half:]:
+            assert self.service.abandon(ticket)
+            self.abandoned.add(ticket)
+            self.ever_abandoned.add(ticket)
+        reaped = self._reap()
+        assert set(live[half:]) <= reaped
+        for ticket in live[:half]:
+            assert self.service.ticket_state(ticket) == "consumed"
 
     @rule()
     def join(self) -> None:
@@ -192,14 +295,18 @@ class TicketLifecycle(RuleBasedStateMachine):
             self.abandoned.add(ticket)
             self.ever_abandoned.add(ticket)
 
-    @rule()
-    def reap_abandoned(self) -> None:
+    def _reap(self) -> Set[int]:
         reaped = {response.ticket_id for response in self.service.reap_abandoned()}
         # Every abandoned ticket known to be fulfilled is reaped; nothing
         # that was not abandoned is.
         assert self.abandoned & self.fulfilled <= reaped <= self.abandoned
         for ticket in reaped:
             self._finish(ticket, self.reaped)
+        return reaped
+
+    @rule()
+    def reap_abandoned(self) -> None:
+        self._reap()
 
     @rule()
     def close(self) -> None:
