@@ -22,7 +22,9 @@ warm/cold and fresh/cold q/s ratios over the cycles are at least 1x.
 A third guard prices the Fig. 12 hardware grid twice per pair, through a
 fresh two-tenant service and through a bare session's ``simulate_batch``,
 and bounds the median service/bare time ratio: the service's own cost on
-the miss path.
+the miss path.  A fourth counts instead of timing: a warm ``query_batch``
+takes the service lock as many times for 1,000 requests as for 10, and
+builds no request or response object for tuple requests.
 """
 
 import statistics
@@ -333,3 +335,84 @@ def test_service_overhead_on_the_fig12_grid(paper_config):
         ],
     )
     assert median <= SERVICE_OVERHEAD_BOUND
+
+
+class CountingLock:
+    """A re-entrant lock that counts its acquisitions, usable under a Condition."""
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self.acquisitions = 0
+        self.release = self._lock.release
+        self._release_save = self._lock._release_save
+        self._is_owned = self._lock._is_owned
+
+    def acquire(self, *args, **kwargs):
+        self.acquisitions += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def _acquire_restore(self, state) -> None:  # a Condition waking from wait()
+        self.acquisitions += 1
+        self._lock._acquire_restore(state)
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
+WARM_LENGTHS = (200, 400, 800)
+WARM_BACKENDS = ("lightnobel", "h100")
+
+
+def test_warm_query_batch_takes_the_service_lock_per_batch(paper_config, monkeypatch):
+    """Service-lock acquisitions per warm ``query_batch`` do not grow with its size.
+
+    Every request is a memo hit answered at submit, so a batch costs one
+    submit hold, one fulfilment hold and one claim hold, at 10 requests as at
+    1,000; claiming each ticket on its own would add one per request.
+    """
+    from repro.serving import LatencyResponse
+
+    session = SimulationSession(ppm_config=paper_config, use_disk_cache=False)
+    session.simulate_batch(WARM_LENGTHS, backends=WARM_BACKENDS)
+    service = LatencyService(session=session, autostart=False)
+    lock = CountingLock()
+    service._cond = threading.Condition(lock)
+    service._settled = threading.Condition(lock)
+    keys = [(backend, n) for backend in WARM_BACKENDS for n in WARM_LENGTHS]
+    expected = {key: session.simulate(key[1], backend=key[0]) for key in keys}
+    built = {"requests": 0, "responses": 0}
+
+    def counting(kind, original):
+        def init(self, *args, **kwargs):
+            built[kind] += 1
+            original(self, *args, **kwargs)
+
+        return init
+
+    monkeypatch.setattr(
+        LatencyRequest, "__post_init__", counting("requests", LatencyRequest.__post_init__)
+    )
+    monkeypatch.setattr(
+        LatencyResponse, "__init__", counting("responses", LatencyResponse.__init__)
+    )
+    holds = {}
+    for size in (10, 1000, 10):
+        requests = [keys[i % len(keys)] for i in range(size)]
+        before = lock.acquisitions
+        reports = service.query_batch(requests)
+        holds.setdefault(size, []).append(lock.acquisitions - before)
+        assert [r.total_seconds for r in reports] == [
+            expected[key].total_seconds for key in requests
+        ]
+    monkeypatch.undo()
+    assert service.stats.memo_hits == len(keys) * 3 and service.stats.batches == 0
+    service.close()
+    print_table(
+        "Warm query_batch: service-lock acquisitions per batch",
+        [("requests", "acquisitions"), *((size, counts) for size, counts in holds.items())],
+    )
+    assert holds[10][0] == holds[10][1] == holds[1000][0]
+    assert built == {"requests": 0, "responses": 0}

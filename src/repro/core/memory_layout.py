@@ -157,18 +157,22 @@ def pack_packed_tensor(packed: PackedQuantizedTensor) -> np.ndarray:
 
 
 def unpack_packed_tensor(flat: np.ndarray, template: PackedQuantizedTensor) -> PackedQuantizedTensor:
-    """Inverse of :func:`pack_packed_tensor` (layout from ``template``)."""
+    """Inverse of :func:`pack_packed_tensor` (layout and dtypes from ``template``).
+
+    Every field comes back in the template's dtype: a float32 pack restores
+    float32 values and scales (exactly, since float64 holds every float32).
+    """
     num_tokens = template.num_tokens
     n_in = template.inlier_values.shape[-1]
     n_out = template.outlier_values.shape[-1]
     rows = np.asarray(flat, dtype=np.float64).reshape(num_tokens, n_in + n_out + 2 + n_out)
     return PackedQuantizedTensor(
-        inlier_values=rows[:, :n_in],
+        inlier_values=rows[:, :n_in].astype(template.inlier_values.dtype),
         inlier_indices=template.inlier_indices,
-        outlier_values=rows[:, n_in:n_in + n_out],
-        outlier_indices=rows[:, n_in + n_out + 2:].astype(np.int64),
-        scales=rows[:, n_in + n_out],
-        outlier_scales=rows[:, n_in + n_out + 1],
+        outlier_values=rows[:, n_in:n_in + n_out].astype(template.outlier_values.dtype),
+        outlier_indices=rows[:, n_in + n_out + 2:].astype(template.outlier_indices.dtype),
+        scales=rows[:, n_in + n_out].astype(template.scales.dtype),
+        outlier_scales=rows[:, n_in + n_out + 1].astype(template.outlier_scales.dtype),
         hidden_dim=template.hidden_dim,
         config=template.config,
     )

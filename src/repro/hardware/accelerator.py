@@ -169,6 +169,8 @@ class LightNobelAccelerator:
         self.rmpu = RMPU(self.hw_config)
         self.vvpu = VVPU(self.hw_config)
         self.hbm = HBMModel(self.hw_config)
+        #: Group vocabulary -> :meth:`_group_parameters` (the configs are frozen).
+        self._group_params: Dict[Tuple[Optional[str], ...], Dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ sizing
     def activation_bytes_per_element(self, group: Optional[str]) -> float:
@@ -187,8 +189,17 @@ class LightNobelAccelerator:
         Mirrors, term by term, the arithmetic of :meth:`RMPU.operator_cycles`,
         :meth:`VVPU.quantization_cycles` and the per-operator DRAM traffic of
         the scalar reference in ``tests/reference_pricing.py``, so the
-        vectorized path agrees with that per-operator loop.
+        vectorized path agrees with that per-operator loop.  Built once per
+        group vocabulary and accelerator; the arrays are read-only.
         """
+        params = self._group_params.get(groups)
+        if params is None:
+            params = self._group_params[groups] = self._build_group_parameters(groups)
+        return params
+
+    def _build_group_parameters(
+        self, groups: Tuple[Optional[str], ...]
+    ) -> Dict[str, np.ndarray]:
         rmpu_hidden = self.rmpu.config_hidden_dim()
         quant_hidden = self.ppm_config.pair_dim
         units_base = self.rmpu.units_per_cycle()
@@ -221,7 +232,7 @@ class LightNobelAccelerator:
             bytes_out[code] = self.activation_bytes_per_element(group)
             bytes_in[code] = self.activation_bytes_per_element(effective)
             quantized[code] = group is not None
-        return {
+        params = {
             "avg_units": avg_units,
             "rmpu_denominator": rmpu_denominator,
             "quant_cycles_per_token": quant_cycles_per_token,
@@ -229,6 +240,9 @@ class LightNobelAccelerator:
             "bytes_in": bytes_in,
             "quantized": quantized,
         }
+        for array in params.values():
+            array.setflags(write=False)
+        return params
 
     # -------------------------------------------------------------- simulation
     def _engine_cycles(self, stack) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

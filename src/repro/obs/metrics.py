@@ -214,8 +214,9 @@ class Gauge(_Family):
 class Histogram(_Family):
     """Constant-memory distribution over fixed exponential buckets.
 
-    ``observe()`` is the hot path: one lock, one C-level ``bisect`` over the
-    bound ladder, four scalar updates.  Exact min and max are tracked on the
+    ``observe_many()`` is the hot path: one lock per call, then per value one
+    C-level ``bisect`` over the bound ladder and four scalar updates
+    (``observe`` is its one-value case).  Exact min and max are tracked on the
     side so :meth:`quantile` can honor the ``percentile()`` edge contract
     (q=0 and q=100 are exact) and clamp interior bucket-upper-bound
     estimates into the observed range — which also makes quantiles monotone
@@ -261,15 +262,25 @@ class Histogram(_Family):
         return child
 
     def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe each of ``values`` in order, under one lock hold.
+
+        The sum accumulates in the same order as one ``observe`` call per
+        value would, so both reach the same bits.
+        """
         self._require_child()
+        bounds, counts = self.bounds, self._counts
         with self._lock:
-            self._counts[bisect_left(self.bounds, value)] += 1
-            self._sum += value
-            self._count += 1
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            for value in values:
+                counts[bisect_left(bounds, value)] += 1
+                self._sum += value
+                if value < self._min:
+                    self._min = value
+                if value > self._max:
+                    self._max = value
+            self._count += len(values)
 
     # -- reads -------------------------------------------------------------
     @property

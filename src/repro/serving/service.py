@@ -3,10 +3,10 @@
 The serving layer turns the single-tenant :class:`~repro.sim.session.SimulationSession`
 into something that answers concurrent, multi-tenant traffic:
 
-* **request queue** — clients :meth:`~LatencyService.submit` typed
-  :class:`~repro.serving.api.LatencyRequest` objects and poll/await
-  :class:`~repro.serving.api.LatencyResponse` tickets; a dispatcher thread
-  drains the queue in FIFO order,
+* **batches** — clients :meth:`~LatencyService.submit_batch` typed
+  :class:`~repro.serving.api.LatencyRequest` objects or ``(spec, length)``
+  tuples (``submit`` is a one-slot batch) and poll/await the ticket ids; a
+  dispatcher thread drains the queued work in FIFO order,
 * **memo hits at submit** — a request whose report the session memo already
   holds is answered on the submitting thread before ``submit`` returns (also
   on an ``autostart=False`` service), through the same fulfilment, stats,
@@ -30,6 +30,21 @@ into something that answers concurrent, multi-tenant traffic:
   it, so ``completed_index`` across hits and queued misses is fulfilment
   order.
 
+Ticket lifecycle, a batch at a time
+-----------------------------------
+The batch is the unit of the one lifecycle of :mod:`repro.serving.api`.  A
+``submit_batch`` call takes one service-lock hold: it issues a contiguous id
+range and one batch record, attaches each slot to a new or pending job, and
+peeks the memo for the batch's distinct new keys in one session-lock hold
+(:meth:`~repro.sim.session.SimulationSession.peek_reports`).  Fulfilment
+writes each job's outcome into its slots, takes the stats lock once and
+each backend's latency histogram once, and wakes waiters once per batch.
+:meth:`~LatencyService.query_batch` waits once and claims the whole batch in
+one hold, reading reports straight from the slots; ``result``/``poll`` claim
+one slot and build its :class:`~repro.serving.api.LatencyResponse` on read.
+``abandon``, ``reap_abandoned`` and ``ticket_state`` read and write the same
+record, and a batch leaves the table with its last live slot.
+
 A service returns the same bits as a bare session pricing the same points —
 asserted by ``tests/test_serving.py`` and ``tests/test_sim_goldens.py``.
 """
@@ -37,10 +52,11 @@ asserted by ``tests/test_serving.py`` and ``tests/test_sim_goldens.py``.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -53,13 +69,16 @@ from .api import (
     CapacityReport,
     LatencyRequest,
     LatencyResponse,
-    LatencyServiceError,
     RequestLogRecord,
     dispatch_order_key,
+    non_empty,
+    positive,
 )
 from .stats import ServiceStats
 
 RequestLike = Union[LatencyRequest, Tuple[Any, int]]
+#: A job's result: (report, error, memo_hit).
+_Result = Tuple[Optional[SimReport], Optional[str], bool]
 
 #: Hashable spec values a service remembers the coalescing key of.
 SPEC_KEY_MEMO_LIMIT = 1024
@@ -74,13 +93,6 @@ def create_service(**kwargs) -> "LatencyService":
     consistent ``create_*`` naming across the facade.
     """
     return LatencyService(**kwargs)
-
-
-def _as_request(request: RequestLike) -> LatencyRequest:
-    if isinstance(request, LatencyRequest):
-        return request
-    spec, length = request
-    return LatencyRequest(spec, int(length))  # positional: ~25% cheaper than keywords
 
 
 def _spec_key(spec: Any) -> Tuple[str, object]:
@@ -118,85 +130,80 @@ def _backend_label(spec: Any, report: Optional[SimReport]) -> str:
 _REQUEST_SPANS = 4
 
 
-def _request_spans(released: List[float], job: tuple, row: tuple):
+def _request_spans(released: float, *row):
     """One fulfilled request's span batch, built when its trace is read.
 
-    ``released[0]`` is when the fulfilled batch released its waiters; ``job``
-    is (backend label, execution path, ok, started, end), shared by the
-    job's tickets; ``row`` is the request's log row (see ``_fulfill``).
+    ``released`` is when the fulfilled batch released its waiters; ``row``
+    is the request's log row after its trace key (see ``_fulfill``), whose
+    last field is its job's (backend label, execution path, ok, started, end).
     """
-    backend, path, ok, started, end = job
+    backend, path, ok, started, end = row[11]
     ticket_id, sequence_length, submitted, coalesced = row[0], row[2], row[5], row[7]
     exec_name = "coalesce" if coalesced else path
+    attributes = {
+        "ticket_id": ticket_id, "backend": backend, "sequence_length": sequence_length,
+        "coalesced": coalesced, "path": exec_name, "ok": ok,
+    }
     return (
-        (
-            "request",
-            submitted,
-            end,
-            {
-                "ticket_id": ticket_id,
-                "backend": backend,
-                "sequence_length": sequence_length,
-                "coalesced": coalesced,
-                "path": exec_name,
-                "ok": ok,
-            },
-        ),
+        ("request", submitted, end, attributes),
         ("queue-wait", submitted, started, None),
         (exec_name, started, end, None),
-        ("fulfill", end, released[0], None),
+        ("fulfill", end, released, None),
     )
 
 
-@dataclass
-class _Ticket:
-    """One submitted request awaiting fulfillment.
+class _Batch:
+    """One ``submit_batch`` call: ticket ids ``first .. first + len - 1``, one slot each.
 
-    ``fulfilled`` is set, with ``response``, under the service lock; waiters
-    block on the service's ``_settled`` condition, not on a per-ticket event.
-    ``abandoned`` flips on when a :meth:`LatencyService.result` waiter times
-    out and back off when a waiter returns for the ticket; a fulfillment that
-    lands while the flag is up is a *late result* — counted in stats and
-    reclaimable via :meth:`LatencyService.reap_abandoned`, never a silent
-    orphan in the ticket table.
+    Per slot: the request's spec and job key (spec key, length, recycles),
+    its :class:`LatencyRequest` (``None`` for a tuple request), whether it
+    coalesced, its outcome — ``None`` while pending, then its job's ``(report,
+    error, completed_index, started, end)`` — and whether it is gone.
+    ``abandoned`` holds the slots whose last waiter gave up: a fulfilment
+    landing on one is a *late result*, counted and left for
+    :meth:`LatencyService.reap_abandoned`, never a silent orphan.
     """
 
-    id: int
-    request: LatencyRequest
-    submitted_at: float
-    coalesced: bool
-    fulfilled: bool = False
-    response: Optional[LatencyResponse] = None
-    abandoned: bool = False
+    __slots__ = (
+        "first", "specs", "keys", "requests", "submitted", "coalesced",
+        "outcomes", "gone", "abandoned", "unfulfilled", "live",
+    )
+
+    def __init__(self, first: int, specs: list, keys: list, requests: list, now: float):
+        self.first, self.specs, self.keys, self.requests = first, specs, keys, requests
+        self.submitted = now
+        self.coalesced: List[bool] = []
+        size = len(specs)
+        self.outcomes: List[Optional[tuple]] = [None] * size
+        self.gone = bytearray(size)
+        self.abandoned: Set[int] = set()
+        self.unfulfilled = self.live = size
 
 
-@dataclass
 class _Job:
-    """One unique (backend, length, recycles) simulation; owns its waiters.
+    """One unique (backend, length, recycles) simulation; owns its waiting slots.
 
-    ``priority``/``deadline`` aggregate over the attached tickets (highest
+    ``priority``/``deadline`` aggregate over the attached requests (highest
     priority, earliest absolute deadline): a duplicate that coalesces onto a
     queued job can only move it *forward* in dispatch order, never starve it.
+    ``queued`` is True while the job sits in the queue; ``peeked`` when
+    submit found the key missing from the memo, so the dispatcher prices it
+    without looking again; ``path`` names how it was priced ("memo-hit",
+    "stacked-simulate", "simulate", "error") for tracing.
     """
 
-    key: Tuple
-    spec: Any
-    sequence_length: int
-    include_recycles: bool
-    seq: int = 0
-    priority: int = 0
-    deadline: Optional[float] = None
-    #: True while the job sits in the pending queue (dispatch bookkeeping).
-    queued: bool = True
-    #: True when submit found the key missing from the memo: the dispatcher
-    #: prices it without looking again.  Jobs queued while the session was
-    #: busy (or whose peek raised) are classified by the dispatcher.
-    peeked: bool = False
-    #: Which execution path priced this job ("memo-hit", "stacked-simulate",
-    #: "simulate", "error") — the span name tracing gives
-    #: the execution window of every non-coalesced ticket.
-    path: str = "simulate"
-    tickets: List[_Ticket] = field(default_factory=list)
+    __slots__ = (
+        "key", "spec", "sequence_length", "include_recycles", "seq", "priority",
+        "deadline", "queued", "peeked", "path", "slots",
+    )
+
+    def __init__(self, key: Tuple, spec: Any, seq: int) -> None:
+        self.key, self.spec, self.seq = key, spec, seq
+        self.sequence_length, self.include_recycles = key[1], key[2]
+        self.priority, self.deadline = 0, None
+        self.queued, self.peeked, self.path = True, False, "simulate"
+        #: (batch, slot) of every request waiting on this job.
+        self.slots: List[Tuple[_Batch, int]] = []
 
     def dispatch_key(self) -> Tuple[int, float, int]:
         return dispatch_order_key(self.priority, self.deadline, self.seq)
@@ -220,19 +227,16 @@ class LatencyService:
     the module docstring.  ``cache_dir`` / ``REPRO_SIM_CACHE_DIR`` enable the
     shared disk cache exactly as on a bare session.
 
-    ``tracer`` switches on per-request span tracing: every fulfilled ticket
+    ``tracer`` switches on per-request span tracing: every fulfilled request
     records a root ``request`` span with ``queue-wait``, an execution span
-    named after the path that priced it (``memo-hit`` /
-    ``stacked-simulate`` / ``simulate``, or ``coalesce`` for tickets that
-    attached to an in-flight duplicate) and a ``fulfill`` span, keyed by the
+    named after the path that priced it (``memo-hit`` / ``stacked-simulate``
+    / ``simulate``, or ``coalesce``) and a ``fulfill`` span, keyed by the
     client's ``trace_id`` or the ticket id (see :mod:`repro.obs.tracing`).
 
-    The dispatcher thread starts lazily on first submit (``autostart=True``)
-    or explicitly via :meth:`start` — tests submit with ``autostart=False``
-    to stage a concurrent batch deterministically (memo hits are still
-    answered at submit; only work that needs pricing stages).  The service
-    is a context manager; leaving the ``with`` block drains the queue and
-    stops the dispatcher.
+    The dispatcher thread starts on first submit (``autostart=True``) or via
+    :meth:`start`; ``autostart=False`` stages work that needs pricing (memo
+    hits are still answered at submit).  Leaving the ``with`` block drains
+    the queue and stops the dispatcher.
     """
 
     def __init__(
@@ -280,31 +284,28 @@ class LatencyService:
         self._started_at = time.perf_counter()
         self.stats = ServiceStats(request_log_limit=request_log_limit, epoch=self._started_at)
         self.stats.read_queue_depth = self.queue_depth
-        #: Optional per-request span tracing (:mod:`repro.obs.tracing`).
-        #: ``None`` keeps the hot path untouched; a disabled tracer records
-        #: nothing.  Spans are keyed by ``request.trace_id`` when the client
-        #: supplied one, else by the integer ticket id.
+        #: Optional span tracing; ``None`` or a disabled tracer records nothing.
         self.tracer = tracer
 
         lock = threading.RLock()
         self._cond = threading.Condition(lock)  # queue, dispatcher and join() wake-ups
-        #: result() wake-ups on the same lock: fulfilling a ticket never
-        #: wakes an idle dispatcher.
+        #: Claim wake-ups on the same lock: fulfilling never wakes an idle
+        #: dispatcher.
         self._settled = threading.Condition(lock)
         self._session_lock = threading.RLock()
         #: Hashable spec value -> coalescing key (see :meth:`_spec_key`).
         self._spec_keys: Dict[Any, Tuple[str, object]] = {}
-        #: Fulfillment listeners (see :meth:`add_result_listener`), invoked by
-        #: the fulfilling thread outside the service lock.
-        self._listeners: List = []
+        self._listeners: List = []  # see add_result_listener
         self._queue: Deque[_Job] = deque()
         #: Queued jobs with non-default priority/deadline; while zero the
         #: dispatcher drains with the O(1) FIFO popleft fast path instead of
         #: sorting the whole queue per batch.
         self._urgent_queued = 0
         self._pending: Dict[Tuple, _Job] = {}
-        #: Live tickets; an issued id neither live nor reaped was consumed.
-        self._tickets: Dict[int, _Ticket] = {}
+        #: Batches with a live slot, in id order, and their first ids (for
+        #: bisect); an issued id neither live nor reaped was consumed.
+        self._batches: List[_Batch] = []
+        self._firsts: List[int] = []
         #: Ids taken by :meth:`reap_abandoned` rather than claimed by a client.
         self._reaped: Set[int] = set()
         self._next_ticket = 0
@@ -319,24 +320,21 @@ class LatencyService:
         with self._cond:
             if self._stopped:
                 raise RuntimeError("service is closed")
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="latency-service", daemon=True
-                )
-                self._thread.start()
+            self._spawn()
         return self
+
+    def _spawn(self) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run, name="latency-service", daemon=True)
+            self._thread.start()
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting requests; the dispatcher drains the queue, then exits."""
         with self._cond:
-            if self._thread is None and self._queue:
-                # Never-started service with staged requests: start the
-                # dispatcher late so the drain contract holds and no ticket
-                # is left unfulfilled.
-                self._thread = threading.Thread(
-                    target=self._run, name="latency-service", daemon=True
-                )
-                self._thread.start()
+            if self._queue:
+                # A never-started service with staged requests starts its
+                # dispatcher late, so no ticket is left unfulfilled.
+                self._spawn()
             self._stopped = True
             self._cond.notify_all()
             thread = self._thread
@@ -363,192 +361,218 @@ class LatencyService:
         return key
 
     def submit(self, request: RequestLike) -> int:
-        """Enqueue one request; returns a ticket id for :meth:`poll`/:meth:`result`.
-
-        A request whose (backend, length, recycles) key matches a queued or
-        in-flight job attaches to that job — sharing its single simulation —
-        instead of enqueueing a new one; a memo hit comes back already
-        fulfilled (see :meth:`submit_batch`).
-        """
-        return self.submit_batch((request,))[0]
+        """Enqueue one request as a one-slot batch (see :meth:`submit_batch`); returns its id."""
+        return self._submit((request,)).first
 
     def submit_batch(self, requests: Iterable[RequestLike]) -> List[int]:
-        """Enqueue many requests at once; returns ticket ids in input order.
+        """Enqueue many requests as one batch; returns their contiguous ticket ids in order.
 
-        A new key whose report the session memo already holds is answered
+        A request whose (backend, length, recycles) key matches a queued or
+        in-flight job attaches to that job, sharing its one simulation.  A
+        new key whose report the session memo already holds is answered
         here, on the calling thread, before this returns: its ticket is
         ``"fulfilled"`` at once and the dispatcher never sees it.  The memo is
-        only read while the session is idle; if the dispatcher is pricing,
-        the request queues and the dispatcher answers it.  Everything queued
-        by one call is enqueued under one lock hold with one wake-up, so a
-        running dispatcher drains it together rather than a slice at a time.
-        Each distinct spec object is keyed once per batch, and each distinct
-        hashable spec value once per service.
+        read once per distinct new key, and only while the session is idle;
+        if the dispatcher is pricing, the request queues and the dispatcher
+        answers it.  Everything queued by one call is enqueued under one lock
+        hold with one wake-up.  Each distinct spec object is keyed once per
+        batch, and each distinct hashable spec value once per service.
+        """
+        batch = self._submit(requests)
+        return [] if batch is None else list(range(batch.first, batch.first + len(batch.specs)))
+
+    def _submit(self, requests: Iterable[RequestLike]) -> Optional[_Batch]:
+        """Validate and key ``requests``, then issue them as one batch record.
+
+        A ``(spec, length)`` tuple is rejected exactly as a
+        :class:`LatencyRequest` of it would be, without building one.
         """
         spec_keys: Dict[int, Tuple[str, object]] = {}
         default_include = self.session.include_recycles
-        keyed = []
-        for request in map(_as_request, requests):
-            spec_key = spec_keys.get(id(request.backend))
+        specs: List[Any] = []
+        originals: List[Optional[LatencyRequest]] = []
+        keys: List[Tuple] = []
+        urgent: List[Tuple[int, LatencyRequest]] = []  # slots with priority/deadline
+        for request in requests:
+            if isinstance(request, LatencyRequest):
+                spec, length = request.backend, int(request.sequence_length)
+                include = request.include_recycles
+                include = default_include if include is None else bool(include)
+                if request.priority > 0 or request.deadline_seconds is not None:
+                    urgent.append((len(keys), request))
+            else:
+                spec, length = request
+                length = int(length)
+                if not spec:
+                    non_empty("backend", spec)
+                if not 0 < length < math.inf:
+                    positive("sequence_length", length)
+                request, include = None, default_include  # no request object kept
+            spec_key = spec_keys.get(id(spec))
             if spec_key is None:
-                spec_key = spec_keys[id(request.backend)] = self._spec_key(request.backend)
-            include = (
-                default_include
-                if request.include_recycles is None
-                else bool(request.include_recycles)
-            )
-            # Job key: (spec key, length, recycles flag).
-            keyed.append((request, (spec_key, int(request.sequence_length), include)))
-        if not keyed:
-            return []
-        #: id(spec) -> the session's backend for it: each spec object of the
-        #: batch is resolved once, not once per peeked job.
-        backends: Dict[int, Any] = {}
+                spec_key = spec_keys[id(spec)] = self._spec_key(spec)
+            specs.append(spec)
+            originals.append(request)
+            keys.append((spec_key, length, include))  # the job key
+        if not keys:
+            return None
         now = time.perf_counter()
-        ticket_ids: List[int] = []
-        coalesced_count = 0
+        results: Dict[Tuple, _Result] = {}
         hits: List[_Job] = []
-        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
-        queued = False
         with self._cond:
             if self._stopped:
                 raise RuntimeError("service is closed")
+            first = self._next_ticket
+            self._next_ticket += len(keys)
+            batch = _Batch(first, specs, keys, originals, now)
+            self._batches.append(batch)
+            self._firsts.append(first)
+            pending, coalesced, fresh = self._pending, batch.coalesced, []
+            for slot, key in enumerate(keys):
+                job = pending.get(key)
+                coalesced.append(job is not None)
+                if job is None:
+                    # Pending at once, so duplicates later in this batch
+                    # coalesce onto it exactly as onto a queued job.
+                    job = pending[key] = _Job(key, specs[slot], first + slot)
+                    fresh.append(job)
+                job.slots.append((batch, slot))
             # Never wait for the session: a busy one is pricing a batch, and
             # the dispatcher classifies whatever queues meanwhile.
-            peek = self._session_lock.acquire(blocking=False)
-            try:
-                for request, key in keyed:
-                    ticket_id = self._next_ticket
-                    self._next_ticket += 1
-                    job = self._pending.get(key)
-                    coalesced = job is not None
-                    ticket = _Ticket(ticket_id, request, now, coalesced)
-                    self._tickets[ticket_id] = ticket
-                    deadline = (
-                        None
-                        if request.deadline_seconds is None
-                        else now + float(request.deadline_seconds)
+            if fresh and self._session_lock.acquire(blocking=False):
+                try:
+                    peeked = self.session.peek_reports(
+                        [(job.spec, job.sequence_length, job.include_recycles) for job in fresh]
                     )
-                    if job is None:
-                        job = _Job(
-                            key=key, spec=request.backend, sequence_length=key[1],
-                            include_recycles=key[2], seq=ticket_id, peeked=peek,
-                        )
-                        # Pending either way, so duplicates later in this
-                        # batch coalesce onto it exactly as onto a queued job.
-                        self._pending[key] = job
-                        report = None
-                        if peek:
-                            try:
-                                backend = backends.get(id(job.spec))
-                                if backend is None:
-                                    backend = backends[id(job.spec)] = self.session.backend(
-                                        job.spec
-                                    )
-                                report = self.session.peek_report(
-                                    backend, job.sequence_length, job.include_recycles
-                                )
-                            except Exception:
-                                # Bad spec: the dispatcher reports the error.
-                                job.peeked = False
-                        if report is None:
-                            self._queue.append(job)
-                            queued = True
-                        else:
-                            job.queued = False
-                            job.path = "memo-hit"
-                            results[key] = (report, None, True)
-                            hits.append(job)
-                    if request.priority > 0 or deadline is not None:  # else a no-op
-                        was_default = job.is_default_order()
-                        job.absorb(request.priority, deadline)
-                        if job.queued and was_default and not job.is_default_order():
-                            self._urgent_queued += 1
-                    job.tickets.append(ticket)
-                    ticket_ids.append(ticket_id)
-                    coalesced_count += coalesced
-            finally:
-                if peek:
+                except Exception:  # the dispatcher looks again and reports it
+                    peeked = ()
+                finally:
                     self._session_lock.release()
-            depth = len(self._queue)  # only grew in the loop: its peak
-            if queued:
+                for job, report in zip(fresh, peeked):
+                    if not isinstance(report, Exception):  # else the dispatcher reports it
+                        job.peeked = True
+                        if report is not None:
+                            job.queued, job.path = False, "memo-hit"
+                            results[job.key] = (report, None, True)
+                            hits.append(job)
+            for slot, request in urgent:
+                job = pending[keys[slot]]
+                was_default = job.is_default_order()
+                deadline = request.deadline_seconds
+                job.absorb(request.priority, None if deadline is None else now + float(deadline))
+                if job.queued and was_default and not job.is_default_order():
+                    self._urgent_queued += 1
+            if len(hits) < len(fresh):
+                self._queue.extend([job for job in fresh if job.queued] if hits else fresh)
                 self._cond.notify_all()
-        self.stats.record_submits(len(ticket_ids), coalesced_count, depth)
+            depth = len(self._queue)  # only grew here: its peak
+        self.stats.record_submits(len(keys), sum(coalesced), depth)
         if hits:
             self._fulfill(hits, results, now, inline=True)
         if self.autostart and self._thread is None:  # start() is idempotent
             self.start()
-        return ticket_ids
+        return batch
 
     # ------------------------------------------------------------------- await
+    def _slot(self, ticket_id: int) -> Tuple[_Batch, int]:
+        """The batch and slot of a live ticket; ``KeyError`` if it is not live."""
+        index = bisect_right(self._firsts, ticket_id) - 1
+        if index >= 0:
+            batch = self._batches[index]
+            slot = ticket_id - batch.first
+            if slot < len(batch.gone) and not batch.gone[slot]:
+                return batch, slot
+        raise KeyError(ticket_id)
+
+    def _take(self, batch: _Batch, slot: int) -> None:
+        """Mark a live slot consumed or reaped; a batch leaves with its last slot."""
+        batch.gone[slot] = 1
+        if batch.abandoned:
+            batch.abandoned.discard(slot)
+        batch.live -= 1
+        if not batch.live:
+            self._drop(batch)
+
+    def _drop(self, batch: _Batch) -> None:
+        index = bisect_left(self._firsts, batch.first)
+        del self._firsts[index], self._batches[index]
+
+    @staticmethod
+    def _response(batch: _Batch, slot: int) -> LatencyResponse:
+        """The :class:`LatencyResponse` of a fulfilled slot, built on read."""
+        report, error, index, started, end = batch.outcomes[slot]
+        request = batch.requests[slot]
+        if request is None:
+            request = LatencyRequest(batch.specs[slot], batch.keys[slot][1])
+        submitted = batch.submitted
+        return LatencyResponse(
+            batch.first + slot, request, report, error, batch.coalesced[slot],
+            max(0.0, started - submitted), max(0.0, end - submitted), index,
+        )
+
     def poll(self, ticket_id: int) -> Optional[LatencyResponse]:
         """The response for ``ticket_id`` if fulfilled, else ``None``.
 
         A fulfilled ticket is consumed: polling it again raises ``KeyError``.
         """
         with self._cond:
-            ticket = self._tickets[ticket_id]
-            if not ticket.fulfilled:
+            batch, slot = self._slot(ticket_id)
+            if batch.outcomes[slot] is None:
                 return None
-            del self._tickets[ticket_id]
-            return ticket.response
+            self._take(batch, slot)
+        return self._response(batch, slot)
 
-    def result(
-        self, ticket_id: int, timeout: Optional[float] = None
-    ) -> LatencyResponse:
+    def result(self, ticket_id: int, timeout: Optional[float] = None) -> LatencyResponse:
         """Block until ``ticket_id`` is fulfilled and return (and consume) it.
 
-        On timeout the ticket is *not* consumed — a later ``result`` or
-        :meth:`poll` may still claim it once fulfilled — but the give-up is
-        counted (``timed_out`` in :meth:`capacity_report`) and the ticket is
-        marked abandoned: if the job later completes with no waiter attached,
-        the completion lands in stats as a *late result* (``late_results``)
-        and its response stays reclaimable via :meth:`reap_abandoned`, so a
-        client giving up never silently orphans finished work.
+        On timeout the ticket is *not* consumed, the give-up is counted
+        (``timed_out``) and the ticket is marked abandoned: a completion that
+        lands later is a *late result* (``late_results``), reclaimable via
+        :meth:`reap_abandoned` or a later ``result``/:meth:`poll`.
         """
         with self._cond:
-            ticket = self._tickets[ticket_id]
+            batch, slot = self._slot(ticket_id)
             # A returning waiter re-arms the ticket: a completion that lands
             # while someone is actively waiting is on-time, not late.
-            ticket.abandoned = False
-            if ticket.fulfilled or self._settled.wait_for(lambda: ticket.fulfilled, timeout):
-                self._tickets.pop(ticket_id, None)
-                return ticket.response
-            ticket.abandoned = True
-        self.stats.record(timeouts=1)
-        raise TimeoutError(f"request {ticket_id} not fulfilled within {timeout}s")
+            batch.abandoned.discard(slot)
+            outcomes = batch.outcomes
+            fulfilled = outcomes[slot] is not None or self._settled.wait_for(
+                lambda: outcomes[slot] is not None, timeout
+            )
+            if batch.gone[slot]:
+                pass  # another waiter claimed it first
+            elif fulfilled:
+                self._take(batch, slot)
+            else:
+                batch.abandoned.add(slot)
+        if not fulfilled:
+            self.stats.record(timeouts=1)
+            raise TimeoutError(f"request {ticket_id} not fulfilled within {timeout}s")
+        return self._response(batch, slot)
 
     def abandon(self, ticket_id: int) -> bool:
-        """Mark a ticket abandoned without blocking on it; returns whether it exists.
+        """Mark a ticket abandoned without waiting out a timeout; returns whether it is live.
 
-        The non-blocking half of the abandonment contract: a
-        :meth:`result` timeout marks its ticket abandoned implicitly; a
-        client (or a front end such as :class:`repro.serving.http`'s result
-        reaper) that *knows* it will never claim a ticket calls this instead
-        of waiting out a timeout.  An abandoned-and-fulfilled ticket is
-        collected by the next :meth:`reap_abandoned`; polling or waiting on
-        the ticket again un-abandons nothing — ``abandon`` is a one-way hint
-        until a waiter returns via :meth:`result`, which re-arms it.
+        An abandoned-and-fulfilled ticket is collected by the next
+        :meth:`reap_abandoned`; only a waiter returning via :meth:`result`
+        re-arms it.
         """
         with self._cond:
-            ticket = self._tickets.get(ticket_id)
-            if ticket is None:
+            try:
+                batch, slot = self._slot(ticket_id)
+            except KeyError:
                 return False
-            ticket.abandoned = True
+            batch.abandoned.add(slot)
             return True
 
     def add_result_listener(self, listener) -> None:
         """Register ``listener(ticket_ids)`` to run after each fulfilled batch.
 
-        Called outside the service lock, on the thread that fulfilled the
-        batch, with the tuple of ticket ids it fulfilled — *after* every
-        ticket's response is readable via :meth:`poll`.  That is the
-        dispatcher thread for queued work and the submitter's own thread for
-        memo hits answered at submit, in which case the listener runs before
-        ``submit`` returns the ids.  Listeners must be fast and must not
-        raise (exceptions are swallowed to protect the fulfilling thread);
-        the HTTP front door uses this to wake its event loop instead of
-        polling.
+        Called outside the service lock with the ids the batch fulfilled,
+        once each is pollable, on the fulfilling thread: the dispatcher, or
+        the submitter for memo hits answered at submit (before ``submit``
+        returns).  Listeners must be fast; their exceptions are swallowed.
+        The HTTP front door uses this to wake its event loop.
         """
         with self._cond:
             self._listeners.append(listener)
@@ -556,20 +580,18 @@ class LatencyService:
     def reap_abandoned(self) -> List[LatencyResponse]:
         """Consume and return responses of fulfilled-but-abandoned tickets.
 
-        The cleanup half of the late-result contract: tickets whose waiters
-        all timed out stay in the table so their eventual responses are not
-        lost; a long-lived service should periodically reap them (or poll the
-        ids again) so the table cannot grow without bound.
+        The cleanup half of the late-result contract: a long-lived service
+        reaps periodically so abandoned tickets cannot pile up.
         """
+        ripe: List[Tuple[_Batch, int]] = []
         with self._cond:
-            ripe = [
-                t for t in self._tickets.values()
-                if t.abandoned and t.fulfilled
-            ]
-            for ticket in ripe:
-                del self._tickets[ticket.id]
-                self._reaped.add(ticket.id)
-        return [t.response for t in ripe if t.response is not None]
+            for batch in [b for b in self._batches if b.abandoned]:
+                for slot in sorted(batch.abandoned):
+                    if batch.outcomes[slot] is not None:
+                        self._take(batch, slot)
+                        self._reaped.add(batch.first + slot)
+                        ripe.append((batch, slot))
+        return [self._response(batch, slot) for batch, slot in ripe]
 
     def ticket_state(self, ticket_id: int) -> str:
         """``"pending"``, ``"fulfilled"``, ``"consumed"``, ``"reaped"`` or ``"unknown"``.
@@ -577,21 +599,20 @@ class LatencyService:
         The lifecycle of :mod:`repro.serving.api`; ``"unknown"`` means never issued.
         """
         with self._cond:
-            ticket = self._tickets.get(ticket_id)
-            if ticket is not None:
-                return "fulfilled" if ticket.fulfilled else "pending"
-            if ticket_id in self._reaped:
-                return "reaped"
-            if 0 <= ticket_id < self._next_ticket:
-                return "consumed"
-            return "unknown"
+            try:
+                batch, slot = self._slot(ticket_id)
+            except KeyError:
+                if ticket_id in self._reaped:
+                    return "reaped"
+                return "consumed" if 0 <= ticket_id < self._next_ticket else "unknown"
+            return "pending" if batch.outcomes[slot] is None else "fulfilled"
 
     def ticket_counts(self) -> Dict[str, int]:
         """How many issued tickets were ``"consumed"`` and ``"reaped"``."""
         with self._cond:
             reaped = len(self._reaped)
-            consumed = self._next_ticket - len(self._tickets) - reaped
-            return {"consumed": consumed, "reaped": reaped}
+            live = sum(batch.live for batch in self._batches)
+            return {"consumed": self._next_ticket - live - reaped, "reaped": reaped}
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait until the queue is empty and no batch is executing."""
@@ -602,39 +623,49 @@ class LatencyService:
 
     # ------------------------------------------------------------- convenience
     def query(
-        self,
-        backend: Any,
-        sequence_length: int,
-        include_recycles: Optional[bool] = None,
-        timeout: Optional[float] = None,
+        self, backend: Any, sequence_length: int,
+        include_recycles: Optional[bool] = None, timeout: Optional[float] = None,
     ) -> SimReport:
         """Synchronous submit + await; raises :class:`LatencyServiceError` on failure."""
-        ticket = self.submit(
-            LatencyRequest(
-                backend=backend,
-                sequence_length=sequence_length,
-                include_recycles=include_recycles,
-            )
-        )
-        return self.result(ticket, timeout=timeout).raise_for_error().report
+        request = LatencyRequest(backend, sequence_length, include_recycles)
+        return self.query_batch((request,), timeout=timeout)[0]
 
     def query_batch(
         self, requests: Iterable[RequestLike], timeout: Optional[float] = None
     ) -> List[SimReport]:
-        """Submit a batch and await every report, aligned with the input order."""
-        tickets = self.submit_batch(requests)
-        return [
-            self.result(ticket, timeout=timeout).raise_for_error().report
-            for ticket in tickets
-        ]
+        """Submit a batch and await every report, aligned with the input order.
+
+        Waits once for the whole batch and claims every slot in one lock
+        hold; no :class:`LatencyResponse` is built unless a slot failed, and
+        :class:`LatencyServiceError` then names the first failure.
+        ``timeout`` bounds the one wait: on expiry every unclaimed slot is
+        abandoned (reclaimable via :meth:`reap_abandoned`), the give-up is
+        counted once and ``TimeoutError`` is raised.
+        """
+        batch = self._submit(requests)
+        if batch is None:
+            return []
+        with self._cond:
+            fulfilled = not batch.unfulfilled or self._settled.wait_for(
+                lambda: not batch.unfulfilled, timeout
+            )
+            if not fulfilled:
+                batch.abandoned.update(i for i, gone in enumerate(batch.gone) if not gone)
+            elif batch.live:  # else other clients claimed or reaped every slot
+                batch.gone[:] = b"\x01" * len(batch.gone)
+                batch.abandoned.clear()
+                batch.live = 0
+                self._drop(batch)
+        if not fulfilled:
+            self.stats.record(timeouts=1)
+            raise TimeoutError(f"requests {batch.first}.. not fulfilled within {timeout}s")
+        for slot, (report, error, _, _, _) in enumerate(batch.outcomes):
+            if error is not None or report is None:
+                self._response(batch, slot).raise_for_error()
+        return [outcome[0] for outcome in batch.outcomes]
 
     def register_backend(self, spec: Any, name: Optional[str] = None):
-        """Register a backend on the shared session (thread-safe).
-
-        Entry points that pre-register custom design points (digest-named
-        accelerator variants, reference GPUs) route through here so session
-        mutation never races the dispatcher.
-        """
+        """Register a backend on the shared session without racing the dispatcher."""
         with self._session_lock:
             if name is None:
                 return self.session.backend(spec)
@@ -648,12 +679,8 @@ class LatencyService:
     def request_log(self) -> Tuple[RequestLogRecord, ...]:
         """Structured log of fulfilled requests (fulfillment order).
 
-        Each record carries the request's arrival (relative to service
-        start), length, priority, relative deadline, and outcome — the exact
-        fields :meth:`repro.cluster.trace.RequestTrace.from_serving_log`
-        needs to replay this traffic through the cluster simulator.  Bounded
-        by the ``request_log_limit`` constructor argument (``None`` keeps
-        everything).
+        Carries what :meth:`repro.cluster.trace.RequestTrace.from_serving_log`
+        needs to replay the traffic; bounded by ``request_log_limit``.
         """
         return self.stats.request_log()
 
@@ -671,12 +698,8 @@ class LatencyService:
                     self._cond.wait()
                 if not self._queue:
                     break  # stopped and drained
-                # Drain up to max_batch jobs in dispatch order: priority desc,
-                # then earliest deadline, then submission order (the shared
-                # dispatch_order_key semantics).  While nothing queued carries
-                # a non-default priority/deadline the queue is already in
-                # dispatch order, so keep the O(1) FIFO popleft drain; sort
-                # only when an urgent job is actually waiting.
+                # Drain up to max_batch jobs in dispatch_order_key order.  With
+                # no urgent job queued, FIFO is that order: pop, don't sort.
                 if self._urgent_queued == 0:
                     jobs = []
                     while self._queue and len(jobs) < self.max_batch:
@@ -684,62 +707,47 @@ class LatencyService:
                 else:
                     ordered = sorted(self._queue, key=_Job.dispatch_key)
                     jobs = ordered[: self.max_batch]
-                    if len(jobs) == len(self._queue):
-                        self._queue.clear()
-                    else:
-                        chosen = {id(job) for job in jobs}
-                        self._queue = deque(
-                            job for job in self._queue if id(job) not in chosen
-                        )
+                    chosen = {id(job) for job in jobs}
+                    self._queue = deque(job for job in self._queue if id(job) not in chosen)
                 for job in jobs:
                     job.queued = False
                     if not job.is_default_order():
                         self._urgent_queued -= 1
                 self._executing = len(jobs)
             started = time.perf_counter()
-            results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
+            results: Dict[Tuple, _Result] = {}
             try:
                 results = self._execute(jobs)
             except Exception as exc:
                 # A dispatcher-level failure (session corruption) must not
-                # kill this thread: a dead dispatcher
-                # would hang every future poll()/result() forever.  Convert
-                # the crash into per-ticket error responses and keep serving.
+                # kill this thread: a dead dispatcher would hang every future
+                # claim.  Every drained request gets an error response instead.
                 for job in jobs:
-                    results.setdefault(
-                        job.key, (None, f"dispatcher error: {exc}", False)
-                    )
+                    results.setdefault(job.key, (None, f"dispatcher error: {exc}", False))
             finally:
-                # Fulfill even if _execute blew up: every drained ticket gets a
-                # response (an error one, in the worst case), never a hang.
                 self._fulfill(jobs, results, started)
 
-    def _execute(
-        self, jobs: List[_Job]
-    ) -> Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]]:
+    def _execute(self, jobs: List[_Job]) -> Dict[Tuple, _Result]:
         """Evaluate unique jobs; returns key -> (report, error, memo_hit)."""
-        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
+        results: Dict[Tuple, _Result] = {}
         # Stacked batch admission: misses sharing a backend spec and recycles
         # flag are priced by a single stacked pass; loners keep the plain
         # per-job path.
         buckets: Dict[Tuple, List[_Job]] = {}
         with self._session_lock:
-            for job in jobs:
-                if job.peeked:  # submit already found it missing from the memo
-                    buckets.setdefault((job.key[0], job.include_recycles), []).append(job)
-                    continue
-                try:
-                    report = self.session.peek_report(
-                        job.spec, job.sequence_length, job.include_recycles
-                    )
-                except Exception as exc:  # bad spec: resolution itself failed
-                    results[job.key] = (None, str(exc), False)
+            unpeeked = [job for job in jobs if not job.peeked]
+            peeked = self.session.peek_reports(
+                [(job.spec, job.sequence_length, job.include_recycles) for job in unpeeked]
+            )
+            for job, report in zip(unpeeked, peeked):
+                if isinstance(report, Exception):  # bad spec: resolution failed
+                    results[job.key] = (None, str(report), False)
                     job.path = "error"
-                    continue
-                if report is not None:
+                elif report is not None:
                     results[job.key] = (report, None, True)
                     job.path = "memo-hit"
-                else:
+            for job in jobs:
+                if job.key not in results:
                     buckets.setdefault((job.key[0], job.include_recycles), []).append(job)
             for group in buckets.values():
                 if len(group) > 1:
@@ -748,33 +756,22 @@ class LatencyService:
                     results[group[0].key] = self._simulate_serial(group[0])
         return results
 
-    def _simulate_serial(
-        self, job: _Job
-    ) -> Tuple[Optional[SimReport], Optional[str], bool]:
+    def _simulate_serial(self, job: _Job) -> _Result:
         job.path = "simulate"
         try:
             report = self.session.simulate(
-                job.sequence_length,
-                backend=job.spec,
-                include_recycles=job.include_recycles,
+                job.sequence_length, backend=job.spec, include_recycles=job.include_recycles
             )
         except Exception as exc:
             return (None, str(exc), False)
         self.stats.record(simulations=1)
         return (report, None, False)
 
-    def _simulate_bucketed(
-        self,
-        jobs: List[_Job],
-        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]],
-    ) -> None:
-        """Price one bucket (same spec, same recycles flag) in one pass.
+    def _simulate_bucketed(self, jobs: List[_Job], results: Dict[Tuple, _Result]) -> None:
+        """Price one bucket (same spec, same recycles flag) in one stacked pass.
 
-        Delegates to :meth:`SimulationSession.simulate_batch`, which stacks
-        the distinct lengths and evaluates the backend with one vectorized
-        call (seeding the shared memo for every member).  Any
-        failure falls back to the per-job serial path, so bucketing never
-        costs correctness.
+        Any failure of :meth:`SimulationSession.simulate_batch` falls back to
+        the per-job serial path, so bucketing never costs correctness.
         """
         include = jobs[0].include_recycles
         lengths = sorted({job.sequence_length for job in jobs})
@@ -796,29 +793,23 @@ class LatencyService:
             job.path = "stacked-simulate"
 
     def _fulfill(
-        self,
-        jobs: List[_Job],
-        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]],
-        started: float,
-        inline: bool = False,
+        self, jobs: List[_Job], results: Dict[Tuple, _Result], started: float, inline: bool = False
     ) -> None:
-        """Give every ticket of ``jobs`` its response, then tell the listeners.
+        """Give every slot waiting on ``jobs`` its outcome, then tell the listeners.
 
-        The one place a ticket gets its response, with one stats-lock hold
-        per call.  The dispatcher calls it once per drained batch;
-        :meth:`submit_batch` calls it with ``inline=True`` for the memo hits
-        it answers itself, which leaves the dispatcher's ``_executing`` count
-        and ``batches`` counter alone and wakes only :meth:`result` waiters.
+        The one place a ticket is fulfilled: each slot gets its job's outcome
+        tuple (its response is built only when read), with one stats-lock
+        hold and one hold per backend latency histogram per call.  The
+        dispatcher calls it once per drained batch; :meth:`submit_batch`
+        calls it with ``inline=True`` for the memo hits it answers itself,
+        which leaves the dispatcher's ``_executing`` count and ``batches``
+        counter alone and wakes only claim waiters.
         """
         end = time.perf_counter()
-        tracer = self.tracer
-        #: One deferred span row per ticket when tracing (Tracer.record_deferred).
-        traced: Optional[List[tuple]] = (
-            [] if tracer is not None and tracer.enabled else None
-        )
-        released = [0.0]  # when the waiters below are woken
-        #: One request-log row per ticket (see ServiceStats.record_fulfilled).
+        #: One row per request, for the request log and the trace (see
+        #: ServiceStats.record_fulfilled), and each backend's service times.
         log: List[tuple] = []
+        latencies: Dict[str, List[float]] = {}
         errors = memo_hits = late_results = 0
         with self._cond:
             for job in jobs:
@@ -829,43 +820,45 @@ class LatencyService:
                 index = self._completed_index
                 self._completed_index += 1
                 label = _backend_label(job.spec, report)
+                outcome = (report, error, index, started, end)
                 job_spans = (label, job.path, error is None, started, end)
-                outcome = "ok" if error is None else "error"
-                errors += len(job.tickets) if error is not None else 0
-                for ticket in job.tickets:
-                    request, submitted = ticket.request, ticket.submitted_at
-                    queue_seconds = max(0.0, started - submitted)
-                    service_seconds = max(0.0, end - submitted)
-                    ticket.response = LatencyResponse(
-                        ticket_id=ticket.id, request=request, report=report, error=error,
-                        coalesced=ticket.coalesced, queue_seconds=queue_seconds,
-                        service_seconds=service_seconds, completed_index=index,
-                    )
-                    ticket.fulfilled = True
-                    # A coalesced ticket was counted at submit; a memo hit too
-                    # would double-credit the hit rate.
-                    memo_hits += memo_hit and not ticket.coalesced
-                    # Every waiter gave up before this landed: a late result,
-                    # left reclaimable (reap_abandoned / poll).
-                    late_results += ticket.abandoned
-                    row = (
-                        ticket.id, label, request.sequence_length, request.priority,
-                        request.deadline_seconds, submitted, outcome, ticket.coalesced,
-                        queue_seconds, service_seconds, request.trace_id,
-                    )
-                    log.append(row)
-                    if traced is not None:
-                        traced.append((request.trace_id or ticket.id, job_spans, row))
+                status = "ok" if error is None else "error"
+                errors += len(job.slots) if error is not None else 0
+                observed = latencies.setdefault(label, [])
+                for batch, slot in job.slots:
+                    batch.outcomes[slot] = outcome
+                    batch.unfulfilled -= 1
+                    submitted, coalesced = batch.submitted, batch.coalesced[slot]
+                    queue_seconds = started - submitted if started > submitted else 0.0
+                    service_seconds = end - submitted if end > submitted else 0.0
+                    # A coalesced request was counted at submit; a memo hit
+                    # too would double-credit the hit rate.
+                    memo_hits += memo_hit and not coalesced
+                    if batch.abandoned:  # every waiter gave up: a late result
+                        late_results += slot in batch.abandoned
+                    request, ticket_id = batch.requests[slot], batch.first + slot
+                    log.append((
+                        ticket_id, ticket_id, label, batch.keys[slot][1], 0, None, submitted,
+                        status, coalesced, queue_seconds, service_seconds, None, job_spans,
+                    ) if request is None else (
+                        request.trace_id or ticket_id, ticket_id, label,
+                        request.sequence_length, request.priority, request.deadline_seconds,
+                        submitted, status, coalesced, queue_seconds, service_seconds,
+                        request.trace_id, job_spans,
+                    ))
+                    observed.append(service_seconds)
             self.stats.record_fulfilled(
-                log, errors=errors, memo_hits=memo_hits, late_results=late_results,
-                batches=0 if inline else 1, busy_seconds=end - started,
+                log, latencies, errors=errors, memo_hits=memo_hits,
+                late_results=late_results, batches=0 if inline else 1,
+                busy_seconds=end - started,
             )
-            if traced:
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
                 # Recorded before the lock is released so a woken waiter
                 # always finds its trace complete.
-                released[0] = time.perf_counter()
+                released = time.perf_counter()
                 tracer.record_deferred(
-                    traced, _REQUEST_SPANS, functools.partial(_request_spans, released)
+                    log, _REQUEST_SPANS, functools.partial(_request_spans, released)
                 )
             self._settled.notify_all()
             listeners = list(self._listeners)
@@ -875,9 +868,10 @@ class LatencyService:
         # Listener contract: fulfilled responses are already pollable, the
         # lock is released (a listener may call poll()/stats), and a listener
         # crash never takes the dispatcher down with it.
-        fulfilled = tuple(row[0] for row in log)
-        for listener in listeners:
-            try:
-                listener(fulfilled)
-            except Exception:
-                pass
+        if listeners:
+            fulfilled = tuple(row[1] for row in log)
+            for listener in listeners:
+                try:
+                    listener(fulfilled)
+                except Exception:
+                    pass

@@ -15,7 +15,8 @@ snapshot, Prometheus families, ``capacity_report()`` and the wire codec all
 derive from it, so a new counter is one row plus its ``CapacityReport``
 field and a :meth:`ServiceStats.record` call.  The service takes the stats
 lock once per submitted batch (:meth:`ServiceStats.record_submits`) and once
-per fulfilled batch (:meth:`ServiceStats.record_fulfilled`).
+per fulfilled batch (:meth:`ServiceStats.record_fulfilled`), which feeds each
+backend's latency histogram in one hold.
 ``queue_depth`` is *live*: it reads the service's queue at scrape time.
 Ticket states are not metrics; the service owns them
 (:meth:`~repro.serving.service.LatencyService.ticket_state`).
@@ -182,29 +183,44 @@ class ServiceStats:
             self.peak_queue_depth = max(self.peak_queue_depth, queue_depth)
 
     # ------------------------------------------------------------ fulfillment
-    def record_fulfilled(self, rows: Sequence[tuple], **increments: float) -> None:
+    def record_fulfilled(
+        self,
+        rows: Sequence[tuple],
+        latencies: Dict[str, Sequence[float]],
+        errors: int,
+        memo_hits: int,
+        late_results: int,
+        batches: int,
+        busy_seconds: float,
+    ) -> None:
         """One fulfilled batch under one lock hold.
 
-        ``rows`` holds one request-log row per fulfilled request: the
+        ``rows`` holds one row per fulfilled request: its trace key, then the
         :class:`RequestLogRecord` fields in order, except that the sixth is
         the absolute submit time (``perf_counter``), which :meth:`request_log`
-        turns into ``arrival_seconds`` after :attr:`epoch`.  Each row counts
-        as completed, feeds its backend's latency histogram and joins the
-        request log.  ``increments`` add to declared counters as in
-        :meth:`record`.
+        turns into ``arrival_seconds`` after :attr:`epoch`, then fields for
+        the request's trace that the log ignores (the service records the
+        same rows with its tracer).  Each row counts as completed and joins
+        the request log.  ``latencies`` maps each
+        backend to its rows' service seconds in row order; each backend's
+        latency histogram takes them in one hold.  The other arguments add
+        to the counters of the same names.
         """
         with self._lock:
             self.completed += len(rows)
-            for name, amount in increments.items():
-                setattr(self, name, getattr(self, name) + amount)
+            self.errors += errors
+            self.memo_hits += memo_hits
+            self.late_results += late_results
+            self.batches += batches
+            self.busy_seconds += busy_seconds
             self._request_log.extend(rows)
-            for row in rows:
-                histogram = self._backends.get(row[1])
+            for backend, values in latencies.items():
+                histogram = self._backends.get(backend)
                 if histogram is None:
-                    histogram = self._backends[row[1]] = self._latency.labels(
-                        backend=row[1]
+                    histogram = self._backends[backend] = self._latency.labels(
+                        backend=backend
                     )
-                histogram.observe(float(row[9]))
+                histogram.observe_many(values)
 
     def request_log(self) -> Tuple[RequestLogRecord, ...]:
         """Snapshot of the structured request log (fulfillment order)."""
@@ -212,7 +228,7 @@ class ServiceStats:
             rows = tuple(self._request_log)
         epoch = self.epoch
         return tuple(
-            RequestLogRecord(*row[:5], max(0.0, row[5] - epoch), *row[6:]) for row in rows
+            RequestLogRecord(*row[1:6], max(0.0, row[6] - epoch), *row[7:12]) for row in rows
         )
 
     # ------------------------------------------------------------------ reads

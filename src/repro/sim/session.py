@@ -315,17 +315,50 @@ class SimulationSession:
     ) -> Optional[SimReport]:
         """Memoized/disk-cached report if one exists, without simulating.
 
-        The serving layer uses this to split a drained batch into memo hits
-        and jobs that still need a simulator; a disk-cache hit is promoted
-        into the in-memory memo on the way out.
+        One point of :meth:`peek_reports`; an unresolvable spec raises.
         """
-        name, memo_key = self._memo_key(backend, sequence_length, include_recycles)
-        report = self._reports.get(memo_key)
-        if report is None and self.cache is not None:
-            report = self.cache.get(self._report_key(name, sequence_length, memo_key[2]))
-            if report is not None:
-                self._reports[memo_key] = report
-        return self._labeled(report, name) if report is not None else None
+        report = self.peek_reports([(backend, sequence_length, include_recycles)])[0]
+        if isinstance(report, Exception):
+            raise report
+        return report
+
+    def peek_reports(
+        self, points: Iterable[Tuple[object, int, Optional[bool]]]
+    ) -> List[object]:
+        """Memoized/disk-cached reports of (spec, length, recycles) points, without simulating.
+
+        The session's one memo lookup.  Each distinct spec object is resolved
+        to its registration once, so a point costs one memo lookup (plus a
+        disk-cache read on a miss when the cache is on; a disk hit is promoted
+        into the memo).  Entry ``i`` is point ``i``'s report, ``None`` for a
+        miss, or the exception resolving its spec raised — one bad spec never
+        fails the other points.  The serving layer peeks a submitted batch's
+        distinct keys with this under one session-lock hold.
+        """
+        resolved: Dict[int, object] = {}
+        out: List[object] = []
+        for spec, sequence_length, include_recycles in points:
+            entry = resolved.get(id(spec))
+            if entry is None:
+                try:
+                    name = self._name_of(self.backend(spec))
+                    entry = (name, self._backend_digests[name])
+                except Exception as exc:
+                    entry = exc
+                resolved[id(spec)] = entry
+            if isinstance(entry, Exception):
+                out.append(entry)
+                continue
+            name, digest = entry
+            include = self.include_recycles if include_recycles is None else include_recycles
+            memo_key = (digest, int(sequence_length), bool(include))
+            report = self._reports.get(memo_key)
+            if report is None and self.cache is not None:
+                report = self.cache.get(self._report_key(name, sequence_length, memo_key[2]))
+                if report is not None:
+                    self._reports[memo_key] = report
+            out.append(None if report is None else self._labeled(report, name))
+        return out
 
     def _fill_from_stack(
         self, name: str, lengths: Sequence[int], include: bool

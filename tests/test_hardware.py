@@ -27,6 +27,7 @@ from repro.hardware import (
 )
 from repro.core.memory_layout import pack_tokens_into_blocks
 from repro.ppm import PPMConfig
+from repro.ppm.op_table import get_stacked_table
 from repro.ppm.workload import build_model_ops
 
 
@@ -183,6 +184,33 @@ class TestAcceleratorSimulation:
         accelerator = LightNobelAccelerator(ppm_config=PPMConfig.paper())
         report = accelerator.simulate(128)
         assert accelerator.folding_block_seconds(128) < report.total_seconds
+
+    def test_group_parameters_are_built_once_per_vocabulary(self, monkeypatch):
+        config = PPMConfig.paper()
+        stack = get_stacked_table(config, (128, 256, 384))
+        cached = LightNobelAccelerator(ppm_config=config)
+        builds = []
+        build = LightNobelAccelerator._build_group_parameters
+
+        def counting(self, groups):
+            builds.append(groups)
+            return build(self, groups)
+
+        monkeypatch.setattr(LightNobelAccelerator, "_build_group_parameters", counting)
+        first = cached.simulate_stack(stack)
+        second = cached.simulate_stack(stack)
+        assert builds == [stack.representatives().groups]
+        # Every call on a fresh accelerator builds its own constants.
+        fresh = LightNobelAccelerator(ppm_config=config).simulate_stack(stack)
+        assert len(builds) == 2
+        for reports in (second, fresh):
+            for a, b in zip(first, reports):
+                assert a.total_cycles == b.total_cycles and a.dram_bytes == b.dram_bytes
+                assert a.phase_cycles == b.phase_cycles
+                assert a.subphase_cycles == b.subphase_cycles
+        params = cached._group_parameters(stack.representatives().groups)
+        for array in params.values():
+            assert not array.flags.writeable
 
 
 class TestAreaPowerAndValidation:

@@ -126,6 +126,17 @@ class TestMemoryLayoutWiring:
         assert np.array_equal(restored.outlier_indices, packed.outlier_indices)
         assert restored.outlier_indices.dtype == np.int64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unpack_packed_tensor_keeps_the_dtype(self, tokens, dtype):
+        for config in CONFIGS:
+            packed = PackedQuantizedTensor.pack(tokens.astype(dtype), config)
+            restored = unpack_packed_tensor(pack_packed_tensor(packed), packed)
+            for name in ("inlier_values", "outlier_values", "scales", "outlier_scales"):
+                assert getattr(restored, name).dtype == dtype
+                assert np.array_equal(getattr(restored, name), getattr(packed, name))
+            assert restored.unpack().dtype == dtype
+            assert restored.unpack().tobytes() == packed.unpack().tobytes()
+
     def test_blocked_layout_for_matches_count_based_packing(self, tokens):
         config = CONFIGS[0]
         packed = PackedQuantizedTensor.pack(tokens, config)

@@ -525,22 +525,30 @@ class TestMemoHitsAtSubmit:
         assert report.coalesced + report.memo_hits + report.simulations == issued
 
     def test_a_miss_is_looked_up_once_before_pricing(self, config):
+        """One memo lookup per distinct key at submit, however many requests share it."""
         bare = SimulationSession(ppm_config=config, use_disk_cache=False)
         with make_service(config) as service:
             counts = {}
             for name, session in (("bare", bare), ("service", service.session)):
-                original = session.peek_report
+                original = session.peek_reports  # every memo lookup goes through it
 
-                def counting(*args, _original=original, _name=name, **kwargs):
-                    counts[_name] = counts.get(_name, 0) + 1
-                    return _original(*args, **kwargs)
+                def counting(points, _original=original, _name=name):
+                    points = list(points)
+                    counts[_name] = counts.get(_name, 0) + len(points)
+                    return _original(points)
 
-                session.peek_report = counting
+                session.peek_reports = counting
             bare.simulate(LENGTHS[0])
             service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
-        # Submit's peek, then whatever the session's own pricing checks.
-        assert counts["service"] == counts["bare"] + 1
-        assert service.stats.simulations == 1 and service.stats.memo_hits == 0
+            # Submit's peek, then whatever the session's own pricing checks.
+            assert counts["service"] == counts["bare"] + 1
+            assert service.stats.simulations == 1 and service.stats.memo_hits == 0
+            # A thousand duplicates of one new key: still one lookup at submit.
+            looked_up = counts["service"]
+            reports = service.query_batch([("lightnobel", LENGTHS[1])] * 1000, timeout=TIMEOUT)
+            assert counts["service"] - looked_up == counts["bare"] + 1
+            assert len(reports) == 1000 and len({id(report) for report in reports}) == 1
+            assert service.stats.simulations == 2 and service.stats.coalesced == 999
 
 
 class TestStatsAndCapacity:
