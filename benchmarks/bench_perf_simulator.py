@@ -15,11 +15,14 @@ each round, as a fresh sweep worker would see) and in the warm in-process
 regime (where the session's report memo skips even the vectorized engine).
 
 A third benchmark is the table-build guard: a fresh-length paper-config
-`get_op_table` (one folding block per graph segment, tiled) must be at least
-5x faster than building the same table from the object graph
-(`OperatorTable.from_workload(build_model_ops(...))`).  It reads the median
-of paired oracle/tiled time ratios, alternating which side runs first, with
-every cache cleared at the start of each pair.
+`get_op_table` (one Horner evaluation of the config's fitted per-row cubics)
+must be at least 5x faster than building the same table from the object
+graph (`OperatorTable.from_workload(build_model_ops(...))`).  It reads the
+median of paired oracle/fitted time ratios, alternating which side runs
+first, with every cache cleared at the start of each pair.  It is the
+wall-clock backstop of a counted guard: once a config is fitted, a fresh
+`get_op_table` and a fresh 16-length `get_stacked_table` construct no
+`Operator` and call no segment builder.
 
 A fourth guard counts rather than times: the engines run their arithmetic
 over a stack's representative rows only (its row map), so the 16-length
@@ -46,6 +49,7 @@ from repro.core.aaq import AAQConfig
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.ppm import PPMConfig, clear_workload_caches, get_op_table, get_stacked_table
+from repro.ppm import workload as workload_module
 from repro.ppm.op_table import NUMERIC_COLUMNS, OperatorTable, StackedOperatorTable
 from repro.ppm.workload import build_model_ops
 from repro.sim import SimulationSession
@@ -273,8 +277,68 @@ def test_perf_session_batch_and_disk_cache(paper_config):
 BUILD_PAIRS = 15
 MIN_BUILD_SPEEDUP = 5.0
 #: Built untimed after each cache clear, so the timed lengths are fresh
-#: lengths of a config whose label template is loaded (the sweep regime).
+#: lengths of a config that is already fitted (the sweep regime).
 TEMPLATE_LENGTH = 17
+
+#: Segment builders of the operator graph, by their names in `repro.ppm.workload`.
+SEGMENT_BUILDERS = (
+    "_input_embedding_segment",
+    "build_input_embedding_ops",
+    "build_folding_block_ops",
+    "build_sequence_dataflow_ops",
+    "build_pair_bias_mlp_ops",
+    "build_triangle_multiplication_ops",
+    "build_triangle_attention_ops",
+    "_structure_module_segment",
+    "build_structure_module_ops",
+)
+
+
+def count_graph_work(monkeypatch):
+    """Counts of `Operator` constructions and segment-builder calls from now on."""
+    counts = {"operators": 0, "builder calls": 0}
+
+    def counted(function, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(workload_module.Operator, "__init__",
+                        counted(workload_module.Operator.__init__, "operators"))
+    for name in SEGMENT_BUILDERS:
+        monkeypatch.setattr(workload_module, name,
+                            counted(getattr(workload_module, name), "builder calls"))
+    return counts
+
+
+def test_fitted_lengths_build_no_operator_graph(paper_config, monkeypatch):
+    """Counted guard: a fitted config prices fresh lengths with no graph work."""
+    clear_workload_caches()
+    get_op_table(paper_config, TEMPLATE_LENGTH)
+    counts = count_graph_work(monkeypatch)
+    # The counters are live: one block of the graph trips both.
+    workload_module.model_segments(paper_config)[1][0](paper_config, 8, 0)
+    assert counts["operators"] > 0 and counts["builder calls"] > 0
+    counts.update({"operators": 0, "builder calls": 0})
+    lengths = [int(lo + hi) // 2 + 1 for lo, hi in zip(DSE_STRATA[:-1], DSE_STRATA[1:])]
+    work = {}
+    table = get_op_table(paper_config, TEMPLATE_LENGTH + 1)
+    work["fresh get_op_table"] = dict(counts)
+    stack = get_stacked_table(paper_config, lengths)
+    work[f"fresh {len(lengths)}-length get_stacked_table"] = {
+        key: counts[key] - work["fresh get_op_table"][key] for key in counts
+    }
+    monkeypatch.undo()
+    clear_workload_caches()
+    print_table(
+        "Graph work per fresh length, paper config already fitted",
+        [("call", "Operator objects", "builder calls")]
+        + [(call, str(c["operators"]), str(c["builder calls"])) for call, c in work.items()],
+    )
+    assert len(table) == 3234 and stack.num_segments == len(lengths)
+    for call, c in work.items():
+        assert c == {"operators": 0, "builder calls": 0}, call
 
 
 def time_builds(build, config, lengths):
@@ -292,33 +356,33 @@ def oracle_build(config, n):
 
 
 def test_perf_table_build_guard(paper_config):
-    oracle_times, tiled_times = [], []
+    oracle_times, fitted_times = [], []
     for pair in range(BUILD_PAIRS):
         clear_workload_caches()
         get_op_table(paper_config, TEMPLATE_LENGTH)
         if pair % 2 == 0:
             oracle_times.append(time_builds(oracle_build, paper_config, SEQUENCE_LENGTHS))
-            tiled_times.append(time_builds(get_op_table, paper_config, SEQUENCE_LENGTHS))
+            fitted_times.append(time_builds(get_op_table, paper_config, SEQUENCE_LENGTHS))
         else:
-            tiled_times.append(time_builds(get_op_table, paper_config, SEQUENCE_LENGTHS))
+            fitted_times.append(time_builds(get_op_table, paper_config, SEQUENCE_LENGTHS))
             oracle_times.append(time_builds(oracle_build, paper_config, SEQUENCE_LENGTHS))
     clear_workload_caches()
-    ratios = [sum(o) / sum(t) for o, t in zip(oracle_times, tiled_times)]
+    ratios = [sum(o) / sum(t) for o, t in zip(oracle_times, fitted_times)]
     speedup = statistics.median(ratios)
     per_length = [
         (
             n,
             statistics.median(o[i] for o in oracle_times),
-            statistics.median(t[i] for t in tiled_times),
+            statistics.median(t[i] for t in fitted_times),
         )
         for i, n in enumerate(SEQUENCE_LENGTHS)
     ]
     print_table(
         f"Table build: fresh length, paper config (medians of {BUILD_PAIRS} pairs)",
-        [("length", "object graph", "tiled", "speedup")]
+        [("length", "object graph", "fitted", "speedup")]
         + [
-            (str(n), f"{oracle * 1e3:7.2f} ms", f"{tiled * 1e3:7.2f} ms", f"{oracle / tiled:5.1f}x")
-            for n, oracle, tiled in per_length
+            (str(n), f"{oracle * 1e3:7.2f} ms", f"{fitted * 1e3:7.3f} ms", f"{oracle / fitted:5.1f}x")
+            for n, oracle, fitted in per_length
         ]
         + [("median pair ratio", "-", "-", f"{speedup:5.1f}x")],
     )
@@ -326,8 +390,8 @@ def test_perf_table_build_guard(paper_config):
         "table_build",
         {
             "per_length_ms": {
-                str(n): {"object_graph": oracle * 1e3, "tiled": tiled * 1e3}
-                for n, oracle, tiled in per_length
+                str(n): {"object_graph": oracle * 1e3, "fitted": fitted * 1e3}
+                for n, oracle, fitted in per_length
             },
             "speedup": speedup,
             "pair_ratio_quartiles": statistics.quantiles(ratios, n=4),

@@ -14,7 +14,8 @@ Granularities follow Section 2.2:
 Every fake-quantizer computes in its input's float precision: float32 in
 gives float32 out, float64 in gives float64 out, and any other input
 (integer, bool, float16) is quantized as float64.  Scaling factors are
-derived in float64 and cast to that precision.
+derived in that precision too, bytewise what a float64 derivation rounded to
+it would give (:func:`symmetric_scale`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,20 @@ def symmetric_scale(
 ) -> np.ndarray | float:
     """Scaling factor of Equation 1: ``sigma = M / (2^(m-1) - 1)``.
 
-    Computed in float64 and returned in ``dtype``, the precision of the
-    values it scales.
+    ``max_abs`` holds maxima of values of ``dtype``, the precision of the
+    values it scales; the scale is divided in that precision, with no
+    float64 copy, and floored at the ``dtype`` image of ``1e-12 / qmax``.
+    That is bytewise ``max(M, 1e-12) / qmax`` divided in float64 and then
+    rounded to ``dtype``.  A quotient of float32 operands rounded through
+    float64 is the correctly rounded float32 quotient (53 >= 2 * 24 + 2).
+    Where ``qmax`` rounds to a power of two in float32 (``bits > 25``), the
+    float32 quotient is exact and the true one lies less than half an ulp
+    above it.  Rounding is monotone, so the floor moves past the division.
     """
+    dtype = np.dtype(dtype)
     qmax = integer_bounds(bits)
-    scale = np.maximum(np.asarray(max_abs, dtype=np.float64), 1e-12) / qmax
-    return scale.astype(dtype, copy=False)
+    floor = dtype.type(np.float64(1e-12) / qmax)
+    return np.maximum(np.asarray(max_abs, dtype=dtype) / dtype.type(qmax), floor)
 
 
 def quantize_values(values: np.ndarray, scale: np.ndarray | float, bits: int) -> np.ndarray:

@@ -272,8 +272,8 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
     outlier) the step is one per token: this is
     :func:`~repro.core.quantization.fake_quantize_tokenwise` at the inlier
     (or outlier) precision, whose transient peak, the returned array
-    included, is about 1x the bytes of the float input (1.09x float64, 1.16x
-    float32 for a (9216, 32) pair tensor).  With outliers
+    included, is about 1x the bytes of the float input (1.09x at either
+    precision for a (9216, 32) pair tensor, 1.38x for (9216, 8)).  With outliers
     (``0 < k < H``) the tokens go through in row blocks of about 16384
     values, each with its own top-k partition, outlier mask and per-element
     steps, so the peak is 1x plus a few block-sized buffers: 1.24x (float64)

@@ -30,7 +30,6 @@ from .op_table import (
     clear_workload_caches,
     get_op_table,
     get_stacked_table,
-    get_workload,
     workload_cache_info,
 )
 from .structure_module import (
@@ -79,7 +78,6 @@ __all__ = [
     "gelu",
     "get_op_table",
     "get_stacked_table",
-    "get_workload",
     "iter_chunks",
     "layer_norm",
     "mds_embedding",

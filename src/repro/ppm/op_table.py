@@ -1,56 +1,57 @@
-"""Columnar (struct-of-arrays) operator-graph engine.
+"""Columnar (struct-of-arrays) operator tables, evaluated from per-row cubics in n.
 
 :mod:`repro.ppm.workload` describes one PPM inference as a list of ~3k
-:class:`~repro.ppm.workload.Operator` dataclasses.  That representation is
-ideal for building and inspecting the graph, but every simulator downstream
-(the LightNobel accelerator, the GPU baseline, the cost models) only ever
-consumes whole *columns* of it — MAC counts, element counts, phase labels —
-and the DSE/length sweeps re-consume the identical graph dozens of times.
+:class:`~repro.ppm.workload.Operator` dataclasses, but every simulator
+downstream (the LightNobel accelerator, the GPU baseline, the cost models)
+only consumes whole *columns* of it — MAC counts, element counts, phase
+labels — at many sequence lengths.  :class:`OperatorTable` stores the graph as
+numpy columns plus small per-table label vocabularies (engines, phases,
+subphases, activation groups) with integer code arrays.
+``OperatorTable.from_workload(build_model_ops(...))`` converts an object graph
+and is the tests' oracle.
 
-:class:`OperatorTable` stores the same graph as numpy columns plus small
-per-table string vocabularies (phases, subphases, engines, activation groups)
-with integer code arrays, so reductions like "total MACs of the pair dataflow"
-are single vectorized expressions instead of Python loops.  Tables convert
-losslessly to and from :class:`~repro.ppm.workload.Workload`.
+:func:`get_op_table` and :func:`get_stacked_table` build no graph per length.
+Pair activations grow as n² and triangle operations as n³, and every numeric
+column of every operator row is an integer cubic in the sequence length n.
+Once per ``(config, include_recycles)`` the fit runs each distinct
+:func:`~repro.ppm.workload.model_segments` builder at n = 1–8, takes each
+representative row's four integer coefficients from n = 1–4 and checks that
+the fourth difference is 0 at n = 5–8, raising otherwise.  Labels, names and
+row map come from the fit's one-residue graph and serve every length.  A
+table, or a stack of L lengths, is one Horner evaluation over (L × 5 columns ×
+representatives).  Fits, tables and stacks each have an LRU cache.
 
-:func:`get_op_table` builds a table without the object graph.  Its label
-columns are the same at every sequence length, so they come from one
-per-``(config, include_recycles)`` template.  Its numeric columns come from
-one block of each :func:`~repro.ppm.workload.model_segments` run, tiled
-``blocks`` times: no operator's numbers depend on its block index.  The
-result is bytewise ``OperatorTable.from_workload(build_model_ops(...))``,
-which stays the object-graph view (:func:`get_workload`, :meth:`to_workload`)
-and the tests' oracle.  Tables, templates and workloads each have an LRU
-cache, so repeated sweeps build nothing twice.
+Exactness: Horner's rule on integer coefficients is exact while every
+intermediate is an integer of at most 2^53, and so are the builders' own
+products.  :func:`exact_length_limit` is the largest such n (41,285 on the
+paper config, whose largest cubic coefficient is 128); up to it a table is
+bytewise the object-graph table.  Above it both sides round, at most six
+times in Horner's rule and about as often in a builder, by at most 2^-53
+relative each.  The coefficients are non-negative, so nothing cancels, and
+every value stays within 2e-15 relative of the builders'.
 
-:class:`StackedOperatorTable` generalizes one table to a whole *traffic mix*:
-the tables of many distinct sequence lengths concatenated into one ragged
-column set with per-length segment offsets.  A latency backend evaluates its
-vectorized expressions once over the full stack and reduces each segment back
-to its per-length report, so pricing a mix of hundreds of distinct lengths is
-one numpy pass instead of one engine invocation per length.  Each segment's
-columns are bytewise the per-length table's columns; a stack joins them only
-when something reads them, since pricing reads the representatives alone.
+:class:`StackedOperatorTable` holds the tables of many distinct lengths as
+one ragged column set with per-length segment offsets, so a backend prices a
+whole traffic mix in one numpy pass and reduces each segment to its report.
 
-Every table and stack also carries a *row map*: ``rep_rows``, the rows that
-represent each distinct set of pricing columns (label codes, ``fusible`` and
-the numbers), and ``rep_index``, each row's position in ``rep_rows``.  A tiled
+Every table and stack carries a *row map*: ``rep_rows``, the rows that
+represent each distinct set of pricing columns (label codes, ``fusible``,
+numbers), and ``rep_index``, each row's position in ``rep_rows``.  A fitted
 table has one representative per row of one block of each distinct segment
-builder (85 of the paper config's 3,234 rows), shared by every length.
-:meth:`~OperatorTable.representatives` holds those rows' pricing columns and
-their *multiplicities* (how many rows each stands for); a tiled table takes
-the labels and multiplicities from its template and only its numbers per
-length.  The latency backends price representatives only, and
+builder (85 of the paper config's 3,234 rows).
+:meth:`~OperatorTable.representatives` holds their pricing columns and
+*multiplicities* (rows each stands for) and is all a table stores of its
+numbers: a full-row column is gathered through ``rep_index`` on first read.
+The backends price representatives only, and
 :meth:`StackedOperatorTable.segment_sums` reduces them per segment as
-multiplicity times value, so no pricing step reads a full-row column.  The
-sums accumulate in representative order, which a segment keeps in any mix:
-a length prices the same in every stack.  They differ from row-order sums by
-rounding only (under 4e-14 relative on the paper config).
+multiplicity times value in representative order, which a segment keeps in
+any mix: a length prices the same in every stack, and differs from row-order
+sums by rounding only (under 4e-14 relative on the paper config).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,6 +59,7 @@ import numpy as np
 
 from .config import PPMConfig
 from .workload import (
+    PHASE_INPUT_EMBEDDING,
     Operator,
     Workload,
     build_model_ops,
@@ -66,28 +68,24 @@ from .workload import (
 )
 
 #: Column names holding per-operator numeric data.
-NUMERIC_COLUMNS = (
-    "macs",
-    "vector_ops",
-    "input_elements",
-    "output_elements",
-    "weight_elements",
-)
+NUMERIC_COLUMNS = ("macs", "vector_ops", "input_elements", "output_elements", "weight_elements")
+
+#: Label keys of :meth:`StackedOperatorTable.segment_sums`; key ``k`` has
+#: codes ``{k}_codes`` and vocab ``{k}s``.
+_LABEL_KEYS = ("engine", "phase", "subphase", "group")
+
+#: The per-row label columns a representative keeps.
+_LABEL_COLUMNS = tuple(f"{key}_codes" for key in _LABEL_KEYS) + ("fusible",)
+
+#: The per-row columns a representative keeps (label codes, ``fusible``, numbers).
+_PRICING_COLUMNS = _LABEL_COLUMNS + NUMERIC_COLUMNS
 
 
 def _encode(labels: Sequence) -> Tuple[np.ndarray, Tuple]:
     """Factorize ``labels`` into integer codes plus a first-appearance vocab."""
-    vocab: List = []
-    index: Dict = {}
-    codes = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        code = index.get(label)
-        if code is None:
-            code = len(vocab)
-            index[label] = code
-            vocab.append(label)
-        codes[i] = code
-    return codes, tuple(vocab)
+    vocab = tuple(dict.fromkeys(labels))
+    index = {label: code for code, label in enumerate(vocab)}
+    return np.array([index[label] for label in labels], dtype=np.int64), vocab
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -103,10 +101,14 @@ def _numeric_rows(operators: Sequence[Operator]) -> np.ndarray:
     )
 
 
-def _numeric_fields(rows: np.ndarray) -> Dict[str, np.ndarray]:
-    """Read-only per-column views of a :func:`_numeric_rows` array."""
-    _freeze(rows)
-    return dict(zip(NUMERIC_COLUMNS, rows))
+def _labels(operators: Sequence[Operator]) -> Dict:
+    """Names, vocabularies, label codes and ``fusible`` of ``operators``."""
+    labels: Dict = {"names": tuple(op.name for op in operators)}
+    for key, attribute in zip(_LABEL_KEYS, ("engine", "phase", "subphase", "output_group")):
+        codes, labels[f"{key}s"] = _encode([getattr(op, attribute) for op in operators])
+        labels[f"{key}_codes"] = _freeze(codes)
+    labels["fusible"] = _freeze(np.array([op.fusible for op in operators], dtype=bool))
+    return labels
 
 
 def _row_map(*keys: np.ndarray) -> Dict[str, np.ndarray]:
@@ -128,19 +130,14 @@ def _row_map(*keys: np.ndarray) -> Dict[str, np.ndarray]:
     }
 
 
-def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Read-only concatenation; a lone (already read-only) array is reused."""
-    if len(arrays) == 1:
-        return arrays[0]
-    return _freeze(np.concatenate(arrays))
-
-
-#: Label keys of :meth:`OperatorTable.weighted_sums`; key ``k`` has codes
-#: ``{k}_codes`` and vocab ``{k}s``.
-_LABEL_KEYS = ("engine", "phase", "subphase", "group")
-
-#: The per-row columns a representative keeps (label codes, ``fusible``, numbers).
-_PRICING_COLUMNS = tuple(f"{key}_codes" for key in _LABEL_KEYS) + ("fusible",) + NUMERIC_COLUMNS
+def _rep_labels(labels: Dict, row_map: Dict[str, np.ndarray]) -> Dict:
+    """The length-free fields of ``RepresentativeRows``: vocabs, label codes, counts."""
+    rows, index = row_map["rep_rows"], row_map["rep_index"]
+    return {
+        "counts": _freeze(np.bincount(index, minlength=len(rows)).astype(np.float64)),
+        **{f"{key}s": labels[f"{key}s"] for key in _LABEL_KEYS},
+        **{name: _freeze(labels[name][rows]) for name in _LABEL_COLUMNS},
+    }
 
 
 class _Columns:
@@ -172,11 +169,10 @@ class _Columns:
 class RepresentativeRows(_Columns):
     """The pricing columns of a table's representative rows, and nothing else.
 
-    Built once per table or stack by :meth:`OperatorTable.representatives`
-    and :meth:`StackedOperatorTable.representatives`; row ``i`` is table row
-    ``rep_rows[i]`` and stands for ``counts[i]`` rows (float64, so weighting a
-    value is one multiply).  Vocabularies are the table's own, so the label
-    masks and per-group parameter gathers of the backends work unchanged.
+    Built with each table or stack; row ``i`` is table row ``rep_rows[i]``
+    and stands for ``counts[i]`` rows (float64, so weighting a value is one
+    multiply).  Vocabularies are the table's own, so the label masks and
+    per-group parameter gathers of the backends work unchanged.
     """
 
     engines: Tuple[str, ...]
@@ -196,16 +192,19 @@ class RepresentativeRows(_Columns):
     weight_elements: np.ndarray
 
 
+def _expanded(name: str) -> cached_property:
+    """A full-row column: each row's representative's value, gathered on first read."""
+    return cached_property(
+        lambda view: _freeze(np.take(getattr(view.reps, name), view.rep_index))
+    )
+
+
 class _RowMapped(_Columns):
-    """The row-map half of the table protocol (``rep_rows``/``rep_index``)."""
+    """The row-map half of the table protocol (``rep_rows``/``rep_index``/``reps``)."""
 
     def representatives(self) -> RepresentativeRows:
-        """The representative rows' pricing columns and counts, built once."""
-        reps = self.__dict__.get("_representatives")
-        if reps is None:
-            reps = self._gather_representatives()
-            object.__setattr__(self, "_representatives", reps)
-        return reps
+        """The representative rows' pricing columns and counts."""
+        return self.reps
 
     def _vocabs(self) -> Dict[str, Tuple]:
         return {f"{key}s": getattr(self, f"{key}s") for key in _LABEL_KEYS}
@@ -215,9 +214,10 @@ class _RowMapped(_Columns):
 class OperatorTable(_RowMapped):
     """One operator graph stored column-wise (struct of arrays).
 
-    ``rep_rows`` and ``rep_index`` (int32, built with the table, kept out of
-    its repr) are the row map: row ``i`` has the same label codes,
-    ``fusible`` and numeric columns as row ``rep_rows[rep_index[i]]``.
+    ``rep_rows`` and ``rep_index`` (int32, kept out of the repr) are the row
+    map: row ``i`` has the same label codes, ``fusible`` and numeric columns
+    as row ``rep_rows[rep_index[i]]``.  ``reps`` holds the representatives'
+    pricing columns; the full-row numeric columns are gathered from it.
     """
 
     sequence_length: int
@@ -231,200 +231,39 @@ class OperatorTable(_RowMapped):
     subphase_codes: np.ndarray
     groups: Tuple[Optional[str], ...]
     group_codes: np.ndarray
-    macs: np.ndarray
-    vector_ops: np.ndarray
-    input_elements: np.ndarray
-    output_elements: np.ndarray
-    weight_elements: np.ndarray
     fusible: np.ndarray
     rep_rows: np.ndarray = field(repr=False)
     rep_index: np.ndarray = field(repr=False)
+    reps: RepresentativeRows = field(repr=False)
 
-    # ------------------------------------------------------------ construction
+    macs = _expanded("macs")
+    vector_ops = _expanded("vector_ops")
+    input_elements = _expanded("input_elements")
+    output_elements = _expanded("output_elements")
+    weight_elements = _expanded("weight_elements")
+
     @classmethod
     def from_operators(
         cls, operators: Sequence[Operator], config: PPMConfig, sequence_length: int
     ) -> "OperatorTable":
-        engine_codes, engines = _encode([op.engine for op in operators])
-        phase_codes, phases = _encode([op.phase for op in operators])
-        subphase_codes, subphases = _encode([op.subphase for op in operators])
-        group_codes, groups = _encode([op.output_group for op in operators])
-        fusible = np.array([op.fusible for op in operators], dtype=bool)
+        labels = _labels(operators)
         numbers = _numeric_rows(operators)
+        # Numbers are keyed by their bits: 0.0 and -0.0 stay apart.
+        row_map = _row_map(*(labels[name] for name in _LABEL_COLUMNS), *numbers.view(np.int64))
+        reps = RepresentativeRows(
+            **_rep_labels(labels, row_map),
+            **dict(zip(NUMERIC_COLUMNS, _freeze(numbers[:, row_map["rep_rows"]]))),
+        )
         return cls(
-            sequence_length=sequence_length,
-            config=config,
-            names=tuple(op.name for op in operators),
-            engines=engines,
-            engine_codes=_freeze(engine_codes),
-            phases=phases,
-            phase_codes=_freeze(phase_codes),
-            subphases=subphases,
-            subphase_codes=_freeze(subphase_codes),
-            groups=groups,
-            group_codes=_freeze(group_codes),
-            fusible=_freeze(fusible),
-            # Numbers are keyed by their bits: 0.0 and -0.0 stay apart.
-            **_row_map(
-                engine_codes, phase_codes, subphase_codes, group_codes, fusible,
-                *numbers.view(np.int64),
-            ),
-            **_numeric_fields(numbers),
+            sequence_length=sequence_length, config=config, reps=reps, **row_map, **labels
         )
 
     @classmethod
     def from_workload(cls, workload: Workload) -> "OperatorTable":
         return cls.from_operators(workload.operators, workload.config, workload.sequence_length)
 
-    def to_workload(self) -> Workload:
-        """Materialize the equivalent object graph (inverse of ``from_workload``)."""
-        operators = [
-            Operator(
-                name=self.names[i],
-                engine=self.engines[self.engine_codes[i]],
-                phase=self.phases[self.phase_codes[i]],
-                subphase=self.subphases[self.subphase_codes[i]],
-                macs=float(self.macs[i]),
-                vector_ops=float(self.vector_ops[i]),
-                input_elements=float(self.input_elements[i]),
-                output_elements=float(self.output_elements[i]),
-                weight_elements=float(self.weight_elements[i]),
-                output_group=self.groups[self.group_codes[i]],
-                fusible=bool(self.fusible[i]),
-            )
-            for i in range(len(self))
-        ]
-        return Workload(
-            sequence_length=self.sequence_length, config=self.config, operators=operators
-        )
-
-    def _gather_representatives(self) -> RepresentativeRows:
-        rows = self.rep_rows
-        counts = np.bincount(self.rep_index, minlength=len(rows)).astype(np.float64)
-        return RepresentativeRows(
-            counts=_freeze(counts),
-            **self._vocabs(),
-            **{name: _freeze(np.take(getattr(self, name), rows)) for name in _PRICING_COLUMNS},
-        )
-
-    # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
         return len(self.names)
-
-    def total_macs(self) -> float:
-        return float(np.sum(self.macs))
-
-    def total_vector_ops(self) -> float:
-        return float(np.sum(self.vector_ops))
-
-    def total_flops(self) -> float:
-        return float(np.sum(self.flops))
-
-    def column(self, name: str) -> np.ndarray:
-        if name == "flops":
-            return self.flops
-        if name not in NUMERIC_COLUMNS:
-            raise ValueError(f"unknown numeric column {name!r}")
-        return getattr(self, name)
-
-    # ----------------------------------------------------------------- masks
-    def subphase_mask(self, subphase: str) -> np.ndarray:
-        if subphase not in self.subphases:
-            return np.zeros(len(self), dtype=bool)
-        return self.subphase_codes == self.subphases.index(subphase)
-
-    def select(self, mask: np.ndarray) -> "OperatorTable":
-        """Sub-table of the rows where ``mask`` is True (labels re-factorized).
-
-        ``mask`` must have shape ``(len(self),)``.  Selected rows sharing a
-        representative here share one in the sub-table too.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(self),):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match the table's {(len(self),)}"
-            )
-        indices = np.nonzero(mask)[0]
-        engine_codes, engines = _encode([self.engines[self.engine_codes[i]] for i in indices])
-        phase_codes, phases = _encode([self.phases[self.phase_codes[i]] for i in indices])
-        subphase_codes, subphases = _encode(
-            [self.subphases[self.subphase_codes[i]] for i in indices]
-        )
-        group_codes, groups = _encode([self.groups[self.group_codes[i]] for i in indices])
-        return OperatorTable(
-            sequence_length=self.sequence_length,
-            config=self.config,
-            names=tuple(self.names[i] for i in indices),
-            engines=engines,
-            engine_codes=_freeze(engine_codes),
-            phases=phases,
-            phase_codes=_freeze(phase_codes),
-            subphases=subphases,
-            subphase_codes=_freeze(subphase_codes),
-            groups=groups,
-            group_codes=_freeze(group_codes),
-            macs=_freeze(self.macs[indices]),
-            vector_ops=_freeze(self.vector_ops[indices]),
-            input_elements=_freeze(self.input_elements[indices]),
-            output_elements=_freeze(self.output_elements[indices]),
-            weight_elements=_freeze(self.weight_elements[indices]),
-            fusible=_freeze(self.fusible[indices]),
-            **_row_map(self.rep_index[indices]),
-        )
-
-    def filter(
-        self,
-        phase: Optional[str] = None,
-        engine: Optional[str] = None,
-        subphase: Optional[str] = None,
-    ) -> "OperatorTable":
-        """Sub-table matching the given phase/engine/subphase (AND semantics)."""
-        mask = np.ones(len(self), dtype=bool)
-        if phase is not None:
-            mask &= self.phase_mask(phase)
-        if engine is not None:
-            mask &= self.engine_mask(engine)
-        if subphase is not None:
-            mask &= self.subphase_mask(subphase)
-        return self.select(mask)
-
-    # --------------------------------------------------------------- groupby
-    def groupby_sum(self, key: str, column: str = "macs") -> Dict:
-        """Sum a numeric column per label of ``key`` (phase/subphase/engine/group)."""
-        return self.weighted_sums(key, self.column(column))
-
-    def weighted_sums(self, key: str, weights: np.ndarray) -> Dict:
-        """Sum an arbitrary per-operator array per label of ``key``.
-
-        Like :meth:`groupby_sum`, but over caller-computed per-operator values
-        (e.g. the simulators' stage latencies) instead of a stored column.
-        """
-        codes, vocab = self._codes_for(key)
-        sums = np.bincount(codes, weights=weights, minlength=len(vocab))
-        return {label: float(sums[i]) for i, label in enumerate(vocab)}
-
-    def by_phase(self) -> Dict[str, "OperatorTable"]:
-        """Sub-table per phase, in first-appearance order (columnar ``by_phase``)."""
-        return {phase: self.select(self.phase_codes == code)
-                for code, phase in enumerate(self.phases)}
-
-
-def _union_vocab(vocabs: Sequence[Tuple]) -> Tuple[Tuple, Optional[Tuple[np.ndarray, ...]]]:
-    """One shared (union) vocabulary and, per table, its code lookup array.
-
-    Fast path: when every table factorized its labels identically (the norm —
-    one config emits the same operator sequence at every length), the shared
-    vocab *is* the per-table vocab and the lookups are ``None``: codes join
-    untouched.  Otherwise table code ``c`` is shared code ``lookups[t][c]``.
-    """
-    first = vocabs[0]
-    if all(vocab == first for vocab in vocabs[1:]):
-        return first, None
-    union = tuple(dict.fromkeys(label for vocab in vocabs for label in vocab))
-    index = {label: code for code, label in enumerate(union)}
-    return union, tuple(
-        np.array([index[label] for label in vocab], dtype=np.int64) for vocab in vocabs
-    )
 
 
 def _slices(bounds: np.ndarray) -> Tuple[slice, ...]:
@@ -432,32 +271,18 @@ def _slices(bounds: np.ndarray) -> Tuple[slice, ...]:
     return tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
-def _lazy_column(name: str) -> cached_property:
-    """A stack's full-row column, joined from its tables' on first read."""
-    return cached_property(
-        lambda stack: stack._concat(name, [getattr(t, name) for t in stack.tables])
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class StackedOperatorTable(_RowMapped):
     """Operator tables of many sequence lengths, concatenated column-wise.
 
     Segment ``i`` (rows ``segment_starts[i]:segment_starts[i+1]``) holds the
-    operators of ``lengths[i]`` — bytewise the columns of ``tables[i]`` — so
-    any elementwise latency expression evaluated over the stacked columns
-    produces, per segment, exactly the values the per-length evaluation
-    would.  Label vocabularies are shared across segments (``code_maps``
-    remaps each table's codes, ``None`` where they already agree) so
-    per-group/per-engine parameter gathers also run once.  The full-row
-    columns are joined on first read: pricing reads only
-    :meth:`representatives`, so a stack that is only priced never builds them.
-
-    The row map joins the tables' maps: segment ``i``'s representatives are
-    ``rep_rows[rep_starts[i]:rep_starts[i+1]]`` (``tables[i].rep_rows``
-    shifted by the segment's first row), and ``rep_index`` is each table's
-    ``rep_index`` shifted by ``rep_starts[i]``.  A one-table stack reuses the
-    table's arrays instead of copying them.
+    operators of ``lengths[i]``, bytewise the columns of ``tables[i]``, under
+    the one label vocabulary every table shares.  ``reps`` holds every
+    segment's representatives in segment order: segment ``i``'s are
+    ``rep_rows[rep_starts[i]:rep_starts[i+1]]``, and ``rep_index`` is each
+    table's shifted by ``rep_starts[i]``.  Pricing reads ``reps`` alone; the
+    full-row columns are gathered through ``rep_index`` on first read.  A
+    one-table stack reuses the table's arrays instead of copying them.
     """
 
     config: PPMConfig
@@ -468,62 +293,62 @@ class StackedOperatorTable(_RowMapped):
     phases: Tuple[str, ...]
     subphases: Tuple[str, ...]
     groups: Tuple[Optional[str], ...]
-    code_maps: Dict[str, Optional[Tuple[np.ndarray, ...]]] = field(repr=False)
     rep_starts: np.ndarray = field(repr=False)
+    reps: RepresentativeRows = field(repr=False)
 
-    engine_codes = _lazy_column("engine_codes")
-    phase_codes = _lazy_column("phase_codes")
-    subphase_codes = _lazy_column("subphase_codes")
-    group_codes = _lazy_column("group_codes")
-    macs = _lazy_column("macs")
-    vector_ops = _lazy_column("vector_ops")
-    input_elements = _lazy_column("input_elements")
-    output_elements = _lazy_column("output_elements")
-    weight_elements = _lazy_column("weight_elements")
-    fusible = _lazy_column("fusible")
+    engine_codes = _expanded("engine_codes")
+    phase_codes = _expanded("phase_codes")
+    subphase_codes = _expanded("subphase_codes")
+    group_codes = _expanded("group_codes")
+    fusible = _expanded("fusible")
+    macs = _expanded("macs")
+    vector_ops = _expanded("vector_ops")
+    input_elements = _expanded("input_elements")
+    output_elements = _expanded("output_elements")
+    weight_elements = _expanded("weight_elements")
 
     # ------------------------------------------------------------ construction
     @classmethod
     def from_tables(cls, tables: Sequence[OperatorTable]) -> "StackedOperatorTable":
         if not tables:
             raise ValueError("cannot stack zero operator tables")
-        config = tables[0].config
+        first = tables[0]
         for table in tables[1:]:
-            if table.config != config:
+            if table.config != first.config:
                 raise ValueError("all stacked tables must share one PPMConfig")
+            if table._vocabs() != first._vocabs():
+                raise ValueError("all stacked tables must share one label vocabulary")
+        if len(tables) == 1:
+            return cls._of(tables, first.reps)
+        return cls._of(tables, RepresentativeRows(**first._vocabs(), **{
+            name: _freeze(np.concatenate([getattr(t.reps, name) for t in tables]))
+            for name in _PRICING_COLUMNS + ("counts",)
+        }))
+
+    @classmethod
+    def _of(
+        cls, tables: Sequence[OperatorTable], reps: RepresentativeRows
+    ) -> "StackedOperatorTable":
+        """The stack of ``tables`` whose representatives, in segment order, are ``reps``."""
         lengths = tuple(t.sequence_length for t in tables)
         if len(set(lengths)) != len(lengths):
             raise ValueError("stacked lengths must be distinct")
-        starts = np.cumsum([0] + [len(t) for t in tables], dtype=np.int64)
-        rep_starts = np.cumsum([0] + [len(t.rep_rows) for t in tables], dtype=np.int64)
-        vocabs, code_maps = {}, {}
-        for key in _LABEL_KEYS:
-            vocabs[f"{key}s"], code_maps[f"{key}_codes"] = _union_vocab(
-                [getattr(t, f"{key}s") for t in tables]
-            )
         return cls(
-            config=config,
+            config=tables[0].config,
             lengths=lengths,
             tables=tuple(tables),
-            segment_starts=_freeze(starts),
-            code_maps=code_maps,
-            rep_starts=_freeze(rep_starts),
-            **vocabs,
+            segment_starts=_freeze(np.cumsum([0] + [len(t) for t in tables], dtype=np.int64)),
+            rep_starts=_freeze(np.cumsum([0] + [len(t.rep_rows) for t in tables], dtype=np.int64)),
+            reps=reps,
+            **tables[0]._vocabs(),
         )
 
-    def _concat(self, name: str, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-table ``name`` arrays joined, label codes in the shared vocab."""
-        lookups = self.code_maps.get(name)
-        if lookups is not None:
-            arrays = [lookup[codes] for lookup, codes in zip(lookups, arrays)]
-        return _join(arrays)
-
     def _shifted(self, name: str, offsets: np.ndarray) -> np.ndarray:
+        """Each table's ``name`` shifted by its offset, joined (a lone table's is reused)."""
         # Python-int offsets keep the int32 maps int32.
-        return _join([
-            getattr(t, name) + offset if offset else getattr(t, name)
-            for t, offset in zip(self.tables, offsets.tolist())
-        ])
+        arrays = [getattr(t, name) + offset if offset else getattr(t, name)
+                  for t, offset in zip(self.tables, offsets.tolist())]
+        return arrays[0] if len(arrays) == 1 else _freeze(np.concatenate(arrays))
 
     @cached_property
     def rep_rows(self) -> np.ndarray:
@@ -532,18 +357,6 @@ class StackedOperatorTable(_RowMapped):
     @cached_property
     def rep_index(self) -> np.ndarray:
         return self._shifted("rep_index", self.rep_starts)
-
-    def _gather_representatives(self) -> RepresentativeRows:
-        parts = [t.representatives() for t in self.tables]
-        if len(parts) == 1:
-            return parts[0]
-        return RepresentativeRows(
-            **self._vocabs(),
-            **{
-                name: self._concat(name, [getattr(p, name) for p in parts])
-                for name in _PRICING_COLUMNS + ("counts",)
-            },
-        )
 
     # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -577,30 +390,20 @@ class StackedOperatorTable(_RowMapped):
         """Each representative's segment."""
         return np.repeat(np.arange(self.num_segments), np.diff(self.rep_starts))
 
-    def _label_bins(self, key: str) -> Tuple[np.ndarray, int, Tuple]:
-        """(per-representative bins, minlength, per-segment label layout) of ``key``.
+    def _label_bins(self, key: str) -> Tuple[np.ndarray, Tuple]:
+        """(per-representative bins, vocab) of ``key``; a bin is ``segment * len(vocab) + code``.
 
-        A representative's bin is ``segment * len(vocab) + code``.  Built once
-        per stack and key: stacks are LRU-cached and priced many times.  A
-        lone length is priced as a fresh one-segment stack per backend, so
-        its bins are cached on its table, which outlives those stacks.
+        Built once per stack and key: stacks are LRU-cached and priced many
+        times.  A lone length is priced as a fresh one-segment stack per
+        backend, so its bins are cached on its table, which outlives those
+        stacks.
         """
         owner = self.tables[0] if self.num_segments == 1 else self
         cache = owner.__dict__.setdefault("_bins", {})
         bins = cache.get(key)
         if bins is None:
             codes, vocab = self.representatives()._codes_for(key)
-            width = len(vocab)
-            shared = {label: code for code, label in enumerate(vocab)}
-            layouts = tuple(
-                tuple((label, i * width + shared[label]) for label in getattr(t, f"{key}s"))
-                for i, t in enumerate(self.tables)
-            )
-            bins = cache[key] = (
-                _freeze(self._segment_ids * width + codes),
-                self.num_segments * width,
-                layouts,
-            )
+            bins = cache[key] = (_freeze(self._segment_ids * len(vocab) + codes), vocab)
         return bins
 
     def segment_sums(self, values: np.ndarray, *keys: str) -> Tuple[np.ndarray, List[List[Dict]]]:
@@ -611,9 +414,8 @@ class StackedOperatorTable(_RowMapped):
         weighted by its multiplicity, so a segment's sum over its
         representatives is the sum over its rows.  Returns ``(totals,
         labelled)``: ``totals[j, i]`` is segment ``i``'s sum of ``values[j]``,
-        and ``labelled[k][i]`` is segment ``i``'s
-        :meth:`OperatorTable.weighted_sums` dict of ``values[0]`` for
-        ``keys[k]``, over its own table's vocab in that table's order.
+        and ``labelled[k][i]`` is segment ``i``'s per-label dict of the sums
+        of ``values[0]`` for ``keys[k]``, over the vocab in its order.
 
         ``np.bincount`` adds in array order, and a segment's representatives
         keep their order in any mix, so every float is the same in any stack
@@ -625,97 +427,131 @@ class StackedOperatorTable(_RowMapped):
         totals = np.array([np.bincount(segments, weights=w, minlength=count) for w in weighted])
         labelled = []
         for key in keys:
-            bins, minlength, layouts = self._label_bins(key)
+            bins, vocab = self._label_bins(key)
+            sums = np.bincount(bins, weights=weighted[0], minlength=count * len(vocab))
             # One tolist() converts every bin to a Python float (exact for
             # float64), avoiding a numpy-scalar __float__ per (segment, label).
-            sums = np.bincount(bins, weights=weighted[0], minlength=minlength).tolist()
-            labelled.append([{label: sums[i] for label, i in layout} for layout in layouts])
+            rows = sums.reshape(count, len(vocab)).tolist()
+            labelled.append([dict(zip(vocab, row)) for row in rows])
         return totals, labelled
 
 
-# ------------------------------------------------------------------- caching
-@lru_cache(maxsize=64)
-def _cached_workload(config: PPMConfig, n: int, include_recycles: bool) -> Workload:
-    return build_model_ops(config, n, include_recycles=include_recycles)
+# -------------------------------------------------------------------- fitting
+#: Six times the inverse Vandermonde matrix of n = 1..4: ``M @ y // 6`` are the
+#: coefficients ``c0..c3`` of the cubic through ``y`` at n = 1..4.
+_CUBIC_THROUGH_FIRST_FOUR = np.array(
+    [[24, -36, 24, -6], [-26, 57, -42, 11], [9, -24, 21, -6], [-1, 3, -3, 1]],
+    dtype=np.int64,
+)
+#: The lengths a fit runs the builders at: n = 1..4 fix each cubic, 5..8 check it.
+_FIT_LENGTHS = range(1, 9)
+#: Every integer up to this one is a float64.
+_EXACT = 2 ** 53
 
 
-@lru_cache(maxsize=16)
-def _cached_labels(config: PPMConfig, include_recycles: bool) -> OperatorTable:
-    """The one-residue table, whose label columns and row map every length shares.
+def _exact_limit(coefficients: np.ndarray) -> int:
+    """Largest n at which every Horner intermediate of ``coefficients`` is at most 2^53.
 
-    Names, engine/phase/subphase/group codes and ``fusible`` are the same at
-    every sequence length (:meth:`Workload.structure_signature`), so they are
-    factorized once per ``(config, include_recycles)``.  The row map is the
-    tiling's: :func:`_cached_table` copies every row's numbers from its
-    *origin*, the same row of the first block of the first run with the same
-    builder, so rows with equal origin and labels are equal at every length.
-    Its :meth:`~OperatorTable.representatives` labels and counts are every
-    length's too; only their numbers change.
+    Each intermediate is bounded by the cubic of the coefficients' magnitudes,
+    which is evaluated in int64: it stays below 8 * 2^53 during the search.
     """
-    table = OperatorTable.from_workload(
-        build_model_ops(config, 1, include_recycles=include_recycles)
-    )
-    origins = []
-    first_row: Dict = {}
-    start = 0
-    for builder, blocks in model_segments(config, include_recycles):
-        width = len(builder(config, 1, 0))
-        base = first_row.setdefault(builder, start)
-        origins.append(np.tile(np.arange(base, base + width), blocks))
-        start += width * blocks
-    return replace(
-        table,
-        **_row_map(
-            np.concatenate(origins), table.engine_codes, table.phase_codes,
-            table.subphase_codes, table.group_codes, table.fusible,
-        ),
-    )
+    c0, c1, c2, c3 = np.abs(coefficients).reshape(4, -1)
+
+    def fits(n: int) -> bool:
+        return bool((((c3 * n + c2) * n + c1) * n + c0).max() <= _EXACT)
+
+    low, high = 0, 1
+    while fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if fits(middle) else (low, middle)
+    return low
+
+
+class _Cubics:
+    """Per ``(config, include_recycles)``: labels, row map and each representative's cubic."""
+
+    def __init__(self, config: PPMConfig, include_recycles: bool) -> None:
+        segments = model_segments(config, include_recycles)
+        samples = {  # (n, columns, rows) of one block of each distinct builder
+            builder: np.stack([_numeric_rows(builder(config, n, 0)) for n in _FIT_LENGTHS])
+            for builder in dict.fromkeys(builder for builder, _ in segments)
+        }
+        # One representative per row of one block of each distinct builder:
+        # no operator's numbers depend on its block index or recycle pass.
+        first: Dict = {}
+        origins, start = [], 0
+        for builder, blocks in segments:
+            base, width = first.setdefault(builder, start), samples[builder].shape[2]
+            origins.append(np.tile(np.arange(base, base + width), blocks))
+            start += width * blocks
+        labels = _labels(build_model_ops(config, 1, include_recycles).operators)
+        row_map = _row_map(np.concatenate(origins))
+        #: Every field of a table but its length and numbers.
+        self.fields = {"config": config, **row_map, **labels}
+        self.rep_labels = _rep_labels(labels, row_map)
+        names = [labels["names"][row] for row in row_map["rep_rows"].tolist()]
+        self.coefficients = self._fit(np.concatenate(list(samples.values()), axis=2), names)
+        self.limit = _exact_limit(self.coefficients)
+        # (4, columns, 1, representatives): broadcasts against (lengths, 1).
+        self._horner = self.coefficients.astype(np.float64)[:, :, None, :]
+
+    @staticmethod
+    def _fit(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
+        """``(4, columns, representatives)`` int64 ``c0..c3`` of ``values`` at n = 1..8."""
+        integers = values.astype(np.int64)
+        sixfold = np.tensordot(_CUBIC_THROUGH_FIRST_FOUR, integers[:4], axes=1)
+        for bad, problem in (  # checked in this order
+            ((integers != values) | (np.abs(values) > _EXACT),
+             "is not an integer of at most 2^53 at n = 1..8"),
+            (np.diff(integers, n=4, axis=0) != 0,
+             "is not a cubic in n: its fourth difference over n = 1..8 is not 0"),
+            (sixfold % 6 != 0, "is a cubic in n without integer coefficients"),
+        ):
+            if bad.any():
+                column, rep = np.argwhere(bad.any(axis=0))[0]
+                raise ValueError(f"{names[rep]}.{NUMERIC_COLUMNS[column]} {problem}")
+        return sixfold // 6
+
+    def stack(self, lengths: Sequence[int]) -> StackedOperatorTable:
+        """The stack of ``lengths`` (in order): one Horner pass, one table per length."""
+        check_sequence_length(min(lengths))
+        c0, c1, c2, c3 = self._horner
+        n = np.array(lengths, dtype=np.float64)[:, None]
+        numbers = _freeze(((c3 * n + c2) * n + c1) * n + c0)  # (columns, lengths, reps)
+        tables = [
+            OperatorTable(sequence_length=length, reps=RepresentativeRows(
+                **self.rep_labels, **dict(zip(NUMERIC_COLUMNS, numbers[:, i]))
+            ), **self.fields)
+            for i, length in enumerate(lengths)
+        ]
+        if len(tables) == 1:
+            return StackedOperatorTable._of(tables, tables[0].reps)
+        return StackedOperatorTable._of(tables, RepresentativeRows(
+            **{name: _freeze(np.tile(value, len(tables))) if isinstance(value, np.ndarray)
+               else value for name, value in self.rep_labels.items()},
+            **dict(zip(NUMERIC_COLUMNS, numbers.reshape(len(NUMERIC_COLUMNS), -1))),
+        ))
+
+
+# ------------------------------------------------------------------- caching
+@lru_cache(maxsize=16)
+def _cubics(config: PPMConfig, include_recycles: bool) -> _Cubics:
+    return _Cubics(config, include_recycles)
 
 
 @lru_cache(maxsize=64)
 def _cached_table(config: PPMConfig, n: int, include_recycles: bool) -> OperatorTable:
-    check_sequence_length(n)
-    rows_of: Dict = {}  # one block's numbers per builder (recycle passes repeat)
-    parts = []
-    for builder, blocks in model_segments(config, include_recycles):
-        rows = rows_of.get(builder)
-        if rows is None:
-            rows = rows_of[builder] = _numeric_rows(builder(config, n, 0))
-        parts.append(np.tile(rows, blocks))
-    template = _cached_labels(config, include_recycles)
-    numbers = np.concatenate(parts, axis=1)
-    table = replace(template, sequence_length=n, **_numeric_fields(numbers))
-    reps = replace(
-        template.representatives(), **_numeric_fields(numbers[:, template.rep_rows])
-    )
-    object.__setattr__(table, "_representatives", reps)
-    return table
-
-
-def get_workload(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:
-    """LRU-cached :func:`~repro.ppm.workload.build_model_ops` (the object-graph view).
-
-    Returns a fresh :class:`Workload` wrapper around the cached operator list
-    (the :class:`Operator` entries are frozen and shared), so mutating the
-    returned ``operators`` list cannot poison the cache.  Operator tables do
-    not go through this cache.
-    """
-    cached = _cached_workload(config, int(n), bool(include_recycles))
-    return Workload(
-        sequence_length=cached.sequence_length,
-        config=cached.config,
-        operators=list(cached.operators),
-    )
+    return _cubics(config, include_recycles).stack((n,)).tables[0]
 
 
 def get_op_table(config: PPMConfig, n: int, include_recycles: bool = False) -> OperatorTable:
     """LRU-cached columnar operator table for ``(config, n, include_recycles)``.
 
-    Bytewise the table ``OperatorTable.from_workload(build_model_ops(...))``
-    would give, built without the object graph: the label columns come from
-    the per-config template, and the numeric columns from one block of each
-    :func:`~repro.ppm.workload.model_segments` run, tiled ``blocks`` times
-    (no operator's numbers depend on its block index).
+    One Horner evaluation of the config's fitted cubics; bytewise the table
+    ``OperatorTable.from_workload(build_model_ops(...))`` would give for every
+    ``n`` up to :func:`exact_length_limit`.
     """
     return _cached_table(config, int(n), bool(include_recycles))
 
@@ -724,9 +560,7 @@ def get_op_table(config: PPMConfig, n: int, include_recycles: bool = False) -> O
 def _cached_stack(
     config: PPMConfig, lengths: Tuple[int, ...], include_recycles: bool
 ) -> StackedOperatorTable:
-    return StackedOperatorTable.from_tables(
-        [_cached_table(config, n, include_recycles) for n in lengths]
-    )
+    return _cubics(config, include_recycles).stack(lengths)
 
 
 def get_stacked_table(
@@ -737,7 +571,8 @@ def get_stacked_table(
     The stack is canonicalized (sorted, deduplicated) so every caller asking
     for the same length *set* — in any order, with any duplication — shares
     one cached stack; callers look segments up via
-    :meth:`StackedOperatorTable.segment_index`.
+    :meth:`StackedOperatorTable.segment_index`.  The whole stack is one
+    Horner evaluation over (lengths × columns × representatives).
     """
     canonical = tuple(sorted({int(n) for n in lengths}))
     if not canonical:
@@ -745,32 +580,52 @@ def get_stacked_table(
     return _cached_stack(config, canonical, bool(include_recycles))
 
 
-class WorkloadCacheInfo(NamedTuple):
-    """LRU statistics of every operator-graph cache in this module."""
+def exact_length_limit(config: PPMConfig, include_recycles: bool = False) -> int:
+    """Largest sequence length whose table is bytewise the object-graph table."""
+    return _cubics(config, bool(include_recycles)).limit
 
-    workloads: object
-    labels: object
+
+def model_weight_elements(config: PPMConfig, include_language_model: bool = False) -> float:
+    """Total trunk weight elements (optionally including the language model).
+
+    Weights do not depend on the sequence length: the trunk total is the sum
+    of the fitted constant terms of ``weight_elements`` outside the input
+    embedding, each times its multiplicity.  These are integers below 2^53,
+    so the sum is exact in any order.
+    """
+    fit = _cubics(config, False)
+    reps = fit.rep_labels
+    trunk = reps["phase_codes"] != reps["phases"].index(PHASE_INPUT_EMBEDDING)
+    weights = fit.coefficients[0, NUMERIC_COLUMNS.index("weight_elements")]
+    total = float(np.sum(weights[trunk] * reps["counts"][trunk]))
+    if include_language_model:
+        total += config.language_model_params
+    return total
+
+
+class WorkloadCacheInfo(NamedTuple):
+    """LRU statistics of every operator-table cache in this module."""
+
+    fits: object
     tables: object
     stacks: object
 
 
 def clear_workload_caches() -> None:
-    """Drop all cached workloads, label templates, tables and stacks.
+    """Drop all cached fits, tables and stacks.
 
     Mainly for tests, memory pressure and cold-process benchmarks: after this
-    call the next table build starts from nothing, label template included.
+    call the next table build starts from nothing, fit included.
     """
     _cached_stack.cache_clear()
     _cached_table.cache_clear()
-    _cached_labels.cache_clear()
-    _cached_workload.cache_clear()
+    _cubics.cache_clear()
 
 
 def workload_cache_info() -> WorkloadCacheInfo:
-    """LRU statistics of the workload, label-template, table and stack caches."""
+    """LRU statistics of the fit, table and stack caches."""
     return WorkloadCacheInfo(
-        workloads=_cached_workload.cache_info(),
-        labels=_cached_labels.cache_info(),
+        fits=_cubics.cache_info(),
         tables=_cached_table.cache_info(),
         stacks=_cached_stack.cache_info(),
     )

@@ -17,8 +17,7 @@ comparisons apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .activation_tap import GROUP_A, GROUP_B, GROUP_C
 from .config import PPMConfig
@@ -69,39 +68,6 @@ class Workload:
     sequence_length: int
     config: PPMConfig
     operators: List[Operator] = field(default_factory=list)
-
-    def total_macs(self) -> float:
-        return sum(op.macs for op in self.operators)
-
-    def total_vector_ops(self) -> float:
-        return sum(op.vector_ops for op in self.operators)
-
-    def by_phase(self) -> Dict[str, List[Operator]]:
-        phases: Dict[str, List[Operator]] = {}
-        for op in self.operators:
-            phases.setdefault(op.phase, []).append(op)
-        return phases
-
-    def filter(self, phase: Optional[str] = None, engine: Optional[str] = None) -> List[Operator]:
-        ops = self.operators
-        if phase is not None:
-            ops = [op for op in ops if op.phase == phase]
-        if engine is not None:
-            ops = [op for op in ops if op.engine == engine]
-        return ops
-
-    def structure_signature(self) -> tuple:
-        """Length-invariant identity of the operator sequence.
-
-        Two workloads of the same config at different sequence lengths share
-        this signature (only the numeric columns scale with ``n``) — the
-        property that lets :class:`~repro.ppm.op_table.StackedOperatorTable`
-        concatenate per-length tables under one shared label vocabulary.
-        """
-        return tuple(
-            (op.name, op.engine, op.phase, op.subphase, op.output_group, op.fusible)
-            for op in self.operators
-        )
 
 
 def _linear_op(
@@ -156,7 +122,7 @@ def build_triangle_multiplication_ops(config: PPMConfig, n: int, mode: str, bloc
     hidden = config.triangle_hidden
     tokens = float(n) * n
     prefix = f"block{block:02d}.tri_mult_{mode}"
-    ops = [
+    return [
         _vector_op(f"{prefix}.layer_norm_in", tokens * hz, 4, PHASE_PAIR, SUBPHASE_TRI_MULT, GROUP_B),
         _linear_op(f"{prefix}.linear_a_p", tokens, hz, hidden, PHASE_PAIR, SUBPHASE_TRI_MULT),
         _linear_op(f"{prefix}.linear_a_g", tokens, hz, hidden, PHASE_PAIR, SUBPHASE_TRI_MULT),
@@ -179,7 +145,6 @@ def build_triangle_multiplication_ops(config: PPMConfig, n: int, mode: str, bloc
         _linear_op(f"{prefix}.linear_o", tokens, hidden, hz, PHASE_PAIR, SUBPHASE_TRI_MULT),
         _vector_op(f"{prefix}.gate_and_residual", tokens * hz, 3, PHASE_PAIR, SUBPHASE_TRI_MULT, GROUP_A),
     ]
-    return ops
 
 
 def build_triangle_attention_ops(config: PPMConfig, n: int, mode: str, block: int) -> List[Operator]:
@@ -190,7 +155,7 @@ def build_triangle_attention_ops(config: PPMConfig, n: int, mode: str, block: in
     width = heads * head_dim
     tokens = float(n) * n
     prefix = f"block{block:02d}.tri_att_{mode}"
-    ops = [
+    return [
         _vector_op(f"{prefix}.layer_norm", tokens * hz, 4, PHASE_PAIR, SUBPHASE_TRI_ATT, GROUP_B),
         _linear_op(f"{prefix}.linear_q", tokens, hz, width, PHASE_PAIR, SUBPHASE_TRI_ATT),
         _linear_op(f"{prefix}.linear_k", tokens, hz, width, PHASE_PAIR, SUBPHASE_TRI_ATT),
@@ -232,7 +197,6 @@ def build_triangle_attention_ops(config: PPMConfig, n: int, mode: str, block: in
         _linear_op(f"{prefix}.linear_o", tokens, width, hz, PHASE_PAIR, SUBPHASE_TRI_ATT),
         _vector_op(f"{prefix}.gate_and_residual", tokens * hz, 3, PHASE_PAIR, SUBPHASE_TRI_ATT, GROUP_A),
     ]
-    return ops
 
 
 def build_pair_bias_mlp_ops(config: PPMConfig, n: int, block: int) -> List[Operator]:
@@ -301,14 +265,14 @@ def build_sequence_dataflow_ops(config: PPMConfig, n: int, block: int) -> List[O
 
 def build_folding_block_ops(config: PPMConfig, n: int, block: int = 0) -> List[Operator]:
     """All operators of one Protein Folding Block (Fig. 2b)."""
-    ops: List[Operator] = []
-    ops.extend(build_sequence_dataflow_ops(config, n, block))
-    ops.extend(build_pair_bias_mlp_ops(config, n, block))
-    ops.extend(build_triangle_multiplication_ops(config, n, "outgoing", block))
-    ops.extend(build_triangle_multiplication_ops(config, n, "incoming", block))
-    ops.extend(build_triangle_attention_ops(config, n, "starting", block))
-    ops.extend(build_triangle_attention_ops(config, n, "ending", block))
-    return ops
+    return [
+        *build_sequence_dataflow_ops(config, n, block),
+        *build_pair_bias_mlp_ops(config, n, block),
+        *build_triangle_multiplication_ops(config, n, "outgoing", block),
+        *build_triangle_multiplication_ops(config, n, "incoming", block),
+        *build_triangle_attention_ops(config, n, "starting", block),
+        *build_triangle_attention_ops(config, n, "ending", block),
+    ]
 
 
 def build_input_embedding_ops(config: PPMConfig, n: int) -> List[Operator]:
@@ -376,9 +340,10 @@ def model_segments(
     over each run in turn: the input embedding, then per recycle pass the
     ``num_blocks`` folding blocks and the structure module.  This list is the
     one owner of graph order — :func:`build_model_ops` expands it into
-    operators and :func:`repro.ppm.op_table.get_op_table` tiles one block of
-    each run into numeric columns.  No builder's numbers depend on ``block``
-    (only the operator names carry it).
+    operators, and :mod:`repro.ppm.op_table` fits one block of each distinct
+    builder once per config, at n = 1–8, into per-row cubics in ``n``.  No
+    builder's numbers depend on ``block`` (only the operator names carry it),
+    and each is an integer cubic in ``n`` (the fit raises otherwise).
     """
     passes = (config.num_recycles + 1) if include_recycles else 1
     segments: List[Tuple[SegmentBuilder, int]] = [(_input_embedding_segment, 1)]
@@ -417,25 +382,3 @@ def score_matrix_elements(config: PPMConfig, n: int) -> float:
 def sequence_activation_elements(config: PPMConfig, n: int) -> float:
     """Number of elements of one Sequence Representation tensor."""
     return float(n) * config.seq_dim
-
-
-@lru_cache(maxsize=32)
-def _trunk_weight_elements(config: PPMConfig) -> float:
-    workload = build_model_ops(config, 4)
-    return sum(
-        op.weight_elements
-        for op in workload.operators
-        if op.phase != PHASE_INPUT_EMBEDDING
-    )
-
-
-def model_weight_elements(config: PPMConfig, include_language_model: bool = False) -> float:
-    """Total trunk weight elements (optionally including the language model).
-
-    Weight totals are sequence-length independent, so the trunk sum is
-    memoized per config instead of rebuilding the operator graph per call.
-    """
-    weights = _trunk_weight_elements(config)
-    if include_language_model:
-        weights += config.language_model_params
-    return weights

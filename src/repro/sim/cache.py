@@ -34,7 +34,8 @@ from .. import __version__
 #: stamped with ``repro.__version__`` so cached tables/reports cannot outlive
 #: a release that changes workload-builder or cost-model semantics.  3: reports
 #: sum representatives weighted by multiplicity, which moves last-bit floats.
-CACHE_SCHEMA_VERSION = 3
+#: 4: a pickled table holds its representatives' numbers, not full-row columns.
+CACHE_SCHEMA_VERSION = 4
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"

@@ -206,8 +206,9 @@ class SimulationSession:
         """The cached operator table for ``sequence_length``.
 
         Resolution order: session memo, disk cache, then the process-wide LRU
-        builder of :func:`~repro.ppm.op_table.get_op_table` (whose result is
-        persisted to disk for the next process).
+        of :func:`~repro.ppm.op_table.get_op_table`, which evaluates the
+        config's fitted per-row cubics (its result is persisted to disk for
+        the next process).
         """
         include = self.include_recycles if include_recycles is None else include_recycles
         memo_key = (int(sequence_length), bool(include))
@@ -230,11 +231,12 @@ class SimulationSession:
     ) -> StackedOperatorTable:
         """The cached stacked table over the distinct sorted ``lengths``.
 
-        Per-length tables resolve through :meth:`table` (session memo, disk
-        cache, process LRU), so a stack is one concatenation over tables the
-        session already owns; the assembled stack is memoized per length set.
-        A single length is a one-segment stack over its cached table, built
-        fresh and never memoized (the table memo already covers it).
+        A stack of several lengths is one Horner evaluation of the config's
+        fitted cubics (:func:`~repro.ppm.op_table.get_stacked_table`),
+        memoized per length set; its segment tables join the table memo.  A
+        single length is a one-segment stack over its :meth:`table` (session
+        memo, disk cache, process LRU), built fresh and never memoized (the
+        table memo already covers it).
         """
         include = self.include_recycles if include_recycles is None else include_recycles
         canonical = tuple(sorted({int(n) for n in lengths}))
@@ -246,7 +248,7 @@ class SimulationSession:
             # Tables are deterministic from the config, so the process-wide
             # stack LRU is shared across sessions: a fresh session pricing a
             # mix the process has already stacked pays one dict lookup, not a
-            # re-concatenation.
+            # re-evaluation.
             stack = get_stacked_table(self.ppm_config, canonical, include_recycles=include)
             self._stacks[memo_key] = stack
             # Keep the session invariant that pricing a mix warms the table

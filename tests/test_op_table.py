@@ -3,10 +3,15 @@
 The acceptance bar for the columnar refactor: `OperatorTable`-backed
 `simulate()` and DSE results must be numerically identical (within 1e-9
 relative) to the per-operator scalar reference of `reference_pricing`.  The
-tables themselves, built from one tiled block per graph segment, must be
-bytewise the tables of the object graph (`build_model_ops`, the oracle).
+tables themselves, evaluated from per-row cubics in the sequence length, must
+be bytewise the tables of the object graph (`build_model_ops`, the oracle of
+`reference_graph`) up to the exact limit, in numbers, labels, row map,
+representatives and segment sums.
 """
 
+import itertools
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_graph import (
+    builder_origins,
+    by_phase,
+    filter_ops,
+    filter_table,
+    oracle_table,
+    select,
+    structure_signature,
+    table_by_phase,
+    to_workload,
+    total_macs,
+    total_vector_ops,
+)
 from reference_pricing import (
     bottleneck_share,
     simulate_accelerator_workload,
@@ -22,15 +40,16 @@ from reference_pricing import (
 
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
-from repro.ppm import PPMConfig
+from repro.ppm import PPMConfig, workload as workload_module
 from repro.ppm.op_table import (
     NUMERIC_COLUMNS,
     OperatorTable,
     StackedOperatorTable,
     clear_workload_caches,
+    exact_length_limit,
     get_op_table,
     get_stacked_table,
-    get_workload,
+    model_weight_elements,
     workload_cache_info,
 )
 from repro.ppm.workload import (
@@ -41,7 +60,6 @@ from repro.ppm.workload import (
     SUBPHASE_TRI_ATT,
     build_model_ops,
     model_segments,
-    model_weight_elements,
 )
 from repro.analysis.sizes import int8_equivalent_cost
 from repro.core import AAQConfig
@@ -71,53 +89,56 @@ def relerr(a, b):
 
 class TestOperatorTable:
     def test_round_trip_preserves_every_operator(self, workload, table):
-        restored = table.to_workload()
+        restored = to_workload(table)
         assert len(restored.operators) == len(workload.operators) == len(table)
         for original, back in zip(workload.operators, restored.operators):
             assert original == back  # Operator is a frozen dataclass: field-wise
 
     def test_vectorized_totals_match_object_graph(self, workload, table):
-        assert table.total_macs() == pytest.approx(workload.total_macs(), rel=REL)
-        assert table.total_vector_ops() == pytest.approx(workload.total_vector_ops(), rel=REL)
+        assert float(np.sum(table.macs)) == pytest.approx(total_macs(workload), rel=REL)
+        assert float(np.sum(table.vector_ops)) == pytest.approx(
+            total_vector_ops(workload), rel=REL
+        )
         flops = sum(op.flops for op in workload.operators)
-        assert table.total_flops() == pytest.approx(flops, rel=REL)
+        assert float(np.sum(table.flops)) == pytest.approx(flops, rel=REL)
 
     def test_filter_matches_object_graph(self, workload, table):
         for phase, engine in [(PHASE_PAIR, None), (None, ENGINE_MATMUL),
                               (PHASE_SEQUENCE, ENGINE_VECTOR)]:
-            ops = workload.filter(phase=phase, engine=engine)
-            sub = table.filter(phase=phase, engine=engine)
+            ops = filter_ops(workload, phase=phase, engine=engine)
+            sub = filter_table(table, phase=phase, engine=engine)
             assert len(sub) == len(ops)
-            assert sub.total_macs() == pytest.approx(sum(op.macs for op in ops), rel=REL)
+            assert float(np.sum(sub.macs)) == pytest.approx(sum(op.macs for op in ops), rel=REL)
 
     def test_subphase_filter(self, table, workload):
-        sub = table.filter(subphase=SUBPHASE_TRI_ATT)
+        sub = filter_table(table, subphase=SUBPHASE_TRI_ATT)
         expected = [op for op in workload.operators if op.subphase == SUBPHASE_TRI_ATT]
         assert len(sub) == len(expected)
 
     def test_by_phase_matches_object_graph(self, workload, table):
-        legacy = workload.by_phase()
-        columnar = table.by_phase()
+        legacy = by_phase(workload)
+        columnar = table_by_phase(table)
         assert list(columnar) == list(legacy)  # same first-appearance order
         for phase, sub in columnar.items():
             assert len(sub) == len(legacy[phase])
 
     def test_groupby_sum(self, workload, table):
-        sums = table.groupby_sum("phase", "macs")
-        for phase, ops in workload.by_phase().items():
-            assert sums[phase] == pytest.approx(sum(op.macs for op in ops), rel=REL)
-        engine_sums = table.groupby_sum("engine", "vector_ops")
-        assert engine_sums[ENGINE_VECTOR] == pytest.approx(
-            workload.total_vector_ops(), rel=REL
-        )
+        # The one per-label reduction is a stack's segment_sums.
+        stack = StackedOperatorTable.from_tables([table])
+        reps = table.representatives()
+        ((phase_sums,),) = stack.segment_sums(reps.macs, "phase")[1]
+        ((vector_sums,),) = stack.segment_sums(reps.vector_ops, "engine")[1]
+        for phase, ops in by_phase(workload).items():
+            assert phase_sums[phase] == pytest.approx(sum(op.macs for op in ops), rel=REL)
+        assert vector_sums[ENGINE_VECTOR] == pytest.approx(total_vector_ops(workload), rel=REL)
         with pytest.raises(ValueError):
-            table.groupby_sum("nonsense")
-        with pytest.raises(ValueError):
-            table.column("nonsense")
+            stack.segment_sums(reps.macs, "nonsense")
 
     def test_columns_are_read_only(self, table):
         with pytest.raises(ValueError):
             table.macs[0] = 1.0
+        with pytest.raises(ValueError):
+            get_op_table(table.config, 96).macs[0] = 1.0
 
     @pytest.mark.parametrize(
         "shape", ["prefix", "longer", "two-dimensional", "scalar"]
@@ -131,37 +152,38 @@ class TestOperatorTable:
             "scalar": True,
         }[shape]
         with pytest.raises(ValueError, match="mask shape"):
-            table.select(mask)
+            select(table, mask)
 
     def test_select_accepts_a_full_length_list(self, table):
         mask = [i % 3 == 0 for i in range(len(table))]
-        assert len(table.select(mask)) == sum(mask)
+        assert len(select(table, mask)) == sum(mask)
 
 
 #: Every array column of a table; vocab tuples are compared by equality.
 ARRAY_COLUMNS = NUMERIC_COLUMNS + (
     "engine_codes", "phase_codes", "subphase_codes", "group_codes", "fusible",
+    "rep_rows", "rep_index",
 )
 VOCABS = ("names", "engines", "phases", "subphases", "groups")
 STACK_VOCABS = ("engines", "phases", "subphases", "groups")
+#: Every field of a table's representatives.
+REP_ARRAYS = NUMERIC_COLUMNS + (
+    "engine_codes", "phase_codes", "subphase_codes", "group_codes", "fusible", "counts",
+)
 
 PRESETS = {"paper": PPMConfig.paper, "small": PPMConfig.small, "tiny": PPMConfig.tiny}
 
 configs = st.builds(
-    lambda preset, blocks, recycles: PRESETS[preset]()
+    lambda preset, blocks, recycles, chunks: PRESETS[preset]()
     .with_blocks(blocks)
-    .with_recycles(recycles),
+    .with_recycles(recycles)
+    .with_chunking(*chunks),
     st.sampled_from(sorted(PRESETS)),
     st.integers(1, 4),
     st.integers(0, 3),
+    st.sampled_from([(None, None), (16, None), (None, 8), (32, 16)]),
 )
 lengths = st.integers(1, 8192)
-
-
-def oracle_table(config, n, include_recycles):
-    return OperatorTable.from_workload(
-        build_model_ops(config, n, include_recycles=include_recycles)
-    )
 
 
 def assert_bytewise_equal(actual, expected, arrays=ARRAY_COLUMNS, vocabs=VOCABS):
@@ -172,24 +194,51 @@ def assert_bytewise_equal(actual, expected, arrays=ARRAY_COLUMNS, vocabs=VOCABS)
         assert got.tobytes() == want.tobytes(), name
     for name in vocabs:
         assert getattr(actual, name) == getattr(expected, name), name
+    assert_bytewise_equal_reps(actual.representatives(), expected.representatives())
+
+
+def assert_bytewise_equal_reps(actual, expected):
+    for name in REP_ARRAYS:
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for name in STACK_VOCABS:
+        assert getattr(actual, name) == getattr(expected, name), name
+
+
+def assert_same_segment_sums(actual, expected, values):
+    """``segment_sums`` of both stacks, totals and every label key, bytewise."""
+    keys = ("engine", "phase", "subphase", "group")
+    got_totals, got_labelled = actual.segment_sums(values, *keys)
+    want_totals, want_labelled = expected.segment_sums(values, *keys)
+    assert got_totals.tobytes() == want_totals.tobytes()
+    assert got_labelled == want_labelled
+    for got, want in zip(got_labelled, want_labelled):
+        assert [list(d) for d in got] == [list(d) for d in want]  # label order
 
 
 class TestTableParity:
-    """Tiled tables against the object-graph oracle, column for column."""
+    """Fitted tables against the object-graph oracle, byte for byte."""
 
     @settings(max_examples=60, deadline=None)
-    @given(config=configs, n=lengths, include_recycles=st.booleans())
-    def test_table_is_bytewise_the_object_graph_table(self, config, n, include_recycles):
+    @given(config=configs, include_recycles=st.booleans(), data=st.data())
+    def test_table_is_bytewise_the_object_graph_table(self, config, include_recycles, data):
+        n = data.draw(st.integers(1, exact_length_limit(config, include_recycles)), label="n")
         table = get_op_table(config, n, include_recycles=include_recycles)
         expected = oracle_table(config, n, include_recycles)
         assert table.sequence_length == n and table.config == config
         assert_bytewise_equal(table, expected)
+        one = StackedOperatorTable.from_tables([table])
+        assert_same_segment_sums(
+            one, StackedOperatorTable.from_tables([expected]), table.representatives().macs
+        )
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("include_recycles", [False, True])
-    @pytest.mark.parametrize("n", [1, 7, 96, 257, 1000, 4096])
+    @pytest.mark.parametrize("n", [1, 7, 96, 257, 1000, 4096, 10655, "limit"])
     def test_presets_at_pinned_lengths(self, preset, include_recycles, n):
         config = PRESETS[preset]()
+        if n == "limit":
+            n = exact_length_limit(config, include_recycles)
         assert_bytewise_equal(
             get_op_table(config, n, include_recycles=include_recycles),
             oracle_table(config, n, include_recycles),
@@ -198,25 +247,34 @@ class TestTableParity:
     @settings(max_examples=25, deadline=None)
     @given(
         config=configs,
-        mix=st.lists(lengths, min_size=1, max_size=6, unique=True),
+        mix=st.lists(lengths, min_size=1, max_size=6),
         include_recycles=st.booleans(),
+        seed=st.integers(0, 2**16),
     )
     def test_stacked_table_is_bytewise_the_object_graph_stack(
-        self, config, mix, include_recycles
+        self, config, mix, include_recycles, seed
     ):
-        stack = get_stacked_table(config, mix, include_recycles=include_recycles)
+        # Shuffled, with duplicates: the stack is over the sorted distinct set.
+        requested = mix + mix[: len(mix) // 2]
+        random.Random(seed).shuffle(requested)
+        stack = get_stacked_table(config, requested, include_recycles=include_recycles)
         expected = StackedOperatorTable.from_tables(
-            [oracle_table(config, n, include_recycles) for n in sorted(mix)]
+            [oracle_table(config, n, include_recycles) for n in sorted(set(mix))]
         )
         assert stack.lengths == expected.lengths
         assert stack.segment_starts.tobytes() == expected.segment_starts.tobytes()
+        assert stack.rep_starts.tobytes() == expected.rep_starts.tobytes()
         assert_bytewise_equal(stack, expected, vocabs=STACK_VOCABS)
+        for table, want in zip(stack.tables, expected.tables):
+            assert_bytewise_equal(table, want)
+        values = np.random.default_rng(seed).random((2, len(stack.rep_rows)))
+        assert_same_segment_sums(stack, expected, values)
 
     @settings(max_examples=20, deadline=None)
     @given(config=configs, n=st.integers(1, 512), include_recycles=st.booleans())
     def test_to_workload_round_trips_to_the_object_graph(self, config, n, include_recycles):
         table = get_op_table(config, n, include_recycles=include_recycles)
-        restored = table.to_workload()
+        restored = to_workload(table)
         expected = build_model_ops(config, n, include_recycles=include_recycles)
         assert restored.sequence_length == n
         assert restored.operators == expected.operators
@@ -225,6 +283,77 @@ class TestTableParity:
         for n in (0, -3):
             with pytest.raises(ValueError):
                 get_op_table(paper_config, n)
+            with pytest.raises(ValueError):
+                get_stacked_table(paper_config, [5, n])
+
+
+#: Above the exact limit Horner's rule and the builders both round; the
+#: module docstring bounds the difference.
+ABOVE_LIMIT_REL = 2e-15
+
+
+class TestCubicFit:
+    """The fit itself: what it accepts, what it refuses, and its stated limits."""
+
+    def test_paper_limit_follows_the_largest_cubic_coefficient(self, paper_config):
+        limit = exact_length_limit(paper_config)
+        assert limit == 41285  # 128 n^3 (+ lower terms) reaches 2^53 past it
+        assert 128 * limit ** 3 < 2 ** 53 < 128 * (limit + 2) ** 3
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_values_above_the_limit_stay_within_the_stated_bound(self, preset):
+        config = PRESETS[preset]()
+        limit = exact_length_limit(config)
+        for n in (limit + 1, 2 * limit + 1, 10 ** 6 + 3):
+            table = get_op_table(config, n)
+            expected = OperatorTable.from_workload(build_model_ops(config, n))
+            for name in NUMERIC_COLUMNS:
+                got, want = getattr(table, name), getattr(expected, name)
+                assert np.all(np.abs(got - want) <= ABOVE_LIMIT_REL * np.abs(want)), (n, name)
+
+    def test_every_length_shares_the_label_structure(self, paper_config):
+        # What lets one fit hold every length's labels and row map.
+        first = structure_signature(build_model_ops(paper_config, 1, include_recycles=True))
+        for n in (2, 97, 4096):
+            later = build_model_ops(paper_config, n, include_recycles=True)
+            assert structure_signature(later) == first
+
+    def _refit(self, monkeypatch, builder):
+        """Fit the tiny config after swapping in ``builder`` for the structure module."""
+        monkeypatch.setattr(workload_module, "build_structure_module_ops", builder)
+        clear_workload_caches()
+        try:
+            get_op_table(PPMConfig.tiny(), 12)
+        finally:
+            monkeypatch.undo()
+            clear_workload_caches()
+
+    def test_a_non_polynomial_builder_raises_at_fit_time(self, monkeypatch):
+        original = workload_module.build_structure_module_ops
+
+        def stepped(config, n, num_layers=8):
+            return [replace(op, macs=op.macs * math.ceil(n / 3)) for op in original(config, n)]
+
+        with pytest.raises(ValueError, match=r"structure\.ipa_0\.macs is not a cubic in n"):
+            self._refit(monkeypatch, stepped)
+
+    def test_a_cubic_without_integer_coefficients_raises(self, monkeypatch):
+        original = workload_module.build_structure_module_ops
+
+        def triangular(config, n, num_layers=8):
+            return [replace(op, vector_ops=n * (n + 1) / 2) for op in original(config, n)]
+
+        with pytest.raises(ValueError, match="without integer coefficients"):
+            self._refit(monkeypatch, triangular)
+
+    def test_a_fractional_value_raises(self, monkeypatch):
+        original = workload_module.build_structure_module_ops
+
+        def halved(config, n, num_layers=8):
+            return [replace(op, input_elements=op.input_elements + 0.5) for op in original(config, n)]
+
+        with pytest.raises(ValueError, match="not an integer"):
+            self._refit(monkeypatch, halved)
 
 
 #: The columns a representative keeps: what the engines' arithmetic reads,
@@ -264,7 +393,7 @@ def tiled_representatives(config, include_recycles):
 
 
 class TestRowMap:
-    """Row maps of tiled, object-graph, sub- and stacked tables."""
+    """Row maps of fitted, object-graph, sub- and stacked tables."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=configs, n=lengths, include_recycles=st.booleans())
@@ -272,6 +401,9 @@ class TestRowMap:
         table = get_op_table(config, n, include_recycles=include_recycles)
         assert_valid_row_map(table)
         assert len(table.rep_rows) == tiled_representatives(config, include_recycles)
+        # Representatives are the first block of each builder, in row order.
+        origins = builder_origins(config, include_recycles)
+        assert table.rep_rows.tolist() == np.unique(origins).tolist()
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("include_recycles", [False, True])
@@ -286,7 +418,9 @@ class TestRowMap:
     def test_object_graph_rows_match_their_representatives(
         self, config, n, include_recycles
     ):
-        table = oracle_table(config, n, include_recycles)
+        table = OperatorTable.from_workload(
+            build_model_ops(config, n, include_recycles=include_recycles)
+        )
         assert_valid_row_map(table)
         # Bytewise dedup never finds more distinct rows than the tiling.
         assert len(table.rep_rows) <= tiled_representatives(config, include_recycles)
@@ -311,13 +445,13 @@ class TestRowMap:
     ):
         table = get_op_table(config, n, include_recycles=include_recycles)
         mask = np.random.default_rng(seed).random(len(table)) < density
-        sub = table.select(mask)
+        sub = select(table, mask)
         assert_valid_row_map(sub)
         assert len(sub.rep_rows) == len(np.unique(table.rep_index[mask]))
         for kwargs in ({"phase": PHASE_PAIR}, {"engine": ENGINE_MATMUL},
                        {"subphase": SUBPHASE_TRI_ATT}):
-            assert_valid_row_map(table.filter(**kwargs))
-        for sub in table.by_phase().values():
+            assert_valid_row_map(filter_table(table, **kwargs))
+        for sub in table_by_phase(table).values():
             assert_valid_row_map(sub)
 
     @settings(max_examples=25, deadline=None)
@@ -356,20 +490,21 @@ class TestRowMap:
 
 
 class TestWorkloadCache:
-    def test_tables_do_not_populate_the_workload_cache(self, paper_config):
+    def test_each_config_is_fitted_once(self, paper_config):
         clear_workload_caches()
         get_op_table(paper_config, 64)
         get_op_table(paper_config, 65, include_recycles=True)
         get_stacked_table(paper_config, [66, 67])
+        get_stacked_table(paper_config, [68, 69], include_recycles=True)
         info = workload_cache_info()
-        assert info.workloads.currsize == 0
-        assert info.labels.currsize == 2  # one template per include_recycles
-        assert info.tables.currsize == 4
-        assert info.stacks.currsize == 1
+        assert info.fits.currsize == 2  # one fit per include_recycles
+        assert info.fits.misses == 2
+        assert info.tables.currsize == 2
+        assert info.stacks.currsize == 2
 
     def test_clear_drops_the_label_templates(self, paper_config):
         get_op_table(paper_config, 64)
-        assert workload_cache_info().labels.currsize >= 1
+        assert workload_cache_info().fits.currsize >= 1
         clear_workload_caches()
         assert all(cache.currsize == 0 for cache in workload_cache_info())
 
@@ -379,29 +514,27 @@ class TestWorkloadCache:
         second = get_op_table(paper_config, 64)
         assert first is second
 
-    def test_workload_cache_shares_operators_but_not_the_list(self, paper_config):
-        first = get_workload(paper_config, 64)
-        second = get_workload(paper_config, 64)
-        assert first.operators[0] is second.operators[0]  # cached, frozen entries
-        first.operators.append(first.operators[0])  # caller mutation...
-        assert len(get_workload(paper_config, 64).operators) == len(second.operators)
-
     def test_cache_distinguishes_keys(self, paper_config):
         base = get_op_table(paper_config, 64)
         assert get_op_table(paper_config, 65) is not base
         assert get_op_table(paper_config.with_blocks(2), 64) is not base
         assert get_op_table(paper_config, 64, include_recycles=True) is not base
 
-    def test_model_weight_elements_memoized_value(self, paper_config):
-        direct = sum(
-            op.weight_elements
-            for op in build_model_ops(paper_config, 4).operators
-            if op.phase != "input_embedding"
-        )
-        assert model_weight_elements(paper_config) == pytest.approx(direct, rel=REL)
-        assert model_weight_elements(paper_config, include_language_model=True) == pytest.approx(
-            direct + paper_config.language_model_params, rel=REL
-        )
+    def test_model_weight_elements_memoized_value(self):
+        for preset, blocks, recycles in itertools.product(sorted(PRESETS), (None, 1, 3), (0, 3)):
+            config = PRESETS[preset]().with_recycles(recycles)
+            if blocks is not None:
+                config = config.with_blocks(blocks)
+            # The trunk's weights summed over the object graph.
+            direct = sum(
+                op.weight_elements
+                for op in build_model_ops(config, 4).operators
+                if op.phase != "input_embedding"
+            )
+            assert model_weight_elements(config) == direct
+            assert model_weight_elements(config, include_language_model=True) == (
+                direct + config.language_model_params
+            )
 
 
 def assert_operator_latencies_match(fast, legacy):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     fake_quantize,
@@ -39,6 +41,68 @@ class TestPrimitives:
         scale = symmetric_scale(np.abs(values).max(), 8)
         recon = dequantize_values(quantize_values(values, scale, 8), scale)
         assert np.max(np.abs(values - recon)) <= scale / 2 + 1e-12
+
+
+def float64_detour(max_abs, bits, dtype):
+    """The scale derived in float64 and rounded to ``dtype``."""
+    scale = np.maximum(np.asarray(max_abs, dtype=np.float64), 1e-12) / integer_bounds(bits)
+    return scale.astype(dtype, copy=False)
+
+
+def float32_maxima():
+    """0, -0, subnormals, the float32 neighbours of 1e-12 and /qmax, and large values."""
+    tiny = np.float32(1e-12)
+    near = [tiny]
+    for direction in (0.0, np.inf):
+        value = tiny
+        for _ in range(4):
+            value = np.nextafter(value, np.float32(direction))
+            near.append(value)
+    subnormal = np.finfo(np.float32).smallest_subnormal
+    return np.array(
+        [0.0, -0.0, subnormal, 3 * subnormal, np.finfo(np.float32).smallest_normal / 3,
+         *near, 1e-13, 5e-12, 1e-11, 1e-6, 0.5, 1.0, 7.0, 127.0, 3.0e4, 1e30,
+         np.finfo(np.float32).max, np.inf],
+        dtype=np.float32,
+    )
+
+
+class TestScalesInValueDtype:
+    """``symmetric_scale`` divides in the values' dtype, bytewise the float64 detour."""
+
+    @pytest.mark.parametrize("bits", range(2, 33))
+    def test_float32_maxima_match_the_float64_detour(self, bits):
+        maxima = float32_maxima()
+        for max_abs in (maxima, maxima[:, None], maxima[3]):
+            got = symmetric_scale(max_abs, bits, np.float32)
+            want = float64_detour(max_abs, bits, np.float32)
+            assert got.dtype == np.float32 and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("bits", range(2, 33))
+    def test_float64_maxima_match_the_float64_detour(self, bits):
+        maxima = np.concatenate([float32_maxima().astype(np.float64), [1e-12, 1e-300, 5e-324]])
+        got = symmetric_scale(maxima, bits)
+        assert got.dtype == np.float64
+        assert got.tobytes() == float64_detour(maxima, bits, np.float64).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxima=st.lists(
+            st.floats(min_value=0.0, max_value=float(np.finfo(np.float32).max), width=32),
+            min_size=1, max_size=16,
+        ),
+        bits=st.integers(2, 32),
+    )
+    def test_random_float32_maxima(self, maxima, bits):
+        maxima = np.array(maxima, dtype=np.float32)
+        got = symmetric_scale(maxima, bits, np.float32)
+        assert got.tobytes() == float64_detour(maxima, bits, np.float32).tobytes()
+
+    def test_a_python_float_maximum_keeps_the_numpy_scalar_type(self):
+        for dtype in (np.float32, np.float64):
+            got = symmetric_scale(0.0, 8, dtype)
+            assert got.dtype == dtype and got == float64_detour(0.0, 8, dtype)
 
 
 class TestGranularities:

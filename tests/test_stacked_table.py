@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_graph import filter_table, get_workload, weighted_sums
 from reference_pricing import simulate_accelerator_workload, simulate_gpu_workload
 from test_sim_goldens import (
     BACKENDS as GOLDEN_BACKENDS,
@@ -43,7 +44,7 @@ from repro.cluster.trace import length_bucket
 from repro.gpu import GPUModel
 from repro.gpu.gpu_config import get_gpu
 from repro.hardware import LightNobelAccelerator
-from repro.ppm import PPMConfig, get_op_table, get_stacked_table, get_workload
+from repro.ppm import PPMConfig, get_op_table, get_stacked_table
 from repro.ppm.op_table import StackedOperatorTable
 from repro.serving import LatencyRequest, LatencyService
 from repro.sim import SimulationSession, available_backends, create_backend
@@ -186,7 +187,7 @@ class TestStackInvariants:
         totals, labelled = stack.segment_sums(values, *keys)
         for key, dicts in zip(keys, labelled):
             assert dicts == [
-                table.weighted_sums(key, rows[0][sl])
+                weighted_sums(table, key, rows[0][sl])
                 for table, sl in zip(stack.tables, stack.segments)
             ]
         assert totals.tolist() == [
@@ -204,24 +205,23 @@ class TestStackInvariants:
             is StackedOperatorTable.from_tables([table])._label_bins("phase")
         )
 
-    def test_mixed_vocabularies_price_like_one_segment_stacks(self, config):
-        # Filtered tables factorize their labels differently, so the stack
-        # remaps codes into a union vocab; each segment still reports in
-        # its own table's label order.
+    def test_mixed_vocabularies_are_rejected(self, config):
+        # Tables of one config share one label vocabulary; sub-tables that
+        # factorize their labels differently do not stack.
         tables = [
-            get_op_table(config, 20).filter(phase="pair_dataflow"),
-            get_op_table(config, 30).filter(engine="matmul"),
+            filter_table(get_op_table(config, 20), phase="pair_dataflow"),
+            filter_table(get_op_table(config, 30), engine="matmul"),
             get_op_table(config, 40),
         ]
-        stack = StackedOperatorTable.from_tables(tables)
-        assert stack.code_maps["phase_codes"] is not None
-        for spec in available_backends():
-            backend = create_backend(spec, config)
-            reports = backend.simulate_stack(stack)
-            for table, report in zip(tables, reports):
-                (alone,) = backend.simulate_stack(StackedOperatorTable.from_tables([table]))
-                assert report == alone
-                assert list(report.phase_seconds) == list(alone.phase_seconds)
+        assert tables[0].phases != tables[2].phases
+        with pytest.raises(ValueError, match="one label vocabulary"):
+            StackedOperatorTable.from_tables(tables)
+        for table in tables:  # each still prices as a one-segment stack
+            for spec in available_backends():
+                (report,) = create_backend(spec, config).simulate_stack(
+                    StackedOperatorTable.from_tables([table])
+                )
+                assert report.sequence_length == table.sequence_length
 
     def test_single_length_stack(self, config):
         stack = get_stacked_table(config, [40])

@@ -139,7 +139,9 @@ class TestTransientMemory:
     numpy reports its buffers to ``tracemalloc``, so the traced peak is
     deterministic.  The two-pass body peaked at 4.1x (Group C) and 7.1x
     (Groups A/B) of the input's bytes.  The bound holds for float64 and
-    float32 input alike (2.06x and 2.10x at the narrowest shape).
+    float32 input alike (2.06x and 2.10x at the narrowest shape; Group C
+    reads 1.38x at either precision there, since its scales are derived in
+    the input's dtype).
     """
 
     #: A 96-residue pair tensor with 8 (triangle attention head), 32 (pair)

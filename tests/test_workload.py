@@ -2,6 +2,8 @@
 
 import pytest
 
+from reference_graph import filter_ops, total_macs
+
 from repro.ppm import PPMConfig
 from repro.ppm.workload import (
     ENGINE_MATMUL,
@@ -39,8 +41,8 @@ def test_pair_dataflow_dominates_at_long_lengths(paper_config):
     long = build_model_ops(paper_config, 512)
 
     def pair_fraction(workload):
-        pair = sum(op.macs for op in workload.filter(phase=PHASE_PAIR))
-        return pair / workload.total_macs()
+        pair = sum(op.macs for op in filter_ops(workload, phase=PHASE_PAIR))
+        return pair / total_macs(workload)
 
     assert pair_fraction(long) > pair_fraction(short)
     assert pair_fraction(long) > 0.85
@@ -75,8 +77,12 @@ def test_linear_ops_scale_quadratically(paper_config):
 def test_block_count_scales_operator_count(paper_config):
     one = build_model_ops(paper_config.with_blocks(1), 32)
     two = build_model_ops(paper_config.with_blocks(2), 32)
-    block_ops_one = len(one.filter(phase=PHASE_PAIR)) + len(one.filter(phase=PHASE_SEQUENCE))
-    block_ops_two = len(two.filter(phase=PHASE_PAIR)) + len(two.filter(phase=PHASE_SEQUENCE))
+    block_ops_one = len(filter_ops(one, phase=PHASE_PAIR)) + len(
+        filter_ops(one, phase=PHASE_SEQUENCE)
+    )
+    block_ops_two = len(filter_ops(two, phase=PHASE_PAIR)) + len(
+        filter_ops(two, phase=PHASE_SEQUENCE)
+    )
     assert block_ops_two == 2 * block_ops_one
 
 
@@ -99,7 +105,7 @@ def test_recycling_multiplies_trunk_work(paper_config):
     config = paper_config.with_recycles(2)
     single = build_model_ops(config, 32, include_recycles=False)
     recycled = build_model_ops(config, 32, include_recycles=True)
-    embedding_macs = sum(op.macs for op in single.filter(phase=PHASE_INPUT_EMBEDDING))
-    trunk_macs = single.total_macs() - embedding_macs
+    embedding_macs = sum(op.macs for op in filter_ops(single, phase=PHASE_INPUT_EMBEDDING))
+    trunk_macs = total_macs(single) - embedding_macs
     expected = embedding_macs + 3 * trunk_macs  # 2 recycles = 3 trunk passes
-    assert recycled.total_macs() == pytest.approx(expected)
+    assert total_macs(recycled) == pytest.approx(expected)
