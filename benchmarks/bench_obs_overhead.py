@@ -18,10 +18,15 @@ another core cannot skew one round of a pair.  Emits
 The DES timeline recorder is measured the same way (micro replay with and
 without a recorder attached) and reported alongside — informational, since
 a replay is an offline analysis, not a serving hot path.
+
+A second guard counts instead of timing: the Python calls tracing adds to a
+warm request, which the deferred design keeps at one ``record_deferred``
+call per batch (a span built per request adds several per request).
 """
 
 import os
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 
@@ -181,3 +186,48 @@ def test_tracing_overhead_on_warm_path(paper_config):
             "timeline_events": len(recorder),
         },
     )
+
+
+#: Python calls tracing may add per warm request: the deferred design makes
+#: one ``record_deferred`` call per batch (1/72 per request here); building a
+#: request's spans as it is fulfilled adds several per request.
+MAX_TRACING_CALLS_PER_REQUEST = 0.1
+COUNTED_BATCHES = 64
+
+
+def test_tracing_adds_no_python_calls_per_request(paper_config):
+    requests = request_stream()
+    tracer = Tracer(max_traces=256)
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    counts = {}
+    with LatencyService(ppm_config=paper_config, use_disk_cache=False) as service:
+        service.query_batch(requests, timeout=600.0)  # warm the memo first
+        for traced in (False, True, False, True):
+            service.tracer = tracer if traced else None
+            service.query_batch(requests, timeout=600.0)  # past any first-use work
+            calls = 0
+            sys.setprofile(count)
+            try:
+                for _ in range(COUNTED_BATCHES):
+                    service.query_batch(requests, timeout=600.0)
+            finally:
+                sys.setprofile(None)
+            counts.setdefault(traced, []).append(calls / (COUNTED_BATCHES * len(requests)))
+    added = max(counts[True]) - min(counts[False])
+    print_table(
+        "Tracing: Python calls per warm request, tracer off vs on",
+        [
+            ("mode", "calls per request", "added", "budget"),
+            ("tracer off", " / ".join(f"{c:.3f}" for c in counts[False]), "", ""),
+            ("tracer on", " / ".join(f"{c:.3f}" for c in counts[True]), f"{added:.3f}",
+             MAX_TRACING_CALLS_PER_REQUEST),
+        ],
+    )
+    assert len(tracer) == tracer.max_traces
+    assert added <= MAX_TRACING_CALLS_PER_REQUEST

@@ -24,10 +24,14 @@ fresh two-tenant service and through a bare session's ``simulate_batch``,
 and bounds the median service/bare time ratio: the service's own cost on
 the miss path.  A fourth counts instead of timing: a warm ``query_batch``
 takes the service lock as many times for 1,000 requests as for 10, and
-builds no request or response object for tuple requests.
+builds no request or response object for tuple requests.  A fifth counts
+the Python-level calls one warm ``/v1/query`` makes in process, from
+reading its bytes to writing the response, with a wall-clock backstop.
 """
 
+import asyncio
 import statistics
+import sys
 import tempfile
 import threading
 import time
@@ -370,8 +374,8 @@ def test_warm_query_batch_takes_the_service_lock_per_batch(paper_config, monkeyp
     """Service-lock acquisitions per warm ``query_batch`` do not grow with its size.
 
     Every request is a memo hit answered at submit, so a batch costs one
-    submit hold, one fulfilment hold and one claim hold, at 10 requests as at
-    1,000; claiming each ticket on its own would add one per request.
+    submit hold (which fulfils the hits) and one claim hold, at 10 requests
+    as at 1,000; claiming each ticket on its own would add one per request.
     """
     from repro.serving import LatencyResponse
 
@@ -416,3 +420,93 @@ def test_warm_query_batch_takes_the_service_lock_per_batch(paper_config, monkeyp
     )
     assert holds[10][0] == holds[10][1] == holds[1000][0]
     assert built == {"requests": 0, "responses": 0}
+
+
+#: Python-level calls (``sys.setprofile`` "call" events) one warm in-process
+#: ``/v1/query`` may make from reading its bytes to writing its response.
+#: Reads 75 on CPython 3.11, where re-encoding the report on every query
+#: (its kept JSON text unused) reads 87; the code before the text was kept
+#: read 116.
+WARM_QUERY_CALL_BUDGET = 80
+#: Wall-clock backstop: the median in-process warm query, in microseconds
+#: (reads 57-81 on a 2-core container, 82-89 before the report was encoded once).
+WARM_QUERY_US_BOUND = 250.0
+WARM_QUERY_ROUNDS = 5
+WARM_QUERIES_PER_ROUND = 2000
+
+
+def test_warm_query_python_calls(paper_config):
+    """Count the Python calls of a warm ``/v1/query`` through the front door's steps.
+
+    The door's own read, dispatch and write steps run on its event loop
+    against an in-memory stream (no socket, so the count holds the work the
+    server does per query and nothing the kernel does): every query is a
+    memo hit answered at submit, and its response splices the report's
+    memoized JSON text.
+    """
+    from repro.serving.http.server import LatencyFrontDoor
+    from repro.serving.wire import WireRequest
+
+    keys = [(backend, n) for backend in WARM_BACKENDS for n in WARM_LENGTHS]
+    session = SimulationSession(ppm_config=paper_config, use_disk_cache=False)
+    session.simulate_batch(WARM_LENGTHS, backends=WARM_BACKENDS)
+    service = LatencyService(session=session)
+    door = LatencyFrontDoor(service=service)
+    requests = []
+    for backend, n in keys:
+        body = WireRequest(backend=backend, sequence_length=n, tenant="bench").to_json().encode()
+        requests.append(
+            b"POST /v1/query HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+
+    class Sink:
+        write = bytearray().extend  # a builtin: the sink itself makes no Python call
+
+    async def serve(queries: int, profile=None) -> float:
+        reader = asyncio.StreamReader(limit=1 << 20)
+        reader.feed_data(b"".join(requests[i % len(requests)] for i in range(queries)))
+        sink = Sink()
+        start = time.perf_counter()
+        sys.setprofile(profile)
+        try:
+            for _ in range(queries):
+                request = await door._read_request(reader)
+                door._write_response(sink, await door._dispatch(request), keep_alive=True)
+        finally:
+            sys.setprofile(None)
+        return time.perf_counter() - start
+
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    loop = asyncio.new_event_loop()
+    try:
+        loop.run_until_complete(door.start())
+        loop.run_until_complete(serve(len(requests)))  # every key encoded once
+        per_round = [
+            loop.run_until_complete(serve(WARM_QUERIES_PER_ROUND)) / WARM_QUERIES_PER_ROUND
+            for _ in range(WARM_QUERY_ROUNDS)
+        ]
+        loop.run_until_complete(serve(WARM_QUERIES_PER_ROUND, count))
+        report = loop.run_until_complete(door.shutdown(drain=True))
+    finally:
+        loop.close()
+        service.close()
+    per_query = calls / WARM_QUERIES_PER_ROUND
+    median_us = statistics.median(per_round) * 1e6
+    print_table(
+        "Warm /v1/query in process: Python calls and time per query",
+        [
+            ("python calls", "budget", "median us", "backstop us"),
+            (f"{per_query:.1f}", WARM_QUERY_CALL_BUDGET, f"{median_us:.1f}", WARM_QUERY_US_BOUND),
+        ],
+    )
+    assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
+    assert service.stats.memo_hits == len(requests) + (WARM_QUERY_ROUNDS + 1) * WARM_QUERIES_PER_ROUND
+    assert per_query <= WARM_QUERY_CALL_BUDGET
+    assert median_us <= WARM_QUERY_US_BOUND

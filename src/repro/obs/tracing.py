@@ -54,6 +54,10 @@ SpanBatch = Tuple[Tuple[str, float, float, Optional[Mapping[str, Any]]], ...]
 #: are waiting (or something reads the tracer): Tracer.record_deferred.
 _UNFILED_PER_TRACE = 4
 
+#: While queued rows are dropped unfiled, the freshness set forgets the keys
+#: of dropped rows once it holds this many times ``max_traces`` keys.
+_FRESH_PER_TRACE = 16
+
 
 def new_trace_id() -> str:
     """A fresh 32-hex-char trace ID (for clients that want one made up)."""
@@ -209,7 +213,7 @@ class Tracer:
                     dropped = len(queued.popleft()[0])
                     self._unfiled_rows -= dropped
                     self._evicted_traces += dropped
-                if len(self._fresh) > _UNFILED_PER_TRACE * self.max_traces:
+                if len(self._fresh) > _FRESH_PER_TRACE * self.max_traces:
                     # Forget dropped keys; one left over would only cost a
                     # needless filing when it recurs.
                     self._fresh = set(map(itemgetter(0), chain.from_iterable(

@@ -168,10 +168,10 @@ class _HttpTicket:
 #: ``http`` key, Prometheus gauge name, help, value reader).
 HTTP_METRICS: Tuple[Tuple[str, str, str, Callable[["LatencyFrontDoor"], Any]], ...] = (
     ("pending", "repro_http_pending", "Submitted tickets not yet fulfilled.",
-     lambda door: door._pending_total()),
+     lambda door: door._pending_count),
     ("fulfilled_unclaimed", "repro_http_fulfilled_unclaimed",
      "Fulfilled tickets awaiting a claim.",
-     lambda door: len(door._tickets) - door._pending_total()),
+     lambda door: len(door._tickets) - door._pending_count),
     ("consumed", "repro_http_consumed_total", "Tickets claimed by clients.",
      lambda door: door.service.ticket_counts()["consumed"]),
     ("reaped", "repro_http_reaped_total", "Fulfilled-but-unclaimed tickets reaped.",
@@ -253,6 +253,11 @@ class LatencyFrontDoor:
         #: Unclaimed HTTP tickets; claimed and reaped ones are the service's.
         self._tickets: Dict[int, _HttpTicket] = {}
         self._tenant_pending: Dict[str, int] = {}
+        #: Sum of ``_tenant_pending``.
+        self._pending_count = 0
+        #: Ids the service fulfilled inside the latest ``submit`` made on the
+        #: loop thread (memo hits); ``_submit_one`` settles them.
+        self._fulfilled_at_submit: Tuple[int, ...] = ()
         self._draining = False
         self._drain_report: Optional[Dict[str, Any]] = None
         self._started_at = time.perf_counter()
@@ -327,8 +332,10 @@ class LatencyFrontDoor:
             return
         if threading.get_ident() == self._loop_thread:
             # Memo hits fulfilled inside service.submit on this loop's own
-            # thread: no hop needed, and _submit_one settles its ticket.
-            self._on_fulfilled(ticket_ids)
+            # thread: they are the submitted batch's own tickets, which the
+            # front door registers only once submit returns, so
+            # _submit_one settles them.
+            self._fulfilled_at_submit = ticket_ids
             return
         # Dispatcher thread -> event loop.  After loop shutdown the
         # call_soon_threadsafe raises; the service swallows listener errors,
@@ -336,7 +343,7 @@ class LatencyFrontDoor:
         self._loop.call_soon_threadsafe(self._on_fulfilled, ticket_ids)
 
     def _on_fulfilled(self, ticket_ids: Tuple[int, ...]) -> None:
-        now = self._loop.time()
+        now = time.monotonic()
         for ticket_id in ticket_ids:
             ticket = self._tickets.get(ticket_id)
             if ticket is not None:
@@ -350,14 +357,12 @@ class LatencyFrontDoor:
         if ticket.event is not None:
             ticket.event.set()
         tenant = ticket.request.tenant
-        remaining = self._tenant_pending.get(tenant, 1) - 1
-        if remaining <= 0:
-            self._tenant_pending.pop(tenant, None)
-        else:
+        remaining = self._tenant_pending[tenant] - 1
+        if remaining:
             self._tenant_pending[tenant] = remaining
-
-    def _pending_total(self) -> int:
-        return sum(self._tenant_pending.values())
+        else:
+            del self._tenant_pending[tenant]
+        self._pending_count -= 1
 
     # --------------------------------------------------------------- admission
     def _admit(self, wire_request: LatencyRequest, count: int = 1) -> Optional[_Response]:
@@ -368,7 +373,7 @@ class LatencyFrontDoor:
         tenant_pending = self._tenant_pending.get(tenant, 0)
         if (
             tenant_pending + count > self.max_pending_per_tenant
-            or self._pending_total() + count > self.max_pending_total
+            or self._pending_count + count > self.max_pending_total
         ):
             retry_after = self.retry_after_seconds
             return self._error(
@@ -387,15 +392,16 @@ class LatencyFrontDoor:
         No ``await`` between ``service.submit`` and the ticket registration:
         the fulfillment callback runs on this same loop, so it cannot observe
         the gap.  A ticket the service answered at submit (a memo hit) is
-        settled here, before this returns.
+        settled here, before this returns: the service's listener named it
+        on this thread (ids are never reused, so an older list cannot).
         """
         ticket_id = self.service.submit(wire_request)
         ticket = self._tickets[ticket_id] = _HttpTicket(wire_request)
-        self._tenant_pending[wire_request.tenant] = (
-            self._tenant_pending.get(wire_request.tenant, 0) + 1
-        )
-        if self.service.ticket_state(ticket_id) == "fulfilled":
-            self._settle(ticket, self._loop.time())
+        tenant = wire_request.tenant
+        self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
+        self._pending_count += 1
+        if ticket_id in self._fulfilled_at_submit:
+            self._settle(ticket, time.monotonic())
         return ticket_id
 
     # -------------------------------------------------------------- consumption
@@ -424,7 +430,7 @@ class LatencyFrontDoor:
 
     def _reap_pass(self) -> List[int]:
         """Abandon + reap fulfilled tickets unclaimed past ``reap_after_seconds``."""
-        now = self._loop.time()
+        now = time.monotonic()
         overdue = [
             ticket_id
             for ticket_id, ticket in self._tickets.items()
@@ -492,15 +498,13 @@ class LatencyFrontDoor:
             return None
         except asyncio.LimitOverrunError:
             return None
-        lines = head.decode("latin-1").split("\r\n")
+        lines = head[:-4].decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
         except ValueError:
             return None
         headers: Dict[str, str] = {}
         for line in lines[1:]:
-            if not line:
-                continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
@@ -509,27 +513,24 @@ class LatencyFrontDoor:
             return _HttpRequest(method, "__too_large__", {}, headers, b"")
         if length:
             body = await reader.readexactly(length)
+        if "?" not in target:  # the common case: a path and no query
+            return _HttpRequest(method.upper(), target, {}, headers, body)
         parts = urlsplit(target)
-        return _HttpRequest(
-            method=method.upper(),
-            path=parts.path,
-            query=parse_qs(parts.query),
-            headers=headers,
-            body=body,
-        )
+        return _HttpRequest(method.upper(), parts.path, parse_qs(parts.query), headers, body)
 
     def _write_response(
         self, writer: asyncio.StreamWriter, response: _Response, keep_alive: bool
     ) -> None:
-        reason = _REASONS.get(response.status, "Unknown")
-        head = [
-            f"HTTP/1.1 {response.status} {reason}",
-            f"Content-Type: {response.content_type}",
-            f"Content-Length: {len(response.body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in response.headers)
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + response.body)
+        head = "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: %s\r\n" % (
+            response.status,
+            _REASONS.get(response.status, "Unknown"),
+            response.content_type,
+            len(response.body),
+            "keep-alive" if keep_alive else "close",
+        )
+        for name, value in response.headers:
+            head += f"{name}: {value}\r\n"
+        writer.write((head + "\r\n").encode("latin-1") + response.body)
 
     def _error(
         self,

@@ -34,11 +34,14 @@ Ticket lifecycle, a batch at a time
 -----------------------------------
 The batch is the unit of the one lifecycle of :mod:`repro.serving.api`.  A
 ``submit_batch`` call takes one service-lock hold: it issues a contiguous id
-range and one batch record, attaches each slot to a new or pending job, and
+range and one batch record, attaches each slot to a new or pending job,
 peeks the memo for the batch's distinct new keys in one session-lock hold
-(:meth:`~repro.sim.session.SimulationSession.peek_reports`).  Fulfilment
-writes each job's outcome into its slots, takes the stats lock once and
-each backend's latency histogram once, and wakes waiters once per batch.
+(:meth:`~repro.sim.session.SimulationSession.peek_reports`, or
+:meth:`~repro.sim.session.SimulationSession.peek_report` for a lone new
+key), and fulfils the hits it finds: a warm request is issued and settled
+in one service pass.  Fulfilment writes each job's outcome into its slots,
+takes the stats lock once and each backend's latency histogram once, and
+wakes waiters once per dispatched batch.
 :meth:`~LatencyService.query_batch` waits once and claims the whole batch in
 one hold, reading reports straight from the slots; ``result``/``poll`` claim
 one slot and build its :class:`~repro.serving.api.LatencyResponse` on read.
@@ -57,6 +60,7 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from collections import deque
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -114,10 +118,8 @@ def _spec_key(spec: Any) -> Tuple[str, object]:
         return ("id", id(spec))
 
 
-def _backend_label(spec: Any, report: Optional[SimReport]) -> str:
-    """Stable display label for per-backend stats."""
-    if report is not None:
-        return report.backend
+def _backend_label(spec: Any) -> str:
+    """Stable display label for per-backend stats of a job that has no report."""
     if isinstance(spec, str):
         return spec.lower()
     name = getattr(spec, "name", None)
@@ -155,29 +157,30 @@ def _request_spans(released: float, *row):
 class _Batch:
     """One ``submit_batch`` call: ticket ids ``first .. first + len - 1``, one slot each.
 
-    Per slot: the request's spec and job key (spec key, length, recycles),
-    its :class:`LatencyRequest` (``None`` for a tuple request), whether it
-    coalesced, its outcome — ``None`` while pending, then its job's ``(report,
-    error, completed_index, started, end)`` — and whether it is gone.
-    ``abandoned`` holds the slots whose last waiter gave up: a fulfilment
-    landing on one is a *late result*, counted and left for
-    :meth:`LatencyService.reap_abandoned`, never a silent orphan.
+    Per slot: the request — its :class:`LatencyRequest`, or ``(spec, length)``
+    for a tuple request — its outcome, ``None`` while pending, then ``(report,
+    error, completed_index, started, end, coalesced)``, and whether it is
+    gone.  ``abandoned`` (``None`` until a waiter first gives up) holds the
+    slots whose last waiter gave up: a fulfilment landing on one is a *late
+    result*, counted and left for :meth:`LatencyService.reap_abandoned`,
+    never a silent orphan.
     """
 
-    __slots__ = (
-        "first", "specs", "keys", "requests", "submitted", "coalesced",
-        "outcomes", "gone", "abandoned", "unfulfilled", "live",
-    )
+    __slots__ = ("first", "requests", "submitted", "outcomes", "gone", "abandoned",
+                 "unfulfilled", "live")
 
-    def __init__(self, first: int, specs: list, keys: list, requests: list, now: float):
-        self.first, self.specs, self.keys, self.requests = first, specs, keys, requests
-        self.submitted = now
-        self.coalesced: List[bool] = []
-        size = len(specs)
+    def __init__(self, first: int, requests: list, now: float):
+        self.first, self.requests, self.submitted = first, requests, now
+        size = len(requests)
         self.outcomes: List[Optional[tuple]] = [None] * size
         self.gone = bytearray(size)
-        self.abandoned: Set[int] = set()
+        self.abandoned: Optional[Set[int]] = None
         self.unfulfilled = self.live = size
+
+    def abandon(self, slots: Iterable[int]) -> None:
+        if self.abandoned is None:
+            self.abandoned = set()
+        self.abandoned.update(slots)
 
 
 class _Job:
@@ -306,8 +309,12 @@ class LatencyService:
         #: bisect); an issued id neither live nor reaped was consumed.
         self._batches: List[_Batch] = []
         self._firsts: List[int] = []
-        #: Ids taken by :meth:`reap_abandoned` rather than claimed by a client.
-        self._reaped: Set[int] = set()
+        #: Ids taken by :meth:`reap_abandoned` rather than claimed by a client,
+        #: as disjoint, non-adjacent ranges ``_reaped_firsts[i] .. _reaped_lasts[i]``
+        #: in id order, and how many they hold.
+        self._reaped_firsts: List[int] = []
+        self._reaped_lasts: List[int] = []
+        self._reaped = 0
         self._next_ticket = 0
         self._completed_index = 0
         self._executing = 0
@@ -379,18 +386,20 @@ class LatencyService:
         batch, and each distinct hashable spec value once per service.
         """
         batch = self._submit(requests)
-        return [] if batch is None else list(range(batch.first, batch.first + len(batch.specs)))
+        return [] if batch is None else list(range(batch.first, batch.first + len(batch.requests)))
 
     def _submit(self, requests: Iterable[RequestLike]) -> Optional[_Batch]:
         """Validate and key ``requests``, then issue them as one batch record.
 
         A ``(spec, length)`` tuple is rejected exactly as a
-        :class:`LatencyRequest` of it would be, without building one.
+        :class:`LatencyRequest` of it would be, without building one.  Memo
+        hits are fulfilled in the same service-lock hold that issues the
+        batch.
         """
         spec_keys: Dict[int, Tuple[str, object]] = {}
         default_include = self.session.include_recycles
         specs: List[Any] = []
-        originals: List[Optional[LatencyRequest]] = []
+        originals: List[RequestLike] = []
         keys: List[Tuple] = []
         urgent: List[Tuple[int, LatencyRequest]] = []  # slots with priority/deadline
         for request in requests:
@@ -407,7 +416,7 @@ class LatencyService:
                     non_empty("backend", spec)
                 if not 0 < length < math.inf:
                     positive("sequence_length", length)
-                request, include = None, default_include  # no request object kept
+                request, include = (spec, length), default_include  # no request object built
             spec_key = spec_keys.get(id(spec))
             if spec_key is None:
                 spec_key = spec_keys[id(spec)] = self._spec_key(spec)
@@ -417,33 +426,39 @@ class LatencyService:
         if not keys:
             return None
         now = time.perf_counter()
-        results: Dict[Tuple, _Result] = {}
-        hits: List[_Job] = []
+        fulfilled: Optional[Tuple[int, ...]] = None
         with self._cond:
             if self._stopped:
                 raise RuntimeError("service is closed")
             first = self._next_ticket
             self._next_ticket += len(keys)
-            batch = _Batch(first, specs, keys, originals, now)
+            batch = _Batch(first, originals, now)
             self._batches.append(batch)
             self._firsts.append(first)
-            pending, coalesced, fresh = self._pending, batch.coalesced, []
+            pending, fresh = self._pending, []
             for slot, key in enumerate(keys):
                 job = pending.get(key)
-                coalesced.append(job is not None)
                 if job is None:
                     # Pending at once, so duplicates later in this batch
                     # coalesce onto it exactly as onto a queued job.
                     job = pending[key] = _Job(key, specs[slot], first + slot)
                     fresh.append(job)
                 job.slots.append((batch, slot))
+            results: Dict[Tuple, _Result] = {}
+            hits: List[_Job] = []
             # Never wait for the session: a busy one is pricing a batch, and
             # the dispatcher classifies whatever queues meanwhile.
             if fresh and self._session_lock.acquire(blocking=False):
                 try:
-                    peeked = self.session.peek_reports(
-                        [(job.spec, job.sequence_length, job.include_recycles) for job in fresh]
-                    )
+                    if len(fresh) == 1:  # a lone new key: the one-point lookup
+                        job = fresh[0]
+                        peeked = (self.session.peek_report(
+                            job.spec, job.sequence_length, job.include_recycles
+                        ),)
+                    else:
+                        peeked = self.session.peek_reports(
+                            [(job.spec, job.sequence_length, job.include_recycles) for job in fresh]
+                        )
                 except Exception:  # the dispatcher looks again and reports it
                     peeked = ()
                 finally:
@@ -465,10 +480,12 @@ class LatencyService:
             if len(hits) < len(fresh):
                 self._queue.extend([job for job in fresh if job.queued] if hits else fresh)
                 self._cond.notify_all()
-            depth = len(self._queue)  # only grew here: its peak
-        self.stats.record_submits(len(keys), sum(coalesced), depth)
-        if hits:
-            self._fulfill(hits, results, now, inline=True)
+            # The queue only grew here: its depth is the peak.
+            self.stats.record_submits(len(keys), len(keys) - len(fresh), len(self._queue))
+            if hits:
+                fulfilled = self._fulfill(hits, results, now, inline=True)
+        if fulfilled:
+            self._notify(fulfilled)
         if self.autostart and self._thread is None:  # start() is idempotent
             self.start()
         return batch
@@ -500,13 +517,13 @@ class LatencyService:
     @staticmethod
     def _response(batch: _Batch, slot: int) -> LatencyResponse:
         """The :class:`LatencyResponse` of a fulfilled slot, built on read."""
-        report, error, index, started, end = batch.outcomes[slot]
+        report, error, index, started, end, coalesced = batch.outcomes[slot]
         request = batch.requests[slot]
-        if request is None:
-            request = LatencyRequest(batch.specs[slot], batch.keys[slot][1])
+        if type(request) is tuple:
+            request = LatencyRequest(*request)
         submitted = batch.submitted
         return LatencyResponse(
-            batch.first + slot, request, report, error, batch.coalesced[slot],
+            batch.first + slot, request, report, error, coalesced,
             max(0.0, started - submitted), max(0.0, end - submitted), index,
         )
 
@@ -534,7 +551,8 @@ class LatencyService:
             batch, slot = self._slot(ticket_id)
             # A returning waiter re-arms the ticket: a completion that lands
             # while someone is actively waiting is on-time, not late.
-            batch.abandoned.discard(slot)
+            if batch.abandoned:
+                batch.abandoned.discard(slot)
             outcomes = batch.outcomes
             fulfilled = outcomes[slot] is not None or self._settled.wait_for(
                 lambda: outcomes[slot] is not None, timeout
@@ -544,7 +562,7 @@ class LatencyService:
             elif fulfilled:
                 self._take(batch, slot)
             else:
-                batch.abandoned.add(slot)
+                batch.abandon((slot,))
         if not fulfilled:
             self.stats.record(timeouts=1)
             raise TimeoutError(f"request {ticket_id} not fulfilled within {timeout}s")
@@ -562,7 +580,7 @@ class LatencyService:
                 batch, slot = self._slot(ticket_id)
             except KeyError:
                 return False
-            batch.abandoned.add(slot)
+            batch.abandon((slot,))
             return True
 
     def add_result_listener(self, listener) -> None:
@@ -589,9 +607,27 @@ class LatencyService:
                 for slot in sorted(batch.abandoned):
                     if batch.outcomes[slot] is not None:
                         self._take(batch, slot)
-                        self._reaped.add(batch.first + slot)
+                        self._add_reaped(batch.first + slot)
                         ripe.append((batch, slot))
         return [self._response(batch, slot) for batch, slot in ripe]
+
+    def _add_reaped(self, ticket_id: int) -> None:
+        """Merge one reaped id into the reaped ranges (lock held)."""
+        firsts, lasts = self._reaped_firsts, self._reaped_lasts
+        index = bisect_right(firsts, ticket_id)  # ranges before it: [0, index)
+        joins_left = index > 0 and lasts[index - 1] == ticket_id - 1
+        joins_right = index < len(firsts) and firsts[index] == ticket_id + 1
+        if joins_left and joins_right:
+            lasts[index - 1] = lasts[index]
+            del firsts[index], lasts[index]
+        elif joins_left:
+            lasts[index - 1] = ticket_id
+        elif joins_right:
+            firsts[index] = ticket_id
+        else:
+            firsts.insert(index, ticket_id)
+            lasts.insert(index, ticket_id)
+        self._reaped += 1
 
     def ticket_state(self, ticket_id: int) -> str:
         """``"pending"``, ``"fulfilled"``, ``"consumed"``, ``"reaped"`` or ``"unknown"``.
@@ -602,7 +638,8 @@ class LatencyService:
             try:
                 batch, slot = self._slot(ticket_id)
             except KeyError:
-                if ticket_id in self._reaped:
+                index = bisect_right(self._reaped_firsts, ticket_id) - 1
+                if index >= 0 and ticket_id <= self._reaped_lasts[index]:
                     return "reaped"
                 return "consumed" if 0 <= ticket_id < self._next_ticket else "unknown"
             return "pending" if batch.outcomes[slot] is None else "fulfilled"
@@ -610,7 +647,7 @@ class LatencyService:
     def ticket_counts(self) -> Dict[str, int]:
         """How many issued tickets were ``"consumed"`` and ``"reaped"``."""
         with self._cond:
-            reaped = len(self._reaped)
+            reaped = self._reaped
             live = sum(batch.live for batch in self._batches)
             return {"consumed": self._next_ticket - live - reaped, "reaped": reaped}
 
@@ -650,17 +687,17 @@ class LatencyService:
                 lambda: not batch.unfulfilled, timeout
             )
             if not fulfilled:
-                batch.abandoned.update(i for i, gone in enumerate(batch.gone) if not gone)
+                batch.abandon(i for i, gone in enumerate(batch.gone) if not gone)
             elif batch.live:  # else other clients claimed or reaped every slot
                 batch.gone[:] = b"\x01" * len(batch.gone)
-                batch.abandoned.clear()
+                batch.abandoned = None
                 batch.live = 0
                 self._drop(batch)
         if not fulfilled:
             self.stats.record(timeouts=1)
             raise TimeoutError(f"requests {batch.first}.. not fulfilled within {timeout}s")
-        for slot, (report, error, _, _, _) in enumerate(batch.outcomes):
-            if error is not None or report is None:
+        for slot, outcome in enumerate(batch.outcomes):
+            if outcome[1] is not None or outcome[0] is None:  # an error, or no report
                 self._response(batch, slot).raise_for_error()
         return [outcome[0] for outcome in batch.outcomes]
 
@@ -725,7 +762,9 @@ class LatencyService:
                 for job in jobs:
                     results.setdefault(job.key, (None, f"dispatcher error: {exc}", False))
             finally:
-                self._fulfill(jobs, results, started)
+                with self._cond:
+                    fulfilled = self._fulfill(jobs, results, started)
+                self._notify(fulfilled)
 
     def _execute(self, jobs: List[_Job]) -> Dict[Tuple, _Result]:
         """Evaluate unique jobs; returns key -> (report, error, memo_hit)."""
@@ -794,8 +833,8 @@ class LatencyService:
 
     def _fulfill(
         self, jobs: List[_Job], results: Dict[Tuple, _Result], started: float, inline: bool = False
-    ) -> None:
-        """Give every slot waiting on ``jobs`` its outcome, then tell the listeners.
+    ) -> Optional[Tuple[int, ...]]:
+        """Give every slot waiting on ``jobs`` its outcome (service lock held).
 
         The one place a ticket is fulfilled: each slot gets its job's outcome
         tuple (its response is built only when read), with one stats-lock
@@ -803,7 +842,8 @@ class LatencyService:
         dispatcher calls it once per drained batch; :meth:`submit_batch`
         calls it with ``inline=True`` for the memo hits it answers itself,
         which leaves the dispatcher's ``_executing`` count and ``batches``
-        counter alone and wakes only claim waiters.
+        counter alone and wakes nobody.  Returns the fulfilled ticket ids for
+        :meth:`_notify` when a listener is registered.
         """
         end = time.perf_counter()
         #: One row per request, for the request log and the trace (see
@@ -811,67 +851,79 @@ class LatencyService:
         log: List[tuple] = []
         latencies: Dict[str, List[float]] = {}
         errors = memo_hits = late_results = 0
-        with self._cond:
-            for job in jobs:
-                report, error, memo_hit = results.get(
-                    job.key, (None, "job aborted by dispatcher error", False)
-                )
-                self._pending.pop(job.key, None)
-                index = self._completed_index
-                self._completed_index += 1
-                label = _backend_label(job.spec, report)
-                outcome = (report, error, index, started, end)
-                job_spans = (label, job.path, error is None, started, end)
-                status = "ok" if error is None else "error"
-                errors += len(job.slots) if error is not None else 0
-                observed = latencies.setdefault(label, [])
-                for batch, slot in job.slots:
-                    batch.outcomes[slot] = outcome
-                    batch.unfulfilled -= 1
-                    submitted, coalesced = batch.submitted, batch.coalesced[slot]
-                    queue_seconds = started - submitted if started > submitted else 0.0
-                    service_seconds = end - submitted if end > submitted else 0.0
-                    # A coalesced request was counted at submit; a memo hit
-                    # too would double-credit the hit rate.
-                    memo_hits += memo_hit and not coalesced
-                    if batch.abandoned:  # every waiter gave up: a late result
-                        late_results += slot in batch.abandoned
-                    request, ticket_id = batch.requests[slot], batch.first + slot
-                    log.append((
-                        ticket_id, ticket_id, label, batch.keys[slot][1], 0, None, submitted,
-                        status, coalesced, queue_seconds, service_seconds, None, job_spans,
-                    ) if request is None else (
-                        request.trace_id or ticket_id, ticket_id, label,
-                        request.sequence_length, request.priority, request.deadline_seconds,
-                        submitted, status, coalesced, queue_seconds, service_seconds,
-                        request.trace_id, job_spans,
-                    ))
-                    observed.append(service_seconds)
-            self.stats.record_fulfilled(
-                log, latencies, errors=errors, memo_hits=memo_hits,
-                late_results=late_results, batches=0 if inline else 1,
-                busy_seconds=end - started,
+        for job in jobs:
+            report, error, memo_hit = results.get(
+                job.key, (None, "job aborted by dispatcher error", False)
             )
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                # Recorded before the lock is released so a woken waiter
-                # always finds its trace complete.
-                released = time.perf_counter()
-                tracer.record_deferred(
-                    log, _REQUEST_SPANS, functools.partial(_request_spans, released)
-                )
+            self._pending.pop(job.key, None)
+            index = self._completed_index
+            self._completed_index += 1
+            label = report.backend if report is not None else _backend_label(job.spec)
+            # The first slot made the job; every later one coalesced onto it.
+            outcomes = (
+                (report, error, index, started, end, False),
+                (report, error, index, started, end, True),
+            )
+            job_spans = (label, job.path, error is None, started, end)
+            status = "ok" if error is None else "error"
+            errors += len(job.slots) if error is not None else 0
+            observed = latencies.setdefault(label, [])
+            coalesced = False
+            for batch, slot in job.slots:
+                batch.outcomes[slot] = outcomes[coalesced]
+                batch.unfulfilled -= 1
+                submitted = batch.submitted
+                queue_seconds = started - submitted if started > submitted else 0.0
+                service_seconds = end - submitted if end > submitted else 0.0
+                # A coalesced request was counted at submit; a memo hit
+                # too would double-credit the hit rate.
+                memo_hits += memo_hit and not coalesced
+                if batch.abandoned:  # every waiter gave up: a late result
+                    late_results += slot in batch.abandoned
+                request, ticket_id = batch.requests[slot], batch.first + slot
+                log.append((
+                    ticket_id, ticket_id, label, request[1], 0, None, submitted,
+                    status, coalesced, queue_seconds, service_seconds, None, job_spans,
+                ) if type(request) is tuple else (
+                    request.trace_id or ticket_id, ticket_id, label,
+                    request.sequence_length, request.priority, request.deadline_seconds,
+                    submitted, status, coalesced, queue_seconds, service_seconds,
+                    request.trace_id, job_spans,
+                ))
+                observed.append(service_seconds)
+                coalesced = True
+        self.stats.record_fulfilled(
+            log, latencies, errors=errors, memo_hits=memo_hits,
+            late_results=late_results, batches=0 if inline else 1,
+            busy_seconds=end - started,
+        )
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            # Recorded before the lock is released so a woken waiter
+            # always finds its trace complete.
+            released = time.perf_counter()
+            tracer.record_deferred(
+                log, _REQUEST_SPANS, functools.partial(_request_spans, released)
+            )
+        if not inline:
+            # Inline hits need no wake-up: their ids were issued in this
+            # same lock hold, so no claim can be waiting on them yet.
             self._settled.notify_all()
-            listeners = list(self._listeners)
-            if not inline:
-                self._executing = 0
-                self._cond.notify_all()
-        # Listener contract: fulfilled responses are already pollable, the
-        # lock is released (a listener may call poll()/stats), and a listener
-        # crash never takes the dispatcher down with it.
-        if listeners:
-            fulfilled = tuple(row[1] for row in log)
-            for listener in listeners:
-                try:
-                    listener(fulfilled)
-                except Exception:
-                    pass
+            self._executing = 0
+            self._cond.notify_all()
+        return tuple(map(itemgetter(1), log)) if self._listeners else None
+
+    def _notify(self, ticket_ids: Optional[Tuple[int, ...]]) -> None:
+        """Tell the result listeners which tickets a batch fulfilled (lock released).
+
+        Listener contract: fulfilled responses are already pollable, the
+        lock is released (a listener may call poll()/stats), and a listener
+        crash never takes the fulfilling thread down with it.
+        """
+        if ticket_ids is None:
+            return
+        for listener in tuple(self._listeners):
+            try:
+                listener(ticket_ids)
+            except Exception:
+                pass

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.backend import SimReport
@@ -156,40 +158,54 @@ def _backend_name(spec: Any) -> str:
     return spec
 
 
-#: Annotation -> (encode, decode) for the leaf types; encode ``None`` means
-#: the value is written as it is.
-_SCALARS: Dict[str, Tuple[Optional[Callable], Callable]] = {
-    "int": (int, _int),
-    "float": (float, _float),
-    "bool": (bool, _bool),
-    "str": (None, _str),
-    "Any": (_backend_name, _str),
+#: Annotation -> (encode, decode, write) for the leaf types.  Encode ``None``
+#: means the value is written as it is.  ``write`` is a builtin that returns
+#: the JSON text ``json.dumps`` gives the encoded value, or raises
+#: ``TypeError``/``KeyError`` for a value it does not cover (``None`` for a
+#: kind only ``json.dumps`` writes).
+_SCALARS: Dict[str, Tuple[Optional[Callable], Callable, Optional[Callable]]] = {
+    "int": (int, _int, int.__repr__),
+    "float": (float, _float, float.__repr__),
+    "bool": (bool, _bool, {False: "false", True: "true"}.__getitem__),
+    "str": (None, _str, encode_basestring_ascii),
+    "Any": (_backend_name, _str, encode_basestring_ascii),
     "Mapping[str, float]": (
         lambda mapping: {str(k): float(v) for k, v in mapping.items()},
         _float_map,
+        None,
     ),
 }
+
+#: Texts ``int.__repr__``/``float.__repr__`` give where ``json.dumps`` writes
+#: something else: a bool in an int field, NaN and the infinities.
+_NOT_JSON = frozenset({"True", "False", "nan", "inf", "-inf"})
 
 #: Class name -> codec, for nested annotations; filled as codecs are derived.
 _NAMED: Dict[str, "_Codec"] = {}
 
 
-def _kind(annotation: str) -> Tuple[Optional[Callable], Callable]:
-    """(encode, decode) of one field annotation."""
+def _kind(annotation: str) -> Tuple[Optional[Callable], Callable, Optional[Callable], bool]:
+    """(encode, decode, write, optional) of one field annotation.
+
+    An ``optional`` field's ``None`` is ``null`` on the wire: the codec
+    writes and reads it without calling ``write`` or ``decode``.
+    """
     if annotation in _SCALARS:
-        return _SCALARS[annotation]
+        return (*_SCALARS[annotation], False)
     if annotation.startswith("Optional[") and annotation.endswith("]"):
-        inner, decode = _kind(annotation[len("Optional["):-1])
+        inner, decode, write, _ = _kind(annotation[len("Optional["):-1])
         encode = None if inner is None else (lambda value: None if value is None else inner(value))
-        return encode, lambda value, name: None if value is None else decode(value, name)
+        return encode, decode, write, True
     if annotation.startswith("Tuple[") and annotation.endswith(", ...]"):
         row = _NAMED[annotation[len("Tuple["):-len(", ...]")]]
         return (
             lambda rows: [row.to_dict(item) for item in rows],
             lambda rows, name: tuple(row.from_dict(item) for item in _list(rows, name)),
+            lambda rows: "[%s]" % ", ".join([row.to_json(item) for item in rows]),
+            False,
         )
     nested = _NAMED[annotation]
-    return nested.to_dict, lambda value, name: nested.from_dict(value)
+    return nested.to_dict, lambda value, name: nested.from_dict(value), nested.to_json, False
 
 
 def _check_version(payload: Dict[str, Any], what: str) -> None:
@@ -201,6 +217,9 @@ def _check_version(payload: Dict[str, Any], what: str) -> None:
         )
 
 
+_decode_json = json.JSONDecoder().decode
+
+
 def _parse_json(text: Any, what: str) -> Any:
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -208,7 +227,7 @@ def _parse_json(text: Any, what: str) -> Any:
         except UnicodeDecodeError as exc:
             raise WireFormatError("invalid_json", f"{what} is not valid UTF-8: {exc}") from None
     try:
-        return json.loads(text)
+        return _decode_json(text)
     except (TypeError, ValueError) as exc:
         raise WireFormatError("invalid_json", f"{what} is not valid JSON: {exc}") from None
 
@@ -231,19 +250,36 @@ class _Codec:
         self.encoders: List[Tuple[str, Optional[Callable]]] = []
         self.decoders: Dict[str, Callable] = {}
         self.required: List[str] = []
+        #: field name -> (write, optional), see _kind.
+        writers: Dict[str, Tuple[Optional[Callable], bool]] = {}
         for f in fields(cls):
             try:
-                encode, decode = _kind(str(f.type))
+                encode, decode, write, optional = _kind(str(f.type))
             except KeyError:
                 raise TypeError(f"{cls.__name__}.{f.name}: no wire codec for {f.type!r}") from None
             check = (checks or {}).get(f.name) or f.metadata.get("check")
             self.encoders.append((f.name, encode))
             self.decoders[f.name] = decode if check is None else _checked(decode, check)
+            writers[f.name] = (write, optional)
             if f.metadata.get("required") or (
                 f.default is MISSING and f.default_factory is MISSING
             ):
                 self.required.append(f.name)
         self.allowed = frozenset(list(self.decoders) + ["schema_version"] * stamped)
+        self.optional = frozenset(name for name, (_, optional) in writers.items() if optional)
+        # The JSON text is written in sorted key order from a template with
+        # the stamp filled in, one writer per field; a type with a field
+        # only json.dumps writes has no template.
+        names = sorted(writers)
+        self.template: Optional[str] = None
+        if all(writers[name][0] is not None for name in names):
+            keys = sorted(names + ["schema_version"] * stamped)
+            self.template = "{%s}" % ", ".join(
+                f"{json.dumps(key)}: {SCHEMA_VERSION if key == 'schema_version' else '%s'}"
+                for key in keys
+            )
+        self.values = attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
+        self.writers = [writers[name] for name in names]
         _NAMED[cls.__name__] = CODECS[cls] = self
 
     def to_dict(self, obj: Any) -> Dict[str, Any]:
@@ -254,30 +290,75 @@ class _Codec:
         return payload
 
     def to_json(self, obj: Any) -> str:
+        """``json.dumps(self.to_dict(obj), sort_keys=True)``, written field by field.
+
+        A value no field writer covers (a bool in an int field, NaN, a wrong
+        type) takes ``json.dumps`` itself, so the text is the same either way.
+        """
+        if self.template is not None:
+            try:
+                texts = [
+                    "null" if value is None and optional else write(value)
+                    for (write, optional), value in zip(self.writers, self.values(obj))
+                ]
+            except (TypeError, KeyError):
+                pass
+            else:
+                if _NOT_JSON.isdisjoint(texts):
+                    return self.template % tuple(texts)
         return json.dumps(self.to_dict(obj), sort_keys=True)
 
     def from_dict(self, payload: Any) -> Any:
         what = self.cls.__name__
-        payload = _dict(payload, what)
+        if not isinstance(payload, dict):
+            _dict(payload, what)  # raises
         if not self.allowed.issuperset(payload):
             unknown = next(key for key in payload if key not in self.allowed)
             raise WireFormatError("unknown_field", f"{what} does not accept field {unknown!r}")
         if self.stamped:
-            _check_version(payload, what)
+            version = payload.get("schema_version", SCHEMA_VERSION)
+            if type(version) is not int or version != SCHEMA_VERSION:
+                _check_version(payload, what)
         for name in self.required:
             if name not in payload:
                 raise WireFormatError("missing_field", f"{what} requires {name}")
-        decoders = self.decoders
-        return self.cls(
-            **{
-                key: decoders[key](value, key)
-                for key, value in payload.items()
-                if key != "schema_version"
-            }
-        )
+        decoders, optional = self.decoders, self.optional
+        values = {}
+        for key, value in payload.items():
+            if value is None and key in optional:
+                values[key] = None
+            elif key != "schema_version":
+                values[key] = decoders[key](value, key)
+        return self.cls(**values)
 
     def from_json(self, text: Any) -> Any:
         return self.from_dict(_parse_json(text, self.cls.__name__))
+
+
+class _ReportCodec(_Codec):
+    """The codec of :class:`SimReport`, which encodes each report once.
+
+    A report never changes, so its first encode keeps the text after the
+    ``backend`` key (the first in sorted order) in the report's derived
+    values (see :meth:`SimReport.relabeled`); every later encode, of the
+    memo's report or of a relabeled copy, splices that text after the name.
+    """
+
+    def __init__(self, cls: type, **kwargs: Any) -> None:
+        super().__init__(cls, **kwargs)
+        assert sorted(self.allowed)[0] == "backend"
+
+    def to_json(self, report: SimReport) -> str:
+        try:
+            return '{"backend": %s, %s' % (
+                encode_basestring_ascii(report.backend), report.__dict__["_derived"]["json"]
+            )
+        except (TypeError, KeyError):  # not encoded yet, or a name the splice cannot write
+            text = super().to_json(report)
+            if isinstance(report.backend, str):
+                start = len('{"backend": , ') + len(encode_basestring_ascii(report.backend))
+                report.__dict__.setdefault("_derived", {})["json"] = text[start:]
+            return text
 
 
 @dataclass(frozen=True)
@@ -305,7 +386,7 @@ class _RequestLog:
 
 
 # Nested types first: a codec resolves nested annotations by class name.
-_SIM_REPORT = _Codec(SimReport, checks={"backend": non_empty, "sequence_length": positive})
+_SIM_REPORT = _ReportCodec(SimReport, checks={"backend": non_empty, "sequence_length": positive})
 for _cls in (LatencyRequest, LatencyResponse, ErrorBody, RequestLogRecord, _RequestLog):
     _Codec(_cls)
 _Codec(BackendServiceStats, stamped=False)

@@ -30,8 +30,9 @@ disk-cache keys).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -72,6 +73,24 @@ class SimReport:
         return self.phase_seconds.get(PHASE_PAIR, 0.0) + self.phase_seconds.get(
             PHASE_SEQUENCE, 0.0
         )
+
+    # A report never changes once built (the session memo hands the same
+    # object to every caller), so a layer that encodes it keeps what it
+    # derives from the fields in the ``_derived`` dict of the instance's
+    # ``__dict__`` (the wire codec keeps the report's JSON there).  The dict
+    # holds nothing that depends on ``backend``; it plays no part in ``==``
+    # or ``repr`` and is left out of pickles (disk-cache entries).
+    def relabeled(self, backend: str) -> "SimReport":
+        """This report under another backend name, sharing its derived values."""
+        derived = self.__dict__.setdefault("_derived", {})
+        report = replace(self, backend=backend)
+        report.__dict__["_derived"] = derived
+        return report
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
 
 
 @runtime_checkable

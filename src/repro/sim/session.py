@@ -19,7 +19,7 @@ the loop the paper's Figs. 12–16 all run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -303,11 +303,34 @@ class SimulationSession:
         The memo is keyed by config digest, so two registrations of the same
         configuration under different names share one entry; the label must
         still follow the name the caller asked for (per-backend serving stats
-        bucket by it).
+        bucket by it).  The relabeled copy shares what encoders derived from
+        the memo's report (:meth:`SimReport.relabeled`).
         """
-        if report.backend != name:
-            report = replace(report, backend=name)
-        return report
+        return report if report.backend == name else report.relabeled(name)
+
+    def _resolve(self, spec) -> Tuple[str, str]:
+        """(registered name, config digest) of a backend spec."""
+        name = self._name_of(self.backend(spec))
+        return name, self._backend_digests[name]
+
+    def _peek(
+        self, name: str, digest: str, sequence_length: int, include_recycles: Optional[bool]
+    ) -> Optional[SimReport]:
+        """The session's one memo lookup: one point of a resolved backend.
+
+        A miss reads the disk cache when it is on, and a disk hit is
+        promoted into the memo.
+        """
+        include = self.include_recycles if include_recycles is None else include_recycles
+        memo_key = (digest, int(sequence_length), bool(include))
+        report = self._reports.get(memo_key)
+        if report is None and self.cache is not None:
+            report = self.cache.get(self._report_key(name, sequence_length, memo_key[2]))
+            if report is not None:
+                self._reports[memo_key] = report
+        if report is None or report.backend == name:  # _labeled, inlined on this per-point path
+            return report
+        return report.relabeled(name)
 
     def peek_report(
         self,
@@ -319,23 +342,20 @@ class SimulationSession:
 
         One point of :meth:`peek_reports`; an unresolvable spec raises.
         """
-        report = self.peek_reports([(backend, sequence_length, include_recycles)])[0]
-        if isinstance(report, Exception):
-            raise report
-        return report
+        return self._peek(*self._resolve(backend), sequence_length, include_recycles)
 
     def peek_reports(
         self, points: Iterable[Tuple[object, int, Optional[bool]]]
     ) -> List[object]:
         """Memoized/disk-cached reports of (spec, length, recycles) points, without simulating.
 
-        The session's one memo lookup.  Each distinct spec object is resolved
-        to its registration once, so a point costs one memo lookup (plus a
-        disk-cache read on a miss when the cache is on; a disk hit is promoted
-        into the memo).  Entry ``i`` is point ``i``'s report, ``None`` for a
-        miss, or the exception resolving its spec raised — one bad spec never
-        fails the other points.  The serving layer peeks a submitted batch's
-        distinct keys with this under one session-lock hold.
+        Each distinct spec object is resolved to its registration once, so a
+        point costs one memo lookup (plus a disk-cache read on a miss when
+        the cache is on; a disk hit is promoted into the memo).  Entry ``i``
+        is point ``i``'s report, ``None`` for a miss, or the exception
+        resolving its spec raised — one bad spec never fails the other
+        points.  The serving layer peeks a submitted batch's distinct keys
+        with this under one session-lock hold.
         """
         resolved: Dict[int, object] = {}
         out: List[object] = []
@@ -343,23 +363,14 @@ class SimulationSession:
             entry = resolved.get(id(spec))
             if entry is None:
                 try:
-                    name = self._name_of(self.backend(spec))
-                    entry = (name, self._backend_digests[name])
+                    entry = self._resolve(spec)
                 except Exception as exc:
                     entry = exc
                 resolved[id(spec)] = entry
             if isinstance(entry, Exception):
                 out.append(entry)
-                continue
-            name, digest = entry
-            include = self.include_recycles if include_recycles is None else include_recycles
-            memo_key = (digest, int(sequence_length), bool(include))
-            report = self._reports.get(memo_key)
-            if report is None and self.cache is not None:
-                report = self.cache.get(self._report_key(name, sequence_length, memo_key[2]))
-                if report is not None:
-                    self._reports[memo_key] = report
-            out.append(None if report is None else self._labeled(report, name))
+            else:
+                out.append(self._peek(entry[0], entry[1], sequence_length, include_recycles))
         return out
 
     def _fill_from_stack(

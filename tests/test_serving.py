@@ -530,14 +530,13 @@ class TestMemoHitsAtSubmit:
         with make_service(config) as service:
             counts = {}
             for name, session in (("bare", bare), ("service", service.session)):
-                original = session.peek_reports  # every memo lookup goes through it
+                original = session._peek  # every memo lookup goes through it
 
-                def counting(points, _original=original, _name=name):
-                    points = list(points)
-                    counts[_name] = counts.get(_name, 0) + len(points)
-                    return _original(points)
+                def counting(*point, _original=original, _name=name):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _original(*point)
 
-                session.peek_reports = counting
+                session._peek = counting
             bare.simulate(LENGTHS[0])
             service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
             # Submit's peek, then whatever the session's own pricing checks.
@@ -924,6 +923,24 @@ class TestLateResults:
         assert response.ok
         assert service.reap_abandoned() == []  # result() consumed the ticket
         service.close()
+
+    def test_reaped_ids_are_kept_as_merged_ranges(self, config):
+        """Reaping in any order keeps one range per run of adjacent reaped ids."""
+        with make_service(config) as service:
+            service.query("lightnobel", LENGTHS[0], timeout=TIMEOUT)
+            tickets = service.submit_batch([("lightnobel", LENGTHS[0])] * 12)
+            kept = {tickets[4], tickets[9]}  # claimed: they split the reaped runs
+            order = [7, 2, 0, 11, 5, 1, 10, 3, 6, 8]  # joins left, right and both ways
+            for slot in order:
+                service.abandon(tickets[slot])
+                assert len(service.reap_abandoned()) == 1
+            for ticket in kept:
+                assert service.poll(ticket).ok
+            assert service.ticket_counts()["reaped"] == len(order)
+            assert len(service._reaped_firsts) == 3  # 0-3, 5-8, 10-11
+            for slot, ticket in enumerate(tickets):
+                assert service.ticket_state(ticket) == ("consumed" if slot in (4, 9) else "reaped")
+            assert service.ticket_state(tickets[-1] + 1) == "unknown"
 
     def test_on_time_results_count_no_late_completions(self, config):
         with make_service(config) as service:

@@ -276,3 +276,154 @@ def test_malformed_payload_codes(decode, payload, code):
     with pytest.raises(WireFormatError) as excinfo:
         decode(payload)
     assert excinfo.value.code == code
+
+
+# ------------------------------------------------------------------ the splice
+# A report's JSON is derived on its first encode and kept with the report;
+# every response below must still encode to exactly what json.dumps writes.
+def _dumps(response) -> str:
+    return json.dumps(response.to_dict(), sort_keys=True)
+
+
+def _assert_spliced(response) -> None:
+    """First encode (derives the report's text) and a second (splices it) both match."""
+    assert response.to_json() == _dumps(response)
+    assert response.to_json() == _dumps(response)
+
+
+@pytest.fixture()
+def warm_service(tiny_config):
+    from repro.serving import LatencyService
+
+    service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+    service.query("lightnobel", 24, timeout=60.0)
+    yield service
+    service.close()
+
+
+class TestSplicedBytes:
+    def test_memo_hit(self, warm_service):
+        ticket = warm_service.submit(WireRequest(sequence_length=24, tenant="t", trace_id="x"))
+        response = warm_service.poll(ticket)
+        assert response.ok and not response.coalesced
+        _assert_spliced(response)
+        # A later hit on the same memo entry splices the text derived above.
+        _assert_spliced(warm_service.poll(warm_service.submit(WireRequest(sequence_length=24))))
+
+    def test_coalesced(self, warm_service):
+        tickets = warm_service.submit_batch([WireRequest(sequence_length=24)] * 2)
+        responses = [warm_service.poll(ticket) for ticket in tickets]
+        assert [r.coalesced for r in responses] == [False, True]
+        for response in responses:
+            _assert_spliced(response)
+
+    def test_error(self, warm_service):
+        ticket = warm_service.submit(WireRequest(backend="no-such-backend", sequence_length=24))
+        response = warm_service.result(ticket, timeout=60.0)
+        assert response.error and response.report is None
+        _assert_spliced(response)
+
+    @pytest.mark.parametrize("first", ["lightnobel", "alias"])
+    def test_relabeled_backend_name(self, warm_service, first):
+        """Two names of one config share a memo entry, its derived text, and not its name."""
+        warm_service.register_backend("lightnobel", name="alias")
+        names = [first, ({"lightnobel", "alias"} - {first}).pop()]
+        responses = [
+            warm_service.poll(warm_service.submit(WireRequest(backend=name, sequence_length=24)))
+            for name in names
+        ]
+        assert [r.report.backend for r in responses] == names
+        for response in responses:
+            _assert_spliced(response)
+        assert responses[0].report.__dict__["_derived"] is responses[1].report.__dict__["_derived"]
+
+    def test_decoded_then_re_encoded(self):
+        for text in (REPORT_RESPONSE, ERROR_RESPONSE):
+            response = WireResponse.from_json(text)
+            assert response.to_json() == text
+            assert response.to_json() == text
+
+    def test_derived_text_is_not_pickled_or_compared(self):
+        import pickle
+
+        report = _sim_report()
+        response = WireResponse.from_json(REPORT_RESPONSE)
+        response.to_json()
+        assert "_derived" in response.report.__dict__
+        assert response.report == report
+        restored = pickle.loads(pickle.dumps(response.report))
+        assert "_derived" not in restored.__dict__ and restored == report
+
+
+class _CountingMapping(dict):
+    """A report mapping that counts how often an encoder reads it."""
+
+    def __init__(self, values, counter):
+        super().__init__(values)
+        self.counter = counter
+
+    def items(self):
+        self.counter["reads"] += 1
+        return super().items()
+
+
+class _CountingBackend:
+    """The tiny accelerator, whose reports count the times they are encoded."""
+
+    name = "counting"
+
+    def __init__(self, ppm_config):
+        from repro.sim.backend import AcceleratorBackend
+
+        self.inner = AcceleratorBackend(ppm_config=ppm_config, name=self.name)
+        self.ppm_config = self.inner.ppm_config
+        self.counter = {"reads": 0}
+
+    def simulate_stack(self, stack):
+        from dataclasses import replace
+
+        return [
+            replace(r, phase_seconds=_CountingMapping(r.phase_seconds, self.counter))
+            for r in self.inner.simulate_stack(stack)
+        ]
+
+    def simulate_stack_totals(self, stack):
+        return self.inner.simulate_stack_totals(stack)
+
+    def config_digest(self):
+        return "counting-" + self.inner.config_digest()
+
+
+def test_warm_query_encodes_no_report(tiny_config):
+    """Over the socket, only the first /v1/query of a key encodes its report."""
+    import http.client
+
+    from repro.serving import LatencyService
+    from repro.serving.http import serve_in_thread
+
+    backend = _CountingBackend(tiny_config)
+    service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+    service.register_backend(backend, name=backend.name)
+    handle = serve_in_thread(service=service)
+    body = b'{"backend": "counting", "sequence_length": 24}'
+
+    def query() -> dict:
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60.0)
+        try:
+            conn.request("POST", "/v1/query", body, {"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            assert reply.status == 200
+            return json.loads(reply.read())
+        finally:
+            conn.close()
+
+    try:
+        first = query()
+        encoded = backend.counter["reads"]
+        warm = [query() for _ in range(20)]
+    finally:
+        handle.stop(drain=True)
+        service.close()
+    assert encoded == 1
+    assert backend.counter["reads"] == encoded
+    assert all(reply["report"] == first["report"] for reply in warm)
