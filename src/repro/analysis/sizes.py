@@ -2,7 +2,9 @@
 
 Covers Fig. 4 (activation vs weight size), Table 1 (per-scheme memory
 footprint), Fig. 15 (peak memory requirement), and Fig. 16 (computational cost
-and memory footprint versus sequence length).
+and memory footprint versus sequence length).  Weights, resident sets, fits
+and stored bytes per element are read off the one memory model,
+:mod:`repro.ppm.memory`.
 """
 
 from __future__ import annotations
@@ -14,23 +16,13 @@ import numpy as np
 
 from ..core.aaq import AAQConfig
 from ..core.schemes import QuantizationScheme, all_schemes
+from ..hardware.config import LightNobelConfig
+from ..ppm import memory
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
+from ..ppm.memory import GB, GPU_CHUNKED, GPU_DENSE, LIGHTNOBEL_AAQ
 from ..ppm.op_table import OperatorTable, get_op_table
-from ..ppm.workload import (
-    ENGINE_MATMUL,
-    PHASE_PAIR,
-    PHASE_SEQUENCE,
-    pair_activation_elements,
-    score_matrix_elements,
-    sequence_activation_elements,
-)
-from ..gpu.gpu_model import GPUModel
-
-GB = 1e9
-
-#: Trunk (folding blocks + structure module) parameter count at paper scale.
-TRUNK_PARAMETERS = 690e6
+from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 
 
 # --------------------------------------------------------------------- Fig. 4
@@ -50,15 +42,13 @@ class SizePoint:
 def weight_size_gb(config: Optional[PPMConfig] = None, include_language_model: bool = True) -> float:
     """Total PPM weight size in GB at FP16 (Fig. 4 horizontal line)."""
     config = config or PPMConfig.paper()
-    params = TRUNK_PARAMETERS + (config.language_model_params if include_language_model else 0.0)
-    return params * config.weight_bytes / GB
+    return memory.weight_bytes(config, include_language_model) / GB
 
 
 def peak_activation_size_gb(sequence_length: int, config: Optional[PPMConfig] = None) -> float:
     """Peak activation size of the unquantized PPM (Fig. 4 curve)."""
     config = config or PPMConfig.paper()
-    gpu = GPUModel("H100", ppm_config=config)
-    return gpu.peak_activation_bytes(sequence_length, chunked=False) / GB
+    return memory.activation_bytes(GPU_DENSE, config, sequence_length) / GB
 
 
 def activation_weight_curve(
@@ -139,17 +129,11 @@ def lightnobel_peak_memory_gb(
     sequence_length: int,
     config: Optional[PPMConfig] = None,
     aaq: Optional[AAQConfig] = None,
-    resident_pair_copies: int = 8,
 ) -> float:
     """Peak memory of LightNobel: quantized pair copies, no score matrix."""
     config = config or PPMConfig.paper()
     aaq = aaq or AAQConfig.paper_optimal()
-    hidden = config.pair_dim
-    avg_bytes = aaq.average_bits_per_value(hidden) / 8.0
-    pair = pair_activation_elements(config, sequence_length) * avg_bytes
-    seq = sequence_activation_elements(config, sequence_length) * 2.0
-    weights = TRUNK_PARAMETERS * 2.0  # 16-bit trunk weights; ESM-2 runs on the host CPU/GPU
-    return (resident_pair_copies * pair + 2 * seq + weights) / GB
+    return memory.peak_bytes(LIGHTNOBEL_AAQ, config, sequence_length, aaq) / GB
 
 
 def peak_memory_comparison(
@@ -157,29 +141,20 @@ def peak_memory_comparison(
 ) -> Dict[str, float]:
     """Fig. 15: peak memory (GB) of baseline (±chunk) and LightNobel."""
     config = config or PPMConfig.paper()
-    gpu = GPUModel("H100", ppm_config=config)
     return {
-        "baseline_no_chunk": gpu.peak_memory_bytes(sequence_length, chunked=False) / GB,
-        "baseline_chunk": gpu.peak_memory_bytes(sequence_length, chunked=True) / GB,
+        "baseline_no_chunk": memory.peak_bytes(GPU_DENSE, config, sequence_length) / GB,
+        "baseline_chunk": memory.peak_bytes(GPU_CHUNKED, config, sequence_length) / GB,
         "lightnobel": lightnobel_peak_memory_gb(sequence_length, config),
     }
 
 
 def max_supported_length(
-    memory_budget_gb: float = 80.0,
-    config: Optional[PPMConfig] = None,
-    upper: int = 20000,
+    memory_budget_gb: Optional[float] = None, config: Optional[PPMConfig] = None
 ) -> int:
-    """Longest sequence LightNobel fits within ``memory_budget_gb`` (Section 8.3)."""
+    """Longest sequence LightNobel fits in ``memory_budget_gb``, by default its HBM (Section 8.3)."""
     config = config or PPMConfig.paper()
-    low, high = 1, upper
-    while low < high:
-        mid = (low + high + 1) // 2
-        if lightnobel_peak_memory_gb(mid, config) <= memory_budget_gb:
-            low = mid
-        else:
-            high = mid - 1
-    return low
+    budget = LightNobelConfig.paper().hbm_capacity_gb if memory_budget_gb is None else memory_budget_gb
+    return memory.max_length(LIGHTNOBEL_AAQ, config, budget, AAQConfig.paper_optimal())
 
 
 # -------------------------------------------------------------------- Fig. 16
@@ -193,16 +168,11 @@ def int8_equivalent_cost(workload, aaq: Optional[AAQConfig]) -> float:
     """
     table = workload if isinstance(workload, OperatorTable) else OperatorTable.from_workload(workload)
     hidden = table.config.pair_dim
-    act_bits = np.empty(len(table.groups))
-    for code, group in enumerate(table.groups):
-        if aaq is None:
-            act_bits[code] = 16.0
-        else:
-            group_config = aaq.config_for(group or GROUP_C)
-            outliers = min(group_config.outlier_count, hidden)
-            act_bits[code] = (
-                (hidden - outliers) * group_config.inlier_bits + outliers * group_config.outlier_bits
-            ) / hidden
+    act_bits = np.full(len(table.groups), 16.0)
+    if aaq is not None:  # the value fields of each group's stored token
+        for code, group in enumerate(table.groups):
+            layout = memory.token_layout(aaq.config_for(group or GROUP_C), hidden)
+            act_bits[code] = (layout.inlier_bytes + layout.outlier_bytes) * 8 / hidden
     matmul = table.engine_mask(ENGINE_MATMUL) & (table.macs > 0)
     mac_cost = table.macs * (act_bits[table.group_codes] / 8.0) * (16.0 / 8.0)
     vector_cost = table.vector_ops * (16.0 / 8.0)
@@ -228,18 +198,12 @@ def memory_footprint_comparison(
     config = config or PPMConfig.paper()
     table = get_op_table(config, sequence_length)
     aaq = AAQConfig.paper_optimal()
-    hidden = config.pair_dim
     # The baseline runs with low-memory attention at these lengths and
     # LightNobel's token-wise MHA keeps the score matrix on chip, so neither
     # side writes the fusible intermediates to memory.
     mask = (table.phase_mask(PHASE_PAIR) | table.phase_mask(PHASE_SEQUENCE)) & ~table.fusible
     bytes_per_element = np.array(
-        [
-            config.activation_bytes
-            if group is None
-            else aaq.bits_per_token(hidden, group) / hidden / 8.0
-            for group in table.groups
-        ]
+        [memory.bytes_per_element(config, aaq, group) for group in table.groups]
     )
     elements = np.where(mask, table.output_elements, 0.0)
     baseline = float(np.sum(elements * config.activation_bytes))

@@ -6,9 +6,10 @@ sized to the memory-channel width so one block read fills a whole burst.  The
 Token Aligner of the accelerator decodes these blocks back into per-token
 scratchpad lines.
 
-The layout object below computes exact byte offsets, block packing and
-bandwidth utilization; the hardware simulator and the footprint models consume
-these numbers.  :func:`pack_packed_tensor` serializes a
+A token's field sizes (``token_layout``) belong to the one memory model,
+:mod:`repro.ppm.memory`; this module packs tokens of that size into
+channel-width blocks.
+:func:`pack_packed_tensor` serializes a
 :class:`~repro.core.token_quant.PackedQuantizedTensor` in the Fig. 7 field
 order and :func:`unpack_packed_tensor` restores it losslessly.
 """
@@ -16,50 +17,12 @@ order and :func:`unpack_packed_tensor` restores it losslessly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from .token_quant import (
-    INDEX_BITS,
-    SCALE_BITS,
-    PackedQuantizedTensor,
-    TokenQuantConfig,
-)
-
-
-@dataclass(frozen=True)
-class TokenLayout:
-    """Byte offsets of the fields of one packed token."""
-
-    inlier_bytes: float
-    outlier_bytes: float
-    scale_bytes: float
-    index_bytes: float
-
-    @property
-    def total_bytes(self) -> float:
-        return self.inlier_bytes + self.outlier_bytes + self.scale_bytes + self.index_bytes
-
-    def field_offsets(self) -> Tuple[float, float, float, float]:
-        """Start offsets of (inliers, outliers, scale, indices) in bytes."""
-        inlier_start = 0.0
-        outlier_start = inlier_start + self.inlier_bytes
-        scale_start = outlier_start + self.outlier_bytes
-        index_start = scale_start + self.scale_bytes
-        return inlier_start, outlier_start, scale_start, index_start
-
-
-def token_layout(config: TokenQuantConfig, hidden_dim: int) -> TokenLayout:
-    """Field sizes (bytes) of one token quantized under ``config``."""
-    outliers = min(config.outlier_count, hidden_dim)
-    inliers = hidden_dim - outliers
-    return TokenLayout(
-        inlier_bytes=inliers * config.inlier_bits / 8.0,
-        outlier_bytes=outliers * config.outlier_bits / 8.0,
-        scale_bytes=SCALE_BITS / 8.0,
-        index_bytes=outliers * INDEX_BITS / 8.0,
-    )
+from ..ppm.memory import token_layout
+from .token_quant import PackedQuantizedTensor, TokenQuantConfig
 
 
 @dataclass
@@ -85,7 +48,7 @@ class BlockedLayout:
 
     @property
     def total_bytes(self) -> float:
-        return len(self.blocks) * self.channel_bytes
+        return sum(block.capacity_bytes for block in self.blocks)
 
     @property
     def payload_bytes(self) -> float:
@@ -114,24 +77,13 @@ def pack_tokens_into_blocks(
     if per_token > channel_bytes:
         # A token spans multiple channel beats; blocks hold one token each,
         # rounded up to a whole number of beats.
-        beats = int(np.ceil(per_token / channel_bytes))
-        blocks = [
-            MemoryBlock(token_indices=[i], used_bytes=per_token, capacity_bytes=beats * channel_bytes)
-            for i in range(num_tokens)
-        ]
-        return BlockedLayout(blocks=blocks, token_bytes=per_token, channel_bytes=channel_bytes)
-
-    tokens_per_block = int(channel_bytes // per_token)
+        per_block, capacity = 1, int(np.ceil(per_token / channel_bytes)) * channel_bytes
+    else:
+        per_block, capacity = int(channel_bytes // per_token), channel_bytes
     blocks = []
-    for start in range(0, num_tokens, tokens_per_block):
-        indices = list(range(start, min(start + tokens_per_block, num_tokens)))
-        blocks.append(
-            MemoryBlock(
-                token_indices=indices,
-                used_bytes=len(indices) * per_token,
-                capacity_bytes=channel_bytes,
-            )
-        )
+    for start in range(0, num_tokens, per_block):
+        indices = list(range(start, min(start + per_block, num_tokens)))
+        blocks.append(MemoryBlock(indices, len(indices) * per_token, capacity))
     return BlockedLayout(blocks=blocks, token_bytes=per_token, channel_bytes=channel_bytes)
 
 
@@ -141,8 +93,9 @@ def pack_packed_tensor(packed: PackedQuantizedTensor) -> np.ndarray:
     Per token, in order: inliers, outliers, the two scaling factors, then the
     outlier indices, as one ``hstack`` over the columnar fields.  Values are
     stored one float64 per field element (sub-byte fields are padded up),
-    which keeps the round trip exact; the *size accounting* used by the
-    experiments relies on :func:`token_layout`, not on this serializer.
+    which keeps the round trip exact.  The *size accounting* used by the
+    experiments is the memory model's (:func:`repro.ppm.memory.token_layout`,
+    which charges one scale per token), not this serializer's.
     """
     rows = np.hstack(
         [

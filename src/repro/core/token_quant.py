@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ppm.memory import token_layout
 from .quantization import (
     _scale_round,
     dequantize_values,
@@ -34,12 +35,6 @@ from .quantization import (
 
 #: Precision used for outlier values (paper: INT16 to minimize information loss).
 OUTLIER_BITS = 16
-
-#: Precision used for per-token scaling factors in the packed layout (FP16).
-SCALE_BITS = 16
-
-#: Precision used for each outlier index in the packed layout.
-INDEX_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -64,18 +59,9 @@ class TokenQuantConfig:
             raise ValueError(f"unsupported outlier precision: {self.outlier_bits}")
 
     def bits_per_token(self, hidden_dim: int) -> float:
-        """Storage cost of one quantized token in bits (Fig. 7 layout).
-
-        inliers + outlier values + outlier indices + one scaling factor.
-        """
-        outliers = min(self.outlier_count, hidden_dim)
-        inliers = hidden_dim - outliers
-        return (
-            inliers * self.inlier_bits
-            + outliers * self.outlier_bits
-            + outliers * INDEX_BITS
-            + SCALE_BITS
-        )
+        """Storage cost of one quantized token in bits (the Fig. 7 layout of
+        :func:`repro.ppm.memory.token_layout`)."""
+        return 8 * token_layout(self, hidden_dim).total_bytes
 
     def bytes_per_token(self, hidden_dim: int) -> float:
         return self.bits_per_token(hidden_dim) / 8.0

@@ -12,8 +12,8 @@ latency.  This model captures both regimes per operator of the shared
 * chunked execution splits pair-phase kernels along the first sequence axis,
   multiplying kernel count, adding intermediate-tensor re-reads and lowering
   tensor-core efficiency,
-* peak memory = weights + resident activations (score matrices dominate
-  without chunking).
+* peak memory is :mod:`repro.ppm.memory`'s ``GPU_DENSE``/``GPU_CHUNKED``
+  resident set (score matrices dominate without chunking).
 """
 
 from __future__ import annotations
@@ -23,20 +23,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..ppm import memory
 from ..ppm.config import PPMConfig
+from ..ppm.memory import CHUNK_ROWS, FP16_BYTES, GPU_CHUNKED, GPU_DENSE
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
-from ..ppm.workload import (
-    ENGINE_MATMUL,
-    PHASE_PAIR,
-    PHASE_SEQUENCE,
-    pair_activation_elements,
-    score_matrix_elements,
-    sequence_activation_elements,
-)
+from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from .gpu_config import GPUSpec, get_gpu
-
-#: Rows processed per chunk under the Chunk4-style low-memory attention.
-CHUNK_ROWS = 4
 
 #: Tensor-core efficiency multiplier when kernels are chunked into small tiles.
 CHUNK_COMPUTE_PENALTY = 0.55
@@ -44,16 +36,10 @@ CHUNK_COMPUTE_PENALTY = 0.55
 #: Extra activation traffic factor from re-reading chunked intermediates.
 CHUNK_TRAFFIC_FACTOR = 1.4
 
-#: Number of live Pair-Representation copies during a folding block
-#: (input, residual, normalized, projections).
-RESIDENT_PAIR_COPIES = 6
 
-#: Resident pair copies under chunked execution: chunking removes the score
-#: matrix but keeps redundant per-chunk intermediates alive (Section 8.3).
-CHUNK_RESIDENT_PAIR_COPIES = 18
-
-#: FP16 bytes per element on the GPU baseline.
-FP16_BYTES = 2.0
+def _resident_set(chunked: bool) -> memory.ResidentSet:
+    """The memory model's row for the GPU baseline with or without chunking."""
+    return GPU_CHUNKED if chunked else GPU_DENSE
 
 
 @dataclass
@@ -173,52 +159,22 @@ class GPUModel:
         )[0]
 
     # ------------------------------------------------------------------ memory
-    def weight_bytes(self, include_language_model: bool = True) -> float:
-        """Model weights resident on the GPU (trunk + optionally ESM-2 3B)."""
-        config = self.ppm_config
-        trunk_params = 690e6  # ESMFold folding trunk + structure module
-        total = trunk_params * FP16_BYTES
-        if include_language_model:
-            total += config.language_model_params * FP16_BYTES
-        return total
-
     def peak_activation_bytes(self, sequence_length: int, chunked: bool = False) -> float:
         """Peak resident activation memory of the Pair-Representation dataflow."""
-        config = self.ppm_config
-        n = sequence_length
-        pair = pair_activation_elements(config, n) * FP16_BYTES
-        seq = sequence_activation_elements(config, n) * FP16_BYTES
-        resident = RESIDENT_PAIR_COPIES * pair + 2 * seq
-        if chunked:
-            # Chunking materializes only CHUNK_ROWS rows of the score matrix
-            # but keeps redundant per-chunk pair intermediates resident.
-            score = score_matrix_elements(config, n) / n * CHUNK_ROWS * FP16_BYTES
-            resident = CHUNK_RESIDENT_PAIR_COPIES * pair + 2 * seq + score
-        else:
-            score = score_matrix_elements(config, n) * FP16_BYTES
-            resident += 2.0 * score  # scores + softmax output live simultaneously
-        return resident
+        return memory.activation_bytes(_resident_set(chunked), self.ppm_config, sequence_length)
 
     def peak_memory_bytes(self, sequence_length: int, chunked: bool = False) -> float:
-        return self.weight_bytes() + self.peak_activation_bytes(sequence_length, chunked=chunked)
+        return memory.peak_bytes(_resident_set(chunked), self.ppm_config, sequence_length)
 
     def fits_in_memory(self, sequence_length: int, chunked: bool = False) -> bool:
         key = (int(sequence_length), bool(chunked))
         cached = self._fits_cache.get(key)
         if cached is None:
-            cached = self._fits_cache[key] = (
-                self.peak_memory_bytes(sequence_length, chunked=chunked)
-                <= self.gpu.memory_gb * 1e9
+            cached = self._fits_cache[key] = memory.fits(
+                _resident_set(chunked), self.ppm_config, sequence_length, self.gpu.memory_gb
             )
         return cached
 
-    def max_sequence_length(self, chunked: bool = False, upper: int = 20000) -> int:
-        """Longest sequence that fits in GPU memory (binary search)."""
-        low, high = 1, upper
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self.fits_in_memory(mid, chunked=chunked):
-                low = mid
-            else:
-                high = mid - 1
-        return low
+    def max_sequence_length(self, chunked: bool = False) -> int:
+        """Longest sequence that fits in GPU memory."""
+        return memory.max_length(_resident_set(chunked), self.ppm_config, self.gpu.memory_gb)

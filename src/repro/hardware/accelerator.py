@@ -32,6 +32,7 @@ import numpy as np
 from ..core.aaq import AAQConfig
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
+from ..ppm.memory import bytes_per_element
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
 from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from .config import LightNobelConfig
@@ -175,10 +176,7 @@ class LightNobelAccelerator:
     # ------------------------------------------------------------------ sizing
     def activation_bytes_per_element(self, group: Optional[str]) -> float:
         """Stored bytes per activation element for a given AAQ group."""
-        if group is None:
-            return self.ppm_config.activation_bytes
-        hidden = self.ppm_config.pair_dim
-        return self.aaq_config.bits_per_token(hidden, group) / hidden / 8.0
+        return bytes_per_element(self.ppm_config, self.aaq_config, group)
 
     # --------------------------------------------------- per-group constants
     def _group_parameters(

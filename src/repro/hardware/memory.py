@@ -49,7 +49,3 @@ class HBMModel:
     def transfer_cycles(self, payload_bytes: float) -> float:
         """Cycles needed to move ``payload_bytes`` through the HBM interface."""
         return self.transaction(payload_bytes).cycles
-
-    def fits(self, resident_bytes: float) -> bool:
-        """Whether a resident set fits in the 80 GB device memory."""
-        return resident_bytes <= self.config.hbm_capacity_gb * 1e9

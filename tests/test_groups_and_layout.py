@@ -93,6 +93,9 @@ class TestMemoryLayout:
         layout = pack_tokens_into_blocks(num_tokens=4, config=config, hidden_dim=128, channel_bytes=64)
         assert len(layout.blocks) == 4
         assert all(b.capacity_bytes % 64 == 0 for b in layout.blocks)
+        # The layout occupies its blocks' whole beats, not one beat per block.
+        assert layout.total_bytes == sum(b.capacity_bytes for b in layout.blocks)
+        assert layout.payload_bytes <= layout.total_bytes and 0 < layout.utilization <= 1
 
     def test_invalid_channel_bytes(self):
         with pytest.raises(ValueError):

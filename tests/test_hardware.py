@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TokenQuantConfig
+from repro.core import AAQConfig, TokenQuantConfig
 from repro.hardware import (
     AreaPowerModel,
     CrossbarNetwork,
@@ -26,7 +26,7 @@ from repro.hardware import (
     units_per_mac,
 )
 from repro.core.memory_layout import pack_tokens_into_blocks
-from repro.ppm import PPMConfig
+from repro.ppm import PPMConfig, memory
 from repro.ppm.op_table import get_stacked_table
 from repro.ppm.workload import build_model_ops
 
@@ -128,10 +128,13 @@ class TestMemoryAndInterconnect:
         with pytest.raises(ValueError):
             hbm.transaction(-1)
 
-    def test_hbm_capacity_check(self):
-        hbm = HBMModel()
-        assert hbm.fits(70e9)
-        assert not hbm.fits(100e9)
+    def test_hbm_capacity_bounds_the_lightnobel_resident_set(self):
+        # The accelerator's capacity is checked by the one memory model.
+        capacity = LightNobelConfig.paper().hbm_capacity_gb
+        config, aaq = PPMConfig.paper(), AAQConfig.paper_optimal()
+        assert memory.fits(memory.LIGHTNOBEL_AAQ, config, 10655, capacity, aaq)
+        assert not memory.fits(memory.LIGHTNOBEL_AAQ, config, 10656, capacity, aaq)
+        assert memory.max_length(memory.LIGHTNOBEL_AAQ, config, capacity, aaq) == 10655
 
     def test_scratchpads_and_aligner(self):
         pads = default_scratchpads()
