@@ -80,7 +80,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ... import __version__
@@ -255,8 +255,8 @@ class LatencyFrontDoor:
         self._tenant_pending: Dict[str, int] = {}
         #: Sum of ``_tenant_pending``.
         self._pending_count = 0
-        #: Ids the service fulfilled inside the latest ``submit`` made on the
-        #: loop thread (memo hits); ``_submit_one`` settles them.
+        #: Ids the service fulfilled inside the latest ``submit_batch`` made on
+        #: the loop thread (memo hits); ``_submit`` settles them.
         self._fulfilled_at_submit: Tuple[int, ...] = ()
         self._draining = False
         self._drain_report: Optional[Dict[str, Any]] = None
@@ -331,10 +331,10 @@ class LatencyFrontDoor:
         if self._loop is None:
             return
         if threading.get_ident() == self._loop_thread:
-            # Memo hits fulfilled inside service.submit on this loop's own
-            # thread: they are the submitted batch's own tickets, which the
-            # front door registers only once submit returns, so
-            # _submit_one settles them.
+            # Memo hits fulfilled inside service.submit_batch on this loop's
+            # own thread: they are the submitted batch's own tickets, which
+            # the front door registers only once submit_batch returns, so
+            # _submit settles them.
             self._fulfilled_at_submit = ticket_ids
             return
         # Dispatcher thread -> event loop.  After loop shutdown the
@@ -386,23 +386,25 @@ class LatencyFrontDoor:
             )
         return None
 
-    def _submit_one(self, wire_request: LatencyRequest) -> int:
-        """Admitted request -> service ticket + HTTP bookkeeping.
+    def _submit(self, wire_requests: Sequence[LatencyRequest]) -> List[int]:
+        """Admitted requests -> one ``service.submit_batch`` + HTTP bookkeeping.
 
-        No ``await`` between ``service.submit`` and the ticket registration:
-        the fulfillment callback runs on this same loop, so it cannot observe
-        the gap.  A ticket the service answered at submit (a memo hit) is
-        settled here, before this returns: the service's listener named it
-        on this thread (ids are never reused, so an older list cannot).
+        No ``await`` between the submit and the ticket registration, so the
+        fulfillment callback (on this same loop) cannot observe the gap.  Memo
+        hits the service answered at submit are settled here: its listener
+        named them on this thread (ids are never reused).
         """
-        ticket_id = self.service.submit(wire_request)
-        ticket = self._tickets[ticket_id] = _HttpTicket(wire_request)
-        tenant = wire_request.tenant
-        self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
-        self._pending_count += 1
-        if ticket_id in self._fulfilled_at_submit:
-            self._settle(ticket, time.monotonic())
-        return ticket_id
+        ticket_ids = self.service.submit_batch(wire_requests)
+        fulfilled = set(self._fulfilled_at_submit)
+        now = time.monotonic()
+        self._pending_count += len(ticket_ids)
+        for ticket_id, wire_request in zip(ticket_ids, wire_requests):
+            ticket = self._tickets[ticket_id] = _HttpTicket(wire_request)
+            tenant = wire_request.tenant
+            self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
+            if ticket_id in fulfilled:
+                self._settle(ticket, now)
+        return ticket_ids
 
     # -------------------------------------------------------------- consumption
     def _consume(self, ticket_id: int) -> Optional[LatencyResponse]:
@@ -598,7 +600,7 @@ class LatencyFrontDoor:
         rejected = self._admit(wire_request)
         if rejected is not None:
             return rejected
-        ticket_id = self._submit_one(wire_request)
+        (ticket_id,) = self._submit((wire_request,))
         return _Response(
             202,
             _json_bytes(
@@ -632,7 +634,7 @@ class LatencyFrontDoor:
             rejected = self._admit(wire_request, count=counts[wire_request.tenant])
             if rejected is not None:
                 return rejected
-        ticket_ids = [self._submit_one(wire_request) for wire_request in wire_requests]
+        ticket_ids = self._submit(wire_requests)
         return _Response(
             202,
             _json_bytes({"schema_version": SCHEMA_VERSION, "ticket_ids": ticket_ids}),
@@ -644,7 +646,7 @@ class LatencyFrontDoor:
         if rejected is not None:
             return rejected
         timeout = self._wait_param(request, "timeout_seconds", default=MAX_WAIT_SECONDS)
-        ticket_id = self._submit_one(wire_request)
+        (ticket_id,) = self._submit((wire_request,))
         ticket = self._tickets[ticket_id]
         if not ticket.settled:  # memo hits come back settled
             try:
