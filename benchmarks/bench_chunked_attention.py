@@ -54,14 +54,18 @@ CHUNK_SIZE = 32
 #: Length of the AAQ fold guard (the ``fold-aaq`` benchmark's protein).
 FOLD_LENGTH = 96
 
-#: Peak RSS budget (MiB) of that fold.  In float32 it peaks at ~68 MiB; the
-#: float64 fold peaked at ~99 MiB, building the full outer tensor at
-#: ~200 MiB, and the former two-pass quantizer at ~435 MiB.
-FOLD_BUDGET_MIB = 100.0
+#: Peak RSS budget (MiB) of that fold.  In float32 it peaks at 57.0-57.3 MiB
+#: (20 runs) with the outer product mean's block quantized in place, and at
+#: ~68 MiB when the quantizer returns a second block; the float64 fold peaked
+#: at ~99 MiB, building the full outer tensor at ~200 MiB, and the former
+#: two-pass quantizer at ~435 MiB.
+FOLD_BUDGET_MIB = 75.0
 
-#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard: ~103
-#: MiB in float32, ~186 MiB in float64 (row-blocked with one reused block
-#: buffer), ~673 MiB with the full float64 outer tensor.
+#: Length and peak RSS budget (MiB) of the long chunked AAQ fold guard:
+#: 103.4-103.7 MiB in float32 (20 runs; triangle multiplication, not the
+#: outer product mean, sets this peak), ~186 MiB in float64 (row-blocked
+#: with one reused block buffer), ~673 MiB with the full float64 outer
+#: tensor.
 LONG_FOLD_LENGTH = 192
 LONG_FOLD_BUDGET_MIB = 160.0
 

@@ -12,18 +12,22 @@ of one fold.
 Tap inputs are seeded normals.  Groups A and B get tied rows (the k-th and
 (k+1)-th largest magnitudes equal) on every 64th token, more often than a
 real fold has them, so the guard also pays for the exact tie path.  Each
-shape must be byte-equal to the reference before anything is timed.
+shape must be byte-equal to the reference before anything is timed.  The
+guard runs twice, on a float64 tap set and on the same taps in float32, the
+precision the fold runs in; both sides compute in the taps' precision.
 
 The guard reads the median of paired per-fold ratios: each pair times one
 round of each side back to back, alternating which goes first, so machine
 drift cancels out of a pair and the median discards pairs a hiccup landed
-in.  The figures land in ``BENCH_token_quant.json`` for EXPERIMENTS.md.
+in.  The figures land in ``BENCH_token_quant.json`` (float64) and
+``BENCH_token_quant_float32.json`` for EXPERIMENTS.md.
 """
 
 import statistics
 import time
 
 import numpy as np
+import pytest
 from conftest import emit_bench_json, print_table
 from reference_quant import reference_fake_quantize_tokens
 
@@ -53,8 +57,12 @@ PAIRS = 21
 MIN_SPEEDUP = 1.2
 
 
-def tap_inputs(seed=0):
-    """(values, config, calls) per fold tap, with tied tokens in Groups A/B."""
+def tap_inputs(seed=0, dtype=np.float64):
+    """(values, config, calls) per fold tap, with tied tokens in Groups A/B.
+
+    The taps are drawn in float64 and cast to ``dtype``; a tie is a
+    negation, so it survives the cast.
+    """
     rng = np.random.default_rng(seed)
     aaq = AAQConfig.paper_optimal()
     taps = []
@@ -70,7 +78,7 @@ def tap_inputs(seed=0):
             rows = np.arange(tied.shape[0])
             tied[rows, next_down] = -tied[rows, kth]
             flat[::TIE_EVERY] = tied
-        taps.append((values, config, calls))
+        taps.append((values.astype(dtype), config, calls))
     return taps
 
 
@@ -84,9 +92,11 @@ def fold_seconds(quantize, taps):
     return total
 
 
-def test_quantizer_beats_reference_on_fold_taps():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_quantizer_beats_reference_on_fold_taps(dtype):
     """CI guard: median of paired per-fold ratios >= 1.2x, outputs byte-equal."""
-    taps = tap_inputs()
+    taps = tap_inputs(dtype=dtype)
+    precision = np.dtype(dtype).name
     for values, config, _ in taps:
         assert (
             fake_quantize_tokens(values, config).tobytes()
@@ -117,9 +127,11 @@ def test_quantizer_beats_reference_on_fold_taps():
                      f"{ref / cur:4.2f}x"))
     rows.append(("per fold (median)", "", "", f"{statistics.median(references) * 1e3:7.1f} ms",
                  f"{statistics.median(currents) * 1e3:7.1f} ms", f"{speedup:4.2f}x"))
-    print_table(f"fake_quantize_tokens on the fold's taps (ms per fold; {PAIRS} pairs)", rows)
+    print_table(
+        f"fake_quantize_tokens on the fold's {precision} taps (ms per fold; {PAIRS} pairs)", rows
+    )
     emit_bench_json(
-        "token_quant",
+        "token_quant" if dtype is np.float64 else f"token_quant_{precision}",
         {
             "pairs": PAIRS,
             "speedup": speedup,
@@ -131,6 +143,6 @@ def test_quantizer_beats_reference_on_fold_taps():
     )
     assert speedup >= MIN_SPEEDUP, (
         f"quantizer only {speedup:.2f}x faster than the reference on the fold's "
-        f"taps (median of {PAIRS} paired ratios, quartiles {quartiles[0]:.2f}x / "
+        f"{precision} taps (median of {PAIRS} paired ratios, quartiles {quartiles[0]:.2f}x / "
         f"{quartiles[2]:.2f}x); floor is {MIN_SPEEDUP}x"
     )

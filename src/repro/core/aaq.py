@@ -113,14 +113,14 @@ class AAQQuantizer:
     def __init__(self, config: Optional[AAQConfig] = None) -> None:
         self.config = config or AAQConfig.paper_optimal()
 
-    def quantize(self, group: str, values: np.ndarray) -> np.ndarray:
-        """Fake-quantize an activation tensor belonging to ``group``."""
-        return fake_quantize_tokens(values, self.config.config_for(group))
+    def quantize(self, group: str, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Fake-quantize an activation tensor belonging to ``group`` (into ``out``, if given)."""
+        return fake_quantize_tokens(values, self.config.config_for(group), out=out)
 
-    def transform_for(self, group: str) -> Callable[[np.ndarray], np.ndarray]:
-        """A callable suitable for :class:`TransformingContext`."""
+    def transform_for(self, group: str) -> Callable[..., np.ndarray]:
+        """A callable ``f(values, out=None)`` suitable for :class:`TransformingContext`."""
         group_config = self.config.config_for(group)
-        return lambda values: fake_quantize_tokens(values, group_config)
+        return lambda values, out=None: fake_quantize_tokens(values, group_config, out=out)
 
     def make_context(self, recorder=None) -> TransformingContext:
         """Build an activation context injecting AAQ at every tap point."""

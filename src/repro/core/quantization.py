@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ppm.functional import row_max
+
 
 def integer_bounds(bits: int) -> int:
     """Largest representable magnitude of a signed ``bits``-bit integer grid."""
@@ -98,45 +100,69 @@ def quantization_error(original: np.ndarray, reconstructed: np.ndarray) -> Quant
     )
 
 
-def fake_quantize_tensorwise(values: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize/dequantize with a single scaling factor for the whole tensor."""
+def result_buffer(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The array a fake-quantizer writes its result into: ``out``, or a new one.
+
+    ``out`` must be a C-contiguous array of ``values``' shape and float dtype
+    (the dtype :func:`float_values` gives).  It may be ``values`` itself:
+    every quantizer reads what it needs of an element before writing it.
+    """
+    if out is None:
+        return np.empty(values.shape, dtype=values.dtype)
+    if out.shape != values.shape or out.dtype != values.dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous {values.dtype} array of shape {values.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out
+
+
+def _round_to_grid(values: np.ndarray, scale, bits: int, out: np.ndarray) -> np.ndarray:
+    """``out = clip(round(values / scale), -qmax, qmax) * scale``, in place."""
+    qmax = integer_bounds(bits)
+    np.divide(values, scale, out=out)
+    np.round(out, out=out)
+    np.clip(out, -qmax, qmax, out=out)
+    return np.multiply(out, scale, out=out)
+
+
+def fake_quantize_tensorwise(values: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Quantize/dequantize with a single scaling factor for the whole tensor.
+
+    ``out`` (see :func:`result_buffer`) receives the result; it may be
+    ``values``.
+    """
     values = float_values(values)
     scale = symmetric_scale(np.max(np.abs(values)) if values.size else 0.0, bits, values.dtype)
-    return dequantize_values(quantize_values(values, scale, bits), scale)
+    return _round_to_grid(values, scale, bits, result_buffer(values, out))
 
 
-def fake_quantize_channelwise(values: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize/dequantize with one scaling factor per channel (last axis)."""
-    values = float_values(values)
-    flat = values.reshape(-1, values.shape[-1])
-    max_abs = np.max(np.abs(flat), axis=0)
-    scale = symmetric_scale(max_abs, bits, values.dtype)
-    reconstructed = dequantize_values(quantize_values(flat, scale, bits), scale)
-    return reconstructed.reshape(values.shape)
+def fake_quantize_channelwise(values: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Quantize/dequantize with one scaling factor per channel (last axis).
 
-
-def _abs_row_max(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``max |x|`` of every row of ``flat``, by the cheapest pass for its width.
-
-    numpy reduces a narrow last axis slowly (one short inner loop per row), so
-    rows up to 16 wide fold column by column; up to 256 wide take one ``abs``
-    pass into ``scratch`` and reduce it; wider rows reduce ``max`` and
-    ``min`` directly with no ``abs`` pass (faster from about 256 columns on,
-    slower below).  ``max`` is exact, so all three equal
-    ``np.abs(flat).max(-1)`` up to the sign of a zero maximum, which
-    :func:`symmetric_scale` clamps to the same ``1e-12`` floor.
+    ``out`` (see :func:`result_buffer`) receives the result; it may be
+    ``values``.
     """
-    width = flat.shape[-1]
-    if width <= 16:
-        column = np.abs(flat[:, 0])
-        row_max = column.copy()
-        for j in range(1, width):
-            np.abs(flat[:, j], out=column)
-            np.maximum(row_max, column, out=row_max)
-        return row_max
-    if width < 256:
-        return np.abs(flat, out=scratch).max(axis=-1)
-    return np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
+    values = float_values(values)
+    out = result_buffer(values, out)
+    flat = values.reshape(-1, values.shape[-1])
+    scale = symmetric_scale(np.max(np.abs(flat), axis=0), bits, values.dtype)
+    _round_to_grid(flat, scale, bits, out.reshape(flat.shape))
+    return out
+
+
+def _abs_row_max(flat: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """``max |x|`` of every row of ``flat``: :func:`~repro.ppm.functional.row_max`.
+
+    Rows of up to 128 bytes (32 float32 or 16 float64 values) fold column by
+    column, rows up to 255 wide take one ``abs`` pass into ``scratch`` (a
+    new array when ``None``) and gather each row at its ``argmax``, and
+    wider rows reduce ``max`` and ``min`` with no ``abs`` pass.  Every pass
+    is exact, so all three equal ``np.abs(flat).max(-1)`` up to the sign of
+    a zero maximum, which :func:`symmetric_scale` clamps to the same
+    ``1e-12`` floor.
+    """
+    return row_max(flat, absolute=True, scratch=scratch)
 
 
 def _scale_round(values: np.ndarray, scales: np.ndarray, out: np.ndarray) -> None:
@@ -151,21 +177,26 @@ def _scale_round(values: np.ndarray, scales: np.ndarray, out: np.ndarray) -> Non
     np.multiply(out, scales, out=out)
 
 
-def fake_quantize_tokenwise(values: np.ndarray, bits: int) -> np.ndarray:
+def fake_quantize_tokenwise(values: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
     """Quantize/dequantize with one scaling factor per token (last-axis vector).
 
     The one token-wise pass without outliers: each token's maximum magnitude
     sets its scale, and every element is divided, rounded and multiplied back
-    into the returned buffer, which is also the scratch of the maximum.  The
-    transient peak, the result included, is about 1x the bytes of the float
-    input.  :func:`~repro.core.token_quant.fake_quantize_tokens` runs its
-    ``k == 0`` and ``k >= H`` cases through here.
+    into the result, which is also the scratch of the maximum.  The transient
+    peak, the result included, is about 1x the bytes of the float input.
+    ``out`` (see :func:`result_buffer`) receives the result; with
+    ``out is values`` nothing of input size is allocated for tokens of up to
+    128 bytes or from 256 values wide.
+    :func:`~repro.core.token_quant.fake_quantize_tokens` runs its ``k == 0``
+    and ``k >= H`` cases through here.
     """
     values = float_values(values)
+    result = result_buffer(values, out)
     flat = values.reshape(-1, values.shape[-1])
-    out = np.empty(flat.shape, dtype=flat.dtype)
-    _scale_round(flat, symmetric_scale(_abs_row_max(flat, out), bits, flat.dtype)[:, None], out)
-    return out.reshape(values.shape)
+    flat_out = result.reshape(flat.shape)
+    scratch = None if np.may_share_memory(flat_out, flat) else flat_out
+    _scale_round(flat, symmetric_scale(_abs_row_max(flat, scratch), bits, flat.dtype)[:, None], flat_out)
+    return result
 
 
 GRANULARITY_FUNCTIONS = {
@@ -175,7 +206,9 @@ GRANULARITY_FUNCTIONS = {
 }
 
 
-def fake_quantize(values: np.ndarray, bits: int, granularity: str = "token") -> np.ndarray:
+def fake_quantize(
+    values: np.ndarray, bits: int, granularity: str = "token", out: np.ndarray | None = None
+) -> np.ndarray:
     """Dispatch fake quantization by granularity name."""
     try:
         function = GRANULARITY_FUNCTIONS[granularity]
@@ -183,4 +216,4 @@ def fake_quantize(values: np.ndarray, bits: int, granularity: str = "token") -> 
         raise ValueError(
             f"unknown granularity {granularity!r}; expected one of {sorted(GRANULARITY_FUNCTIONS)}"
         ) from None
-    return function(values, bits)
+    return function(values, bits, out=out)

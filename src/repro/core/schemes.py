@@ -31,7 +31,8 @@ from .aaq import AAQConfig, AAQQuantizer
 from .quantization import fake_quantize_channelwise, fake_quantize_tensorwise, fake_quantize_tokenwise
 from .token_quant import TokenQuantConfig, fake_quantize_tokens
 
-Transform = Callable[[np.ndarray], np.ndarray]
+#: ``f(values, out=None)``: the fake-quantized ``values``, written into ``out`` when given.
+Transform = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -105,20 +106,20 @@ class QuantizationScheme:
 
 # --------------------------------------------------------------------------- helpers
 def _tokenwise(bits: int) -> Transform:
-    return lambda values: fake_quantize_tokenwise(values, bits)
+    return lambda values, out=None: fake_quantize_tokenwise(values, bits, out=out)
 
 
 def _tensorwise(bits: int) -> Transform:
-    return lambda values: fake_quantize_tensorwise(values, bits)
+    return lambda values, out=None: fake_quantize_tensorwise(values, bits, out=out)
 
 
 def _channelwise(bits: int) -> Transform:
-    return lambda values: fake_quantize_channelwise(values, bits)
+    return lambda values, out=None: fake_quantize_channelwise(values, bits, out=out)
 
 
 def _tokenwise_with_outliers(bits: int, outliers: int) -> Transform:
     config = TokenQuantConfig(inlier_bits=bits, outlier_count=outliers)
-    return lambda values: fake_quantize_tokens(values, config)
+    return lambda values, out=None: fake_quantize_tokens(values, config, out=out)
 
 
 # --------------------------------------------------------------------------- schemes

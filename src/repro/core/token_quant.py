@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ppm.functional import row_max
 from ..ppm.memory import token_layout
 from .quantization import (
     _scale_round,
@@ -30,6 +31,7 @@ from .quantization import (
     fake_quantize_tokenwise,
     float_values,
     quantize_values,
+    result_buffer,
     symmetric_scale,
 )
 
@@ -133,8 +135,8 @@ class PackedQuantizedTensor:
         inliers = np.take_along_axis(tokens, inlier_indices, axis=-1)
         outliers = np.take_along_axis(tokens, outlier_indices, axis=-1)
 
-        inlier_max = np.abs(inliers).max(axis=-1) if inliers.shape[-1] else np.zeros(num_tokens)
-        outlier_max = np.abs(outliers).max(axis=-1) if count else np.zeros(num_tokens)
+        inlier_max = row_max(inliers, absolute=True) if inliers.shape[-1] else np.zeros(num_tokens)
+        outlier_max = row_max(outliers, absolute=True) if count else np.zeros(num_tokens)
         scales = np.asarray(symmetric_scale(inlier_max, config.inlier_bits, tokens.dtype))
         outlier_scales = np.asarray(symmetric_scale(outlier_max, config.outlier_bits, tokens.dtype))
         return cls(
@@ -184,64 +186,58 @@ class PackedQuantizedTensor:
 
 
 #: Values per row block of the outlier path: 128 KiB of float64 (64 KiB of
-#: float32), so a block's partition, mask and scale buffers stay
-#: cache-resident between passes.
+#: float32), so a block's sort, mask and scale buffers stay cache-resident
+#: between passes.
 _OUTLIER_BLOCK_VALUES = 1 << 14
 
 
 def _element_scales(block: np.ndarray, count: int, config: TokenQuantConfig):
     """Each element's grid step in a block of tokens with ``0 < count < H`` outliers.
 
-    One ``np.partition`` of ``|block|`` at column ``H-k-1`` yields, per row,
-    the inlier maximum (that column) and the top-k magnitudes (the last k
-    columns, whose minimum is the cut); an element takes the outlier step
+    One ``np.sort`` of ``|block|`` ranks every row: column ``H-k-1`` is the
+    inlier maximum, column ``H-k`` the cut (the smallest of the top k) and
+    column ``H-1`` the outlier maximum; an element takes the outlier step
     when ``|x| >= cut``.  Returns the steps and the *tied* rows, whose cut
     equals their inlier maximum: there ``|x| >= cut`` holds more than k
     positions, so :func:`_requantize_tied` redoes them.
     """
-    hidden_dim = block.shape[-1]
-    inlier_column = hidden_dim - count - 1
+    inlier_column = block.shape[-1] - count - 1
     magnitudes = np.abs(block)
-    ranked = np.partition(magnitudes, inlier_column, axis=-1)
-    inlier_max = ranked[:, inlier_column].copy()
+    ranked = np.sort(magnitudes, axis=-1)
     cut = ranked[:, inlier_column + 1].copy()
-    outlier_max = cut.copy()
-    for j in range(inlier_column + 2, hidden_dim):
-        np.minimum(cut, ranked[:, j], out=cut)
-        np.maximum(outlier_max, ranked[:, j], out=outlier_max)
+    tied = np.flatnonzero(cut == ranked[:, inlier_column])
+    inlier_scale = symmetric_scale(ranked[:, inlier_column], config.inlier_bits, block.dtype)
+    outlier_scale = symmetric_scale(ranked[:, -1], config.outlier_bits, block.dtype)
     del ranked
-    scales = np.where(
-        magnitudes >= cut[:, None],
-        symmetric_scale(outlier_max, config.outlier_bits, block.dtype)[:, None],
-        symmetric_scale(inlier_max, config.inlier_bits, block.dtype)[:, None],
-    )
-    return scales, np.flatnonzero(cut == inlier_max)
+    scales = np.where(magnitudes >= cut[:, None], outlier_scale[:, None], inlier_scale[:, None])
+    return scales, tied
 
 
-def _requantize_tied(flat: np.ndarray, rows: np.ndarray, count: int, config: TokenQuantConfig,
-                     out: np.ndarray) -> None:
-    """Redo tied ``rows`` with the k outliers :func:`outlier_positions` picks.
+def _requantize_tied(values: np.ndarray, count: int, config: TokenQuantConfig) -> np.ndarray:
+    """Redo tied tokens ``values`` (a copy, written in place) with the k
+    outliers :func:`outlier_positions` picks.
 
     The same selection as the packed layout, so ties at the cut resolve to
     the positions the hardware stores.  Inlier and outlier maxima are taken
-    over that selection; they equal the partition's values.
+    over that selection; they equal the sort's values.
     """
-    values = flat[rows]
     magnitudes = np.abs(values)
     is_outlier = np.zeros(values.shape, dtype=bool)
     np.put_along_axis(is_outlier, outlier_positions(magnitudes, count), True, axis=-1)
-    inlier_max = np.where(is_outlier, 0.0, magnitudes).max(axis=-1, keepdims=True)
-    outlier_max = magnitudes.max(axis=-1, keepdims=True)
+    inlier_max = row_max(np.where(is_outlier, 0.0, magnitudes))
+    outlier_max = row_max(magnitudes)
     scales = np.where(
         is_outlier,
-        symmetric_scale(outlier_max, config.outlier_bits, values.dtype),
-        symmetric_scale(inlier_max, config.inlier_bits, values.dtype),
+        symmetric_scale(outlier_max, config.outlier_bits, values.dtype)[:, None],
+        symmetric_scale(inlier_max, config.inlier_bits, values.dtype)[:, None],
     )
     _scale_round(values, scales, values)
-    out[rows] = values
+    return values
 
 
-def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.ndarray:
+def fake_quantize_tokens(
+    values: np.ndarray, config: TokenQuantConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized token-wise fake quantization with top-k outlier handling.
 
     Equals ``PackedQuantizedTensor.pack(tokens, config).unpack()`` on the
@@ -251,44 +247,56 @@ def fake_quantize_tokens(values: np.ndarray, config: TokenQuantConfig) -> np.nda
 
     Every element is divided by its token's grid step (the inlier scale, or
     the outlier scale at the token's top-k positions), rounded and multiplied
-    back in one pass into the returned buffer, in the input's float precision:
+    back in one pass into the result, in the input's float precision:
     float32 values give a float32 result with float32 steps, float64 values
     a float64 one, and integer or bool values are quantized as float64.
+    ``out`` receives the result (a C-contiguous array of that shape and
+    dtype, see :func:`~repro.core.quantization.result_buffer`); it may be
+    ``values`` itself, which then holds the same bytes the out-of-place call
+    returns.  Otherwise ``values`` is never written.
+
     Without outliers (``k == 0``, or ``k >= H`` where every value is an
     outlier) the step is one per token: this is
     :func:`~repro.core.quantization.fake_quantize_tokenwise` at the inlier
     (or outlier) precision, whose transient peak, the returned array
-    included, is about 1x the bytes of the float input (1.09x at either
-    precision for a (9216, 32) pair tensor, 1.38x for (9216, 8)).  With outliers
-    (``0 < k < H``) the tokens go through in row blocks of about 16384
-    values, each with its own top-k partition, outlier mask and per-element
-    steps, so the peak is 1x plus a few block-sized buffers: 1.24x (float64)
-    and 1.25x (float32) of the input's bytes for a (9216, 32) pair tensor,
-    2.06x and 2.10x for (9216, 8), where one block is a fifth of the input.
-    Tokens tied at the top-k cut are redone afterwards with the positions
-    :func:`outlier_positions` picks, the selection the packed layout uses.
-    For finite input the result equals the former gather, clip and scatter
-    formulation bit for bit, at both precisions.  ``values`` is never written.
+    included, is about 1x the bytes of the float input (1.09x in float32
+    and 1.10x in float64 for a (9216, 32) pair tensor, 1.38x for
+    (9216, 8)); in place it is a few per-token arrays (see that function for
+    the widths).  With outliers (``0 < k < H``) the tokens go through in row
+    blocks of about 16384 values, each ranked by one sort into its own
+    outlier mask and per-element steps, so the peak is the result plus a few
+    block-sized buffers: 1.24x of the input's bytes at either precision for
+    a (9216, 32) pair tensor, 2.01x (float64) and 2.04x (float32) for
+    (9216, 8), where one block is a fifth of the input.  Tokens tied at the top-k cut are copied before their block is written
+    and redone afterwards with the positions :func:`outlier_positions`
+    picks, the selection the packed layout uses.  For finite input the
+    result equals the former gather, clip and scatter formulation bit for
+    bit, at both precisions.
     """
     values = float_values(values)
     hidden_dim = values.shape[-1]
     count = min(config.outlier_count, hidden_dim)
     if not 0 < count < hidden_dim:
-        return fake_quantize_tokenwise(values, config.outlier_bits if count else config.inlier_bits)
+        bits = config.outlier_bits if count else config.inlier_bits
+        return fake_quantize_tokenwise(values, bits, out=out)
 
+    result = result_buffer(values, out)
     flat = values.reshape(-1, hidden_dim)
-    out = np.empty(flat.shape, dtype=flat.dtype)
+    flat_out = result.reshape(flat.shape)
     rows = max(_OUTLIER_BLOCK_VALUES // hidden_dim, 1)
-    tied = []
+    tied_rows, tied_values = [], []
     for start in range(0, flat.shape[0], rows):
         block = slice(start, start + rows)
         scales, block_tied = _element_scales(flat[block], count, config)
-        _scale_round(flat[block], scales, out[block])
         if block_tied.size:
-            tied.append(block_tied + start)
-    if tied:
-        _requantize_tied(flat, np.concatenate(tied), count, config, out)
-    return out.reshape(values.shape)
+            tied_rows.append(block_tied + start)
+            tied_values.append(flat[block][block_tied])
+        _scale_round(flat[block], scales, flat_out[block])
+    if tied_rows:
+        flat_out[np.concatenate(tied_rows)] = _requantize_tied(
+            np.concatenate(tied_values), count, config
+        )
+    return result
 
 
 def token_quantization_rmse(values: np.ndarray, config: TokenQuantConfig) -> float:

@@ -25,10 +25,12 @@ in ``tests/reference_pricing.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._memo import CONFIG_MEMO
 from ..core.aaq import AAQConfig
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
@@ -170,8 +172,6 @@ class LightNobelAccelerator:
         self.rmpu = RMPU(self.hw_config)
         self.vvpu = VVPU(self.hw_config)
         self.hbm = HBMModel(self.hw_config)
-        #: Group vocabulary -> :meth:`_group_parameters` (the configs are frozen).
-        self._group_params: Dict[Tuple[Optional[str], ...], Dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ sizing
     def activation_bytes_per_element(self, group: Optional[str]) -> float:
@@ -179,6 +179,17 @@ class LightNobelAccelerator:
         return bytes_per_element(self.ppm_config, self.aaq_config, group)
 
     # --------------------------------------------------- per-group constants
+    @cached_property
+    def _group_params(self) -> Dict[Tuple[Optional[str], ...], Dict[str, np.ndarray]]:
+        """Group vocabulary -> :meth:`_group_parameters`, one dict per config value.
+
+        Shared through :data:`repro._memo.CONFIG_MEMO` by every accelerator
+        with equal hardware, PPM and AAQ configs (all frozen), so a fresh
+        accelerator reuses the constants an equal one built.
+        """
+        key = ("group_parameters", self.hw_config, self.ppm_config, self.aaq_config)
+        return CONFIG_MEMO.get(key, dict)
+
     def _group_parameters(
         self, groups: Tuple[Optional[str], ...]
     ) -> Dict[str, np.ndarray]:
@@ -188,7 +199,8 @@ class LightNobelAccelerator:
         :meth:`VVPU.quantization_cycles` and the per-operator DRAM traffic of
         the scalar reference in ``tests/reference_pricing.py``, so the
         vectorized path agrees with that per-operator loop.  Built once per
-        group vocabulary and accelerator; the arrays are read-only.
+        group vocabulary and config value in the process; the arrays are
+        read-only.
         """
         params = self._group_params.get(groups)
         if params is None:

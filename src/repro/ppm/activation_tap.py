@@ -6,8 +6,10 @@ quantization scheme, every module reports its activations through an
 :class:`ActivationContext`.  The default context is a no-op; an
 :class:`ActivationRecorder` collects statistics for the analysis experiments
 (Fig. 5, Fig. 6c); the quantization contexts in :mod:`repro.ppm.quantized`
-fake-quantize the activation in place, which is how the accuracy experiments
-(Fig. 11, Fig. 13) inject quantization error.
+fake-quantize the activation, which is how the accuracy experiments
+(Fig. 11, Fig. 13) inject quantization error.  A tap whose activation is
+scratch offers it as ``out``, and a quantizing context then writes the
+quantized values over it instead of allocating a second array.
 
 Activation groups follow Section 4.2 of the paper:
 
@@ -56,8 +58,15 @@ class ActivationRecord:
 class ActivationContext:
     """Base context: passes activations through unchanged and records nothing."""
 
-    def process(self, name: str, group: str, value: np.ndarray) -> np.ndarray:
-        """Hook invoked at every tap point; returns the (possibly new) activation."""
+    def process(
+        self, name: str, group: str, value: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Hook invoked at every tap point; returns the (possibly new) activation.
+
+        ``out``, when given, is a buffer the caller offers for the result
+        (it may be ``value`` itself): a context may write its result there
+        and return it.  Callers use the returned array either way.
+        """
         return value
 
 
@@ -135,7 +144,9 @@ class ActivationRecorder(ActivationContext):
             grown[: self._count] = self._stats
             self._stats = grown
 
-    def process(self, name: str, group: str, value: np.ndarray) -> np.ndarray:
+    def process(
+        self, name: str, group: str, value: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         token_count, mean_abs, max_abs, std, outliers = _activation_statistics(value)
         self._ensure_capacity()
         self._stats[self._count] = (mean_abs, max_abs, std, outliers, token_count)
@@ -225,19 +236,25 @@ class ActivationRecorder(ActivationContext):
 class TransformingContext(ActivationContext):
     """Context that applies a per-group transformation to every activation.
 
-    ``transforms`` maps group name to a callable ``f(array) -> array``; groups
-    without an entry pass through unchanged.  The quantization experiments use
-    this with fake-quantization callables built from the schemes in
-    :mod:`repro.core`.
+    ``transforms`` maps group name to a callable; groups without an entry
+    pass through unchanged.  A transform is called ``f(array)``, or
+    ``f(array, out=buffer)`` at a tap that offers a buffer, and returns the
+    transformed array.  The quantization experiments use this with
+    fake-quantization callables built from the schemes in :mod:`repro.core`,
+    which write into the offered buffer.
     """
 
-    transforms: Dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
+    transforms: Dict[str, Callable[..., np.ndarray]] = field(default_factory=dict)
     recorder: Optional[ActivationRecorder] = None
 
-    def process(self, name: str, group: str, value: np.ndarray) -> np.ndarray:
+    def process(
+        self, name: str, group: str, value: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         if self.recorder is not None:
             self.recorder.process(name, group, value)
         transform = self.transforms.get(group)
         if transform is None:
             return value
-        return transform(value)
+        if out is None:
+            return transform(value)
+        return transform(value, out=out)

@@ -107,7 +107,10 @@ class OuterProductMean(Module):
     size, AAQ contexts included.  A recording context sees one ``outer``
     record per block.  Every block is built in the same reused buffer, so
     the array handed to the ``outer`` tap is valid only during that call: a
-    context that keeps it must copy it (``ActivationRecorder`` does).
+    context that keeps it must copy it (``ActivationRecorder`` does).  The
+    tap is offered that buffer as ``out``, so an AAQ context quantizes the
+    block in place: the largest activation of the fold is held once, not
+    twice (12 MiB less at 96 residues with 32-row blocks in float32).
     """
 
     def __init__(
@@ -149,7 +152,7 @@ class OuterProductMean(Module):
             outer = np.multiply(a[rs, None, :, None], b[None, :, None, :], out=buffer[: rs.stop - rs.start])
             outer = outer.reshape(rs.stop - rs.start, num_cols, -1)
             outer /= math.sqrt(self.hidden_dim)
-            outer = ctx.process(f"{self.name}.outer", GROUP_C, outer)
+            outer = ctx.process(f"{self.name}.outer", GROUP_C, outer, out=outer)
             update[rs] = self.linear_o(outer)
         return update
 

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -36,7 +37,7 @@ FP16_BYTES = 2.0
 #: Rows processed per chunk under the Chunk4-style low-memory attention.
 CHUNK_ROWS = 4
 
-#: Longest sequence :func:`max_length` considers.
+#: First upper bound of :func:`max_length`'s search, doubled while it still fits.
 MAX_SEARCH_LENGTH = 20000
 
 
@@ -132,8 +133,16 @@ def fits(row: ResidentSet, config: PPMConfig, n: int, capacity_gb: float, aaq=No
 
 
 def max_length(row: ResidentSet, config: PPMConfig, capacity_gb: float, aaq=None) -> int:
-    """Longest sequence, up to :data:`MAX_SEARCH_LENGTH`, that :func:`fits` (binary search)."""
+    """Longest sequence that :func:`fits` (1 if none does).
+
+    The upper bound starts at :data:`MAX_SEARCH_LENGTH` and doubles while a
+    sequence that long still fits; a binary search then runs below it.
+    """
+    if not math.isfinite(capacity_gb):
+        raise ValueError(f"capacity must be finite, got {capacity_gb}")
     low, high = 1, MAX_SEARCH_LENGTH
+    while fits(row, config, high, capacity_gb, aaq):
+        low, high = high, 2 * high
     while low < high:
         mid = (low + high + 1) // 2
         if fits(row, config, mid, capacity_gb, aaq):

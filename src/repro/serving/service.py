@@ -65,6 +65,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .._digest import stable_digest
+from .._memo import CONFIG_MEMO
 from ..obs.tracing import Tracer
 from ..ppm.config import PPMConfig
 from ..sim.backend import SimReport
@@ -83,9 +84,6 @@ from .stats import ServiceStats
 RequestLike = Union[LatencyRequest, Tuple[Any, int]]
 #: A job's result: (report, error, memo_hit).
 _Result = Tuple[Optional[SimReport], Optional[str], bool]
-
-#: Hashable spec values a service remembers the coalescing key of.
-SPEC_KEY_MEMO_LIMIT = 1024
 
 
 def create_service(**kwargs) -> "LatencyService":
@@ -106,6 +104,9 @@ def _spec_key(spec: Any) -> Tuple[str, object]:
     via :mod:`repro._digest`; opaque backend instances expose their own
     ``config_digest``.  Anything else falls back to object identity — such
     requests never coalesce with each other, but still execute correctly.
+    Submission memoizes the key by the spec's value in the process-wide
+    :data:`repro._memo.CONFIG_MEMO`, so a fresh service does not digest a
+    spec again that an earlier one keyed.
     """
     if isinstance(spec, str):
         return ("name", spec.lower())
@@ -296,8 +297,6 @@ class LatencyService:
         #: dispatcher.
         self._settled = threading.Condition(lock)
         self._session_lock = threading.RLock()
-        #: Hashable spec value -> coalescing key (see :meth:`_spec_key`).
-        self._spec_keys: Dict[Any, Tuple[str, object]] = {}
         self._listeners: List = []  # see add_result_listener
         self._queue: Deque[_Job] = deque()
         #: Queued jobs with non-default priority/deadline; while zero the
@@ -355,18 +354,6 @@ class LatencyService:
         self.close()
 
     # ------------------------------------------------------------------ submit
-    def _spec_key(self, spec: Any) -> Tuple[str, object]:
-        """:func:`_spec_key`, memoized by value like the session's spec memo."""
-        try:
-            key = self._spec_keys.get(spec)
-        except TypeError:  # unhashable: keyed afresh
-            return _spec_key(spec)
-        if key is None:
-            key = _spec_key(spec)
-            if len(self._spec_keys) < SPEC_KEY_MEMO_LIMIT:
-                self._spec_keys[spec] = key
-        return key
-
     def submit(self, request: RequestLike) -> int:
         """Enqueue one request as a one-slot batch (see :meth:`submit_batch`); returns its id."""
         return self._submit((request,)).first
@@ -419,7 +406,7 @@ class LatencyService:
                 request, include = (spec, length), default_include  # no request object built
             spec_key = spec_keys.get(id(spec))
             if spec_key is None:
-                spec_key = spec_keys[id(spec)] = self._spec_key(spec)
+                spec_key = spec_keys[id(spec)] = CONFIG_MEMO.get(("spec_key", spec), _spec_key, spec)
             specs.append(spec)
             originals.append(request)
             keys.append((spec_key, length, include))  # the job key

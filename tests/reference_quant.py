@@ -142,7 +142,8 @@ def packed_aaq_context(config: AAQConfig = None, recorder=None) -> TransformingC
     config = config or AAQConfig.paper_optimal()
 
     def transform(group_config):
-        return lambda values: packed_fake_quantize(values, group_config)
+        # The offered buffer is not used: the store builds its own arrays.
+        return lambda values, out=None: packed_fake_quantize(values, group_config)
 
     return TransformingContext(
         transforms={group: transform(config.config_for(group)) for group in GROUPS},

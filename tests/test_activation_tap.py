@@ -58,6 +58,23 @@ def test_transforming_context_applies_per_group(rng):
     assert np.allclose(ctx.process("y", GROUP_B, x), x)
 
 
+def test_contexts_take_an_offered_buffer(rng):
+    x = rng.normal(size=(3, 4))
+    calls = []
+
+    def transform(a, out=None):
+        calls.append(out)
+        return np.multiply(a, 0.0, out=out)
+
+    ctx = TransformingContext(transforms={GROUP_A: transform, GROUP_B: lambda a: a + 1.0})
+    assert ActivationContext().process("x", GROUP_A, x, out=x) is x
+    assert ActivationRecorder().process("x", GROUP_A, x, out=x) is x
+    assert ctx.process("y", GROUP_B, x).tobytes() == (x + 1.0).tobytes()  # one-argument transform
+    assert ctx.process("x", GROUP_A, x.copy()) is not x and calls == [None]
+    assert ctx.process("x", GROUP_A, x, out=x) is x and calls[-1] is x
+    assert not x.any()
+
+
 def test_transforming_context_with_recorder(rng):
     recorder = ActivationRecorder()
     ctx = TransformingContext(transforms={}, recorder=recorder)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._memo import CONFIG_MEMO
 from repro.core import AAQConfig, TokenQuantConfig
 from repro.hardware import (
     AreaPowerModel,
@@ -189,6 +190,7 @@ class TestAcceleratorSimulation:
         assert accelerator.folding_block_seconds(128) < report.total_seconds
 
     def test_group_parameters_are_built_once_per_vocabulary(self, monkeypatch):
+        CONFIG_MEMO.clear()  # the constants are memoized per process
         config = PPMConfig.paper()
         stack = get_stacked_table(config, (128, 256, 384))
         cached = LightNobelAccelerator(ppm_config=config)
@@ -203,8 +205,11 @@ class TestAcceleratorSimulation:
         first = cached.simulate_stack(stack)
         second = cached.simulate_stack(stack)
         assert builds == [stack.representatives().groups]
-        # Every call on a fresh accelerator builds its own constants.
+        # A fresh accelerator with equal configs reuses them; another
+        # hardware config builds its own.
         fresh = LightNobelAccelerator(ppm_config=config).simulate_stack(stack)
+        assert len(builds) == 1
+        LightNobelAccelerator(LightNobelConfig(num_rmpus=8), ppm_config=config).simulate_stack(stack)
         assert len(builds) == 2
         for reports in (second, fresh):
             for a, b in zip(first, reports):

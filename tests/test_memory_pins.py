@@ -21,10 +21,11 @@ from repro.analysis import (
     memory_footprint_comparison,
     peak_memory_comparison,
 )
-from repro.core import TokenQuantConfig, pack_tokens_into_blocks, token_layout
+from repro.core import AAQConfig, TokenQuantConfig, pack_tokens_into_blocks, token_layout
 from repro.gpu import GPUModel
 from repro.gpu.gpu_config import GPUS
 from repro.hardware import LightNobelAccelerator
+from repro.ppm import PPMConfig, memory
 
 LENGTHS = (1, 24, 256, 1410, 3364, 6879, 10655)
 
@@ -158,6 +159,17 @@ def test_fig16b_memory_footprint(n):
 def test_max_supported_length():
     assert {gb: max_supported_length(gb) for gb in MAX_SUPPORTED} == MAX_SUPPORTED
     assert MAX_SUPPORTED[80.0] == 10655
+
+
+@pytest.mark.parametrize("budget_gb", [278.5, 320.0, 2000.0])
+def test_max_supported_length_beyond_the_first_search_bound(budget_gb):
+    # From about 278 GB on, sequences longer than the search's first upper
+    # bound fit: the bound grows until one does not.
+    config, aaq = PPMConfig.paper(), AAQConfig.paper_optimal()
+    n = max_supported_length(budget_gb)
+    assert n > memory.MAX_SEARCH_LENGTH
+    assert memory.fits(memory.LIGHTNOBEL_AAQ, config, n, budget_gb, aaq)
+    assert not memory.fits(memory.LIGHTNOBEL_AAQ, config, n + 1, budget_gb, aaq)
 
 
 @pytest.mark.parametrize("name", sorted(GPUS))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import AAQQuantizer
 from repro.ppm import (
     GROUP_A,
     GROUP_B,
     GROUP_C,
+    ActivationContext,
     ActivationRecorder,
     FoldingBlock,
     FoldingTrunk,
@@ -104,6 +106,25 @@ class TestSequenceAttentionAndOPM:
         outer = np.einsum("ic,jd->ijcd", a, b).reshape(a.shape[0], b.shape[0], -1)
         expected = module.linear_o(outer / np.sqrt(module.hidden_dim))
         assert module(seq).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_outer_tap_is_quantized_in_its_block_buffer(self, config, reps, chunk):
+        """The ``outer`` tap is offered its block as ``out``; AAQ writes over it."""
+        seq, _ = reps
+        module = OuterProductMean(config.with_chunking(attn_chunk_size=chunk), np.random.default_rng(7))
+        aaq = AAQQuantizer()
+
+        class Offered(ActivationContext):
+            def __init__(self, in_place):
+                self.in_place, self.offers = in_place, []
+
+            def process(self, name, group, value, out=None):
+                self.offers.append(out is value)
+                return aaq.quantize(group, value, out=out if self.in_place else None)
+
+        in_place, copied = Offered(True), Offered(False)
+        assert module(seq, in_place).tobytes() == module(seq, copied).tobytes()
+        assert in_place.offers and all(in_place.offers)
 
 
 class TestFoldingBlock:

@@ -52,7 +52,7 @@ class _Capture(ActivationContext):
     def __init__(self) -> None:
         self.taps = {}
 
-    def process(self, name, group, value):
+    def process(self, name, group, value, out=None):
         self.taps.setdefault(name.rsplit(".", 1)[-1], []).append(value)
         return value
 

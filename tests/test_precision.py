@@ -38,10 +38,10 @@ class TapDtypes(ActivationContext):
         self.inner = inner
         self.dtypes = {}
 
-    def process(self, name, group, value):
-        out = self.inner.process(name, group, value)
-        self.dtypes.setdefault(name, set()).update((value.dtype, out.dtype))
-        return out
+    def process(self, name, group, value, out=None):
+        result = self.inner.process(name, group, value, out=out)
+        self.dtypes.setdefault(name, set()).update((value.dtype, result.dtype))
+        return result
 
 
 def test_dtype_defaults_to_float32_and_is_validated():

@@ -9,10 +9,11 @@ import time
 import pytest
 
 from repro import _digest as digest_module
+from repro._memo import CONFIG_MEMO, ConfigMemo
 from repro.analysis import hardware_dse, latency_breakdown
 from repro.analysis.latency import compare_hardware_on_lengths
 from repro.gpu import EndToEndComparison
-from repro.hardware import LightNobelConfig
+from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.obs.tracing import Tracer
 from repro.ppm import PPMConfig
 from repro.serving import (
@@ -149,6 +150,11 @@ class TestCoalescing:
 
 
 class TestSpecKeys:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        # Spec keys are memoized per process: start from none.
+        CONFIG_MEMO.clear()
+
     def test_batch_digests_each_spec_object_once(self, config, monkeypatch):
         calls = {"n": 0}
         original = service_module._spec_key
@@ -189,19 +195,50 @@ class TestSpecKeys:
             assert service.stats.simulations == 4
         assert digested == [LightNobelConfig(num_rmpus=3), LightNobelConfig(num_rmpus=5)]
 
-    def test_spec_key_memo_is_bounded_and_skips_unhashable_specs(self, config, monkeypatch):
+    def test_spec_key_memo_is_bounded_and_skips_unhashable_specs(self):
         @dataclasses.dataclass
         class MutableSpec:  # eq without frozen: unhashable
             rmpus: int
 
-        monkeypatch.setattr(service_module, "SPEC_KEY_MEMO_LIMIT", 1)
-        service = make_service(config, autostart=False)
+        memo = ConfigMemo(limit=1)
         first, second = LightNobelConfig(num_rmpus=3), LightNobelConfig(num_rmpus=5)
-        assert service._spec_key(first) == service_module._spec_key(first)
-        assert service._spec_key(second) == service_module._spec_key(second)
-        assert service._spec_key(MutableSpec(2)) == service._spec_key(MutableSpec(2))
-        assert list(service._spec_keys) == [first]
-        service.close()
+        key = service_module._spec_key
+        assert memo.get(("spec_key", first), key, first) == key(first)
+        assert memo.get(("spec_key", first), key, first) == key(first)
+        assert len(memo) == 1
+        assert memo.get(("spec_key", second), key, second) == key(second)
+        assert len(memo) == 1  # the oldest entry made room
+        spec = MutableSpec(2)
+        assert memo.get(("spec_key", spec), key, spec) == key(spec)
+        assert len(memo) == 1
+        with pytest.raises(ValueError):
+            ConfigMemo(limit=0)
+
+    def test_a_fresh_service_rekeys_no_spec_and_rebuilds_no_constants(self, config, monkeypatch):
+        # Every dse-sweep pass opens a fresh service over the Fig. 12 grid;
+        # the second pays neither spec digests nor group-parameter builds.
+        counts = {"keys": 0, "builds": 0}
+        key, build = service_module._spec_key, LightNobelAccelerator._build_group_parameters
+
+        def counting_key(spec):
+            counts["keys"] += 1
+            return key(spec)
+
+        def counting_build(self, groups):
+            counts["builds"] += 1
+            return build(self, groups)
+
+        monkeypatch.setattr(service_module, "_spec_key", counting_key)
+        monkeypatch.setattr(LightNobelAccelerator, "_build_group_parameters", counting_build)
+        kwargs = dict(sequence_lengths=LENGTHS, config=config)
+        with make_service(config) as service:
+            first = hardware_dse(service=service, **kwargs)
+        assert counts["keys"] > 0 and counts["builds"] > 0
+        counts.update(keys=0, builds=0)
+        with make_service(config) as service:
+            assert hardware_dse(service=service, **kwargs) == first
+            assert service.stats.simulations > 0  # a fresh memo: every point priced
+        assert counts == {"keys": 0, "builds": 0}
 
     def test_equal_configs_in_distinct_objects_coalesce_within_a_batch(self, config):
         first, second = LightNobelConfig(num_rmpus=8), LightNobelConfig(num_rmpus=8)

@@ -21,7 +21,8 @@ from repro.core import (
     token_quantization_rmse,
 )
 from repro.core import token_quant
-from repro.ppm.activation_tap import GROUPS
+from repro.core.schemes import all_schemes
+from repro.ppm.activation_tap import GROUP_C, GROUPS
 
 
 def token_with_outliers(rng, dim=128, outliers=4, outlier_value=50.0):
@@ -139,9 +140,10 @@ class TestTransientMemory:
     numpy reports its buffers to ``tracemalloc``, so the traced peak is
     deterministic.  The two-pass body peaked at 4.1x (Group C) and 7.1x
     (Groups A/B) of the input's bytes.  The bound holds for float64 and
-    float32 input alike (2.06x and 2.10x at the narrowest shape; Group C
+    float32 input alike (2.01x and 2.04x at the narrowest shape; Group C
     reads 1.38x at either precision there, since its scales are derived in
-    the input's dtype).
+    the input's dtype).  An in-place call (``out=values``) on the outer
+    product mean's tap allocates no input-sized buffer at all.
     """
 
     #: A 96-residue pair tensor with 8 (triangle attention head), 32 (pair)
@@ -170,10 +172,29 @@ class TestTransientMemory:
                 f"transient peak {ratio:.2f}x input bytes"
             )
 
+    #: Peak traced bytes of an in-place call over ``input.nbytes``.
+    MAX_IN_PLACE_RATIO = 0.1
+
+    def test_in_place_outer_product_tap(self):
+        """The outer product mean's float32 Group C tap, quantized into its own buffer."""
+        config = AAQConfig.paper_optimal().config_for(GROUP_C)
+        values = np.random.default_rng(0).normal(size=(96 * 96, 1024)).astype(np.float32)
+        expected = fake_quantize_tokens(values, config)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            out = fake_quantize_tokens(values, config, out=values)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert out is values and out.tobytes() == expected.tobytes()
+        ratio = peak / values.nbytes
+        assert ratio <= self.MAX_IN_PLACE_RATIO, f"in-place peak {ratio:.3f}x input bytes"
+
 
 #: Token widths of the reference parity test: degenerate widths, the fold's
 #: 2, 8, 16, 32, 96 and 1024, and both sides of each row-max strategy edge.
-PARITY_WIDTHS = (1, 2, 3, 8, 16, 17, 32, 63, 64, 96, 255, 256, 1024)
+PARITY_WIDTHS = (1, 2, 3, 8, 16, 17, 32, 33, 63, 64, 96, 255, 256, 1024)
 
 #: Kinds of token the parity test mixes row by row.
 TOKEN_KINDS = ("normal", "quantized", "pairs", "repeated", "zero", "equal")
@@ -237,3 +258,58 @@ def test_fake_quantize_tokens_byte_equal_to_reference_float32(case):
     reference = reference_fake_quantize_tokens(tokens, config)
     assert result.dtype == reference.dtype == np.float32
     assert result.tobytes() == reference.tobytes()
+
+
+@st.composite
+def any_config_tokens(draw):
+    """(tokens, config) of :func:`tie_heavy_tokens` under any supported precision."""
+    tokens, config = draw(tie_heavy_tokens())
+    config = TokenQuantConfig(
+        inlier_bits=draw(st.sampled_from([2, 3, 4, 6, 8, 16])),
+        outlier_count=config.outlier_count,
+        outlier_bits=draw(st.sampled_from([8, 16, 32])),
+    )
+    return tokens.astype(draw(st.sampled_from([np.float32, np.float64]))), config
+
+
+@given(any_config_tokens())
+@settings(max_examples=60, deadline=None)
+def test_out_is_values_gives_the_out_of_place_bytes(case):
+    """``out=values`` for k = 0, 0 < k < H and k >= H, ties across row blocks."""
+    tokens, config = case
+    expected = fake_quantize_tokens(tokens, config)
+    result = fake_quantize_tokens(tokens, config, out=tokens)
+    assert result is tokens
+    assert result.tobytes() == expected.tobytes()
+
+
+class TestOutParameter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_scheme_transform_in_place(self, rng, dtype):
+        """Each scheme's transform writes the out-of-place bytes into ``out``."""
+        shapes = ((4, 8, 8), (64, 32), (16, 96), (3, 300))
+        for name, scheme in all_schemes().items():
+            for group, transform in scheme.activation_transforms.items():
+                for shape in shapes:
+                    values = rng.normal(scale=3.0, size=shape).astype(dtype)
+                    values.reshape(-1, shape[-1])[::5, :2] = 7.0  # tied top magnitudes
+                    expected = transform(values)
+                    result = transform(values, out=values)
+                    assert result is values, (name, group, shape)
+                    assert result.tobytes() == expected.tobytes(), (name, group, shape)
+
+    def test_into_a_separate_buffer(self, rng):
+        values = rng.normal(size=(50, 32)).astype(np.float32)
+        before = values.copy()
+        out = np.empty_like(values)
+        config = TokenQuantConfig(inlier_bits=4, outlier_count=4)
+        assert fake_quantize_tokens(values, config, out=out) is out
+        assert out.tobytes() == fake_quantize_tokens(values, config).tobytes()
+        assert values.tobytes() == before.tobytes()
+
+    def test_rejects_a_buffer_it_cannot_fill(self, rng):
+        values = rng.normal(size=(8, 16))
+        config = TokenQuantConfig(inlier_bits=4, outlier_count=2)
+        for out in (values.astype(np.float32), np.empty((8, 8)), np.empty((16, 16))[::2]):
+            with pytest.raises(ValueError):
+                fake_quantize_tokens(values, config, out=out)
