@@ -6,9 +6,12 @@ session builds new accelerators for the same grid of hardware configs.  What
 they derive from an equal config is equal, so it is memoized here by the
 config's value, once per process, rather than once per object:
 
-* a backend spec's coalescing key (``repro.serving.service``);
+* a backend spec's coalescing key (``repro.serving.service``) and a
+  backend's config digest (``repro.sim.backend``);
 * an accelerator's per-group engine constants, per hardware, PPM and AAQ
-  config (``repro.hardware.accelerator``).
+  config (``repro.hardware.accelerator``);
+* the longest sequence that fits, per resident set, PPM config, capacity
+  and AAQ config (``repro.ppm.memory.max_length``).
 
 Callers namespace their keys with a leading string.  Keys are compared by
 value, so they must be hashable configuration values (frozen dataclasses,

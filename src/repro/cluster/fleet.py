@@ -62,8 +62,8 @@ class MultiChipBackend:
     so multi-chip numbers are exactly reproducible wherever the single-chip
     numbers are.
 
-    Memory relief from sharding is *not* modeled: an inner out-of-memory
-    verdict is passed through unchanged (conservative for GPU backends).
+    Memory relief from sharding is *not* modeled: the inner backend's
+    out-of-memory verdict, GPU or accelerator, passes through unchanged.
     """
 
     def __init__(

@@ -69,7 +69,6 @@ class GPUModel:
     ) -> None:
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.ppm_config = ppm_config or PPMConfig.paper()
-        self._fits_cache: Dict[Tuple[int, bool], bool] = {}
 
     # ------------------------------------------------------------------ timing
     def _operator_columns(self, stack, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
@@ -116,6 +115,7 @@ class GPUModel:
         totals, (phase_dicts, subphase_dicts) = stack.segment_sums(
             np.vstack(self._operator_columns(stack, chunked)), "phase", "subphase"
         )
+        limit = self.max_sequence_length(chunked)
         reports = []
         for table, total_seconds, kernel_count, phases, subphases in zip(
             stack.tables, *totals.tolist(), phase_dicts, subphase_dicts
@@ -130,7 +130,7 @@ class GPUModel:
                     phase_seconds=phases,
                     subphase_seconds={sub: s for sub, s in subphases.items() if sub},
                     kernel_count=kernel_count,
-                    out_of_memory=not self.fits_in_memory(n, chunked=chunked),
+                    out_of_memory=n > limit,
                 )
             )
         return reports
@@ -143,7 +143,7 @@ class GPUModel:
         The totals come from the same :meth:`StackedOperatorTable.segment_sums`
         reduction :meth:`simulate_stack` uses, so each float is identical to
         the full-report path; memory feasibility is the caller's concern (see
-        :meth:`fits_in_memory`, which is memoized).
+        :meth:`max_sequence_length`).
         """
         seconds, _ = self._operator_columns(stack, chunked)
         return stack.segment_sums(seconds)[0][0].tolist()
@@ -167,14 +167,8 @@ class GPUModel:
         return memory.peak_bytes(_resident_set(chunked), self.ppm_config, sequence_length)
 
     def fits_in_memory(self, sequence_length: int, chunked: bool = False) -> bool:
-        key = (int(sequence_length), bool(chunked))
-        cached = self._fits_cache.get(key)
-        if cached is None:
-            cached = self._fits_cache[key] = memory.fits(
-                _resident_set(chunked), self.ppm_config, sequence_length, self.gpu.memory_gb
-            )
-        return cached
+        return sequence_length <= self.max_sequence_length(chunked)
 
     def max_sequence_length(self, chunked: bool = False) -> int:
-        """Longest sequence that fits in GPU memory."""
+        """Longest sequence that fits in GPU memory (0 if none does)."""
         return memory.max_length(_resident_set(chunked), self.ppm_config, self.gpu.memory_gb)

@@ -6,9 +6,13 @@
   1.4% of AAQ's Group A token and 2.6% of Group B's.
 * A system's peak is one sum of per-region terms with explicit copy counts,
   ``weights + (pair_copies * pair + 2 * seq + score)``, one :class:`ResidentSet`
-  row per system.  :func:`fits` compares it with a capacity in GB and
-  :func:`max_length` finds the longest sequence that fits.  The copy counts are
-  declared, not measured against the numpy substrate.
+  row per system.  :func:`fits`, the one fit formula, compares it with a
+  capacity in GB.  The copy counts are declared, not measured against the
+  numpy substrate.
+* :func:`max_length` is the fit answer: ``fits(n)`` exactly when ``n <=
+  max_length`` (0 when nothing fits), and every backend reports out-of-memory
+  at ``n > max_length``.  One search over :func:`fits` finds it, memoized in
+  :data:`repro._memo.CONFIG_MEMO` by ``(row, config, capacity_gb, aaq)``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .._memo import CONFIG_MEMO
+from .._search import largest_n
 from .config import PPMConfig
 from .workload import pair_activation_elements, score_matrix_elements, sequence_activation_elements
 
@@ -36,9 +42,6 @@ FP16_BYTES = 2.0
 
 #: Rows processed per chunk under the Chunk4-style low-memory attention.
 CHUNK_ROWS = 4
-
-#: First upper bound of :func:`max_length`'s search, doubled while it still fits.
-MAX_SEARCH_LENGTH = 20000
 
 
 @dataclass(frozen=True)
@@ -133,20 +136,8 @@ def fits(row: ResidentSet, config: PPMConfig, n: int, capacity_gb: float, aaq=No
 
 
 def max_length(row: ResidentSet, config: PPMConfig, capacity_gb: float, aaq=None) -> int:
-    """Longest sequence that :func:`fits` (1 if none does).
-
-    The upper bound starts at :data:`MAX_SEARCH_LENGTH` and doubles while a
-    sequence that long still fits; a binary search then runs below it.
-    """
+    """Longest sequence that :func:`fits` (0 if none does), memoized per argument set."""
     if not math.isfinite(capacity_gb):
         raise ValueError(f"capacity must be finite, got {capacity_gb}")
-    low, high = 1, MAX_SEARCH_LENGTH
-    while fits(row, config, high, capacity_gb, aaq):
-        low, high = high, 2 * high
-    while low < high:
-        mid = (low + high + 1) // 2
-        if fits(row, config, mid, capacity_gb, aaq):
-            low = mid
-        else:
-            high = mid - 1
-    return low
+    key = ("max_length", row, config, capacity_gb, aaq)
+    return CONFIG_MEMO.get(key, largest_n, lambda n: fits(row, config, n, capacity_gb, aaq))

@@ -57,6 +57,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._search import largest_n
 from .config import PPMConfig
 from .workload import (
     PHASE_INPUT_EMBEDDING,
@@ -457,16 +458,7 @@ def _exact_limit(coefficients: np.ndarray) -> int:
     """
     c0, c1, c2, c3 = np.abs(coefficients).reshape(4, -1)
 
-    def fits(n: int) -> bool:
-        return bool((((c3 * n + c2) * n + c1) * n + c0).max() <= _EXACT)
-
-    low, high = 0, 1
-    while fits(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        middle = (low + high) // 2
-        low, high = (middle, high) if fits(middle) else (low, middle)
-    return low
+    return largest_n(lambda n: bool((((c3 * n + c2) * n + c1) * n + c0).max() <= _EXACT))
 
 
 class _Cubics:

@@ -1,10 +1,9 @@
 """Latency backends: one protocol over every simulator that produces seconds.
 
 The accelerator model (:class:`~repro.hardware.accelerator.LightNobelAccelerator`)
-and the GPU roofline (:class:`~repro.gpu.gpu_model.GPUModel`) grew up as
-unrelated classes with different report shapes (cycles vs seconds, different
-phase accessors).  Every figure loop downstream re-implemented the glue.  This
-module gives them a single face:
+and the GPU roofline (:class:`~repro.gpu.gpu_model.GPUModel`) report in
+different shapes (cycles vs seconds, different phase accessors).  This module
+gives them a single face:
 
 * :class:`SimReport` — the common result shape (seconds, per-phase seconds,
   OOM flag, backend-specific details),
@@ -44,11 +43,13 @@ from typing import (
 )
 
 from .._digest import stable_digest
+from .._memo import CONFIG_MEMO
 from ..core.aaq import AAQConfig
 from ..gpu.gpu_config import GPUSpec, GPUS, get_gpu
 from ..gpu.gpu_model import GPUModel
 from ..hardware.accelerator import LightNobelAccelerator
 from ..hardware.config import LightNobelConfig
+from ..ppm import memory
 from ..ppm.config import PPMConfig
 from ..ppm.op_table import StackedOperatorTable
 from ..ppm.workload import PHASE_PAIR, PHASE_SEQUENCE
@@ -100,7 +101,9 @@ class LatencyBackend(Protocol):
     Both methods evaluate a whole length mix in one pass and return one
     entry per segment, in ``stack.lengths`` order.  A single length is a
     one-segment stack.  ``simulate_stack_totals`` must equal the
-    ``(total_seconds, out_of_memory)`` of ``simulate_stack`` exactly.
+    ``(total_seconds, out_of_memory)`` of ``simulate_stack`` exactly.  A
+    length is out of memory, on GPUs and the accelerator alike, when it
+    exceeds the backend's :func:`repro.ppm.memory.max_length`.
     """
 
     name: str
@@ -121,27 +124,16 @@ class LatencyBackend(Protocol):
         ...
 
 
-#: Memo for backend config digests keyed by the (hashable, frozen) config
-#: values themselves.  Sessions are cheap to create, so the same handful of
-#: configurations gets re-digested constantly; the JSON canonicalization
-#: behind :func:`stable_digest` is the single largest cost of standing up a
-#: session.  Bounded: cleared wholesale if an unexpected config churn ever
-#: grows it past the cap.
-_DIGEST_MEMO: Dict[Tuple, str] = {}
-_DIGEST_MEMO_LIMIT = 256
-
-
 def _memoized_digest(kind: str, payload: Dict) -> str:
-    try:
-        key = (kind, tuple(sorted(payload.items())))
-        cached = _DIGEST_MEMO.get(key)
-    except TypeError:  # unhashable config object — digest it every time
-        return stable_digest(kind, payload)
-    if cached is None:
-        if len(_DIGEST_MEMO) >= _DIGEST_MEMO_LIMIT:
-            _DIGEST_MEMO.clear()
-        cached = _DIGEST_MEMO[key] = stable_digest(kind, payload)
-    return cached
+    """``stable_digest(kind, payload)`` memoized by value: fresh sessions digest
+    the same few configs, and the digest is the largest cost of building one."""
+    key = ("config_digest", kind, tuple(sorted(payload.items())))
+    return CONFIG_MEMO.get(key, stable_digest, kind, payload)
+
+
+def _out_of_memory(stack: StackedOperatorTable, max_length: int) -> List[bool]:
+    """Per segment, whether its length exceeds the backend's ``max_length``."""
+    return [n > max_length for n in stack.lengths]
 
 
 class AcceleratorBackend:
@@ -167,7 +159,15 @@ class AcceleratorBackend:
         self.ppm_config = simulator.ppm_config
         self.name = name or "lightnobel"
 
-    def _to_sim_report(self, report) -> SimReport:
+    @property
+    def max_length(self) -> int:
+        """Longest sequence the accelerator's HBM holds (``LIGHTNOBEL_AAQ``)."""
+        sim = self.simulator
+        return memory.max_length(
+            memory.LIGHTNOBEL_AAQ, sim.ppm_config, sim.hw_config.hbm_capacity_gb, sim.aaq_config
+        )
+
+    def _to_sim_report(self, report, out_of_memory: bool) -> SimReport:
         clock = self.simulator.hw_config.cycles_per_second
         return SimReport(
             backend=self.name,
@@ -177,7 +177,7 @@ class AcceleratorBackend:
             subphase_seconds={
                 sub: cycles / clock for sub, cycles in report.subphase_cycles.items()
             },
-            out_of_memory=False,
+            out_of_memory=out_of_memory,
             details={
                 "total_cycles": report.total_cycles,
                 "dram_bytes": report.dram_bytes,
@@ -186,13 +186,15 @@ class AcceleratorBackend:
 
     def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One vectorized engine pass over a length mix; reports per segment."""
-        return [self._to_sim_report(r) for r in self.simulator.simulate_stack(stack)]
+        reports = self.simulator.simulate_stack(stack)
+        return list(map(self._to_sim_report, reports, _out_of_memory(stack, self.max_length)))
 
     def simulate_stack_totals(
         self, stack: StackedOperatorTable
     ) -> List[Tuple[float, bool]]:
         """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
-        return [(t, False) for t in self.simulator.simulate_stack_totals(stack)]
+        totals = self.simulator.simulate_stack_totals(stack)
+        return list(zip(totals, _out_of_memory(stack, self.max_length)))
 
     def config_digest(self) -> str:
         return _memoized_digest(
@@ -222,7 +224,12 @@ class GPUBackend:
         default = self.model.gpu.name.lower() + ("-chunk" if chunked else "")
         self.name = name or default
 
-    def _to_sim_report(self, report) -> SimReport:
+    @property
+    def max_length(self) -> int:
+        """Longest sequence the GPU's memory holds."""
+        return self.model.max_sequence_length(self.chunked)
+
+    def _to_sim_report(self, report, out_of_memory: bool) -> SimReport:
         # The GPULatencyReport is built fresh per call and discarded here, so
         # its phase/subphase dicts can be adopted without a defensive copy.
         return SimReport(
@@ -231,29 +238,21 @@ class GPUBackend:
             total_seconds=report.total_seconds,
             phase_seconds=report.phase_seconds,
             subphase_seconds=report.subphase_seconds,
-            out_of_memory=report.out_of_memory,
+            out_of_memory=out_of_memory,
             details={"kernel_count": report.kernel_count},
         )
 
     def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One vectorized roofline pass over a length mix; reports per segment."""
-        return [
-            self._to_sim_report(r)
-            for r in self.model.simulate_stack(stack, chunked=self.chunked)
-        ]
+        reports = self.model.simulate_stack(stack, chunked=self.chunked)
+        return list(map(self._to_sim_report, reports, _out_of_memory(stack, self.max_length)))
 
     def simulate_stack_totals(
         self, stack: StackedOperatorTable
     ) -> List[Tuple[float, bool]]:
         """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
-        fits = self.model.fits_in_memory
-        return [
-            (t, not fits(n, chunked=self.chunked))
-            for t, n in zip(
-                self.model.simulate_stack_totals(stack, chunked=self.chunked),
-                stack.lengths,
-            )
-        ]
+        totals = self.model.simulate_stack_totals(stack, chunked=self.chunked)
+        return list(zip(totals, _out_of_memory(stack, self.max_length)))
 
     def config_digest(self) -> str:
         return _memoized_digest(

@@ -35,7 +35,8 @@ from .. import __version__
 #: a release that changes workload-builder or cost-model semantics.  3: reports
 #: sum representatives weighted by multiplicity, which moves last-bit floats.
 #: 4: a pickled table holds its representatives' numbers, not full-row columns.
-CACHE_SCHEMA_VERSION = 4
+#: 5: an accelerator report above the memory model's max_length is out of memory.
+CACHE_SCHEMA_VERSION = 5
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"

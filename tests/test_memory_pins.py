@@ -167,7 +167,7 @@ def test_max_supported_length_beyond_the_first_search_bound(budget_gb):
     # bound fit: the bound grows until one does not.
     config, aaq = PPMConfig.paper(), AAQConfig.paper_optimal()
     n = max_supported_length(budget_gb)
-    assert n > memory.MAX_SEARCH_LENGTH
+    assert n > 20000
     assert memory.fits(memory.LIGHTNOBEL_AAQ, config, n, budget_gb, aaq)
     assert not memory.fits(memory.LIGHTNOBEL_AAQ, config, n + 1, budget_gb, aaq)
 
