@@ -20,9 +20,11 @@ must be at least 5x faster than building the same table from the object
 graph (`OperatorTable.from_workload(build_model_ops(...))`).  It reads the
 median of paired oracle/fitted time ratios, alternating which side runs
 first, with every cache cleared at the start of each pair.  It is the
-wall-clock backstop of a counted guard: once a config is fitted, a fresh
+wall-clock backstop of two counted guards: once a config is fitted, a fresh
 `get_op_table` and a fresh 16-length `get_stacked_table` construct no
-`Operator` and call no segment builder.
+`Operator` and call no segment builder; and the fit of a fresh config calls
+no `build_model_ops` and constructs at most 8 x 85 = 680 `Operator`s (one
+block of each distinct builder at n = 1-8), not the 3,234-row graph.
 
 A fourth guard counts rather than times: the engines run their arithmetic
 over a stack's representative rows only (its row map), so the 16-length
@@ -49,6 +51,7 @@ from repro.core.aaq import AAQConfig
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.ppm import PPMConfig, clear_workload_caches, get_op_table, get_stacked_table
+from repro.ppm import op_table as op_table_module
 from repro.ppm import workload as workload_module
 from repro.ppm.op_table import NUMERIC_COLUMNS, OperatorTable, StackedOperatorTable
 from repro.ppm.workload import build_model_ops
@@ -282,21 +285,22 @@ TEMPLATE_LENGTH = 17
 
 #: Segment builders of the operator graph, by their names in `repro.ppm.workload`.
 SEGMENT_BUILDERS = (
-    "_input_embedding_segment",
     "build_input_embedding_ops",
     "build_folding_block_ops",
     "build_sequence_dataflow_ops",
     "build_pair_bias_mlp_ops",
     "build_triangle_multiplication_ops",
     "build_triangle_attention_ops",
-    "_structure_module_segment",
     "build_structure_module_ops",
 )
+#: A fit runs one block of each distinct builder at n = 1-8: 85 rows a block
+#: on the paper config, against the whole graph's 3,234.
+MAX_FIT_OPERATORS = 8 * 85
 
 
 def count_graph_work(monkeypatch):
-    """Counts of `Operator` constructions and segment-builder calls from now on."""
-    counts = {"operators": 0, "builder calls": 0}
+    """Counts of `Operator` constructions, segment-builder and graph-build calls from now on."""
+    counts = {"operators": 0, "builder calls": 0, "graph builds": 0}
 
     def counted(function, key):
         def wrapper(*args, **kwargs):
@@ -309,7 +313,27 @@ def count_graph_work(monkeypatch):
     for name in SEGMENT_BUILDERS:
         monkeypatch.setattr(workload_module, name,
                             counted(getattr(workload_module, name), "builder calls"))
+    for module in (workload_module, op_table_module):
+        monkeypatch.setattr(module, "build_model_ops",
+                            counted(module.build_model_ops, "graph builds"))
     return counts
+
+
+def test_fit_reads_one_block_per_builder(paper_config, monkeypatch):
+    """Counted guard: a fresh config's fit builds no operator graph."""
+    clear_workload_caches()
+    counts = count_graph_work(monkeypatch)
+    table = get_op_table(paper_config, TEMPLATE_LENGTH)
+    monkeypatch.undo()
+    clear_workload_caches()
+    print_table(
+        "Graph work of one fit, fresh paper config",
+        [("Operator objects", "builder calls", "build_model_ops calls")]
+        + [(str(counts["operators"]), str(counts["builder calls"]), str(counts["graph builds"]))],
+    )
+    assert len(table) == 3234
+    assert counts["graph builds"] == 0
+    assert 0 < counts["operators"] <= MAX_FIT_OPERATORS
 
 
 def test_fitted_lengths_build_no_operator_graph(paper_config, monkeypatch):
@@ -318,9 +342,10 @@ def test_fitted_lengths_build_no_operator_graph(paper_config, monkeypatch):
     get_op_table(paper_config, TEMPLATE_LENGTH)
     counts = count_graph_work(monkeypatch)
     # The counters are live: one block of the graph trips both.
-    workload_module.model_segments(paper_config)[1][0](paper_config, 8, 0)
-    assert counts["operators"] > 0 and counts["builder calls"] > 0
-    counts.update({"operators": 0, "builder calls": 0})
+    workload_module.model_segments(paper_config)[1][0](paper_config, 8)
+    workload_module.build_model_ops(paper_config.with_blocks(1), 8)
+    assert all(counts.values())
+    counts.update(dict.fromkeys(counts, 0))
     lengths = [int(lo + hi) // 2 + 1 for lo, hi in zip(DSE_STRATA[:-1], DSE_STRATA[1:])]
     work = {}
     table = get_op_table(paper_config, TEMPLATE_LENGTH + 1)
@@ -333,12 +358,12 @@ def test_fitted_lengths_build_no_operator_graph(paper_config, monkeypatch):
     clear_workload_caches()
     print_table(
         "Graph work per fresh length, paper config already fitted",
-        [("call", "Operator objects", "builder calls")]
-        + [(call, str(c["operators"]), str(c["builder calls"])) for call, c in work.items()],
+        [("call", "Operator objects", "builder calls", "build_model_ops calls")]
+        + [(call, *map(str, c.values())) for call, c in work.items()],
     )
     assert len(table) == 3234 and stack.num_segments == len(lengths)
     for call, c in work.items():
-        assert c == {"operators": 0, "builder calls": 0}, call
+        assert not any(c.values()), call
 
 
 def time_builds(build, config, lengths):

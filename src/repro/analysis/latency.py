@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional, TYPE_CHECKING
 
 from ..hardware.config import LightNobelConfig
 from ..ppm.config import PPMConfig
-from ..ppm.workload import (
+from ..ppm.labels import (
     PHASE_PAIR,
     PHASE_SEQUENCE,
     SUBPHASE_TRI_ATT,

@@ -20,9 +20,9 @@ from ..hardware.config import LightNobelConfig
 from ..ppm import memory
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
+from ..ppm.labels import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from ..ppm.memory import GB, GPU_CHUNKED, GPU_DENSE, LIGHTNOBEL_AAQ
 from ..ppm.op_table import OperatorTable, get_op_table
-from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 
 
 # --------------------------------------------------------------------- Fig. 4
@@ -158,15 +158,13 @@ def max_supported_length(
 
 
 # -------------------------------------------------------------------- Fig. 16
-def int8_equivalent_cost(workload, aaq: Optional[AAQConfig]) -> float:
+def int8_equivalent_cost(table: OperatorTable, aaq: Optional[AAQConfig]) -> float:
     """Computational cost in INT8-equivalent operations (Fig. 16a metric).
 
     Every MAC is weighted by the product of its operand precisions relative to
     INT8 (multiplication cost scales quadratically with precision); vector
     operations count at 16-bit cost.  ``aaq=None`` is the FP16 baseline.
-    Accepts either a :class:`Workload` or an :class:`OperatorTable`.
     """
-    table = workload if isinstance(workload, OperatorTable) else OperatorTable.from_workload(workload)
     hidden = table.config.pair_dim
     act_bits = np.full(len(table.groups), 16.0)
     if aaq is not None:  # the value fields of each group's stored token

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, TYPE_CHECKING
 
 from ..ppm.config import PPMConfig
-from ..ppm.workload import PHASE_INPUT_EMBEDDING, PHASE_PAIR, PHASE_SEQUENCE, PHASE_STRUCTURE
+from ..ppm.labels import PHASE_INPUT_EMBEDDING, PHASE_PAIR, PHASE_SEQUENCE, PHASE_STRUCTURE
 from ..hardware.accelerator import LightNobelAccelerator
 from .gpu_model import GPUModel
 

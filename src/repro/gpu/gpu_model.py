@@ -25,9 +25,9 @@ import numpy as np
 
 from ..ppm import memory
 from ..ppm.config import PPMConfig
+from ..ppm.labels import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from ..ppm.memory import CHUNK_ROWS, FP16_BYTES, GPU_CHUNKED, GPU_DENSE
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
-from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from .gpu_config import GPUSpec, get_gpu
 
 #: Tensor-core efficiency multiplier when kernels are chunked into small tiles.

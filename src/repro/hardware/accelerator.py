@@ -1,6 +1,6 @@
 """LightNobel accelerator: cycle-level latency simulation (Section 6).
 
-The simulator consumes the operator graph of :mod:`repro.ppm.workload` and an
+The simulator consumes the operator tables of :mod:`repro.ppm.op_table` and an
 AAQ configuration, and models the three pipelined engines of the accelerator:
 
 * RMPU — bit-decomposed matrix throughput with DAL utilization,
@@ -34,9 +34,9 @@ from .._memo import CONFIG_MEMO
 from ..core.aaq import AAQConfig
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
+from ..ppm.labels import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from ..ppm.memory import bytes_per_element
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
-from ..ppm.workload import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
 from .config import LightNobelConfig
 from .memory import HBMModel
 from .pe import units_per_mac
@@ -195,12 +195,12 @@ class LightNobelAccelerator:
     ) -> Dict[str, np.ndarray]:
         """Per-group scalars of the engine models, indexed by table group code.
 
-        Mirrors, term by term, the arithmetic of :meth:`RMPU.operator_cycles`,
-        :meth:`VVPU.quantization_cycles` and the per-operator DRAM traffic of
-        the scalar reference in ``tests/reference_pricing.py``, so the
-        vectorized path agrees with that per-operator loop.  Built once per
-        group vocabulary and config value in the process; the arrays are
-        read-only.
+        The accelerator's one pricing rule: with :meth:`_engine_cycles` it is
+        the only place the engine arithmetic is written in the library.  The
+        per-operator scalar oracle in ``tests/reference_pricing.py`` restates
+        it one operator at a time, and the parity tests hold the two equal.
+        Built once per group vocabulary and config value in the process; the
+        arrays are read-only.
         """
         params = self._group_params.get(groups)
         if params is None:

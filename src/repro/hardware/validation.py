@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from ..ppm.config import PPMConfig
-from .accelerator import LightNobelAccelerator
+from ..ppm.op_table import get_stacked_table
+from .accelerator import LatencyReport, LightNobelAccelerator
 from .config import LightNobelConfig
 
 #: Extra cycles per pipeline stage that RTL exposes but the analytical model
@@ -40,8 +41,12 @@ def rtl_reference_seconds(
     accelerator: LightNobelAccelerator, sequence_length: int
 ) -> float:
     """Latency of the RTL-style reference model for one sequence length."""
-    report = accelerator.simulate(sequence_length)
-    stage_count = len(report.operator_latencies)
+    return _rtl_seconds(accelerator, accelerator.simulate(sequence_length))
+
+
+def _rtl_seconds(accelerator: LightNobelAccelerator, report: LatencyReport) -> float:
+    """``report`` plus the RTL overhead of each of its pipeline stages (operator rows)."""
+    stage_count = len(get_stacked_table(accelerator.ppm_config, [report.sequence_length]))
     extra_cycles = stage_count * RTL_STAGE_OVERHEAD_CYCLES
     return (report.total_cycles + extra_cycles) / accelerator.hw_config.cycles_per_second
 
@@ -58,12 +63,10 @@ def cross_validate(
         lengths = list(lengths)
         if not lengths:
             continue
-        sim_total = 0.0
-        rtl_total = 0.0
-        for length in lengths:
-            report = accelerator.simulate(length)
+        sim_total = rtl_total = 0.0
+        for report in map(accelerator.simulate, lengths):
             sim_total += report.total_seconds
-            rtl_total += rtl_reference_seconds(accelerator, length)
+            rtl_total += _rtl_seconds(accelerator, report)
         results[dataset] = CrossValidationResult(
             dataset=dataset,
             simulator_seconds=sim_total / len(lengths),

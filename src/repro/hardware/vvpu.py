@@ -8,7 +8,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..ppm.workload import Operator
 from .config import LightNobelConfig
 
 
@@ -89,31 +88,3 @@ class VVPU:
     def lanes(self, num_vvpus: Optional[int] = None) -> float:
         vvpus = self.config.num_vvpus if num_vvpus is None else num_vvpus
         return float(vvpus * self.config.simd_lanes_per_vvpu)
-
-    def operator_cycles(self, op: Operator, num_vvpus: Optional[int] = None) -> float:
-        """Cycles to execute one vector operator across the VVPU pool."""
-        if op.vector_ops <= 0:
-            return 0.0
-        return op.vector_ops / self.lanes(num_vvpus) + self.config.pipeline_fill_cycles
-
-    def quantization_cycles(
-        self,
-        tokens: float,
-        hidden_dim: int,
-        outlier_count: int,
-        num_vvpus: Optional[int] = None,
-    ) -> float:
-        """Cycles to runtime-quantize ``tokens`` tokens (top-k + scale + pack).
-
-        Each VVPU quantizes one token at a time: the bitonic network provides
-        the top-k outliers and the running maximum, then the SIMD lanes scale
-        and the LCN/SSU pack the token (Section 5.3, "Runtime Quantization").
-        Tokens are distributed across the VVPU pool.
-        """
-        vvpus = self.config.num_vvpus if num_vvpus is None else num_vvpus
-        per_token = self.timings.quantize_passes
-        if outlier_count > 0:
-            per_token += self.timings.topk_cycles(hidden_dim)
-        else:
-            per_token += 1  # max-only search for the scaling factor
-        return tokens * per_token / max(1, vvpus)

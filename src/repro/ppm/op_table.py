@@ -1,25 +1,26 @@
 """Columnar (struct-of-arrays) operator tables, evaluated from per-row cubics in n.
 
-:mod:`repro.ppm.workload` describes one PPM inference as a list of ~3k
-:class:`~repro.ppm.workload.Operator` dataclasses, but every simulator
-downstream (the LightNobel accelerator, the GPU baseline, the cost models)
-only consumes whole *columns* of it — MAC counts, element counts, phase
-labels — at many sequence lengths.  :class:`OperatorTable` stores the graph as
-numpy columns plus small per-table label vocabularies (engines, phases,
-subphases, activation groups) with integer code arrays.
-``OperatorTable.from_workload(build_model_ops(...))`` converts an object graph
-and is the tests' oracle.
+One PPM inference is ~3k operator rows, and every simulator downstream (the
+LightNobel accelerator, the GPU baseline, the cost models) only consumes whole
+*columns* of them — MAC counts, element counts, phase labels — at many
+sequence lengths.  :class:`OperatorTable` stores the rows as numpy columns
+plus small per-table label vocabularies (engines, phases, subphases,
+activation groups) with integer code arrays.
+``OperatorTable.from_workload(build_model_ops(...))`` converts the
+:mod:`repro.ppm.workload` object graph and is the tests' oracle.
 
-:func:`get_op_table` and :func:`get_stacked_table` build no graph per length.
-Pair activations grow as n² and triangle operations as n³, and every numeric
+:func:`get_op_table` and :func:`get_stacked_table` build no graph.  Pair
+activations grow as n² and triangle operations as n³, and every numeric
 column of every operator row is an integer cubic in the sequence length n.
 Once per ``(config, include_recycles)`` the fit runs each distinct
 :func:`~repro.ppm.workload.model_segments` builder at n = 1–8, takes each
 representative row's four integer coefficients from n = 1–4 and checks that
-the fourth difference is 0 at n = 5–8, raising otherwise.  Labels, names and
-row map come from the fit's one-residue graph and serve every length.  A
-table, or a stack of L lengths, is one Horner evaluation over (L × 5 columns ×
-representatives).  Fits, tables and stacks each have an LRU cache.
+the fourth difference is 0 at n = 5–8, raising otherwise.  The builders'
+one-residue rows give the label vocabularies and codes, and their names under
+each run's prefix give the row names; with the row map they serve every
+length.  A table, or a stack of L lengths, is one Horner evaluation over
+(L × 5 columns × representatives).  Fits, tables and stacks each have an LRU
+cache.
 
 Exactness: Horner's rule on integer coefficients is exact while every
 intermediate is an integer of at most 2^53, and so are the builders' own
@@ -59,14 +60,11 @@ import numpy as np
 
 from .._search import largest_n
 from .config import PPMConfig
-from .workload import (
-    PHASE_INPUT_EMBEDDING,
-    Operator,
-    Workload,
-    build_model_ops,
-    check_sequence_length,
-    model_segments,
-)
+from .labels import PHASE_INPUT_EMBEDDING
+from .workload import Operator, Workload, check_sequence_length, model_segments
+
+# Unused here: perfbench's dse-sweep traces ``op_table.build_model_ops`` by name.
+from .workload import build_model_ops  # noqa: F401
 
 #: Column names holding per-operator numeric data.
 NUMERIC_COLUMNS = ("macs", "vector_ops", "input_elements", "output_elements", "weight_elements")
@@ -103,8 +101,8 @@ def _numeric_rows(operators: Sequence[Operator]) -> np.ndarray:
 
 
 def _labels(operators: Sequence[Operator]) -> Dict:
-    """Names, vocabularies, label codes and ``fusible`` of ``operators``."""
-    labels: Dict = {"names": tuple(op.name for op in operators)}
+    """Vocabularies, label codes and ``fusible`` of ``operators``."""
+    labels: Dict = {}
     for key, attribute in zip(_LABEL_KEYS, ("engine", "phase", "subphase", "output_group")):
         codes, labels[f"{key}s"] = _encode([getattr(op, attribute) for op in operators])
         labels[f"{key}_codes"] = _freeze(codes)
@@ -244,9 +242,8 @@ class OperatorTable(_RowMapped):
     weight_elements = _expanded("weight_elements")
 
     @classmethod
-    def from_operators(
-        cls, operators: Sequence[Operator], config: PPMConfig, sequence_length: int
-    ) -> "OperatorTable":
+    def from_workload(cls, workload: Workload) -> "OperatorTable":
+        operators = workload.operators
         labels = _labels(operators)
         numbers = _numeric_rows(operators)
         # Numbers are keyed by their bits: 0.0 and -0.0 stay apart.
@@ -256,12 +253,9 @@ class OperatorTable(_RowMapped):
             **dict(zip(NUMERIC_COLUMNS, _freeze(numbers[:, row_map["rep_rows"]]))),
         )
         return cls(
-            sequence_length=sequence_length, config=config, reps=reps, **row_map, **labels
+            sequence_length=workload.sequence_length, config=workload.config,
+            names=tuple(op.name for op in operators), reps=reps, **row_map, **labels,
         )
-
-    @classmethod
-    def from_workload(cls, workload: Workload) -> "OperatorTable":
-        return cls.from_operators(workload.operators, workload.config, workload.sequence_length)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -466,25 +460,34 @@ class _Cubics:
 
     def __init__(self, config: PPMConfig, include_recycles: bool) -> None:
         segments = model_segments(config, include_recycles)
-        samples = {  # (n, columns, rows) of one block of each distinct builder
-            builder: np.stack([_numeric_rows(builder(config, n, 0)) for n in _FIT_LENGTHS])
-            for builder in dict.fromkeys(builder for builder, _ in segments)
+        blocks = {  # one block of each distinct builder at n = 1..8
+            builder: [builder(config, n) for n in _FIT_LENGTHS]
+            for builder in dict.fromkeys(builder for builder, _, _ in segments)
         }
         # One representative per row of one block of each distinct builder:
-        # no operator's numbers depend on its block index or recycle pass.
+        # no operator's numbers or labels depend on its block, pass or n.
         first: Dict = {}
-        origins, start = [], 0
-        for builder, blocks in segments:
-            base, width = first.setdefault(builder, start), samples[builder].shape[2]
-            origins.append(np.tile(np.arange(base, base + width), blocks))
-            start += width * blocks
-        labels = _labels(build_model_ops(config, 1, include_recycles).operators)
+        origins, names, start = [], [], 0
+        for builder, count, prefix in segments:
+            local = [op.name for op in blocks[builder][0]]
+            base = first.setdefault(builder, start)
+            origins.append(np.tile(np.arange(base, base + len(local)), count))
+            for b in range(count):  # a fresh string per row, so pickles keep their bytes
+                head = prefix.format(b)
+                names += [f"{head}{name}" for name in local]
+            start += len(local) * count
         row_map = _row_map(np.concatenate(origins))
+        labels = {  # each row's representative's labels
+            name: _freeze(value[row_map["rep_index"]]) if isinstance(value, np.ndarray) else value
+            for name, value in _labels([op for fit in blocks.values() for op in fit[0]]).items()
+        }
         #: Every field of a table but its length and numbers.
-        self.fields = {"config": config, **row_map, **labels}
+        self.fields = {"config": config, **row_map, "names": tuple(names), **labels}
         self.rep_labels = _rep_labels(labels, row_map)
-        names = [labels["names"][row] for row in row_map["rep_rows"].tolist()]
-        self.coefficients = self._fit(np.concatenate(list(samples.values()), axis=2), names)
+        samples = np.concatenate(  # (n, columns, representatives)
+            [np.stack([_numeric_rows(ops) for ops in fit]) for fit in blocks.values()], axis=2
+        )
+        self.coefficients = self._fit(samples, [names[row] for row in row_map["rep_rows"].tolist()])
         self.limit = _exact_limit(self.coefficients)
         # (4, columns, 1, representatives): broadcasts against (lengths, 1).
         self._horner = self.coefficients.astype(np.float64)[:, :, None, :]

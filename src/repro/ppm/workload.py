@@ -1,17 +1,18 @@
-"""Operator-level workload model of the PPM at paper scale.
+"""Operator rows of the PPM at paper scale, one segment builder per block kind.
 
 The latency, memory and energy experiments of the paper run ESMFold at its
 full dimensions (pair dim 128, sequence dim 1024, 48 blocks) on sequences of
 hundreds to thousands of residues.  Executing the numpy substrate at that
 scale is unnecessary (and far too slow): what the hardware simulator, the GPU
-baseline model and the cost models need is the *operator graph* — every
-matrix multiplication and vector operation of the dataflow in Fig. 2(b) with
-its exact MAC count, activation sizes and activation group.
+baseline model and the cost models need is every matrix multiplication and
+vector operation of the dataflow in Fig. 2(b) with its exact MAC count,
+activation sizes and activation group.
 
-``build_model_ops`` produces that graph for a given sequence length.  All
-downstream models (LightNobel accelerator, A100/H100 analytical model, peak
-memory, computational cost) consume the same graph, which keeps the
-comparisons apples-to-apples.
+Each :func:`model_segments` builder writes those numbers for one block of a
+segment as :class:`Operator` rows, and :mod:`repro.ppm.op_table` fits them
+once per config into per-row cubics in n; no table is built from operators.
+:func:`build_model_ops` expands every block into the whole object graph,
+which the tests keep as the oracle the fitted tables must equal.
 """
 
 from __future__ import annotations
@@ -21,21 +22,8 @@ from typing import Callable, List, Optional, Tuple
 
 from .activation_tap import GROUP_A, GROUP_B, GROUP_C
 from .config import PPMConfig
-
-#: Operator execution engines.
-ENGINE_MATMUL = "matmul"   # executed on the RMPU / GPU tensor cores
-ENGINE_VECTOR = "vector"   # executed on the VVPU / GPU CUDA cores
-
-#: Pipeline phases (Fig. 2a / Fig. 3 breakdown categories).
-PHASE_INPUT_EMBEDDING = "input_embedding"
-PHASE_SEQUENCE = "sequence_dataflow"
-PHASE_PAIR = "pair_dataflow"
-PHASE_STRUCTURE = "structure_module"
-
-#: Sub-phases of the pair dataflow used in the Fig. 3 breakdown.
-SUBPHASE_BIAS_MLP = "bias_mlp"
-SUBPHASE_TRI_MULT = "triangular_multiplication"
-SUBPHASE_TRI_ATT = "triangular_attention"
+from .labels import ENGINE_MATMUL, ENGINE_VECTOR, PHASE_INPUT_EMBEDDING, PHASE_PAIR, PHASE_SEQUENCE
+from .labels import PHASE_STRUCTURE, SUBPHASE_BIAS_MLP, SUBPHASE_TRI_ATT, SUBPHASE_TRI_MULT
 
 
 @dataclass(frozen=True)
@@ -116,12 +104,12 @@ def _vector_op(
     )
 
 
-def build_triangle_multiplication_ops(config: PPMConfig, n: int, mode: str, block: int) -> List[Operator]:
+def build_triangle_multiplication_ops(config: PPMConfig, n: int, mode: str) -> List[Operator]:
     """Operators of one Triangular Multiplication block (Fig. 6a)."""
     hz = config.pair_dim
     hidden = config.triangle_hidden
     tokens = float(n) * n
-    prefix = f"block{block:02d}.tri_mult_{mode}"
+    prefix = f"tri_mult_{mode}"
     return [
         _vector_op(f"{prefix}.layer_norm_in", tokens * hz, 4, PHASE_PAIR, SUBPHASE_TRI_MULT, GROUP_B),
         _linear_op(f"{prefix}.linear_a_p", tokens, hz, hidden, PHASE_PAIR, SUBPHASE_TRI_MULT),
@@ -147,14 +135,14 @@ def build_triangle_multiplication_ops(config: PPMConfig, n: int, mode: str, bloc
     ]
 
 
-def build_triangle_attention_ops(config: PPMConfig, n: int, mode: str, block: int) -> List[Operator]:
+def build_triangle_attention_ops(config: PPMConfig, n: int, mode: str) -> List[Operator]:
     """Operators of one Triangular Attention block (Fig. 6b)."""
     hz = config.pair_dim
     heads = config.num_heads
     head_dim = config.head_dim
     width = heads * head_dim
     tokens = float(n) * n
-    prefix = f"block{block:02d}.tri_att_{mode}"
+    prefix = f"tri_att_{mode}"
     return [
         _vector_op(f"{prefix}.layer_norm", tokens * hz, 4, PHASE_PAIR, SUBPHASE_TRI_ATT, GROUP_B),
         _linear_op(f"{prefix}.linear_q", tokens, hz, width, PHASE_PAIR, SUBPHASE_TRI_ATT),
@@ -199,14 +187,14 @@ def build_triangle_attention_ops(config: PPMConfig, n: int, mode: str, block: in
     ]
 
 
-def build_pair_bias_mlp_ops(config: PPMConfig, n: int, block: int) -> List[Operator]:
+def build_pair_bias_mlp_ops(config: PPMConfig, n: int) -> List[Operator]:
     """Outer product mean, pair transition and bias calculation of one block."""
     hz = config.pair_dim
     hm = config.seq_dim
     tokens = float(n) * n
     hidden = 32
     factor = config.transition_factor
-    prefix = f"block{block:02d}.bias_mlp"
+    prefix = "bias_mlp"
     return [
         _vector_op(f"{prefix}.opm_layer_norm", float(n) * hm, 4, PHASE_PAIR, SUBPHASE_BIAS_MLP),
         _linear_op(f"{prefix}.opm_linear_a", float(n), hm, hidden, PHASE_PAIR, SUBPHASE_BIAS_MLP),
@@ -232,13 +220,13 @@ def build_pair_bias_mlp_ops(config: PPMConfig, n: int, block: int) -> List[Opera
     ]
 
 
-def build_sequence_dataflow_ops(config: PPMConfig, n: int, block: int) -> List[Operator]:
+def build_sequence_dataflow_ops(config: PPMConfig, n: int) -> List[Operator]:
     """Sequence-representation self-attention and transition of one block."""
     hm = config.seq_dim
     hz = config.pair_dim
     heads = config.seq_num_heads
     factor = config.transition_factor
-    prefix = f"block{block:02d}.sequence"
+    prefix = "sequence"
     return [
         _vector_op(f"{prefix}.layer_norm", float(n) * hm, 4, PHASE_SEQUENCE, "", None),
         _linear_op(f"{prefix}.linear_q", float(n), hm, hm, PHASE_SEQUENCE, "", None),
@@ -263,15 +251,15 @@ def build_sequence_dataflow_ops(config: PPMConfig, n: int, block: int) -> List[O
     ]
 
 
-def build_folding_block_ops(config: PPMConfig, n: int, block: int = 0) -> List[Operator]:
+def build_folding_block_ops(config: PPMConfig, n: int) -> List[Operator]:
     """All operators of one Protein Folding Block (Fig. 2b)."""
     return [
-        *build_sequence_dataflow_ops(config, n, block),
-        *build_pair_bias_mlp_ops(config, n, block),
-        *build_triangle_multiplication_ops(config, n, "outgoing", block),
-        *build_triangle_multiplication_ops(config, n, "incoming", block),
-        *build_triangle_attention_ops(config, n, "starting", block),
-        *build_triangle_attention_ops(config, n, "ending", block),
+        *build_sequence_dataflow_ops(config, n),
+        *build_pair_bias_mlp_ops(config, n),
+        *build_triangle_multiplication_ops(config, n, "outgoing"),
+        *build_triangle_multiplication_ops(config, n, "incoming"),
+        *build_triangle_attention_ops(config, n, "starting"),
+        *build_triangle_attention_ops(config, n, "ending"),
     ]
 
 
@@ -319,37 +307,29 @@ def build_structure_module_ops(config: PPMConfig, n: int, num_layers: int = 8) -
     return ops
 
 
-#: Builds the operators of one block of a segment: ``(config, n, block)``.
-SegmentBuilder = Callable[[PPMConfig, int, int], List[Operator]]
-
-
-def _input_embedding_segment(config: PPMConfig, n: int, block: int) -> List[Operator]:
-    return build_input_embedding_ops(config, n)
-
-
-def _structure_module_segment(config: PPMConfig, n: int, block: int) -> List[Operator]:
-    return build_structure_module_ops(config, n)
+#: Builds the operators of one block of a segment: ``(config, n)``.
+SegmentBuilder = Callable[[PPMConfig, int], List[Operator]]
 
 
 def model_segments(
     config: PPMConfig, include_recycles: bool = False
-) -> List[Tuple[SegmentBuilder, int]]:
-    """The operator graph in graph order, as ``(builder, blocks)`` runs.
+) -> List[Tuple[SegmentBuilder, int, str]]:
+    """The operator rows in graph order, as ``(builder, blocks, prefix)`` runs.
 
-    The graph is ``builder(config, n, block)`` for ``block in range(blocks)``
-    over each run in turn: the input embedding, then per recycle pass the
-    ``num_blocks`` folding blocks and the structure module.  This list is the
-    one owner of graph order — :func:`build_model_ops` expands it into
-    operators, and :mod:`repro.ppm.op_table` fits one block of each distinct
-    builder once per config, at n = 1–8, into per-row cubics in ``n``.  No
-    builder's numbers depend on ``block`` (only the operator names carry it),
-    and each is an integer cubic in ``n`` (the fit raises otherwise).
+    Each run is ``blocks`` copies of ``builder(config, n)``, block ``b``'s
+    operator names prefixed with ``prefix.format(b)``: the input embedding,
+    then per recycle pass the ``num_blocks`` folding blocks (``block00.`` on)
+    and the structure module.  This list is the one owner of row order and
+    names — :mod:`repro.ppm.op_table` fits one block of each distinct builder
+    once per config, at n = 1–8, into per-row cubics in ``n``, and
+    :func:`build_model_ops` expands it into operators.  Every builder's
+    numbers are an integer cubic in ``n`` (the fit raises otherwise).
     """
     passes = (config.num_recycles + 1) if include_recycles else 1
-    segments: List[Tuple[SegmentBuilder, int]] = [(_input_embedding_segment, 1)]
+    segments: List[Tuple[SegmentBuilder, int, str]] = [(build_input_embedding_ops, 1, "")]
     for _ in range(passes):
-        segments.append((build_folding_block_ops, config.num_blocks))
-        segments.append((_structure_module_segment, 1))
+        segments.append((build_folding_block_ops, config.num_blocks, "block{:02d}."))
+        segments.append((build_structure_module_ops, 1, ""))
     return segments
 
 
@@ -363,9 +343,14 @@ def build_model_ops(config: PPMConfig, n: int, include_recycles: bool = False) -
     """Full operator graph of one PPM inference at sequence length ``n``."""
     check_sequence_length(n)
     operators: List[Operator] = []
-    for builder, blocks in model_segments(config, include_recycles):
+    for builder, blocks, prefix in model_segments(config, include_recycles):
         for block in range(blocks):
-            operators.extend(builder(config, n, block))
+            head = prefix.format(block)
+            for op in builder(config, n):
+                # Each call returns fresh operators, so naming them in place is safe;
+                # a copy per operator would make the graph half again slower.
+                object.__setattr__(op, "name", f"{head}{op.name}")
+                operators.append(op)
     return Workload(sequence_length=n, config=config, operators=operators)
 
 

@@ -51,8 +51,8 @@ from ..hardware.accelerator import LightNobelAccelerator
 from ..hardware.config import LightNobelConfig
 from ..ppm import memory
 from ..ppm.config import PPMConfig
+from ..ppm.labels import PHASE_PAIR, PHASE_SEQUENCE
 from ..ppm.op_table import StackedOperatorTable
-from ..ppm.workload import PHASE_PAIR, PHASE_SEQUENCE
 
 
 @dataclass(frozen=True)

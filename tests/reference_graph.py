@@ -1,11 +1,11 @@
 """Test-side views of the operator object graph, and the table oracle built from it.
 
 `repro.ppm.op_table` evaluates operator tables from per-row cubics in the
-sequence length and builds the `Operator`/`Workload` graph only when it fits
-a config.  What the tests still read off the graph lives here: cached graphs,
-the graph's per-phase and per-engine views, the inverse of
-`OperatorTable.from_workload`, and columnar sub-tables with their own label
-vocabularies.
+sequence length and never builds the `Operator`/`Workload` graph: its fit
+reads one block of each segment builder.  What the tests still read off the
+graph lives here: cached graphs, the graph's per-phase and per-engine views,
+the inverse of `OperatorTable.from_workload`, and columnar sub-tables with
+their own label vocabularies.
 
 `oracle_table` is the table the fitted one must equal byte for byte: the
 object graph's columns (`OperatorTable.from_workload(build_model_ops(...))`)
@@ -113,8 +113,8 @@ def select(table, mask) -> OperatorTable:
         raise ValueError(f"mask shape {mask.shape} does not match the table's {(len(table),)}")
     rows = np.nonzero(mask)[0]
     operators = to_workload(table).operators
-    sub = OperatorTable.from_operators(
-        [operators[i] for i in rows], table.config, table.sequence_length
+    sub = OperatorTable.from_workload(
+        Workload(table.sequence_length, table.config, [operators[i] for i in rows])
     )
     return with_row_map(sub, table.rep_index[rows])
 
@@ -147,8 +147,8 @@ def weighted_sums(table, key: str, weights) -> Dict:
 def builder_origins(config, include_recycles=False) -> np.ndarray:
     """Each graph row's position in the first block of the first run of its builder."""
     origins, first, start = [], {}, 0
-    for builder, blocks in model_segments(config, include_recycles):
-        width = len(builder(config, 1, 0))
+    for builder, blocks, _ in model_segments(config, include_recycles):
+        width = len(builder(config, 1))
         base = first.setdefault(builder, start)
         origins.append(np.tile(np.arange(base, base + width), blocks))
         start += width * blocks

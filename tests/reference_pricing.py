@@ -4,17 +4,19 @@ The engines (:class:`~repro.hardware.LightNobelAccelerator` and
 :class:`~repro.gpu.GPUModel`) price whole stacked operator tables with
 vectorized column expressions.  The functions here price the same operator
 graph one :class:`~repro.ppm.workload.Operator` at a time, composing the
-per-engine component models (``RMPU.operator_cycles``,
-``VVPU.operator_cycles``/``quantization_cycles``, ``HBMModel.transfer_cycles``)
-in plain Python.  Parity tests and the columnar-vs-scalar perf guard compare
+per-engine rules (:func:`rmpu_operator_cycles`, :func:`vvpu_operator_cycles`,
+:func:`vvpu_quantization_cycles`, ``HBMModel.transfer_cycles``) in plain
+Python.  Parity tests and the columnar-vs-scalar perf guard compare
 the engines against them; agreement is within float rounding (1e-9 relative),
 not bitwise, because the loops accumulate in operator order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core.aaq import AAQConfig
+from repro.core.token_quant import TokenQuantConfig
 from repro.gpu.gpu_model import (
     CHUNK_COMPUTE_PENALTY,
     CHUNK_ROWS,
@@ -23,9 +25,77 @@ from repro.gpu.gpu_model import (
     GPULatencyReport,
     GPUModel,
 )
-from repro.hardware import LatencyReport, LightNobelAccelerator, OperatorLatency
+from repro.hardware import RMPU, VVPU, LatencyReport, LightNobelAccelerator, OperatorLatency
+from repro.hardware.pe import units_per_mac
 from repro.ppm.activation_tap import GROUP_C
 from repro.ppm.workload import ENGINE_MATMUL, PHASE_PAIR, Operator, Workload
+
+
+# ---------------------------------------------------------------- engines
+def rmpu_operator_cycles(
+    rmpu: RMPU,
+    op: Operator,
+    aaq: Optional[AAQConfig] = None,
+    num_rmpus: Optional[int] = None,
+    weight_bits: float = 16.0,
+) -> float:
+    """Compute cycles for one matmul operator under a quantization config.
+
+    The cost is the total number of 4-bit multiplier units the operator
+    needs (bit-decomposed MACs) divided by the units available per cycle,
+    corrected by the DAL utilization for the operator's activation group.
+    Unquantized execution (``aaq is None``) uses 16-bit activations.
+    """
+    if op.macs <= 0:
+        return 0.0
+    hidden_dim = rmpu.config_hidden_dim()
+    if aaq is None:
+        quant = TokenQuantConfig(inlier_bits=16, outlier_count=0)
+    else:
+        group = op.output_group or GROUP_C
+        quant = aaq.config_for(group)
+
+    outliers = min(quant.outlier_count, hidden_dim)
+    inlier_fraction = (hidden_dim - outliers) / hidden_dim
+    average_units = (
+        inlier_fraction * units_per_mac(quant.inlier_bits, weight_bits)
+        + (1 - inlier_fraction) * units_per_mac(quant.outlier_bits, weight_bits)
+    )
+    total_units = op.macs * average_units
+    utilization = rmpu.utilization_for(quant, hidden_dim, weight_bits)
+    units_per_cycle = rmpu.units_per_cycle(num_rmpus) * utilization
+    compute_cycles = total_units / units_per_cycle
+    return compute_cycles + rmpu.config.pipeline_fill_cycles
+
+
+def vvpu_operator_cycles(vvpu: VVPU, op: Operator, num_vvpus: Optional[int] = None) -> float:
+    """Cycles to execute one vector operator across the VVPU pool."""
+    if op.vector_ops <= 0:
+        return 0.0
+    return op.vector_ops / vvpu.lanes(num_vvpus) + vvpu.config.pipeline_fill_cycles
+
+
+def vvpu_quantization_cycles(
+    vvpu: VVPU,
+    tokens: float,
+    hidden_dim: int,
+    outlier_count: int,
+    num_vvpus: Optional[int] = None,
+) -> float:
+    """Cycles to runtime-quantize ``tokens`` tokens (top-k + scale + pack).
+
+    Each VVPU quantizes one token at a time: the bitonic network provides
+    the top-k outliers and the running maximum, then the SIMD lanes scale
+    and the LCN/SSU pack the token (Section 5.3, "Runtime Quantization").
+    Tokens are distributed across the VVPU pool.
+    """
+    vvpus = vvpu.config.num_vvpus if num_vvpus is None else num_vvpus
+    per_token = vvpu.timings.quantize_passes
+    if outlier_count > 0:
+        per_token += vvpu.timings.topk_cycles(hidden_dim)
+    else:
+        per_token += 1  # max-only search for the scaling factor
+    return tokens * per_token / max(1, vvpus)
 
 
 # ---------------------------------------------------------------- accelerator
@@ -49,14 +119,14 @@ def simulate_operator(accelerator: LightNobelAccelerator, op: Operator) -> Opera
     rmpu_cycles = 0.0
     vvpu_cycles = 0.0
     if op.engine == ENGINE_MATMUL:
-        rmpu_cycles = accelerator.rmpu.operator_cycles(op, aaq=accelerator.aaq_config)
+        rmpu_cycles = rmpu_operator_cycles(accelerator.rmpu, op, aaq=accelerator.aaq_config)
     else:
-        vvpu_cycles = accelerator.vvpu.operator_cycles(op)
+        vvpu_cycles = vvpu_operator_cycles(accelerator.vvpu, op)
     if quantize_output:
         tokens = op.output_elements / ppm.pair_dim
         group_config = accelerator.aaq_config.config_for(op.output_group)
-        vvpu_cycles += accelerator.vvpu.quantization_cycles(
-            tokens, ppm.pair_dim, group_config.outlier_count
+        vvpu_cycles += vvpu_quantization_cycles(
+            accelerator.vvpu, tokens, ppm.pair_dim, group_config.outlier_count
         )
     memory_cycles = accelerator.hbm.transfer_cycles(operator_dram_bytes(accelerator, op))
     return OperatorLatency(

@@ -58,6 +58,7 @@ from repro.ppm.workload import (
     PHASE_PAIR,
     PHASE_SEQUENCE,
     SUBPHASE_TRI_ATT,
+    Workload,
     build_model_ops,
     model_segments,
 )
@@ -388,8 +389,8 @@ def assert_valid_row_map(table):
 
 def tiled_representatives(config, include_recycles):
     """One block of each distinct segment builder."""
-    builders = {b for b, _ in model_segments(config, include_recycles)}
-    return sum(len(builder(config, 1, 0)) for builder in builders)
+    builders = {b for b, _, _ in model_segments(config, include_recycles)}
+    return sum(len(builder(config, 1)) for builder in builders)
 
 
 class TestRowMap:
@@ -428,7 +429,7 @@ class TestRowMap:
     def test_object_graph_keeps_signed_zeros_apart(self, paper_config):
         base = build_model_ops(paper_config, 8).operators[0]
         operators = [replace(base, macs=0.0), replace(base, macs=-0.0)]
-        table = OperatorTable.from_operators(operators, paper_config, 8)
+        table = OperatorTable.from_workload(Workload(8, paper_config, operators))
         assert table.rep_rows.tolist() == [0, 1]
         assert_valid_row_map(table)
 
@@ -660,5 +661,6 @@ class TestCostModelParity:
                 else:
                     legacy += op.vector_ops * 2.0
             assert int8_equivalent_cost(table, aaq) == pytest.approx(legacy, rel=REL)
-            # The Workload entry point dispatches through the same columnar code.
-            assert int8_equivalent_cost(workload, aaq) == pytest.approx(legacy, rel=REL)
+            # The fitted layout of the same graph prices the same.
+            oracle = oracle_table(paper_config, 96, workload=workload)
+            assert int8_equivalent_cost(oracle, aaq) == pytest.approx(legacy, rel=REL)
