@@ -198,7 +198,7 @@ def run_percall_cold(config):
 
 
 def run_session_batch_cold(config, cache_dir):
-    """Session batch as a fresh process sees it: tables from the disk cache."""
+    """Session batch as a fresh process sees it: reports from the disk cache, no table built."""
     clear_workload_caches()
     session = SimulationSession(ppm_config=config, cache_dir=cache_dir)
     batch = session.simulate_batch(SEQUENCE_LENGTHS, backends=["lightnobel"])
@@ -207,7 +207,7 @@ def run_session_batch_cold(config, cache_dir):
 
 def test_perf_session_batch_and_disk_cache(paper_config):
     with tempfile.TemporaryDirectory(prefix="repro-sim-bench-") as cache_dir:
-        # Warm the disk cache once (one table build per distinct length).
+        # Warm the disk cache once (one stack of the distinct lengths, priced once).
         run_session_batch_cold(paper_config, cache_dir)
 
         percall_cold = time_call(lambda: run_percall_cold(paper_config), repeats=3)

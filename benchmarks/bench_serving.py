@@ -74,7 +74,7 @@ def run_round(service):
 def run_cycle(config):
     """One cold, warm and fresh-process round over a new disk cache.
 
-    The process-wide table and stack LRUs are cleared first, so the cold
+    The process-wide fit and stack LRUs are cleared first, so the cold
     round builds every table it prices, as a fresh process would.
     """
     clear_workload_caches()
@@ -85,8 +85,8 @@ def run_cycle(config):
             warm_reports, warm_qps, _ = run_round(service)
             warm_stats = service.capacity_report()
 
-        # Fresh process over the same disk cache: no simulator, tables and
-        # reports come off disk.
+        # Fresh process over the same disk cache: no simulator and no table,
+        # every report comes off disk.
         with LatencyService(ppm_config=config, cache_dir=cache_dir) as fresh:
             fresh_reports, fresh_qps, _ = run_round(fresh)
             fresh_simulations = fresh.stats.simulations

@@ -29,7 +29,7 @@ from typing import Any, List, Optional, Tuple
 from .._digest import stable_digest
 from ..hardware.interconnect import ChipLinkSpec
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import StackedOperatorTable, get_op_table
+from ..ppm.op_table import StackedOperatorTable, get_stacked_table
 from ..sim.backend import LatencyBackend, SimReport, create_backend
 
 
@@ -149,9 +149,7 @@ class MultiChipBackend:
         Derived from the same stacked composition the replay uses, so the
         efficiency can never drift from the reported numbers.
         """
-        stack = StackedOperatorTable.from_tables(
-            [get_op_table(self.ppm_config, sequence_length)]
-        )
+        stack = get_stacked_table(self.ppm_config, [sequence_length])
         ((single, _),) = self.inner.simulate_stack_totals(stack)
         ((multi, _),) = self.simulate_stack_totals(stack)
         return (single / multi) / self.chips if multi > 0 else 0.0

@@ -1,6 +1,6 @@
 """LightNobel accelerator simulator: RMPU, VVPU, memory, latency, area/power."""
 
-from .accelerator import LatencyReport, LightNobelAccelerator, OperatorLatency
+from .accelerator import LatencyReport, LightNobelAccelerator
 from .area_power import AreaPowerModel, ComponentCost, GPU_ENVELOPES, efficiency_versus_gpu
 from .config import LightNobelConfig
 from .interconnect import ChipLinkSpec, CrossbarNetwork, ScratchpadSpec, TokenAligner, default_scratchpads
@@ -31,7 +31,6 @@ __all__ = [
     "LightNobelAccelerator",
     "LightNobelConfig",
     "MemoryTransaction",
-    "OperatorLatency",
     "PECluster",
     "PELane",
     "ProcessingElement",

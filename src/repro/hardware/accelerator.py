@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,80 +45,13 @@ from .vvpu import VVPU
 
 
 @dataclass
-class OperatorLatency:
-    """Latency contributions of one operator (in cycles)."""
-
-    name: str
-    phase: str
-    subphase: str
-    rmpu_cycles: float
-    vvpu_cycles: float
-    memory_cycles: float
-
-    @property
-    def stage_cycles(self) -> float:
-        """Pipeline-stage latency: the slowest engine bounds the stage."""
-        return max(self.rmpu_cycles, self.vvpu_cycles, self.memory_cycles)
-
-    @property
-    def bottleneck(self) -> str:
-        values = {
-            "rmpu": self.rmpu_cycles,
-            "vvpu": self.vvpu_cycles,
-            "memory": self.memory_cycles,
-        }
-        return max(values, key=values.get)
-
-
-@dataclass
-class _LatencyColumns:
-    """Columnar per-operator latencies backing a lazily-built object list.
-
-    The engine cycles are held per representative row of the segment's table,
-    with ``counts``, the rows each stands for; ``rep_index`` (the table's row
-    map) gathers them to per-operator rows only when a caller reads them.
-    """
-
-    names: Sequence[str]
-    phase_codes: np.ndarray
-    phases: Tuple[str, ...]
-    subphase_codes: np.ndarray
-    subphases: Tuple[str, ...]
-    rmpu_cycles: np.ndarray
-    vvpu_cycles: np.ndarray
-    memory_cycles: np.ndarray
-    counts: np.ndarray
-    rep_index: np.ndarray
-
-    def engines(self) -> np.ndarray:
-        """``(3, representatives)`` rmpu/vvpu/memory cycles."""
-        return np.vstack([self.rmpu_cycles, self.vvpu_cycles, self.memory_cycles])
-
-    def materialize(self) -> List[OperatorLatency]:
-        rmpu, vvpu, memory = np.take(self.engines(), self.rep_index, axis=1)
-        return [
-            OperatorLatency(
-                name=name,
-                phase=self.phases[p],
-                subphase=self.subphases[s],
-                rmpu_cycles=float(r),
-                vvpu_cycles=float(v),
-                memory_cycles=float(m),
-            )
-            for name, p, s, r, v, m in zip(
-                self.names,
-                self.phase_codes,
-                self.subphase_codes,
-                rmpu,
-                vvpu,
-                memory,
-            )
-        ]
-
-
-@dataclass
 class LatencyReport:
-    """Result of simulating one PPM inference on LightNobel."""
+    """Result of simulating one PPM inference on LightNobel.
+
+    ``_cycles`` holds the rmpu, vvpu and memory cycles ``(3,
+    representatives)`` of each representative row of the length's table, in
+    its row-map order, and ``_counts`` the rows each stands for.
+    """
 
     sequence_length: int
     total_cycles: float
@@ -126,26 +59,18 @@ class LatencyReport:
     phase_cycles: Dict[str, float] = field(default_factory=dict)
     subphase_cycles: Dict[str, float] = field(default_factory=dict)
     dram_bytes: float = 0.0
-    _latencies: Optional[List[OperatorLatency]] = None
-    _columns: Optional[_LatencyColumns] = None
-
-    @property
-    def operator_latencies(self) -> List[OperatorLatency]:
-        """Per-operator latencies, materialized from the columns on first use."""
-        if self._latencies is None:
-            self._latencies = self._columns.materialize()
-        return self._latencies
+    _cycles: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _counts: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def phase_seconds(self, clock_hz: float) -> Dict[str, float]:
         return {phase: cycles / clock_hz for phase, cycles in self.phase_cycles.items()}
 
     def bottleneck_share(self) -> Dict[str, float]:
         """Fraction of stage latency bound by each engine."""
-        columns = self._columns
-        stacked = columns.engines()
+        stacked = self._cycles
         # Each representative's stage, weighted by its rows, to its winner.
         sums = np.bincount(
-            stacked.argmax(axis=0), weights=columns.counts * stacked.max(axis=0), minlength=3
+            stacked.argmax(axis=0), weights=self._counts * stacked.max(axis=0), minlength=3
         )
         total = float(sums.sum()) or 1.0
         return {
@@ -313,8 +238,8 @@ class LightNobelAccelerator:
         subphases), each representative weighted by the rows it stands for.
         No full-row column is read.  A length's report is the same in any
         mix, a one-segment stack included (asserted by
-        ``tests/test_stacked_table.py``).  Per-operator engine cycles stay per
-        representative until a report's ``operator_latencies`` reads them.
+        ``tests/test_stacked_table.py``).  A report keeps its segment's engine
+        cycles per representative.
         """
         rmpu, vvpu, memory, dram = self._engine_cycles(stack)
         stage = (
@@ -324,32 +249,23 @@ class LightNobelAccelerator:
         totals, (phase_dicts, subphase_dicts) = stack.segment_sums(
             np.vstack([stage, dram]), "phase", "subphase"
         )
+        engines = np.vstack([rmpu, vvpu, memory])
         counts = stack.representatives().counts
         reports = []
-        for table, reps, stage_sum, dram_sum, phases, subphases in zip(
-            stack.tables, stack.rep_segments, *totals.tolist(), phase_dicts, subphase_dicts
+        for n, reps, stage_sum, dram_sum, phases, subphases in zip(
+            stack.lengths, stack.rep_segments, *totals.tolist(), phase_dicts, subphase_dicts
         ):
             total = stage_sum + self.hw_config.pipeline_fill_cycles
             reports.append(
                 LatencyReport(
-                    sequence_length=table.sequence_length,
+                    sequence_length=n,
                     total_cycles=total,
                     total_seconds=total / self.hw_config.cycles_per_second,
                     phase_cycles=phases,
                     subphase_cycles={sub: c for sub, c in subphases.items() if sub},
                     dram_bytes=dram_sum,
-                    _columns=_LatencyColumns(
-                        names=table.names,
-                        phase_codes=table.phase_codes,
-                        phases=table.phases,
-                        subphase_codes=table.subphase_codes,
-                        subphases=table.subphases,
-                        rmpu_cycles=rmpu[reps],
-                        vvpu_cycles=vvpu[reps],
-                        memory_cycles=memory[reps],
-                        counts=counts[reps],
-                        rep_index=table.rep_index,
-                    ),
+                    _cycles=engines[:, reps],
+                    _counts=counts[reps],
                 )
             )
         return reports

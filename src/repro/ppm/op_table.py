@@ -19,8 +19,9 @@ the fourth difference is 0 at n = 5–8, raising otherwise.  The builders'
 one-residue rows give the label vocabularies and codes, and their names under
 each run's prefix give the row names; with the row map they serve every
 length.  A table, or a stack of L lengths, is one Horner evaluation over
-(L × 5 columns × representatives).  Fits, tables and stacks each have an LRU
-cache.
+(L × 5 columns × representatives).  Fits and stacks each have an LRU cache,
+and a table is the one segment of its cached one-length stack: these two
+LRUs are the only cache of operator tables.
 
 Exactness: Horner's rule on integer coefficients is exact while every
 intermediate is an integer of at most 2^53, and so are the builders' own
@@ -389,12 +390,9 @@ class StackedOperatorTable(_RowMapped):
         """(per-representative bins, vocab) of ``key``; a bin is ``segment * len(vocab) + code``.
 
         Built once per stack and key: stacks are LRU-cached and priced many
-        times.  A lone length is priced as a fresh one-segment stack per
-        backend, so its bins are cached on its table, which outlives those
-        stacks.
+        times.
         """
-        owner = self.tables[0] if self.num_segments == 1 else self
-        cache = owner.__dict__.setdefault("_bins", {})
+        cache = self.__dict__.setdefault("_bins", {})
         bins = cache.get(key)
         if bins is None:
             codes, vocab = self.representatives()._codes_for(key)
@@ -536,21 +534,6 @@ def _cubics(config: PPMConfig, include_recycles: bool) -> _Cubics:
     return _Cubics(config, include_recycles)
 
 
-@lru_cache(maxsize=64)
-def _cached_table(config: PPMConfig, n: int, include_recycles: bool) -> OperatorTable:
-    return _cubics(config, include_recycles).stack((n,)).tables[0]
-
-
-def get_op_table(config: PPMConfig, n: int, include_recycles: bool = False) -> OperatorTable:
-    """LRU-cached columnar operator table for ``(config, n, include_recycles)``.
-
-    One Horner evaluation of the config's fitted cubics; bytewise the table
-    ``OperatorTable.from_workload(build_model_ops(...))`` would give for every
-    ``n`` up to :func:`exact_length_limit`.
-    """
-    return _cached_table(config, int(n), bool(include_recycles))
-
-
 @lru_cache(maxsize=32)
 def _cached_stack(
     config: PPMConfig, lengths: Tuple[int, ...], include_recycles: bool
@@ -573,6 +556,16 @@ def get_stacked_table(
     if not canonical:
         raise ValueError("lengths must contain at least one sequence length")
     return _cached_stack(config, canonical, bool(include_recycles))
+
+
+def get_op_table(config: PPMConfig, n: int, include_recycles: bool = False) -> OperatorTable:
+    """Columnar operator table for ``(config, n, include_recycles)``.
+
+    The one segment of the cached one-length :func:`get_stacked_table`; bytewise
+    the table ``OperatorTable.from_workload(build_model_ops(...))`` would give
+    for every ``n`` up to :func:`exact_length_limit`.
+    """
+    return get_stacked_table(config, [n], include_recycles).tables[0]
 
 
 def exact_length_limit(config: PPMConfig, include_recycles: bool = False) -> int:
@@ -602,25 +595,19 @@ class WorkloadCacheInfo(NamedTuple):
     """LRU statistics of every operator-table cache in this module."""
 
     fits: object
-    tables: object
     stacks: object
 
 
 def clear_workload_caches() -> None:
-    """Drop all cached fits, tables and stacks.
+    """Drop all cached fits and stacks.
 
     Mainly for tests, memory pressure and cold-process benchmarks: after this
     call the next table build starts from nothing, fit included.
     """
     _cached_stack.cache_clear()
-    _cached_table.cache_clear()
     _cubics.cache_clear()
 
 
 def workload_cache_info() -> WorkloadCacheInfo:
-    """LRU statistics of the fit, table and stack caches."""
-    return WorkloadCacheInfo(
-        fits=_cubics.cache_info(),
-        tables=_cached_table.cache_info(),
-        stacks=_cached_stack.cache_info(),
-    )
+    """LRU statistics of the fit and stack caches."""
+    return WorkloadCacheInfo(fits=_cubics.cache_info(), stacks=_cached_stack.cache_info())

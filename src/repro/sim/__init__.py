@@ -7,8 +7,8 @@ make repeated sweeps cheap.
 
 Usage
 -----
-Session + batch (one cached operator table per distinct length, all backends
-evaluated columnar-style)::
+Session + batch (one cached stacked operator table per distinct-length set,
+all backends evaluated columnar-style)::
 
     from repro.sim import SimulationSession
 
@@ -27,8 +27,8 @@ Design-space grids (one stacked pass per config over every length)::
     batch = SimulationSession(backends=()).simulate_batch([200, 400], backends=grid)
     [batch.totals(name) for name in batch.backends]    # aligned with grid
 
-Disk cache (cross-process reuse of tables and reports; version-stamped, safe
-to delete)::
+Disk cache (cross-process reuse of reports; version-stamped, safe to
+delete)::
 
     session = SimulationSession(cache_dir="/tmp/repro-sim")
     # or: export REPRO_SIM_CACHE_DIR=/tmp/repro-sim

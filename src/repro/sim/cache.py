@@ -1,11 +1,12 @@
-"""On-disk cache for operator tables and simulation reports.
+"""On-disk cache for simulation reports.
 
-Cross-process companion to the in-process LRU of
-:mod:`repro.ppm.op_table`: a fresh process (a CI step, a later figure run)
-should not rebuild the ~3k-operator graph for a (config, length) pair that
-any earlier process already built.  Entries are pickle files named by a
-stable config digest (:mod:`repro._digest`), wrapped in a version-stamped
-envelope:
+Cross-process companion to :class:`~repro.sim.session.SimulationSession`'s
+report memo: a fresh process (a CI step, a later figure run) reads back the
+reports any earlier process priced instead of pricing them again.  Operator
+tables are not stored: one is a Horner evaluation of the config's fitted
+cubics in :mod:`repro.ppm.op_table`, cheaper than reading its pickle.
+Entries are pickle files named by a stable config digest
+(:mod:`repro._digest`), wrapped in a version-stamped envelope:
 
 * a schema-version mismatch (older/newer code) invalidates the entry,
 * a key mismatch (hash collision, renamed file) invalidates the entry,
@@ -31,7 +32,7 @@ from .. import __version__
 
 #: Bump whenever the pickled payload layout changes; older entries then
 #: self-invalidate instead of deserializing into garbage.  Entries are also
-#: stamped with ``repro.__version__`` so cached tables/reports cannot outlive
+#: stamped with ``repro.__version__`` so cached reports cannot outlive
 #: a release that changes workload-builder or cost-model semantics.  3: reports
 #: sum representatives weighted by multiplicity, which moves last-bit floats.
 #: 4: a pickled table holds its representatives' numbers, not full-row columns.

@@ -2,9 +2,6 @@
 
 A :class:`SimulationSession` owns, for one :class:`~repro.ppm.config.PPMConfig`:
 
-* the **workload/table cache** — each distinct sequence length builds its
-  :class:`~repro.ppm.op_table.OperatorTable` at most once per process (and,
-  with the disk cache enabled, at most once per machine),
 * the **backend set** — named :class:`~repro.sim.backend.LatencyBackend`
   instances resolved from specs (``"lightnobel"``, ``"h100-chunk"``, a
   :class:`~repro.hardware.config.LightNobelConfig`, ...),
@@ -12,9 +9,12 @@ A :class:`SimulationSession` owns, for one :class:`~repro.ppm.config.PPMConfig`:
   (backend, length) pair, memoized in memory and optionally persisted to the
   version-stamped disk cache of :mod:`repro.sim.cache`.
 
-:meth:`SimulationSession.simulate_batch` amortizes one cached table per
-distinct length and evaluates all requested backends on it columnar-style —
-the loop the paper's Figs. 12–16 all run.
+Operator tables are not the session's: every miss prices the stacked table of
+its lengths from :func:`~repro.ppm.op_table.get_stacked_table`, whose
+process-wide LRU is the only table cache (a table is one Horner evaluation of
+the config's fitted cubics, cheaper than reading it back from disk).
+:meth:`SimulationSession.simulate_batch` evaluates all requested backends on
+one stack of the distinct lengths — the loop the paper's Figs. 12–16 all run.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .._digest import stable_digest
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import (
-    OperatorTable,
-    StackedOperatorTable,
-    get_op_table,
-    get_stacked_table,
-)
+from ..ppm.op_table import get_stacked_table
 from .backend import LatencyBackend, SimReport, create_backend
 from .cache import CACHE_DIR_ENV, DiskCache
 
@@ -92,7 +87,7 @@ def session_for(
 
 
 class SimulationSession:
-    """Shared workload cache + backend registry + report memo.
+    """Backend registry + report memo.
 
     ``cache_dir`` (or the ``REPRO_SIM_CACHE_DIR`` environment variable)
     enables the on-disk cache; when neither is given the session is purely
@@ -113,8 +108,6 @@ class SimulationSession:
             use_disk_cache = cache_dir is not None or bool(os.environ.get(CACHE_DIR_ENV))
         self.cache: Optional[DiskCache] = DiskCache(cache_dir) if use_disk_cache else None
         self._backends: Dict[str, LatencyBackend] = {}
-        self._tables: Dict[Tuple[int, bool], OperatorTable] = {}
-        self._stacks: Dict[Tuple[Tuple[int, ...], bool], StackedOperatorTable] = {}
         self._reports: Dict[Tuple[str, int, bool], SimReport] = {}
         self._backend_digests: Dict[str, str] = {}
         #: id(backend) -> registered name, the O(1) inverse of ``_backends``
@@ -188,75 +181,6 @@ class SimulationSession:
     def backend_names(self) -> Tuple[str, ...]:
         return tuple(self._backends)
 
-    # ------------------------------------------------------------------ tables
-    def _table_key(self, sequence_length: int, include_recycles: bool) -> str:
-        digest = stable_digest(
-            "OperatorTable",
-            {
-                "ppm": self.ppm_config,
-                "n": int(sequence_length),
-                "include_recycles": bool(include_recycles),
-            },
-        )
-        return f"table-{digest}"
-
-    def table(
-        self, sequence_length: int, include_recycles: Optional[bool] = None
-    ) -> OperatorTable:
-        """The cached operator table for ``sequence_length``.
-
-        Resolution order: session memo, disk cache, then the process-wide LRU
-        of :func:`~repro.ppm.op_table.get_op_table`, which evaluates the
-        config's fitted per-row cubics (its result is persisted to disk for
-        the next process).
-        """
-        include = self.include_recycles if include_recycles is None else include_recycles
-        memo_key = (int(sequence_length), bool(include))
-        table = self._tables.get(memo_key)
-        if table is not None:
-            return table
-        if self.cache is not None:
-            disk_key = self._table_key(sequence_length, include)
-            table = self.cache.get(disk_key)
-            if table is None:
-                table = get_op_table(self.ppm_config, sequence_length, include_recycles=include)
-                self.cache.put(disk_key, table)
-        else:
-            table = get_op_table(self.ppm_config, sequence_length, include_recycles=include)
-        self._tables[memo_key] = table
-        return table
-
-    def stacked_table(
-        self, lengths: Iterable[int], include_recycles: Optional[bool] = None
-    ) -> StackedOperatorTable:
-        """The cached stacked table over the distinct sorted ``lengths``.
-
-        A stack of several lengths is one Horner evaluation of the config's
-        fitted cubics (:func:`~repro.ppm.op_table.get_stacked_table`),
-        memoized per length set; its segment tables join the table memo.  A
-        single length is a one-segment stack over its :meth:`table` (session
-        memo, disk cache, process LRU), built fresh and never memoized (the
-        table memo already covers it).
-        """
-        include = self.include_recycles if include_recycles is None else include_recycles
-        canonical = tuple(sorted({int(n) for n in lengths}))
-        if len(canonical) == 1:
-            return StackedOperatorTable.from_tables([self.table(canonical[0], include)])
-        memo_key = (canonical, bool(include))
-        stack = self._stacks.get(memo_key)
-        if stack is None:
-            # Tables are deterministic from the config, so the process-wide
-            # stack LRU is shared across sessions: a fresh session pricing a
-            # mix the process has already stacked pays one dict lookup, not a
-            # re-evaluation.
-            stack = get_stacked_table(self.ppm_config, canonical, include_recycles=include)
-            self._stacks[memo_key] = stack
-            # Keep the session invariant that pricing a mix warms the table
-            # memo (segment tables ARE the per-length tables).
-            for n, table in zip(stack.lengths, stack.tables):
-                self._tables.setdefault((n, bool(include)), table)
-        return stack
-
     # -------------------------------------------------------------- simulation
     def _report_key(self, backend_name: str, sequence_length: int, include: bool) -> str:
         digest = stable_digest(
@@ -277,7 +201,7 @@ class SimulationSession:
     ) -> SimReport:
         """Latency report of one backend at one sequence length (memoized).
 
-        A miss prices a one-segment stack over the session's cached table.
+        A miss prices the length's cached one-segment stack.
         """
         report = self.peek_report(backend, sequence_length, include_recycles)
         if report is None:
@@ -397,7 +321,7 @@ class SimulationSession:
         The session's only pricing site: every segment report is seeded into
         the memo/disk cache.
         """
-        stack = self.stacked_table(lengths, include)
+        stack = get_stacked_table(self.ppm_config, lengths, include)
         reports = self._backends[name].simulate_stack(stack)
         digest = self._backend_digests[name]
         for n in lengths:
@@ -415,8 +339,8 @@ class SimulationSession:
         """Evaluate every backend on every length in one stacked pass per backend.
 
         Distinct lengths are stacked into one
-        :class:`~repro.ppm.op_table.StackedOperatorTable` (built at most once
-        per distinct-length set) and each backend prices the whole mix with a
+        :class:`~repro.ppm.op_table.StackedOperatorTable` (LRU-cached per
+        distinct-length set) and each backend prices the whole mix with a
         single vectorized evaluation; results for repeated lengths — and any
         length already memoized or on disk — are served from the memo.
         """
@@ -467,7 +391,7 @@ class SimulationSession:
         names = [self._name_of(self.backend(spec)) for spec in specs]
         if not lengths:
             return [[] for _ in names]
-        stack = self.stacked_table(lengths, include)
+        stack = get_stacked_table(self.ppm_config, lengths, include)
         by_name: Dict[str, Dict[int, Optional[float]]] = {}
         out: List[List[Optional[float]]] = []
         for name in names:
@@ -486,8 +410,6 @@ class SimulationSession:
     def stats(self) -> Dict[str, object]:
         """Cache/memoization statistics (for benchmarks and debugging)."""
         return {
-            "tables_in_memory": len(self._tables),
-            "stacks_in_memory": len(self._stacks),
             "reports_in_memory": len(self._reports),
             "backends": self.backend_names(),
             "disk_cache": self.cache.stats() if self.cache is not None else None,

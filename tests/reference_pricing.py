@@ -9,11 +9,19 @@ per-engine rules (:func:`rmpu_operator_cycles`, :func:`vvpu_operator_cycles`,
 Python.  Parity tests and the columnar-vs-scalar perf guard compare
 the engines against them; agreement is within float rounding (1e-9 relative),
 not bitwise, because the loops accumulate in operator order.
+
+:class:`OperatorLatency` is one operator's engine cycles.  The oracle builds
+them operator by operator (:func:`simulate_operators`), and
+:func:`operator_latencies` gathers an engine report's per-representative
+cycles to the same per-operator form through its table's row map.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.aaq import AAQConfig
 from repro.core.token_quant import TokenQuantConfig
@@ -25,10 +33,59 @@ from repro.gpu.gpu_model import (
     GPULatencyReport,
     GPUModel,
 )
-from repro.hardware import RMPU, VVPU, LatencyReport, LightNobelAccelerator, OperatorLatency
+from repro.hardware import RMPU, VVPU, LatencyReport, LightNobelAccelerator
 from repro.hardware.pe import units_per_mac
 from repro.ppm.activation_tap import GROUP_C
+from repro.ppm.op_table import OperatorTable
 from repro.ppm.workload import ENGINE_MATMUL, PHASE_PAIR, Operator, Workload
+
+
+@dataclass
+class OperatorLatency:
+    """Latency contributions of one operator (in cycles)."""
+
+    name: str
+    phase: str
+    subphase: str
+    rmpu_cycles: float
+    vvpu_cycles: float
+    memory_cycles: float
+
+    @property
+    def stage_cycles(self) -> float:
+        """Pipeline-stage latency: the slowest engine bounds the stage."""
+        return max(self.rmpu_cycles, self.vvpu_cycles, self.memory_cycles)
+
+    @property
+    def bottleneck(self) -> str:
+        values = {
+            "rmpu": self.rmpu_cycles,
+            "vvpu": self.vvpu_cycles,
+            "memory": self.memory_cycles,
+        }
+        return max(values, key=values.get)
+
+
+def operator_latencies(report: LatencyReport, table: OperatorTable) -> List[OperatorLatency]:
+    """Per-operator latencies of an engine ``report`` of ``table``'s length.
+
+    The report holds engine cycles per representative row; ``table.rep_index``
+    gathers them to its rows, in row order.
+    """
+    rmpu, vvpu, memory = np.take(report._cycles, table.rep_index, axis=1)
+    return [
+        OperatorLatency(
+            name=name,
+            phase=table.phases[p],
+            subphase=table.subphases[s],
+            rmpu_cycles=float(r),
+            vvpu_cycles=float(v),
+            memory_cycles=float(m),
+        )
+        for name, p, s, r, v, m in zip(
+            table.names, table.phase_codes, table.subphase_codes, rmpu, vvpu, memory
+        )
+    ]
 
 
 # ---------------------------------------------------------------- engines
@@ -139,17 +196,24 @@ def simulate_operator(accelerator: LightNobelAccelerator, op: Operator) -> Opera
     )
 
 
+def simulate_operators(
+    accelerator: LightNobelAccelerator, workload: Workload
+) -> List[OperatorLatency]:
+    """Engine cycles of every operator of ``workload``, in operator order."""
+    return [simulate_operator(accelerator, op) for op in workload.operators]
+
+
 def simulate_accelerator_workload(
     accelerator: LightNobelAccelerator, workload: Workload
 ) -> LatencyReport:
-    """One Python iteration per operator; carries per-operator latencies only."""
+    """One Python iteration per operator; the report carries no engine cycles."""
     hw = accelerator.hw_config
-    operator_latencies = [simulate_operator(accelerator, op) for op in workload.operators]
+    latencies = simulate_operators(accelerator, workload)
     phase_cycles: Dict[str, float] = {}
     subphase_cycles: Dict[str, float] = {}
     total = 0.0
     dram_bytes = 0.0
-    for op, latency in zip(workload.operators, operator_latencies):
+    for op, latency in zip(workload.operators, latencies):
         stage = latency.stage_cycles + hw.per_op_overhead_cycles
         total += stage
         phase_cycles[op.phase] = phase_cycles.get(op.phase, 0.0) + stage
@@ -164,14 +228,13 @@ def simulate_accelerator_workload(
         phase_cycles=phase_cycles,
         subphase_cycles=subphase_cycles,
         dram_bytes=dram_bytes,
-        _latencies=operator_latencies,
     )
 
 
-def bottleneck_share(report: LatencyReport) -> Dict[str, float]:
+def bottleneck_share(latencies: Sequence[OperatorLatency]) -> Dict[str, float]:
     """Fraction of stage latency bound by each engine, operator by operator."""
     totals: Dict[str, float] = {"rmpu": 0.0, "vvpu": 0.0, "memory": 0.0}
-    for op in report.operator_latencies:
+    for op in latencies:
         totals[op.bottleneck] += op.stage_cycles
     total = sum(totals.values()) or 1.0
     return {k: v / total for k, v in totals.items()}

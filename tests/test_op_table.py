@@ -34,8 +34,10 @@ from reference_graph import (
 )
 from reference_pricing import (
     bottleneck_share,
+    operator_latencies,
     simulate_accelerator_workload,
     simulate_gpu_workload,
+    simulate_operators,
 )
 
 from repro.gpu import GPUModel
@@ -500,8 +502,7 @@ class TestWorkloadCache:
         info = workload_cache_info()
         assert info.fits.currsize == 2  # one fit per include_recycles
         assert info.fits.misses == 2
-        assert info.tables.currsize == 2
-        assert info.stacks.currsize == 2
+        assert info.stacks.currsize == 4
 
     def test_clear_drops_the_label_templates(self, paper_config):
         get_op_table(paper_config, 64)
@@ -539,8 +540,8 @@ class TestWorkloadCache:
 
 
 def assert_operator_latencies_match(fast, legacy):
-    assert len(fast.operator_latencies) == len(legacy.operator_latencies)
-    for a, b in zip(fast.operator_latencies, legacy.operator_latencies):
+    assert len(fast) == len(legacy)
+    for a, b in zip(fast, legacy):
         assert a.name == b.name and a.phase == b.phase and a.subphase == b.subphase
         assert a.rmpu_cycles == pytest.approx(b.rmpu_cycles, rel=REL, abs=1e-12)
         assert a.vvpu_cycles == pytest.approx(b.vvpu_cycles, rel=REL, abs=1e-12)
@@ -567,8 +568,9 @@ class TestAcceleratorParity:
     def test_per_operator_latencies_match_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         workload = build_model_ops(paper_config, 64)
-        legacy = simulate_accelerator_workload(accelerator, workload)
-        fast = accelerator.simulate_table(OperatorTable.from_workload(workload))
+        legacy = simulate_operators(accelerator, workload)
+        table = OperatorTable.from_workload(workload)
+        fast = operator_latencies(accelerator.simulate_table(table), table)
         assert_operator_latencies_match(fast, legacy)
 
     @pytest.mark.parametrize("source", ["tiled", "stack segment"])
@@ -577,21 +579,25 @@ class TestAcceleratorParity:
         self, paper_config, source, n
     ):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
-        legacy = simulate_accelerator_workload(accelerator, build_model_ops(paper_config, n))
+        legacy = simulate_operators(accelerator, build_model_ops(paper_config, n))
         if source == "tiled":
-            fast = accelerator.simulate_table(get_op_table(paper_config, n))
+            table = get_op_table(paper_config, n)
+            fast = accelerator.simulate_table(table)
         else:
             stack = get_stacked_table(paper_config, [48, n, 1000])
+            table = stack.tables[stack.segment_index(n)]
             fast = accelerator.simulate_stack(stack)[stack.segment_index(n)]
-        assert_operator_latencies_match(fast, legacy)
+        assert_operator_latencies_match(operator_latencies(fast, table), legacy)
 
     def test_stack_segments_equal_one_segment_reports_exactly(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         mix = [64, 257, 1000]
-        stacked = accelerator.simulate_stack(get_stacked_table(paper_config, mix))
-        for n, report in zip(mix, stacked):
-            alone = accelerator.simulate_table(get_op_table(paper_config, n))
-            assert report.operator_latencies == alone.operator_latencies
+        stack = get_stacked_table(paper_config, mix)
+        stacked = accelerator.simulate_stack(stack)
+        for n, table, report in zip(mix, stack.tables, stacked):
+            alone_table = get_op_table(paper_config, n)
+            alone = accelerator.simulate_table(alone_table)
+            assert operator_latencies(report, table) == operator_latencies(alone, alone_table)
             assert report.bottleneck_share() == alone.bottleneck_share()
             assert report.total_cycles == alone.total_cycles
             assert report.dram_bytes == alone.dram_bytes
@@ -599,7 +605,7 @@ class TestAcceleratorParity:
     def test_bottleneck_share_matches_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         workload = build_model_ops(paper_config, 96)
-        legacy = bottleneck_share(simulate_accelerator_workload(accelerator, workload))
+        legacy = bottleneck_share(simulate_operators(accelerator, workload))
         fast = accelerator.simulate(96).bottleneck_share()
         assert set(fast) == set(legacy)
         for engine, share in legacy.items():

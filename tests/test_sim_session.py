@@ -1,7 +1,9 @@
 """Unified simulation layer: backend parity, batching, disk cache."""
 
+import gc
 import pickle
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,14 @@ import pytest
 import repro
 from repro.gpu import EndToEndComparison, GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
-from repro.ppm import PPMConfig, get_stacked_table
+from repro.ppm import (
+    PPMConfig,
+    StackedOperatorTable,
+    clear_workload_caches,
+    get_op_table,
+    get_stacked_table,
+    workload_cache_info,
+)
 from repro.sim import (
     AcceleratorVariant,
     CACHE_SCHEMA_VERSION,
@@ -90,15 +99,18 @@ class TestSimulateBatch:
             assert batch.totals(name) == loop
 
     def test_batch_dedupes_lengths_and_memoizes(self, config):
-        # Disk cache off: the assertions below count in-memory table builds,
+        # Disk cache off: the assertions below count in-memory stack builds,
         # which a disk hit (from the suite-wide sandbox cache) would skip.
+        clear_workload_caches()
         session = SimulationSession(ppm_config=config, use_disk_cache=False)
         lengths = [LENGTHS[0], LENGTHS[0], LENGTHS[1]]
+        before = workload_cache_info().stacks.misses
         batch = session.simulate_batch(lengths, backends=["lightnobel"])
         assert len(batch.totals("lightnobel")) == 3
         assert batch.totals("lightnobel")[0] == batch.totals("lightnobel")[1]
         stats = session.stats()
-        assert stats["tables_in_memory"] == 2
+        # One stack for the 2 distinct lengths.
+        assert workload_cache_info().stacks.misses == before + 1
         assert stats["reports_in_memory"] == 2
 
     def test_batch_distinct_specs_with_same_default_name(self, config):
@@ -238,6 +250,53 @@ class TestDiskCache:
         b.simulate(LENGTHS[0])
         assert set(tmp_path.glob("*.pkl")) > entries
         assert b.cache.hits == 0
+
+
+class TestOneTableCache:
+    """The stack LRU of ``repro.ppm.op_table`` is the only cache of operator tables."""
+
+    def test_lone_misses_build_one_stack_each(self, config, monkeypatch):
+        calls = {"from_tables": 0}
+        from_tables = StackedOperatorTable.from_tables.__func__
+
+        def counting(cls, tables):
+            calls["from_tables"] += 1
+            return from_tables(cls, tables)
+
+        monkeypatch.setattr(StackedOperatorTable, "from_tables", classmethod(counting))
+        clear_workload_caches()
+        lengths = [LENGTHS[0] + i for i in range(5)]
+        first = SimulationSession(ppm_config=config, use_disk_cache=False)
+        for n in lengths:
+            first.simulate(n, backend="lightnobel")
+        assert calls["from_tables"] == 0
+        assert workload_cache_info().stacks.misses == len(lengths)
+        # A fresh session on another backend prices the cached stacks.
+        second = SimulationSession(ppm_config=config, use_disk_cache=False)
+        for n in lengths:
+            second.simulate(n, backend="h100")
+        assert calls["from_tables"] == 0
+        assert workload_cache_info().stacks.misses == len(lengths)
+
+    def test_cold_disk_cache_holds_reports_only(self, config, tmp_path):
+        session = SimulationSession(ppm_config=config, cache_dir=tmp_path)
+        session.simulate_batch([LENGTHS[0]], backends=["lightnobel", "h100"])
+        session.simulate(LENGTHS[1])
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert len(names) == 3
+        assert all(re.fullmatch(r"report-\w+\.pkl", name) for name in names), names
+
+    def test_a_live_session_keeps_no_lone_table(self, config):
+        clear_workload_caches()
+        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session.simulate(LENGTHS[0])
+        table = weakref.ref(get_op_table(config, LENGTHS[0]))
+        others = range(100, 101 + workload_cache_info().stacks.maxsize)
+        for n in others:  # evicts the lone length's stack from the LRU
+            session.simulate(n)
+        gc.collect()
+        assert table() is None
+        assert session.stats()["reports_in_memory"] == 1 + len(others)
 
 
 class TestSinglePricingPath:
