@@ -14,10 +14,13 @@ layer's business and is guarded by
 
 Guards a conservative floor so a regression in the event loop (accidental
 O(n^2) queue handling, per-event simulator calls) fails CI rather than
-silently making capacity planning 100x slower.
+silently making capacity planning 100x slower, and counts the Python calls
+each path makes per replayed event, so no arrival, completion or dispatch
+can gain a function call unnoticed.
 """
 
 import statistics
+import sys
 import time
 
 from conftest import emit_bench_json, print_table
@@ -154,8 +157,8 @@ MAX_FAULT_SLOWDOWN = 2.0
 FAULT_PAIRS = 11
 
 
-def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
-    trace, fleet, times = build_inputs()
+def build_closed_loop(trace):
+    """Crashes, stragglers, admission control and the autoscaler, all on."""
     faults = FaultSchedule.generate(
         FLEET_SIZE,
         trace.duration_seconds,
@@ -166,7 +169,7 @@ def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
         stragglers_per_worker=1.0,
         mean_straggle_seconds=trace.duration_seconds * 0.05,
     )
-    closed_loop = dict(
+    return dict(
         faults=faults,
         recovery=RecoveryPolicy(max_retries=2, backoff_base_seconds=0.005),
         admission=AdmissionController(max_queue_depth=16 * FLEET_SIZE),
@@ -178,6 +181,11 @@ def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
             slo_target=0.95,
         ),
     )
+
+
+def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
+    trace, fleet, times = build_inputs()
+    closed_loop = build_closed_loop(trace)
     paths = (("healthy", {}), ("faulty", closed_loop))
 
     def replay(kwargs):
@@ -251,3 +259,72 @@ def test_faulty_replay_stays_within_2x_of_healthy(benchmark):
         f" > {MAX_FAULT_SLOWDOWN:.0f}x ({eps['faulty']:.0f} events/s faulty vs"
         f" {eps['healthy']:.0f} healthy)"
     )
+
+
+#: Python calls (``sys.setprofile`` "call" events) per replayed event on
+#: each path: the counts of the one-function event loop that preceded the
+#: closed-loop handler methods (2.0053, 2.5053, 3.0240 and 6.4031), plus
+#: 0.1; with the handlers the loop reads about 2.0055, 2.5055, 3.0243 and 6.4505.
+#: The hot kinds (arrival, completion, dispatch) are inline in the loop, so
+#: one more call per arrival or per completion adds about 0.5 per event and
+#: fails every bound; the closed-loop kinds are a few percent of events.
+MAX_CALLS_PER_EVENT = {
+    "fifo": 2.1,
+    "edf": 2.6,
+    "edf+cost-greedy": 3.1,
+    "faulty": 6.5,
+}
+
+
+def test_replay_adds_no_python_calls_per_event():
+    trace, fleet, times = build_inputs()
+    routed_trace, routed_fleet, routed_times = build_routed_inputs()
+    cases = {
+        "fifo": (trace, fleet, times, dict(scheduler="fifo")),
+        "edf": (trace, fleet, times, dict(scheduler="edf")),
+        "edf+cost-greedy": (
+            routed_trace, routed_fleet, routed_times,
+            dict(scheduler="edf", router="cost-greedy"),
+        ),
+        "faulty": (trace, fleet, times, dict(scheduler="edf", **build_closed_loop(trace))),
+    }
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    per_event = {}
+    for label, (case_trace, case_fleet, case_times, kwargs) in cases.items():
+        def replay():
+            return replay_trace(
+                case_trace,
+                case_fleet,
+                service_times=case_times,
+                same_length_reuse_discount=0.25,
+                **kwargs,
+            )
+
+        replay()  # past first-use work (the fault schedule's window index)
+        calls = 0
+        sys.setprofile(count)
+        try:
+            report = replay()
+        finally:
+            sys.setprofile(None)
+        per_event[label] = calls / report.events_processed
+
+    print_table(
+        "Replay: Python calls per event",
+        [("path", "calls per event", "budget")]
+        + [
+            (label, f"{value:.4f}", MAX_CALLS_PER_EVENT[label])
+            for label, value in per_event.items()
+        ],
+    )
+    for label, value in per_event.items():
+        assert value <= MAX_CALLS_PER_EVENT[label], (
+            f"{label} replay makes {value:.4f} Python calls per event"
+            f" > {MAX_CALLS_PER_EVENT[label]}"
+        )

@@ -21,9 +21,14 @@ The split keeps replay cheap and bit-deterministic:
    is its trace index — and idle workers are claimed lowest-id-first, so a
    given (trace, fleet, policy, faults, controllers) tuple replays to the
    bit-identical :class:`ClusterReport` on every run, machine and process
-   — the property the golden tests pin.  The loop records one plain row
-   per finished request; the report is aggregated from the rows after the
-   loop, and only :func:`replay_trace_outcomes` turns them into
+   — the property the golden tests pin.  Arrivals, retries, completions
+   and dispatch run inline in the loop; a crash, a recovery, an arrived
+   scale-up and an autoscaler tick are one method each of the replay's
+   state object, which keeps each fact once: a busy worker's request is
+   its queued completion, and the autoscaler's attainment window is the
+   last finished rows.  The loop records one plain row per finished
+   request; the report is aggregated from the rows after the loop, and
+   only :func:`replay_trace_outcomes` turns them into
    :class:`RequestOutcome` objects.
 
 Requests whose backend reports out-of-memory at their length are *dropped*
@@ -68,10 +73,9 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter, gt
+from itertools import count, islice
+from operator import attrgetter, gt, itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from ..obs.timeline import TimelineRecorder
@@ -361,6 +365,290 @@ def replay_trace_outcomes(
     )
 
 
+class _Replay:
+    """The mutable state of one replay, with one handler per closed-loop event.
+
+    The event loop in :func:`_replay` handles the hot kinds (arrivals,
+    retries, completions and dispatch) inline, through local aliases of
+    the lists kept here.  A crash, a recovery, an arrived scale-up and an
+    autoscaler tick each call one method.  Every list is changed in place
+    only, so the loop's aliases stay valid, and :meth:`report` aggregates
+    the finished rows after the loop.
+    """
+
+    def __init__(self, fleet: FleetSpec, recovery, autoscalers, queued_feasible, timeline):
+        self.recovery = recovery
+        self.autoscalers = autoscalers
+        self.queued_feasible = queued_feasible
+        self.timeline = timeline
+        # Per worker: base-fleet ids first, scale-ups appended.
+        self.group_of = group_of = fleet.worker_groups()
+        n = self.base_workers = len(group_of)
+        self.idle: List[int] = list(range(n))  # kept sorted (lowest id first)
+        self.busy_seconds = [0.0] * n
+        self.last_length: List[Optional[int]] = [None] * n
+        self.health = [WorkerHealth.HEALTHY] * n
+        self.generation = [0] * n  # bumped per crash; stale-completion guard
+        self.provision_start = [0.0] * n
+        self.warmup: Dict[int, float] = {}  # restarted worker -> surcharge, read while warming
+        self.down_since: Dict[int, float] = {}
+        self.attempts: Dict[int, int] = {}  # request id -> crash-requeues so far
+        #: Completions and control events.  No arrival is ever in the heap,
+        #: so an arrival and the heap top never tie on (time, kind).  A busy
+        #: worker's request is the payload of its current-generation completion.
+        self.events: List[Tuple[float, int, int, object]] = []
+        self.sequence = count()
+        self.rows: List[_Row] = []
+        # Per group: live (healthy or warming) workers, kept on crash,
+        # recover, scale-up and retire so a tick never scans the fleet;
+        # requested-but-not-yet-arrived workers; retired workers' seconds.
+        self.alive = [group_of.count(g) for g in range(len(fleet.groups))]
+        self.pending_up = [0] * len(fleet.groups)
+        self.provisioned_done = [0.0] * len(fleet.groups)
+        self.active = self.peak_fleet = n  # provisioned (non-retired) workers
+        self.retried = 0
+        self.downtime = 0.0
+
+    def push(self, at: float, kind: int, payload) -> None:
+        heapq.heappush(self.events, (at, kind, next(self.sequence), payload))
+
+    def drop(self, request, now: float, reason: str, start: Optional[float] = None) -> None:
+        self.rows.append((
+            request, now if start is None else start, now, False, reason,
+            self.attempts.get(request.id, 0),
+        ))
+        if self.timeline is not None:
+            self.timeline.drop(now, request.id, reason)
+
+    def crash(self, now: float, crash) -> None:
+        """A live worker dies: its request is lost, then retried or failed
+        once the crash is detected, and a restart is scheduled if any."""
+        w = crash.worker_id
+        if self.health[w] not in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
+            return
+        running = (w, self.generation[w])
+        victim = next(
+            (e for e in self.events if e[1] == _COMPLETION and e[3][:2] == running), None
+        )
+        self.health[w] = WorkerHealth.DEAD
+        self.alive[self.group_of[w]] -= 1
+        self.generation[w] += 1  # its completion, still queued, is now stale
+        self.down_since[w] = now
+        if self.timeline is not None:
+            self.timeline.crash(now, w)
+        if w in self.idle:
+            self.idle.remove(w)
+        if victim is not None:
+            finish, _, _, (_, _, request, start) = victim
+            if self.timeline is not None:
+                self.timeline.abort(now, w, request.id)
+            self.busy_seconds[w] -= finish - now  # unserved remainder
+            detect = now + crash.detection_lag_seconds
+            used = self.attempts.get(request.id, 0)
+            if self.recovery.gives_up(used):
+                self.drop(request, detect, "failed", start=start)
+            else:
+                self.attempts[request.id] = used + 1
+                self.retried += 1
+                self.push(detect + self.recovery.backoff_seconds(used), _RETRY, request)
+        if crash.restart_after_seconds is not None:
+            self.push(now + crash.restart_after_seconds, _RECOVER, crash)
+
+    def recover(self, now: float, crash) -> None:
+        """A dead worker restarts cold, warming if the crash says so."""
+        w = crash.worker_id
+        if self.health[w] is not WorkerHealth.DEAD:
+            return
+        self.downtime += now - self.down_since.pop(w)
+        self.warmup[w] = crash.warmup_seconds
+        warming = crash.warmup_seconds > 0
+        self.health[w] = WorkerHealth.WARMING if warming else WorkerHealth.HEALTHY
+        self.alive[self.group_of[w]] += 1
+        self.last_length[w] = None  # restarted cold: no shape to reuse
+        insort(self.idle, w)
+        if self.timeline is not None:
+            self.timeline.recover(now, w)
+
+    def scale_up(self, now: float, group: int) -> None:
+        """A requested worker arrives, idle and healthy, with the next id."""
+        self.pending_up[group] -= 1
+        w = len(self.group_of)
+        self.group_of.append(group)
+        self.busy_seconds.append(0.0)
+        self.last_length.append(None)
+        self.health.append(WorkerHealth.HEALTHY)
+        self.generation.append(0)
+        self.provision_start.append(now)
+        self.alive[group] += 1
+        self.active += 1
+        self.peak_fleet = max(self.peak_fleet, self.active)
+        insort(self.idle, w)
+        if self.timeline is not None:
+            self.timeline.scale_up(now, w, group)
+
+    def tick(self, now: float, depth: int, more) -> None:
+        """Evaluate every group's autoscaler, then tick again while the heap
+        or ``more`` (arrivals or queued requests left) has work to react to."""
+        if self.timeline is not None:
+            self.timeline.autoscale(now)
+        autoscalers = self.autoscalers
+        window = self.rows[-autoscalers[0].attainment_window:]
+        attainment = sum(map(itemgetter(3), window)) / len(window) if window else 1.0
+        for gi, scaler in enumerate(autoscalers):
+            # One group reads the whole queue and the whole fleet.
+            signal = depth if self.queued_feasible is None else self.queued_feasible[gi]
+            delta = scaler.desired_delta(
+                signal, self.alive[gi], self.pending_up[gi], attainment
+            )
+            if delta > 0:
+                arrive = now + scaler.scale_up_lag_seconds
+                for _ in range(delta):
+                    self.push(arrive, _SCALE_UP, gi)
+                self.pending_up[gi] += delta
+            elif delta < 0:
+                # Retire idle healthy workers only, highest id first — never
+                # a busy, warming, or dead one (a dead worker may still owe
+                # a restart; retiring it would double-account its lifetime).
+                retirable = [
+                    w for w in reversed(self.idle)
+                    if self.health[w] is WorkerHealth.HEALTHY and self.group_of[w] == gi
+                ][:-delta]
+                for w in retirable:
+                    self.idle.remove(w)
+                    self.health[w] = WorkerHealth.RETIRED
+                    self.alive[gi] -= 1
+                    self.provisioned_done[gi] += now - self.provision_start[w]
+                    self.active -= 1
+                    if self.timeline is not None:
+                        self.timeline.retire(now, w)
+        # The tick just popped was the only one, so every heap entry is a
+        # non-tick event (ticks never count themselves, or the loop would
+        # self-sustain forever).  An in-flight request's completion is in
+        # the heap, so the heap speaks for running work too.
+        if self.events or more:
+            self.push(now + autoscalers[0].interval_seconds, _AUTOSCALE, None)
+
+    def report(
+        self, trace: RequestTrace, fleet: FleetSpec, scheduler, router, makespan: float,
+        events_processed: int, max_queue_depth: int, queue_depth_sum: int,
+    ) -> ClusterReport:
+        """Aggregate the finished rows and the fleet's lifetime into a report."""
+        downtime_total = self.downtime
+        for since in self.down_since.values():
+            downtime_total += max(0.0, makespan - since)
+        group_of, health, num_workers = self.group_of, self.health, self.base_workers
+        provisioned_by_group = [
+            self.provisioned_done[g]
+            + sum(
+                max(0.0, makespan - self.provision_start[w])
+                for w in range(len(group_of))
+                if group_of[w] == g and health[w] is not WorkerHealth.RETIRED
+            )
+            for g in range(len(fleet.groups))
+        ]
+        provisioned_total = sum(provisioned_by_group)
+
+        latencies: List[float] = []
+        waits: List[float] = []
+        met_by_priority: Dict[int, int] = {}
+        total_by_priority: Dict[int, int] = {}
+        shed_by_priority: Dict[int, int] = {}
+        completed = deadlines_missed = shed = oom_dropped = failed = 0
+        for request, start, finish, met, reason, _ in self.rows:
+            priority = request.priority
+            total_by_priority[priority] = total_by_priority.get(priority, 0) + 1
+            if reason is None:
+                completed += 1
+                latencies.append(finish - request.arrival_seconds)
+                waits.append(start - request.arrival_seconds)
+                if met:
+                    met_by_priority[priority] = met_by_priority.get(priority, 0) + 1
+                else:
+                    deadlines_missed += 1
+                continue
+            if request.deadline_seconds is not None:
+                deadlines_missed += 1
+            if reason == "shed":
+                shed += 1
+                shed_by_priority[priority] = shed_by_priority.get(priority, 0) + 1
+            elif reason == "oom":
+                oom_dropped += 1
+            else:  # "failed" or "starved" — the lost-to-the-fleet bucket
+                failed += 1
+
+        requests = len(trace)
+        autoscaled = self.autoscalers is not None
+        utilization = {}
+        for index, label in enumerate(fleet.group_labels()):
+            members = [w for w, g in enumerate(group_of) if g == index]
+            busy = sum(self.busy_seconds[w] for w in members)
+            capacity = provisioned_by_group[index] if autoscaled else len(members) * makespan
+            utilization[label] = busy / capacity if capacity > 0 else 0.0
+
+        if not autoscaled:
+            hours = makespan / 3600.0
+            cost = fleet.cost_per_hour * hours / completed * 1e6 if completed else 0.0
+            worker_hours = num_workers * makespan / 3600.0
+            mean_fleet = float(num_workers)
+        else:
+            # Worker-hours priced per group at that group's per-worker rate;
+            # one group reduces to exactly the fleet's per-worker rate times worker-hours.
+            provisioned_dollars = sum(
+                (group.hourly_cost / group.count) * (provisioned_by_group[g] / 3600.0)
+                for g, group in enumerate(fleet.groups)
+            )
+            cost = provisioned_dollars / completed * 1e6 if completed else 0.0
+            worker_hours = provisioned_total / 3600.0
+            mean_fleet = provisioned_total / makespan if makespan > 0 else float(num_workers)
+
+        attained = sum(met_by_priority.values())
+        return ClusterReport(
+            trace_name=trace.name,
+            fleet_name=fleet.name,
+            policy=scheduler_name(scheduler),
+            num_workers=num_workers,
+            requests=requests,
+            completed=completed,
+            dropped=len(self.rows) - completed,
+            makespan_seconds=makespan,
+            offered_rps=trace.offered_rps,
+            throughput_rps=completed / makespan if makespan > 0 else 0.0,
+            mean_latency_seconds=sum(latencies) / len(latencies) if latencies else 0.0,
+            p50_latency_seconds=percentile(latencies, 50.0),
+            p99_latency_seconds=percentile(latencies, 99.0),
+            mean_wait_seconds=sum(waits) / len(waits) if waits else 0.0,
+            p99_wait_seconds=percentile(waits, 99.0),
+            slo_attainment=attained / requests if requests else 0.0,
+            deadlines_missed=deadlines_missed,
+            max_queue_depth=max_queue_depth,
+            mean_queue_depth=(
+                queue_depth_sum / events_processed if events_processed else 0.0
+            ),
+            utilization=utilization,
+            per_priority_attainment={
+                priority: met_by_priority.get(priority, 0) / total
+                for priority, total in sorted(total_by_priority.items())
+            },
+            cost_per_million_requests=cost,
+            router=router_name(router),
+            events_processed=events_processed,
+            retried=self.retried,
+            shed=shed,
+            oom_dropped=oom_dropped,
+            failed=failed,
+            downtime_seconds=downtime_total,
+            availability=(
+                max(0.0, 1.0 - downtime_total / provisioned_total)
+                if provisioned_total > 0
+                else 1.0
+            ),
+            mean_fleet_size=mean_fleet,
+            peak_fleet_size=self.peak_fleet,
+            worker_hours=worker_hours,
+            shed_by_priority=dict(sorted(shed_by_priority.items())),
+        )
+
+
 def _replay(
     trace: RequestTrace,
     fleet: FleetSpec,
@@ -447,30 +735,29 @@ def _replay(
             )
             for n in trace.distinct_lengths()
         }
-    if (
-        faults is not None
-        and faults.degraded_links
-        and communication_times is None
-    ):
+    if faults is not None and faults.degraded_links and communication_times is None:
         cfg = ppm_config
         if cfg is None and session is not None:
             cfg = session.ppm_config
         if cfg is None and service is not None:
             cfg = service.session.ppm_config
-        communication_times = prefetch_communication_seconds(
-            trace, fleet, ppm_config=cfg
-        )
+        communication_times = prefetch_communication_seconds(trace, fleet, ppm_config=cfg)
 
-    group_of = fleet.worker_groups()
-    num_workers = len(group_of)
-    labels = fleet.group_labels()
+    state = _Replay(fleet, recovery, autoscalers, queued_feasible, timeline)
+    group_of = state.group_of
     if timeline is not None:
         timeline.configure(
             trace_name=trace.name,
             fleet_name=fleet.name,
-            group_labels=labels,
+            group_labels=fleet.group_labels(),
             group_of=tuple(group_of),
         )
+    if faults is not None:
+        for crash in faults.crashes:
+            if crash.worker_id < state.base_workers:
+                state.push(crash.at_seconds, _CRASH, crash)
+    if autoscalers is not None:
+        state.push(first_scaler.interval_seconds, _AUTOSCALE, None)
 
     # Arrivals are merged from the trace rather than pushed into the heap.
     # An arrival's heap key would be (arrival, _ARRIVAL, trace index), so
@@ -485,69 +772,21 @@ def _replay(
     num_arrivals = len(arrivals)
     next_arrival = 0
 
-    #: Completions and control events.  No arrival is ever in the heap, so
-    #: an arrival and the heap top never tie on (time, kind).
-    events: List[Tuple[float, int, int, object]] = []
-    counter = 0
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    if faults is not None:
-        for crash in faults.crashes:
-            if crash.worker_id < num_workers:
-                heappush(events, (crash.at_seconds, _CRASH, counter, crash))
-                counter += 1
-    if autoscalers is not None:
-        heappush(
-            events, (first_scaler.interval_seconds, _AUTOSCALE, counter, None)
-        )
-        counter += 1
-
-    idle: List[int] = list(range(num_workers))  # kept sorted (lowest id first)
-    busy_seconds = [0.0] * num_workers
-    last_length: List[Optional[int]] = [None] * num_workers
-    health: List[WorkerHealth] = [WorkerHealth.HEALTHY] * num_workers
-    generation = [0] * num_workers  # bumped per crash; stale-completion guard
-    warmup_extra = [0.0] * num_workers
-    provision_start = [0.0] * num_workers
-    #: worker -> (req, start, finish); kept only when a crash can abort work.
-    running: Dict[int, Tuple[object, float, float]] = {}
-    down_since: Dict[int, float] = {}
-    attempts: Dict[int, int] = {}  # request id -> crash-requeues so far
-
-    rows: List[_Row] = []
-    retried = 0
+    # The hot kinds run on local aliases of the state's lists.
+    events, next_sequence = state.events, state.sequence.__next__
+    heappush, heappop = heapq.heappush, heapq.heappop
+    idle, health, generation = state.idle, state.health, state.generation
+    busy_seconds, last_length = state.busy_seconds, state.last_length
+    warmup, attempts = state.warmup, state.attempts
+    rows, drop = state.rows, state.drop
     events_processed = 0
     depth = len(policy)  # queued requests, counted here rather than asked
     max_queue_depth = 0
     queue_depth_sum = 0
     last_time = trace.duration_seconds
-    in_flight = 0
-    pending_up = [0] * num_groups  # requested-but-not-yet-arrived, per group
-    #: Live (healthy or warming) workers per group, kept on crash, recover,
-    #: scale-up and retire so an autoscaler tick never scans the fleet.
-    alive = [0] * num_groups
-    for g in group_of:
-        alive[g] += 1
-    provisioned_done = [0.0] * num_groups  # retired workers' worker-seconds
-    active_count = num_workers  # provisioned (non-retired) workers right now
-    peak_fleet = num_workers
-    downtime_total = 0.0
-    recent_met: deque = deque(
-        maxlen=first_scaler.attainment_window if autoscalers else 1
-    )
     push, pop = policy.push, policy.pop
     prefer_shape = same_length_reuse_discount > 0.0
     reuse_factor = 1.0 - same_length_reuse_discount
-
-    def record_drop(request, now: float, reason: str, start: Optional[float] = None) -> None:
-        rows.append((
-            request, now if start is None else start, now, False, reason,
-            attempts.get(request.id, 0),
-        ))
-        if autoscalers is not None:
-            recent_met.append(0)
-        if timeline is not None:
-            timeline.drop(now, request.id, reason)
 
     while True:
         if next_arrival < num_arrivals and (
@@ -562,7 +801,7 @@ def _replay(
                     time_now, request.id, request.sequence_length, request.priority
                 )
             if admission is not None and not admission.admits(request.priority, depth):
-                record_drop(request, time_now, "shed")
+                drop(request, time_now, "shed")
             else:
                 push(request)
                 depth += 1
@@ -580,9 +819,6 @@ def _replay(
                 # restart long after the last request must not inflate it.
                 if time_now > last_time:
                     last_time = time_now
-                if faults is not None:
-                    del running[worker]
-                in_flight -= 1
                 insort(idle, worker)
                 met = (
                     request.deadline_seconds is None
@@ -591,8 +827,6 @@ def _replay(
                 rows.append(
                     (request, start, time_now, met, None, attempts.get(request.id, 0))
                 )
-                if autoscalers is not None:
-                    recent_met.append(1 if met else 0)
                 if timeline is not None:
                     timeline.complete(time_now, worker, request.id, met)
             elif kind == _RETRY:
@@ -606,128 +840,13 @@ def _replay(
                     for qgi in feasible_of[payload.sequence_length]:
                         queued_feasible[qgi] += 1
             elif kind == _CRASH:
-                crash = payload
-                w = crash.worker_id
-                if health[w] in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
-                    health[w] = WorkerHealth.DEAD
-                    alive[group_of[w]] -= 1
-                    generation[w] += 1
-                    down_since[w] = time_now
-                    if timeline is not None:
-                        timeline.crash(time_now, w)
-                    if w in idle:
-                        idle.remove(w)
-                    victim = running.pop(w, None)
-                    if victim is not None:
-                        request, start, finish = victim
-                        in_flight -= 1
-                        if timeline is not None:
-                            timeline.abort(time_now, w, request.id)
-                        busy_seconds[w] -= finish - time_now  # unserved remainder
-                        detect = time_now + crash.detection_lag_seconds
-                        used = attempts.get(request.id, 0)
-                        if recovery.gives_up(used):
-                            record_drop(request, detect, "failed", start=start)
-                        else:
-                            attempts[request.id] = used + 1
-                            retried += 1
-                            heappush(
-                                events,
-                                (detect + recovery.backoff_seconds(used),
-                                 _RETRY, counter, request),
-                            )
-                            counter += 1
-                    if crash.restart_after_seconds is not None:
-                        heappush(
-                            events,
-                            (time_now + crash.restart_after_seconds,
-                             _RECOVER, counter, crash),
-                        )
-                        counter += 1
+                state.crash(time_now, payload)
             elif kind == _RECOVER:
-                crash = payload
-                w = crash.worker_id
-                if health[w] is WorkerHealth.DEAD:
-                    downtime_total += time_now - down_since.pop(w)
-                    warmup_extra[w] = crash.warmup_seconds
-                    health[w] = (
-                        WorkerHealth.WARMING if crash.warmup_seconds > 0
-                        else WorkerHealth.HEALTHY
-                    )
-                    alive[group_of[w]] += 1
-                    last_length[w] = None  # restarted cold: no shape to reuse
-                    insort(idle, w)
-                    if timeline is not None:
-                        timeline.recover(time_now, w)
+                state.recover(time_now, payload)
             elif kind == _SCALE_UP:
-                up_group = payload if payload is not None else 0
-                pending_up[up_group] -= 1
-                w = len(group_of)
-                group_of.append(up_group)
-                busy_seconds.append(0.0)
-                last_length.append(None)
-                health.append(WorkerHealth.HEALTHY)
-                generation.append(0)
-                warmup_extra.append(0.0)
-                provision_start.append(time_now)
-                alive[up_group] += 1
-                active_count += 1
-                peak_fleet = max(peak_fleet, active_count)
-                insort(idle, w)
-                if timeline is not None:
-                    timeline.scale_up(time_now, w, up_group)
+                state.scale_up(time_now, payload)
             else:  # _AUTOSCALE
-                if timeline is not None:
-                    timeline.autoscale(time_now)
-                window = len(recent_met)
-                attainment = sum(recent_met) / window if window else 1.0
-                for gi_scale, scaler in enumerate(autoscalers):
-                    # One group reads the whole queue and the whole fleet
-                    # (every group_of[w] is 0).
-                    depth_signal = (
-                        depth if queued_feasible is None
-                        else queued_feasible[gi_scale]
-                    )
-                    delta = scaler.desired_delta(
-                        depth_signal, alive[gi_scale], pending_up[gi_scale], attainment
-                    )
-                    if delta > 0:
-                        arrive = time_now + scaler.scale_up_lag_seconds
-                        for _ in range(delta):
-                            heappush(events, (arrive, _SCALE_UP, counter, gi_scale))
-                            counter += 1
-                            pending_up[gi_scale] += 1
-                    elif delta < 0:
-                        # Retire idle healthy workers only, highest id first —
-                        # never a busy, warming, or dead one (a dead worker may
-                        # still owe a restart; retiring it would double-account
-                        # its lifetime).
-                        retirable = [
-                            w for w in reversed(idle)
-                            if health[w] is WorkerHealth.HEALTHY
-                            and group_of[w] == gi_scale
-                        ][:-delta]
-                        for w in retirable:
-                            idle.remove(w)
-                            health[w] = WorkerHealth.RETIRED
-                            alive[gi_scale] -= 1
-                            provisioned_done[gi_scale] += (
-                                time_now - provision_start[w]
-                            )
-                            active_count -= 1
-                            if timeline is not None:
-                                timeline.retire(time_now, w)
-                # Tick again while anything is left to react to.  The tick
-                # just popped was the only one, so every heap entry is a
-                # non-tick event (ticks never count themselves, or the
-                # loop would self-sustain forever).
-                if events or next_arrival < num_arrivals or depth or in_flight:
-                    heappush(
-                        events,
-                        (time_now + first_scaler.interval_seconds,
-                         _AUTOSCALE, counter, None),
-                    )
-                    counter += 1
+                state.tick(time_now, depth, next_arrival < num_arrivals or depth)
         else:
             break
         events_processed += 1
@@ -754,7 +873,7 @@ def _replay(
                     prefs = pref_of[length]
                     if not prefs:
                         # No group in the fleet can ever hold this length.
-                        record_drop(request, time_now, "oom")
+                        drop(request, time_now, "oom")
                         continue
                     worker = None
                     for candidate_group in prefs:
@@ -782,7 +901,7 @@ def _replay(
                         # ``router=`` to retry other groups).  The worker
                         # itself stays idle.
                         insort(idle, worker)
-                        record_drop(request, time_now, "oom")
+                        drop(request, time_now, "oom")
                         continue
                 if last_length[worker] == length:
                     seconds *= reuse_factor
@@ -796,22 +915,16 @@ def _replay(
                     if link_factor < 1.0 and communication_times is not None:
                         comm = communication_times[(gi, length)]
                         seconds += comm * (1.0 / link_factor - 1.0)
-                    extra = warmup_extra[worker]
-                    if extra:
-                        warmup_extra[worker] = 0.0
                     if health[worker] is WorkerHealth.WARMING:
                         health[worker] = WorkerHealth.HEALTHY
+                        extra = warmup[worker]
                 finish = time_now + seconds + extra
                 busy_seconds[worker] += seconds + extra
-                if faults is not None:
-                    running[worker] = (request, time_now, finish)
-                in_flight += 1
                 heappush(
                     events,
-                    (finish, _COMPLETION, counter,
+                    (finish, _COMPLETION, next_sequence(),
                      (worker, generation[worker], request, time_now)),
                 )
-                counter += 1
                 if timeline is not None:
                     timeline.dispatch(time_now, finish, worker, request.id, length)
             # Reversed so repeated requeue-at-head restores the original order.
@@ -828,129 +941,15 @@ def _replay(
         if timeline is not None:
             timeline.queue_depth(time_now, depth)
 
-    makespan = last_time
     # Requests still queued were starved: every worker (routed mode: every
     # worker of their feasible groups) is dead with no restart coming, or
     # retired, so nothing will ever serve them.
     while depth:
-        request = pop(makespan)
+        request = pop(last_time)
         depth -= 1
-        record_drop(request, makespan, "starved")
-    for w, since in down_since.items():
-        downtime_total += max(0.0, makespan - since)
-    total_workers = len(group_of)
-    provisioned_by_group = [
-        provisioned_done[g]
-        + sum(
-            max(0.0, makespan - provision_start[w])
-            for w in range(total_workers)
-            if group_of[w] == g and health[w] is not WorkerHealth.RETIRED
-        )
-        for g in range(num_groups)
-    ]
-    provisioned_total = sum(provisioned_by_group)
-
-    latencies: List[float] = []
-    waits: List[float] = []
-    met_by_priority: Dict[int, int] = {}
-    total_by_priority: Dict[int, int] = {}
-    shed_by_priority: Dict[int, int] = {}
-    completed = dropped = deadlines_missed = shed = oom_dropped = failed = 0
-    for request, start, finish, met, reason, _ in rows:
-        priority = request.priority
-        total_by_priority[priority] = total_by_priority.get(priority, 0) + 1
-        if reason is None:
-            completed += 1
-            latencies.append(finish - request.arrival_seconds)
-            waits.append(start - request.arrival_seconds)
-            if met:
-                met_by_priority[priority] = met_by_priority.get(priority, 0) + 1
-            else:
-                deadlines_missed += 1
-            continue
-        dropped += 1
-        if request.deadline_seconds is not None:
-            deadlines_missed += 1
-        if reason == "shed":
-            shed += 1
-            shed_by_priority[priority] = shed_by_priority.get(priority, 0) + 1
-        elif reason == "oom":
-            oom_dropped += 1
-        else:  # "failed" or "starved" — the lost-to-the-fleet bucket
-            failed += 1
-
-    requests = len(trace)
-    utilization = {}
-    for index, label in enumerate(labels):
-        members = [w for w, g in enumerate(group_of) if g == index]
-        busy = sum(busy_seconds[w] for w in members)
-        if autoscalers is None:
-            capacity = len(members) * makespan
-        else:
-            capacity = provisioned_by_group[index]
-        utilization[label] = busy / capacity if capacity > 0 else 0.0
-
-    if autoscalers is None:
-        cost = (
-            fleet.cost_per_hour * (makespan / 3600.0) / completed * 1e6
-            if completed
-            else 0.0
-        )
-        worker_hours = num_workers * makespan / 3600.0
-        mean_fleet = float(num_workers)
-    else:
-        # Worker-hours priced per group at that group's per-worker rate; one
-        # group reduces to exactly the homogeneous expression of PR 6.
-        provisioned_dollars = sum(
-            (group.hourly_cost / group.count) * (provisioned_by_group[g] / 3600.0)
-            for g, group in enumerate(fleet.groups)
-        )
-        cost = provisioned_dollars / completed * 1e6 if completed else 0.0
-        worker_hours = provisioned_total / 3600.0
-        mean_fleet = provisioned_total / makespan if makespan > 0 else float(num_workers)
-
-    attained = sum(met_by_priority.values())
-    report = ClusterReport(
-        trace_name=trace.name,
-        fleet_name=fleet.name,
-        policy=scheduler_name(scheduler),
-        num_workers=num_workers,
-        requests=requests,
-        completed=completed,
-        dropped=dropped,
-        makespan_seconds=makespan,
-        offered_rps=trace.offered_rps,
-        throughput_rps=completed / makespan if makespan > 0 else 0.0,
-        mean_latency_seconds=sum(latencies) / len(latencies) if latencies else 0.0,
-        p50_latency_seconds=percentile(latencies, 50.0),
-        p99_latency_seconds=percentile(latencies, 99.0),
-        mean_wait_seconds=sum(waits) / len(waits) if waits else 0.0,
-        p99_wait_seconds=percentile(waits, 99.0),
-        slo_attainment=attained / requests if requests else 0.0,
-        deadlines_missed=deadlines_missed,
-        max_queue_depth=max_queue_depth,
-        mean_queue_depth=queue_depth_sum / events_processed if events_processed else 0.0,
-        utilization=utilization,
-        per_priority_attainment={
-            priority: met_by_priority.get(priority, 0) / total
-            for priority, total in sorted(total_by_priority.items())
-        },
-        cost_per_million_requests=cost,
-        router=router_name(router),
-        events_processed=events_processed,
-        retried=retried,
-        shed=shed,
-        oom_dropped=oom_dropped,
-        failed=failed,
-        downtime_seconds=downtime_total,
-        availability=(
-            max(0.0, 1.0 - downtime_total / provisioned_total)
-            if provisioned_total > 0
-            else 1.0
-        ),
-        mean_fleet_size=mean_fleet,
-        peak_fleet_size=peak_fleet,
-        worker_hours=worker_hours,
-        shed_by_priority=dict(sorted(shed_by_priority.items())),
+        drop(request, last_time, "starved")
+    report = state.report(
+        trace, fleet, scheduler, router, last_time,
+        events_processed, max_queue_depth, queue_depth_sum,
     )
     return report, rows

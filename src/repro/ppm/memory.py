@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .._memo import CONFIG_MEMO
@@ -110,6 +110,9 @@ GPU_DENSE = ResidentSet("gpu_dense", pair_copies=6, score_copies=2)
 GPU_CHUNKED = ResidentSet("gpu_chunked", pair_copies=18, score_copies=1, score_rows=CHUNK_ROWS)
 #: LightNobel: token-wise MHA keeps the scores on chip and ESM-2 runs on the host.
 LIGHTNOBEL_AAQ = ResidentSet("lightnobel_aaq", pair_copies=8, quantized=True, language_model=False)
+#: LightNobel without token-wise MHA: the scores and their softmax output go
+#: through HBM, both live, as on the dense GPU.
+LIGHTNOBEL_AAQ_UNFUSED = replace(LIGHTNOBEL_AAQ, name="lightnobel_aaq_unfused", score_copies=2)
 
 
 def activation_bytes(row: ResidentSet, config: PPMConfig, n: int, aaq=None) -> float:

@@ -161,11 +161,11 @@ class AcceleratorBackend:
 
     @property
     def max_length(self) -> int:
-        """Longest sequence the accelerator's HBM holds (``LIGHTNOBEL_AAQ``)."""
+        """Longest sequence the accelerator's HBM holds: ``LIGHTNOBEL_AAQ``, or
+        ``LIGHTNOBEL_AAQ_UNFUSED`` when the scores leave the chip."""
         sim = self.simulator
-        return memory.max_length(
-            memory.LIGHTNOBEL_AAQ, sim.ppm_config, sim.hw_config.hbm_capacity_gb, sim.aaq_config
-        )
+        row = memory.LIGHTNOBEL_AAQ if sim.tokenwise_mha else memory.LIGHTNOBEL_AAQ_UNFUSED
+        return memory.max_length(row, sim.ppm_config, sim.hw_config.hbm_capacity_gb, sim.aaq_config)
 
     def _to_sim_report(self, report, out_of_memory: bool) -> SimReport:
         clock = self.simulator.hw_config.cycles_per_second

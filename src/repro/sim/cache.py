@@ -37,7 +37,8 @@ from .. import __version__
 #: sum representatives weighted by multiplicity, which moves last-bit floats.
 #: 4: a pickled table holds its representatives' numbers, not full-row columns.
 #: 5: an accelerator report above the memory model's max_length is out of memory.
-CACHE_SCHEMA_VERSION = 5
+#: 6: without token-wise MHA, the accelerator's fit charges the HBM score matrices.
+CACHE_SCHEMA_VERSION = 6
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"

@@ -27,10 +27,13 @@ from repro.hardware.config import LightNobelConfig
 from repro.ppm import PPMConfig, memory
 from repro.ppm.op_table import get_stacked_table
 from repro.sim import SimulationSession
-from repro.sim.backend import create_backend
+from repro.sim.backend import AcceleratorVariant, create_backend
 
 #: Longest sequence LightNobel holds at the paper config.
 LIMIT = 10655
+
+#: The same without token-wise MHA: both score intermediates live in HBM.
+UNFUSED_LIMIT = 1685
 
 #: The Fig. 12 grid the ``dse-sweep`` workload prices: three anchors, each
 #: swept over VVPUs per RMPU and over RMPUs (60 configs, some repeated).
@@ -59,6 +62,17 @@ class TestLightNobelOutOfMemory:
         aaq = AAQConfig.paper_optimal()
         expected = memory.max_length(memory.LIGHTNOBEL_AAQ, paper, capacity, aaq)
         assert create_backend("lightnobel").max_length == expected == LIMIT
+
+    def test_without_tokenwise_mha_the_scores_are_resident(self, session):
+        paper = PPMConfig.paper()
+        capacity = LightNobelConfig.paper().hbm_capacity_gb
+        aaq = AAQConfig.paper_optimal()
+        unfused = AcceleratorVariant(tokenwise_mha=False, name="lightnobel-unfused")
+        expected = memory.max_length(memory.LIGHTNOBEL_AAQ_UNFUSED, paper, capacity, aaq)
+        assert unfused.build(paper).max_length == expected == UNFUSED_LIMIT
+        assert not session.simulate(UNFUSED_LIMIT, backend=unfused).out_of_memory
+        assert session.simulate(UNFUSED_LIMIT + 1, backend=unfused).out_of_memory
+        assert not session.simulate(UNFUSED_LIMIT + 1, backend="lightnobel").out_of_memory
 
     def test_simulate(self, session):
         assert not session.simulate(LIMIT, backend="lightnobel").out_of_memory

@@ -147,12 +147,12 @@ class WorkerModel:
     """Reference lifecycle: idle -> busy -> idle, live -> dead -> idle
     (maybe warming), idle and healthy -> retired; requests end once."""
 
-    def __init__(self, group_of, faults: FaultSchedule, options) -> None:
+    def __init__(self, group_of, options) -> None:
         self.group_of: List[int] = list(group_of)
         self.state: List[str] = ["idle"] * len(group_of)
         self.warming: List[bool] = [False] * len(group_of)
         self.running: Dict[int, int] = {}  # worker -> request id
-        self.crashes = faults.crashes
+        self.crashes = options["faults"].crashes
         self.service_times = options["service_times"]
         self.max_retries = options["recovery"].max_retries
         self.arrived: set = set()
@@ -302,7 +302,7 @@ def test_worker_health_follows_the_reference_model(case):
     trace, fleet, options = case
     timeline = TimelineRecorder()
     report = replay_trace(trace, fleet, timeline=timeline, **options)
-    model = WorkerModel(fleet.worker_groups(), options["faults"], options)
+    model = WorkerModel(fleet.worker_groups(), options)
     model.walk(timeline.events)
 
     assert set(model.ended) == {r.id for r in trace}, "a request never ended"
