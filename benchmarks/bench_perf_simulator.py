@@ -34,10 +34,19 @@ paper-config stack of the ``dse-sweep`` strata (256-4096) must price at most
 hides every full-row column of that stack behind objects that raise when
 read: both engines' ``simulate_stack`` and ``simulate_stack_totals`` must
 return the real stack's numbers without touching one.
+
+A fifth guard counts report objects: pricing that 16-length stack through
+``SimulationSession.simulate_batch`` on ``lightnobel`` and ``h100-chunk``
+constructs exactly one report per (backend, length), counted over every
+``*Report`` class of the loaded ``repro`` modules (the engines price
+straight into ``SimReport``; an engine report copied into a second type
+would count twice).
 """
 
+import collections
 import copy
 import statistics
+import sys
 import tempfile
 import time
 
@@ -437,7 +446,7 @@ def test_pricing_reads_representative_rows_only(paper_config):
     stack = get_stacked_table(paper_config, lengths)
     priced = {
         "accelerator": len(LightNobelAccelerator(ppm_config=paper_config)._engine_cycles(stack)[0]),
-        "gpu": len(GPUModel("H100", ppm_config=paper_config)._operator_columns(stack, True)[0]),
+        "gpu": len(GPUModel("H100", ppm_config=paper_config, chunked=True)._operator_columns(stack)[0]),
     }
     print_table(
         f"Rows priced per {len(lengths)}-length paper stack ({len(stack)} rows)",
@@ -529,3 +538,56 @@ def test_pricing_reads_no_full_row_column(paper_config):
         [("engine", "simulate_stack + totals")]
         + [(name, "0 (every column hidden)") for name in engines],
     )
+
+
+#: The backends the report-count guard prices: the accelerator and a GPU.
+COUNTED_BACKENDS = ("lightnobel", "h100-chunk")
+
+
+def report_classes():
+    """Every class named ``*Report`` defined in a loaded ``repro`` module."""
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "repro"]
+    return {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and value.__name__.endswith("Report")
+        and value.__module__ == module.__name__
+    }
+
+
+def count_constructions(monkeypatch, classes):
+    """Counts of ``__init__`` calls per class name from now on."""
+    counts = collections.Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            # A subclass that inherits this __init__ is counted by its own.
+            counts[cls.__name__] += type(self) is cls
+            init(self, *args, **kwargs)
+        return wrapper
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    return counts
+
+
+def test_one_report_object_per_priced_point(paper_config, monkeypatch):
+    lengths = [int(lo + hi) // 2 for lo, hi in zip(DSE_STRATA[:-1], DSE_STRATA[1:])]
+    get_stacked_table(paper_config, lengths)  # tables build no report; keep them out
+    session = SimulationSession(ppm_config=paper_config, backends=(), use_disk_cache=False)
+    classes = report_classes()
+    counts = count_constructions(monkeypatch, classes)
+    batch = session.simulate_batch(lengths, backends=COUNTED_BACKENDS)
+    monkeypatch.undo()
+    points = len(COUNTED_BACKENDS) * len(lengths)
+    print_table(
+        f"Report objects built pricing {points} points ({len(classes)} report classes counted)",
+        [("report class", "objects", "per point")]
+        + [(name, str(n), f"{n / points:.2f}") for name, n in sorted(counts.items())],
+    )
+    assert len(batch.reports) == points
+    assert sum(counts.values()) == points, dict(counts)

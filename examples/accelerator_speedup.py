@@ -33,8 +33,7 @@ def main() -> None:
 
     print("\nWhere does the time go on LightNobel? (bottleneck share per engine)")
     accelerator = LightNobelAccelerator(ppm_config=config)
-    report = accelerator.simulate(1410)
-    for engine, share in report.bottleneck_share().items():
+    for engine, share in accelerator.bottleneck_share(1410).items():
         print(f"  {engine:>6}: {share:.1%}")
 
     print("\nHardware design-space exploration (average over the queue):")

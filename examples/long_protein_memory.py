@@ -23,7 +23,6 @@ SEQUENCE_LENGTHS = [500, 1000, 1410, 2034, 3364, 5000, 6879, 9945]
 
 def main() -> None:
     config = PPMConfig.paper()
-    gpu = GPUModel("H100", ppm_config=config)
 
     print(f"{'length':>8} | {'baseline (GB)':>14} | {'chunked (GB)':>13} | {'LightNobel (GB)':>16}")
     print("-" * 62)
@@ -41,8 +40,9 @@ def main() -> None:
 
     print()
     print(f"Longest sequence within {MEMORY_BUDGET_GB:.0f} GB:")
-    print(f"  ESMFold baseline, no chunk : {gpu.max_sequence_length(chunked=False)} residues")
-    print(f"  ESMFold baseline, chunked  : {gpu.max_sequence_length(chunked=True)} residues")
+    for label, chunked in (("no chunk", False), ("chunked ", True)):
+        gpu = GPUModel("H100", ppm_config=config, chunked=chunked)
+        print(f"  ESMFold baseline, {label} : {gpu.max_length} residues")
     print(f"  LightNobel with AAQ        : {max_supported_length(MEMORY_BUDGET_GB)} residues "
           f"(paper: 9,945)")
     print()

@@ -6,8 +6,8 @@ session builds new accelerators for the same grid of hardware configs.  What
 they derive from an equal config is equal, so it is memoized here by the
 config's value, once per process, rather than once per object:
 
-* a backend spec's coalescing key (``repro.serving.service``) and a
-  backend's config digest (``repro.sim.backend``);
+* a backend spec's coalescing key (``repro.serving.service``) and an
+  engine's config digest (:func:`memoized_digest`);
 * an accelerator's per-group engine constants, per hardware, PPM and AAQ
   config (``repro.hardware.accelerator``);
 * the longest sequence that fits, per resident set, PPM config, capacity
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import threading
 from typing import Any, Callable, Dict
+
+from ._digest import stable_digest
 
 #: Entries :data:`CONFIG_MEMO` holds before it evicts its oldest.
 CONFIG_MEMO_LIMIT = 4096
@@ -66,3 +68,10 @@ class ConfigMemo:
 
 #: The process's one config-value memo.
 CONFIG_MEMO = ConfigMemo(CONFIG_MEMO_LIMIT)
+
+
+def memoized_digest(kind: str, payload: Dict[str, Any]) -> str:
+    """``stable_digest(kind, payload)`` memoized by value: fresh sessions digest
+    the same few configs, and the digest is the largest cost of building one."""
+    key = ("config_digest", kind, tuple(sorted(payload.items())))
+    return CONFIG_MEMO.get(key, stable_digest, kind, payload)

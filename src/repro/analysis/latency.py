@@ -128,10 +128,11 @@ def compare_hardware_on_lengths(
     reference_gpu = (
         service.register_backend("h100") if service is not None else session.backend("h100")
     )
+    limit = reference_gpu.max_length  # the H100 without chunking
     if exclude_oom:
-        lengths = [n for n in lengths if reference_gpu.model.fits_in_memory(n, chunked=False)]
+        lengths = [n for n in lengths if n <= limit]
     if only_oom_without_chunk:
-        lengths = [n for n in lengths if not reference_gpu.model.fits_in_memory(n, chunked=False)]
+        lengths = [n for n in lengths if n > limit]
     if not lengths:
         raise ValueError("no proteins remain after the OOM filter")
 

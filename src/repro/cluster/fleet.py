@@ -170,7 +170,7 @@ class MultiChipVariant:
     """Picklable spec for a multi-chip node backend (sweep fan-out friendly).
 
     ``base`` is any spec :func:`repro.sim.backend.create_backend` resolves —
-    keep it a registry name or frozen variant so the spec ships across
+    keep it a backend name or frozen variant so the spec ships across
     process boundaries.
     """
 

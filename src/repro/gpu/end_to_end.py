@@ -96,7 +96,6 @@ class EndToEndComparison:
     ) -> None:
         # Imported here, not at module top: repro.sim resolves backends via
         # this package, so a module-level import would be circular.
-        from ..sim.backend import AcceleratorBackend
         from ..sim.session import session_for
 
         if service is not None:
@@ -106,14 +105,13 @@ class EndToEndComparison:
         self._service = service
         self.session = session_for(ppm_config, session)
         self.ppm_config = self.session.ppm_config
-        self._gpu_backend = self._register(gpu.lower())
-        self.gpu_model = self._gpu_backend.model
+        self.gpu_model = self._register(gpu.lower())
         self.accelerator = accelerator or LightNobelAccelerator(ppm_config=self.ppm_config)
         # Registered under a digest-derived name so a custom accelerator in a
-        # shared session never hijacks the plain "lightnobel" binding.
-        wrapped = AcceleratorBackend(simulator=self.accelerator)
-        wrapped.name = f"lightnobel-{wrapped.config_digest()}"
-        self._accelerator_backend = self._register(wrapped, name=wrapped.name)
+        # shared session never hijacks the plain "lightnobel" binding; the
+        # caller's object keeps its own name.
+        self._accelerator_name = f"lightnobel-{self.accelerator.config_digest()}"
+        self._register(self.accelerator, name=self._accelerator_name)
 
     def _register(self, spec, name: Optional[str] = None):
         if self._service is not None:
@@ -134,7 +132,7 @@ class EndToEndComparison:
         Routed through the session memo, so :meth:`compare` evaluating eight
         system profiles at one length costs one GPU simulation, not eight.
         """
-        report = self._simulate(sequence_length, self._gpu_backend.name)
+        report = self._simulate(sequence_length, self.gpu_model.name)
         folding = report.phase_seconds.get(PHASE_PAIR, 0.0) + report.phase_seconds.get(PHASE_SEQUENCE, 0.0)
         return {
             "input_embedding": report.phase_seconds.get(PHASE_INPUT_EMBEDDING, 0.0),
@@ -148,7 +146,7 @@ class EndToEndComparison:
         folding = phases["folding"] * profile.folding_factor
         if system == "LightNobel":
             folding = self._simulate(
-                sequence_length, self._accelerator_backend.name
+                sequence_length, self._accelerator_name
             ).folding_block_seconds
         return EndToEndResult(
             system=system,

@@ -13,21 +13,29 @@ latency.  This model captures both regimes per operator of the shared
   multiplying kernel count, adding intermediate-tensor re-reads and lowering
   tensor-core efficiency,
 * peak memory is :mod:`repro.ppm.memory`'s ``GPU_DENSE``/``GPU_CHUNKED``
-  resident set (score matrices dominate without chunking).
+  resident set (score matrices dominate without chunking); peak bytes are
+  read from that module directly.
+
+One :class:`GPUModel` is one GPU run with or without chunking, fixed at
+construction, and is itself a :class:`~repro.sim.backend.LatencyBackend`: it
+has a ``name`` (``"h100"``, ``"a100-chunk"`` ...), a ``max_length`` and a
+``config_digest``, and it prices straight into
+:class:`~repro.report.SimReport` (the kernel count in ``details``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .._memo import memoized_digest
 from ..ppm import memory
 from ..ppm.config import PPMConfig
-from ..ppm.labels import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
+from ..ppm.labels import ENGINE_MATMUL, PHASE_PAIR
 from ..ppm.memory import CHUNK_ROWS, FP16_BYTES, GPU_CHUNKED, GPU_DENSE
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
+from ..report import SimReport
 from .gpu_config import GPUSpec, get_gpu
 
 #: Tensor-core efficiency multiplier when kernels are chunked into small tiles.
@@ -37,41 +45,37 @@ CHUNK_COMPUTE_PENALTY = 0.55
 CHUNK_TRAFFIC_FACTOR = 1.4
 
 
-def _resident_set(chunked: bool) -> memory.ResidentSet:
-    """The memory model's row for the GPU baseline with or without chunking."""
-    return GPU_CHUNKED if chunked else GPU_DENSE
-
-
-@dataclass
-class GPULatencyReport:
-    """Latency breakdown of one PPM inference on a GPU."""
-
-    gpu: str
-    sequence_length: int
-    chunked: bool
-    total_seconds: float
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    subphase_seconds: Dict[str, float] = field(default_factory=dict)
-    kernel_count: float = 0.0
-    out_of_memory: bool = False
-
-    def folding_block_seconds(self) -> float:
-        return self.phase_seconds.get(PHASE_PAIR, 0.0) + self.phase_seconds.get(PHASE_SEQUENCE, 0.0)
-
-
 class GPUModel:
-    """Roofline + kernel-overhead model of ESMFold inference on one GPU."""
+    """Roofline + kernel-overhead model of ESMFold inference on one GPU; a latency backend."""
 
     def __init__(
         self,
         gpu: GPUSpec | str = "H100",
         ppm_config: Optional[PPMConfig] = None,
+        chunked: bool = False,
+        name: Optional[str] = None,
     ) -> None:
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.ppm_config = ppm_config or PPMConfig.paper()
+        self.chunked = chunked
+        self.name = name or self.gpu.name.lower() + ("-chunk" if chunked else "")
+
+    @property
+    def max_length(self) -> int:
+        """Longest sequence the GPU's memory holds (0 if none does)."""
+        row = GPU_CHUNKED if self.chunked else GPU_DENSE
+        return memory.max_length(row, self.ppm_config, self.gpu.memory_gb)
+
+    def config_digest(self) -> str:
+        """Stable hash of everything that affects this model's numbers."""
+        # The kind string predates the engines pricing reports themselves;
+        # it stays so no memo or disk-cache key moves.
+        return memoized_digest(
+            "GPUBackend", {"gpu": self.gpu, "ppm": self.ppm_config, "chunked": self.chunked}
+        )
 
     # ------------------------------------------------------------------ timing
-    def _operator_columns(self, stack, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
+    def _operator_columns(self, stack) -> Tuple[np.ndarray, np.ndarray]:
         """(seconds, kernels) arrays over the stack's representative rows.
 
         The roofline runs over ``stack.representatives()`` only.  Purely
@@ -81,7 +85,7 @@ class GPUModel:
         table = stack.representatives()
         eff = self.gpu.effective_flops
         is_matmul = table.engine_mask(ENGINE_MATMUL)
-        chunk_applies = table.phase_mask(PHASE_PAIR) & chunked
+        chunk_applies = table.phase_mask(PHASE_PAIR) & self.chunked
 
         flops = table.flops
         matmul_eff = np.where(chunk_applies, eff * CHUNK_COMPUTE_PENALTY, eff)
@@ -100,9 +104,7 @@ class GPUModel:
         )
         return seconds, kernels
 
-    def simulate_stack(
-        self, stack: StackedOperatorTable, chunked: bool = False
-    ) -> List[GPULatencyReport]:
+    def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One roofline pass over a whole length mix; one report per segment.
 
         Elementwise arithmetic runs once over the stack's representative
@@ -110,65 +112,44 @@ class GPUModel:
         and kernels per segment (totals, phases and subphases), each
         representative weighted by the rows it stands for.  No full-row
         column is read, and a length's report is the same in any mix, a
-        one-segment stack included.
+        one-segment stack included.  A length is out of memory when it
+        exceeds :attr:`max_length`.
         """
         totals, (phase_dicts, subphase_dicts) = stack.segment_sums(
-            np.vstack(self._operator_columns(stack, chunked)), "phase", "subphase"
+            np.vstack(self._operator_columns(stack)), "phase", "subphase"
         )
-        limit = self.max_sequence_length(chunked)
-        reports = []
-        for table, total_seconds, kernel_count, phases, subphases in zip(
-            stack.tables, *totals.tolist(), phase_dicts, subphase_dicts
-        ):
-            n = table.sequence_length
-            reports.append(
-                GPULatencyReport(
-                    gpu=self.gpu.name,
-                    sequence_length=n,
-                    chunked=chunked,
-                    total_seconds=total_seconds,
-                    phase_seconds=phases,
-                    subphase_seconds={sub: s for sub, s in subphases.items() if sub},
-                    kernel_count=kernel_count,
-                    out_of_memory=n > limit,
-                )
+        max_length = self.max_length
+        return [
+            SimReport(
+                backend=self.name,
+                sequence_length=n,
+                total_seconds=total_seconds,
+                phase_seconds=phases,
+                subphase_seconds={sub: s for sub, s in subphases.items() if sub},
+                out_of_memory=n > max_length,
+                details={"kernel_count": kernel_count},
             )
-        return reports
+            for n, total_seconds, kernel_count, phases, subphases in zip(
+                stack.lengths, *totals.tolist(), phase_dicts, subphase_dicts
+            )
+        ]
 
-    def simulate_stack_totals(
-        self, stack: StackedOperatorTable, chunked: bool = False
-    ) -> List[float]:
-        """Per-segment ``total_seconds`` only — no report materialization.
+    def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[Tuple[float, bool]]:
+        """Per-segment ``(total_seconds, out_of_memory)`` — no report materialization.
 
         The totals come from the same :meth:`StackedOperatorTable.segment_sums`
         reduction :meth:`simulate_stack` uses, so each float is identical to
-        the full-report path; memory feasibility is the caller's concern (see
-        :meth:`max_sequence_length`).
+        the full-report path.
         """
-        seconds, _ = self._operator_columns(stack, chunked)
-        return stack.segment_sums(seconds)[0][0].tolist()
+        seconds, _ = self._operator_columns(stack)
+        max_length = self.max_length
+        totals = stack.segment_sums(seconds)[0][0].tolist()
+        return [(s, n > max_length) for s, n in zip(totals, stack.lengths)]
 
-    def simulate_table(self, table: OperatorTable, chunked: bool = False) -> GPULatencyReport:
+    def simulate_table(self, table: OperatorTable) -> SimReport:
         """Price one operator table as a one-segment stack."""
-        return self.simulate_stack(StackedOperatorTable.from_tables([table]), chunked=chunked)[0]
+        return self.simulate_stack(StackedOperatorTable.from_tables([table]))[0]
 
-    def simulate(self, sequence_length: int, chunked: bool = False) -> GPULatencyReport:
+    def simulate(self, sequence_length: int) -> SimReport:
         """Simulate one inference at ``sequence_length`` residues."""
-        return self.simulate_stack(
-            get_stacked_table(self.ppm_config, [sequence_length]), chunked=chunked
-        )[0]
-
-    # ------------------------------------------------------------------ memory
-    def peak_activation_bytes(self, sequence_length: int, chunked: bool = False) -> float:
-        """Peak resident activation memory of the Pair-Representation dataflow."""
-        return memory.activation_bytes(_resident_set(chunked), self.ppm_config, sequence_length)
-
-    def peak_memory_bytes(self, sequence_length: int, chunked: bool = False) -> float:
-        return memory.peak_bytes(_resident_set(chunked), self.ppm_config, sequence_length)
-
-    def fits_in_memory(self, sequence_length: int, chunked: bool = False) -> bool:
-        return sequence_length <= self.max_sequence_length(chunked)
-
-    def max_sequence_length(self, chunked: bool = False) -> int:
-        """Longest sequence that fits in GPU memory (0 if none does)."""
-        return memory.max_length(_resident_set(chunked), self.ppm_config, self.gpu.memory_gb)
+        return self.simulate_stack(get_stacked_table(self.ppm_config, [sequence_length]))[0]

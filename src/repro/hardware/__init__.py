@@ -1,6 +1,6 @@
 """LightNobel accelerator simulator: RMPU, VVPU, memory, latency, area/power."""
 
-from .accelerator import LatencyReport, LightNobelAccelerator
+from .accelerator import LightNobelAccelerator
 from .area_power import AreaPowerModel, ComponentCost, GPU_ENVELOPES, efficiency_versus_gpu
 from .config import LightNobelConfig
 from .interconnect import ChipLinkSpec, CrossbarNetwork, ScratchpadSpec, TokenAligner, default_scratchpads
@@ -27,7 +27,6 @@ __all__ = [
     "DynamicAccumulationLogic",
     "GPU_ENVELOPES",
     "HBMModel",
-    "LatencyReport",
     "LightNobelAccelerator",
     "LightNobelConfig",
     "MemoryTransaction",

@@ -12,7 +12,11 @@ the engine delays for that stage; the end-to-end latency is their sum.  The
 token-wise MHA optimization (Section 5.4) keeps the attention score matrix on
 chip, which removes both its DRAM traffic and its quantization cost.
 
-Pricing is columnar and has one path:
+:class:`LightNobelAccelerator` is itself a
+:class:`~repro.sim.backend.LatencyBackend`: it has a ``name``, a
+``max_length`` and a ``config_digest``, and it prices straight into
+:class:`~repro.report.SimReport` (seconds per phase and subphase; the total
+cycles and DRAM bytes in ``details``).  Pricing is columnar and has one path:
 :meth:`LightNobelAccelerator.simulate_stack` evaluates every engine latency as
 a vectorized expression over the representative rows of a
 :class:`~repro.ppm.op_table.StackedOperatorTable` (its row map) and reduces
@@ -24,19 +28,19 @@ in ``tests/reference_pricing.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._memo import CONFIG_MEMO
+from .._memo import CONFIG_MEMO, memoized_digest
 from ..core.aaq import AAQConfig
+from ..ppm import memory
 from ..ppm.activation_tap import GROUP_C
 from ..ppm.config import PPMConfig
-from ..ppm.labels import ENGINE_MATMUL, PHASE_PAIR, PHASE_SEQUENCE
-from ..ppm.memory import bytes_per_element
+from ..ppm.labels import ENGINE_MATMUL
 from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_stacked_table
+from ..report import SimReport
 from .config import LightNobelConfig
 from .memory import HBMModel
 from .pe import units_per_mac
@@ -44,44 +48,8 @@ from .rmpu import RMPU
 from .vvpu import VVPU
 
 
-@dataclass
-class LatencyReport:
-    """Result of simulating one PPM inference on LightNobel.
-
-    ``_cycles`` holds the rmpu, vvpu and memory cycles ``(3,
-    representatives)`` of each representative row of the length's table, in
-    its row-map order, and ``_counts`` the rows each stands for.
-    """
-
-    sequence_length: int
-    total_cycles: float
-    total_seconds: float
-    phase_cycles: Dict[str, float] = field(default_factory=dict)
-    subphase_cycles: Dict[str, float] = field(default_factory=dict)
-    dram_bytes: float = 0.0
-    _cycles: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _counts: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def phase_seconds(self, clock_hz: float) -> Dict[str, float]:
-        return {phase: cycles / clock_hz for phase, cycles in self.phase_cycles.items()}
-
-    def bottleneck_share(self) -> Dict[str, float]:
-        """Fraction of stage latency bound by each engine."""
-        stacked = self._cycles
-        # Each representative's stage, weighted by its rows, to its winner.
-        sums = np.bincount(
-            stacked.argmax(axis=0), weights=self._counts * stacked.max(axis=0), minlength=3
-        )
-        total = float(sums.sum()) or 1.0
-        return {
-            "rmpu": float(sums[0]) / total,
-            "vvpu": float(sums[1]) / total,
-            "memory": float(sums[2]) / total,
-        }
-
-
 class LightNobelAccelerator:
-    """Latency simulator for the LightNobel accelerator."""
+    """Latency simulator for the LightNobel accelerator; a latency backend."""
 
     def __init__(
         self,
@@ -89,11 +57,13 @@ class LightNobelAccelerator:
         ppm_config: Optional[PPMConfig] = None,
         aaq_config: Optional[AAQConfig] = None,
         tokenwise_mha: bool = True,
+        name: Optional[str] = None,
     ) -> None:
         self.hw_config = hw_config or LightNobelConfig.paper()
         self.ppm_config = ppm_config or PPMConfig.paper()
         self.aaq_config = aaq_config or AAQConfig.paper_optimal()
         self.tokenwise_mha = tokenwise_mha
+        self.name = name or "lightnobel"
         self.rmpu = RMPU(self.hw_config)
         self.vvpu = VVPU(self.hw_config)
         self.hbm = HBMModel(self.hw_config)
@@ -101,7 +71,30 @@ class LightNobelAccelerator:
     # ------------------------------------------------------------------ sizing
     def activation_bytes_per_element(self, group: Optional[str]) -> float:
         """Stored bytes per activation element for a given AAQ group."""
-        return bytes_per_element(self.ppm_config, self.aaq_config, group)
+        return memory.bytes_per_element(self.ppm_config, self.aaq_config, group)
+
+    @property
+    def max_length(self) -> int:
+        """Longest sequence the accelerator's HBM holds: ``LIGHTNOBEL_AAQ``, or
+        ``LIGHTNOBEL_AAQ_UNFUSED`` when the scores leave the chip."""
+        row = memory.LIGHTNOBEL_AAQ if self.tokenwise_mha else memory.LIGHTNOBEL_AAQ_UNFUSED
+        return memory.max_length(
+            row, self.ppm_config, self.hw_config.hbm_capacity_gb, self.aaq_config
+        )
+
+    def config_digest(self) -> str:
+        """Stable hash of everything that affects this accelerator's numbers."""
+        # The kind string predates the engines pricing reports themselves;
+        # it stays so no memo or disk-cache key moves.
+        return memoized_digest(
+            "AcceleratorBackend",
+            {
+                "hw": self.hw_config,
+                "ppm": self.ppm_config,
+                "aaq": self.aaq_config,
+                "tokenwise_mha": self.tokenwise_mha,
+            },
+        )
 
     # --------------------------------------------------- per-group constants
     @cached_property
@@ -229,7 +222,7 @@ class LightNobelAccelerator:
         )
         return rmpu_cycles, vvpu_cycles, memory_cycles, dram
 
-    def simulate_stack(self, stack: StackedOperatorTable) -> List[LatencyReport]:
+    def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One vectorized pass over a whole length mix; one report per segment.
 
         The engine arithmetic and the stage maximum run once over the stack's
@@ -238,68 +231,68 @@ class LightNobelAccelerator:
         subphases), each representative weighted by the rows it stands for.
         No full-row column is read.  A length's report is the same in any
         mix, a one-segment stack included (asserted by
-        ``tests/test_stacked_table.py``).  A report keeps its segment's engine
-        cycles per representative.
+        ``tests/test_stacked_table.py``), and it is out of memory when the
+        length exceeds :attr:`max_length`.
         """
-        rmpu, vvpu, memory, dram = self._engine_cycles(stack)
+        rmpu, vvpu, hbm, dram = self._engine_cycles(stack)
         stage = (
-            np.maximum(np.maximum(rmpu, vvpu), memory)
-            + self.hw_config.per_op_overhead_cycles
+            np.maximum(np.maximum(rmpu, vvpu), hbm) + self.hw_config.per_op_overhead_cycles
         )
         totals, (phase_dicts, subphase_dicts) = stack.segment_sums(
             np.vstack([stage, dram]), "phase", "subphase"
         )
-        engines = np.vstack([rmpu, vvpu, memory])
-        counts = stack.representatives().counts
+        clock = self.hw_config.cycles_per_second
+        max_length = self.max_length
         reports = []
-        for n, reps, stage_sum, dram_sum, phases, subphases in zip(
-            stack.lengths, stack.rep_segments, *totals.tolist(), phase_dicts, subphase_dicts
+        for n, stage_sum, dram_sum, phases, subphases in zip(
+            stack.lengths, *totals.tolist(), phase_dicts, subphase_dicts
         ):
             total = stage_sum + self.hw_config.pipeline_fill_cycles
             reports.append(
-                LatencyReport(
+                SimReport(
+                    backend=self.name,
                     sequence_length=n,
-                    total_cycles=total,
-                    total_seconds=total / self.hw_config.cycles_per_second,
-                    phase_cycles=phases,
-                    subphase_cycles={sub: c for sub, c in subphases.items() if sub},
-                    dram_bytes=dram_sum,
-                    _cycles=engines[:, reps],
-                    _counts=counts[reps],
+                    total_seconds=total / clock,
+                    phase_seconds={phase: c / clock for phase, c in phases.items()},
+                    subphase_seconds={sub: c / clock for sub, c in subphases.items() if sub},
+                    out_of_memory=n > max_length,
+                    details={"total_cycles": total, "dram_bytes": dram_sum},
                 )
             )
         return reports
 
-    def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[float]:
-        """Per-segment ``total_seconds`` only — no report materialization.
+    def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[Tuple[float, bool]]:
+        """Per-segment ``(total_seconds, out_of_memory)`` — no report materialization.
 
         Totals-only consumers (the planner's service-time prefetch prices
         thousands of lengths and reads nothing but the scalar) skip the
-        per-segment ``LatencyReport`` assembly entirely.  The stage totals
-        come from the same :meth:`StackedOperatorTable.segment_sums`
-        reduction :meth:`simulate_stack` uses, so the floats are identical to
-        the full-report path.
+        per-segment report assembly entirely.  The stage totals come from the
+        same :meth:`StackedOperatorTable.segment_sums` reduction
+        :meth:`simulate_stack` uses, so the floats are identical to the
+        full-report path.
         """
-        rmpu, vvpu, memory, _ = self._engine_cycles(stack)
+        rmpu, vvpu, hbm, _ = self._engine_cycles(stack)
         # Same max/max/add chain as the report paths, fused in place (the
         # intermediates are private here, and in-place ufuncs produce the
         # identical floats).
         stage = np.maximum(rmpu, vvpu)
-        np.maximum(stage, memory, out=stage)
+        np.maximum(stage, hbm, out=stage)
         stage += self.hw_config.per_op_overhead_cycles
         totals, _ = stack.segment_sums(stage)
         # Elementwise add/divide on float64 matches the per-report scalar
         # arithmetic bit for bit.
-        return (
+        seconds = (
             (totals[0] + self.hw_config.pipeline_fill_cycles)
             / self.hw_config.cycles_per_second
         ).tolist()
+        max_length = self.max_length
+        return [(s, n > max_length) for s, n in zip(seconds, stack.lengths)]
 
-    def simulate_table(self, table: OperatorTable) -> LatencyReport:
+    def simulate_table(self, table: OperatorTable) -> SimReport:
         """Price one operator table as a one-segment stack."""
         return self.simulate_stack(StackedOperatorTable.from_tables([table]))[0]
 
-    def simulate(self, sequence_length: int, include_recycles: bool = False) -> LatencyReport:
+    def simulate(self, sequence_length: int, include_recycles: bool = False) -> SimReport:
         """Simulate one inference at ``sequence_length`` residues."""
         return self.simulate_stack(
             get_stacked_table(
@@ -307,9 +300,19 @@ class LightNobelAccelerator:
             )
         )[0]
 
-    # ------------------------------------------------------------- convenience
-    def folding_block_seconds(self, sequence_length: int) -> float:
-        """Latency of the Protein Folding Block phases only (Fig. 14b-d metric)."""
-        report = self.simulate(sequence_length)
-        cycles = report.phase_cycles.get(PHASE_PAIR, 0.0) + report.phase_cycles.get(PHASE_SEQUENCE, 0.0)
-        return cycles / self.hw_config.cycles_per_second
+    def bottleneck_share(self, sequence_length: int) -> Dict[str, float]:
+        """Fraction of stage latency bound by each engine at ``sequence_length``."""
+        stack = get_stacked_table(self.ppm_config, [sequence_length])
+        engines = np.vstack(self._engine_cycles(stack)[:3])
+        # Each representative's stage, weighted by its rows, to its winner.
+        sums = np.bincount(
+            engines.argmax(axis=0),
+            weights=stack.representatives().counts * engines.max(axis=0),
+            minlength=3,
+        )
+        total = float(sums.sum()) or 1.0
+        return {
+            "rmpu": float(sums[0]) / total,
+            "vvpu": float(sums[1]) / total,
+            "memory": float(sums[2]) / total,
+        }

@@ -16,7 +16,8 @@ from typing import Dict, Iterable, Optional
 
 from ..ppm.config import PPMConfig
 from ..ppm.op_table import get_stacked_table
-from .accelerator import LatencyReport, LightNobelAccelerator
+from ..report import SimReport
+from .accelerator import LightNobelAccelerator
 from .config import LightNobelConfig
 
 #: Extra cycles per pipeline stage that RTL exposes but the analytical model
@@ -44,11 +45,12 @@ def rtl_reference_seconds(
     return _rtl_seconds(accelerator, accelerator.simulate(sequence_length))
 
 
-def _rtl_seconds(accelerator: LightNobelAccelerator, report: LatencyReport) -> float:
+def _rtl_seconds(accelerator: LightNobelAccelerator, report: SimReport) -> float:
     """``report`` plus the RTL overhead of each of its pipeline stages (operator rows)."""
     stage_count = len(get_stacked_table(accelerator.ppm_config, [report.sequence_length]))
     extra_cycles = stage_count * RTL_STAGE_OVERHEAD_CYCLES
-    return (report.total_cycles + extra_cycles) / accelerator.hw_config.cycles_per_second
+    total_cycles = report.details["total_cycles"]
+    return (total_cycles + extra_cycles) / accelerator.hw_config.cycles_per_second
 
 
 def cross_validate(

@@ -1,9 +1,11 @@
 """Unified simulation-backend layer: sessions, batches, disk cache.
 
 Every latency number in the repository — the accelerator model, the GPU
-rooflines, the Fig. 12–16 figure loops — flows through this package.  It
-abstracts the two simulators behind one protocol and owns the caches that
-make repeated sweeps cheap.
+rooflines, the Fig. 12–16 figure loops — flows through this package.  The
+two engines are the backends: each implements the
+:class:`LatencyBackend` protocol itself and prices straight into the one
+report type, :class:`SimReport`.  The package resolves specs into engines
+and owns the caches that make repeated sweeps cheap.
 
 Usage
 -----
@@ -33,35 +35,32 @@ delete)::
     session = SimulationSession(cache_dir="/tmp/repro-sim")
     # or: export REPRO_SIM_CACHE_DIR=/tmp/repro-sim
 
-Backends are resolved from specs — registered names (``"lightnobel"``,
-``"a100"``, ``"h100"``, ``"a100-chunk"``, ``"h100-chunk"``), frozen config
-dataclasses, or :class:`AcceleratorVariant`/:class:`GPUVariant` — and new
-backends are one :func:`register_backend` call away.
+Backends are resolved from specs — names (``"lightnobel"``, ``"a100"``,
+``"h100"``, ``"a100-chunk"``, ``"h100-chunk"``), frozen config dataclasses,
+:class:`AcceleratorVariant`/:class:`GPUVariant` or any frozen spec with a
+``build(ppm_config)`` — and an engine instance
+(``LightNobelAccelerator(...)``, ``GPUModel("H100", chunked=True)``) is a
+backend as it stands.
 """
 
 from .backend import (
-    AcceleratorBackend,
     AcceleratorVariant,
-    GPUBackend,
     GPUVariant,
     LatencyBackend,
     SimReport,
     available_backends,
     create_backend,
-    register_backend,
 )
 from .cache import CACHE_DIR_ENV, CACHE_SCHEMA_VERSION, DiskCache, default_cache_dir
 from .session import BatchResult, DEFAULT_BACKENDS, SimulationSession, session_for
 
 __all__ = [
-    "AcceleratorBackend",
     "AcceleratorVariant",
     "BatchResult",
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_BACKENDS",
     "DiskCache",
-    "GPUBackend",
     "GPUVariant",
     "LatencyBackend",
     "SimReport",
@@ -69,6 +68,5 @@ __all__ = [
     "available_backends",
     "create_backend",
     "default_cache_dir",
-    "register_backend",
     "session_for",
 ]

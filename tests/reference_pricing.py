@@ -12,8 +12,10 @@ not bitwise, because the loops accumulate in operator order.
 
 :class:`OperatorLatency` is one operator's engine cycles.  The oracle builds
 them operator by operator (:func:`simulate_operators`), and
-:func:`operator_latencies` gathers an engine report's per-representative
-cycles to the same per-operator form through its table's row map.
+:func:`operator_latencies` gathers the accelerator's per-representative
+engine cycles of a table to the same per-operator form through its row map.
+The workload oracles return the engines' own report type,
+:class:`~repro.report.SimReport`, with the same ``details``.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from repro.gpu.gpu_model import (
     CHUNK_ROWS,
     CHUNK_TRAFFIC_FACTOR,
     FP16_BYTES,
-    GPULatencyReport,
     GPUModel,
 )
-from repro.hardware import RMPU, VVPU, LatencyReport, LightNobelAccelerator
+from repro.hardware import RMPU, VVPU, LightNobelAccelerator
 from repro.hardware.pe import units_per_mac
 from repro.ppm.activation_tap import GROUP_C
-from repro.ppm.op_table import OperatorTable
+from repro.ppm.op_table import StackedOperatorTable
 from repro.ppm.workload import ENGINE_MATMUL, PHASE_PAIR, Operator, Workload
+from repro.report import SimReport
 
 
 @dataclass
@@ -66,13 +68,18 @@ class OperatorLatency:
         return max(values, key=values.get)
 
 
-def operator_latencies(report: LatencyReport, table: OperatorTable) -> List[OperatorLatency]:
-    """Per-operator latencies of an engine ``report`` of ``table``'s length.
+def operator_latencies(
+    accelerator: LightNobelAccelerator, stack: StackedOperatorTable, segment: int = 0
+) -> List[OperatorLatency]:
+    """Per-operator latencies of one segment of ``stack`` from the columnar engines.
 
-    The report holds engine cycles per representative row; ``table.rep_index``
-    gathers them to its rows, in row order.
+    The engines price the whole stack, one value per representative row; the
+    segment's slice of them is gathered to its table's rows, in row order,
+    through the table's ``rep_index``.
     """
-    rmpu, vvpu, memory = np.take(report._cycles, table.rep_index, axis=1)
+    table = stack.tables[segment]
+    cycles = np.vstack(accelerator._engine_cycles(stack)[:3])[:, stack.rep_segments[segment]]
+    rmpu, vvpu, memory = np.take(cycles, table.rep_index, axis=1)
     return [
         OperatorLatency(
             name=name,
@@ -205,8 +212,8 @@ def simulate_operators(
 
 def simulate_accelerator_workload(
     accelerator: LightNobelAccelerator, workload: Workload
-) -> LatencyReport:
-    """One Python iteration per operator; the report carries no engine cycles."""
+) -> SimReport:
+    """One Python iteration per operator, in cycles; the report is in seconds."""
     hw = accelerator.hw_config
     latencies = simulate_operators(accelerator, workload)
     phase_cycles: Dict[str, float] = {}
@@ -221,13 +228,16 @@ def simulate_accelerator_workload(
             subphase_cycles[op.subphase] = subphase_cycles.get(op.subphase, 0.0) + stage
         dram_bytes += operator_dram_bytes(accelerator, op)
     total += hw.pipeline_fill_cycles
-    return LatencyReport(
-        sequence_length=workload.sequence_length,
-        total_cycles=total,
-        total_seconds=total / hw.cycles_per_second,
-        phase_cycles=phase_cycles,
-        subphase_cycles=subphase_cycles,
-        dram_bytes=dram_bytes,
+    clock = hw.cycles_per_second
+    n = workload.sequence_length
+    return SimReport(
+        backend=accelerator.name,
+        sequence_length=n,
+        total_seconds=total / clock,
+        phase_seconds={phase: c / clock for phase, c in phase_cycles.items()},
+        subphase_seconds={sub: c / clock for sub, c in subphase_cycles.items()},
+        out_of_memory=n > accelerator.max_length,
+        details={"total_cycles": total, "dram_bytes": dram_bytes},
     )
 
 
@@ -241,11 +251,11 @@ def bottleneck_share(latencies: Sequence[OperatorLatency]) -> Dict[str, float]:
 
 
 # ------------------------------------------------------------------------ GPU
-def operator_seconds(model: GPUModel, op: Operator, chunked: bool) -> Tuple[float, float]:
+def operator_seconds(model: GPUModel, op: Operator) -> Tuple[float, float]:
     """(seconds, kernel count) of one operator on the GPU roofline."""
     gpu = model.gpu
     compute_eff = gpu.effective_flops
-    chunk_applies = chunked and op.phase == PHASE_PAIR
+    chunk_applies = model.chunked and op.phase == PHASE_PAIR
     if chunk_applies:
         compute_eff *= CHUNK_COMPUTE_PENALTY
 
@@ -273,28 +283,25 @@ def operator_seconds(model: GPUModel, op: Operator, chunked: bool) -> Tuple[floa
     return max(compute_time, memory_time) + launch_time, kernels
 
 
-def simulate_gpu_workload(
-    model: GPUModel, workload: Workload, chunked: bool = False
-) -> GPULatencyReport:
+def simulate_gpu_workload(model: GPUModel, workload: Workload) -> SimReport:
     """One Python iteration per operator on the GPU roofline."""
     phase_seconds: Dict[str, float] = {}
     subphase_seconds: Dict[str, float] = {}
     total = 0.0
     kernels = 0.0
     for op in workload.operators:
-        seconds, op_kernels = operator_seconds(model, op, chunked)
+        seconds, op_kernels = operator_seconds(model, op)
         total += seconds
         kernels += op_kernels
         phase_seconds[op.phase] = phase_seconds.get(op.phase, 0.0) + seconds
         if op.subphase:
             subphase_seconds[op.subphase] = subphase_seconds.get(op.subphase, 0.0) + seconds
-    return GPULatencyReport(
-        gpu=model.gpu.name,
+    return SimReport(
+        backend=model.name,
         sequence_length=workload.sequence_length,
-        chunked=chunked,
         total_seconds=total,
         phase_seconds=phase_seconds,
         subphase_seconds=subphase_seconds,
-        kernel_count=kernels,
-        out_of_memory=not model.fits_in_memory(workload.sequence_length, chunked=chunked),
+        out_of_memory=workload.sequence_length > model.max_length,
+        details={"kernel_count": kernels},
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpu import A100, EndToEndComparison, GPUModel, H100, SYSTEM_PROFILES, get_gpu
-from repro.ppm import PPMConfig
+from repro.ppm import PPMConfig, memory
 
 
 @pytest.fixture(scope="module")
@@ -26,17 +26,16 @@ class TestGPUSpecs:
 
 class TestGPULatency:
     def test_chunking_increases_latency(self, paper_config):
-        gpu = GPUModel("H100", ppm_config=paper_config)
-        plain = gpu.simulate(512, chunked=False)
-        chunked = gpu.simulate(512, chunked=True)
+        plain = GPUModel("H100", ppm_config=paper_config).simulate(512)
+        chunked = GPUModel("H100", ppm_config=paper_config, chunked=True).simulate(512)
         assert chunked.total_seconds > plain.total_seconds
-        assert chunked.kernel_count > plain.kernel_count
+        assert chunked.details["kernel_count"] > plain.details["kernel_count"]
 
     def test_h100_faster_than_a100_but_not_5x(self, paper_config):
         """Memory-bound workload: H100's compute advantage translates to little."""
         n = 512
-        a100 = GPUModel("A100", ppm_config=paper_config).simulate(n).folding_block_seconds()
-        h100 = GPUModel("H100", ppm_config=paper_config).simulate(n).folding_block_seconds()
+        a100 = GPUModel("A100", ppm_config=paper_config).simulate(n).folding_block_seconds
+        h100 = GPUModel("H100", ppm_config=paper_config).simulate(n).folding_block_seconds
         assert h100 < a100
         assert a100 / h100 < 2.0
 
@@ -52,23 +51,18 @@ class TestGPULatency:
 
 class TestGPUMemory:
     def test_peak_memory_grows_cubically_without_chunk(self, paper_config):
-        gpu = GPUModel("H100", ppm_config=paper_config)
-        m1 = gpu.peak_activation_bytes(500)
-        m2 = gpu.peak_activation_bytes(1000)
+        m1 = memory.activation_bytes(memory.GPU_DENSE, paper_config, 500)
+        m2 = memory.activation_bytes(memory.GPU_DENSE, paper_config, 1000)
         assert m2 / m1 > 6.0  # score matrix dominates -> close to 8x
 
     def test_chunking_reduces_peak_memory(self, paper_config):
-        gpu = GPUModel("H100", ppm_config=paper_config)
-        assert gpu.peak_memory_bytes(2000, chunked=True) < gpu.peak_memory_bytes(2000, chunked=False)
+        chunked = memory.peak_bytes(memory.GPU_CHUNKED, paper_config, 2000)
+        assert chunked < memory.peak_bytes(memory.GPU_DENSE, paper_config, 2000)
 
     def test_oom_thresholds_match_paper_anchors(self, paper_config):
         """T1269 (1,410 aa) fits without chunk; 2,034 aa does not (Section 3.2)."""
-        gpu = GPUModel("H100", ppm_config=paper_config)
-        assert gpu.fits_in_memory(1410, chunked=False)
-        assert not gpu.fits_in_memory(2034, chunked=False)
-        assert gpu.fits_in_memory(3364, chunked=True)
-        max_no_chunk = gpu.max_sequence_length(chunked=False)
-        max_chunk = gpu.max_sequence_length(chunked=True)
+        max_no_chunk = GPUModel("H100", ppm_config=paper_config).max_length
+        max_chunk = GPUModel("H100", ppm_config=paper_config, chunked=True).max_length
         assert 1410 <= max_no_chunk < 2034
         assert 3364 < max_chunk < 6879
 

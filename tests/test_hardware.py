@@ -170,23 +170,24 @@ class TestAcceleratorSimulation:
         config = PPMConfig.paper()
         with_mha = LightNobelAccelerator(ppm_config=config, tokenwise_mha=True)
         without = LightNobelAccelerator(ppm_config=config, tokenwise_mha=False)
-        assert with_mha.simulate(256).dram_bytes < without.simulate(256).dram_bytes
+        dram = [acc.simulate(256).details["dram_bytes"] for acc in (with_mha, without)]
+        assert dram[0] < dram[1]
 
     def test_report_breakdown_is_consistent(self):
         accelerator = LightNobelAccelerator(ppm_config=PPMConfig.paper())
         report = accelerator.simulate(128)
-        assert report.total_cycles > 0
-        assert sum(report.phase_cycles.values()) <= report.total_cycles + 1
-        shares = report.bottleneck_share()
+        clock = accelerator.hw_config.cycles_per_second
+        total_cycles = report.details["total_cycles"]
+        assert total_cycles > 0
+        assert sum(report.phase_seconds.values()) <= (total_cycles + 1) / clock
+        shares = accelerator.bottleneck_share(128)
         assert pytest.approx(sum(shares.values()), abs=1e-6) == 1.0
-        assert report.total_seconds == pytest.approx(
-            report.total_cycles / accelerator.hw_config.cycles_per_second
-        )
+        assert report.total_seconds == pytest.approx(total_cycles / clock)
 
     def test_folding_block_seconds_excludes_embedding(self):
         accelerator = LightNobelAccelerator(ppm_config=PPMConfig.paper())
         report = accelerator.simulate(128)
-        assert accelerator.folding_block_seconds(128) < report.total_seconds
+        assert report.folding_block_seconds < report.total_seconds
 
     def test_group_parameters_are_built_once_per_vocabulary(self, monkeypatch):
         CONFIG_MEMO.clear()  # the constants are memoized per process
@@ -212,9 +213,9 @@ class TestAcceleratorSimulation:
         assert len(builds) == 2
         for reports in (second, fresh):
             for a, b in zip(first, reports):
-                assert a.total_cycles == b.total_cycles and a.dram_bytes == b.dram_bytes
-                assert a.phase_cycles == b.phase_cycles
-                assert a.subphase_cycles == b.subphase_cycles
+                assert a.details == b.details
+                assert a.phase_seconds == b.phase_seconds
+                assert a.subphase_seconds == b.subphase_seconds
         params = cached._group_parameters(stack.representatives().groups)
         for array in params.values():
             assert not array.flags.writeable

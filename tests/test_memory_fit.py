@@ -121,8 +121,7 @@ class TestNothingFits:
 
     def test_gpu_reports_oom_at_one_residue(self):
         model = GPUModel(replace(get_gpu("H100"), memory_gb=0.5))
-        assert model.max_sequence_length() == 0
-        assert not model.fits_in_memory(1)
+        assert model.max_length == 0
         assert model.simulate(1).out_of_memory
 
     @pytest.mark.parametrize("capacity_gb", [0.5, 4.0, 40.0, 80.0])

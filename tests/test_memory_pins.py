@@ -174,20 +174,20 @@ def test_max_supported_length_beyond_the_first_search_bound(budget_gb):
 
 @pytest.mark.parametrize("name", sorted(GPUS))
 def test_gpu_max_sequence_length(name):
-    model = GPUModel(name)
     assert set(GPU_MAX) == set(GPUS)
     assert (
-        model.max_sequence_length(chunked=False),
-        model.max_sequence_length(chunked=True),
+        GPUModel(name, chunked=False).max_length,
+        GPUModel(name, chunked=True).max_length,
     ) == GPU_MAX[name]
 
 
 @pytest.mark.parametrize("chunked", [False, True])
 def test_h100_fits_in_memory_at_every_length(chunked):
-    model = GPUModel("H100")
+    model = GPUModel("H100", chunked=chunked)
     assert GPU_MAX["H100"] == (1624, 3955)
     limit = GPU_MAX["H100"][chunked]
-    fits = [model.fits_in_memory(n, chunked=chunked) for n in range(1, 20001)]
+    row = memory.GPU_CHUNKED if chunked else memory.GPU_DENSE
+    fits = [memory.fits(row, model.ppm_config, n, model.gpu.memory_gb) for n in range(1, 20001)]
     assert fits == [n <= limit for n in range(1, 20001)]
 
 

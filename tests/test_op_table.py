@@ -556,21 +556,22 @@ class TestAcceleratorParity:
         accelerator = LightNobelAccelerator(ppm_config=paper_config, tokenwise_mha=tokenwise_mha)
         legacy = simulate_accelerator_workload(accelerator, build_model_ops(paper_config, n))
         fast = accelerator.simulate(n)
-        assert relerr(fast.total_cycles, legacy.total_cycles) < REL
+        assert set(fast.details) == set(legacy.details) == {"total_cycles", "dram_bytes"}
+        for name, value in legacy.details.items():
+            assert relerr(fast.details[name], value) < REL
         assert relerr(fast.total_seconds, legacy.total_seconds) < REL
-        assert relerr(fast.dram_bytes, legacy.dram_bytes) < REL
-        assert set(fast.phase_cycles) == set(legacy.phase_cycles)
-        for phase, cycles in legacy.phase_cycles.items():
-            assert relerr(fast.phase_cycles[phase], cycles) < REL
-        for subphase, cycles in legacy.subphase_cycles.items():
-            assert relerr(fast.subphase_cycles[subphase], cycles) < REL
+        assert set(fast.phase_seconds) == set(legacy.phase_seconds)
+        for phase, seconds in legacy.phase_seconds.items():
+            assert relerr(fast.phase_seconds[phase], seconds) < REL
+        for subphase, seconds in legacy.subphase_seconds.items():
+            assert relerr(fast.subphase_seconds[subphase], seconds) < REL
 
     def test_per_operator_latencies_match_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         workload = build_model_ops(paper_config, 64)
         legacy = simulate_operators(accelerator, workload)
-        table = OperatorTable.from_workload(workload)
-        fast = operator_latencies(accelerator.simulate_table(table), table)
+        stack = StackedOperatorTable.from_tables([OperatorTable.from_workload(workload)])
+        fast = operator_latencies(accelerator, stack)
         assert_operator_latencies_match(fast, legacy)
 
     @pytest.mark.parametrize("source", ["tiled", "stack segment"])
@@ -581,32 +582,29 @@ class TestAcceleratorParity:
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         legacy = simulate_operators(accelerator, build_model_ops(paper_config, n))
         if source == "tiled":
-            table = get_op_table(paper_config, n)
-            fast = accelerator.simulate_table(table)
+            stack = StackedOperatorTable.from_tables([get_op_table(paper_config, n)])
         else:
             stack = get_stacked_table(paper_config, [48, n, 1000])
-            table = stack.tables[stack.segment_index(n)]
-            fast = accelerator.simulate_stack(stack)[stack.segment_index(n)]
-        assert_operator_latencies_match(operator_latencies(fast, table), legacy)
+        fast = operator_latencies(accelerator, stack, stack.segment_index(n))
+        assert_operator_latencies_match(fast, legacy)
 
     def test_stack_segments_equal_one_segment_reports_exactly(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         mix = [64, 257, 1000]
         stack = get_stacked_table(paper_config, mix)
         stacked = accelerator.simulate_stack(stack)
-        for n, table, report in zip(mix, stack.tables, stacked):
-            alone_table = get_op_table(paper_config, n)
-            alone = accelerator.simulate_table(alone_table)
-            assert operator_latencies(report, table) == operator_latencies(alone, alone_table)
-            assert report.bottleneck_share() == alone.bottleneck_share()
-            assert report.total_cycles == alone.total_cycles
-            assert report.dram_bytes == alone.dram_bytes
+        for segment, (n, report) in enumerate(zip(mix, stacked)):
+            alone = StackedOperatorTable.from_tables([get_op_table(paper_config, n)])
+            assert operator_latencies(accelerator, stack, segment) == operator_latencies(
+                accelerator, alone
+            )
+            assert report == accelerator.simulate_stack(alone)[0]
 
     def test_bottleneck_share_matches_legacy(self, paper_config):
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
         workload = build_model_ops(paper_config, 96)
         legacy = bottleneck_share(simulate_operators(accelerator, workload))
-        fast = accelerator.simulate(96).bottleneck_share()
+        fast = accelerator.bottleneck_share(96)
         assert set(fast) == set(legacy)
         for engine, share in legacy.items():
             assert fast[engine] == pytest.approx(share, rel=REL, abs=1e-12)
@@ -633,11 +631,12 @@ class TestGPUParity:
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("gpu", ["A100", "H100"])
     def test_simulate_matches_legacy(self, paper_config, gpu, chunked):
-        model = GPUModel(gpu, ppm_config=paper_config)
-        legacy = simulate_gpu_workload(model, build_model_ops(paper_config, 96), chunked=chunked)
-        fast = model.simulate(96, chunked=chunked)
+        model = GPUModel(gpu, ppm_config=paper_config, chunked=chunked)
+        legacy = simulate_gpu_workload(model, build_model_ops(paper_config, 96))
+        fast = model.simulate(96)
         assert relerr(fast.total_seconds, legacy.total_seconds) < REL
-        assert relerr(fast.kernel_count, legacy.kernel_count) < REL
+        kernels = legacy.details["kernel_count"]
+        assert relerr(fast.details["kernel_count"], kernels) < REL
         assert fast.out_of_memory == legacy.out_of_memory
         for phase, seconds in legacy.phase_seconds.items():
             assert relerr(fast.phase_seconds[phase], seconds) < REL

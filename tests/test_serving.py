@@ -23,7 +23,6 @@ from repro.serving import (
 )
 from repro.serving import service as service_module
 from repro.sim import SimulationSession
-from repro.sim.backend import AcceleratorBackend
 
 LENGTHS = (24, 40)
 TIMEOUT = 120.0
@@ -50,13 +49,13 @@ def count_accelerator_sims(monkeypatch):
     whether the service batched.
     """
     calls = {"n": 0}
-    original_stack = AcceleratorBackend.simulate_stack
+    original_stack = LightNobelAccelerator.simulate_stack
 
     def counting_stack(self, stack):
         calls["n"] += stack.num_segments
         return original_stack(self, stack)
 
-    monkeypatch.setattr(AcceleratorBackend, "simulate_stack", counting_stack)
+    monkeypatch.setattr(LightNobelAccelerator, "simulate_stack", counting_stack)
     return calls
 
 
@@ -372,7 +371,7 @@ class TestWorkerPoolParity:
     def test_pool_unsafe_specs_still_served(self, config):
         # A live backend instance cannot be shipped to a worker process; the
         # service must evaluate it serially instead of failing.
-        backend = AcceleratorBackend(ppm_config=config)
+        backend = LightNobelAccelerator(ppm_config=config)
         backend.unpicklable = threading.Lock()
         with make_service(config) as service:
             report = service.query(backend, LENGTHS[0], timeout=TIMEOUT)
@@ -831,12 +830,11 @@ class TestPoolableVariantSpecs:
 
     def test_unpoolable_multichip_job_runs_serially_without_pool_teardown(self, config):
         from repro.cluster import MultiChipVariant
-        from repro.sim.backend import AcceleratorBackend
 
         with make_service(config) as service:
             service.query_batch([("h100", n) for n in LENGTHS], timeout=TIMEOUT)
             # A node spec wrapping a live backend is priced like any other.
-            live_node = MultiChipVariant(base=AcceleratorBackend(ppm_config=config), chips=2)
+            live_node = MultiChipVariant(base=LightNobelAccelerator(ppm_config=config), chips=2)
             report = service.query(live_node, LENGTHS[0], timeout=TIMEOUT)
             assert report.details["chips"] == 2.0
             assert service.stats.errors == 0

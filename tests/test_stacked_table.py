@@ -44,11 +44,10 @@ from repro.cluster.trace import length_bucket
 from repro.gpu import GPUModel
 from repro.gpu.gpu_config import get_gpu
 from repro.hardware import LightNobelAccelerator
-from repro.ppm import PPMConfig, get_op_table, get_stacked_table
+from repro.ppm import PPMConfig, get_op_table, get_stacked_table, memory
 from repro.ppm.op_table import StackedOperatorTable
 from repro.serving import LatencyRequest, LatencyService
 from repro.sim import SimulationSession, available_backends, create_backend
-from repro.sim.backend import GPUBackend
 
 RELATIVE_TOLERANCE = 1e-9
 MIX = (16, 24, 48, 72)
@@ -91,48 +90,23 @@ def approx_equal(a: float, b: float) -> bool:
 
 
 def legacy_report(backend, config: PPMConfig, n: int):
-    """The per-operator scalar reference behind ``backend`` for length ``n``."""
+    """The per-operator scalar reference of engine ``backend`` for length ``n``."""
     workload = get_workload(config, n)
-    simulator = getattr(backend, "simulator", None)
-    if simulator is not None:
-        return simulate_accelerator_workload(simulator, workload)
-    return simulate_gpu_workload(backend.model, workload, chunked=backend.chunked)
-
-
-def engine_seconds(backend, report):
-    """``(total, phase, subphase seconds, out_of_memory)`` of an engine report.
-
-    Both engines in seconds (the accelerator reports cycles and never runs
-    out of memory).
-    """
-    simulator = getattr(backend, "simulator", None)
-    if simulator is None:
-        return (
-            report.total_seconds,
-            report.phase_seconds,
-            report.subphase_seconds,
-            report.out_of_memory,
-        )
-    clock = simulator.hw_config.cycles_per_second
-    subphases = {sub: cycles / clock for sub, cycles in report.subphase_cycles.items()}
-    return report.total_seconds, report.phase_seconds(clock), subphases, False
+    if isinstance(backend, LightNobelAccelerator):
+        return simulate_accelerator_workload(backend, workload)
+    return simulate_gpu_workload(backend, workload)
 
 
 def engine_per_length(backend, config: PPMConfig, n: int):
-    """The engine's ``simulate(n)`` and ``simulate_table`` reports behind ``backend``.
+    """Engine ``backend``'s ``simulate(n)`` and ``simulate_table`` reports.
 
     The accelerator prices ``simulate(n)`` with ``include_recycles=True``
     (the tiny config runs no recycles, so the operators are the same).
     """
     table = get_op_table(config, n)
-    simulator = getattr(backend, "simulator", None)
-    if simulator is None:
-        model, chunked = backend.model, backend.chunked
-        return (
-            model.simulate(n, chunked=chunked),
-            model.simulate_table(table, chunked=chunked),
-        )
-    return simulator.simulate(n, include_recycles=True), simulator.simulate_table(table)
+    if isinstance(backend, LightNobelAccelerator):
+        return backend.simulate(n, include_recycles=True), backend.simulate_table(table)
+    return backend.simulate(n), backend.simulate_table(table)
 
 
 # ---------------------------------------------------------------- invariants
@@ -282,13 +256,9 @@ class TestThreeWayParity:
                 if spec in MULTICHIP:
                     continue
                 for report in engine_per_length(backend, config, n):
-                    total, phases, subphases, oom = engine_seconds(backend, report)
-                    assert seg.total_seconds == total
-                    assert seg.phase_seconds == phases
-                    assert list(seg.phase_seconds) == list(phases)
-                    assert seg.subphase_seconds == subphases
-                    assert list(seg.subphase_seconds) == list(subphases)
-                    assert seg.out_of_memory == oom
+                    assert report == seg
+                    assert list(report.phase_seconds) == list(seg.phase_seconds)
+                    assert list(report.subphase_seconds) == list(seg.subphase_seconds)
                 legacy = legacy_report(backend, config, n)
                 assert approx_equal(seg.total_seconds, legacy.total_seconds)
 
@@ -358,12 +328,11 @@ class TestPaperScaleStack:
         backend = create_backend(spec, stack.config)
         for n, report in zip(stack.lengths, backend.simulate_stack(stack)):
             legacy = legacy_report(backend, stack.config, n)
-            total, phases, subphases, _ = engine_seconds(backend, legacy)
             pairs = [
-                ({"total": report.total_seconds}, {"total": total}),
-                (report.phase_seconds, phases),
-                (report.subphase_seconds, subphases),
-                (report.details, {k: getattr(legacy, k) for k in report.details}),
+                ({"total": report.total_seconds}, {"total": legacy.total_seconds}),
+                (report.phase_seconds, legacy.phase_seconds),
+                (report.subphase_seconds, legacy.subphase_seconds),
+                (report.details, legacy.details),
             ]
             for actual, expected in pairs:
                 assert actual.keys() == expected.keys()
@@ -401,11 +370,10 @@ class TestBatchTotalSeconds:
         # Shrink an H100's HBM until only the shorter half of the mix fits;
         # the totals path must report None exactly where simulate() says OOM.
         lengths = (16, 32, 64, 96)
-        probe = GPUBackend("H100", ppm_config=config)
-        peaks = sorted(probe.model.peak_memory_bytes(n) for n in lengths)
+        peaks = sorted(memory.peak_bytes(memory.GPU_DENSE, config, n) for n in lengths)
         cutoff_gb = (peaks[1] + peaks[2]) / 2 / 1e9
         spec = replace(get_gpu("H100"), name="H100-SMALLHBM", memory_gb=cutoff_gb)
-        backend = GPUBackend(spec, ppm_config=config, name="h100-smallhbm")
+        backend = GPUModel(spec, ppm_config=config, name="h100-smallhbm")
         session = SimulationSession(ppm_config=config, use_disk_cache=False)
         totals = session.batch_total_seconds(lengths, backends=[backend])[0]
         for n, total in zip(lengths, totals):

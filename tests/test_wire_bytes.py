@@ -373,9 +373,9 @@ class _CountingBackend:
     name = "counting"
 
     def __init__(self, ppm_config):
-        from repro.sim.backend import AcceleratorBackend
+        from repro.hardware import LightNobelAccelerator
 
-        self.inner = AcceleratorBackend(ppm_config=ppm_config, name=self.name)
+        self.inner = LightNobelAccelerator(ppm_config=ppm_config, name=self.name)
         self.ppm_config = self.inner.ppm_config
         self.counter = {"reads": 0}
 
