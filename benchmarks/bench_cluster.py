@@ -62,7 +62,7 @@ def build_inputs():
         seed=11,
     )
     fleet = FleetSpec.homogeneous("h100-chunk", FLEET_SIZE)
-    session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=PPMConfig.tiny())
     times = prefetch_service_times(trace, fleet, session=session)
     return trace, fleet, times
 
@@ -73,7 +73,7 @@ def build_routed_inputs():
     fleet = mixed_fleet_candidates(
         big_counts=(2,), cheap_counts=(3,), homogeneous_sizes=(FLEET_SIZE,)
     )[0]
-    session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=PPMConfig.tiny())
     times = prefetch_service_times(trace, fleet, session=session)
     return trace, fleet, times
 

@@ -75,7 +75,7 @@ def test_tracing_overhead_on_warm_path(paper_config):
     requests = request_stream()
     tracer = Tracer(max_traces=256)
     with one_cpu(), LatencyService(
-        ppm_config=paper_config, use_disk_cache=False
+        ppm_config=paper_config
     ) as service:
         service.query_batch(requests, timeout=600.0)  # warm the memo first
 
@@ -206,7 +206,7 @@ def test_tracing_adds_no_python_calls_per_request(paper_config):
             calls += 1
 
     counts = {}
-    with LatencyService(ppm_config=paper_config, use_disk_cache=False) as service:
+    with LatencyService(ppm_config=paper_config) as service:
         service.query_batch(requests, timeout=600.0)  # warm the memo first
         for traced in (False, True, False, True):
             service.tracer = tracer if traced else None

@@ -8,11 +8,10 @@ every call.  Prints the speedup table and
 asserts the columnar path is no slower (the repeated-sweep workload must be
 at least 5x faster; in practice it is 20-60x).
 
-A second benchmark covers the PR 2 unified simulation layer: a
-`SimulationSession.simulate_batch` backed by a warm on-disk table cache
-versus the PR 1 per-call path, in the cold-process regime (the LRU is cleared
-each round, as a fresh sweep worker would see) and in the warm in-process
-regime (where the session's report memo skips even the vectorized engine).
+A second benchmark covers the unified simulation layer: a warm
+`SimulationSession.simulate_batch`, whose report memo skips even the
+vectorized engine, must be no more than 1.5x the per-call path over warm
+operator tables.
 
 A third benchmark is the table-build guard: a fresh-length paper-config
 `get_op_table` (one Horner evaluation of the config's fitted per-row cubics)
@@ -47,7 +46,6 @@ import collections
 import copy
 import statistics
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -199,90 +197,52 @@ def test_perf_columnar_vs_legacy(paper_config):
     assert sweep_speedup >= 5.0
 
 
-def run_percall_cold(config):
-    """PR 1 per-call path as a fresh process sees it: rebuild every table."""
-    clear_workload_caches()
-    accelerator = LightNobelAccelerator(ppm_config=config)
-    return [accelerator.simulate(n).total_seconds for n in SEQUENCE_LENGTHS]
+def test_perf_session_batch_warm_memo(paper_config):
+    # Warm in-process regime: LRU is hot for the per-call path, the
+    # session additionally memoizes whole reports.
+    accelerator = LightNobelAccelerator(ppm_config=paper_config)
+    session = SimulationSession(ppm_config=paper_config)
 
+    def percall():
+        return [accelerator.simulate(n).total_seconds for n in SEQUENCE_LENGTHS]
 
-def run_session_batch_cold(config, cache_dir):
-    """Session batch as a fresh process sees it: reports from the disk cache, no table built."""
-    clear_workload_caches()
-    session = SimulationSession(ppm_config=config, cache_dir=cache_dir)
-    batch = session.simulate_batch(SEQUENCE_LENGTHS, backends=["lightnobel"])
-    return batch.totals("lightnobel")
-
-
-def test_perf_session_batch_and_disk_cache(paper_config):
-    with tempfile.TemporaryDirectory(prefix="repro-sim-bench-") as cache_dir:
-        # Warm the disk cache once (one stack of the distinct lengths, priced once).
-        run_session_batch_cold(paper_config, cache_dir)
-
-        percall_cold = time_call(lambda: run_percall_cold(paper_config), repeats=3)
-        session_cold = time_call(
-            lambda: run_session_batch_cold(paper_config, cache_dir), repeats=3
+    def batch():
+        return session.simulate_batch(SEQUENCE_LENGTHS, backends=["lightnobel"]).totals(
+            "lightnobel"
         )
 
-        # Warm in-process regime: LRU is hot for the per-call path, the
-        # session additionally memoizes whole reports.
-        accelerator = LightNobelAccelerator(ppm_config=paper_config)
-        percall_warm = time_call(
-            lambda: [accelerator.simulate(n).total_seconds for n in SEQUENCE_LENGTHS],
-            repeats=5,
-        )
-        session = SimulationSession(ppm_config=paper_config, cache_dir=cache_dir)
-        session.simulate_batch(SEQUENCE_LENGTHS, backends=["lightnobel"])
-        session_warm = time_call(
-            lambda: session.simulate_batch(
-                SEQUENCE_LENGTHS, backends=["lightnobel"]
-            ).totals("lightnobel"),
-            repeats=5,
-        )
+    percall_warm = time_call(percall, repeats=5)
+    batch()
+    session_warm = time_call(batch, repeats=5)
 
-        cold_speedup = percall_cold / session_cold
-        warm_speedup = percall_warm / session_warm
-        print_table(
-            "Sim layer perf: simulate_batch + disk cache vs PR 1 per-call path",
-            [
-                ("regime", "per-call", "session batch", "speedup"),
-                (
-                    f"cold process ({len(SEQUENCE_LENGTHS)} lengths, warm disk cache)",
-                    f"{percall_cold * 1e3:8.1f} ms",
-                    f"{session_cold * 1e3:8.1f} ms",
-                    f"{cold_speedup:5.1f}x",
-                ),
-                (
-                    "warm in-process (report memo vs LRU re-evaluation)",
-                    f"{percall_warm * 1e3:8.2f} ms",
-                    f"{session_warm * 1e3:8.2f} ms",
-                    f"{warm_speedup:5.1f}x",
-                ),
-            ],
-        )
+    warm_speedup = percall_warm / session_warm
+    print_table(
+        "Sim layer perf: warm simulate_batch (report memo) vs per-call path",
+        [
+            ("regime", "per-call", "session batch", "speedup"),
+            (
+                "warm in-process (report memo vs LRU re-evaluation)",
+                f"{percall_warm * 1e3:8.2f} ms",
+                f"{session_warm * 1e3:8.2f} ms",
+                f"{warm_speedup:5.1f}x",
+            ),
+        ],
+    )
 
-        # Identical numbers out of both paths.
-        expected = run_percall_cold(paper_config)
-        actual = run_session_batch_cold(paper_config, cache_dir)
-        for fast, slow in zip(actual, expected):
-            assert abs(fast - slow) / slow < 1e-9
+    # Identical numbers out of both paths.
+    for fast, slow in zip(batch(), percall()):
+        assert abs(fast - slow) / slow < 1e-9
 
-        emit_bench_json(
-            "session_batch",
-            {
-                "percall_cold_seconds": percall_cold,
-                "session_cold_seconds": session_cold,
-                "cold_speedup": cold_speedup,
-                "percall_warm_seconds": percall_warm,
-                "session_warm_seconds": session_warm,
-                "warm_speedup": warm_speedup,
-            },
-        )
+    emit_bench_json(
+        "session_batch",
+        {
+            "percall_warm_seconds": percall_warm,
+            "session_warm_seconds": session_warm,
+            "warm_speedup": warm_speedup,
+        },
+    )
 
-        # The batch + warm-disk-cache path must beat the per-call path
-        # measurably in the cold-process regime (the sharded-sweep regime).
-        assert cold_speedup >= 1.5
-        assert session_warm <= percall_warm * 1.5  # memo path never slower
+    assert session_warm <= percall_warm * 1.5  # memo path never slower
 
 
 #: Table-build guard: paired rounds and the floor on the median pair ratio.
@@ -578,7 +538,7 @@ def count_constructions(monkeypatch, classes):
 def test_one_report_object_per_priced_point(paper_config, monkeypatch):
     lengths = [int(lo + hi) // 2 for lo, hi in zip(DSE_STRATA[:-1], DSE_STRATA[1:])]
     get_stacked_table(paper_config, lengths)  # tables build no report; keep them out
-    session = SimulationSession(ppm_config=paper_config, backends=(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=paper_config, backends=())
     classes = report_classes()
     counts = count_constructions(monkeypatch, classes)
     batch = session.simulate_batch(lengths, backends=COUNTED_BACKENDS)

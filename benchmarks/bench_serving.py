@@ -3,21 +3,18 @@
 Drives a paper-config service with a multi-tenant-shaped request stream —
 many requests over a small set of distinct (backend, length) keys, the
 profile a shared latency service sees when several figure sweeps and users
-query the same design points — and measures sustained queries/sec in three
+query the same design points — and measures sustained queries/sec in two
 regimes:
 
-* **cold** — empty memo, fresh disk cache: every unique key pays one real
-  simulation; duplicates ride along via coalescing,
-* **warm (same process)** — the service's session memo answers everything,
-* **warm (fresh process)** — a new service over the same disk cache
-  (`REPRO_SIM_CACHE_DIR` regime): tables/reports come off disk, no simulator
-  runs.
+* **cold** — a new service with an empty memo: every unique key pays one
+  real simulation; duplicates ride along via coalescing,
+* **warm** — the service's session memo answers everything.
 
-Each cycle clears the process-wide table LRUs and uses a new disk cache, so
+Each cycle clears the process-wide table LRUs and builds a new service, so
 "cold" is cold even when other benchmarks ran first in the same process.
 Asserts the coalescing invariant (simulations == unique keys on every cold
 round), exact parity with a direct `SimulationSession`, and that the median
-warm/cold and fresh/cold q/s ratios over the cycles are at least 1x.
+warm/cold q/s ratio over the cycles is at least 1x.
 
 A third guard prices the Fig. 12 hardware grid twice per pair, through a
 fresh two-tenant service and through a bare session's ``simulate_batch``,
@@ -32,7 +29,6 @@ reading its bytes to writing the response, with a wall-clock backstop.
 import asyncio
 import statistics
 import sys
-import tempfile
 import threading
 import time
 
@@ -72,44 +68,34 @@ def run_round(service):
 
 
 def run_cycle(config):
-    """One cold, warm and fresh-process round over a new disk cache.
+    """One cold and one warm round on a new service.
 
     The process-wide fit and stack LRUs are cleared first, so the cold
     round builds every table it prices, as a fresh process would.
     """
     clear_workload_caches()
-    with tempfile.TemporaryDirectory(prefix="repro-serving-bench-") as cache_dir:
-        with LatencyService(ppm_config=config, cache_dir=cache_dir) as service:
-            cold_reports, cold_qps, unique = run_round(service)
-            cold_stats = service.capacity_report()
-            warm_reports, warm_qps, _ = run_round(service)
-            warm_stats = service.capacity_report()
-
-        # Fresh process over the same disk cache: no simulator and no table,
-        # every report comes off disk.
-        with LatencyService(ppm_config=config, cache_dir=cache_dir) as fresh:
-            fresh_reports, fresh_qps, _ = run_round(fresh)
-            fresh_simulations = fresh.stats.simulations
+    with LatencyService(ppm_config=config) as service:
+        cold_reports, cold_qps, unique = run_round(service)
+        cold_stats = service.capacity_report()
+        warm_reports, warm_qps, _ = run_round(service)
+        warm_stats = service.capacity_report()
 
     # Coalescing invariant: the cold round simulates each unique
     # (backend, length) key exactly once, duplicates ride along free.
     assert cold_stats.simulations == unique
-    # The warm rounds never touch a simulator again.
+    # The warm round never touches a simulator again.
     assert warm_stats.simulations == cold_stats.simulations
-    assert fresh_simulations == 0
     for fast, slow in zip(warm_reports, cold_reports):
         assert fast.total_seconds == slow.total_seconds
-    for fast, slow in zip(fresh_reports, cold_reports):
-        assert fast.total_seconds == slow.total_seconds
-    return cold_reports, cold_stats, (cold_qps, warm_qps, fresh_qps)
+    return cold_reports, cold_stats, (cold_qps, warm_qps)
 
 
-#: Cold/warm/fresh cycles; each guard reads the median of per-cycle ratios.
+#: Cold/warm cycles; the guard reads the median of per-cycle ratios.
 CYCLES = 7
 
 
 def test_serving_throughput_cold_vs_warm(paper_config):
-    session = SimulationSession(ppm_config=paper_config, use_disk_cache=False)
+    session = SimulationSession(ppm_config=paper_config)
     requests, _ = request_stream()
     direct = [
         session.simulate(r.sequence_length, backend=r.backend).total_seconds
@@ -123,21 +109,14 @@ def test_serving_throughput_cold_vs_warm(paper_config):
         # Exact parity with the direct session path on every response.
         assert [r.total_seconds for r in cold_reports] == direct
 
-    cold_qps, warm_qps, fresh_qps = (statistics.median(col) for col in zip(*rates))
-    warm_ratio = statistics.median(warm / cold for cold, warm, _ in rates)
-    fresh_ratio = statistics.median(fresh / cold for cold, _, fresh in rates)
+    cold_qps, warm_qps = (statistics.median(col) for col in zip(*rates))
+    warm_ratio = statistics.median(warm / cold for cold, warm in rates)
     print_table(
         f"Serving throughput: LatencyService, cold vs warm (medians of {CYCLES} cycles)",
         [
             ("regime", "requests", "q/s sustained", "vs cold"),
-            ("cold (empty memo + disk cache)", len(requests), f"{cold_qps:9.0f}", "-"),
+            ("cold (empty memo)", len(requests), f"{cold_qps:9.0f}", "-"),
             ("warm, same process (memo)", len(requests), f"{warm_qps:9.0f}", f"{warm_ratio:5.1f}x"),
-            (
-                "warm, fresh process (disk cache)",
-                len(requests),
-                f"{fresh_qps:9.0f}",
-                f"{fresh_ratio:5.1f}x",
-            ),
         ],
     )
     print(
@@ -151,9 +130,8 @@ def test_serving_throughput_cold_vs_warm(paper_config):
         )
     )
 
-    # Warm regimes must beat the cold regime on sustained throughput.
+    # The warm regime must beat the cold regime on sustained throughput.
     assert warm_ratio >= 1.0
-    assert fresh_ratio >= 1.0
 
 
 def test_http_socket_path_throughput(paper_config):
@@ -184,7 +162,7 @@ def test_http_socket_path_throughput(paper_config):
         name="http-bench",
     )
 
-    service = LatencyService(ppm_config=paper_config, use_disk_cache=False)
+    service = LatencyService(ppm_config=paper_config)
     handle = serve_in_thread(service=service, max_pending_per_tenant=1024)
     try:
         # Warm the memo so both measured passes price cached keys only.
@@ -276,7 +254,7 @@ def fig12_grid():
 
 def served_pass(config, lengths):
     """Seconds for two tenants to serve the figure through a fresh service."""
-    service = LatencyService(ppm_config=config, use_disk_cache=False)
+    service = LatencyService(ppm_config=config)
     failures = []
 
     def tenant():
@@ -308,7 +286,7 @@ def served_pass(config, lengths):
 
 def bare_pass(config, lengths):
     """Seconds for one bare session to price the same grid in one call."""
-    session = SimulationSession(ppm_config=config, backends=(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=config, backends=())
     start = time.perf_counter()
     session.simulate_batch(lengths, backends=fig12_grid())
     return time.perf_counter() - start
@@ -379,7 +357,7 @@ def test_warm_query_batch_takes_the_service_lock_per_batch(paper_config, monkeyp
     """
     from repro.serving import LatencyResponse
 
-    session = SimulationSession(ppm_config=paper_config, use_disk_cache=False)
+    session = SimulationSession(ppm_config=paper_config)
     session.simulate_batch(WARM_LENGTHS, backends=WARM_BACKENDS)
     service = LatencyService(session=session, autostart=False)
     lock = CountingLock()
@@ -448,7 +426,7 @@ def test_warm_query_python_calls(paper_config):
     from repro.serving.wire import WireRequest
 
     keys = [(backend, n) for backend in WARM_BACKENDS for n in WARM_LENGTHS]
-    session = SimulationSession(ppm_config=paper_config, use_disk_cache=False)
+    session = SimulationSession(ppm_config=paper_config)
     session.simulate_batch(WARM_LENGTHS, backends=WARM_BACKENDS)
     service = LatencyService(session=session)
     door = LatencyFrontDoor(service=service)

@@ -207,13 +207,13 @@ def test_stacked_totals_headline():
     totals = time_call(lambda: backend.simulate_stack_totals(stack), repeats=7)
 
     def session_loop():
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         return [
             session.simulate(n, backend="lightnobel").total_seconds for n in lengths
         ]
 
     def session_totals():
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         return session.batch_total_seconds(lengths, backends=["lightnobel"])
 
     session_loop()  # warm the process-wide table/stack LRUs
@@ -286,7 +286,7 @@ def test_planner_prefetch_wall_clock():
     distinct = trace.distinct_lengths()
 
     def fresh_session():
-        return SimulationSession(ppm_config=config, use_disk_cache=False)
+        return SimulationSession(ppm_config=config)
 
     # Warm the process-wide table LRU once so every variant below measures
     # pricing, not graph construction (the regime a planner grid runs in).

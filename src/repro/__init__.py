@@ -20,7 +20,7 @@ Sub-packages
 ``repro.sim``
     Unified simulation-backend layer: every latency number flows through a
     :class:`~repro.sim.session.SimulationSession` (stacked batch API,
-    backend registry, on-disk table/report cache keyed by stable config
+    backend registry, in-memory report memo keyed by stable config
     digests — see the :mod:`repro.sim` docstring for usage).
 ``repro.serving``
     Latency/capacity query service over ``repro.sim``: request queue,

@@ -1,10 +1,11 @@
 """Canonical, version-stamped configuration digests.
 
-Every cache layer in the repository — the in-process LRU of
-:mod:`repro.ppm.op_table` and the cross-process disk cache of
-:mod:`repro.sim.cache` — needs a *stable* identity for a configuration
-object: equal configs must map to equal keys across processes and Python
-versions, and any field change must change the key.  ``hash()`` cannot do
+The report memo of :class:`~repro.sim.session.SimulationSession` and the
+service's coalescing keys need a *stable* identity for a configuration
+object: equal configs must map to equal keys, and any field change must
+change the key.  Digests also name disambiguated backends
+(``lightnobel-<digest>``) and are pinned by tests, so they must not move
+across processes or Python versions either.  ``hash()`` cannot do
 this (it is salted per process), and ``repr()`` is not guaranteed canonical,
 so this module serializes dataclass fields to a sorted JSON document and
 hashes it with SHA-256.
@@ -22,8 +23,8 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-#: Bump when the canonical serialization below changes shape; stale digests
-#: then stop matching and every digest-keyed cache entry invalidates itself.
+#: Bump when the canonical serialization below changes shape (every digest,
+#: and so every pinned digest, then moves).
 DIGEST_SCHEMA_VERSION = 1
 
 #: Hex characters kept from the SHA-256 digest (64 bits — ample for cache keys).

@@ -2,7 +2,7 @@
 
 The fourth layer of the simulation stack: PR 1 made one simulation cheap
 (columnar engine), PR 2 made repeated simulations cheap (sessions, sweeps,
-disk cache), PR 3 made concurrent queries cheap (the serving layer) — this
+the report memo), PR 3 made concurrent queries cheap (the serving layer) — this
 package asks the fleet-level question those layers exist for: **how many
 chips, scheduled how, meet what SLO under realistic protein-length traffic,
 at what cost** — and, since PR 6, **what happens when the fleet breaks**:

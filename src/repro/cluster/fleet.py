@@ -5,7 +5,7 @@ and a cluster:
 
 * :class:`MultiChipBackend` / :class:`MultiChipVariant` — a *node*: ``chips``
   copies of one backend sharding each request, composed from the per-chip
-  :class:`~repro.sim.backend.SimReport` plus all-gather costs from
+  :class:`~repro.report.SimReport` plus all-gather costs from
   :class:`~repro.hardware.interconnect.ChipLinkSpec` (the package-scale
   crossbar model).  The variant is a frozen, hashable spec, so multi-chip
   design points memoize and coalesce exactly like the single-chip variants
@@ -30,7 +30,8 @@ from .._digest import stable_digest
 from ..hardware.interconnect import ChipLinkSpec
 from ..ppm.config import PPMConfig
 from ..ppm.op_table import StackedOperatorTable, get_stacked_table
-from ..sim.backend import LatencyBackend, SimReport, create_backend
+from ..report import SimReport
+from ..sim.backend import LatencyBackend, create_backend
 
 
 class WorkerHealth(Enum):
@@ -58,7 +59,7 @@ class MultiChipBackend:
     phases scale down by the chip count, while every folding block pays
     ``syncs_per_block`` all-gathers of the full pair tensor over the package
     interconnect.  Composition keeps the repo-wide determinism bar — the
-    report is arithmetic over the inner :class:`~repro.sim.backend.SimReport`,
+    report is arithmetic over the inner :class:`~repro.report.SimReport`,
     so multi-chip numbers are exactly reproducible wherever the single-chip
     numbers are.
 

@@ -38,7 +38,7 @@ class GPUSpec:
         return self.hbm_bandwidth_gbps * 1e9 * self.bandwidth_efficiency
 
     def config_digest(self) -> str:
-        """Canonical hash of every field, shared by the LRU and disk caches."""
+        """Canonical hash of every field, shared by the memo and LRU keys."""
         return _config_digest(self)
 
 

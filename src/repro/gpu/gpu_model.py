@@ -69,7 +69,8 @@ class GPUModel:
     def config_digest(self) -> str:
         """Stable hash of everything that affects this model's numbers."""
         # The kind string predates the engines pricing reports themselves;
-        # it stays so no memo or disk-cache key moves.
+        # it stays because tests/test_backends.py pins the digests (and the
+        # derived backend names built from them).
         return memoized_digest(
             "GPUBackend", {"gpu": self.gpu, "ppm": self.ppm_config, "chunked": self.chunked}
         )

@@ -85,7 +85,8 @@ class LightNobelAccelerator:
     def config_digest(self) -> str:
         """Stable hash of everything that affects this accelerator's numbers."""
         # The kind string predates the engines pricing reports themselves;
-        # it stays so no memo or disk-cache key moves.
+        # it stays because tests/test_backends.py pins the digests (and the
+        # derived backend names built from them).
         return memoized_digest(
             "AcceleratorBackend",
             {

@@ -103,5 +103,5 @@ class LightNobelConfig:
         return 2.0 * macs_per_cycle * self.cycles_per_second / 1e12
 
     def config_digest(self) -> str:
-        """Canonical hash of every field, shared by the LRU and disk caches."""
+        """Canonical hash of every field, shared by the memo and LRU keys."""
         return _config_digest(self)

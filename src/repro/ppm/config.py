@@ -163,5 +163,5 @@ class PPMConfig:
         return self.num_heads * self.head_dim
 
     def config_digest(self) -> str:
-        """Canonical hash of every field, shared by the LRU and disk caches."""
+        """Canonical hash of every field, shared by the memo and LRU keys."""
         return _config_digest(self)

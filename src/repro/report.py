@@ -2,10 +2,9 @@
 
 :class:`SimReport` is what every pricing engine returns — the LightNobel
 accelerator, the GPU roofline and the multi-chip node alike — and what the
-session memo, the disk cache, the service and the wire codec hand around.
-It lives outside :mod:`repro.sim` so the engines can build it without
-importing the session layer that resolves them; ``repro.sim.backend``
-re-exports it, so disk-cache pickles that name it there still load.
+session memo, the service and the wire codec hand around.  It lives outside
+:mod:`repro.sim` so the engines can build it without importing the session
+layer that resolves them; every site imports it from here.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ class SimReport:
     # derives from the fields in the ``_derived`` dict of the instance's
     # ``__dict__`` (the wire codec keeps the report's JSON there).  The dict
     # holds nothing that depends on ``backend``; it plays no part in ``==``
-    # or ``repr`` and is left out of pickles (disk-cache entries).
+    # or ``repr`` and is left out of pickles, which only ``copy`` and process
+    # pools still make.
     def relabeled(self, backend: str) -> "SimReport":
         """This report under another backend name, sharing its derived values."""
         derived = self.__dict__.setdefault("_derived", {})

@@ -1,7 +1,7 @@
 """Latency-serving layer: concurrent, multi-tenant queries over `repro.sim`.
 
 The third layer of the simulation stack: the columnar engine makes one
-simulation cheap, sessions and the disk cache make repeated simulations
+simulation cheap, the session's report memo makes repeated simulations
 cheap, and this package makes *concurrent* simulations cheap — a
 request/response front end that coalesces duplicate in-flight work and
 prices each backend's unique work in one stacked pass.

@@ -7,7 +7,7 @@ The serving layer speaks in frozen dataclasses, one class per concept:
   name, a frozen hardware config, a variant spec), a sequence length, and
   the tenant whose bounded queue admits it at the HTTP front door,
 * :class:`LatencyResponse` — the fulfilled request: its ticket id, the
-  :class:`~repro.sim.backend.SimReport`, per-request service timings, and
+  :class:`~repro.report.SimReport`, per-request service timings, and
   whether the request was coalesced onto an earlier in-flight duplicate,
 * :class:`CapacityReport` — an operator-facing snapshot of the service:
   sustained queries/sec, hit rates, queue depth, and per-backend p50/p99
@@ -58,7 +58,7 @@ import math
 from dataclasses import MISSING, dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..sim.backend import SimReport
+from ..report import SimReport
 
 
 class LatencyServiceError(RuntimeError):

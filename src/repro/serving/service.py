@@ -16,7 +16,7 @@ into something that answers concurrent, multi-tenant traffic:
   the first one's job, so N identical concurrent requests cost exactly one
   simulation (the NeMo-style same-shape batching, applied to sim points),
 * **stacked batch admission** — each drained batch of *unique* jobs is
-  priced in-process through the shared session (memo + disk cache): jobs
+  priced in-process through the shared session and its report memo: jobs
   that share a backend spec and recycles flag are priced by **one**
   vectorized stacked pass through
   :meth:`repro.sim.session.SimulationSession.simulate_batch`, seeding the
@@ -61,15 +61,14 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from operator import itemgetter
-from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .._digest import stable_digest
 from .._memo import CONFIG_MEMO
 from ..obs.tracing import Tracer
 from ..ppm.config import PPMConfig
-from ..sim.backend import SimReport
-from ..sim.session import DEFAULT_BACKENDS, SimulationSession
+from ..report import SimReport
+from ..sim.session import DEFAULT_BACKENDS, SimulationSession, refuse_disk_cache
 from .api import (
     CapacityReport,
     LatencyRequest,
@@ -228,8 +227,10 @@ class LatencyService:
     Every drained batch of unique jobs is priced in-process through the
     shared :class:`~repro.sim.session.SimulationSession`; jobs sharing a
     backend spec and recycles flag are priced in a single stacked pass — see
-    the module docstring.  ``cache_dir`` / ``REPRO_SIM_CACHE_DIR`` enable the
-    shared disk cache exactly as on a bare session.
+    the module docstring.  The session's report memo is the service's one
+    cache of reports; ``use_disk_cache`` accepts only ``False``, as on
+    :class:`~repro.sim.session.SimulationSession`, and stays only for the
+    perfbench callers that pass it.
 
     ``tracer`` switches on per-request span tracing: every fulfilled request
     records a root ``request`` span with ``queue-wait``, an execution span
@@ -247,40 +248,34 @@ class LatencyService:
         self,
         ppm_config: Optional[PPMConfig] = None,
         backends: Iterable = DEFAULT_BACKENDS,
-        cache_dir: Optional[Path | str] = None,
-        use_disk_cache: Optional[bool] = None,
         include_recycles: bool = False,
         session: Optional[SimulationSession] = None,
         max_batch: int = 64,
         autostart: bool = True,
         request_log_limit: Optional[int] = None,
         tracer: Optional[Tracer] = None,
+        *,
+        use_disk_cache: bool = False,
     ) -> None:
+        refuse_disk_cache(use_disk_cache)
         if session is not None:
             if ppm_config is not None and ppm_config != session.ppm_config:
                 raise ValueError(
                     "ppm_config does not match session.ppm_config; pass one or the other"
                 )
-            # A caller-supplied session carries its own backends/cache/recycle
-            # settings; silently dropping conflicting kwargs would make e.g.
-            # use_disk_cache=False a no-op, so reject them loudly.
-            if (
-                cache_dir is not None
-                or use_disk_cache is not None
-                or include_recycles
-                or tuple(backends) != DEFAULT_BACKENDS
-            ):
+            # A caller-supplied session carries its own backends and recycle
+            # setting; silently dropping conflicting kwargs would make them
+            # no-ops, so reject them loudly.
+            if include_recycles or tuple(backends) != DEFAULT_BACKENDS:
                 raise ValueError(
-                    "backends/cache_dir/use_disk_cache/include_recycles are "
-                    "session settings; configure them on the session instead"
+                    "backends/include_recycles are session settings; "
+                    "configure them on the session instead"
                 )
             self.session = session
         else:
             self.session = SimulationSession(
                 ppm_config=ppm_config,
                 backends=backends,
-                cache_dir=cache_dir,
-                use_disk_cache=use_disk_cache,
                 include_recycles=include_recycles,
             )
         self.max_batch = int(max_batch)

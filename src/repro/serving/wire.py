@@ -10,7 +10,7 @@ declaration and registers it, which gives every declared type
 * :class:`ErrorBody` — every non-2xx HTTP response body: a machine-readable
   ``code``, a human-readable ``message``, and (for backpressure) a
   ``retry_after_seconds`` hint mirroring the ``Retry-After`` header;
-* the codec of :class:`~repro.sim.backend.SimReport` (the simulator's type,
+* the codec of :class:`~repro.report.SimReport` (the simulator's type,
   declared by its annotations plus the two checks below) and of the
   ``GET /v1/log`` envelope;
 * the converter names :func:`sim_report_to_dict`,
@@ -46,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.backend import SimReport
+from ..report import SimReport
 from .api import (
     CODECS,
     BackendServiceStats,

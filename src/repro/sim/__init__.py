@@ -1,11 +1,13 @@
-"""Unified simulation-backend layer: sessions, batches, disk cache.
+"""Unified simulation-backend layer: sessions, batches, the report memo.
 
 Every latency number in the repository — the accelerator model, the GPU
 rooflines, the Fig. 12–16 figure loops — flows through this package.  The
 two engines are the backends: each implements the
 :class:`LatencyBackend` protocol itself and prices straight into the one
-report type, :class:`SimReport`.  The package resolves specs into engines
-and owns the caches that make repeated sweeps cheap.
+report type, :class:`~repro.report.SimReport`.  The package resolves specs
+into engines and owns the report memo that makes repeated sweeps cheap: a
+session's in-memory memo is the one cache of reports, and nothing here reads
+or writes a file.
 
 Usage
 -----
@@ -29,12 +31,6 @@ Design-space grids (one stacked pass per config over every length)::
     batch = SimulationSession(backends=()).simulate_batch([200, 400], backends=grid)
     [batch.totals(name) for name in batch.backends]    # aligned with grid
 
-Disk cache (cross-process reuse of reports; version-stamped, safe to
-delete)::
-
-    session = SimulationSession(cache_dir="/tmp/repro-sim")
-    # or: export REPRO_SIM_CACHE_DIR=/tmp/repro-sim
-
 Backends are resolved from specs — names (``"lightnobel"``, ``"a100"``,
 ``"h100"``, ``"a100-chunk"``, ``"h100-chunk"``), frozen config dataclasses,
 :class:`AcceleratorVariant`/:class:`GPUVariant` or any frozen spec with a
@@ -47,26 +43,19 @@ from .backend import (
     AcceleratorVariant,
     GPUVariant,
     LatencyBackend,
-    SimReport,
     available_backends,
     create_backend,
 )
-from .cache import CACHE_DIR_ENV, CACHE_SCHEMA_VERSION, DiskCache, default_cache_dir
 from .session import BatchResult, DEFAULT_BACKENDS, SimulationSession, session_for
 
 __all__ = [
     "AcceleratorVariant",
     "BatchResult",
-    "CACHE_DIR_ENV",
-    "CACHE_SCHEMA_VERSION",
     "DEFAULT_BACKENDS",
-    "DiskCache",
     "GPUVariant",
     "LatencyBackend",
-    "SimReport",
     "SimulationSession",
     "available_backends",
     "create_backend",
-    "default_cache_dir",
     "session_for",
 ]

@@ -7,12 +7,10 @@ each take their ``name`` at construction, know their ``max_length`` and
 ``config_digest``, and price a stack straight into one
 :class:`~repro.report.SimReport` per segment.  This module holds:
 
-* :class:`SimReport` — re-exported from :mod:`repro.report`, the one report
-  type (seconds, per-phase seconds, OOM flag, backend-specific details),
 * :class:`LatencyBackend` — the protocol every backend implements: two
   pricing methods over a :class:`~repro.ppm.op_table.StackedOperatorTable`
   (``simulate_stack`` for per-segment reports, ``simulate_stack_totals`` for
-  the scalars alone) plus a stable ``config_digest`` for cache keys.  A
+  the scalars alone) plus a stable ``config_digest`` for memo keys.  A
   single length is a one-segment stack, so there is one pricing path per
   backend,
 * :func:`create_backend` — resolves a spec into a backend.
@@ -23,8 +21,8 @@ Backends are resolved from *specs*: a name (``"lightnobel"`` or
 :class:`~repro.gpu.gpu_config.GPUSpec`, a frozen :class:`AcceleratorVariant` /
 :class:`GPUVariant` (or any frozen spec with a ``build(ppm_config)``, such as
 :class:`~repro.cluster.fleet.MultiChipVariant`), or an already-built backend.
-Specs are plain frozen dataclasses, so they hash, digest and pickle by value
-(memo, coalescing and disk-cache keys).
+Specs are plain frozen dataclasses, so they hash and digest by value (memo
+and coalescing keys).
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ A :class:`SimulationSession` owns, for one :class:`~repro.ppm.config.PPMConfig`:
 * the **backend set** — named :class:`~repro.sim.backend.LatencyBackend`
   instances resolved from specs (``"lightnobel"``, ``"h100-chunk"``, a
   :class:`~repro.hardware.config.LightNobelConfig`, ...),
-* the **report memo** — one :class:`~repro.sim.backend.SimReport` per
-  (backend, length) pair, memoized in memory and optionally persisted to the
-  version-stamped disk cache of :mod:`repro.sim.cache`.
+* the **report memo** — one :class:`~repro.report.SimReport` per
+  (backend config, length, recycles) point, in memory.  It is the one cache
+  of reports: a session touches no file.
 
 Operator tables are not the session's: every miss prices the stacked table of
 its lengths from :func:`~repro.ppm.op_table.get_stacked_table`, whose
 process-wide LRU is the only table cache (a table is one Horner evaluation of
-the config's fitted cubics, cheaper than reading it back from disk).
+the config's fitted cubics).
 :meth:`SimulationSession.simulate_batch` evaluates all requested backends on
 one stack of the distinct lengths — the loop the paper's Figs. 12–16 all run.
 """
@@ -20,16 +20,12 @@ one stack of the distinct lengths — the loop the paper's Figs. 12–16 all run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .._digest import stable_digest
 from ..ppm.config import PPMConfig
 from ..ppm.op_table import get_stacked_table
-from .backend import LatencyBackend, SimReport, create_backend
-from .cache import CACHE_DIR_ENV, DiskCache
-
-import os
+from ..report import SimReport
+from .backend import LatencyBackend, create_backend
 
 #: Backends a session resolves by default.
 DEFAULT_BACKENDS: Tuple[str, ...] = ("lightnobel", "h100")
@@ -86,27 +82,34 @@ def session_for(
     return SimulationSession(ppm_config=ppm_config or PPMConfig.paper(), backends=backends)
 
 
-class SimulationSession:
-    """Backend registry + report memo.
+def refuse_disk_cache(use_disk_cache: bool) -> None:
+    """Reject any ``use_disk_cache`` but ``False``: the report disk cache is gone."""
+    if use_disk_cache is not False:
+        raise ValueError(
+            "use_disk_cache: the report disk cache was removed; the session's "
+            "in-memory report memo is the one cache of reports"
+        )
 
-    ``cache_dir`` (or the ``REPRO_SIM_CACHE_DIR`` environment variable)
-    enables the on-disk cache; when neither is given the session is purely
-    in-memory.  ``use_disk_cache=False`` force-disables it either way.
+
+class SimulationSession:
+    """Backend registry + report memo, in memory only.
+
+    ``use_disk_cache`` stays only for callers that still pass
+    ``use_disk_cache=False`` (the perfbench workloads); ``False`` is its one
+    accepted value, and anything else raises :class:`ValueError`.
     """
 
     def __init__(
         self,
         ppm_config: Optional[PPMConfig] = None,
         backends: Iterable = DEFAULT_BACKENDS,
-        cache_dir: Optional[Path | str] = None,
-        use_disk_cache: Optional[bool] = None,
         include_recycles: bool = False,
+        *,
+        use_disk_cache: bool = False,
     ) -> None:
+        refuse_disk_cache(use_disk_cache)
         self.ppm_config = ppm_config or PPMConfig.paper()
         self.include_recycles = include_recycles
-        if use_disk_cache is None:
-            use_disk_cache = cache_dir is not None or bool(os.environ.get(CACHE_DIR_ENV))
-        self.cache: Optional[DiskCache] = DiskCache(cache_dir) if use_disk_cache else None
         self._backends: Dict[str, LatencyBackend] = {}
         self._reports: Dict[Tuple[str, int, bool], SimReport] = {}
         self._backend_digests: Dict[str, str] = {}
@@ -126,6 +129,12 @@ class SimulationSession:
         (two ``LightNobelConfig`` specs in one batch must not collapse into
         one registration), and a registration with an identical digest is
         reused as-is.  An explicit ``name`` always (re)binds that name.
+
+        A caller's backend instance is never renamed: its reports are
+        relabeled to the registered name on read.  An engine the session
+        built from a spec is its own, so on a collision it takes the derived
+        name and prices under it (a relabel per read costs ~3 µs, about a
+        tenth of a served DSE point).
         """
         backend = create_backend(spec, self.ppm_config)
         digest = backend.config_digest()
@@ -136,7 +145,8 @@ class SimulationSession:
                 return self._backends[key]
             if existing is not None:
                 key = f"{backend.name}-{digest}"
-                backend.name = key
+                if backend is not spec:
+                    backend.name = key
         self._backends[key] = backend
         self._backend_digests[key] = digest
         self._names_by_id[id(backend)] = key
@@ -182,17 +192,6 @@ class SimulationSession:
         return tuple(self._backends)
 
     # -------------------------------------------------------------- simulation
-    def _report_key(self, backend_name: str, sequence_length: int, include: bool) -> str:
-        digest = stable_digest(
-            "SimReport",
-            {
-                "backend": self._backend_digests[backend_name],
-                "n": int(sequence_length),
-                "include_recycles": bool(include),
-            },
-        )
-        return f"report-{digest}"
-
     def simulate(
         self,
         sequence_length: int,
@@ -240,18 +239,9 @@ class SimulationSession:
     def _peek(
         self, name: str, digest: str, sequence_length: int, include_recycles: Optional[bool]
     ) -> Optional[SimReport]:
-        """The session's one memo lookup: one point of a resolved backend.
-
-        A miss reads the disk cache when it is on, and a disk hit is
-        promoted into the memo.
-        """
+        """The session's one memo lookup: one point of a resolved backend."""
         include = self.include_recycles if include_recycles is None else include_recycles
-        memo_key = (digest, int(sequence_length), bool(include))
-        report = self._reports.get(memo_key)
-        if report is None and self.cache is not None:
-            report = self.cache.get(self._report_key(name, sequence_length, memo_key[2]))
-            if report is not None:
-                self._reports[memo_key] = report
+        report = self._reports.get((digest, int(sequence_length), bool(include)))
         if report is None or report.backend == name:  # _labeled, inlined on this per-point path
             return report
         return report.relabeled(name)
@@ -262,7 +252,7 @@ class SimulationSession:
         sequence_length: int = 0,
         include_recycles: Optional[bool] = None,
     ) -> Optional[SimReport]:
-        """Memoized/disk-cached report if one exists, without simulating.
+        """Memoized report if one exists, without simulating.
 
         One point of :meth:`peek_reports`; an unresolvable spec raises.
         """
@@ -271,11 +261,10 @@ class SimulationSession:
     def peek_reports(
         self, points: Iterable[Tuple[object, int, Optional[bool]]]
     ) -> List[object]:
-        """Memoized/disk-cached reports of (spec, length, recycles) points, without simulating.
+        """Memoized reports of (spec, length, recycles) points, without simulating.
 
         Each distinct spec object is resolved to its registration once, so a
-        point costs one memo lookup (plus a disk-cache read on a miss when
-        the cache is on; a disk hit is promoted into the memo).  Entry ``i``
+        point costs one memo lookup.  Entry ``i``
         is point ``i``'s report, ``None`` for a miss, or the exception
         resolving its spec raised — one bad spec never fails the other
         points.  The serving layer peeks a submitted batch's distinct keys
@@ -302,16 +291,11 @@ class SimulationSession:
     ) -> None:
         """Seed the memo for every length ``name`` is missing, in ONE engine pass.
 
-        Lengths already memoized (or on disk) are skipped; the remaining ones
-        are priced by :meth:`_price`.
+        Lengths already memoized are skipped; the remaining ones are priced
+        by :meth:`_price`.
         """
         digest = self._backend_digests[name]
-        missing = [
-            n
-            for n in lengths
-            if (digest, n, include) not in self._reports
-            and (self.cache is None or self.peek_report(name, n, include) is None)
-        ]
+        missing = [n for n in lengths if (digest, n, include) not in self._reports]
         if missing:
             self._price(name, missing, include)
 
@@ -319,16 +303,13 @@ class SimulationSession:
         """Price distinct ``lengths`` with one ``simulate_stack`` call.
 
         The session's only pricing site: every segment report is seeded into
-        the memo/disk cache.
+        the memo.
         """
         stack = get_stacked_table(self.ppm_config, lengths, include)
         reports = self._backends[name].simulate_stack(stack)
         digest = self._backend_digests[name]
         for n in lengths:
-            report = reports[stack.segment_index(n)]
-            self._reports[(digest, int(n), bool(include))] = report
-            if self.cache is not None:
-                self.cache.put(self._report_key(name, n, include), report)
+            self._reports[(digest, int(n), bool(include))] = reports[stack.segment_index(n)]
 
     def simulate_batch(
         self,
@@ -342,7 +323,7 @@ class SimulationSession:
         :class:`~repro.ppm.op_table.StackedOperatorTable` (LRU-cached per
         distinct-length set) and each backend prices the whole mix with a
         single vectorized evaluation; results for repeated lengths — and any
-        length already memoized or on disk — are served from the memo.
+        length already memoized — are served from the memo.
         """
         lengths = [int(n) for n in lengths]
         include = (
@@ -408,9 +389,8 @@ class SimulationSession:
 
     # -------------------------------------------------------------- accounting
     def stats(self) -> Dict[str, object]:
-        """Cache/memoization statistics (for benchmarks and debugging)."""
+        """Memoization statistics (for benchmarks and debugging)."""
         return {
             "reports_in_memory": len(self._reports),
             "backends": self.backend_names(),
-            "disk_cache": self.cache.stats() if self.cache is not None else None,
         }

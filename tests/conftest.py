@@ -2,35 +2,11 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.ppm import PPMConfig, ProteinStructureModel
 from repro.proteins import generate_protein
-from repro.sim.cache import CACHE_DIR_ENV
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_sim_cache(tmp_path_factory):
-    """Point ``REPRO_SIM_CACHE_DIR`` at a per-run tmp dir for the whole suite.
-
-    Tests must never read cache state leaked by an earlier run (stale entries
-    could mask regressions) nor write into the developer's real
-    ``~/.cache/repro-sim``.  Session-scoped on purpose: child processes (the
-    HTTP server tests, the Fig. 11 model pool) inherit the environment, so
-    they share the same sandboxed directory.  Tests that need a pristine or
-    disabled cache still override per-test with ``monkeypatch``/``cache_dir=``.
-    """
-    cache_dir = tmp_path_factory.mktemp("repro-sim-cache")
-    previous = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    yield
-    if previous is None:
-        os.environ.pop(CACHE_DIR_ENV, None)
-    else:
-        os.environ[CACHE_DIR_ENV] = previous
 
 
 @pytest.fixture(scope="session")

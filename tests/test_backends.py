@@ -3,8 +3,8 @@
 ``LightNobelAccelerator`` and ``GPUModel`` implement ``LatencyBackend``
 themselves, and ``create_backend`` resolves every spec to one of them (or to
 a composed backend such as a multi-chip node).  A backend's
-``config_digest`` keys the session memo, the disk cache and every
-digest-derived backend name, so the digests are pinned here.
+``config_digest`` keys the session memo and every digest-derived backend
+name, so the digests are pinned here.
 """
 
 import inspect

@@ -105,7 +105,7 @@ def pinned_trace():
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=PPMConfig.tiny())
     trace = pinned_trace()
     fleet = FleetSpec.homogeneous("h100-chunk", PINNED_FLEET_SIZE)
     for policy in GOLDENS:
@@ -124,7 +124,7 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
 
 @pytest.fixture(scope="module")
 def tiny_session():
-    return SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    return SimulationSession(ppm_config=PPMConfig.tiny())
 
 
 @pytest.fixture(scope="module")
@@ -450,11 +450,11 @@ class TestReplayDeterminism:
         pool, _ = mixture_lengths([(24, 0.5), (48, 0.5)])
         trace = poisson_trace(rate_rps=50.0, num_requests=20, length_pool=pool, seed=1)
         fleet = FleetSpec.homogeneous("lightnobel", 2)
-        session = SimulationSession(ppm_config=cfg, include_recycles=True, use_disk_cache=False)
+        session = SimulationSession(ppm_config=cfg, include_recycles=True)
         with_recycles = prefetch_service_times(trace, fleet, session=session)
         no_recycles = prefetch_service_times(
             trace, fleet,
-            session=SimulationSession(ppm_config=cfg, use_disk_cache=False),
+            session=SimulationSession(ppm_config=cfg),
         )
         for (_, n), seconds in with_recycles.items():
             assert seconds == session.simulate(n, backend="lightnobel").total_seconds
@@ -665,7 +665,7 @@ class TestPlanner:
             fleet_sizes=(4, 5, 6, 7, 8),
             policies=("fifo", "bucketed", "edf"),
             slo_target=0.95,
-            session=SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False),
+            session=SimulationSession(ppm_config=PPMConfig.tiny()),
             same_length_reuse_discount=PINNED_REUSE_DISCOUNT,
         )
 
@@ -919,7 +919,7 @@ class TestServingLogRoundTrip:
 
     def test_live_service_log_replays_bit_identically(self, tiny_session):
         with LatencyService(
-            ppm_config=PPMConfig.tiny(), use_disk_cache=False
+            ppm_config=PPMConfig.tiny()
         ) as service:
             tickets = service.submit_batch(
                 [

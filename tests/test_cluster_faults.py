@@ -107,7 +107,7 @@ RESILIENCE_GOLDENS = {
 
 @pytest.fixture(scope="module")
 def tiny_session():
-    return SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    return SimulationSession(ppm_config=PPMConfig.tiny())
 
 
 def scenario_fleet(size=4):
@@ -122,7 +122,7 @@ def scenario_times(tiny_session):
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=PPMConfig.tiny())
     fleet = scenario_fleet(4)
     suite = scenario_suite(num_workers=4)
     times = prefetch_service_times(suite[0].trace, fleet, session=session)

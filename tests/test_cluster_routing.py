@@ -274,7 +274,7 @@ class TestRoutedReplay:
             ),
             name="hetero",
         )
-        session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+        session = SimulationSession(ppm_config=PPMConfig.tiny())
         times = prefetch_service_times(trace, fleet, session=session)
         kwargs = dict(scheduler="edf", service_times=times)
         routed = replay_trace(trace, fleet, router="cost-greedy", **kwargs)

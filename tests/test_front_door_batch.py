@@ -28,7 +28,7 @@ def call(handle, method: str, path: str, body=None):
 
 
 def test_warm_batch_makes_one_submit_batch_call(tiny_config, monkeypatch):
-    handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+    handle = serve_in_thread(ppm_config=tiny_config)
     service = handle.door.service
     calls = {"submit": 0, "submit_batch": 0}
 

@@ -52,7 +52,7 @@ def fig12_grid():
 
 @pytest.fixture(scope="module")
 def session():
-    return SimulationSession(use_disk_cache=False)
+    return SimulationSession()
 
 
 class TestLightNobelOutOfMemory:

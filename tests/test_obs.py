@@ -351,7 +351,6 @@ class TestTracedService:
         # coalesces, giving the trace a "coalesce" execution span.
         service = LatencyService(
             ppm_config=PPMConfig.tiny(),
-            use_disk_cache=False,
             autostart=False,
             tracer=tracer,
         )
@@ -400,7 +399,7 @@ class TestTracedService:
         assert untraced["spans"][0]["name"] == "request"
 
     def test_no_tracer_means_no_recording_overheads(self):
-        service = LatencyService(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+        service = LatencyService(ppm_config=PPMConfig.tiny())
         assert service.tracer is None
         with service:
             service.result(
@@ -410,7 +409,7 @@ class TestTracedService:
     def test_trace_id_rides_the_request_log(self):
         tracer = Tracer()
         with LatencyService(
-            ppm_config=PPMConfig.tiny(), use_disk_cache=False, tracer=tracer
+            ppm_config=PPMConfig.tiny(), tracer=tracer
         ) as service:
             ticket = service.submit(
                 LatencyRequest(sequence_length=24, trace_id="log-trace")
@@ -481,7 +480,7 @@ EXPOSED_FAMILIES = {
 def traced_door():
     """A front door whose owned service carries a Tracer."""
     handle = serve_in_thread(
-        ppm_config=PPMConfig.tiny(), use_disk_cache=False, tracer=Tracer()
+        ppm_config=PPMConfig.tiny(), tracer=Tracer()
     )
     yield handle
     report = handle.stop(drain=True)
@@ -556,7 +555,7 @@ class TestTracedFrontDoor:
 
 
 def test_tracing_disabled_door_404s_trace_endpoint():
-    handle = serve_in_thread(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    handle = serve_in_thread(ppm_config=PPMConfig.tiny())
     try:
         status, _, body = call(handle, "GET", "/v1/trace/anything")
         assert status == 404
@@ -621,7 +620,7 @@ class TestTimelineBitIdentity:
 
     def test_pinned_named_scenarios_survive_recording(self):
         """The PR 8 golden scenarios replay bit-identically with a recorder on."""
-        session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+        session = SimulationSession(ppm_config=PPMConfig.tiny())
         fleet = FleetSpec.homogeneous(
             MultiChipVariant(base="h100-chunk", chips=2), 4
         )

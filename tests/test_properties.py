@@ -130,12 +130,12 @@ def test_softmax_rows_are_distributions(x):
 
 
 # --------------------------------------------------------------- config_digest
-#: Cross-process/cross-version anchors: these digests key every on-disk cache
-#: entry, so a change in the canonical serialization (field order, float
-#: formatting, dataclass handling) must show up here, not as silently
-#: mismatched cache keys.  Regenerate deliberately via ``config_digest()``.
-#: PPMConfig digests re-pinned twice for a new field, since new fields must
-#: move the digest so stale cached tables/reports self-invalidate: for the
+#: Cross-process/cross-version anchors: these digests key the session memo
+#: and name disambiguated backends, so a change in the canonical
+#: serialization (field order, float formatting, dataclass handling) must
+#: show up here, not as silently moved keys and names.  Regenerate
+#: deliberately via ``config_digest()``.  PPMConfig digests re-pinned twice
+#: for a new field, since new fields must move the digest: for the
 #: chunked-execution knobs (attn_chunk_size/triangle_chunk_size), then for
 #: the execution precision ``dtype``.
 PINNED_DIGESTS = {

@@ -34,9 +34,6 @@ def config() -> PPMConfig:
 
 
 def make_service(config, **kwargs) -> LatencyService:
-    # Disk cache off by default in these tests: several of them count
-    # simulations, which a hit from the suite-wide sandbox cache would skip.
-    kwargs.setdefault("use_disk_cache", False)
     return LatencyService(ppm_config=config, **kwargs)
 
 
@@ -105,7 +102,7 @@ class TestCoalescing:
         with service:
             responses = [service.result(t, timeout=TIMEOUT) for t in tickets]
             report = service.capacity_report()
-        reference = SimulationSession(ppm_config=config, use_disk_cache=False)
+        reference = SimulationSession(ppm_config=config)
         for response in responses:
             response.raise_for_error()
             direct = reference.simulate(
@@ -375,7 +372,7 @@ class TestWorkerPoolParity:
         backend.unpicklable = threading.Lock()
         with make_service(config) as service:
             report = service.query(backend, LENGTHS[0], timeout=TIMEOUT)
-        direct = SimulationSession(ppm_config=config, use_disk_cache=False).simulate(
+        direct = SimulationSession(ppm_config=config).simulate(
             LENGTHS[0], backend="lightnobel"
         )
         assert report.total_seconds == direct.total_seconds
@@ -441,7 +438,7 @@ class TestSynchronousAndErrors:
     def test_session_settings_rejected_alongside_session(self, config):
         session = SimulationSession(ppm_config=config)
         with pytest.raises(ValueError):
-            LatencyService(session=session, use_disk_cache=False)
+            LatencyService(session=session, include_recycles=True)
         with pytest.raises(ValueError):
             LatencyService(session=session, backends=("lightnobel",))
 
@@ -476,7 +473,7 @@ class TestMemoHitsAtSubmit:
         assert root["attributes"]["ticket_id"] == ticket
 
     def test_hit_on_a_never_started_service_is_answered_at_submit(self, config):
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         session.simulate(LENGTHS[0])
         service = LatencyService(session=session, autostart=False)
         ticket = service.submit(LatencyRequest("lightnobel", LENGTHS[0]))
@@ -562,7 +559,7 @@ class TestMemoHitsAtSubmit:
 
     def test_a_miss_is_looked_up_once_before_pricing(self, config):
         """One memo lookup per distinct key at submit, however many requests share it."""
-        bare = SimulationSession(ppm_config=config, use_disk_cache=False)
+        bare = SimulationSession(ppm_config=config)
         with make_service(config) as service:
             counts = {}
             for name, session in (("bare", bare), ("service", service.session)):
@@ -650,7 +647,7 @@ class TestRewiredEntryPoints:
         with make_service(config) as service:
             via_service = latency_breakdown(LENGTHS[0], config=config, service=service)
         direct = latency_breakdown(
-            LENGTHS[0], session=SimulationSession(ppm_config=config, use_disk_cache=False)
+            LENGTHS[0], session=SimulationSession(ppm_config=config)
         )
         assert via_service.phase_fractions == direct.phase_fractions
         assert via_service.subphase_fractions == direct.subphase_fractions
@@ -663,7 +660,7 @@ class TestRewiredEntryPoints:
         direct = compare_hardware_on_lengths(
             "dataset",
             LENGTHS,
-            session=SimulationSession(ppm_config=config, use_disk_cache=False),
+            session=SimulationSession(ppm_config=config),
         )
         assert via_service.lightnobel_seconds == direct.lightnobel_seconds
         assert via_service.gpu_seconds == direct.gpu_seconds
@@ -688,7 +685,7 @@ class TestRewiredEntryPoints:
         with make_service(config) as service:
             via_service = EndToEndComparison(service=service).compare(LENGTHS)
         direct = EndToEndComparison(
-            session=SimulationSession(ppm_config=config, use_disk_cache=False)
+            session=SimulationSession(ppm_config=config)
         ).compare(LENGTHS)
         assert via_service == direct
 

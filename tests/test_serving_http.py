@@ -57,7 +57,7 @@ def call(
 def door():
     """One shared front door (owned tiny-config service) for read-mostly tests."""
     handle = serve_in_thread(
-        ppm_config=PPMConfig.tiny(), use_disk_cache=False, max_pending_per_tenant=64
+        ppm_config=PPMConfig.tiny(), max_pending_per_tenant=64
     )
     yield handle
     report = handle.stop(drain=True)
@@ -76,7 +76,7 @@ class TestSubmitPoll:
         response = WireResponse.from_dict(payload)
         assert response.ok and response.ticket_id == ticket
         direct = SimulationSession(
-            ppm_config=PPMConfig.tiny(), use_disk_cache=False
+            ppm_config=PPMConfig.tiny()
         ).simulate(24, backend="lightnobel")
         assert response.report.total_seconds == direct.total_seconds
 
@@ -196,7 +196,7 @@ class TestBackpressure:
         # Staged service: the dispatcher is not running, so pending requests
         # accumulate deterministically against the tenant bound.
         service = LatencyService(
-            ppm_config=tiny_config, use_disk_cache=False, autostart=False
+            ppm_config=tiny_config, autostart=False
         )
         handle = serve_in_thread(service=service, max_pending_per_tenant=2)
         try:
@@ -239,7 +239,7 @@ class TestBackpressure:
 
     def test_batch_admission_is_all_or_nothing(self, tiny_config):
         service = LatencyService(
-            ppm_config=tiny_config, use_disk_cache=False, autostart=False
+            ppm_config=tiny_config, autostart=False
         )
         handle = serve_in_thread(service=service, max_pending_per_tenant=3)
         try:
@@ -266,7 +266,7 @@ class TestBackpressure:
 class TestPriorityOnTheWire:
     def test_priority_order_observed_in_completed_index(self, tiny_config):
         service = LatencyService(
-            ppm_config=tiny_config, use_disk_cache=False, autostart=False, max_batch=1
+            ppm_config=tiny_config, autostart=False, max_batch=1
         )
         handle = serve_in_thread(service=service, max_pending_per_tenant=64)
         try:
@@ -370,7 +370,7 @@ def get_text(handle, path: str) -> str:
 
 class TestMetricsAndLog:
     def test_metrics_parity_with_service_stats(self, tiny_config):
-        service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+        service = LatencyService(ppm_config=tiny_config)
         handle = serve_in_thread(service=service)
         try:
             for n in (24, 32, 40):
@@ -415,7 +415,7 @@ class TestMetricsAndLog:
     def test_log_round_trip_is_digest_stable(self, tiny_config):
         from repro.cluster import RequestTrace
 
-        service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+        service = LatencyService(ppm_config=tiny_config)
         handle = serve_in_thread(service=service)
         try:
             for n in (24, 32):
@@ -455,7 +455,7 @@ class TestPinnedTraceOverSockets:
             name="http-pinned",
         )
         handle = serve_in_thread(
-            ppm_config=PPMConfig.tiny(), use_disk_cache=False, max_pending_per_tenant=512
+            ppm_config=PPMConfig.tiny(), max_pending_per_tenant=512
         )
         try:
             report = replay_trace_http(trace, handle.host, handle.port, tenant="pinned")
@@ -496,7 +496,7 @@ class TestOneObjectPerDirection:
         import repro.serving.api as api
         import repro.serving.wire as wire
 
-        handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+        handle = serve_in_thread(ppm_config=tiny_config)
         built = {"request": 0, "response": 0}
 
         def counting(cls, kind):
@@ -528,7 +528,7 @@ class TestOneObjectPerDirection:
 
 class TestWarmQueryOnTheLoop:
     def test_warm_queries_schedule_no_loop_callbacks(self, tiny_config):
-        handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+        handle = serve_in_thread(ppm_config=tiny_config)
         scheduled = []
         try:
             for n in (24, 40):  # warm the memo through the dispatcher
@@ -556,7 +556,7 @@ class TestWarmQueryOnTheLoop:
         assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
 
     def test_warm_queries_build_no_asyncio_events(self, tiny_config, monkeypatch):
-        handle = serve_in_thread(ppm_config=tiny_config, use_disk_cache=False)
+        handle = serve_in_thread(ppm_config=tiny_config)
         built = []
         original = asyncio.Event.__init__
 
@@ -582,15 +582,11 @@ class TestWarmQueryOnTheLoop:
         assert built == []
         assert report["unfulfilled"] == 0 and report["unclaimed"] == 0
 
-    def test_standalone_server_keeps_the_latest_log_records(self, monkeypatch, tmp_path):
+    def test_standalone_server_keeps_the_latest_log_records(self, monkeypatch):
         from repro.serving.http import __main__ as cli
-        from repro.sim.cache import CACHE_DIR_ENV
 
         assert cli.REQUEST_LOG_LIMIT == 100_000
         monkeypatch.setattr(cli, "REQUEST_LOG_LIMIT", 3)
-        # An empty disk cache: a length another test left on disk would be
-        # answered at submit, ahead of the others, and reorder the log.
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         service = cli.build_door(cli.build_parser().parse_args([])).service
         with service:
             service.query_batch([("lightnobel", n) for n in (24, 32, 40, 48)], timeout=TIMEOUT)
@@ -599,7 +595,7 @@ class TestWarmQueryOnTheLoop:
 
 class TestReap:
     def test_unclaimed_ticket_becomes_410_gone(self, tiny_config):
-        service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+        service = LatencyService(ppm_config=tiny_config)
         # reap_after_seconds=0: fulfilled-unclaimed tickets are immediately
         # overdue once a reap pass runs (explicit POST /v1/reap here).
         handle = serve_in_thread(service=service, reap_after_seconds=0.0)
@@ -634,7 +630,7 @@ class TestTicketState:
     def test_claimed_tickets_leave_no_per_ticket_state(self, tiny_config):
         """The service owns terminal ticket states; nothing grows per claim."""
         claims = 300
-        service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+        service = LatencyService(ppm_config=tiny_config)
         handle = serve_in_thread(service=service, reap_after_seconds=0.0)
         try:
             for _ in range(claims):

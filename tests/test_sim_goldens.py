@@ -8,8 +8,8 @@ configuration on a small grid, captured from the PR 2 engine; any refactor
 that changes them must update this table deliberately and say why.
 
 The values must hold bit-for-bit modulo float noise (relative 1e-9, the
-repo-wide parity bar) on every execution path: direct session, disk-cache
-round trip, a fresh stacked grid pass, and the serving layer.
+repo-wide parity bar) on every execution path: direct session, a batch, a
+fresh stacked grid pass, and the serving layer.
 """
 
 import pytest
@@ -46,7 +46,7 @@ LENGTHS = tuple(dict.fromkeys(length for _, length in GOLDENS))
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    session = SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    session = SimulationSession(ppm_config=PPMConfig.tiny())
     for backend in BACKENDS:
         for n in LENGTHS:
             r = session.simulate(n, backend=backend)
@@ -67,7 +67,7 @@ def assert_matches_golden(report, backend, length):
 
 @pytest.fixture(scope="module")
 def tiny_session() -> SimulationSession:
-    return SimulationSession(ppm_config=PPMConfig.tiny(), use_disk_cache=False)
+    return SimulationSession(ppm_config=PPMConfig.tiny())
 
 
 @pytest.mark.parametrize("backend,length", sorted(GOLDENS))
@@ -82,24 +82,10 @@ def test_batch_matches_goldens(tiny_session):
             assert_matches_golden(batch.report(backend, length), backend, length)
 
 
-def test_disk_cache_roundtrip_matches_goldens(tmp_path):
-    cold = SimulationSession(ppm_config=PPMConfig.tiny(), cache_dir=tmp_path)
-    cold.simulate_batch(LENGTHS, backends=BACKENDS)
-    warm = SimulationSession(ppm_config=PPMConfig.tiny(), cache_dir=tmp_path)
-    for backend in BACKENDS:
-        for length in LENGTHS:
-            assert_matches_golden(
-                warm.simulate(length, backend=backend), backend, length
-            )
-    assert warm.cache.hits > 0  # the goldens really came off disk
-
-
 def test_fresh_grid_batch_matches_goldens():
     # The Fig. 12 grid path: a fresh session prices every backend's lengths
     # in one stacked pass, with nothing memoized beforehand.
-    session = SimulationSession(
-        ppm_config=PPMConfig.tiny(), backends=(), use_disk_cache=False
-    )
+    session = SimulationSession(ppm_config=PPMConfig.tiny(), backends=())
     batch = session.simulate_batch(LENGTHS, backends=BACKENDS)
     for backend in BACKENDS:
         for length in LENGTHS:
@@ -107,7 +93,7 @@ def test_fresh_grid_batch_matches_goldens():
 
 
 def test_serving_layer_matches_goldens():
-    with LatencyService(ppm_config=PPMConfig.tiny(), use_disk_cache=False) as service:
+    with LatencyService(ppm_config=PPMConfig.tiny()) as service:
         reports = service.query_batch(sorted(GOLDENS), timeout=120.0)
     for (backend, length), report in zip(sorted(GOLDENS), reports):
         assert_matches_golden(report, backend, length)

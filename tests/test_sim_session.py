@@ -1,7 +1,6 @@
-"""Unified simulation layer: backend parity, batching, disk cache."""
+"""Unified simulation layer: backend parity, batching, the one report memo."""
 
 import gc
-import pickle
 import re
 import weakref
 from pathlib import Path
@@ -11,6 +10,7 @@ import pytest
 import repro
 from repro.gpu import EndToEndComparison, GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
+from repro.serving import LatencyService
 from repro.ppm import (
     PPMConfig,
     StackedOperatorTable,
@@ -21,8 +21,6 @@ from repro.ppm import (
 )
 from repro.sim import (
     AcceleratorVariant,
-    CACHE_SCHEMA_VERSION,
-    DiskCache,
     GPUVariant,
     SimulationSession,
     available_backends,
@@ -98,10 +96,8 @@ class TestSimulateBatch:
             assert batch.totals(name) == loop
 
     def test_batch_dedupes_lengths_and_memoizes(self, config):
-        # Disk cache off: the assertions below count in-memory stack builds,
-        # which a disk hit (from the suite-wide sandbox cache) would skip.
         clear_workload_caches()
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         lengths = [LENGTHS[0], LENGTHS[0], LENGTHS[1]]
         before = workload_cache_info().stacks.misses
         batch = session.simulate_batch(lengths, backends=["lightnobel"])
@@ -169,86 +165,40 @@ class TestSimulateBatch:
         assert batch.any_out_of_memory("h100") in (False, True)
 
 
-class TestDiskCache:
-    def test_cold_then_warm_roundtrip(self, config, tmp_path):
-        cold = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        cold_batch = cold.simulate_batch(LENGTHS, backends=["lightnobel", "h100"])
-        assert cold.cache.writes > 0
-        assert cold.cache.hits == 0
+class TestNoReportFiles:
+    """The session memo is the one cache of reports: a session touches no file."""
 
-        warm = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        warm_batch = warm.simulate_batch(LENGTHS, backends=["lightnobel", "h100"])
-        assert warm.cache.hits > 0
-        assert warm.cache.writes == 0
-        for name in ("lightnobel", "h100"):
-            assert warm_batch.totals(name) == cold_batch.totals(name)
+    def test_cold_process_fits_each_config_once_and_writes_no_file(
+        self, config, tmp_path, monkeypatch
+    ):
+        # The variable that once switched the disk cache on, and the home
+        # directory that held its default location, must both stay empty.
+        store, home = tmp_path / "store", tmp_path / "home"
+        store.mkdir()
+        home.mkdir()
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(store))
+        monkeypatch.setenv("HOME", str(home))
+        clear_workload_caches()
+        grid = [LightNobelConfig(num_rmpus=r) for r in (8, 16, 32)]
+        session = SimulationSession(ppm_config=config, backends=())
+        for include_recycles in (False, True):
+            batch = session.simulate_batch(
+                LENGTHS, backends=[*grid, "h100"], include_recycles=include_recycles
+            )
+            assert len(batch.reports) == len(LENGTHS) * (len(grid) + 1)
+        # One cubic fit per distinct (config, include_recycles) pair.
+        assert workload_cache_info().fits.misses == 2
+        assert list(store.iterdir()) == []
+        assert list(home.iterdir()) == []
 
-    def test_no_disk_cache_by_default(self, config, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
-        session = SimulationSession(ppm_config=config)
-        assert session.cache is None
-
-    def test_env_var_enables_cache(self, config, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
-        session = SimulationSession(ppm_config=config)
-        session.simulate(LENGTHS[0])
-        assert session.cache is not None
-        assert list(tmp_path.glob("*.pkl"))
-
-    def test_corrupt_entry_invalidates_and_recomputes(self, config, tmp_path):
-        first = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        expected = first.simulate(LENGTHS[0]).total_seconds
-        for path in tmp_path.glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        second = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        assert second.simulate(LENGTHS[0]).total_seconds == expected
-        assert second.cache.invalidations > 0
-        assert second.cache.hits == 0
-
-    def test_package_version_mismatch_invalidates(self, config, tmp_path):
-        first = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        expected = first.simulate(LENGTHS[0]).total_seconds
-        for path in tmp_path.glob("*.pkl"):
-            envelope = pickle.loads(path.read_bytes())
-            envelope["repro_version"] = "0.0.0-stale"
-            path.write_bytes(pickle.dumps(envelope))
-        second = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        assert second.simulate(LENGTHS[0]).total_seconds == expected
-        assert second.cache.invalidations > 0
-
-    def test_version_mismatch_invalidates(self, config, tmp_path):
-        first = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        expected = first.simulate(LENGTHS[0]).total_seconds
-        for path in tmp_path.glob("*.pkl"):
-            envelope = pickle.loads(path.read_bytes())
-            envelope["version"] = CACHE_SCHEMA_VERSION + 1
-            path.write_bytes(pickle.dumps(envelope))
-        second = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        assert second.simulate(LENGTHS[0]).total_seconds == expected
-        assert second.cache.invalidations > 0
-
-    def test_key_mismatch_invalidates(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("key-a", {"x": 1})
-        cache.path_for("key-a").rename(cache.path_for("key-b"))
-        assert cache.get("key-b") is None
-        assert cache.invalidations == 1
-
-    def test_clear_removes_entries(self, config, tmp_path):
-        session = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        session.simulate(LENGTHS[0])
-        removed = session.cache.clear()
-        assert removed > 0
-        assert not list(tmp_path.glob("*.pkl"))
-
-    def test_different_config_different_keys(self, tmp_path):
-        a = SimulationSession(ppm_config=PPMConfig.tiny(), cache_dir=tmp_path)
-        a.simulate(LENGTHS[0])
-        entries = set(tmp_path.glob("*.pkl"))
-        b = SimulationSession(ppm_config=PPMConfig.small(), cache_dir=tmp_path)
-        b.simulate(LENGTHS[0])
-        assert set(tmp_path.glob("*.pkl")) > entries
-        assert b.cache.hits == 0
+    @pytest.mark.parametrize("flag", [True, None])
+    def test_use_disk_cache_accepts_only_false(self, config, flag):
+        for factory in (SimulationSession, LatencyService):
+            with pytest.raises(ValueError, match="disk cache was removed"):
+                factory(ppm_config=config, use_disk_cache=flag)
+        # The spelling perfbench still passes.
+        SimulationSession(ppm_config=config, use_disk_cache=False)
+        LatencyService(ppm_config=config, use_disk_cache=False).close()
 
 
 class TestOneTableCache:
@@ -265,29 +215,21 @@ class TestOneTableCache:
         monkeypatch.setattr(StackedOperatorTable, "from_tables", classmethod(counting))
         clear_workload_caches()
         lengths = [LENGTHS[0] + i for i in range(5)]
-        first = SimulationSession(ppm_config=config, use_disk_cache=False)
+        first = SimulationSession(ppm_config=config)
         for n in lengths:
             first.simulate(n, backend="lightnobel")
         assert calls["from_tables"] == 0
         assert workload_cache_info().stacks.misses == len(lengths)
         # A fresh session on another backend prices the cached stacks.
-        second = SimulationSession(ppm_config=config, use_disk_cache=False)
+        second = SimulationSession(ppm_config=config)
         for n in lengths:
             second.simulate(n, backend="h100")
         assert calls["from_tables"] == 0
         assert workload_cache_info().stacks.misses == len(lengths)
 
-    def test_cold_disk_cache_holds_reports_only(self, config, tmp_path):
-        session = SimulationSession(ppm_config=config, cache_dir=tmp_path)
-        session.simulate_batch([LENGTHS[0]], backends=["lightnobel", "h100"])
-        session.simulate(LENGTHS[1])
-        names = sorted(path.name for path in tmp_path.iterdir())
-        assert len(names) == 3
-        assert all(re.fullmatch(r"report-\w+\.pkl", name) for name in names), names
-
     def test_a_live_session_keeps_no_lone_table(self, config):
         clear_workload_caches()
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         session.simulate(LENGTHS[0])
         table = weakref.ref(get_op_table(config, LENGTHS[0]))
         others = range(100, 101 + workload_cache_info().stacks.maxsize)
@@ -321,9 +263,7 @@ class TestEndToEndCaching:
             return original(self, stack)
 
         monkeypatch.setattr(GPUModel, "simulate_stack", counting)
-        # Disk cache off so every (gpu, length) pair really hits the
-        # simulator once instead of being served from the sandbox cache.
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         comparison = EndToEndComparison(session=session)
         comparison.compare([LENGTHS[0], LENGTHS[1]])
         # Eight system profiles x two lengths, but only one GPU simulation
@@ -354,6 +294,23 @@ class TestEndToEndCaching:
         assert session.simulate(LENGTHS[0], backend="lightnobel").total_seconds == default
         assert custom.name == "lightnobel"  # the caller's object keeps its name
 
+    def test_colliding_default_name_leaves_the_callers_engine_unnamed(self, config):
+        session = SimulationSession(ppm_config=config)
+        acc = LightNobelAccelerator(LightNobelConfig(num_rmpus=8), ppm_config=config)
+        registered = session.add_backend(acc)
+        key = f"lightnobel-{acc.config_digest()}"
+        assert registered is acc
+        assert acc.name == "lightnobel"
+        assert key in session.backend_names()
+        batch = session.simulate_batch(LENGTHS, backends=[acc, "lightnobel"])
+        assert batch.backends == [key, "lightnobel"]
+        for n in LENGTHS:
+            assert batch.report(key, n).backend == key
+            assert batch.report("lightnobel", n).backend == "lightnobel"
+            assert session.simulate(n, backend=acc).backend == key
+            assert session.peek_report(key, n).backend == key
+        assert acc.name == "lightnobel"
+
     def test_session_config_mismatch_raises(self, config):
         from repro.analysis import latency_breakdown
 
@@ -372,7 +329,7 @@ class TestEndToEndCaching:
         # Regression: two names bound to the same configuration share one
         # digest-keyed memo entry, but each returned report must carry the
         # name the caller asked for (serving stats bucket by report.backend).
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         default = session.simulate(LENGTHS[0], backend="lightnobel")
         session.add_backend(AcceleratorVariant(), name="ln-alias")
         alias = session.simulate(LENGTHS[0], backend="ln-alias")

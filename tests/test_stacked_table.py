@@ -82,7 +82,7 @@ def config() -> PPMConfig:
 
 @pytest.fixture(scope="module")
 def session(config) -> SimulationSession:
-    return SimulationSession(ppm_config=config, use_disk_cache=False)
+    return SimulationSession(ppm_config=config)
 
 
 def approx_equal(a: float, b: float) -> bool:
@@ -362,7 +362,7 @@ class TestBatchTotalSeconds:
         [([48, 48], "lightnobel"), ([48, 64, 80], MULTICHIP[0])],
     )
     def test_read_only_seeds_no_reports(self, config, lengths, spec):
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         session.batch_total_seconds(lengths, backends=[spec])
         assert session.stats()["reports_in_memory"] == 0
 
@@ -374,7 +374,7 @@ class TestBatchTotalSeconds:
         cutoff_gb = (peaks[1] + peaks[2]) / 2 / 1e9
         spec = replace(get_gpu("H100"), name="H100-SMALLHBM", memory_gb=cutoff_gb)
         backend = GPUModel(spec, ppm_config=config, name="h100-smallhbm")
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         totals = session.batch_total_seconds(lengths, backends=[backend])[0]
         for n, total in zip(lengths, totals):
             report = session.simulate(n, backend="h100-smallhbm")
@@ -395,7 +395,7 @@ class TestRandomMixes:
         config = PPMConfig.tiny()
         stack = get_stacked_table(config, mix)
         assert stack.lengths == tuple(sorted(set(mix)))
-        session = SimulationSession(ppm_config=config, use_disk_cache=False)
+        session = SimulationSession(ppm_config=config)
         totals = session.batch_total_seconds(mix, backends=["lightnobel"])[0]
         assert totals == [
             session.simulate(n, backend="lightnobel").total_seconds for n in mix
@@ -457,7 +457,7 @@ class TestBucketedServing:
         # Queue everything before starting the dispatcher so the whole batch
         # lands in one dispatch: one bucket per backend spec, each priced by
         # one stacked pass over its two lengths.
-        service = LatencyService(ppm_config=config, use_disk_cache=False, autostart=False)
+        service = LatencyService(ppm_config=config, autostart=False)
         tickets = service.submit_batch([LatencyRequest(b, n) for b, n in points])
         service.start()
         reports = [
@@ -474,7 +474,7 @@ class TestBucketedServing:
 
     def test_shared_bucket_stacks_the_whole_batch(self, config, session):
         lengths = (16, 40, 72)
-        service = LatencyService(ppm_config=config, use_disk_cache=False, autostart=False)
+        service = LatencyService(ppm_config=config, autostart=False)
         tickets = service.submit_batch(
             [LatencyRequest("lightnobel", n) for n in lengths]
         )
@@ -510,7 +510,7 @@ class TestPlannerPrefetch:
         fleet = FleetSpec.homogeneous("lightnobel", 2)
 
         def fresh():
-            return SimulationSession(ppm_config=config, use_disk_cache=False)
+            return SimulationSession(ppm_config=config)
 
         exact = prefetch_service_times(trace, fleet, session=fresh())
         bucketed = prefetch_service_times(
@@ -527,7 +527,7 @@ class TestSweepGrouping:
         # A design sweep priced grouped by backend (one stacked pass each, on
         # a fresh session) equals per-point pricing.
         backends, lengths = ("lightnobel", "h100"), (16, 32, 48)
-        fresh = SimulationSession(ppm_config=config, use_disk_cache=False)
+        fresh = SimulationSession(ppm_config=config)
         batch = fresh.simulate_batch(lengths, backends=backends)
         for backend in backends:
             for n in lengths:

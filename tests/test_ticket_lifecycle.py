@@ -38,7 +38,7 @@ class TicketLifecycle(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.service = LatencyService(
-            ppm_config=PPMConfig.tiny(), use_disk_cache=False, autostart=False
+            ppm_config=PPMConfig.tiny(), autostart=False
         )
         self.issued = 0
         #: Live ids (pending or fulfilled-unclaimed) -> sequence length.

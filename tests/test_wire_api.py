@@ -38,7 +38,7 @@ from repro.serving.wire import (
     sim_report_from_dict,
     sim_report_to_dict,
 )
-from repro.sim.backend import SimReport
+from repro.report import SimReport
 
 
 def _sim_report() -> SimReport:
@@ -337,7 +337,7 @@ class TestFacade:
         from repro.serving import create_service
 
         with create_service(
-            ppm_config=tiny_config, use_disk_cache=False, autostart=False
+            ppm_config=tiny_config, autostart=False
         ) as service:
             ticket = service.submit(("lightnobel", 24))
             service.start()

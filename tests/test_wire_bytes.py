@@ -25,7 +25,7 @@ from repro.serving.wire import (
     request_log_to_json,
     sim_report_from_dict,
 )
-from repro.sim.backend import SimReport
+from repro.report import SimReport
 
 
 def _sim_report() -> SimReport:
@@ -295,7 +295,7 @@ def _assert_spliced(response) -> None:
 def warm_service(tiny_config):
     from repro.serving import LatencyService
 
-    service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+    service = LatencyService(ppm_config=tiny_config)
     service.query("lightnobel", 24, timeout=60.0)
     yield service
     service.close()
@@ -402,7 +402,7 @@ def test_warm_query_encodes_no_report(tiny_config):
     from repro.serving.http import serve_in_thread
 
     backend = _CountingBackend(tiny_config)
-    service = LatencyService(ppm_config=tiny_config, use_disk_cache=False)
+    service = LatencyService(ppm_config=tiny_config)
     service.register_backend(backend, name=backend.name)
     handle = serve_in_thread(service=service)
     body = b'{"backend": "counting", "sequence_length": 24}'
