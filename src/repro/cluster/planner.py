@@ -142,7 +142,10 @@ def _grid(
     work, prefetches service times once per distinct trace object
     (``prefetch`` are :func:`~repro.cluster.des.prefetch_service_times`
     options), and calls ``replay(fleet, scheduler=..., service_times=...,
-    **options)`` for each cell.  Returns one tuple of points per run.
+    **options)`` for each cell.  Each cell also gets the prefetch's
+    ``ppm_config``, ``session`` and ``service``, so a degraded-link delay is
+    priced at the same config as the service times.  Returns one tuple of
+    points per run.
     """
     if not 0.0 < slo_target <= 1.0:
         raise ValueError("slo_target must be in (0, 1]")
@@ -159,6 +162,7 @@ def _grid(
         ),
         name="planner-prefetch",
     )
+    pricing = {key: prefetch.get(key) for key in ("ppm_config", "session", "service")}
     shared_by_trace: Dict[int, ServiceTimes] = {}
     grids: List[Tuple[PlanPoint, ...]] = []
     for trace, replay in runs:
@@ -186,7 +190,7 @@ def _grid(
                     else policy
                 )
                 report = replay(
-                    fleet, scheduler=cell_policy, service_times=times, **options
+                    fleet, scheduler=cell_policy, service_times=times, **pricing, **options
                 )
                 points.append(
                     PlanPoint(fleet=fleet, policy=scheduler_name(policy), report=report)

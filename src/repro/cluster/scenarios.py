@@ -368,6 +368,8 @@ def resilience_experiment(
     faults = scenario_faults(planned, trace.duration_seconds, seed=seed)
     recovery = RecoveryPolicy(max_retries=2, backoff_base_seconds=0.005)
     admission, autoscaler = scenario_controllers(planned, slo_target)
+    # The prefetch's config prices the degraded-link delays too.
+    pricing = dict(ppm_config=ppm_config, session=session, service=service)
     faulty_fixed, _ = replay_trace_outcomes(
         trace,
         fleet,
@@ -376,6 +378,7 @@ def resilience_experiment(
         same_length_reuse_discount=same_length_reuse_discount,
         faults=faults,
         recovery=recovery,
+        **pricing,
     )
     faulty_controlled, _ = replay_trace_outcomes(
         trace,
@@ -387,6 +390,7 @@ def resilience_experiment(
         recovery=recovery,
         admission=admission,
         autoscaler=autoscaler,
+        **pricing,
     )
     return ResilienceSummary(
         slo_target=slo_target,

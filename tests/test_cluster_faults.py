@@ -100,7 +100,7 @@ SCENARIO_GOLDENS = {
 RESILIENCE_GOLDENS = {
     "planned_workers": 6,
     "healthy": (1.0, 58.21961185783105),
-    "faulty_fixed": (0.9244444444444444, 58.21961185783105),
+    "faulty_fixed": (0.92, 58.21961185783105),
     "faulty_controlled": (1.0, 60.85171062326314),
 }
 
@@ -127,7 +127,10 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
     suite = scenario_suite(num_workers=4)
     times = prefetch_service_times(suite[0].trace, fleet, session=session)
     for sc in suite:
-        r = sc.replay(fleet, service_times=times, same_length_reuse_discount=0.25)
+        r = sc.replay(
+            fleet, service_times=times, session=session,  # as test_pinned_scenario_numbers
+            same_length_reuse_discount=0.25,
+        )
         print(f'    "{sc.name}": (')
         print(f"        {r.slo_attainment!r}, {r.p99_latency_seconds!r},")
         print(f"        {r.completed}, {r.shed}, {r.failed}, {r.retried},")
@@ -842,6 +845,27 @@ class TestScenarioGoldens:
         flash = sum(1 for t in arrivals if 0.5 <= t < 0.7)
         before = sum(1 for t in arrivals if 0.3 <= t < 0.5)
         assert flash > 2 * max(before, 1)  # the crowd actually flashed
+
+    def test_scenario_plan_prices_degraded_links_at_the_session_config(
+        self, tiny_session, scenario_times
+    ):
+        # The faulty scenario's degraded-link windows hit the multi-chip
+        # node's interconnect, whose time depends on the PPM config: every
+        # planner cell must equal a replay given the plan's session.
+        faulty = named_scenario("faulty", num_workers=4)
+        (plan,) = plan_capacity_under_scenarios(
+            [faulty],
+            base_fleet=scenario_fleet(1),
+            fleet_sizes=(4, 6),
+            policies=("edf",),
+            session=tiny_session,
+            same_length_reuse_discount=0.25,
+        ).values()
+        for point in plan.points:
+            assert point.report == faulty.replay(
+                point.fleet, "edf", service_times=scenario_times,
+                session=tiny_session, same_length_reuse_discount=0.25,
+            )
 
     def test_planner_scenario_sweep_and_robust_fleet(self, tiny_session, scenario_times):
         suite = scenario_suite(num_workers=4)
