@@ -37,10 +37,6 @@ from repro.cluster import (
 from repro.ppm import PPMConfig, get_stacked_table
 from repro.sim import SimulationSession, available_backends, create_backend
 
-#: Totals-only headline floor enforced in CI (measured ~11x; see
-#: EXPERIMENTS.md for the recorded run).
-MIN_TOTALS_SPEEDUP = 5.0
-
 #: CI guard: stacked pass over a 30-length mix must beat the loop by >= 3x.
 GUARD_MIX = 30
 MIN_GUARD_SPEEDUP = 3.0
@@ -180,81 +176,6 @@ def test_stacked_mix_beats_per_length_loop():
             f"on {backend_name} ({GUARD_MIX} lengths, median of {PAIRS} paired "
             f"ratios); floor is {MIN_GUARD_SPEEDUP:.0f}x"
         )
-
-
-def test_stacked_totals_headline():
-    """Headline: pricing a 50-length mix to service times (the planner shape).
-
-    Before this PR the only API was the per-length full-report loop; the
-    planner's prefetch reads nothing but ``total_seconds``/OOM per length, so
-    the totals-only stacked pass is the end-to-end before/after of mix
-    pricing.  Totals are bit-identical to the per-length reports.
-    """
-    config = PPMConfig.tiny()
-    lengths = length_mix(HEADLINE_MIX)
-    backend = create_backend("lightnobel", config)
-    singles = one_segment_stacks(config, lengths)
-    stack = get_stacked_table(config, lengths)
-
-    reference = price_each(backend, singles)
-    assert backend.simulate_stack_totals(stack) == [
-        (r.total_seconds, r.out_of_memory) for r in reference
-    ]
-
-    loop = time_call(
-        lambda: [r.total_seconds for r in price_each(backend, singles)], repeats=7
-    )
-    totals = time_call(lambda: backend.simulate_stack_totals(stack), repeats=7)
-
-    def session_loop():
-        session = SimulationSession(ppm_config=config)
-        return [
-            session.simulate(n, backend="lightnobel").total_seconds for n in lengths
-        ]
-
-    def session_totals():
-        session = SimulationSession(ppm_config=config)
-        return session.batch_total_seconds(lengths, backends=["lightnobel"])
-
-    session_loop()  # warm the process-wide table/stack LRUs
-    session_before = time_call(session_loop, repeats=7)
-    session_after = time_call(session_totals, repeats=7)
-
-    print_table(
-        f"Totals-only mix pricing ({HEADLINE_MIX} lengths, lightnobel)",
-        [
-            ("level", "per-length loop", "stacked totals", "speedup"),
-            (
-                "backend",
-                f"{loop * 1e3:8.2f} ms",
-                f"{totals * 1e3:8.2f} ms",
-                f"{loop / totals:5.1f}x",
-            ),
-            (
-                "session",
-                f"{session_before * 1e3:8.2f} ms",
-                f"{session_after * 1e3:8.2f} ms",
-                f"{session_before / session_after:5.1f}x",
-            ),
-        ],
-    )
-    emit_bench_json(
-        "stacked_totals",
-        {
-            "mix": HEADLINE_MIX,
-            "backend_loop_seconds": loop,
-            "backend_totals_seconds": totals,
-            "backend_speedup": loop / totals,
-            "session_loop_seconds": session_before,
-            "session_totals_seconds": session_after,
-            "session_speedup": session_before / session_after,
-        },
-    )
-    assert loop / totals >= MIN_TOTALS_SPEEDUP, (
-        f"totals-only stacked pass only {loop / totals:.1f}x faster than the "
-        f"per-length loop ({HEADLINE_MIX} lengths); floor is "
-        f"{MIN_TOTALS_SPEEDUP:.0f}x"
-    )
 
 
 def test_stacked_parity_on_every_registered_backend():

@@ -197,12 +197,14 @@ def prefetch_service_times(
 ) -> ServiceTimes:
     """Simulate every distinct (worker-group backend, length) pair once.
 
-    With ``service=`` the pairs route through a shared
-    :class:`~repro.serving.service.LatencyService` (its coalescing and memo
-    apply); otherwise a session prices them with
-    :meth:`~repro.sim.session.SimulationSession.batch_total_seconds` — one
-    stacked totals-only pass per backend over the whole length mix
-    (bit-identical to the per-length loop).
+    Both routes price reports into one session memo: with ``service=`` the
+    pairs go through a shared :class:`~repro.serving.service.LatencyService`
+    (its coalescing and memo apply), otherwise through
+    :meth:`~repro.sim.session.SimulationSession.simulate_batch` — one
+    stacked pass per backend over the whole length mix.  A pair's service
+    time is its report's ``total_seconds``, or ``None`` where the length is
+    out of memory, and a second prefetch of the same pairs prices nothing.
+    ``session=`` alongside a ``service=`` over another session raises.
 
     ``length_bucket_size`` trades exactness for fewer simulated points: each
     distinct trace length maps to its shape bucket's *longest* member
@@ -214,32 +216,24 @@ def prefetch_service_times(
     representative = trace.bucketed_lengths(length_bucket_size)
     lengths = sorted(set(representative.values()))
     specs = [group.backend for group in fleet.groups]
-    times: ServiceTimes = {}
+    points = [(gi, n) for gi in range(len(specs)) for n in lengths]
     if service is not None:
+        if session is not None and session is not service.session:
+            raise ValueError("pass either session or service, not both")
         if ppm_config is not None and service.session.ppm_config != ppm_config:
             raise ValueError("ppm_config does not match service.session.ppm_config")
-        reports = service.query_batch(
-            [(spec, n) for spec in specs for n in lengths]
-        )
-        by_rep = {}
-        for gi in range(len(specs)):
-            for li, n in enumerate(lengths):
-                report = reports[gi * len(lengths) + li]
-                by_rep[(gi, n)] = None if report.out_of_memory else report.total_seconds
-        for gi in range(len(specs)):
-            for n, rep in representative.items():
-                times[(gi, n)] = by_rep[(gi, rep)]
-        return times
-    # The planner only reads the scalar total per (group, length), so take
-    # the totals-only stacked fast path — one engine pass per backend, no
-    # per-length report assembly.
-    session = session_for(ppm_config, session, backends=())
-    totals = session.batch_total_seconds(lengths, backends=specs)
-    index = {n: j for j, n in enumerate(lengths)}
-    for gi in range(len(specs)):
-        for n, rep in representative.items():
-            times[(gi, n)] = totals[gi][index[rep]]
-    return times
+        reports = service.query_batch([(specs[gi], n) for gi, n in points])
+    else:
+        batch = session_for(ppm_config, session).simulate_batch(lengths, backends=specs)
+        reports = [batch.report(batch.backends[gi], n) for gi, n in points]
+    seconds: ServiceTimes = {}
+    for point, report in zip(points, reports):
+        seconds[point] = None if report.out_of_memory else report.total_seconds
+    return {
+        (gi, n): seconds[(gi, rep)]
+        for gi in range(len(specs))
+        for n, rep in representative.items()
+    }
 
 
 def prefetch_communication_seconds(

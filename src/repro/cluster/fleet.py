@@ -116,18 +116,6 @@ class MultiChipBackend:
             details=details,
         )
 
-    def simulate_stack_totals(
-        self, stack: StackedOperatorTable
-    ) -> List[Tuple[float, bool]]:
-        """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
-        scale = 1.0 / self.chips
-        return [
-            (total * scale + self.communication_seconds(n), oom)
-            for n, (total, oom) in zip(
-                stack.lengths, self.inner.simulate_stack_totals(stack)
-            )
-        ]
-
     def degraded_communication_seconds(
         self, sequence_length: int, bandwidth_factor: float
     ) -> float:
@@ -147,12 +135,13 @@ class MultiChipBackend:
     def parallel_efficiency(self, sequence_length: int) -> float:
         """Achieved speedup over one chip, divided by the chip count.
 
-        Derived from the same stacked composition the replay uses, so the
-        efficiency can never drift from the reported numbers.
+        Read off the node's own report (its total and the single-chip total
+        it composes), so the efficiency can never drift from the reported
+        numbers.
         """
-        stack = get_stacked_table(self.ppm_config, [sequence_length])
-        ((single, _),) = self.inner.simulate_stack_totals(stack)
-        ((multi, _),) = self.simulate_stack_totals(stack)
+        (report,) = self.simulate_stack(get_stacked_table(self.ppm_config, [sequence_length]))
+        multi = report.total_seconds
+        single = report.details["single_chip_seconds"]
         return (single / multi) / self.chips if multi > 0 else 0.0
 
     def config_digest(self) -> str:

@@ -135,17 +135,10 @@ class GPUModel:
             )
         ]
 
+    # Kept only because perfbench wraps it by name; nothing in src/ calls it.
     def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[Tuple[float, bool]]:
-        """Per-segment ``(total_seconds, out_of_memory)`` — no report materialization.
-
-        The totals come from the same :meth:`StackedOperatorTable.segment_sums`
-        reduction :meth:`simulate_stack` uses, so each float is identical to
-        the full-report path.
-        """
-        seconds, _ = self._operator_columns(stack)
-        max_length = self.max_length
-        totals = stack.segment_sums(seconds)[0][0].tolist()
-        return [(s, n > max_length) for s, n in zip(totals, stack.lengths)]
+        """Per-segment ``(total_seconds, out_of_memory)`` of :meth:`simulate_stack`."""
+        return [(r.total_seconds, r.out_of_memory) for r in self.simulate_stack(stack)]
 
     def simulate_table(self, table: OperatorTable) -> SimReport:
         """Price one operator table as a one-segment stack."""

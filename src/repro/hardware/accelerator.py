@@ -262,32 +262,10 @@ class LightNobelAccelerator:
             )
         return reports
 
+    # Kept only because perfbench wraps it by name; nothing in src/ calls it.
     def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[Tuple[float, bool]]:
-        """Per-segment ``(total_seconds, out_of_memory)`` — no report materialization.
-
-        Totals-only consumers (the planner's service-time prefetch prices
-        thousands of lengths and reads nothing but the scalar) skip the
-        per-segment report assembly entirely.  The stage totals come from the
-        same :meth:`StackedOperatorTable.segment_sums` reduction
-        :meth:`simulate_stack` uses, so the floats are identical to the
-        full-report path.
-        """
-        rmpu, vvpu, hbm, _ = self._engine_cycles(stack)
-        # Same max/max/add chain as the report paths, fused in place (the
-        # intermediates are private here, and in-place ufuncs produce the
-        # identical floats).
-        stage = np.maximum(rmpu, vvpu)
-        np.maximum(stage, hbm, out=stage)
-        stage += self.hw_config.per_op_overhead_cycles
-        totals, _ = stack.segment_sums(stage)
-        # Elementwise add/divide on float64 matches the per-report scalar
-        # arithmetic bit for bit.
-        seconds = (
-            (totals[0] + self.hw_config.pipeline_fill_cycles)
-            / self.hw_config.cycles_per_second
-        ).tolist()
-        max_length = self.max_length
-        return [(s, n > max_length) for s, n in zip(seconds, stack.lengths)]
+        """Per-segment ``(total_seconds, out_of_memory)`` of :meth:`simulate_stack`."""
+        return [(r.total_seconds, r.out_of_memory) for r in self.simulate_stack(stack)]
 
     def simulate_table(self, table: OperatorTable) -> SimReport:
         """Price one operator table as a one-segment stack."""

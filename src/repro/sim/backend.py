@@ -7,12 +7,12 @@ each take their ``name`` at construction, know their ``max_length`` and
 ``config_digest``, and price a stack straight into one
 :class:`~repro.report.SimReport` per segment.  This module holds:
 
-* :class:`LatencyBackend` — the protocol every backend implements: two
-  pricing methods over a :class:`~repro.ppm.op_table.StackedOperatorTable`
-  (``simulate_stack`` for per-segment reports, ``simulate_stack_totals`` for
-  the scalars alone) plus a stable ``config_digest`` for memo keys.  A
-  single length is a one-segment stack, so there is one pricing path per
-  backend,
+* :class:`LatencyBackend` — the protocol every backend implements: one
+  pricing method, ``simulate_stack``, which turns a
+  :class:`~repro.ppm.op_table.StackedOperatorTable` into one report per
+  segment, plus a stable ``config_digest`` for memo keys.  A single length
+  is a one-segment stack and a total is read off its report, so there is
+  one pricing path per backend,
 * :func:`create_backend` — resolves a spec into a backend.
 
 Backends are resolved from *specs*: a name (``"lightnobel"`` or
@@ -44,10 +44,9 @@ from ..report import SimReport
 class LatencyBackend(Protocol):
     """Anything that prices a :class:`StackedOperatorTable` into seconds.
 
-    Both methods evaluate a whole length mix in one pass and return one
-    entry per segment, in ``stack.lengths`` order.  A single length is a
-    one-segment stack.  ``simulate_stack_totals`` must equal the
-    ``(total_seconds, out_of_memory)`` of ``simulate_stack`` exactly.  A
+    ``simulate_stack`` evaluates a whole length mix in one pass and returns
+    one report per segment, in ``stack.lengths`` order; it is the backend's
+    only pricing arithmetic.  A single length is a one-segment stack.  A
     length is out of memory, on GPUs and the accelerator alike, when it
     exceeds the backend's :func:`repro.ppm.memory.max_length`.
     """
@@ -57,12 +56,6 @@ class LatencyBackend(Protocol):
 
     def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
         """One report per segment."""
-        ...
-
-    def simulate_stack_totals(
-        self, stack: StackedOperatorTable
-    ) -> List[Tuple[float, bool]]:
-        """Per-segment ``(total_seconds, out_of_memory)`` without reports."""
         ...
 
     def config_digest(self) -> str:

@@ -15,6 +15,8 @@ process-wide LRU is the only table cache (a table is one Horner evaluation of
 the config's fitted cubics).
 :meth:`SimulationSession.simulate_batch` evaluates all requested backends on
 one stack of the distinct lengths — the loop the paper's Figs. 12–16 all run.
+Every number a caller reads, a bare total included, is read off a memoized
+report.
 """
 
 from __future__ import annotations
@@ -343,49 +345,6 @@ class SimulationSession:
                     self._reports[(digest, n, include)], name
                 )
         return result
-
-    def batch_total_seconds(
-        self,
-        lengths: Iterable[int],
-        backends: Optional[Sequence] = None,
-        include_recycles: Optional[bool] = None,
-    ) -> List[List[Optional[float]]]:
-        """Total latency of every (backend, length) pair; ``None`` where OOM.
-
-        The totals-only fast path for consumers that read nothing but the
-        scalar (the planner's service-time prefetch): each backend's
-        ``simulate_stack_totals`` prices the whole mix in one engine pass with
-        NO per-length report assembly, which is several times faster again
-        than :meth:`simulate_batch`.  Each total is bit-identical to
-        ``simulate(n, backend).total_seconds``.  Read-only: nothing is seeded
-        into the report memo (recomputing is cheaper than materializing the
-        reports would be).
-
-        Returns one list per entry of ``backends`` (session registration
-        order when omitted), each aligned with ``lengths``.
-        """
-        lengths = [int(n) for n in lengths]
-        include = (
-            self.include_recycles if include_recycles is None else bool(include_recycles)
-        )
-        specs = list(backends) if backends is not None else list(self._backends)
-        names = [self._name_of(self.backend(spec)) for spec in specs]
-        if not lengths:
-            return [[] for _ in names]
-        stack = get_stacked_table(self.ppm_config, lengths, include)
-        by_name: Dict[str, Dict[int, Optional[float]]] = {}
-        out: List[List[Optional[float]]] = []
-        for name in names:
-            totals = by_name.get(name)
-            if totals is None:
-                totals = by_name[name] = {
-                    n: (None if oom else t)
-                    for n, (t, oom) in zip(
-                        stack.lengths, self._backends[name].simulate_stack_totals(stack)
-                    )
-                }
-            out.append([totals[n] for n in lengths])
-        return out
 
     # -------------------------------------------------------------- accounting
     def stats(self) -> Dict[str, object]:

@@ -42,7 +42,7 @@ from repro.cluster import (
 )
 from repro.cluster.scenarios import mixed_fleet_experiment, resilience_experiment
 from repro.cluster.scheduler import scheduler_name
-from repro.hardware import ChipLinkSpec
+from repro.hardware import ChipLinkSpec, LightNobelAccelerator
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService
 from repro.serving.api import dispatch_order_key
@@ -102,6 +102,15 @@ def pinned_trace():
         slo=PINNED_SLO,
         seed=PINNED_SEED,
     )
+
+
+def trace_of(lengths):
+    """One request per entry of ``lengths``, a second apart, in order."""
+    requests = tuple(
+        Request(id=i, arrival_seconds=float(i), sequence_length=n)
+        for i, n in enumerate(lengths)
+    )
+    return RequestTrace(name="lengths", requests=requests, seed=0, offered_rps=1.0)
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
@@ -443,6 +452,63 @@ class TestReplayDeterminism:
         with LatencyService(session=tiny_session, autostart=False) as service:
             via_service = prefetch_service_times(trace, fleet, service=service)
         assert via_session == via_config == via_service
+
+        # A length one past the single-chip group's max_length, a multi-chip
+        # group and shape buckets read the same on both routes.
+        past = tiny_session.backend("h100").max_length + 1
+        trace = trace_of([24, 48, 100, past])
+        fleet = FleetSpec(
+            groups=(
+                WorkerGroup("h100", 1),
+                WorkerGroup(MultiChipVariant(base="h100-chunk", chips=2), 1),
+            )
+        )
+        for bucket in (None, 64):
+            via_session = prefetch_service_times(
+                trace, fleet, session=SimulationSession(ppm_config=PPMConfig.tiny()),
+                length_bucket_size=bucket,
+            )
+            with LatencyService(ppm_config=PPMConfig.tiny(), autostart=False) as service:
+                via_service = prefetch_service_times(
+                    trace, fleet, service=service, length_bucket_size=bucket
+                )
+            assert via_session == via_service
+            assert via_session[(0, past)] is None
+            assert via_session[(1, past)] is not None
+            assert via_session[(1, 24)] == via_session[(1, 24 if bucket is None else 48)]
+        assert via_session[(1, 100)] == tiny_session.simulate(
+            100, backend=fleet.groups[1].backend
+        ).total_seconds
+
+    def test_second_prefetch_prices_nothing(self, monkeypatch):
+        # Both routes seed the session memo, so the same pairs again are memo
+        # hits: no engine call.
+        calls = []
+        price = LightNobelAccelerator.simulate_stack
+
+        def counting(self, stack):
+            calls.append(stack.lengths)
+            return price(self, stack)
+
+        monkeypatch.setattr(LightNobelAccelerator, "simulate_stack", counting)
+        trace = trace_of([24, 48, 24])
+        fleet = FleetSpec.homogeneous("lightnobel", 2)
+        session = SimulationSession(ppm_config=PPMConfig.tiny())
+        first = prefetch_service_times(trace, fleet, session=session)
+        assert calls == [(24, 48)]
+        assert prefetch_service_times(trace, fleet, session=session) == first
+        assert calls == [(24, 48)]
+
+    def test_prefetch_rejects_a_session_beside_another_services(self, tiny_session):
+        trace = trace_of([24, 48])
+        fleet = FleetSpec.homogeneous("lightnobel", 1)
+        with LatencyService(ppm_config=PPMConfig.tiny(), autostart=False) as service:
+            for run in (prefetch_service_times, replay_trace):
+                with pytest.raises(ValueError, match="either session or service"):
+                    run(trace, fleet, session=tiny_session, service=service)
+            # The service's own session is no conflict.
+            times = prefetch_service_times(trace, fleet, session=service.session, service=service)
+        assert times == prefetch_service_times(trace, fleet, session=tiny_session)
 
     def test_prefetch_honors_session_recycles(self):
         """A recycles-enabled session gets recycle-inclusive service times."""

@@ -1,8 +1,8 @@
 """Every backend's out-of-memory verdict is ``n > memory.max_length(...)``.
 
 LightNobel at the paper config holds 10,655 residues in its 80 GB of HBM
-(Section 8.3).  Each surface that reports a fit (the session, the totals
-path, stacks, multi-chip nodes and the cluster replay) must read that one
+(Section 8.3).  Each surface that reports a fit (the session, the planner's
+prefetch, stacks, multi-chip nodes and the cluster replay) must read that one
 threshold, and the threshold is searched once per
 ``(row, config, capacity, aaq)``, however many backends ask.
 """
@@ -18,6 +18,7 @@ from repro.cluster import (
     Request,
     RequestTrace,
     WorkerGroup,
+    prefetch_service_times,
     replay_trace,
 )
 from repro.core.aaq import AAQConfig
@@ -50,6 +51,15 @@ def fig12_grid():
     ]
 
 
+def limit_trace() -> RequestTrace:
+    """One request at the limit, one just past it."""
+    requests = tuple(
+        Request(id=i, arrival_seconds=float(i), sequence_length=n)
+        for i, n in enumerate([LIMIT, LIMIT + 1])
+    )
+    return RequestTrace(name="limit", requests=requests, seed=0, offered_rps=1.0)
+
+
 @pytest.fixture(scope="module")
 def session():
     return SimulationSession()
@@ -80,9 +90,10 @@ class TestLightNobelOutOfMemory:
         assert session.simulate(12000, backend="lightnobel").out_of_memory
 
     def test_batch_total_seconds_gives_none(self, session):
-        (totals,) = session.batch_total_seconds([LIMIT, LIMIT + 1], backends=["lightnobel"])
-        assert totals[0] == session.simulate(LIMIT, backend="lightnobel").total_seconds
-        assert totals[1] is None
+        fleet = FleetSpec.homogeneous("lightnobel", 1)
+        times = prefetch_service_times(limit_trace(), fleet, session=session)
+        assert times[(0, LIMIT)] == session.simulate(LIMIT, backend="lightnobel").total_seconds
+        assert times[(0, LIMIT + 1)] is None
 
     def test_stack_and_totals_agree_on_a_mixed_stack(self):
         backend = create_backend("lightnobel")
@@ -97,15 +108,13 @@ class TestLightNobelOutOfMemory:
         node = MultiChipVariant(base="lightnobel", chips=2)
         assert not session.simulate(LIMIT, backend=node).out_of_memory
         assert session.simulate(LIMIT + 1, backend=node).out_of_memory
-        (totals,) = session.batch_total_seconds([LIMIT, LIMIT + 1], backends=[node])
-        assert totals[0] is not None and totals[1] is None
+        times = prefetch_service_times(
+            limit_trace(), FleetSpec.homogeneous(node, 1), session=session
+        )
+        assert times[(0, LIMIT)] is not None and times[(0, LIMIT + 1)] is None
 
     def test_group_oblivious_replay_drops_the_long_request(self, session):
-        requests = tuple(
-            Request(id=i, arrival_seconds=float(i), sequence_length=n)
-            for i, n in enumerate([LIMIT, LIMIT + 1])
-        )
-        trace = RequestTrace(name="limit", requests=requests, seed=0, offered_rps=1.0)
+        trace = limit_trace()
         fleet = FleetSpec(groups=(WorkerGroup(backend="lightnobel", count=2),), name="ln")
         report = replay_trace(trace, fleet, session=session)
         assert report.oom_dropped == 1

@@ -6,15 +6,16 @@ Every latency number must agree across:
   per operator, independent of the columnar engines,
 * the engines' **per-length entry points** (``simulate(n)`` and
   ``simulate_table``), which price a one-segment stack,
-* the **stacked path** (``simulate_stack`` / ``simulate_stack_totals``) —
-  one ragged table, one vectorized pass over a whole traffic mix.  A single
-  length must equal the same segment of a wider stack exactly.
+* the **stacked path** (``simulate_stack``) — one ragged table, one
+  vectorized pass over a whole traffic mix.  A single length must equal the
+  same segment of a wider stack exactly.
 
 The stacked path must reproduce the pinned goldens of
-:mod:`test_sim_goldens` on every registered backend, the totals-only fast
-path must be *exactly* equal (``==``, not approx) to the report path, and a
-hypothesis sweep over random length mixes (duplicates, singletons, unsorted)
-plus shape-bucket boundaries keeps the batching layers honest.
+:mod:`test_sim_goldens` on every registered backend, the service times the
+planner's prefetch reads must be *exactly* equal (``==``, not approx) to the
+report totals, and a hypothesis sweep over random length mixes (duplicates,
+singletons, unsorted) plus shape-bucket boundaries keeps the batching layers
+honest.
 """
 
 from dataclasses import replace
@@ -36,6 +37,9 @@ from test_sim_goldens import (
 from repro.cluster import (
     FleetSpec,
     MultiChipVariant,
+    Request,
+    RequestTrace,
+    WorkerGroup,
     mixture_lengths,
     poisson_trace,
     prefetch_service_times,
@@ -95,6 +99,20 @@ def legacy_report(backend, config: PPMConfig, n: int):
     if isinstance(backend, LightNobelAccelerator):
         return simulate_accelerator_workload(backend, workload)
     return simulate_gpu_workload(backend, workload)
+
+
+def trace_of(lengths) -> RequestTrace:
+    """One request per entry of ``lengths``, in order (duplicates kept)."""
+    requests = tuple(
+        Request(id=i, arrival_seconds=float(i), sequence_length=n)
+        for i, n in enumerate(lengths)
+    )
+    return RequestTrace(name="mix", requests=requests, seed=0, offered_rps=1.0)
+
+
+def fleet_of(*specs) -> FleetSpec:
+    """One single-worker group per backend spec."""
+    return FleetSpec(groups=tuple(WorkerGroup(backend=spec, count=1) for spec in specs))
 
 
 def engine_per_length(backend, config: PPMConfig, n: int):
@@ -263,15 +281,17 @@ class TestThreeWayParity:
                 assert approx_equal(seg.total_seconds, legacy.total_seconds)
 
     def test_totals_exactly_equal_stacked_reports(self, config):
-        # The totals-only path skips report assembly but must produce the
-        # *identical* floats — `==`, not a tolerance.
+        # The planner's prefetch reads each total off a report of the mix:
+        # the *identical* floats — `==`, not a tolerance.
         stack = get_stacked_table(config, MIX)
-        for spec in (*available_backends(), *MULTICHIP):
-            backend = create_backend(spec, config)
-            assert backend.simulate_stack_totals(stack) == [
-                (r.total_seconds, r.out_of_memory)
-                for r in backend.simulate_stack(stack)
-            ]
+        specs = (*available_backends(), *MULTICHIP)
+        times = prefetch_service_times(
+            trace_of(MIX), fleet_of(*specs), session=SimulationSession(ppm_config=config)
+        )
+        for gi, spec in enumerate(specs):
+            for r in create_backend(spec, config).simulate_stack(stack):
+                expected = None if r.out_of_memory else r.total_seconds
+                assert times[(gi, r.sequence_length)] == expected
 
 
 class TestPricingSurface:
@@ -342,40 +362,35 @@ class TestPaperScaleStack:
 
 # ------------------------------------------------------- session batch totals
 class TestBatchTotalSeconds:
+    """Totals of a length mix, as the planner's prefetch reads them."""
+
     def test_matches_simulate_exactly_with_duplicates(self, config, session):
         lengths = [48, 16, 48, 24, 16]
-        for name, totals in zip(
-            ("lightnobel", "h100"),
-            session.batch_total_seconds(lengths, backends=["lightnobel", "h100"]),
-        ):
-            assert totals == [
+        names = ("lightnobel", "h100")
+        times = prefetch_service_times(trace_of(lengths), fleet_of(*names), session=session)
+        for gi, name in enumerate(names):
+            assert [times[(gi, n)] for n in lengths] == [
                 session.simulate(n, backend=name).total_seconds for n in lengths
             ]
 
     def test_single_distinct_length_uses_per_length_fallback(self, config, session):
-        """A single distinct length is now priced as a one-segment stack."""
-        totals = session.batch_total_seconds([32, 32], backends=["lightnobel"])
-        assert totals == [[session.simulate(32, backend="lightnobel").total_seconds] * 2]
-
-    @pytest.mark.parametrize(
-        "lengths, spec",
-        [([48, 48], "lightnobel"), ([48, 64, 80], MULTICHIP[0])],
-    )
-    def test_read_only_seeds_no_reports(self, config, lengths, spec):
-        session = SimulationSession(ppm_config=config)
-        session.batch_total_seconds(lengths, backends=[spec])
-        assert session.stats()["reports_in_memory"] == 0
+        """A single distinct length is priced as a one-segment stack."""
+        times = prefetch_service_times(
+            trace_of([32, 32]), fleet_of("lightnobel"), session=session
+        )
+        assert times == {(0, 32): session.simulate(32, backend="lightnobel").total_seconds}
 
     def test_oom_lengths_map_to_none(self, config):
         # Shrink an H100's HBM until only the shorter half of the mix fits;
-        # the totals path must report None exactly where simulate() says OOM.
+        # the prefetch must report None exactly where simulate() says OOM.
         lengths = (16, 32, 64, 96)
         peaks = sorted(memory.peak_bytes(memory.GPU_DENSE, config, n) for n in lengths)
         cutoff_gb = (peaks[1] + peaks[2]) / 2 / 1e9
         spec = replace(get_gpu("H100"), name="H100-SMALLHBM", memory_gb=cutoff_gb)
         backend = GPUModel(spec, ppm_config=config, name="h100-smallhbm")
         session = SimulationSession(ppm_config=config)
-        totals = session.batch_total_seconds(lengths, backends=[backend])[0]
+        times = prefetch_service_times(trace_of(lengths), fleet_of(backend), session=session)
+        totals = [times[(0, n)] for n in lengths]
         for n, total in zip(lengths, totals):
             report = session.simulate(n, backend="h100-smallhbm")
             if report.out_of_memory:
@@ -396,8 +411,8 @@ class TestRandomMixes:
         stack = get_stacked_table(config, mix)
         assert stack.lengths == tuple(sorted(set(mix)))
         session = SimulationSession(ppm_config=config)
-        totals = session.batch_total_seconds(mix, backends=["lightnobel"])[0]
-        assert totals == [
+        times = prefetch_service_times(trace_of(mix), fleet_of("lightnobel"), session=session)
+        assert [times[(0, n)] for n in mix] == [
             session.simulate(n, backend="lightnobel").total_seconds for n in mix
         ]
 

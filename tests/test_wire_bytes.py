@@ -387,9 +387,6 @@ class _CountingBackend:
             for r in self.inner.simulate_stack(stack)
         ]
 
-    def simulate_stack_totals(self, stack):
-        return self.inner.simulate_stack_totals(stack)
-
     def config_digest(self):
         return "counting-" + self.inner.config_digest()
 
